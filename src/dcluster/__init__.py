@@ -13,4 +13,4 @@ from .mutation import (complements, fan_of, fan_triangles, is_exchange_team,
                        mutate, mutation_graph, mutation_graph_checks)
 from .complex import (ClusterComplex, build_complex, f_vector, facet_stats,
                       gamma, gamma_is_bijection)
-from .verify import CHECK_IDS, load_context, report_to_json, run_checks, save_cache
+from .verify import CHECK_IDS, load_context, report_to_json, run_checks

@@ -16,8 +16,7 @@ from typing import List, Optional, Sequence
 from . import complex as cpxmod
 from . import mutation as mut
 from .tilting import TiltingContext, enumerate_tilting, is_tilting
-from .verify import (CHECK_IDS, load_context, report_to_json, run_checks,
-                     save_cache)
+from .verify import CHECK_IDS, load_context, report_to_json, run_checks
 
 
 class UsageError(Exception):
@@ -40,7 +39,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--orientation",
                     help="'default' or a JSON file with a list of [source, target] arrows")
     sp.add_argument("--out", help="write the command's JSON output here")
-    sp.add_argument("--cache-dir", help="directory for the facet-enumeration cache")
     sp.add_argument("--config", help="JSON file supplying any of the flags above")
 
 
@@ -102,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-CONFIG_KEYS = ("diagram", "rank", "d", "prime", "orientation", "out", "cache_dir")
+CONFIG_KEYS = ("diagram", "rank", "d", "prime", "orientation", "out")
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -133,7 +131,7 @@ def _context(args: argparse.Namespace) -> TiltingContext:
         orientation = json.loads(path.read_text())
     try:
         return load_context(args.diagram, args.rank, args.d, prime=args.prime,
-                            orientation=orientation, cache_dir=args.cache_dir)
+                            orientation=orientation)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -202,8 +200,6 @@ def cmd_tilting_enumerate(args) -> int:
     for f in facets:
         print(" + ".join(oc.obj_name(x) for x in f))
     print("%d tilting sets" % len(facets))
-    if args.cache_dir:
-        save_cache(ctx, args.cache_dir)
     _write_out(args, {"schema": "tilting-sets", "schema_version": 1,
                       "facets": [[oc.obj_name(x) for x in f] for f in facets]})
     return 0
@@ -266,21 +262,6 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-def _mutation_dot(ctx: TiltingContext) -> str:
-    oc = ctx.oc
-    facets, neighbors = mut.mutation_graph(ctx)
-    lines = ["graph mutation {"]
-    for i, f in enumerate(facets):
-        lines.append('  f%d [label="%s"];'
-                     % (i, " + ".join(oc.obj_name(x) for x in f)))
-    for i, nbrs in enumerate(neighbors):
-        for j in sorted(nbrs):
-            if i < j:
-                lines.append("  f%d -- f%d;" % (i, j))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_mutation_graph(args) -> int:
     ctx = _context(args)
     res = mut.mutation_graph_checks(ctx)
@@ -289,7 +270,8 @@ def cmd_mutation_graph(args) -> int:
           % (res["vertices"], edges, res["degree"],
              res["regular"], res["connected"]))
     if args.dot:
-        Path(args.dot).write_text(_mutation_dot(ctx))
+        Path(args.dot).write_text(
+            cpxmod.facet_graph_dot(ctx.oc, enumerate_tilting(ctx), "mutation"))
         print("wrote %s" % args.dot)
     _write_out(args, {"schema": "mutation-graph", "schema_version": 1,
                       "vertices": res["vertices"], "edges": edges,
@@ -359,8 +341,6 @@ def cmd_fans(args) -> int:
             Path(args.json_out).write_text(report_to_json(report))
         if report["summary"]["fail"]:
             rc = 1
-    if args.cache_dir:
-        save_cache(ctx, args.cache_dir)
     return rc
 
 
@@ -383,8 +363,6 @@ def cmd_verify(args) -> int:
     if getattr(args, "out", None):
         Path(args.out).write_text(report_to_json(report))
         print("wrote %s" % args.out)
-    if args.cache_dir:
-        save_cache(ctx, args.cache_dir)
     return 1 if report["summary"]["fail"] else 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .mutation import almost_completes, fan_of, mutation_graph
+from .mutation import almost_completes, facet_adjacency, fan_of
 from .orbit import Obj, OrbitCategory
 from .tilting import TiltingContext, _bits, enumerate_tilting
 
@@ -73,9 +73,6 @@ class ClusterComplex:
         self.facets = [f for f in enumerate_tilting(ctx)
                        if all(x in vset for x in f)]
 
-    def vertex_names(self) -> List[str]:
-        return [self.ctx.oc.obj_name(x) for x in self.vertices]
-
 
 def build_complex(ctx: TiltingContext, positive_only: bool = False) -> ClusterComplex:
     return ClusterComplex(ctx, positive_only)
@@ -102,21 +99,6 @@ def f_vector(cpx: ClusterComplex) -> List[int]:
 
     walk(allowed, 0)
     return counts
-
-
-def facet_adjacency(facets: Sequence[Tuple[Obj, ...]]) -> List[set]:
-    """Adjacency of facets sharing all but one vertex."""
-    nbrs = [set() for _ in facets]
-    groups: Dict[Tuple[Obj, ...], List[int]] = {}
-    for fi, facet in enumerate(facets):
-        for drop in facet:
-            groups.setdefault(tuple(x for x in facet if x != drop), []).append(fi)
-    for members in groups.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                nbrs[members[a]].add(members[b])
-                nbrs[members[b]].add(members[a])
-    return nbrs
 
 
 def facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
@@ -181,20 +163,24 @@ def to_json(cpx: ClusterComplex) -> Dict[str, object]:
     }
 
 
-def to_dot(cpx: ClusterComplex) -> str:
-    """DOT source for the facet-adjacency graph."""
-    ctx = cpx.ctx
-    names = [" + ".join(ctx.oc.obj_name(x) for x in f) for f in cpx.facets]
-    nbrs = facet_adjacency(cpx.facets)
-    lines = ["graph complex {"]
-    for i, name in enumerate(names):
-        lines.append('  f%d [label="%s"];' % (i, name))
+def facet_graph_dot(oc: OrbitCategory, facets: Sequence[Tuple[Obj, ...]],
+                    name: str) -> str:
+    """DOT source, headed `graph <name> {`, for the facet-adjacency graph."""
+    nbrs = facet_adjacency(facets)
+    lines = ["graph %s {" % name]
+    for i, f in enumerate(facets):
+        lines.append('  f%d [label="%s"];' % (i, " + ".join(oc.obj_name(x) for x in f)))
     for i, s in enumerate(nbrs):
         for j in sorted(s):
             if i < j:
                 lines.append("  f%d -- f%d;" % (i, j))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_dot(cpx: ClusterComplex) -> str:
+    """DOT source for the facet-adjacency graph of the complex."""
+    return facet_graph_dot(cpx.ctx.oc, cpx.facets, "complex")
 
 
 def f_vector_text(cpx: ClusterComplex) -> str:

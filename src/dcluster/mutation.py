@@ -35,13 +35,8 @@ from .tilting import TiltingContext, _bits, _common_neighbors, \
     enumerate_tilting, is_rigid, is_tilting
 
 
-def _caches(ctx: TiltingContext, name: str) -> dict:
-    store = ctx.__dict__.setdefault("_mutation_caches", {})
-    return store.setdefault(name, {})
-
-
 def _hom_basis(ctx: TiltingContext, a: Obj, b: Obj) -> List[CMorphism]:
-    cache = _caches(ctx, "hom_basis")
+    cache = ctx._hom_bases
     key = (a, b)
     if key not in cache:
         cache[key] = ctx.oc.hom_basis(a, b)
@@ -96,7 +91,7 @@ def fan_of(ctx: TiltingContext, almost: Sequence[Obj]) -> Tuple[Obj, ...]:
     """The ordered complement cycle of an almost complete set (cached)."""
     oc = ctx.oc
     almost = tuple(oc.normalize(x)[0] for x in almost)
-    cache = _caches(ctx, "fans")
+    cache = ctx._fans
     key = frozenset(almost)
     if key not in cache:
         cache[key] = order_into_fan(ctx, complements(ctx, almost))
@@ -135,7 +130,7 @@ def almost_completes(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
 
 def _composite_columns(ctx: TiltingContext, a: Obj, mid: Obj, b: Obj) -> List[np.ndarray]:
     """Coordinate columns of {g o f : f in Hom(a, mid), g in Hom(mid, b)}."""
-    cache = _caches(ctx, "composites")
+    cache = ctx._composites
     key = (a, mid, b)
     if key not in cache:
         oc = ctx.oc
@@ -170,6 +165,32 @@ def _check_end_fields(ctx: TiltingContext, addset: Sequence[Obj]) -> None:
             raise RuntimeError("endomorphism ring of %r is not one-dimensional" % (t,))
 
 
+def _ordered(right: bool, s, t):
+    """(s, t) on the right-approximation side, (t, s) on its mirror image."""
+    return (s, t) if right else (t, s)
+
+
+def _approximation(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
+                   right: bool) -> Dict[Obj, List[CMorphism]]:
+    """Generators of Hom(T_j, x) (right) or Hom(x, T_j) (left) mod the radical."""
+    oc = ctx.oc
+    addset = tuple(oc.normalize(t)[0] for t in addset)
+    x = oc.normalize(x)[0]
+    _check_end_fields(ctx, addset)
+    tops = {}
+    for j, tj in enumerate(addset):
+        a, b = _ordered(right, tj, x)
+        basis = _hom_basis(ctx, a, b)
+        if not basis:
+            continue
+        rad = []
+        for l, tl in enumerate(addset):
+            if l != j:
+                rad.extend(_composite_columns(ctx, a, tl, b))
+        tops[tj] = _tops_mod_radical(ctx, basis, rad)
+    return tops
+
+
 def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
                         target: Obj) -> Dict[Obj, List[CMorphism]]:
     """Radical-complement generators of Hom(T_j, target) for each summand T_j.
@@ -179,76 +200,32 @@ def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
     `addset`; requires every End(T_j) to be one-dimensional so that the
     radical is exactly the span of composites through the other summands.
     """
-    oc = ctx.oc
-    addset = tuple(oc.normalize(x)[0] for x in addset)
-    target = oc.normalize(target)[0]
-    _check_end_fields(ctx, addset)
-    tops = {}
-    for j, tj in enumerate(addset):
-        basis = _hom_basis(ctx, tj, target)
-        if not basis:
-            continue
-        rad = []
-        for l, tl in enumerate(addset):
-            if l != j:
-                rad.extend(_composite_columns(ctx, tj, tl, target))
-        tops[tj] = _tops_mod_radical(ctx, basis, rad)
-    return tops
+    return _approximation(ctx, addset, target, right=True)
 
 
 def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
                        source: Obj) -> Dict[Obj, List[CMorphism]]:
     """Dual of right_approximation: generators of Hom(source, T_j) mod radical."""
-    oc = ctx.oc
-    addset = tuple(oc.normalize(x)[0] for x in addset)
-    source = oc.normalize(source)[0]
-    _check_end_fields(ctx, addset)
-    tops = {}
-    for j, tj in enumerate(addset):
-        basis = _hom_basis(ctx, source, tj)
-        if not basis:
-            continue
-        rad = []
-        for l, tl in enumerate(addset):
-            if l != j:
-                rad.extend(_composite_columns(ctx, source, tl, tj))
-        tops[tj] = _tops_mod_radical(ctx, basis, rad)
-    return tops
+    return _approximation(ctx, addset, source, right=False)
 
 
-def _factors_through_right(ctx, addset, target, tops) -> bool:
-    """Does every Hom(T_l, target) lie in the span of tops precomposed with add maps?"""
+def _factors_through(ctx, addset, x, tops, right: bool) -> bool:
+    """Does every map between add set and x factor through the generators?
+
+    Right side: each Hom(T_l, x) lies in the span of tops precomposed with
+    Hom(T_l, T_j); the left side is the mirror image.
+    """
     oc = ctx.oc
     p = oc.cat.p
     for tl in addset:
-        basis = _hom_basis(ctx, tl, target)
+        basis = _hom_basis(ctx, *_ordered(right, tl, x))
         if not basis:
             continue
         cols = []
         for tj, fs in tops.items():
-            for v in _hom_basis(ctx, tl, tj):
+            for v in _hom_basis(ctx, *_ordered(right, tl, tj)):
                 for f in fs:
-                    cols.append(oc.morph_coords(oc.compose(f, v)))
-        dim = len(oc.morph_coords(basis[0]))
-        span = np.stack(cols, axis=1) if cols else linalg.zeros(dim, 0)
-        for h in basis:
-            if not linalg.in_span(span, oc.morph_coords(h), p):
-                return False
-    return True
-
-
-def _factors_through_left(ctx, addset, source, tops) -> bool:
-    oc = ctx.oc
-    p = oc.cat.p
-    for tl in addset:
-        basis = _hom_basis(ctx, source, tl)
-        if not basis:
-            continue
-        cols = []
-        for tj, gs in tops.items():
-            for v in _hom_basis(ctx, tj, tl):
-                for g in gs:
-                    cols.append(oc.morph_coords(oc.compose(v, g)))
+                    cols.append(oc.morph_coords(oc.compose(*_ordered(right, f, v))))
         dim = len(oc.morph_coords(basis[0]))
         span = np.stack(cols, axis=1) if cols else linalg.zeros(dim, 0)
         for h in basis:
@@ -262,7 +239,7 @@ def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
     """Multiplicities of the minimal right approximation, factorization-checked."""
     addset = tuple(ctx.oc.normalize(x)[0] for x in addset)
     tops = right_approximation(ctx, addset, target)
-    if not _factors_through_right(ctx, addset, target, tops):
+    if not _factors_through(ctx, addset, target, tops, right=True):
         raise RuntimeError("approximation candidates do not cover Hom(add set, %r)"
                            % (target,))
     return {tj: len(fs) for tj, fs in tops.items()}
@@ -285,16 +262,16 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
     m = len(cycle)
     for i in range(m):
         xi, xnext = cycle[i], cycle[(i + 1) % m]
-        right = right_approximation(ctx, almost, xi)
-        left = left_approximation(ctx, almost, xnext)
-        rm = {t: len(fs) for t, fs in right.items() if fs}
-        lm = {t: len(gs) for t, gs in left.items() if gs}
+        rtops = right_approximation(ctx, almost, xi)
+        ltops = left_approximation(ctx, almost, xnext)
+        rm = {t: len(fs) for t, fs in rtops.items() if fs}
+        lm = {t: len(gs) for t, gs in ltops.items() if gs}
         if rm != lm:
             raise RuntimeError("middle term of triangle at %r disagrees between "
                                "right (%r) and left (%r) approximations" % (xi, rm, lm))
-        if not _factors_through_right(ctx, almost, xi, right):
+        if not _factors_through(ctx, almost, xi, rtops, right=True):
             raise RuntimeError("right approximation of %r does not cover all maps" % (xi,))
-        if not _factors_through_left(ctx, almost, xnext, left):
+        if not _factors_through(ctx, almost, xnext, ltops, right=False):
             raise RuntimeError("left approximation of %r does not cover all maps" % (xnext,))
         out.append({"target": xi, "source": xnext, "mults": rm})
     return out
@@ -307,7 +284,7 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
 def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
     """fan_triangles over the cached fan of `almost`, itself cached."""
     almost = tuple(ctx.oc.normalize(x)[0] for x in almost)
-    cache = _caches(ctx, "triangles")
+    cache = ctx._triangles
     key = frozenset(almost)
     if key not in cache:
         cache[key] = fan_triangles(ctx, almost, fan_of(ctx, almost))
@@ -500,11 +477,10 @@ def mutate(ctx: TiltingContext, objs: Sequence[Obj], drop: Obj,
     return tuple(sorted(almost + (new,), key=lambda t: ctx.index[t]))
 
 
-def mutation_graph(ctx: TiltingContext) -> Tuple[List[Tuple[Obj, ...]], List[set]]:
-    """Facets and their adjacency (facets sharing all but one summand)."""
-    facets = enumerate_tilting(ctx)
+def facet_adjacency(facets: Sequence[Tuple[Obj, ...]]) -> List[set]:
+    """Adjacency of facets sharing all but one summand."""
     nbrs = [set() for _ in facets]
-    groups = {}
+    groups: Dict[Tuple[Obj, ...], List[int]] = {}
     for fi, facet in enumerate(facets):
         for drop in facet:
             groups.setdefault(tuple(x for x in facet if x != drop), []).append(fi)
@@ -513,7 +489,13 @@ def mutation_graph(ctx: TiltingContext) -> Tuple[List[Tuple[Obj, ...]], List[set
             for b in range(a + 1, len(members)):
                 nbrs[members[a]].add(members[b])
                 nbrs[members[b]].add(members[a])
-    return facets, nbrs
+    return nbrs
+
+
+def mutation_graph(ctx: TiltingContext) -> Tuple[List[Tuple[Obj, ...]], List[set]]:
+    """Facets and their adjacency (facets sharing all but one summand)."""
+    facets = enumerate_tilting(ctx)
+    return facets, facet_adjacency(facets)
 
 
 def mutation_graph_checks(ctx: TiltingContext) -> Dict[str, object]:

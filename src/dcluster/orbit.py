@@ -82,7 +82,11 @@ class OrbitCategory:
         if not (body.startswith("root#") and body.endswith("]") and "[" in body):
             raise ValueError("bad object name %r" % name)
         idx, shift = body[5:-1].split("[")
-        obj = (self.cat.roots[int(idx)], int(shift))
+        i = int(idx)
+        if not 0 <= i < len(self.cat.roots):
+            raise ValueError("%r: root index must be in 0..%d"
+                             % (name, len(self.cat.roots) - 1))
+        obj = (self.cat.roots[i], int(shift))
         if self.normalize(obj)[0] != obj:
             raise ValueError("%r is not in the fundamental domain" % name)
         return obj

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
 Root = Tuple[int, ...]
 
@@ -93,22 +92,12 @@ class DynkinQuiver:
                              % (diagram, rank))
         self.arrows: Tuple[Tuple[int, int], ...] = tuple(arrows)
 
-    @property
-    def n(self) -> int:
-        return self.rank
-
-    def key(self) -> tuple:
-        return (self.diagram, self.rank, self.arrows)
-
     def __repr__(self):
         return "DynkinQuiver(%r, %d, %r)" % (self.diagram, self.rank, list(self.arrows))
 
     def arrows_out(self, v: int) -> List[Tuple[int, int]]:
         """(arrow index, target) pairs for arrows leaving v."""
         return [(i, t) for i, (s, t) in enumerate(self.arrows) if s == v]
-
-    def arrows_in(self, v: int) -> List[Tuple[int, int]]:
-        return [(i, s) for i, (s, t) in enumerate(self.arrows) if t == v]
 
 
 def parse_quiver(diagram: str, rank: int, orientation=None) -> DynkinQuiver:
@@ -191,38 +180,70 @@ class CoxeterData:
 
 
 def coxeter_matrix(q: DynkinQuiver) -> np.ndarray:
-    """Coxeter transformation Phi = -E^{-T} ... acting as [tau M] = Phi [M]."""
-    e = sympy.Matrix(euler_matrix(q).tolist())
-    phi = -e.inv() * e.T
-    return np.array(phi.tolist(), dtype=np.int64)
+    """Coxeter transformation Phi = -E^{-1} E^T, acting as [tau M] = Phi [M].
+
+    E = I - A with A the nilpotent arrow matrix, so E^{-1} = sum_{k<n} A^k
+    exactly in integers.
+    """
+    e = euler_matrix(q)
+    arrows = np.eye(q.rank, dtype=np.int64) - e
+    power = inv = np.eye(q.rank, dtype=np.int64)
+    for _ in range(1, q.rank):
+        power = power @ arrows
+        inv = inv + power
+    return -inv @ e.T
+
+
+def _rank_q(mat: np.ndarray) -> int:
+    """Rank over Q, by exact Fraction elimination (a rank mod p can be lower)."""
+    rows = [[Fraction(int(v)) for v in row] for row in mat]
+    rank = 0
+    for c in range(mat.shape[1]):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def coxeter_data(q: DynkinQuiver) -> CoxeterData:
+    """Coxeter number h (the order of Phi) and the exponents.
+
+    Phi has finite order h, so it is diagonalizable with eigenvalues
+    exp(2 pi i m / h) over the exponents m.  dim ker(Phi^j - I) counts the
+    eigenvalues whose order divides j; Moebius inversion over the divisors
+    of h (subtracting the counts of proper divisors) leaves those of exact
+    order k, which fill whole sets of primitive k-th roots exp(2 pi i r / k),
+    gcd(r, k) = 1, each giving the exponent h r / k.
+    """
     phi = coxeter_matrix(q)
-    power = np.eye(q.rank, dtype=np.int64)
+    eye = np.eye(q.rank, dtype=np.int64)
+    powers = [eye]
     h = 0
     for k in range(1, 100):
-        power = power @ phi
-        if np.array_equal(power, np.eye(q.rank, dtype=np.int64)):
+        powers.append(powers[-1] @ phi)
+        if np.array_equal(powers[-1], eye):
             h = k
             break
     if h == 0:
         raise RuntimeError("Coxeter transformation has unexpected infinite order")
-    x = sympy.Symbol("x")
-    charpoly = sympy.Matrix(phi.tolist()).charpoly(x).as_expr()
-    _, factors = sympy.factor_list(charpoly)
+    exact: Dict[int, int] = {}
     exponents: List[int] = []
-    for fac, mult in factors:
-        k = None
-        for cand in range(1, h + 1):
-            if sympy.expand(fac - sympy.cyclotomic_poly(cand, x)) == 0:
-                k = cand
-                break
-        if k is None:
-            raise RuntimeError("charpoly factor %s is not cyclotomic" % fac)
-        for r in range(1, k + 1):
-            if math.gcd(r, k) == 1:
-                exponents.extend([h * r // k] * mult)
+    for k in (k for k in range(1, h + 1) if h % k == 0):
+        exact[k] = q.rank - _rank_q(powers[k] - eye) - \
+            sum(c for j, c in exact.items() if k % j == 0)
+        coprime = [r for r in range(1, k + 1) if math.gcd(r, k) == 1]
+        mult, rem = divmod(exact[k], len(coprime))
+        if rem or mult < 0:
+            raise RuntimeError("%d eigenvalues of order %d do not fill whole "
+                               "cyclotomic factors" % (exact[k], k))
+        for r in coprime:
+            exponents.extend([h * r // k] * mult)
     exponents.sort()
     if len(exponents) != q.rank or sum(exponents) != q.rank * h // 2:
         raise RuntimeError("exponent bookkeeping failed: %r" % exponents)

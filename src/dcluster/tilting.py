@@ -34,6 +34,12 @@ class TiltingContext:
         self.index = {x: i for i, x in enumerate(self.objects)}
         self.n = oc.cat.q.rank
         self._adj = None
+        self._tilting = None
+        # memos of the mutation module, keyed by objects or almost complete sets
+        self._hom_bases = {}
+        self._fans = {}
+        self._composites = {}
+        self._triangles = {}
 
     def compatible(self, x: Obj, y: Obj) -> bool:
         return all(self.oc.ext_dim(x, y, k) == 0 for k in range(1, self.oc.d + 1))
@@ -170,9 +176,8 @@ def maximal_rigid_sets(ctx: TiltingContext) -> List[int]:
 
 def enumerate_tilting(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
     """All rigid sets of size exactly n, by ordered backtracking (cached)."""
-    cached = ctx.__dict__.get("_tilting")
-    if cached is not None:
-        return cached
+    if ctx._tilting is not None:
+        return ctx._tilting
     adj = ctx.adjacency()
     m = len(ctx.objects)
     n = ctx.n

@@ -12,16 +12,14 @@ configuration.  Wall-clock times are returned separately for console use.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import complex as cpxmod
 from . import mutation as mut
 from .orbit import OrbitCategory
-from .quiver import DynkinQuiver, coxeter_data, fomin_reading_count, parse_quiver
+from .quiver import coxeter_data, fomin_reading_count, parse_quiver
 from .reps import ModuleCategory
 from .tilting import (TiltingContext, complete_to_tilting, enumerate_tilting,
                       verify_equivalence)
@@ -30,52 +28,14 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# context construction and the enumeration cache
-
-
-def orientation_hash(q: DynkinQuiver) -> str:
-    blob = json.dumps([list(a) for a in q.arrows]).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def cache_key(q: DynkinQuiver, d: int, p: int) -> str:
-    return "%s%d-%s-d%d-p%d" % (q.diagram, q.rank, orientation_hash(q), d, p)
+# context construction
 
 
 def load_context(diagram: str, rank: int, d: int, prime: int = 101,
-                 orientation=None, cache_dir: Optional[str] = None) -> TiltingContext:
-    """Build a TiltingContext, seeding the facet enumeration from disk if cached."""
+                 orientation=None) -> TiltingContext:
+    """Build a TiltingContext for a configuration."""
     q = parse_quiver(diagram, rank, orientation)
-    ctx = TiltingContext(OrbitCategory(ModuleCategory(q, p=prime), d))
-    if cache_dir is None:
-        return ctx
-    path = Path(cache_dir) / (cache_key(q, d, prime) + ".json")
-    if path.exists():
-        data = json.loads(path.read_text())
-        if data.get("schema_version") == SCHEMA_VERSION:
-            oc = ctx.oc
-            ctx._tilting = [tuple(oc.parse_name(nm) for nm in facet)
-                            for facet in data["facets"]]
-    return ctx
-
-
-def save_cache(ctx: TiltingContext, cache_dir: str) -> Path:
-    """Persist the facet enumeration keyed by the full configuration."""
-    oc = ctx.oc
-    path = Path(cache_dir) / (cache_key(oc.cat.q, oc.d, oc.cat.p) + ".json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": "tilting-cache",
-        "schema_version": SCHEMA_VERSION,
-        "diagram": oc.cat.q.diagram,
-        "rank": oc.cat.q.rank,
-        "orientation": [list(a) for a in oc.cat.q.arrows],
-        "d": oc.d,
-        "prime": oc.cat.p,
-        "facets": [[oc.obj_name(x) for x in f] for f in enumerate_tilting(ctx)],
-    }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return path
+    return TiltingContext(OrbitCategory(ModuleCategory(q, p=prime), d))
 
 
 # ---------------------------------------------------------------------------

@@ -187,16 +187,27 @@ def test_orientation_file(tmp_path, capsys):
     assert "14 tilting sets" in capsys.readouterr().out
 
 
-def _strip_times(text):
-    return [line.split("  [")[0] for line in text.splitlines()]
+def test_config_cache_dir_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"diagram": "A", "rank": 2, "d": 1,
+                               "cache_dir": str(tmp_path / "cache")}))
+    assert run(["verify", "--all", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown config keys: cache_dir\n"
+    assert not (tmp_path / "cache").exists()
 
 
-def test_cache_dir_used(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert run(["verify", "--all", "--cache-dir", str(cache)] + A2D1) == 0
-    files = list(cache.glob("*.json"))
-    assert len(files) == 1
-    first = capsys.readouterr().out
-    assert run(["verify", "--all", "--cache-dir", str(cache)] + A2D1) == 0
-    second = capsys.readouterr().out
-    assert _strip_times(first) == _strip_times(second)
+def test_cache_dir_flag_is_a_usage_error(tmp_path, capsys):
+    assert run(["verify", "--all", "--cache-dir", str(tmp_path)] + A2D1) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --cache-dir" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_range_root_index_exits_2(capsys):
+    for name in ("root#99[0]", "root#-1[0]"):
+        assert run(["complements", "--facet", name + ",root#2[0]",
+                    "--drop", name] + A2D1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "root index" in err

@@ -47,6 +47,15 @@ def test_object_names():
         c.parse_name("root#1[5]")  # not in the fundamental domain
 
 
+def test_root_index_out_of_range_rejected():
+    c = oc("A", 3, 2)
+    # six roots: index -1 must not wrap around to root#5
+    assert c.parse_name("root#5[0]") == (c.cat.roots[5], 0)
+    for name in ("root#-1[0]", "root#6[0]", "root#99[0]"):
+        with pytest.raises(ValueError, match="root index"):
+            c.parse_name(name)
+
+
 @pytest.mark.parametrize("diagram,rank,d", CASES)
 def test_normalize_recovers_orbit_power(diagram, rank, d):
     c = oc(diagram, rank, d)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +79,10 @@ COXETER = {
     ("A", 4): (5, (1, 2, 3, 4)),
     ("D", 4): (6, (1, 3, 3, 5)),
     ("D", 5): (8, (1, 3, 4, 5, 7)),
+    ("D", 6): (10, (1, 3, 5, 5, 7, 9)),
     ("E", 6): (12, (1, 4, 5, 7, 8, 11)),
+    ("E", 7): (18, (1, 5, 7, 9, 11, 13, 17)),
+    ("E", 8): (30, (1, 7, 11, 13, 17, 19, 23, 29)),
 }
 
 
@@ -121,6 +128,16 @@ FACETS = {
 def test_facet_count_formula(diagram, rank, d):
     q = quiver.parse_quiver(diagram, rank)
     assert quiver.fomin_reading_count(q, d) == FACETS[(diagram, rank, d)]
+
+
+def test_import_does_not_load_sympy():
+    src = str(Path(quiver.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, dcluster; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 def test_directed_paths():

@@ -28,7 +28,8 @@ def test_gabriel_bijection(diagram, rank, arrows):
         assert m.dims == r
 
 
-@pytest.mark.parametrize("diagram,rank,arrows", QUIVERS)
+@pytest.mark.parametrize("diagram,rank,arrows",
+                         QUIVERS + [("D", 6, None), ("E", 7, None), ("E", 8, None)])
 def test_tau_matches_coxeter_matrix(diagram, rank, arrows):
     """Independent oracle: [tau M] = Phi [M] on non-projectives."""
     c = cat(diagram, rank, arrows=arrows)

@@ -1,4 +1,4 @@
-"""Tests for the check registry, report determinism, and the facet cache."""
+"""Tests for the check registry and report determinism."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from dcluster.verify import (CHECK_IDS, CHECKS, cache_key, load_context,
-                             report_to_json, run_checks, save_cache)
+from dcluster.verify import (CHECK_IDS, CHECKS, load_context, report_to_json,
+                             run_checks)
 
 _cache = {}
 
@@ -113,43 +113,6 @@ def test_check_selection():
     assert [c["id"] for c in rep["checks"]] == ["cy-duality", "facet-count-formula"]
     with pytest.raises(ValueError):
         run_checks(ctx("A", 2, 1), only=["no-such-check"])
-
-
-def test_cache_roundtrip(tmp_path):
-    c1 = load_context("A", 3, 2)
-    r1, _ = run_checks(c1)
-    save_cache(c1, str(tmp_path))
-    c2 = load_context("A", 3, 2, cache_dir=str(tmp_path))
-    assert c2.__dict__.get("_tilting") is not None
-    assert len(c2._tilting) == 55
-    assert c2._tilting == c1._tilting
-    r2, _ = run_checks(c2)
-    assert report_to_json(r1) == report_to_json(r2)
-
-
-def test_cache_miss_on_other_config(tmp_path):
-    c1 = load_context("A", 3, 2)
-    save_cache(c1, str(tmp_path))
-    c2 = load_context("A", 3, 3, cache_dir=str(tmp_path))
-    assert c2.__dict__.get("_tilting") is None
-
-
-def test_cache_key_depends_on_orientation():
-    a = ctx("A", 3, 1)
-    b = load_context("A", 3, 1, orientation=[[1, 0], [1, 2]])
-    ka = cache_key(a.oc.cat.q, 1, 101)
-    kb = cache_key(b.oc.cat.q, 1, 101)
-    assert ka != kb
-
-
-def test_cache_file_contents(tmp_path):
-    c1 = load_context("A", 2, 1)
-    path = save_cache(c1, str(tmp_path))
-    data = json.loads(path.read_text())
-    assert data["schema"] == "tilting-cache"
-    assert data["diagram"] == "A" and data["rank"] == 2 and data["d"] == 1
-    assert len(data["facets"]) == 5
-    assert all(len(f) == 2 for f in data["facets"])
 
 
 def test_custom_orientation_verifies():
