@@ -1,6 +1,7 @@
 """Command-line interface: inspect categories, run verifications, export data.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
+names, files, config values or primes).
 A JSON config file (--config) may supply any of the common flags; explicit
 command-line flags win over config values.
 """
@@ -100,20 +101,36 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-CONFIG_KEYS = ("diagram", "rank", "d", "prime", "orientation", "out")
+CONFIG_KEYS = {"diagram": str, "rank": int, "d": int, "prime": int,
+               "orientation": str, "out": str}
+
+
+def _read_json(kind: str, name: str):
+    path = Path(name)
+    if not path.exists():
+        raise UsageError("%s file not found: %s" % (kind, path))
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise UsageError("%s file %s is not readable JSON: %s" % (kind, path, exc))
 
 
 def _apply_config(args: argparse.Namespace) -> None:
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError("config file not found: %s" % path)
-        cfg = json.loads(path.read_text())
+        cfg = _read_json("config", args.config)
+        if not isinstance(cfg, dict):
+            raise UsageError("config file %s must hold a JSON object" % args.config)
         unknown = sorted(set(cfg) - set(CONFIG_KEYS))
         if unknown:
             raise UsageError("unknown config keys: %s" % ", ".join(unknown))
-        for key in CONFIG_KEYS:
-            if key in cfg and getattr(args, key, None) is None:
+        for key, kind in CONFIG_KEYS.items():
+            if key not in cfg:
+                continue
+            if not isinstance(cfg[key], kind) or isinstance(cfg[key], bool):
+                raise UsageError("config key %s must be %s, not %s" % (
+                    key, "an integer" if kind is int else "a string",
+                    json.dumps(cfg[key])))
+            if getattr(args, key, None) is None:
                 setattr(args, key, cfg[key])
     if getattr(args, "prime", None) is None:
         args.prime = 101
@@ -125,10 +142,7 @@ def _context(args: argparse.Namespace) -> TiltingContext:
             raise UsageError("--%s is required (flag or config file)" % key)
     orientation = None
     if args.orientation not in (None, "default"):
-        path = Path(args.orientation)
-        if not path.exists():
-            raise UsageError("orientation file not found: %s" % path)
-        orientation = json.loads(path.read_text())
+        orientation = _read_json("orientation", args.orientation)
     try:
         return load_context(args.diagram, args.rank, args.d, prime=args.prime,
                             orientation=orientation)

@@ -9,9 +9,27 @@ here).  Zero-sized matrices are legal and common (empty representations).
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_field(p: int, inner: int) -> None:
+    """Raise ValueError unless p is a prime whose arithmetic stays exact.
+
+    Products are reduced mod p after summing, so a sum of `inner` products
+    of reduced entries, inner * (p-1)^2, must fit in int64; `inner` bounds
+    the inner dimension of every matrix product the caller forms.
+    """
+    limit = isqrt(INT64_MAX // (inner + 1)) + 1
+    if p > limit:
+        raise ValueError("p = %d is too large: sums of %d products overflow "
+                         "int64 unless p <= %d" % (p, inner, limit))
+    if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        raise ValueError("%d is not a prime" % p)
 
 
 def mod_p(a: np.ndarray, p: int) -> np.ndarray:

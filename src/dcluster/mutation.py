@@ -312,12 +312,21 @@ def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[Obj],
     Starting anywhere, composing k of them gives a class in
     Ext^k(X_i, X_{i+k}); these must be nonzero for k up to the full cycle
     length (the length-(d+1) composite is a self-extension of top degree).
+    Every starting point is tested, so with the default deltas the answer
+    does not depend on rotation and is cached per cyclic_form.
     """
     oc = ctx.oc
-    cycle = tuple(cycle)
-    if deltas is None:
-        deltas = delta_classes(ctx, cycle)
-    m = len(cycle)
+    if deltas is not None:
+        return _chains_nonzero(oc, deltas)
+    cycle = tuple(oc.normalize(x)[0] for x in cycle)
+    key = cyclic_form(ctx, cycle)
+    if key not in ctx._delta_chains:
+        ctx._delta_chains[key] = _chains_nonzero(oc, delta_classes(ctx, cycle))
+    return ctx._delta_chains[key]
+
+
+def _chains_nonzero(oc, deltas: List[CMorphism]) -> bool:
+    m = len(deltas)
     for i in range(m):
         chain = deltas[i]
         for k in range(1, m):

@@ -17,7 +17,10 @@ F acts on morphisms through minimal injective copresentations: lift, apply
 the Nakayama equivalence backwards on canonical blocks, descend to the
 cokernel.  Because the projective presentation of tau^{-1}M *is* the
 nu^{-1}-image of the copresentation of M (see reps), extension data moves
-through F without any comparison maps.
+through F without any comparison maps.  F is linear on each piece space, and
+so is the lift of a module map along projective presentations that pulls
+cocycles back in composition; each is a matrix built lazily, once per root
+pair, from the direct lift on a basis (kept as the test oracle).
 
 Shifts of morphisms are implemented downward only (src/tgt both [-1]), so
 re-canonicalization only ever applies F forward.  Ext^k classes are kept in
@@ -27,13 +30,14 @@ plain composition after one downward shift.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import linalg, reps
 from .reps import ModuleCategory, vmap_add, vmap_compose, vmap_flatten, \
-    vmap_is_zero, vmap_scale, vmap_zero
+    vmap_is_zero, vmap_scale, vmap_unflatten, vmap_zero
 
 Obj = Tuple[Tuple[int, ...], int]   # (root, shift)
 
@@ -65,6 +69,11 @@ class OrbitCategory:
         self.inj_roots = frozenset(cat.inj_root)
         self.inj_vertex = {cat.inj_root[x]: x for x in range(cat.q.rank)}
         self.proj_vertex = {cat.proj_root[x]: x for x in range(cat.q.rank)}
+        # matrices of linear maps on piece spaces, filled lazily per root pair:
+        # (kind, a_root, b_root) -> (output kind, matrix of F, output shapes)
+        self._push_maps: Dict[tuple, tuple] = {}
+        # (a_root, b_root) -> matrix taking Hom coordinates to P1 lift blocks
+        self._lift_maps: Dict[tuple, np.ndarray] = {}
 
     # -- objects -------------------------------------------------------------
 
@@ -78,16 +87,16 @@ class OrbitCategory:
         return "root#%d[%d]" % (self.cat.root_index[obj[0]], obj[1])
 
     def parse_name(self, name: str) -> Obj:
-        body = name.strip()
-        if not (body.startswith("root#") and body.endswith("]") and "[" in body):
-            raise ValueError("bad object name %r" % name)
-        idx, shift = body[5:-1].split("[")
-        i = int(idx)
+        m = re.fullmatch(r"root#(-?\d+)\[(-?\d+)\]", name.strip())
+        if m is None:
+            raise ValueError("bad object name %r: expected root#<index>[<shift>]"
+                             % name)
+        i, shift = int(m.group(1)), int(m.group(2))
         if not 0 <= i < len(self.cat.roots):
             raise ValueError("%r: root index must be in 0..%d"
                              % (name, len(self.cat.roots) - 1))
-        obj = (self.cat.roots[i], int(shift))
-        if self.normalize(obj)[0] != obj:
+        obj = (self.cat.roots[i], shift)
+        if not self.is_canonical(obj):
             raise ValueError("%r is not in the fundamental domain" % name)
         return obj
 
@@ -260,17 +269,9 @@ class OrbitCategory:
         if gf == 0 and gg == 1:
             # pull the cocycle of g back along f through the presentations
             pa, pb = cat.pres[fsrc[0]], cat.pres[fmid[0]]
-            n = cat.rep[gtgt[0]]
-            f0 = cat.solve_block_map(pa.p0, pb.p0, [(pb.pi, None,
-                                                     vmap_compose(cat.p, f[1], pa.pi))])
-            if f0 is None:
-                raise RuntimeError("projective lift failed")
-            f1 = cat.solve_block_map(pa.p1, pb.p1, [(pb.p_vmap, None,
-                                                     vmap_compose(cat.p, f0, pa.p_vmap))])
-            if f1 is None:
-                raise RuntimeError("projective lift failed at level 1")
-            blocks = cat.vmap_to_blocks(pa.p1, pb.p1, f1)
-            return ("E", cat.pushforward_coords(blocks, pa.p1, pb.p1, n, g[1]))
+            blocks = self._lift_blocks(fsrc[0], fmid[0], f[1])
+            return ("E", cat.pushforward_coords(blocks, pa.p1, pb.p1,
+                                                cat.rep[gtgt[0]], g[1]))
         if gf == 1 and gg == 0:
             # postcompose the cocycle of f with the module map g
             pa = cat.pres[fsrc[0]]
@@ -287,10 +288,95 @@ class OrbitCategory:
             return None  # lands in a gap-2 group, which vanishes
         raise RuntimeError("unexpected piece gaps (%d, %d)" % (gf, gg))
 
+    def _lift_direct(self, a_root, b_root, fv) -> np.ndarray:
+        """Blocks of a lift P1_A -> P1_B of the module map fv: A -> B along
+        the projective presentations (the oracle behind _lift_blocks)."""
+        cat = self.cat
+        pa, pb = cat.pres[a_root], cat.pres[b_root]
+        f0 = cat.solve_block_map(pa.p0, pb.p0, [(pb.pi, None,
+                                                 vmap_compose(cat.p, fv, pa.pi))])
+        if f0 is None:
+            raise RuntimeError("projective lift failed")
+        f1 = cat.solve_block_map(pa.p1, pb.p1, [(pb.p_vmap, None,
+                                                 vmap_compose(cat.p, f0, pa.p_vmap))])
+        if f1 is None:
+            raise RuntimeError("projective lift failed at level 1")
+        return cat.vmap_to_blocks(pa.p1, pb.p1, f1)
+
+    def _lift_blocks(self, a_root, b_root, fv) -> np.ndarray:
+        """_lift_direct as one matrix product on the Hom coordinates of fv.
+
+        solve_mod's particular solution is linear in the right-hand side, so
+        this equals _lift_direct exactly, not just up to homotopy.
+        """
+        cat = self.cat
+        coords = cat.hom_coords(a_root, b_root, fv)
+        if coords is None:
+            raise RuntimeError("projective lift failed")
+        shape = (len(cat.pres[b_root].p1), len(cat.pres[a_root].p1))
+        key = (a_root, b_root)
+        if key not in self._lift_maps:
+            cols = [self._lift_direct(a_root, b_root, g).ravel()
+                    for g in cat.hom_basis(a_root, b_root)]
+            self._lift_maps[key] = np.stack(cols, axis=1) if cols \
+                else linalg.zeros(shape[0] * shape[1], 0)
+        return ((self._lift_maps[key] @ coords) % cat.p).reshape(shape)
+
     # -- the translation functor on pieces ------------------------------------
 
     def push_piece(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> Optional[tuple]:
-        """Image under F of a piece src -> tgt, as a piece F(src) -> F(tgt)."""
+        """Image under F of a piece src -> tgt, as a piece F(src) -> F(tgt).
+
+        F is linear on each piece space: its matrix is built once per
+        (kind, source root, target root) by _push_direct on a basis (Hom
+        basis vmaps, or unit cocycles), and each push is one product.
+        """
+        if piece is None:
+            return None
+        kind, data = piece
+        a_root, b_root = src[0], tgt[0]
+        if kind == "H":
+            if a_root in self.inj_roots and b_root not in self.inj_roots:
+                if not vmap_is_zero(data):
+                    raise RuntimeError("nonzero module map out of an injective "
+                                       "into a non-injective indecomposable")
+                return None
+            coords = self.cat.hom_coords(a_root, b_root, data)
+            if coords is None:
+                raise RuntimeError("injective lift failed")
+        else:
+            if b_root in self.inj_roots:
+                if not self.piece_is_zero(src, tgt, piece):
+                    raise RuntimeError("nonzero extension class with injective target")
+                return None
+            coords = data
+        out_kind, mat, shapes = self._push_map(kind, a_root, b_root)
+        flat = (mat @ coords) % self.cat.p
+        return (out_kind, vmap_unflatten(flat, shapes) if out_kind == "H" else flat)
+
+    def _push_map(self, kind: str, a_root, b_root) -> tuple:
+        key = (kind, a_root, b_root)
+        if key not in self._push_maps:
+            cat = self.cat
+            src, tgt = (a_root, 0), (b_root, 0 if kind == "H" else 1)
+            if kind == "H":
+                basis = cat.hom_basis(a_root, b_root)
+                zero = vmap_zero(cat.rep[a_root], cat.rep[b_root])
+            else:
+                width = sum(cat.rep[b_root].dims[x] for x in cat.pres[a_root].p1.verts)
+                basis = list(linalg.eye(width))
+                zero = np.zeros(0, dtype=np.int64)
+            # an empty basis still pushes zero once, for the output's kind and shape
+            images = [self._push_direct(src, tgt, (kind, x)) for x in basis or [zero]]
+            out_kind = images[0][0]
+            flatten = vmap_flatten if out_kind == "H" else (lambda v: v)
+            mat = np.stack([flatten(data) for _, data in images], axis=1)
+            shapes = [m.shape for m in images[0][1]] if out_kind == "H" else None
+            self._push_maps[key] = (out_kind, mat[:, :len(basis)], shapes)
+        return self._push_maps[key]
+
+    def _push_direct(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> Optional[tuple]:
+        """push_piece by lifting along (co)presentations (the oracle)."""
         if piece is None:
             return None
         cat = self.cat

@@ -14,6 +14,7 @@ underlying diagram is accepted.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -84,7 +85,11 @@ class DynkinQuiver:
         edges = dynkin_edges(diagram, rank)
         if arrows is None:
             arrows = default_orientation(diagram, rank)
-        arrows = [(int(s), int(t)) for s, t in arrows]
+        try:
+            arrows = [(operator.index(s), operator.index(t)) for s, t in arrows]
+        except (TypeError, ValueError):
+            raise ValueError("arrows must be a list of [source, target] vertex "
+                             "pairs") from None
         want = {frozenset(e) for e in edges}
         got = [frozenset(a) for a in arrows]
         if len(arrows) != len(edges) or set(got) != want or len(set(got)) != len(got):
@@ -104,7 +109,7 @@ def parse_quiver(diagram: str, rank: int, orientation=None) -> DynkinQuiver:
     """Build a quiver; orientation is None/'default' or a list of [s, t] pairs."""
     if orientation in (None, "default"):
         return DynkinQuiver(diagram, rank)
-    return DynkinQuiver(diagram, rank, [tuple(a) for a in orientation])
+    return DynkinQuiver(diagram, rank, orientation)
 
 
 def directed_paths(q: DynkinQuiver) -> Dict[Tuple[int, int], Tuple[int, ...]]:

@@ -84,6 +84,15 @@ def vmap_flatten(f: List[np.ndarray]) -> np.ndarray:
     return np.concatenate([m.ravel() for m in f])
 
 
+def vmap_unflatten(flat: np.ndarray, shapes) -> List[np.ndarray]:
+    """Inverse of vmap_flatten for vertex matrices of the given shapes."""
+    out, lo = [], 0
+    for rows, cols in shapes:
+        out.append(flat[lo:lo + rows * cols].reshape(rows, cols))
+        lo += rows * cols
+    return out
+
+
 def vmap_is_zero(f) -> bool:
     return all(not m.size or not m.any() for m in f)
 
@@ -174,13 +183,19 @@ class ModuleCategory:
     def __init__(self, q: DynkinQuiver, p: int = 101):
         self.q = q
         self.p = p
+        self.roots = positive_roots(q)
+        # Every product below has inner dimension at most rank * height *
+        # (largest coefficient): a (co)presentation term of an indecomposable
+        # M has at most sum_x dim Ext^1(S_x, M) <= rank * dim M summands, and
+        # a cocycle has one block of size <= largest coefficient per summand.
+        linalg.check_field(p, q.rank * max(map(sum, self.roots))
+                           * max(map(max, self.roots)))
         self.paths = directed_paths(q)
         self.psupp = [frozenset(v for v in range(q.rank) if (x, v) in self.paths)
                       for x in range(q.rank)]
         self.isupp = [frozenset(v for v in range(q.rank) if (v, x) in self.paths)
                       for x in range(q.rank)]
         self.euler = euler_matrix(q)
-        self.roots = positive_roots(q)
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.proj_root = [None] * q.rank  # vertex -> root of P_x
         self.inj_root = [None] * q.rank
@@ -191,6 +206,7 @@ class ModuleCategory:
         self.tau_plus: Dict[Root, Optional[Root]] = {}
         self._hom_cache: Dict[Tuple[Root, Root], List[List[np.ndarray]]] = {}
         self._ext_cache: Dict[Tuple[Root, Root], tuple] = {}
+        self._hom_coords_cache: Dict[Tuple[Root, Root], tuple] = {}
         self._knit()
 
     # -- interval modules ---------------------------------------------------
@@ -466,18 +482,39 @@ class ModuleCategory:
             rows.append(blk)
         system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, total)
         ns = linalg.nullspace_mod(system, p)
-        out = []
-        for k in range(ns.shape[1]):
-            flat = ns[:, k]
-            out.append([flat[offs[v]:offs[v + 1]].reshape(b.dims[v], a.dims[v])
-                        for v in range(n)])
-        return out
+        shapes = [(b.dims[v], a.dims[v]) for v in range(n)]
+        return [vmap_unflatten(ns[:, k], shapes) for k in range(ns.shape[1])]
 
     def hom_basis(self, ra: Root, rb: Root):
         key = (ra, rb)
         if key not in self._hom_cache:
             self._hom_cache[key] = self.hom_vmaps(self.rep[ra], self.rep[rb])
         return self._hom_cache[key]
+
+    def hom_coords(self, ra: Root, rb: Root, f) -> Optional[np.ndarray]:
+        """Coordinates of the vmap f in hom_basis(ra, rb), or None if f is
+        not in its span (not a morphism).
+
+        Per pair this keeps the flattened basis, a set of pivot rows on which
+        it is invertible and the inverse of that minor; the coordinates read
+        off the pivot rows are then checked against every row.
+        """
+        key = (ra, rb)
+        if key not in self._hom_coords_cache:
+            basis = self.hom_basis(ra, rb)
+            size = sum(self.rep[rb].dims[v] * self.rep[ra].dims[v]
+                       for v in range(self.q.rank))
+            mat = np.stack([vmap_flatten(g) for g in basis], axis=1) if basis \
+                else linalg.zeros(size, 0)
+            _, piv = linalg.rref_mod(mat.T, self.p)
+            self._hom_coords_cache[key] = (mat, piv,
+                                           linalg.inv_mod(mat[piv, :], self.p))
+        mat, piv, minv = self._hom_coords_cache[key]
+        flat = vmap_flatten(f) % self.p
+        coords = (minv @ flat[piv]) % self.p
+        if not np.array_equal((mat @ coords) % self.p, flat):
+            return None
+        return coords
 
     def hom_dim(self, ra: Root, rb: Root) -> int:
         return len(self.hom_basis(ra, rb))
@@ -508,8 +545,8 @@ class ModuleCategory:
             for ti, b in enumerate(tgt.verts):
                 c = int(blocks[ti, si]) % p
                 if c and (b, a) in self.paths:
-                    acc = (acc + c * (self.path_matrix(n, b, a)
-                                      @ coords[tsl[ti][0]:tsl[ti][1]])) % p
+                    acc = (acc + c * ((self.path_matrix(n, b, a)
+                                       @ coords[tsl[ti][0]:tsl[ti][1]]) % p)) % p
             lo, hi = ssl[si]
             out[lo:hi] = acc
         return out

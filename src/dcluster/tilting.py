@@ -40,6 +40,7 @@ class TiltingContext:
         self._fans = {}
         self._composites = {}
         self._triangles = {}
+        self._delta_chains = {}
 
     def compatible(self, x: Obj, y: Obj) -> bool:
         return all(self.oc.ext_dim(x, y, k) == 0 for k in range(1, self.oc.d + 1))

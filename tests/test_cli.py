@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from dcluster.cli import run
 
 A2D1 = ["--diagram", "A", "--rank", "2", "--d", "1"]
@@ -205,9 +207,60 @@ def test_cache_dir_flag_is_a_usage_error(tmp_path, capsys):
 
 
 def test_out_of_range_root_index_exits_2(capsys):
-    for name in ("root#99[0]", "root#-1[0]"):
+    for name, reason in (("root#99[0]", "root index"), ("root#-1[0]", "root index"),
+                         ("root#1[2[3]", "bad object name 'root#1[2[3]'"),
+                         ("root#x[0]", "bad object name 'root#x[0]'")):
         assert run(["complements", "--facet", name + ",root#2[0]",
                     "--drop", name] + A2D1) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "root index" in err
+        assert reason in err
+
+
+@pytest.mark.parametrize("prime,reason", [("4", "4 is not a prime"),
+                                          ("6", "6 is not a prime"),
+                                          ("4294967311", "is too large")])
+def test_bad_prime_exits_2(prime, reason, tmp_path, capsys):
+    assert run(["verify", "--all", "--prime", prime] + A2D1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prime": int(prime)}))
+    assert run(["verify", "--all", "--config", str(cfg)] + A2D1) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_malformed_json_files_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"diagram": "A",')
+    for flag in ("--config", "--orientation"):
+        assert run(["verify", "--all", flag, str(bad)] + A2D1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not readable JSON" in err
+
+
+def test_orientation_of_wrong_shape_exits_2(tmp_path, capsys):
+    ori = tmp_path / "ori.json"
+    for text in ('[[0, null]]', '5', '{"a": 1}'):
+        ori.write_text(text)
+        assert run(["verify", "--all", "--orientation", str(ori)] + A2D1) == 2
+        err = capsys.readouterr().err
+        assert err == "error: arrows must be a list of [source, target] vertex pairs\n"
+
+
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for cfg_data, message in (
+            ({"diagram": "A", "rank": "2", "d": 1},
+             'config key rank must be an integer, not "2"'),
+            ({"diagram": "A", "rank": 2, "d": True},
+             "config key d must be an integer, not true"),
+            ({"diagram": ["A"], "rank": 2, "d": 1},
+             'config key diagram must be a string, not ["A"]')):
+        cfg.write_text(json.dumps(cfg_data))
+        assert run(["verify", "--all", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+    cfg.write_text("[1, 2]")
+    assert run(["verify", "--all", "--config", str(cfg)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err

@@ -71,6 +71,25 @@ def test_inverse_singular_raises():
         linalg.inv_mod(np.zeros((2, 2), dtype=np.int64), 101)
 
 
+def test_check_field():
+    for p in (2, 3, 101, 7919):
+        linalg.check_field(p, 100)
+    for p in (-7, 0, 1, 4, 6, 9, 7917):
+        with pytest.raises(ValueError, match="not a prime"):
+            linalg.check_field(p, 100)
+    for inner in (1, 100, 1392):
+        with pytest.raises(ValueError, match="too large") as exc:
+            linalg.check_field(2 ** 40, inner)
+        limit = int(str(exc.value).rsplit("<= ", 1)[1])
+        # every accepted p keeps inner * (p-1)^2 + (p-1) within int64
+        assert inner * (limit - 1) ** 2 + (limit - 1) <= linalg.INT64_MAX
+        assert (inner + 1) * limit ** 2 > linalg.INT64_MAX
+        with pytest.raises(ValueError, match="too large"):
+            linalg.check_field(limit + 1, inner)
+    with pytest.raises(ValueError, match="too large"):
+        linalg.check_field(4294967311, 1)
+
+
 @pytest.mark.parametrize("p", [2, 101])
 def test_cokernel_projection(p):
     rng = np.random.default_rng(3)

@@ -155,6 +155,17 @@ def test_delta_classes_and_chains_a2_d2():
         assert delta_chains_nonzero(c, fan, deltas)
 
 
+def test_delta_chains_cached_once_per_cycle():
+    c = TiltingContext(OrbitCategory(ModuleCategory(parse_quiver("A", 3)), 2))
+    cycles = {cyclic_form(c, fan_of(c, a)) for a in almost_completes(c)}
+    for cyc in cycles:
+        for r in range(len(cyc)):
+            rot = cyc[r:] + cyc[:r]
+            assert delta_chains_nonzero(c, rot) is \
+                delta_chains_nonzero(c, rot, delta_classes(c, rot)) is True
+    assert set(c._delta_chains) == cycles
+
+
 @pytest.mark.parametrize("diagram,rank,d", CASES)
 def test_every_fan_is_an_exchange_team(diagram, rank, d):
     c = ctx(diagram, rank, d)

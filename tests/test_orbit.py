@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from dcluster import linalg
+from dcluster import linalg, quiver, reps
 from dcluster.orbit import CMorphism, OrbitCategory
 from dcluster.quiver import parse_quiver
 from dcluster.reps import ModuleCategory, vmap_id
@@ -53,6 +55,10 @@ def test_root_index_out_of_range_rejected():
     assert c.parse_name("root#5[0]") == (c.cat.roots[5], 0)
     for name in ("root#-1[0]", "root#6[0]", "root#99[0]"):
         with pytest.raises(ValueError, match="root index"):
+            c.parse_name(name)
+    # malformed names are refused with a message that quotes them
+    for name in ("root#1[2[3]", "root#x[0]"):
+        with pytest.raises(ValueError, match="bad object name " + re.escape(repr(name))):
             c.parse_name(name)
 
 
@@ -360,3 +366,61 @@ def test_yoneda_square_of_simple_selfextension():
     u = c.ext_basis(s, s, 3)[0]
     uu = c.yoneda(u, u, 3)
     assert not c.is_zero(uu)
+
+
+# -- F and the projective lift as cached linear maps ---------------------------
+
+
+def _random_orientation(diagram, rank, seed):
+    rng = np.random.default_rng(seed)
+    return [(s, t) if rng.random() < 0.5 else (t, s)
+            for s, t in quiver.dynkin_edges(diagram, rank)]
+
+
+def _same_piece(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    if x[0] != y[0]:
+        return False
+    if x[0] == "E":
+        return x[1].dtype == y[1].dtype and np.array_equal(x[1], y[1])
+    return len(x[1]) == len(y[1]) and all(
+        u.dtype == v.dtype and u.shape == v.shape and np.array_equal(u, v)
+        for u, v in zip(x[1], y[1]))
+
+
+ORACLE_QUIVERS = [(dg, rk, seed) for dg, rk in (("A", 4), ("D", 4), ("E", 6))
+                  for seed in (None, 7)]
+
+
+@pytest.mark.parametrize("diagram,rank,seed", ORACLE_QUIVERS)
+def test_cached_maps_equal_direct_lifts(diagram, rank, seed):
+    arrows = None if seed is None else _random_orientation(diagram, rank, seed)
+    c = OrbitCategory(ModuleCategory(parse_quiver(diagram, rank, arrows)), 1)
+    cat = c.cat
+    p = cat.p
+    rng = np.random.default_rng(0 if seed is None else seed)
+    rejected = 0
+    for a in cat.roots:
+        for b in cat.roots:
+            h_src, h_tgt, e_tgt = (a, 0), (b, 0), (b, 1)
+            basis = cat.hom_basis(a, b)
+            f = reps.vmap_zero(cat.rep[a], cat.rep[b])
+            for g in basis:
+                f = reps.vmap_add(p, f, reps.vmap_scale(p, int(rng.integers(p)), g))
+            assert _same_piece(c.push_piece(h_src, h_tgt, ("H", f)),
+                               c._push_direct(h_src, h_tgt, ("H", f)))
+            assert np.array_equal(c._lift_blocks(a, b, f), c._lift_direct(a, b, f))
+            width = sum(cat.rep[b].dims[x] for x in cat.pres[a].p1.verts)
+            u = rng.integers(p, size=width).astype(np.int64)
+            assert _same_piece(c.push_piece(h_src, e_tgt, ("E", u)),
+                               c._push_direct(h_src, e_tgt, ("E", u)))
+            # a vertexwise map that is not a morphism is refused by both caches
+            bad = [rng.integers(p, size=m.shape).astype(np.int64) for m in f]
+            if cat.hom_coords(a, b, bad) is None:
+                rejected += 1
+                with pytest.raises(RuntimeError):
+                    c.push_piece(h_src, h_tgt, ("H", bad))
+                with pytest.raises(RuntimeError, match="projective lift failed"):
+                    c._lift_blocks(a, b, bad)
+    assert rejected > len(cat.roots)
