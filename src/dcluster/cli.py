@@ -1,7 +1,8 @@
 """Command-line interface: inspect categories, run verifications, export data.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
-names, files, config values or primes).
+names, files, unwritable output paths, config values or primes), 3 internal
+error (a violated internal invariant; one line naming the configuration).
 A JSON config file (--config) may supply any of the common flags; explicit
 command-line flags win over config values.
 """
@@ -157,9 +158,16 @@ def _parse_objs(ctx: TiltingContext, text: str) -> List:
         raise UsageError(str(exc))
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def _write_out(args: argparse.Namespace, payload: dict) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _line(oc, x) -> str:
@@ -284,8 +292,8 @@ def cmd_mutation_graph(args) -> int:
           % (res["vertices"], edges, res["degree"],
              res["regular"], res["connected"]))
     if args.dot:
-        Path(args.dot).write_text(
-            cpxmod.facet_graph_dot(ctx.oc, enumerate_tilting(ctx), "mutation"))
+        dot = cpxmod.facet_graph_dot(ctx.oc, enumerate_tilting(ctx), "mutation")
+        _write(args.dot, dot)
         print("wrote %s" % args.dot)
     _write_out(args, {"schema": "mutation-graph", "schema_version": 1,
                       "vertices": res["vertices"], "edges": edges,
@@ -307,7 +315,7 @@ def cmd_complex(args) -> int:
               % (stats["pure"], stats["codim1_faces"],
                  stats["codim1_in_d_plus_1"], stats["colors_ok"]))
     if args.dot:
-        Path(args.dot).write_text(cpxmod.to_dot(cpx))
+        _write(args.dot, cpxmod.to_dot(cpx))
         print("wrote %s" % args.dot)
     _write_out(args, cpxmod.to_json(cpx))
     return 0
@@ -352,7 +360,7 @@ def cmd_fans(args) -> int:
         report, timings = run_checks(ctx, only=FAN_CHECKS)
         _print_report(report, timings)
         if args.json_out:
-            Path(args.json_out).write_text(report_to_json(report))
+            _write(args.json_out, report_to_json(report))
         if report["summary"]["fail"]:
             rc = 1
     return rc
@@ -365,8 +373,10 @@ def cmd_verify(args) -> int:
         return 0
     ctx = _context(args)
     only: Optional[List[str]] = None
-    if args.check:
+    if args.check is not None:
         only = [c.strip() for c in args.check.split(",") if c.strip()]
+        if not only:
+            raise UsageError("--check names no check id")
     elif not args.all:
         raise UsageError("verify needs --all or --check <id,...>")
     try:
@@ -375,13 +385,19 @@ def cmd_verify(args) -> int:
         raise UsageError(str(exc))
     _print_report(report, timings)
     if getattr(args, "out", None):
-        Path(args.out).write_text(report_to_json(report))
+        _write(args.out, report_to_json(report))
         print("wrote %s" % args.out)
     return 1 if report["summary"]["fail"] else 0
 
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+COMMANDS = {"indecomposables": cmd_indecomposables, "ext-table": cmd_ext_table,
+            "tilting": cmd_tilting_enumerate, "complements": cmd_complements,
+            "mutate": cmd_mutate, "mutation-graph": cmd_mutation_graph,
+            "complex": cmd_complex, "fans": cmd_fans, "verify": cmd_verify}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -392,31 +408,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         _apply_config(args)
-        if args.command == "indecomposables":
-            return cmd_indecomposables(args)
-        if args.command == "ext-table":
-            return cmd_ext_table(args)
-        if args.command == "tilting":
-            return cmd_tilting_enumerate(args)
-        if args.command == "complements":
-            return cmd_complements(args)
-        if args.command == "mutate":
-            return cmd_mutate(args)
-        if args.command == "mutation-graph":
-            return cmd_mutation_graph(args)
-        if args.command == "complex":
-            return cmd_complex(args)
-        if args.command == "fans":
-            return cmd_fans(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise UsageError("unknown command %r" % args.command)
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print("failure: %s" % exc, file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print("internal error (%s%s d=%s p=%s): %s" % (
+            args.diagram, args.rank, args.d, args.prime, exc), file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -24,7 +24,6 @@ and the mutation graph on facets.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -372,15 +371,22 @@ def is_exchange_team(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
 
 
 def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
-    """All exchange teams up to rotation, by brute tuple scan (small cases only)."""
-    m = ctx.oc.d + 1
-    found = set()
-    for combo in combinations(ctx.objects, m):
-        for perm in permutations(combo[1:]):
-            objs = (combo[0],) + perm
-            if is_exchange_team(ctx, objs):
-                found.add(cyclic_form(ctx, objs))
-    return sorted(found, key=lambda t: tuple(ctx.index[x] for x in t))
+    """All exchange teams up to rotation, in sorted order.
+
+    Consecutive team members have one-dimensional Ext^1 and a cyclic form
+    starts at its least member, so each team is found once as a path of
+    "Ext^1 = 1" edges from its least object; is_exchange_team tests the
+    rest, including the closing edge.
+    """
+    oc = ctx.oc
+    index = ctx.index
+    succ = {x: [y for y in ctx.objects if oc.ext_dim(x, y, 1) == 1]
+            for x in ctx.objects}
+    paths = [(x,) for x in ctx.objects]
+    for _ in range(oc.d):
+        paths = [path + (y,) for path in paths for y in succ[path[-1]]
+                 if index[y] > index[path[0]] and y not in path]
+    return [path for path in paths if is_exchange_team(ctx, path)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ configuration.  Wall-clock times are returned separately for console use.
 from __future__ import annotations
 
 import json
+import math
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -210,22 +211,10 @@ def check_middle_rigid(ctx: TiltingContext) -> Dict[str, object]:
 
 def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
-    fans = set()
-    count = 0
-    for a in mut.almost_completes(ctx):
-        count += 1
-        fan = mut.fan_of(ctx, a)
-        if not mut.is_exchange_team(ctx, fan):
-            return _fail(count, {"fan": [oc.obj_name(x) for x in fan]})
-        fans.add(mut.cyclic_form(ctx, fan))
-    # exhaustive converse where the tuple space is small enough
-    m = len(ctx.objects)
-    candidates = 1
-    for i in range(oc.d + 1):
-        candidates *= m - i
-    candidates //= oc.d + 1
-    if candidates > 50000:
-        return _pass(count, converse="fans-only", candidates=candidates)
+    fans = {mut.cyclic_form(ctx, mut.fan_of(ctx, a))
+            for a in mut.almost_completes(ctx)}
+    # instances: the cyclic (d+1)-tuples of distinct objects
+    candidates = math.perm(len(ctx.objects), oc.d + 1) // (oc.d + 1)
     teams = set(mut.exchange_teams_exhaustive(ctx))
     if teams != fans:
         extra = sorted(teams - fans) + sorted(fans - teams)

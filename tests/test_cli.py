@@ -53,6 +53,9 @@ def test_verify_unknown_check_exits_2(capsys):
 def test_verify_needs_selection(capsys):
     assert run(["verify"] + A2D1) == 2
     assert "--all or --check" in capsys.readouterr().err
+    for empty in (",", "", " , "):
+        assert run(["verify", "--check", empty] + A2D1) == 2
+        assert capsys.readouterr().err == "error: --check names no check id\n"
 
 
 def test_verify_list_checks(capsys):
@@ -264,3 +267,29 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert run(["verify", "--all", "--config", str(cfg)]) == 2
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "x.out")
+    for argv in (["verify", "--all", "--out", bad],
+                 ["indecomposables", "--out", bad],
+                 ["mutation-graph", "--dot", bad],
+                 ["complex", "--dot", bad],
+                 ["fans", "--verify-all", "--json", bad]):
+        assert run(argv + A2D1) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s: " % bad)
+        assert err.count("\n") == 1
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from dcluster import mutation
+
+    def broken(ctx, almost):
+        raise RuntimeError("complement cycle does not close")
+
+    monkeypatch.setattr(mutation, "fan_of", broken)
+    assert run(["verify", "--check", "complement-count", "--diagram", "A",
+                "--rank", "3", "--d", "2"]) == 3
+    assert capsys.readouterr().err == \
+        "internal error (A3 d=2 p=101): complement cycle does not close\n"

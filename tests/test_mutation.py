@@ -1,3 +1,6 @@
+from itertools import combinations, permutations
+
+import numpy as np
 import pytest
 
 from dcluster.mutation import (almost_completes, approximation_mults, complements,
@@ -12,7 +15,7 @@ from dcluster.mutation import (almost_completes, approximation_mults, complement
                                right_approximation, rotate_to,
                                successor_hom_vanishing)
 from dcluster.orbit import OrbitCategory
-from dcluster.quiver import parse_quiver
+from dcluster.quiver import dynkin_edges, parse_quiver
 from dcluster.reps import ModuleCategory
 from dcluster.tilting import TiltingContext, enumerate_tilting, is_tilting
 
@@ -197,6 +200,31 @@ def test_exchange_teams_are_exactly_fans(diagram, rank, d):
     teams = set(exchange_teams_exhaustive(c))
     fans = {cyclic_form(c, fan_of(c, a)) for a in almost_completes(c)}
     assert teams == fans
+
+
+def _teams_by_permutation_scan(c):
+    """Reference: every ordered (d+1)-tuple, deduplicated by cyclic form."""
+    m = c.oc.d + 1
+    found = set()
+    for combo in combinations(c.objects, m):
+        for perm in permutations(combo[1:]):
+            objs = (combo[0],) + perm
+            if is_exchange_team(c, objs):
+                found.add(cyclic_form(c, objs))
+    return sorted(found, key=lambda t: tuple(c.index[x] for x in t))
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 2), ("A", 3, 3)])
+def test_exchange_team_search_matches_permutation_scan(diagram, rank, d, seed):
+    arrows = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        arrows = [(s, t) if rng.random() < 0.5 else (t, s)
+                  for s, t in dynkin_edges(diagram, rank)]
+    q = parse_quiver(diagram, rank, arrows)
+    c = TiltingContext(OrbitCategory(ModuleCategory(q), d))
+    assert exchange_teams_exhaustive(c) == _teams_by_permutation_scan(c)
 
 
 def test_is_exchange_team_rejects_wrong_size():

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dcluster.mutation import almost_completes, cyclic_form, fan_of
+from dcluster.quiver import default_orientation
 from dcluster.verify import (CHECK_IDS, CHECKS, load_context, report_to_json,
                              run_checks)
 
@@ -82,7 +85,12 @@ def test_frozen_instance_counts_a2_d1():
 
 def test_exchange_team_converse_modes():
     assert entry(report("A", 2, 2), "exchange-team-fan")["converse"] == "exhaustive"
-    assert entry(report("D", 4, 3), "exchange-team-fan")["converse"] == "fans-only"
+    res = entry(report("D", 4, 3, only=["exchange-team-fan"]), "exchange-team-fan")
+    assert res["converse"] == "exhaustive" and res["status"] == "pass"
+    assert res["instances"] == 548340
+    c = ctx("D", 4, 3)
+    fans = {cyclic_form(c, fan_of(c, a)) for a in almost_completes(c)}
+    assert res["teams"] == len(fans) == 490
 
 
 def test_statements_have_no_citation_text():
@@ -121,3 +129,24 @@ def test_custom_orientation_verifies():
     assert rep["summary"]["fail"] == 0
     facet_entry = [e for e in rep["checks"] if e["id"] == "facet-count-formula"][0]
     assert facet_entry["count"] == 14
+
+
+def _ext_table(c):
+    oc = c.oc
+    return [[[oc.ext_dim(x, y, k) for k in range(oc.d + 2)] for y in c.objects]
+            for x in c.objects]
+
+
+@given(st.sampled_from([("A", 3, 1), ("A", 3, 2), ("A", 4, 1), ("A", 4, 2),
+                        ("D", 4, 1), ("D", 4, 2), ("A", 3, 3)]),
+       st.sampled_from([2, 3, 5, 7, 101]), st.data())
+@settings(max_examples=10, deadline=None)
+def test_random_orientation_and_prime_verify(config, prime, data):
+    diagram, rank, d = config
+    arrows = [(t, s) if data.draw(st.booleans()) else (s, t)
+              for s, t in default_orientation(diagram, rank)]
+    c = load_context(diagram, rank, d, prime=prime, orientation=arrows)
+    assert run_checks(c)[0]["summary"]["fail"] == 0
+    ref = load_context(diagram, rank, d, orientation=arrows)
+    assert c.objects == ref.objects
+    assert _ext_table(c) == _ext_table(ref)
