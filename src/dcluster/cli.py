@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from . import complex as cpxmod
 from . import mutation as mut
 from .tilting import TiltingContext, enumerate_tilting, is_tilting
-from .verify import CHECK_IDS, load_context, report_to_json, run_checks
+from .verify import CHECK_IDS, iter_checks, load_context, make_report, report_to_json
 
 
 class UsageError(Exception):
@@ -327,22 +327,31 @@ FAN_CHECKS = ["complement-count", "complement-degrees", "fan-ext-pattern",
               "middle-terms-disjoint"]
 
 
-def _print_report(report: dict, timings: dict) -> None:
-    for entry in report["checks"]:
-        cid = entry["id"]
-        status = entry["status"]
-        extra = ""
-        if status == "n/a":
-            extra = " (%s)" % entry["reason"]
-        elif cid == "complement-count":
-            extra = " x %d complements each" % entry["complements_each"]
-        elif "counterexample" in entry:
-            extra = " counterexample=%s" % json.dumps(entry["counterexample"],
-                                                      sort_keys=True)
-        print("%-28s %-4s %6d instances%s  [%.2fs]"
-              % (cid, status, entry["instances"], extra, timings.get(cid, 0.0)))
+def _check_line(entry: dict, seconds: float) -> str:
+    status = entry["status"]
+    extra = ""
+    if status == "n/a":
+        extra = " (%s)" % entry["reason"]
+    elif entry["id"] == "complement-count":
+        extra = " x %d complements each" % entry["complements_each"]
+    elif "counterexample" in entry:
+        extra = " counterexample=%s" % json.dumps(entry["counterexample"],
+                                                  sort_keys=True)
+    return "%-28s %-4s %6d instances%s  [%.2fs]" % (
+        entry["id"], status, entry["instances"], extra, seconds)
+
+
+def _run_checks(ctx: TiltingContext, only: Optional[List[str]]) -> dict:
+    """Run the checks, printing each line as soon as its check returns, so a
+    killed run still leaves the finished lines behind; returns the report."""
+    results = []
+    for entry, seconds in iter_checks(ctx, only):
+        print(_check_line(entry, seconds), flush=True)
+        results.append(entry)
+    report = make_report(ctx, results)
     s = report["summary"]
     print("summary: %d pass, %d fail, %d n/a" % (s["pass"], s["fail"], s["n/a"]))
+    return report
 
 
 def cmd_fans(args) -> int:
@@ -357,8 +366,7 @@ def cmd_fans(args) -> int:
                                 " -> ".join(oc.obj_name(x) for x in fan)))
     rc = 0
     if args.verify_all:
-        report, timings = run_checks(ctx, only=FAN_CHECKS)
-        _print_report(report, timings)
+        report = _run_checks(ctx, FAN_CHECKS)
         if args.json_out:
             _write(args.json_out, report_to_json(report))
         if report["summary"]["fail"]:
@@ -380,10 +388,9 @@ def cmd_verify(args) -> int:
     elif not args.all:
         raise UsageError("verify needs --all or --check <id,...>")
     try:
-        report, timings = run_checks(ctx, only=only)
+        report = _run_checks(ctx, only)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _print_report(report, timings)
     if getattr(args, "out", None):
         _write(args.out, report_to_json(report))
         print("wrote %s" % args.out)

@@ -105,12 +105,20 @@ def facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
     """Purity, codimension-1 incidence and complement-color census.
 
     Runs on the full complex: every codimension-1 face must lie in exactly
-    d+1 facets, and the colors of its d+1 complements must cover 1..d.
+    d+1 facets, and the colors of its d+1 complements must cover 1..d.  The
+    full complex is determined by its context, so the result is kept there.
     """
     ctx = cpx.ctx
-    oc = ctx.oc
     if cpx.positive_only:
         raise ValueError("facet statistics are defined on the full complex")
+    if ctx._facet_stats is None:
+        ctx._facet_stats = _facet_stats(cpx)
+    return ctx._facet_stats
+
+
+def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
+    ctx = cpx.ctx
+    oc = ctx.oc
     pure = all(len(f) == ctx.n for f in cpx.facets)
     almosts = almost_completes(ctx)
     incidence = {}

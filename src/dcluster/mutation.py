@@ -44,22 +44,19 @@ def _hom_basis(ctx: TiltingContext, a: Obj, b: Obj) -> List[CMorphism]:
 
 def complements(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Obj]:
     """All indecomposables completing `almost` to a tilting set, in domain order."""
-    oc = ctx.oc
-    almost = tuple(oc.normalize(x)[0] for x in almost)
     if not is_rigid(ctx, almost):
         raise ValueError("almost complete part is not rigid")
-    mask = ctx.mask_of(almost)
-    out = []
-    for i in _bits(_common_neighbors(ctx, mask)):
-        if is_tilting(ctx, almost + (ctx.objects[i],)):
-            out.append(ctx.objects[i])
-    return out
+    # almost + X_i is rigid for every common neighbour i, and is tilting
+    # exactly when no other common neighbour is compatible with X_i
+    cand = _common_neighbors(ctx, ctx.mask_of(almost))
+    adj = ctx.adjacency()
+    return [ctx.objects[i] for i in _bits(cand) if cand & adj[i] == 0]
 
 
 def successor(ctx: TiltingContext, comps: Sequence[Obj], x: Obj) -> Obj:
     """The unique other complement hit by a nonzero class in Ext^1(x, -)."""
-    oc = ctx.oc
-    succ = [y for y in comps if y != x and oc.ext_dim(x, y, 1) != 0]
+    ext1 = ctx.oc.dims()[ctx.index[x], :, 1]
+    succ = [y for y in comps if y != x and ext1[ctx.index[y]] != 0]
     if len(succ) != 1:
         raise RuntimeError("complement %r has %d Ext^1-successors, expected 1"
                            % (x, len(succ)))
@@ -116,11 +113,13 @@ def fan_degrees(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[int, ...]:
 
 def almost_completes(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
     """Every facet minus one summand, deduplicated, in canonical order."""
-    seen = set()
-    for facet in enumerate_tilting(ctx):
-        for drop in facet:
-            seen.add(tuple(x for x in facet if x != drop))
-    return sorted(seen, key=lambda t: tuple(ctx.index[x] for x in t))
+    if ctx._almost is None:
+        seen = set()
+        for facet in enumerate_tilting(ctx):
+            for drop in facet:
+                seen.add(tuple(x for x in facet if x != drop))
+        ctx._almost = sorted(seen, key=lambda t: tuple(ctx.index[x] for x in t))
+    return ctx._almost
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +344,14 @@ def ext_pattern_ok(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
     Hom(X_i, X_{i-1}) (computed A_3, d = 2 fans do), and only d >= 3
     forces those to vanish.
     """
-    oc = ctx.oc
-    cycle = tuple(cycle)
-    m = len(cycle)
-    for i in range(m):
-        if oc.hom_dim(cycle[i], cycle[i]) != 1:
-            return False
-        for j in range(m):
-            for k in range(1, oc.d + 1):
-                want = 1 if (i + k - j) % m == 0 else 0
-                if oc.ext_dim(cycle[i], cycle[j], k) != want:
-                    return False
-    return True
+    d = ctx.oc.d
+    idx = ctx.indices(cycle)
+    m = len(idx)
+    sub = ctx.oc.dims()[np.ix_(idx, idx)]
+    pos = np.arange(m)
+    # want[i, j, k-1] = 1 exactly when j = i + k (mod m)
+    want = (pos[:, None, None] + np.arange(1, d + 1) - pos[None, :, None]) % m == 0
+    return bool((np.diag(sub[:, :, 0]) == 1).all() and (sub[:, :, 1:d + 1] == want).all())
 
 
 def is_exchange_team(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
@@ -380,8 +375,9 @@ def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
     """
     oc = ctx.oc
     index = ctx.index
-    succ = {x: [y for y in ctx.objects if oc.ext_dim(x, y, 1) == 1]
-            for x in ctx.objects}
+    ext1 = oc.dims()[:, :, 1]
+    succ = {x: [ctx.objects[j] for j in np.flatnonzero(ext1[i] == 1)]
+            for i, x in enumerate(ctx.objects)}
     paths = [(x,) for x in ctx.objects]
     for _ in range(oc.d):
         paths = [path + (y,) for path in paths for y in succ[path[-1]]
@@ -455,20 +451,15 @@ def middle_union_rigid(ctx: TiltingContext, cycle: Sequence[Obj],
 
 def hom_one_directional(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     """No two distinct members with nonzero Hom in both directions."""
-    oc = ctx.oc
-    objs = tuple(objs)
-    for i, x in enumerate(objs):
-        for y in objs[i + 1:]:
-            if oc.hom_dim(x, y) and oc.hom_dim(y, x):
-                return False
-    return True
+    idx = ctx.indices(objs)
+    hom = ctx.oc.dims()[:, :, 0][np.ix_(idx, idx)] != 0
+    return not np.triu(hom & hom.T, 1).any()
 
 
 def successor_hom_vanishing(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
     """Hom(X_i, X_{i+1}) = 0 for consecutive fan members."""
-    oc = ctx.oc
-    m = len(cycle)
-    return all(oc.hom_dim(cycle[i], cycle[(i + 1) % m]) == 0 for i in range(m))
+    idx = ctx.indices(cycle)
+    return not ctx.oc.dims()[idx, np.roll(idx, -1), 0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +505,13 @@ def mutation_graph(ctx: TiltingContext) -> Tuple[List[Tuple[Obj, ...]], List[set
 
 
 def mutation_graph_checks(ctx: TiltingContext) -> Dict[str, object]:
-    """Vertex count, n*d-regularity and connectivity of the mutation graph."""
+    """Vertex count, n*d-regularity and connectivity of the mutation graph (cached)."""
+    if ctx._graph_checks is None:
+        ctx._graph_checks = _graph_checks(ctx)
+    return ctx._graph_checks
+
+
+def _graph_checks(ctx: TiltingContext) -> Dict[str, object]:
     facets, nbrs = mutation_graph(ctx)
     want = ctx.n * ctx.oc.d
     regular = all(len(s) == want for s in nbrs)

@@ -11,7 +11,8 @@ exactly once, and the window is the fundamental domain of C_d.  Morphism
 spaces are Hom_C(X, Y) = (+)_l Hom_D(X, F^l Y); for canonical pairs only
 l = 0, 1 can contribute, each piece being either a module morphism ("H"
 piece, a vertexwise matrix tuple) or an extension class ("E" piece, a
-cocycle over the projective presentation of the source).
+cocycle over the projective presentation of the source).  Every Hom and
+Ext^k dimension is read from one integer table over the fundamental domain.
 
 F acts on morphisms through minimal injective copresentations: lift, apply
 the Nakayama equivalence backwards on canonical blocks, descend to the
@@ -74,6 +75,10 @@ class OrbitCategory:
         self._push_maps: Dict[tuple, tuple] = {}
         # (a_root, b_root) -> matrix taking Hom coordinates to P1 lift blocks
         self._lift_maps: Dict[tuple, np.ndarray] = {}
+        # position of each canonical object in objects(), and the Ext^k
+        # dimension table over them, built on the first dimension query
+        self.index = {x: i for i, x in enumerate(self.objects())}
+        self._dims: Optional[np.ndarray] = None
 
     # -- objects -------------------------------------------------------------
 
@@ -148,13 +153,58 @@ class OrbitCategory:
             return self.cat.ext_dim(src[0], tgt[0])
         return 0
 
-    def hom_dim(self, x: Obj, y: Obj) -> int:
-        x = self.normalize(x)[0]
-        y = self.normalize(y)[0]
-        return self.piece_dim(x, y) + self.piece_dim(x, self.obj_F(y))
+    def dims(self) -> np.ndarray:
+        """dims[i, j, k] = dim Hom(X_i, X_j[k]) over objects(), 0 <= k <= d+1.
+
+        Built once, from the root-pair Hom dimensions of the module category
+        and the Euler form: X_j[k] is normalized to a canonical c, and the
+        entry is piece_dim(X_i, c) + piece_dim(X_i, F c).
+        """
+        if self._dims is None:
+            self._dims = self._build_dims()
+        return self._dims
+
+    def _build_dims(self) -> np.ndarray:
+        cat = self.cat
+        roots = cat.roots
+        objs = self.objects()
+        hom = np.array([[cat.hom_dim(a, b) for b in roots] for a in roots],
+                       dtype=np.int64)
+        mat = np.array(roots, dtype=np.int64)
+        ext = hom - mat @ cat.euler @ mat.T
+        # the two slots of each target: root index and shift of c and of F c
+        targets = []
+        for root, shift in objs:
+            row = []
+            for k in range(self.d + 2):
+                c = self.normalize((root, shift + k))[0]
+                fc = self.obj_F(c)
+                row.append((cat.root_index[c[0]], c[1],
+                            cat.root_index[fc[0]], fc[1]))
+            targets.append(row)
+        t = np.array(targets, dtype=np.int64)          # (objects, d+2, 4)
+        src_root = np.array([cat.root_index[r] for r, _ in objs])[:, None, None]
+        src_shift = np.array([s for _, s in objs])[:, None, None]
+        out = np.zeros((len(objs), len(objs), self.d + 2), dtype=np.int64)
+        for slot in (0, 2):
+            tgt_root, gap = t[None, :, :, slot], t[None, :, :, slot + 1] - src_shift
+            out += np.where(gap == 0, hom[src_root, tgt_root],
+                            np.where(gap == 1, ext[src_root, tgt_root], 0))
+        return out
 
     def ext_dim(self, x: Obj, y: Obj, k: int) -> int:
-        return self.hom_dim(x, (y[0], y[1] + k))
+        """dim Hom(X, Y[k]) from dims(); objects outside the fundamental domain
+        and k outside 0..d+1 are normalized first and read at k = 0."""
+        dims = self.dims()
+        i, j = self.index.get(x), self.index.get(y)
+        if i is None or j is None or not 0 <= k <= self.d + 1:
+            i = self.index[self.normalize(x)[0]]
+            j = self.index[self.normalize((y[0], y[1] + k))[0]]
+            k = 0
+        return int(dims[i, j, k])
+
+    def hom_dim(self, x: Obj, y: Obj) -> int:
+        return self.ext_dim(x, y, 0)
 
     def hom_dim_wide(self, x: Obj, y: Obj, window: int = 4) -> int:
         """Brute-force orbit sum over slots -window..d+window (test oracle)."""

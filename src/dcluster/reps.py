@@ -470,17 +470,25 @@ class ModuleCategory:
         sizes = [b.dims[v] * a.dims[v] for v in range(n)]
         offs = np.cumsum([0] + sizes)
         total = int(offs[-1])
-        rows = []
+        heights = [b.dims[t] * a.dims[s] for s, t in self.q.arrows]
+        system = linalg.zeros(sum(heights), total)
+        lo = 0
         for i, (s, t) in enumerate(self.q.arrows):
-            # phi_t a(i) - b(i) phi_s = 0, unknowns = row-major entries of each phi_v
-            blk = linalg.zeros(b.dims[t] * a.dims[s], total)
-            if blk.shape[0]:
-                if sizes[t]:
-                    blk[:, offs[t]:offs[t + 1]] = np.kron(linalg.eye(b.dims[t]), a.mats[i].T)
-                if sizes[s]:
-                    blk[:, offs[s]:offs[s + 1]] = (-np.kron(b.mats[i], linalg.eye(a.dims[s]))) % p
-            rows.append(blk)
-        system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, total)
+            # phi_t a(i) - b(i) phi_s = 0, unknowns = row-major entries of each
+            # phi_v; the equation (r, c) is row r * a.dims[s] + c of the block
+            bt, a_s = b.dims[t], a.dims[s]
+            blk = system[lo:lo + heights[i]].reshape(bt, a_s, total)
+            lo += heights[i]
+            if not heights[i]:
+                continue  # skips the index work of the many empty blocks
+            # (phi_t a(i))[r, c] = sum_q phi_t[r, q] a(i)[q, c]
+            left = blk[:, :, offs[t]:offs[t + 1]].reshape(bt, a_s, bt, a.dims[t])
+            rr = np.arange(bt)
+            left[rr, :, rr, :] = a.mats[i].T
+            # (b(i) phi_s)[r, c] = sum_q b(i)[r, q] phi_s[q, c]
+            right = blk[:, :, offs[s]:offs[s + 1]].reshape(bt, a_s, b.dims[s], a_s)
+            cc = np.arange(a_s)
+            right[:, cc, :, cc] = (-b.mats[i]) % p
         ns = linalg.nullspace_mod(system, p)
         shapes = [(b.dims[v], a.dims[v]) for v in range(n)]
         return [vmap_unflatten(ns[:, k], shapes) for k in range(ns.shape[1])]

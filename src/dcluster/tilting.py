@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+import numpy as np
+
 from .orbit import Obj, OrbitCategory
 
 
@@ -31,10 +33,14 @@ class TiltingContext:
     def __init__(self, oc: OrbitCategory):
         self.oc = oc
         self.objects = oc.objects()
-        self.index = {x: i for i, x in enumerate(self.objects)}
+        self.index = oc.index
         self.n = oc.cat.q.rank
         self._adj = None
+        # results shared by several checks
         self._tilting = None
+        self._almost = None
+        self._facet_stats = None
+        self._graph_checks = None
         # memos of the mutation module, keyed by objects or almost complete sets
         self._hom_bases = {}
         self._fans = {}
@@ -42,34 +48,35 @@ class TiltingContext:
         self._triangles = {}
         self._delta_chains = {}
 
-    def compatible(self, x: Obj, y: Obj) -> bool:
-        return all(self.oc.ext_dim(x, y, k) == 0 for k in range(1, self.oc.d + 1))
-
     def adjacency(self) -> List[int]:
         """Irreflexive compatibility bitmasks; checks self-rigidity and symmetry."""
         if self._adj is not None:
             return self._adj
-        objs = self.objects
-        m = len(objs)
-        adj = [0] * m
-        for i in range(m):
-            if not self.compatible(objs[i], objs[i]):
-                raise RuntimeError("indecomposable %r is not rigid" % (objs[i],))
-            for j in range(i + 1, m):
-                ij = self.compatible(objs[i], objs[j])
-                if ij != self.compatible(objs[j], objs[i]):
-                    raise RuntimeError("compatibility is not symmetric for %r, %r"
-                                       % (objs[i], objs[j]))
-                if ij:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        self._adj = adj
-        return adj
+        dims = self.oc.dims()
+        comp = ~dims[:, :, 1:self.oc.d + 1].any(axis=2)
+        # the first defect in row order, the row's own rigidity before its pairs
+        bad_self = ~np.diag(comp)
+        bad_pair = np.triu(comp != comp.T, 1)
+        for i in np.flatnonzero(bad_self | bad_pair.any(axis=1)):
+            if bad_self[i]:
+                raise RuntimeError("indecomposable %r is not rigid" % (self.objects[i],))
+            j = np.flatnonzero(bad_pair[i])[0]
+            raise RuntimeError("compatibility is not symmetric for %r, %r"
+                               % (self.objects[i], self.objects[j]))
+        np.fill_diagonal(comp, False)
+        self._adj = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in comp]
+        return self._adj
+
+    def indices(self, objs: Sequence[Obj]) -> List[int]:
+        """Positions in the fundamental domain of the normalized objects."""
+        index = self.index
+        return [index[x] if x in index else index[self.oc.normalize(x)[0]]
+                for x in objs]
 
     def mask_of(self, objs: Sequence[Obj]) -> int:
         m = 0
-        for x in objs:
-            m |= 1 << self.index[self.oc.normalize(x)[0]]
+        for i in self.indices(objs):
+            m |= 1 << i
         return m
 
     def objs_of(self, mask: int) -> Tuple[Obj, ...]:
@@ -89,7 +96,7 @@ def _popcount(mask: int) -> int:
 
 def is_rigid(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     adj = ctx.adjacency()
-    idx = [ctx.index[ctx.oc.normalize(x)[0]] for x in objs]
+    idx = ctx.indices(objs)
     if len(set(idx)) != len(idx):
         return False
     for a in idx:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import complex as cpxmod
 from . import mutation as mut
@@ -83,29 +85,28 @@ def check_domain_size(ctx: TiltingContext) -> Dict[str, object]:
 def check_cy_duality(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     objs = oc.objects()
-    count = 0
-    for x in objs:
-        for y in objs:
-            for i in range(oc.d + 2):
-                count += 1
-                if oc.ext_dim(x, y, i) != oc.ext_dim(y, x, oc.d + 1 - i):
-                    return _fail(count, {"x": oc.obj_name(x), "y": oc.obj_name(y),
-                                         "i": i})
-    return _pass(count)
+    dims = oc.dims()
+    # (x, y, i) fails when Ext^i(x, y) differs from Ext^(d+1-i)(y, x)
+    bad = np.flatnonzero(dims != dims.transpose(1, 0, 2)[:, :, ::-1])
+    if bad.size:
+        x, y, i = np.unravel_index(bad[0], dims.shape)
+        return _fail(int(bad[0]) + 1, {"x": oc.obj_name(objs[x]),
+                                       "y": oc.obj_name(objs[y]), "i": int(i)})
+    return _pass(dims.size)
 
 
 def check_degree_hom(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     d = oc.d
     objs = oc.objects()
+    hom = oc.dims()[:, :, 0].tolist()
     count = 0
-    for x in objs:
-        if oc.hom_dim(x, x) != 1:
-            return _fail(count, {"object": oc.obj_name(x),
-                                 "end_dim": oc.hom_dim(x, x)})
-        for y in objs:
+    for a, x in enumerate(objs):
+        if hom[a][a] != 1:
+            return _fail(count, {"object": oc.obj_name(x), "end_dim": hom[a][a]})
+        for b, y in enumerate(objs):
             count += 1
-            if x == y or oc.hom_dim(x, y) == 0:
+            if a == b or hom[a][b] == 0:
                 continue
             i, j = oc.degree(x), oc.degree(y)
             allowed = i in (j, j - 1) if j >= 1 else i in (0, d - 1, d)
@@ -397,36 +398,35 @@ CHECKS: List[Tuple[str, str, int, Callable]] = [
 CHECK_IDS = [entry[0] for entry in CHECKS]
 
 
-def run_checks(ctx: TiltingContext, only: Optional[Sequence[str]] = None
-               ) -> Tuple[Dict[str, object], Dict[str, float]]:
-    """Run (selected) checks; returns (report, wall-times by check id).
-
-    The report carries no timing data and is deterministic for a fixed
-    configuration; the float map is for console display only.
-    """
-    oc = ctx.oc
+def iter_checks(ctx: TiltingContext, only: Optional[Sequence[str]] = None
+                ) -> Iterator[Tuple[Dict[str, object], float]]:
+    """Run (selected) checks in registry order, yielding (entry, seconds) as
+    each one finishes."""
     if only is not None:
         unknown = [c for c in only if c not in CHECK_IDS]
         if unknown:
             raise ValueError("unknown check id: %s" % ", ".join(unknown))
-    results = []
-    timings: Dict[str, float] = {}
     for cid, statement, min_d, fn in CHECKS:
         if only is not None and cid not in only:
             continue
         entry = {"id": cid, "statement": statement}
-        if oc.d < min_d:
+        if ctx.oc.d < min_d:
             entry["status"] = "n/a"
             entry["instances"] = 0
             entry["reason"] = "requires d >= %d" % min_d
-            timings[cid] = 0.0
+            yield entry, 0.0
         else:
             t0 = time.time()
             entry.update(fn(ctx))
-            timings[cid] = time.time() - t0
-        results.append(entry)
+            yield entry, time.time() - t0
+
+
+def make_report(ctx: TiltingContext, results: List[Dict[str, object]]
+                ) -> Dict[str, object]:
+    """The deterministic report over the check entries of iter_checks."""
+    oc = ctx.oc
     q = oc.cat.q
-    report = {
+    return {
         "schema": "verification-report",
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -443,7 +443,21 @@ def run_checks(ctx: TiltingContext, only: Optional[Sequence[str]] = None
             "n/a": sum(1 for r in results if r["status"] == "n/a"),
         },
     }
-    return report, timings
+
+
+def run_checks(ctx: TiltingContext, only: Optional[Sequence[str]] = None
+               ) -> Tuple[Dict[str, object], Dict[str, float]]:
+    """Run (selected) checks; returns (report, wall-times by check id).
+
+    The report carries no timing data and is deterministic for a fixed
+    configuration; the float map is for console display only.
+    """
+    results = []
+    timings: Dict[str, float] = {}
+    for entry, seconds in iter_checks(ctx, only):
+        results.append(entry)
+        timings[entry["id"]] = seconds
+    return make_report(ctx, results), timings
 
 
 def report_to_json(report: Dict[str, object]) -> str:

@@ -293,3 +293,52 @@ def test_internal_error_exits_3(monkeypatch, capsys):
                 "--rank", "3", "--d", "2"]) == 3
     assert capsys.readouterr().err == \
         "internal error (A3 d=2 p=101): complement cycle does not close\n"
+
+
+
+@pytest.mark.parametrize("defect", ["self", "pair"])
+def test_broken_dimension_table_exits_3(monkeypatch, capsys, defect):
+    from dcluster.orbit import OrbitCategory
+    from dcluster.verify import load_context
+
+    ref = load_context("A", 3, 2)
+    dims = ref.oc.dims()
+    m = len(ref.objects)
+    if defect == "self":
+        i = j = 4
+        want = "indecomposable %r is not rigid" % (ref.objects[i],)
+    else:
+        i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
+                    if not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any())
+        want = "compatibility is not symmetric for %r, %r" % (ref.objects[i],
+                                                               ref.objects[j])
+    build = OrbitCategory._build_dims
+
+    def corrupted(self):
+        out = build(self)
+        out[i, j, 1] += 1
+        return out
+
+    monkeypatch.setattr(OrbitCategory, "_build_dims", corrupted)
+    assert run(["tilting", "enumerate", "--diagram", "A", "--rank", "3",
+                "--d", "2"]) == 3
+    assert capsys.readouterr().err == "internal error (A3 d=2 p=101): %s\n" % want
+
+
+def test_check_lines_print_before_a_later_check_fails(monkeypatch, capsys):
+    from dcluster import verify
+
+    k = verify.CHECK_IDS.index("facet-count-formula")
+    cid, statement, min_d, _ = verify.CHECKS[k]
+
+    def broken(ctx):
+        raise RuntimeError("facet count check broke")
+
+    checks = list(verify.CHECKS)
+    checks[k] = (cid, statement, min_d, broken)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    assert run(["verify", "--all"] + A2D1) == 3
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == \
+        verify.CHECK_IDS[:k]
+    assert captured.err == "internal error (A2 d=1 p=101): facet count check broke\n"

@@ -424,3 +424,37 @@ def test_cached_maps_equal_direct_lifts(diagram, rank, seed):
                 with pytest.raises(RuntimeError, match="projective lift failed"):
                     c._lift_blocks(a, b, bad)
     assert rejected > len(cat.roots)
+
+
+# -- the Ext^k dimension table -------------------------------------------------
+
+
+TABLE_CASES = [(dg, rk, d, seed)
+               for dg, rk, d in (("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3),
+                                 ("D", 5, 1), ("E", 6, 1))
+               for seed in (None, 5)]
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", TABLE_CASES)
+def test_dimension_table_matches_wide_window(diagram, rank, d, seed):
+    arrows = None if seed is None else _random_orientation(diagram, rank, seed)
+    c = OrbitCategory(ModuleCategory(parse_quiver(diagram, rank, arrows)), d)
+    assert c._dims is None  # built on the first dimension query, not before
+    objs = c.objects()
+    dims = c.dims()
+    assert dims.shape == (len(objs), len(objs), d + 2)
+    want = np.array([[[c.hom_dim_wide(x, (y[0], y[1] + k)) for k in range(d + 2)]
+                      for y in objs] for x in objs])
+    assert np.array_equal(dims, want)
+    for i, x in enumerate(objs):
+        for j, y in enumerate(objs):
+            assert c.hom_dim(x, y) == want[i, j, 0]
+            # non-canonical arguments and k outside 0..d+1 are normalized first
+            fx, gy = c.obj_F(x), c.obj_F_inv(y)
+            assert c.hom_dim(fx, gy) == want[i, j, 0]
+            assert c.ext_dim(fx, y, 1) == want[i, j, 1]
+            for k in (-1, d + 2):
+                got = c.ext_dim(x, y, k)
+                assert type(got) is int
+                assert got == c.hom_dim_wide(x, (y[0], y[1] + k))
+                assert c.ext_dim(x, gy, k) == got

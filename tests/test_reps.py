@@ -227,3 +227,43 @@ def test_other_prime_same_combinatorics(p):
     for r1 in c2.roots:
         for r2 in c2.roots:
             assert c2.hom_dim(r1, r2) == c101.hom_dim(r1, r2)
+
+
+def _hom_vmaps_by_kron(c, a, b):
+    """Reference: the Hom system assembled arrow by arrow with np.kron."""
+    n = c.q.rank
+    sizes = [b.dims[v] * a.dims[v] for v in range(n)]
+    offs = np.cumsum([0] + sizes)
+    total = int(offs[-1])
+    rows = []
+    for i, (s, t) in enumerate(c.q.arrows):
+        blk = linalg.zeros(b.dims[t] * a.dims[s], total)
+        if blk.shape[0]:
+            if sizes[t]:
+                blk[:, offs[t]:offs[t + 1]] = np.kron(linalg.eye(b.dims[t]), a.mats[i].T)
+            if sizes[s]:
+                blk[:, offs[s]:offs[s + 1]] = (-np.kron(b.mats[i], linalg.eye(a.dims[s]))) % c.p
+        rows.append(blk)
+    system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, total)
+    ns = linalg.nullspace_mod(system, c.p)
+    shapes = [(b.dims[v], a.dims[v]) for v in range(n)]
+    return [reps.vmap_unflatten(ns[:, k], shapes) for k in range(ns.shape[1])]
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank", [("A", 4), ("D", 5), ("E", 6)])
+def test_hom_basis_matches_kron_assembly(diagram, rank, seed):
+    arrows = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        arrows = [(s, t) if rng.random() < 0.5 else (t, s)
+                  for s, t in quiver.dynkin_edges(diagram, rank)]
+    c = cat(diagram, rank, arrows=arrows)
+    for r1 in c.roots:
+        for r2 in c.roots:
+            got = c.hom_basis(r1, r2)
+            want = _hom_vmaps_by_kron(c, c.rep[r1], c.rep[r2])
+            assert len(got) == len(want)
+            for f, g in zip(got, want):
+                assert all(u.shape == v.shape and np.array_equal(u, v)
+                           for u, v in zip(f, g))

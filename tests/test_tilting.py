@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dcluster.orbit import OrbitCategory
@@ -122,3 +124,44 @@ def test_counts_stable_across_primes():
     b = enumerate_tilting(ctx("A", 2, 2, p=2))
     assert a == b
     assert len(enumerate_tilting(ctx("A", 3, 1, p=2))) == 14
+
+
+def _fresh(diagram, rank, d):
+    return TiltingContext(OrbitCategory(ModuleCategory(parse_quiver(diagram, rank)), d))
+
+
+def test_adjacency_names_a_non_rigid_object():
+    c = _fresh("A", 3, 2)
+    c.oc.dims()[5, 5, 1] = 1    # a self-extension in degree 1
+    with pytest.raises(RuntimeError, match=re.escape(
+            "indecomposable %r is not rigid" % (c.objects[5],))):
+        c.adjacency()
+
+
+def test_adjacency_names_an_asymmetric_pair():
+    c = _fresh("A", 3, 2)
+    dims = c.oc.dims()
+    m = len(c.objects)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
+             if not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any()]
+    i, j = pairs[len(pairs) // 2]
+    dims[i, j, 2] += 1          # Ext^2(X_i, X_j) only, not its dual
+    with pytest.raises(RuntimeError, match=re.escape(
+            "compatibility is not symmetric for %r, %r" % (c.objects[i], c.objects[j]))):
+        c.adjacency()
+
+
+def test_adjacency_reports_the_first_defect_in_row_order():
+    c = _fresh("A", 3, 2)
+    dims = c.oc.dims()
+    m = len(c.objects)
+    i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
+                if i >= 2 and not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any())
+    dims[i, j, 1] += 1
+    dims[i + 1, i + 1, 2] = 1   # a later row: the pair is named
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        c.adjacency()
+    dims[i, i, 1] = 1           # the same row: its own rigidity comes first
+    with pytest.raises(RuntimeError, match=re.escape(
+            "indecomposable %r is not rigid" % (c.objects[i],))):
+        c.adjacency()

@@ -150,3 +150,53 @@ def test_random_orientation_and_prime_verify(config, prime, data):
     ref = load_context(diagram, rank, d, orientation=arrows)
     assert c.objects == ref.objects
     assert _ext_table(c) == _ext_table(ref)
+
+
+def test_shared_results_computed_once_per_context(monkeypatch):
+    from dcluster import complex as cpxmod
+    from dcluster import mutation as mut
+
+    calls = {"almost": 0, "facet_stats": 0, "graph": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mut, "enumerate_tilting", counted("almost", mut.enumerate_tilting))
+    monkeypatch.setattr(cpxmod, "_facet_stats", counted("facet_stats", cpxmod._facet_stats))
+    monkeypatch.setattr(mut, "_graph_checks", counted("graph", mut._graph_checks))
+    c = load_context("A", 3, 2)
+    report, _ = run_checks(c)
+    assert report["summary"]["fail"] == 0
+    # in mutation, enumerate_tilting is read once by almost_completes and
+    # once by mutation_graph; 11 checks read almost_completes
+    assert calls == {"almost": 2, "facet_stats": 1, "graph": 1}
+
+
+def _cy_duality_by_loop(c):
+    """Reference: the duality check as a loop over ext_dim."""
+    oc = c.oc
+    count = 0
+    for x in oc.objects():
+        for y in oc.objects():
+            for i in range(oc.d + 2):
+                count += 1
+                if oc.ext_dim(x, y, i) != oc.ext_dim(y, x, oc.d + 1 - i):
+                    return {"status": "fail", "instances": count, "counterexample":
+                            {"x": oc.obj_name(x), "y": oc.obj_name(y), "i": i}}
+    return {"status": "pass", "instances": count}
+
+
+@pytest.mark.parametrize("entries", [[], [(5, 9, 1)], [(9, 5, 3), (5, 9, 1)],
+                                     [(0, 3, 2), (3, 0, 1)], [(4, 4, 0)]])
+def test_cy_duality_reports_the_loop_order_counterexample(entries):
+    from dcluster.verify import check_cy_duality
+
+    c = load_context("A", 3, 2)
+    dims = c.oc.dims()
+    for e in entries:
+        dims[e] += 1
+    # a corruption and its dual cancel out: [(0, 3, 2), (3, 0, 1)] passes
+    assert json.dumps(check_cy_duality(c)) == json.dumps(_cy_duality_by_loop(c))
