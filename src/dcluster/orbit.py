@@ -12,7 +12,8 @@ spaces are Hom_C(X, Y) = (+)_l Hom_D(X, F^l Y); for canonical pairs only
 l = 0, 1 can contribute, each piece being either a module morphism ("H"
 piece, a vertexwise matrix tuple) or an extension class ("E" piece, a
 cocycle over the projective presentation of the source).  Every Hom and
-Ext^k dimension is read from one integer table over the fundamental domain.
+Ext^k dimension is read from one integer table over the fundamental domain,
+built from the Euler form and the Coxeter tau, without knitting a module.
 
 F acts on morphisms through minimal injective copresentations: lift, apply
 the Nakayama equivalence backwards on canonical blocks, descend to the
@@ -156,9 +157,11 @@ class OrbitCategory:
     def dims(self) -> np.ndarray:
         """dims[i, j, k] = dim Hom(X_i, X_j[k]) over objects(), 0 <= k <= d+1.
 
-        Built once, from the root-pair Hom dimensions of the module category
-        and the Euler form: X_j[k] is normalized to a canonical c, and the
-        entry is piece_dim(X_i, c) + piece_dim(X_i, F c).
+        Built once from the Euler form: Dynkin indecomposables are directing
+        (Ringel), so for roots a, b dim Hom = max(<a, b>, 0) and dim Ext^1 =
+        max(-<a, b>, 0).  X_j[k] is normalized to a canonical c, and the entry
+        adds those pieces of X_i against c and F c (piece_dim, the oracle,
+        reads the same pieces from linear algebra).
         """
         if self._dims is None:
             self._dims = self._build_dims()
@@ -168,10 +171,9 @@ class OrbitCategory:
         cat = self.cat
         roots = cat.roots
         objs = self.objects()
-        hom = np.array([[cat.hom_dim(a, b) for b in roots] for a in roots],
-                       dtype=np.int64)
         mat = np.array(roots, dtype=np.int64)
-        ext = hom - mat @ cat.euler @ mat.T
+        euler = mat @ cat.euler @ mat.T
+        hom, ext = np.maximum(euler, 0), np.maximum(-euler, 0)
         # the two slots of each target: root index and shift of c and of F c
         targets = []
         for root, shift in objs:

@@ -11,24 +11,29 @@ The whole engine leans on the underlying graph being a tree:
   * the algebra is hereditary, so minimal projective presentations and
     minimal injective copresentations are short exact.
 
-Indecomposables are produced by knitting: repeatedly applying tau^{-1} to the
-projectives, where tau^{-1} M = coker( nu^{-1} J0 -> nu^{-1} J1 ) for the
-minimal injective copresentation 0 -> M -> J0 -> J1 -> 0.  The image of that
-copresentation under nu^{-1} is kept as *the* projective presentation of
-tau^{-1} M, which keeps every later Ext computation consistent with the
-translation functor.
+The roots of P_x and I_x are their supports and tau acts on roots as the
+Coxeter matrix, so no dimension count needs a module.  The modules are the
+morphism layer, knitted on the first access to rep or pres: tau^{-1} is
+applied repeatedly to the projectives, as tau^{-1} M = coker( nu^{-1} J0 ->
+nu^{-1} J1 ) for the minimal injective copresentation 0 -> M -> J0 -> J1 -> 0,
+and each cokernel must have the Coxeter tau^{-1} as its dimension vector.
+The nu^{-1}-image of that copresentation is kept as *the* projective
+presentation of tau^{-1} M, which keeps every later Ext computation
+consistent with the translation functor.
 
 Isomorphism testing is dimension-vector equality (valid here: Gabriel).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import linalg
-from .quiver import DynkinQuiver, directed_paths, euler_matrix, positive_roots
+from .quiver import DynkinQuiver, coxeter_matrix, directed_paths, euler_matrix, \
+    positive_roots
 
 Root = Tuple[int, ...]
 
@@ -197,17 +202,27 @@ class ModuleCategory:
                       for x in range(q.rank)]
         self.euler = euler_matrix(q)
         self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self.proj_root = [None] * q.rank  # vertex -> root of P_x
-        self.inj_root = [None] * q.rank
-        self.rep: Dict[Root, Rep] = {}
-        self.pres: Dict[Root, PresData] = {}
-        self._copres: Dict[Root, CopresData] = {}
-        self.tau_minus: Dict[Root, Optional[Root]] = {}
-        self.tau_plus: Dict[Root, Optional[Root]] = {}
+        self.proj_root = [tuple(int(v in s) for v in range(q.rank)) for s in self.psupp]
+        self.inj_root = [tuple(int(v in s) for v in range(q.rank)) for s in self.isupp]
+        # [tau M] = Phi [M]; Phi [P_x] = -[I_x] is not a root, so tau P_x = 0
+        phi = coxeter_matrix(q)
+        self.tau_minus: Dict[Root, Optional[Root]] = dict.fromkeys(self.roots)
+        self.tau_plus: Dict[Root, Optional[Root]] = dict.fromkeys(self.roots)
+        for r in self.roots:
+            t = tuple(int(v) for v in phi @ r)
+            if t in self.root_index:
+                self.tau_plus[r], self.tau_minus[t] = t, r
         self._hom_cache: Dict[Tuple[Root, Root], List[List[np.ndarray]]] = {}
         self._ext_cache: Dict[Tuple[Root, Root], tuple] = {}
         self._hom_coords_cache: Dict[Tuple[Root, Root], tuple] = {}
-        self._knit()
+
+    @cached_property
+    def _knitted(self) -> tuple:
+        return self._knit()
+
+    # root -> its indecomposable, and -> its projective presentation
+    rep = property(lambda self: self._knitted[0])
+    pres = property(lambda self: self._knitted[1])
 
     # -- interval modules ---------------------------------------------------
 
@@ -355,29 +370,22 @@ class ModuleCategory:
         return j0, iota
 
     def copresentation(self, root: Root) -> CopresData:
-        if root in self._copres:
-            return self._copres[root]
-        m = self.rep[root]
-        data = self._copresent(m)
-        self._copres[root] = data
-        return data
+        """The copresentation knitting took tau^{-1} of (root not injective)."""
+        return self._knitted[2][root]
+
+    def _cokernel(self, tgt: Rep, f):
+        """(coker f, projections, sections) of a vmap f into tgt, per vertex."""
+        projs, secs = zip(*(linalg.cokernel_mod(fv, self.p) for fv in f))
+        mats = [linalg.mmul(self.p, projs[t], tgt.mats[i], secs[s])
+                for i, (s, t) in enumerate(self.q.arrows)]
+        return Rep(self.q, [pr.shape[0] for pr in projs], mats), projs, secs
 
     def _copresent(self, m: Rep) -> CopresData:
         p = self.p
         j0, iota = self.envelope(m)
         if not is_morphism(p, m, j0.rep, iota):
             raise RuntimeError("envelope map is not a morphism")
-        # cokernel of iota, vertex by vertex
-        projs, secs = [], []
-        for v in range(self.q.rank):
-            pr, sc = linalg.cokernel_mod(iota[v], p)
-            projs.append(pr)
-            secs.append(sc)
-        cdims = [pr.shape[0] for pr in projs]
-        cmats = []
-        for i, (s, t) in enumerate(self.q.arrows):
-            cmats.append(linalg.mmul(p, projs[t], j0.rep.mats[i], secs[s]))
-        coker = Rep(self.q, cdims, cmats)
+        coker, projs, _ = self._cokernel(j0.rep, iota)
         j1, iota_c = self.envelope(coker)
         # hereditary: the cokernel is itself injective, so its envelope has
         # the same total dimension and delta is onto
@@ -397,61 +405,50 @@ class ModuleCategory:
         ptgt = self.psum(itgt.verts)
         return psrc, ptgt, self.blocks_to_vmap(psrc, ptgt, blocks)
 
-    def _knit(self):
+    def _knit(self) -> tuple:
+        """(rep, pres, copres) by root, checked against the Coxeter tau."""
         q, p = self.q, self.p
-        inj_dims = {}
+        inj_vertex = {r: x for x, r in enumerate(self.inj_root)}
+        rep: Dict[Root, Rep] = {}
+        pres: Dict[Root, PresData] = {}
+        copres: Dict[Root, CopresData] = {}
         for x in range(q.rank):
-            r = tuple(1 if v in self.isupp[x] else 0 for v in range(q.rank))
-            inj_dims[r] = x
-            self.inj_root[x] = r
-        for x in range(q.rank):
-            cur_root = tuple(1 if v in self.psupp[x] else 0 for v in range(q.rank))
-            self.proj_root[x] = cur_root
+            cur_root = self.proj_root[x]
             cur = self.proj(x)
-            self.rep[cur_root] = cur
+            rep[cur_root] = cur
             p0 = self.psum([x])
-            self.pres[cur_root] = PresData(
+            pres[cur_root] = PresData(
                 self.psum([]), p0, linalg.zeros(1, 0),
                 vmap_zero(self.psum([]).rep, p0.rep), vmap_id(cur), vmap_id(cur))
-            self.tau_plus[cur_root] = None
-            while cur_root not in inj_dims:
-                cop = self.copresentation(cur_root)
+            while cur_root not in inj_vertex:
+                cop = copres[cur_root] = self._copresent(cur)
                 p1, p0, pvm = self._nakayama_minus(cop.j0, cop.j1, cop.delta_blocks)
-                projs, secs = [], []
-                for v in range(q.rank):
-                    pr, sc = linalg.cokernel_mod(pvm[v], p)
-                    projs.append(pr)
-                    secs.append(sc)
-                ndims = [pr.shape[0] for pr in projs]
-                nmats = [linalg.mmul(p, projs[t], p0.rep.mats[i], secs[s])
-                         for i, (s, t) in enumerate(q.arrows)]
-                new = Rep(q, ndims, nmats)
-                new_root = tuple(ndims)
+                new, projs, secs = self._cokernel(p0.rep, pvm)
+                new_root = new.dims
+                if new_root != self.tau_minus[cur_root]:
+                    raise RuntimeError("knitted tau^-1 of %r is %r, not the Coxeter "
+                                       "image %r" % (cur_root, new_root,
+                                                     self.tau_minus[cur_root]))
                 pi, sec = projs, secs
-                if new_root in inj_dims:
+                if new_root in inj_vertex:
                     # rebase onto the canonical interval copy of the injective
-                    target = self.inj(inj_dims[new_root])
+                    target = self.inj(inj_vertex[new_root])
                     u = self._iso(new, target)
                     uinv = vmap_invert(p, u)
                     pi = [linalg.mmul(p, u[v], projs[v]) for v in range(q.rank)]
                     sec = [linalg.mmul(p, secs[v], uinv[v]) for v in range(q.rank)]
                     new = target
-                if new_root in self.rep:
+                if new_root in rep:
                     raise RuntimeError("knitting revisited root %r" % (new_root,))
-                self.rep[new_root] = new
-                self.pres[new_root] = PresData(
+                rep[new_root] = new
+                pres[new_root] = PresData(
                     p1, p0, self.vmap_to_blocks(p1, p0, pvm), pvm,
                     [m.copy() for m in pi], [m.copy() for m in sec])
-                self.tau_minus[cur_root] = new_root
-                self.tau_plus[new_root] = cur_root
                 cur_root, cur = new_root, new
-            self.tau_minus[cur_root] = None
-        if len(self.rep) != len(self.roots):
+        if len(rep) != len(self.roots):
             raise RuntimeError("knitting found %d indecomposables, expected %d"
-                               % (len(self.rep), len(self.roots)))
-        for r in self.rep:
-            if r not in self.root_index:
-                raise RuntimeError("knitted dimension vector %r is not a root" % (r,))
+                               % (len(rep), len(self.roots)))
+        return rep, pres, copres
 
     def _iso(self, a: Rep, b: Rep):
         basis = self.hom_vmaps(a, b)
@@ -531,7 +528,7 @@ class ModuleCategory:
         return int(np.asarray(ra, dtype=np.int64) @ self.euler @ np.asarray(rb, dtype=np.int64))
 
     def ext_dim(self, ra: Root, rb: Root) -> int:
-        return self.hom_dim(ra, rb) - self.euler_pairing(ra, rb)
+        return self.ext_data(ra, rb)[2]
 
     # Ext^1(A, N) is Hom(P1, N) / im Hom(P0, N), with Hom(P., N) read through
     # Hom(P_x, N) = N_x.  Cocycles are coordinate vectors in (+) N_{p1.verts}.
@@ -596,7 +593,7 @@ class ModuleCategory:
             cob[:, j] = self.pushforward_coords(pres.p_blocks, pres.p1, pres.p0, n, e)
         q_, s_ = linalg.cokernel_mod(cob, self.p)
         data = (q_, s_, q_.shape[0])
-        if data[2] != self.ext_dim(ra, rb):
+        if data[2] != self.hom_dim(ra, rb) - self.euler_pairing(ra, rb):
             raise RuntimeError("Ext dimension mismatch for %r, %r" % (ra, rb))
         self._ext_cache[key] = data
         return data

@@ -342,3 +342,59 @@ def test_check_lines_print_before_a_later_check_fails(monkeypatch, capsys):
     assert [line.split()[0] for line in captured.out.splitlines()] == \
         verify.CHECK_IDS[:k]
     assert captured.err == "internal error (A2 d=1 p=101): facet count check broke\n"
+
+
+D4D2 = ["--diagram", "D", "--rank", "4", "--d", "2"]
+
+
+def _facet_args(diagram, rank, d):
+    """--facet and --drop for the first tilting set of a configuration."""
+    from dcluster.tilting import enumerate_tilting
+    from dcluster.verify import load_context
+
+    ctx = load_context(diagram, rank, d)
+    facet = enumerate_tilting(ctx)[0]
+    return ["--facet", ",".join(ctx.oc.obj_name(x) for x in facet),
+            "--drop", ctx.oc.obj_name(facet[0])]
+
+
+@pytest.mark.parametrize("argv", [["mutate"], ["tilting", "enumerate"], ["ext-table"],
+                                  ["complex"], ["mutation-graph"], ["indecomposables"]],
+                         ids=" ".join)
+def test_morphism_free_commands_never_knit(monkeypatch, capsys, argv):
+    """Dimension-level commands read the Euler-form table and the Coxeter
+    tau only, so they run, with the same output, when knitting raises."""
+    from dcluster.reps import ModuleCategory
+
+    if argv == ["mutate"]:
+        argv = argv + _facet_args("D", 4, 2)
+    assert run(argv + D4D2) == 0
+    want = capsys.readouterr().out
+
+    def no_knit(self):
+        raise RuntimeError("knitting was not needed here")
+
+    monkeypatch.setattr(ModuleCategory, "_knit", no_knit)
+    assert run(argv + D4D2) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_complements_solves_only_the_hom_systems_it_reads(monkeypatch, capsys):
+    from dcluster import cli
+    from dcluster.verify import load_context
+
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(load_context(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "load_context", recording)
+    argv = ["complements"] + _facet_args("D", 5, 2) + ["--diagram", "D", "--rank", "5",
+                                                       "--d", "2"]
+    assert run(argv) == 0
+    assert "triangle:" in capsys.readouterr().out
+    cat = made[0].oc.cat
+    # it knits, for its triangles, but solves fewer than the 20 x 20 root pairs
+    assert "_knitted" in vars(cat)
+    assert 0 < len(cat._hom_cache) < 400

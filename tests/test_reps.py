@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dcluster import linalg, quiver, reps
+from dcluster.orbit import OrbitCategory
 
 
 def cat(diagram, rank, p=101, arrows=None):
@@ -31,22 +32,51 @@ def test_gabriel_bijection(diagram, rank, arrows):
 @pytest.mark.parametrize("diagram,rank,arrows",
                          QUIVERS + [("D", 6, None), ("E", 7, None), ("E", 8, None)])
 def test_tau_matches_coxeter_matrix(diagram, rank, arrows):
-    """Independent oracle: [tau M] = Phi [M] on non-projectives."""
+    """Knitting against the Coxeter matrix: [tau M] = Phi [M] on non-projectives.
+
+    tau is read from Phi, so the test checks what knitting built: each module
+    has its root as dimension vector, and the presentation knitted at
+    tau^{-1} M is the nu^{-1}-image of the copresentation of M, whose class
+    [nu^{-1} J1] - [nu^{-1} J0] Phi maps back to [M].  The orbit category's
+    F = tau^{-1}[d] sends I_x to P_x[d + 1].
+    """
     c = cat(diagram, rank, arrows=arrows)
     phi = quiver.coxeter_matrix(c.q)
-    projs = set(c.proj_root)
+    projs, injs = set(c.proj_root), set(c.inj_root)
+    oc = OrbitCategory(c, 2)
     for r in c.roots:
-        prev = c.tau_plus[r]
-        if r in projs:
-            assert prev is None
-        else:
-            assert prev is not None
+        assert c.rep[r].dims == r
+        prev, nxt = c.tau_plus[r], c.tau_minus[r]
+        assert (prev is None) == (r in projs)
+        if prev is not None:
             assert np.array_equal(np.array(prev), phi @ np.array(r))
-    # and the two directions are inverse to each other
-    for r in c.roots:
-        nxt = c.tau_minus[r]
-        if nxt is not None:
-            assert c.tau_plus[nxt] == r
+            assert c.tau_minus[prev] == r
+        assert (nxt is None) == (r in injs)
+        img, shift = oc.obj_F((r, 0))
+        if nxt is None:
+            assert shift == 3 and np.array_equal(phi @ np.array(img), -np.array(r))
+            continue
+        assert (img, shift) == (nxt, 2)
+        cop, pres = c.copresentation(r), c.pres[nxt]
+        assert pres.p1.verts == cop.j0.verts and pres.p0.verts == cop.j1.verts
+        knitted = np.subtract(pres.p0.rep.dims, pres.p1.rep.dims)
+        assert tuple(knitted) == c.rep[nxt].dims
+        assert np.array_equal(phi @ knitted, np.array(r))
+
+
+def test_wrong_coxeter_tau_makes_knitting_raise():
+    c = cat("D", 4)
+    r = next(r for r in c.roots if c.tau_minus[r] is not None)
+    c.tau_minus[r] = next(t for t in c.roots if t not in (r, c.tau_minus[r]))
+    with pytest.raises(RuntimeError, match="not the Coxeter image"):
+        c.rep
+
+
+def test_knitting_waits_for_the_first_morphism_call():
+    c = cat("D", 4)
+    assert c.tau_plus and "_knitted" not in vars(c)
+    c.pres
+    assert "_knitted" in vars(c) and set(c.rep) == set(c.roots)
 
 
 def test_proj_inj_interval_shapes():
@@ -250,15 +280,19 @@ def _hom_vmaps_by_kron(c, a, b):
     return [reps.vmap_unflatten(ns[:, k], shapes) for k in range(ns.shape[1])]
 
 
+def _seeded_arrows(diagram, rank, seed):
+    """The default orientation (seed None) or a seeded random one."""
+    if seed is None:
+        return None
+    rng = np.random.default_rng(seed)
+    return [(s, t) if rng.random() < 0.5 else (t, s)
+            for s, t in quiver.dynkin_edges(diagram, rank)]
+
+
 @pytest.mark.parametrize("seed", [None, 5])
 @pytest.mark.parametrize("diagram,rank", [("A", 4), ("D", 5), ("E", 6)])
 def test_hom_basis_matches_kron_assembly(diagram, rank, seed):
-    arrows = None
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        arrows = [(s, t) if rng.random() < 0.5 else (t, s)
-                  for s, t in quiver.dynkin_edges(diagram, rank)]
-    c = cat(diagram, rank, arrows=arrows)
+    c = cat(diagram, rank, arrows=_seeded_arrows(diagram, rank, seed))
     for r1 in c.roots:
         for r2 in c.roots:
             got = c.hom_basis(r1, r2)
@@ -267,3 +301,17 @@ def test_hom_basis_matches_kron_assembly(diagram, rank, seed):
             for f, g in zip(got, want):
                 assert all(u.shape == v.shape and np.array_equal(u, v)
                            for u, v in zip(f, g))
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank", [("A", 4), ("D", 5), ("E", 6)])
+def test_hom_and_cocycle_dims_follow_the_euler_form(diagram, rank, seed):
+    """Directing modules, by linear algebra on every root pair:
+    dim Hom = max(<a, b>, 0) and dim Ext^1 = max(-<a, b>, 0), the rule the
+    orbit category's dimension table is built from."""
+    c = cat(diagram, rank, arrows=_seeded_arrows(diagram, rank, seed))
+    for a in c.roots:
+        for b in c.roots:
+            e = c.euler_pairing(a, b)
+            assert len(c.hom_basis(a, b)) == max(e, 0), (a, b)
+            assert c.ext_data(a, b)[2] == max(-e, 0), (a, b)

@@ -200,3 +200,56 @@ def test_cy_duality_reports_the_loop_order_counterexample(entries):
         dims[e] += 1
     # a corruption and its dual cancel out: [(0, 3, 2), (3, 0, 1)] passes
     assert json.dumps(check_cy_duality(c)) == json.dumps(_cy_duality_by_loop(c))
+
+
+def _break_one_root_pair(monkeypatch, ctx, side):
+    """Make one root pair's Hom basis one vector short (side "hom") or its
+    cocycle space one too wide ("ext"); returns that pair."""
+    from dcluster.reps import ModuleCategory
+
+    roots = ctx.oc.cat.roots
+    euler = ctx.oc.cat.euler_pairing
+    pair = next((a, b) for a in roots for b in roots if euler(a, b) < 0) \
+        if side == "ext" else (roots[-1], roots[-1])
+    hom_basis, ext_data = ModuleCategory.hom_basis, ModuleCategory.ext_data
+
+    def short_hom(self, ra, rb):
+        out = hom_basis(self, ra, rb)
+        return out[:-1] if (ra, rb) == pair else out
+
+    def wide_ext(self, ra, rb):
+        q_, s_, dim = ext_data(self, ra, rb)
+        return (q_, s_, dim + 1) if (ra, rb) == pair else (q_, s_, dim)
+
+    if side == "hom":
+        monkeypatch.setattr(ModuleCategory, "hom_basis", short_hom)
+    else:
+        monkeypatch.setattr(ModuleCategory, "ext_data", wide_ext)
+    return pair
+
+
+@pytest.mark.parametrize("side", ["hom", "ext"])
+def test_euler_identity_compares_linear_algebra_with_the_euler_form(monkeypatch, side):
+    """A broken Hom basis or cocycle space on a single root pair is caught:
+    euler-identity is no longer a tautology."""
+    ctx = load_context("A", 3, 2)
+    roots = ctx.oc.cat.roots
+    pair = _break_one_root_pair(monkeypatch, ctx, side)
+    report, _ = run_checks(ctx, ["euler-identity"])
+    entry = report["checks"][0]
+    assert entry["status"] == "fail"
+    assert entry["counterexample"] == {"pair": [list(pair[0]), list(pair[1])]}
+    assert entry["instances"] == roots.index(pair[0]) * len(roots) + roots.index(pair[1]) + 1
+
+
+@pytest.mark.parametrize("side", ["hom", "ext"])
+def test_window_reduction_compares_the_table_with_linear_algebra(monkeypatch, side):
+    """piece_dim, the table's oracle, reads Hom-system and cocycle-space
+    dimensions, so a broken root pair shows against the Euler-form table."""
+    ctx = load_context("A", 3, 2)
+    oc = ctx.oc
+    a, b = _break_one_root_pair(monkeypatch, ctx, side)
+    entry = run_checks(ctx, ["window-hom-reduction"])[0]["checks"][0]
+    assert entry["status"] == "fail"
+    y = (b, 0) if side == "hom" else (b, 1)
+    assert entry["counterexample"] == {"x": oc.obj_name((a, 0)), "y": oc.obj_name(y)}
