@@ -343,11 +343,21 @@ def _check_line(entry: dict, seconds: float) -> str:
 
 def _run_checks(ctx: TiltingContext, only: Optional[List[str]]) -> dict:
     """Run the checks, printing each line as soon as its check returns, so a
-    killed run still leaves the finished lines behind; returns the report."""
+    killed run still leaves the finished lines behind; returns the report.
+
+    Check ids are validated by the caller.  A ValueError or ArithmeticError
+    raised inside a check is a defect of the library, not of the input, so
+    it becomes an internal error naming the check.
+    """
+    pending = [cid for cid in CHECK_IDS if only is None or cid in only]
     results = []
-    for entry, seconds in iter_checks(ctx, only):
-        print(_check_line(entry, seconds), flush=True)
-        results.append(entry)
+    try:
+        for entry, seconds in iter_checks(ctx, only):
+            print(_check_line(entry, seconds), flush=True)
+            results.append(entry)
+    except (ValueError, ArithmeticError) as exc:
+        raise RuntimeError("check %s raised %s: %s" % (
+            pending[len(results)], type(exc).__name__, exc)) from exc
     report = make_report(ctx, results)
     s = report["summary"]
     print("summary: %d pass, %d fail, %d n/a" % (s["pass"], s["fail"], s["n/a"]))
@@ -379,18 +389,17 @@ def cmd_verify(args) -> int:
         for cid in CHECK_IDS:
             print(cid)
         return 0
-    ctx = _context(args)
     only: Optional[List[str]] = None
     if args.check is not None:
         only = [c.strip() for c in args.check.split(",") if c.strip()]
         if not only:
             raise UsageError("--check names no check id")
+        unknown = [c for c in only if c not in CHECK_IDS]
+        if unknown:
+            raise UsageError("unknown check id: %s" % ", ".join(unknown))
     elif not args.all:
         raise UsageError("verify needs --all or --check <id,...>")
-    try:
-        report = _run_checks(ctx, only)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = _run_checks(_context(args), only)
     if getattr(args, "out", None):
         _write(args.out, report_to_json(report))
         print("wrote %s" % args.out)

@@ -13,7 +13,9 @@ never built as a cone here; instead its multiplicities are computed twice,
 as the radical-quotient dimensions of Hom(T_j, X_i) (minimal right
 approximation of X_i) and of Hom(X_{i+1}, T_j) (minimal left approximation
 of X_{i+1}), and the two routes must agree.  The factorization property of
-the approximation is checked directly on basis elements.
+the approximation is checked by one rank comparison per summand over cached
+structure constants: each composition Hom(a, m) x Hom(m, b) -> Hom(a, b) is
+computed once, as a tensor in Hom-basis coordinates.
 
 The module also packages the fan-level laws this data obeys: the cyclic
 Ext-dimension pattern with its nonvanishing composites of connecting
@@ -126,35 +128,28 @@ def almost_completes(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
 # approximations
 
 
-def _composite_columns(ctx: TiltingContext, a: Obj, mid: Obj, b: Obj) -> List[np.ndarray]:
-    """Coordinate columns of {g o f : f in Hom(a, mid), g in Hom(mid, b)}."""
+def _composite_tensor(ctx: TiltingContext, a: Obj, mid: Obj, b: Obj) -> np.ndarray:
+    """Structure constants t[k, i, j] of composition through `mid` (cached):
+    the coefficient of the k-th vector of hom_basis(a, b) in g_j o f_i, for
+    f_i in hom_basis(a, mid) and g_j in hom_basis(mid, b).  Composition is
+    bilinear, so any composite through `mid` is read off t."""
     cache = ctx._composites
     key = (a, mid, b)
     if key not in cache:
         oc = ctx.oc
-        cols = []
-        for f in _hom_basis(ctx, a, mid):
-            for g in _hom_basis(ctx, mid, b):
-                cols.append(oc.morph_coords(oc.compose(g, f)))
-        cache[key] = cols
+        fs, gs, basis = (_hom_basis(ctx, a, mid), _hom_basis(ctx, mid, b),
+                         _hom_basis(ctx, a, b))
+        h = len(basis)
+        coef = linalg.zeros(h, 0)
+        if fs and gs:
+            mat = np.stack([oc.morph_coords(v) for v in basis] +
+                           [oc.morph_coords(oc.compose(g, f)) for f in fs for g in gs], axis=1)
+            coef = linalg.solve_mod(mat[:, :h], mat[:, h:], oc.cat.p)
+            if coef is None:
+                raise RuntimeError("a composite %r -> %r -> %r lies outside the "
+                                   "span of the Hom basis" % (a, mid, b))
+        cache[key] = coef.reshape(h, len(fs), len(gs))
     return cache[key]
-
-
-def _tops_mod_radical(ctx, basis: List[CMorphism], rad_cols: List[np.ndarray]) -> List[CMorphism]:
-    """Basis elements completing the radical columns to a spanning set."""
-    oc = ctx.oc
-    p = oc.cat.p
-    dim = len(oc.morph_coords(basis[0]))
-    mat = np.stack(rad_cols, axis=1) if rad_cols else linalg.zeros(dim, 0)
-    rank = linalg.rank_mod(mat, p)
-    tops = []
-    for f in basis:
-        cand = np.concatenate([mat, oc.morph_coords(f).reshape(-1, 1)], axis=1)
-        r = linalg.rank_mod(cand, p)
-        if r > rank:
-            mat, rank = cand, r
-            tops.append(f)
-    return tops
 
 
 def _check_end_fields(ctx: TiltingContext, addset: Sequence[Obj]) -> None:
@@ -169,40 +164,44 @@ def _ordered(right: bool, s, t):
 
 
 def _approximation(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
-                   right: bool) -> Dict[Obj, List[CMorphism]]:
-    """Generators of Hom(T_j, x) (right) or Hom(x, T_j) (left) mod the radical."""
+                   right: bool) -> Dict[Obj, List[int]]:
+    """Generators of Hom(T_j, x) (right) or Hom(x, T_j) (left) mod the radical,
+    as indices into the Hom basis: the pivots in the identity block of one
+    row reduction of [radical | I] per T_j, i.e. the first basis vectors that
+    complete the radical (composites through the other summands) to a
+    spanning set."""
     oc = ctx.oc
     addset = tuple(oc.normalize(t)[0] for t in addset)
     x = oc.normalize(x)[0]
-    _check_end_fields(ctx, addset)
     tops = {}
     for j, tj in enumerate(addset):
         a, b = _ordered(right, tj, x)
-        basis = _hom_basis(ctx, a, b)
-        if not basis:
+        h = len(_hom_basis(ctx, a, b))
+        if not h:
             continue
-        rad = []
-        for l, tl in enumerate(addset):
-            if l != j:
-                rad.extend(_composite_columns(ctx, a, tl, b))
-        tops[tj] = _tops_mod_radical(ctx, basis, rad)
+        blocks = [_composite_tensor(ctx, a, tl, b).reshape(h, -1)
+                  for l, tl in enumerate(addset) if l != j]
+        r = sum(blk.shape[1] for blk in blocks)
+        _, piv = linalg.rref_mod(np.concatenate(blocks + [linalg.eye(h)], axis=1), oc.cat.p)
+        tops[tj] = [c - r for c in piv if c >= r]
     return tops
 
 
 def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
-                        target: Obj) -> Dict[Obj, List[CMorphism]]:
+                        target: Obj) -> Dict[Obj, List[int]]:
     """Radical-complement generators of Hom(T_j, target) for each summand T_j.
 
     The number of generators at T_j is the multiplicity of T_j in the
     minimal right approximation of `target` from the additive hull of
-    `addset`; requires every End(T_j) to be one-dimensional so that the
-    radical is exactly the span of composites through the other summands.
+    `addset`.  Every End(T_j) must be one-dimensional (the callers in this
+    module check it once per add set), so that the radical is exactly the
+    span of composites through the other summands.
     """
     return _approximation(ctx, addset, target, right=True)
 
 
 def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
-                       source: Obj) -> Dict[Obj, List[CMorphism]]:
+                       source: Obj) -> Dict[Obj, List[int]]:
     """Dual of right_approximation: generators of Hom(source, T_j) mod radical."""
     return _approximation(ctx, addset, source, right=False)
 
@@ -210,25 +209,21 @@ def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
 def _factors_through(ctx, addset, x, tops, right: bool) -> bool:
     """Does every map between add set and x factor through the generators?
 
-    Right side: each Hom(T_l, x) lies in the span of tops precomposed with
-    Hom(T_l, T_j); the left side is the mirror image.
+    Right side: Hom(T_l, x) must be spanned by the composites f o v of the
+    generators f at T_j with v in Hom(T_l, T_j); the left side is the mirror
+    image.  One rank comparison per T_l over the cached structure constants.
     """
-    oc = ctx.oc
-    p = oc.cat.p
+    p = ctx.oc.cat.p
     for tl in addset:
-        basis = _hom_basis(ctx, *_ordered(right, tl, x))
-        if not basis:
+        a, b = _ordered(right, tl, x)
+        h = len(_hom_basis(ctx, a, b))
+        if not h:
             continue
-        cols = []
-        for tj, fs in tops.items():
-            for v in _hom_basis(ctx, *_ordered(right, tl, tj)):
-                for f in fs:
-                    cols.append(oc.morph_coords(oc.compose(*_ordered(right, f, v))))
-        dim = len(oc.morph_coords(basis[0]))
-        span = np.stack(cols, axis=1) if cols else linalg.zeros(dim, 0)
-        for h in basis:
-            if not linalg.in_span(span, oc.morph_coords(h), p):
-                return False
+        blocks = [_composite_tensor(ctx, a, tj, b).take(gens, axis=2 if right else 1)
+                  .reshape(h, -1) for tj, gens in tops.items() if gens]
+        span = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
+        if linalg.rank_mod(span, p) < h:
+            return False
     return True
 
 
@@ -236,8 +231,9 @@ def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
                         target: Obj) -> Dict[Obj, int]:
     """Multiplicities of the minimal right approximation, factorization-checked."""
     addset = tuple(ctx.oc.normalize(x)[0] for x in addset)
+    _check_end_fields(ctx, addset)
     tops = right_approximation(ctx, addset, target)
-    if not _factors_through(ctx, addset, target, tops, right=True):
+    if not _factors_through(ctx, addset, ctx.oc.normalize(target)[0], tops, right=True):
         raise RuntimeError("approximation candidates do not cover Hom(add set, %r)"
                            % (target,))
     return {tj: len(fs) for tj, fs in tops.items()}
@@ -256,6 +252,7 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
     oc = ctx.oc
     almost = tuple(oc.normalize(x)[0] for x in almost)
     cycle = tuple(oc.normalize(x)[0] for x in cycle)
+    _check_end_fields(ctx, almost)
     out = []
     m = len(cycle)
     for i in range(m):

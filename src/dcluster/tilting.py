@@ -41,7 +41,9 @@ class TiltingContext:
         self._almost = None
         self._facet_stats = None
         self._graph_checks = None
-        # memos of the mutation module, keyed by objects or almost complete sets
+        # memos of the mutation module, keyed by objects or almost complete sets;
+        # _composites maps (a, mid, b) to the structure constants t[k, i, j] of
+        # Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis coordinates
         self._hom_bases = {}
         self._fans = {}
         self._composites = {}

@@ -344,6 +344,52 @@ def test_check_lines_print_before_a_later_check_fails(monkeypatch, capsys):
     assert captured.err == "internal error (A2 d=1 p=101): facet count check broke\n"
 
 
+@pytest.mark.parametrize("command", [["verify", "--all"], ["fans", "--verify-all"]])
+@pytest.mark.parametrize("exc", [ValueError("bad coordinates"),
+                                 ZeroDivisionError("inverse of 0 mod 101")])
+def test_library_error_inside_a_check_exits_3(monkeypatch, capsys, command, exc):
+    from dcluster import verify
+
+    k = verify.CHECK_IDS.index("middle-rigid")
+    cid, statement, min_d, _ = verify.CHECKS[k]
+
+    def broken(ctx):
+        raise exc
+
+    checks = list(verify.CHECKS)
+    checks[k] = (cid, statement, min_d, broken)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    assert run(command + A2D1) == 3
+    captured = capsys.readouterr()
+    assert "middle-rigid" not in captured.out
+    assert captured.err == "internal error (A2 d=1 p=101): check middle-rigid " \
+        "raised %s: %s\n" % (type(exc).__name__, exc)
+
+
+def test_unknown_check_id_is_rejected_before_any_check_runs(capsys):
+    assert run(["verify", "--check", "euler-identity,bogus"] + A2D1) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown check id: bogus\n"
+
+
+def test_runs_as_a_module_from_a_checkout():
+    import os
+    import subprocess
+    import sys
+
+    import dcluster
+    from dcluster.verify import CHECK_IDS
+
+    src = os.path.dirname(os.path.dirname(dcluster.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "dcluster", "verify", "--list-checks"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.split() == CHECK_IDS
+    assert len(CHECK_IDS) == 24
+
+
 D4D2 = ["--diagram", "D", "--rank", "4", "--d", "2"]
 
 

@@ -3,6 +3,8 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from dcluster import linalg
+from dcluster import mutation as mut
 from dcluster.mutation import (almost_completes, approximation_mults, complements,
                                cyclic_form, degree_bounds_instances,
                                degree_profile_instances, delta_chains_nonzero,
@@ -28,6 +30,17 @@ def ctx(diagram, rank, d, p=101):
         q = parse_quiver(diagram, rank)
         _cache[key] = TiltingContext(OrbitCategory(ModuleCategory(q, p=p), d))
     return _cache[key]
+
+
+def _oriented_ctx(diagram, rank, d, seed):
+    """A fresh context; seed None keeps the default orientation."""
+    arrows = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        arrows = [(s, t) if rng.random() < 0.5 else (t, s)
+                  for s, t in dynkin_edges(diagram, rank)]
+    q = parse_quiver(diagram, rank, arrows)
+    return TiltingContext(OrbitCategory(ModuleCategory(q), d))
 
 
 CASES = [
@@ -139,6 +152,159 @@ def test_fan_triangles_consistent(diagram, rank, d):
         assert middle_union_rigid(c, fan, tris)
 
 
+# the composition path that the structure-constant tensors replaced, kept as
+# the oracle for the generator choice and the factorization verdict
+
+
+def _composite_columns(c, a, mid, b):
+    """Coordinate columns of {g o f : f in Hom(a, mid), g in Hom(mid, b)}."""
+    oc = c.oc
+    return [oc.morph_coords(oc.compose(g, f))
+            for f in mut._hom_basis(c, a, mid) for g in mut._hom_basis(c, mid, b)]
+
+
+def _tops_mod_radical(c, basis, rad_cols):
+    """Basis elements completing the radical columns to a spanning set."""
+    oc = c.oc
+    p = oc.cat.p
+    dim = len(oc.morph_coords(basis[0]))
+    mat = np.stack(rad_cols, axis=1) if rad_cols else linalg.zeros(dim, 0)
+    rank = linalg.rank_mod(mat, p)
+    tops = []
+    for f in basis:
+        cand = np.concatenate([mat, oc.morph_coords(f).reshape(-1, 1)], axis=1)
+        r = linalg.rank_mod(cand, p)
+        if r > rank:
+            mat, rank = cand, r
+            tops.append(f)
+    return tops
+
+
+def _approximation_by_composition(c, addset, x, right):
+    tops = {}
+    for j, tj in enumerate(addset):
+        a, b = (tj, x) if right else (x, tj)
+        basis = mut._hom_basis(c, a, b)
+        if basis:
+            rad = [col for l, tl in enumerate(addset) if l != j
+                   for col in _composite_columns(c, a, tl, b)]
+            tops[tj] = _tops_mod_radical(c, basis, rad)
+    return tops
+
+
+def _factors_through(c, addset, x, tops, right):
+    """Does every map between add set and x factor through the generators?"""
+    oc = c.oc
+    p = oc.cat.p
+    for tl in addset:
+        basis = mut._hom_basis(c, *((tl, x) if right else (x, tl)))
+        if not basis:
+            continue
+        cols = []
+        for tj, fs in tops.items():
+            for v in mut._hom_basis(c, *((tl, tj) if right else (tj, tl))):
+                for f in fs:
+                    cols.append(oc.morph_coords(oc.compose(f, v) if right
+                                                else oc.compose(v, f)))
+        dim = len(oc.morph_coords(basis[0]))
+        span = np.stack(cols, axis=1) if cols else linalg.zeros(dim, 0)
+        for h in basis:
+            if not linalg.in_span(span, oc.morph_coords(h), p):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank,d", CASES)
+def test_tensor_path_matches_composition_path(diagram, rank, d, seed):
+    c = _oriented_ctx(diagram, rank, d, seed)
+    for a in almost_completes(c):
+        for x in fan_of(c, a):
+            for right in (True, False):
+                tops = mut._approximation(c, a, x, right)
+                ref = _approximation_by_composition(c, a, x, right)
+                assert tops.keys() == ref.keys()
+                for tj, fs in ref.items():
+                    basis = mut._hom_basis(c, *((tj, x) if right else (x, tj)))
+                    assert tops[tj] == [basis.index(f) for f in fs]
+                assert mut._factors_through(c, a, x, tops, right) is \
+                    _factors_through(c, a, x, ref, right) is True
+                # without one generator, both paths must see the gap
+                for tj in [t for t in ref if ref[t]][:1]:
+                    short = {**tops, tj: tops[tj][1:]}
+                    ref_short = {**ref, tj: ref[tj][1:]}
+                    assert mut._factors_through(c, a, x, short, right) is \
+                        _factors_through(c, a, x, ref_short, right) is False
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("D", 4, 1), ("D", 4, 2)])
+def test_generator_choice_matches_on_two_dimensional_homs(diagram, rank, d):
+    # Hom(T_j, X_i) along a fan is at most one-dimensional, so the choice of
+    # generators is only exercised by add sets {t, s} with dim Hom(t, x) = 2
+    c = _oriented_ctx(diagram, rank, d, None)
+    hom = c.oc.dims()[:, :, 0]
+    chosen = 0
+    for i, j in zip(*np.nonzero(hom == 2)):
+        for s in c.objects:
+            for right, t, x in ((True, c.objects[i], c.objects[j]),
+                                (False, c.objects[j], c.objects[i])):
+                if s == t:
+                    continue
+                tops = mut._approximation(c, (t, s), x, right)
+                ref = _approximation_by_composition(c, (t, s), x, right)
+                basis = mut._hom_basis(c, *((t, x) if right else (x, t)))
+                assert tops[t] == [basis.index(f) for f in ref[t]]
+                chosen += 0 < len(tops[t]) < 2
+                assert mut._factors_through(c, (t, s), x, tops, right) is \
+                    _factors_through(c, (t, s), x, ref, right)
+    assert chosen > 0
+
+
+def test_end_fields_checked_once_per_fan(monkeypatch):
+    c = _oriented_ctx("A", 3, 2, None)
+    calls = []
+    check = mut._check_end_fields
+    monkeypatch.setattr(mut, "_check_end_fields",
+                        lambda *args: calls.append(1) or check(*args))
+    almosts = almost_completes(c)
+    for a in almosts:
+        fan_triangles(c, a, fan_of(c, a))
+    assert len(calls) == len(almosts)
+
+
+def test_zeroed_structure_constant_breaks_a_triangle():
+    c = _oriented_ctx("A", 3, 2, None)
+    for a in almost_completes(c):
+        tris = fan_triangles(c, a, fan_of(c, a))
+        tri = next((t for t in tris if t["mults"]), None)
+        if tri is not None:
+            break
+    x, tj = tri["target"], next(iter(tri["mults"]))
+    k = right_approximation(c, a, x)[tj][0]
+    # the generator composed with the basis of End(T_j) loses its coordinate
+    c._composites[tj, tj, x][k, 0, k] = 0
+    with pytest.raises(RuntimeError, match="does not cover all maps"):
+        fan_triangles(c, a, fan_of(c, a))
+
+
+def test_composite_outside_the_hom_span_raises(monkeypatch):
+    c = _oriented_ctx("A", 2, 1, None)
+    oc = c.oc
+    compose, coords = oc.compose, oc.morph_coords
+
+    def marked_compose(g, f):
+        h = compose(g, f)
+        h.marked = True
+        return h
+
+    # one extra coordinate, 1 on composites and 0 on basis vectors
+    monkeypatch.setattr(oc, "compose", marked_compose)
+    monkeypatch.setattr(oc, "morph_coords",
+                        lambda f: np.append(coords(f), int(hasattr(f, "marked"))))
+    with pytest.raises(RuntimeError, match="outside the span of the Hom basis"):
+        fan_triangles(c, (P1,), fan_of(c, [P1]))
+
+
 @pytest.mark.parametrize("diagram,rank,d", [c for c in CASES if c[2] >= 2])
 def test_middle_supports_disjoint(diagram, rank, d):
     c = ctx(diagram, rank, d)
@@ -217,13 +383,7 @@ def _teams_by_permutation_scan(c):
 @pytest.mark.parametrize("seed", [None, 3])
 @pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 2), ("A", 3, 3)])
 def test_exchange_team_search_matches_permutation_scan(diagram, rank, d, seed):
-    arrows = None
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        arrows = [(s, t) if rng.random() < 0.5 else (t, s)
-                  for s, t in dynkin_edges(diagram, rank)]
-    q = parse_quiver(diagram, rank, arrows)
-    c = TiltingContext(OrbitCategory(ModuleCategory(q), d))
+    c = _oriented_ctx(diagram, rank, d, seed)
     assert exchange_teams_exhaustive(c) == _teams_by_permutation_scan(c)
 
 

@@ -131,14 +131,8 @@ def test_custom_orientation_verifies():
     assert facet_entry["count"] == 14
 
 
-def _ext_table(c):
-    oc = c.oc
-    return [[[oc.ext_dim(x, y, k) for k in range(oc.d + 2)] for y in c.objects]
-            for x in c.objects]
-
-
 @given(st.sampled_from([("A", 3, 1), ("A", 3, 2), ("A", 4, 1), ("A", 4, 2),
-                        ("D", 4, 1), ("D", 4, 2), ("A", 3, 3)]),
+                        ("D", 4, 1), ("D", 4, 2), ("A", 3, 3), ("E", 6, 1)]),
        st.sampled_from([2, 3, 5, 7, 101]), st.data())
 @settings(max_examples=10, deadline=None)
 def test_random_orientation_and_prime_verify(config, prime, data):
@@ -147,9 +141,12 @@ def test_random_orientation_and_prime_verify(config, prime, data):
               for s, t in default_orientation(diagram, rank)]
     c = load_context(diagram, rank, d, prime=prime, orientation=arrows)
     assert run_checks(c)[0]["summary"]["fail"] == 0
-    ref = load_context(diagram, rank, d, orientation=arrows)
-    assert c.objects == ref.objects
-    assert _ext_table(c) == _ext_table(ref)
+    # the prime-free Euler-form table against linear algebra at this prime
+    oc = c.oc
+    for x in c.objects:
+        for y in c.objects:
+            for k in range(d + 2):
+                assert oc.hom_dim_wide(x, (y[0], y[1] + k)) == oc.ext_dim(x, y, k)
 
 
 def test_shared_results_computed_once_per_context(monkeypatch):
