@@ -1,8 +1,9 @@
 """Command-line interface: inspect categories, run verifications, export data.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
-names, files, unwritable output paths, config values or primes), 3 internal
-error (a violated internal invariant; one line naming the configuration).
+names, files, unwritable output paths, config values or primes, or a
+configuration too large for memory), 3 internal error (a violated internal
+invariant; one line naming the configuration).
 A JSON config file (--config) may supply any of the common flags; explicit
 command-line flags win over config values.
 """
@@ -431,10 +432,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except CheckFailure as exc:
         print("failure: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: %s is too large: its tables do not fit in memory"
+              % _config_name(args), file=sys.stderr)
+        return 2
     except RuntimeError as exc:
-        print("internal error (%s%s d=%s p=%s): %s" % (
-            args.diagram, args.rank, args.d, args.prime, exc), file=sys.stderr)
+        print("internal error (%s): %s" % (_config_name(args), exc), file=sys.stderr)
         return 3
+
+
+def _config_name(args: argparse.Namespace) -> str:
+    return "%s%s d=%s p=%s" % (args.diagram, args.rank, args.d, args.prime)
 
 
 def main() -> None:

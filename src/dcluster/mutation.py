@@ -15,7 +15,10 @@ approximation of X_i) and of Hom(X_{i+1}, T_j) (minimal left approximation
 of X_{i+1}), and the two routes must agree.  The factorization property of
 the approximation is checked by one rank comparison per summand over cached
 structure constants: each composition Hom(a, m) x Hom(m, b) -> Hom(a, b) is
-computed once, as a tensor in Hom-basis coordinates.
+computed once, as a tensor in Hom-basis coordinates.  Each of these small rank
+problems depends only on (a, b) and on the summands t with Hom(a, t) and
+Hom(t, b) nonzero (the others contribute no columns), so it is solved once
+per context and reused by every add set and fan that poses it again.
 
 The module also packages the fan-level laws this data obeys: the cyclic
 Ext-dimension pattern with its nonvanishing composites of connecting
@@ -37,10 +40,17 @@ from .tilting import TiltingContext, _bits, _common_neighbors, \
 
 
 def _hom_basis(ctx: TiltingContext, a: Obj, b: Obj) -> List[CMorphism]:
+    """hom_basis(a, b) (cached), whose length must match the dimension table:
+    the rank-problem memos skip and key summands by the table's zeros."""
     cache = ctx._hom_bases
     key = (a, b)
     if key not in cache:
-        cache[key] = ctx.oc.hom_basis(a, b)
+        basis = ctx.oc.hom_basis(a, b)
+        dim = ctx.oc.hom_dim(a, b)
+        if len(basis) != dim:
+            raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
+                               "dimension table gives %d" % (a, b, len(basis), dim))
+        cache[key] = basis
     return cache[key]
 
 
@@ -87,8 +97,7 @@ def order_into_fan(ctx: TiltingContext, comps: Sequence[Obj],
 
 def fan_of(ctx: TiltingContext, almost: Sequence[Obj]) -> Tuple[Obj, ...]:
     """The ordered complement cycle of an almost complete set (cached)."""
-    oc = ctx.oc
-    almost = tuple(oc.normalize(x)[0] for x in almost)
+    almost = tuple(map(ctx.canonical, almost))
     cache = ctx._fans
     key = frozenset(almost)
     if key not in cache:
@@ -166,25 +175,47 @@ def _ordered(right: bool, s, t):
 def _approximation(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
                    right: bool) -> Dict[Obj, List[int]]:
     """Generators of Hom(T_j, x) (right) or Hom(x, T_j) (left) mod the radical,
-    as indices into the Hom basis: the pivots in the identity block of one
-    row reduction of [radical | I] per T_j, i.e. the first basis vectors that
-    complete the radical (composites through the other summands) to a
-    spanning set."""
-    oc = ctx.oc
-    addset = tuple(oc.normalize(t)[0] for t in addset)
-    x = oc.normalize(x)[0]
+    as indices into the Hom basis, for each T_j with that Hom nonzero.
+
+    With (a, b) = (T_j, x) or (x, T_j), the radical is spanned by the
+    composites through the other summands, and only the summands t with
+    Hom(a, t) and Hom(t, b) nonzero contribute any; the generators are
+    solved once per (a, b, those summands) and context.
+    """
+    index = ctx.index
+    out, into = ctx.hom_masks()
+    ix = index[ctx.canonical(x)]
+    pos = [index[ctx.canonical(t)] for t in addset]
+    # a repeated summand keeps its own bit: its copy spans Hom(a, b)
+    mask = dup = 0
+    for i in pos:
+        dup |= mask & (1 << i)
+        mask |= 1 << i
+    memo = ctx._radical_tops
     tops = {}
-    for j, tj in enumerate(addset):
-        a, b = _ordered(right, tj, x)
-        h = len(_hom_basis(ctx, a, b))
-        if not h:
+    for i in pos:
+        a, b = _ordered(right, i, ix)
+        if not (out[a] >> b) & 1:
             continue
-        blocks = [_composite_tensor(ctx, a, tl, b).reshape(h, -1)
-                  for l, tl in enumerate(addset) if l != j]
-        r = sum(blk.shape[1] for blk in blocks)
-        _, piv = linalg.rref_mod(np.concatenate(blocks + [linalg.eye(h)], axis=1), oc.cat.p)
-        tops[tj] = [c - r for c in piv if c >= r]
+        key = (a, b, out[a] & into[b] & (mask & ~(1 << i) | dup))
+        if key not in memo:
+            memo[key] = _radical_tops(ctx, *key)
+        tops[ctx.objects[i]] = list(memo[key])
     return tops
+
+
+def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, ...]:
+    """The pivots in the identity block of one row reduction of [radical | I],
+    i.e. the first basis vectors of Hom(a, b) that complete the composites
+    through the summands in the bitmask `rel` to a spanning set.  They depend
+    only on the span of the radical, not on the order of its columns."""
+    objs = ctx.objects
+    a, b = objs[a], objs[b]
+    h = len(_hom_basis(ctx, a, b))
+    blocks = [_composite_tensor(ctx, a, objs[t], b).reshape(h, -1) for t in _bits(rel)]
+    r = sum(blk.shape[1] for blk in blocks)
+    _, piv = linalg.rref_mod(np.concatenate(blocks + [linalg.eye(h)], axis=1), ctx.oc.cat.p)
+    return tuple(c - r for c in piv if c >= r)
 
 
 def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
@@ -211,29 +242,45 @@ def _factors_through(ctx, addset, x, tops, right: bool) -> bool:
 
     Right side: Hom(T_l, x) must be spanned by the composites f o v of the
     generators f at T_j with v in Hom(T_l, T_j); the left side is the mirror
-    image.  One rank comparison per T_l over the cached structure constants.
+    image.  One rank comparison per T_l over the cached structure constants,
+    memoized by (side, T_l, x, generators at the T_j whose tensor has columns).
     """
-    p = ctx.oc.cat.p
+    index = ctx.index
+    out, into = ctx.hom_masks()
+    ix = index[x]
+    gens_at = [(index[tj], tuple(gens)) for tj, gens in tops.items() if gens]
+    memo = ctx._covers
     for tl in addset:
-        a, b = _ordered(right, tl, x)
-        h = len(_hom_basis(ctx, a, b))
-        if not h:
+        a, b = _ordered(right, index[tl], ix)
+        if not (out[a] >> b) & 1:
             continue
-        blocks = [_composite_tensor(ctx, a, tj, b).take(gens, axis=2 if right else 1)
-                  .reshape(h, -1) for tj, gens in tops.items() if gens]
-        span = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
-        if linalg.rank_mod(span, p) < h:
+        rel = out[a] & into[b]
+        key = (right, a, b, tuple(tg for tg in gens_at if (rel >> tg[0]) & 1))
+        if key not in memo:
+            memo[key] = _covers(ctx, *key)
+        if not memo[key]:
             return False
     return True
+
+
+def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
+    """Do the composites through the generators (t, gens) span Hom(a, b)?"""
+    objs = ctx.objects
+    a, b = objs[a], objs[b]
+    h = len(_hom_basis(ctx, a, b))
+    blocks = [_composite_tensor(ctx, a, objs[t], b).take(gens, axis=2 if right else 1)
+              .reshape(h, -1) for t, gens in gens_at]
+    span = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
+    return linalg.rank_mod(span, ctx.oc.cat.p) == h
 
 
 def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
                         target: Obj) -> Dict[Obj, int]:
     """Multiplicities of the minimal right approximation, factorization-checked."""
-    addset = tuple(ctx.oc.normalize(x)[0] for x in addset)
+    addset = tuple(map(ctx.canonical, addset))
     _check_end_fields(ctx, addset)
     tops = right_approximation(ctx, addset, target)
-    if not _factors_through(ctx, addset, ctx.oc.normalize(target)[0], tops, right=True):
+    if not _factors_through(ctx, addset, ctx.canonical(target), tops, right=True):
         raise RuntimeError("approximation candidates do not cover Hom(add set, %r)"
                            % (target,))
     return {tj: len(fs) for tj, fs in tops.items()}
@@ -249,9 +296,8 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
     are checked.  An empty middle term is legal: the connecting class is
     then an isomorphism X_i = X_{i+1}[1].
     """
-    oc = ctx.oc
-    almost = tuple(oc.normalize(x)[0] for x in almost)
-    cycle = tuple(oc.normalize(x)[0] for x in cycle)
+    almost = tuple(map(ctx.canonical, almost))
+    cycle = tuple(map(ctx.canonical, cycle))
     _check_end_fields(ctx, almost)
     out = []
     m = len(cycle)
@@ -278,7 +324,7 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
 
 def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
     """fan_triangles over the cached fan of `almost`, itself cached."""
-    almost = tuple(ctx.oc.normalize(x)[0] for x in almost)
+    almost = tuple(map(ctx.canonical, almost))
     cache = ctx._triangles
     key = frozenset(almost)
     if key not in cache:
@@ -313,7 +359,7 @@ def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[Obj],
     oc = ctx.oc
     if deltas is not None:
         return _chains_nonzero(oc, deltas)
-    cycle = tuple(oc.normalize(x)[0] for x in cycle)
+    cycle = tuple(map(ctx.canonical, cycle))
     key = cyclic_form(ctx, cycle)
     if key not in ctx._delta_chains:
         ctx._delta_chains[key] = _chains_nonzero(oc, delta_classes(ctx, cycle))
@@ -353,9 +399,8 @@ def ext_pattern_ok(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
 
 def is_exchange_team(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     """Ordered (d+1)-tuple with the cyclic Ext pattern and nonzero composites."""
-    oc = ctx.oc
-    objs = tuple(oc.normalize(x)[0] for x in objs)
-    if len(objs) != oc.d + 1 or len(set(objs)) != len(objs):
+    objs = tuple(map(ctx.canonical, objs))
+    if len(objs) != ctx.oc.d + 1 or len(set(objs)) != len(objs):
         return False
     if not ext_pattern_ok(ctx, objs):
         return False
@@ -466,10 +511,8 @@ def successor_hom_vanishing(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
 def mutate(ctx: TiltingContext, objs: Sequence[Obj], drop: Obj,
            pick: int = 1) -> Tuple[Obj, ...]:
     """Replace `drop` by the pick-th complement along the fan starting there."""
-    oc = ctx.oc
-    objs = tuple(sorted((oc.normalize(x)[0] for x in objs),
-                        key=lambda t: ctx.index[t]))
-    drop = oc.normalize(drop)[0]
+    objs = tuple(sorted(map(ctx.canonical, objs), key=lambda t: ctx.index[t]))
+    drop = ctx.canonical(drop)
     if drop not in objs:
         raise ValueError("drop object %r is not a summand" % (drop,))
     if not is_tilting(ctx, objs):

@@ -36,6 +36,7 @@ class TiltingContext:
         self.index = oc.index
         self.n = oc.cat.q.rank
         self._adj = None
+        self._hom_masks = None
         # results shared by several checks
         self._tilting = None
         self._almost = None
@@ -43,10 +44,17 @@ class TiltingContext:
         self._graph_checks = None
         # memos of the mutation module, keyed by objects or almost complete sets;
         # _composites maps (a, mid, b) to the structure constants t[k, i, j] of
-        # Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis coordinates
+        # Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis coordinates.
+        # The rank problems read off them are memoized by object indices:
+        # _radical_tops maps (a, b, mask of summands t with Hom(a, t) and
+        # Hom(t, b) nonzero) to the generators of Hom(a, b) mod the radical,
+        # _covers maps (right, a, b, ((t, generators), ...)) to whether the
+        # generators at those summands span Hom(a, b)
         self._hom_bases = {}
         self._fans = {}
         self._composites = {}
+        self._radical_tops = {}
+        self._covers = {}
         self._triangles = {}
         self._delta_chains = {}
 
@@ -66,14 +74,25 @@ class TiltingContext:
             raise RuntimeError("compatibility is not symmetric for %r, %r"
                                % (self.objects[i], self.objects[j]))
         np.fill_diagonal(comp, False)
-        self._adj = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in comp]
+        self._adj = _row_masks(comp)
         return self._adj
+
+    def hom_masks(self) -> Tuple[List[int], List[int]]:
+        """Nonzero-Hom bitmasks (out, into): bit j of out[i] and bit i of
+        into[j] are set when Hom(X_i, X_j) != 0, read from the dimension table."""
+        if self._hom_masks is None:
+            hom = self.oc.dims()[:, :, 0] != 0
+            self._hom_masks = (_row_masks(hom), _row_masks(hom.T))
+        return self._hom_masks
+
+    def canonical(self, x: Obj) -> Obj:
+        """The fundamental-domain representative of x; x itself when it is one."""
+        return x if x in self.index else self.oc.normalize(x)[0]
 
     def indices(self, objs: Sequence[Obj]) -> List[int]:
         """Positions in the fundamental domain of the normalized objects."""
         index = self.index
-        return [index[x] if x in index else index[self.oc.normalize(x)[0]]
-                for x in objs]
+        return [index[self.canonical(x)] for x in objs]
 
     def mask_of(self, objs: Sequence[Obj]) -> int:
         m = 0
@@ -83,6 +102,10 @@ class TiltingContext:
 
     def objs_of(self, mask: int) -> Tuple[Obj, ...]:
         return tuple(self.objects[i] for i in _bits(mask))
+
+
+def _row_masks(rows: np.ndarray) -> List[int]:
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in rows]
 
 
 def _bits(mask: int):

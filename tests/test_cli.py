@@ -325,6 +325,38 @@ def test_broken_dimension_table_exits_3(monkeypatch, capsys, defect):
     assert capsys.readouterr().err == "internal error (A3 d=2 p=101): %s\n" % want
 
 
+def test_hom_basis_disagreeing_with_the_table_exits_3(monkeypatch, capsys):
+    from dcluster.orbit import OrbitCategory
+
+    build = OrbitCategory._build_dims
+    # A2 with the arrow 0 -> 1: Hom(P1, S1) is one-dimensional
+    p1, s1 = ((1, 1), 0), ((1, 0), 0)
+
+    def corrupted(self):
+        out = build(self)
+        out[self.index[p1], self.index[s1], 0] = 2
+        return out
+
+    monkeypatch.setattr(OrbitCategory, "_build_dims", corrupted)
+    assert run(["verify", "--check", "middle-rigid"] + A2D1) == 3
+    assert capsys.readouterr().err == (
+        "internal error (A2 d=1 p=101): Hom(%r, %r) has 1 basis morphisms, "
+        "but the dimension table gives 2\n" % (p1, s1))
+
+
+def test_config_too_large_for_memory_exits_2(monkeypatch, capsys):
+    from dcluster.orbit import OrbitCategory
+
+    def out_of_memory(self):
+        raise MemoryError("cannot allocate the (6003, 6003, 1002) table")
+
+    monkeypatch.setattr(OrbitCategory, "_build_dims", out_of_memory)
+    assert run(["verify", "--all", "--diagram", "A", "--rank", "3",
+                "--d", "1000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: A3 d=1000 p=101 is too large: its tables do not fit in memory\n")
+
+
 def test_check_lines_print_before_a_later_check_fails(monkeypatch, capsys):
     from dcluster import verify
 

@@ -1,4 +1,5 @@
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +123,9 @@ def test_right_approximation_frozen_a2_d1():
     # ... while nothing maps to the third complement: its triangle has an
     # empty middle term and the connecting map is an isomorphism.
     assert approximation_mults(c, [P1], P2) == {}
+    # a repeated summand's copy lies in the radical and spans Hom(P1, S1)
+    assert right_approximation(c, (P1, P1), S1) == {P1: []}
+    assert left_approximation(c, (S1, S1), P1) == {S1: []}
 
 
 def test_left_and_right_routes_agree_a2_d1():
@@ -260,6 +264,19 @@ def test_generator_choice_matches_on_two_dimensional_homs(diagram, rank, d):
     assert chosen > 0
 
 
+def test_cover_verdict_depends_on_the_generators():
+    # the factorization memo must key on the generators, not only on the
+    # summands: with dim Hom(t, x) = 2 and End(t) = k, both are needed
+    c = _oriented_ctx("D", 4, 1, None)
+    i, j = next(zip(*np.nonzero(c.oc.dims()[:, :, 0] == 2)))
+    for right, t, x in ((True, c.objects[i], c.objects[j]),
+                        (False, c.objects[j], c.objects[i])):
+        basis = mut._hom_basis(c, *((t, x) if right else (x, t)))
+        for gens, want in (([0, 1], True), ([0], False), ([1], False), ([1, 0], True)):
+            assert mut._factors_through(c, (t,), x, {t: gens}, right) is \
+                _factors_through(c, (t,), x, {t: [basis[g] for g in gens]}, right) is want
+
+
 def test_end_fields_checked_once_per_fan(monkeypatch):
     c = _oriented_ctx("A", 3, 2, None)
     calls = []
@@ -281,10 +298,39 @@ def test_zeroed_structure_constant_breaks_a_triangle():
             break
     x, tj = tri["target"], next(iter(tri["mults"]))
     k = right_approximation(c, a, x)[tj][0]
-    # the generator composed with the basis of End(T_j) loses its coordinate
-    c._composites[tj, tj, x][k, 0, k] = 0
+    # the generator composed with the basis of End(T_j) loses its coordinate,
+    # planted in a fresh context before any rank problem reads the tensor
+    # (c has memoized the verdicts that read it)
+    fresh = _oriented_ctx("A", 3, 2, None)
+    mut._composite_tensor(fresh, tj, tj, x)[k, 0, k] = 0
     with pytest.raises(RuntimeError, match="does not cover all maps"):
+        fan_triangles(fresh, a, fan_of(fresh, a))
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 4, 2), ("D", 4, 2)])
+def test_each_radical_problem_is_reduced_once(diagram, rank, d, monkeypatch):
+    c = _oriented_ctx(diagram, rank, d, None)
+    calls = []
+    rref = linalg.rref_mod
+    # count the row reductions made by the mutation module itself, not those
+    # inside solve_mod or the Hom-basis solves
+    monkeypatch.setattr(mut, "linalg", SimpleNamespace(**{
+        **vars(linalg), "rref_mod": lambda a, p: calls.append(1) or rref(a, p)}))
+    almosts = almost_completes(c)
+    for a in almosts:
         fan_triangles(c, a, fan_of(c, a))
+    assert len(calls) == len(c._radical_tops)
+    posed = sum(len(mut._approximation(c, a, x, right)) for a in almosts
+                for x in fan_of(c, a) for right in (True, False))
+    assert len(calls) == len(c._radical_tops) < posed
+
+
+def test_hom_basis_must_match_the_dimension_table():
+    c = _oriented_ctx("A", 2, 1, None)
+    c.oc.dims()[c.index[P1], c.index[S1], 0] = 2
+    with pytest.raises(RuntimeError, match="has 1 basis morphisms, but the "
+                                           "dimension table gives 2"):
+        mut._composite_tensor(c, P1, P1, S1)
 
 
 def test_composite_outside_the_hom_span_raises(monkeypatch):
