@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 from . import complex as cpxmod
 from . import mutation as mut
-from .tilting import TiltingContext, enumerate_tilting, is_tilting
+from .tilting import TiltingContext, enumerate_tilting, facet_masks, is_tilting
 from .verify import CHECK_IDS, iter_checks, load_context, make_report, report_to_json
 
 
@@ -293,7 +293,7 @@ def cmd_mutation_graph(args) -> int:
           % (res["vertices"], edges, res["degree"],
              res["regular"], res["connected"]))
     if args.dot:
-        dot = cpxmod.facet_graph_dot(ctx.oc, enumerate_tilting(ctx), "mutation")
+        dot = cpxmod.facet_graph_dot(ctx, facet_masks(ctx), "mutation")
         _write(args.dot, dot)
         print("wrote %s" % args.dot)
     _write_out(args, {"schema": "mutation-graph", "schema_version": 1,

@@ -11,18 +11,22 @@ positive roots in d colors together with the negative simples.
 The positive part is the vertex-restriction to degrees < d (no negative
 labels); its facets are the tilting sets avoiding the shifted projectives.
 
-Faces are never materialized beyond the facets: the f-vector is counted by
-backtracking over compatibility bitmasks, and codimension-1 statistics come
-from the complement fans.
+Faces are never materialized beyond the facets, which are kept as bitmasks
+over the fundamental domain next to their object tuples.  The f-vector is
+counted by backtracking over compatibility bitmasks.  The codimension-1
+faces are the facet masks with one bit cleared, grouped once per context
+with the facets containing them; their statistics come from the complement
+fans, computed on the same masks, and each fan must consist of exactly the
+summands that complete the face in the enumerated facets.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .mutation import almost_completes, facet_adjacency, fan_of
+from .mutation import _fan, codim1_faces, facet_adjacency, group_by_face
 from .orbit import Obj, OrbitCategory
-from .tilting import TiltingContext, _bits, enumerate_tilting
+from .tilting import TiltingContext, _bits, enumerate_tilting, facet_masks
 
 ColoredRoot = Tuple[Tuple[int, ...], int, str]   # (root, color, sign)
 
@@ -68,10 +72,12 @@ class ClusterComplex:
             self.vertices = [x for x in ctx.objects if oc.degree(x) < oc.d]
         else:
             self.vertices = list(ctx.objects)
-        vset = set(self.vertices)
         self.labels = {x: gamma(oc, x) for x in self.vertices}
-        self.facets = [f for f in enumerate_tilting(ctx)
-                       if all(x in vset for x in f)]
+        facets, masks = enumerate_tilting(ctx), facet_masks(ctx)
+        outside = ~ctx.mask_of(self.vertices)
+        kept = [k for k, mask in enumerate(masks) if not mask & outside]
+        self.facets = [facets[k] for k in kept]
+        self.facet_masks = [masks[k] for k in kept]
 
 
 def build_complex(ctx: TiltingContext, positive_only: bool = False) -> ClusterComplex:
@@ -81,24 +87,19 @@ def build_complex(ctx: TiltingContext, positive_only: bool = False) -> ClusterCo
 def f_vector(cpx: ClusterComplex) -> List[int]:
     """Face counts by size, starting from the empty face: [1, f_0, ..., f_{n-1}]."""
     ctx = cpx.ctx
-    adj = ctx.adjacency()
-    idx = [ctx.index[x] for x in cpx.vertices]
-    allowed = 0
-    for i in idx:
-        allowed |= 1 << i
     counts = [0] * (ctx.n + 1)
     counts[0] = 1
-
-    def walk(cand: int, size: int) -> None:
-        for i in _bits(cand):
-            counts[size + 1] += 1
-            higher = cand & ~((1 << (i + 1)) - 1)
-            nxt = higher & adj[i]
-            if nxt and size + 1 < ctx.n:
-                walk(nxt, size + 1)
-
-    walk(allowed, 0)
+    _count_faces(ctx.adjacency(), ctx.n, ctx.mask_of(cpx.vertices), 0, counts)
     return counts
+
+
+def _count_faces(adj: List[int], n: int, cand: int, size: int, counts: List[int]) -> None:
+    for i in _bits(cand):
+        counts[size + 1] += 1
+        higher = cand & ~((1 << (i + 1)) - 1)
+        nxt = higher & adj[i]
+        if nxt and size + 1 < n:
+            _count_faces(adj, n, nxt, size + 1, counts)
 
 
 def facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
@@ -120,18 +121,34 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
     ctx = cpx.ctx
     oc = ctx.oc
     pure = all(len(f) == ctx.n for f in cpx.facets)
-    almosts = almost_completes(ctx)
-    incidence = {}
+    masks = facet_masks(ctx)
+    faces = codim1_faces(ctx)
+    color = [oc.color(x) for x in ctx.objects]
+    all_colors = set(range(1, oc.d + 1))
+    incidence: Dict[int, int] = {}
     colors_ok = True
-    for a in almosts:
-        fan = fan_of(ctx, a)
+    for almost, members in faces.items():
+        fan = _fan(ctx, almost)
+        # the fan's members must be exactly the summands completing the
+        # face in the enumerated facets
+        found = in_fan = 0
+        for k in members:
+            found |= masks[k] ^ almost
+        for i in fan:
+            in_fan |= 1 << i
+        if found != in_fan:
+            raise RuntimeError("codimension-1 face {%s} is completed by %s in the "
+                               "facets, but its fan is %s" % (
+                                   ", ".join(oc.obj_name(x) for x in ctx.objs_of(almost)),
+                                   [oc.obj_name(x) for x in ctx.objs_of(found)],
+                                   [oc.obj_name(ctx.objects[i]) for i in fan]))
         incidence[len(fan)] = incidence.get(len(fan), 0) + 1
-        if set(oc.color(x) for x in fan) != set(range(1, oc.d + 1)):
+        if {color[i] for i in fan} != all_colors:
             colors_ok = False
     return {
         "facets": len(cpx.facets),
         "pure": pure,
-        "codim1_faces": len(almosts),
+        "codim1_faces": len(faces),
         "codim1_incidence": incidence,
         "codim1_in_d_plus_1": list(incidence) == [oc.d + 1],
         "colors_ok": colors_ok,
@@ -142,10 +159,15 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
 # exports
 
 
-def _label_record(cpx: ClusterComplex, x: Obj) -> Dict[str, object]:
+def _names(ctx: TiltingContext) -> List[str]:
+    """The name of each fundamental-domain object, by index."""
+    return [ctx.oc.obj_name(x) for x in ctx.objects]
+
+
+def _label_record(cpx: ClusterComplex, x: Obj, name: str) -> Dict[str, object]:
     root, color, sign = cpx.labels[x]
     return {
-        "name": cpx.ctx.oc.obj_name(x),
+        "name": name,
         "root": list(x[0]),
         "shift": x[1],
         "label": {"root": list(root), "color": color, "sign": sign},
@@ -156,6 +178,7 @@ def to_json(cpx: ClusterComplex) -> Dict[str, object]:
     """Versioned JSON form of the complex (vertices, labels, facets, f-vector)."""
     ctx = cpx.ctx
     q = ctx.oc.cat.q
+    names = _names(ctx)
     return {
         "schema": "cluster-complex",
         "schema_version": 1,
@@ -165,19 +188,20 @@ def to_json(cpx: ClusterComplex) -> Dict[str, object]:
         "d": ctx.oc.d,
         "prime": ctx.oc.cat.p,
         "positive_only": cpx.positive_only,
-        "vertices": [_label_record(cpx, x) for x in cpx.vertices],
-        "facets": [[ctx.oc.obj_name(x) for x in f] for f in cpx.facets],
+        "vertices": [_label_record(cpx, x, names[ctx.index[x]]) for x in cpx.vertices],
+        "facets": [[names[i] for i in _bits(mask)] for mask in cpx.facet_masks],
         "f_vector": f_vector(cpx),
     }
 
 
-def facet_graph_dot(oc: OrbitCategory, facets: Sequence[Tuple[Obj, ...]],
-                    name: str) -> str:
-    """DOT source, headed `graph <name> {`, for the facet-adjacency graph."""
-    nbrs = facet_adjacency(facets)
+def facet_graph_dot(ctx: TiltingContext, masks: Sequence[int], name: str) -> str:
+    """DOT source, headed `graph <name> {`, for the adjacency of the facets
+    with the given bitmasks."""
+    nbrs = facet_adjacency(group_by_face(masks), len(masks))
+    names = _names(ctx)
     lines = ["graph %s {" % name]
-    for i, f in enumerate(facets):
-        lines.append('  f%d [label="%s"];' % (i, " + ".join(oc.obj_name(x) for x in f)))
+    for i, mask in enumerate(masks):
+        lines.append('  f%d [label="%s"];' % (i, " + ".join(names[j] for j in _bits(mask))))
     for i, s in enumerate(nbrs):
         for j in sorted(s):
             if i < j:
@@ -188,7 +212,7 @@ def facet_graph_dot(oc: OrbitCategory, facets: Sequence[Tuple[Obj, ...]],
 
 def to_dot(cpx: ClusterComplex) -> str:
     """DOT source for the facet-adjacency graph of the complex."""
-    return facet_graph_dot(cpx.ctx.oc, cpx.facets, "complex")
+    return facet_graph_dot(cpx.ctx, cpx.facet_masks, "complex")
 
 
 def f_vector_text(cpx: ClusterComplex) -> str:

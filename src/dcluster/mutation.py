@@ -35,8 +35,8 @@ import numpy as np
 
 from . import linalg
 from .orbit import CMorphism, Obj
-from .tilting import TiltingContext, _bits, _common_neighbors, \
-    enumerate_tilting, is_rigid, is_tilting
+from .tilting import TiltingContext, _bits, _popcount, enumerate_tilting, \
+    facet_masks, is_rigid, is_tilting
 
 
 def _hom_basis(ctx: TiltingContext, a: Obj, b: Obj) -> List[CMorphism]:
@@ -54,55 +54,95 @@ def _hom_basis(ctx: TiltingContext, a: Obj, b: Obj) -> List[CMorphism]:
     return cache[key]
 
 
+def _almost_mask(ctx: TiltingContext, almost: Sequence[Obj]) -> int:
+    """Bitmask of the normalized objects; a repeated summand is rejected."""
+    mask = 0
+    for i in ctx.indices(almost):
+        if (mask >> i) & 1:
+            raise ValueError("summand %r is repeated" % (ctx.objects[i],))
+        mask |= 1 << i
+    return mask
+
+
+def _complement_mask(ctx: TiltingContext, mask: int) -> int:
+    """Bitmask of the indecomposables completing the set `mask` to a tilting set."""
+    adj = ctx.adjacency()
+    cand = (1 << len(ctx.objects)) - 1
+    for i in _bits(mask):
+        if mask & ~adj[i] != 1 << i:
+            raise ValueError("almost complete part is not rigid")
+        cand &= adj[i]
+    # adj is irreflexive, so cand holds the common neighbours outside the set;
+    # the set plus X_i is rigid for every common neighbour i, and is tilting
+    # exactly when no other common neighbour is compatible with X_i
+    comps = 0
+    for i in _bits(cand):
+        if cand & adj[i] == 0:
+            comps |= 1 << i
+    return comps
+
+
+def _successor(ctx: TiltingContext, comps: int, i: int) -> int:
+    """The unique other complement hit by a nonzero class in Ext^1(X_i, -)."""
+    succ = ctx.ext1_row(i) & comps & ~(1 << i)
+    if succ == 0 or succ & (succ - 1):
+        raise RuntimeError("complement %r has %d Ext^1-successors, expected 1"
+                           % (ctx.objects[i], _popcount(succ)))
+    return succ.bit_length() - 1
+
+
+def _fan_cycle(ctx: TiltingContext, comps: int,
+               start: Optional[int] = None) -> Tuple[int, ...]:
+    """The complements `comps` ordered into the Ext^1-successor cycle, from
+    `start` or else from the least complement."""
+    if comps == 0:
+        raise ValueError("no complements to order")
+    if start is None:
+        start = (comps & -comps).bit_length() - 1
+    cycle = [start]
+    seen = 1 << start
+    cur = start
+    for _ in range(_popcount(comps) - 1):
+        cur = _successor(ctx, comps, cur)
+        if (seen >> cur) & 1:
+            raise RuntimeError("Ext^1-successors revisit %r before closing"
+                               % (ctx.objects[cur],))
+        cycle.append(cur)
+        seen |= 1 << cur
+    if _successor(ctx, comps, cur) != start:
+        raise RuntimeError("Ext^1-successor cycle does not close")
+    return tuple(cycle)
+
+
+def _fan(ctx: TiltingContext, mask: int) -> Tuple[int, ...]:
+    """The fan of the almost complete set `mask` as object indices (cached)."""
+    fans = ctx._fans
+    if mask not in fans:
+        fans[mask] = _fan_cycle(ctx, _complement_mask(ctx, mask))
+    return fans[mask]
+
+
 def complements(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Obj]:
     """All indecomposables completing `almost` to a tilting set, in domain order."""
-    if not is_rigid(ctx, almost):
-        raise ValueError("almost complete part is not rigid")
-    # almost + X_i is rigid for every common neighbour i, and is tilting
-    # exactly when no other common neighbour is compatible with X_i
-    cand = _common_neighbors(ctx, ctx.mask_of(almost))
-    adj = ctx.adjacency()
-    return [ctx.objects[i] for i in _bits(cand) if cand & adj[i] == 0]
-
-
-def successor(ctx: TiltingContext, comps: Sequence[Obj], x: Obj) -> Obj:
-    """The unique other complement hit by a nonzero class in Ext^1(x, -)."""
-    ext1 = ctx.oc.dims()[ctx.index[x], :, 1]
-    succ = [y for y in comps if y != x and ext1[ctx.index[y]] != 0]
-    if len(succ) != 1:
-        raise RuntimeError("complement %r has %d Ext^1-successors, expected 1"
-                           % (x, len(succ)))
-    return succ[0]
+    return list(ctx.objs_of(_complement_mask(ctx, _almost_mask(ctx, almost))))
 
 
 def order_into_fan(ctx: TiltingContext, comps: Sequence[Obj],
                    start: Optional[Obj] = None) -> Tuple[Obj, ...]:
     """Order complements into the Ext^1-successor cycle, starting at `start`."""
-    comps = list(comps)
-    if start is None:
-        start = min(comps, key=lambda y: ctx.index[y])
-    if start not in comps:
-        raise ValueError("start %r is not among the complements" % (start,))
-    cycle = [start]
-    cur = start
-    for _ in range(len(comps) - 1):
-        cur = successor(ctx, comps, cur)
-        if cur in cycle:
-            raise RuntimeError("Ext^1-successors revisit %r before closing" % (cur,))
-        cycle.append(cur)
-    if successor(ctx, comps, cycle[-1]) != start:
-        raise RuntimeError("Ext^1-successor cycle does not close")
-    return tuple(cycle)
+    mask = ctx.mask_of(comps)
+    i = None
+    if start is not None:
+        i = ctx.index.get(start)
+        if i is None or not (mask >> i) & 1:
+            raise ValueError("start %r is not among the complements" % (start,))
+    return tuple(ctx.objects[j] for j in _fan_cycle(ctx, mask, i))
 
 
 def fan_of(ctx: TiltingContext, almost: Sequence[Obj]) -> Tuple[Obj, ...]:
     """The ordered complement cycle of an almost complete set (cached)."""
-    almost = tuple(map(ctx.canonical, almost))
-    cache = ctx._fans
-    key = frozenset(almost)
-    if key not in cache:
-        cache[key] = order_into_fan(ctx, complements(ctx, almost))
-    return cache[key]
+    objects = ctx.objects
+    return tuple(objects[i] for i in _fan(ctx, _almost_mask(ctx, almost)))
 
 
 def rotate_to(cycle: Sequence[Obj], start: Obj) -> Tuple[Obj, ...]:
@@ -122,14 +162,31 @@ def fan_degrees(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[int, ...]:
     return tuple(ctx.oc.degree(x) for x in cycle)
 
 
+def group_by_face(masks: Sequence[int]) -> Dict[int, List[int]]:
+    """Map each facet minus one summand to the positions of the facets containing it."""
+    faces: Dict[int, List[int]] = {}
+    for fi, mask in enumerate(masks):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            faces.setdefault(mask ^ low, []).append(fi)
+            rest ^= low
+    return faces
+
+
+def codim1_faces(ctx: TiltingContext) -> Dict[int, List[int]]:
+    """group_by_face over the facets of the context (cached)."""
+    if ctx._faces is None:
+        ctx._faces = group_by_face(facet_masks(ctx))
+    return ctx._faces
+
+
 def almost_completes(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
     """Every facet minus one summand, deduplicated, in canonical order."""
     if ctx._almost is None:
-        seen = set()
-        for facet in enumerate_tilting(ctx):
-            for drop in facet:
-                seen.add(tuple(x for x in facet if x != drop))
-        ctx._almost = sorted(seen, key=lambda t: tuple(ctx.index[x] for x in t))
+        objects = ctx.objects
+        keys = sorted(tuple(_bits(mask)) for mask in codim1_faces(ctx))
+        ctx._almost = [tuple(objects[i] for i in key) for key in keys]
     return ctx._almost
 
 
@@ -324,12 +381,11 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
 
 def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
     """fan_triangles over the cached fan of `almost`, itself cached."""
-    almost = tuple(map(ctx.canonical, almost))
+    mask = _almost_mask(ctx, almost)
     cache = ctx._triangles
-    key = frozenset(almost)
-    if key not in cache:
-        cache[key] = fan_triangles(ctx, almost, fan_of(ctx, almost))
-    return cache[key]
+    if mask not in cache:
+        cache[mask] = fan_triangles(ctx, almost, fan_of(ctx, almost))
+    return cache[mask]
 
 
 def delta_classes(ctx: TiltingContext, cycle: Sequence[Obj]) -> List[CMorphism]:
@@ -523,25 +579,21 @@ def mutate(ctx: TiltingContext, objs: Sequence[Obj], drop: Obj,
     return tuple(sorted(almost + (new,), key=lambda t: ctx.index[t]))
 
 
-def facet_adjacency(facets: Sequence[Tuple[Obj, ...]]) -> List[set]:
-    """Adjacency of facets sharing all but one summand."""
-    nbrs = [set() for _ in facets]
-    groups: Dict[Tuple[Obj, ...], List[int]] = {}
-    for fi, facet in enumerate(facets):
-        for drop in facet:
-            groups.setdefault(tuple(x for x in facet if x != drop), []).append(fi)
-    for members in groups.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                nbrs[members[a]].add(members[b])
-                nbrs[members[b]].add(members[a])
+def facet_adjacency(faces: Dict[int, List[int]], count: int) -> List[set]:
+    """Adjacency of `count` facets sharing all but one summand, from their
+    group_by_face grouping."""
+    nbrs = [set() for _ in range(count)]
+    for members in faces.values():
+        for a in members:
+            nbrs[a].update(members)
+            nbrs[a].discard(a)
     return nbrs
 
 
 def mutation_graph(ctx: TiltingContext) -> Tuple[List[Tuple[Obj, ...]], List[set]]:
     """Facets and their adjacency (facets sharing all but one summand)."""
     facets = enumerate_tilting(ctx)
-    return facets, facet_adjacency(facets)
+    return facets, facet_adjacency(codim1_faces(ctx), len(facets))
 
 
 def mutation_graph_checks(ctx: TiltingContext) -> Dict[str, object]:

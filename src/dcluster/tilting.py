@@ -37,12 +37,18 @@ class TiltingContext:
         self.n = oc.cat.q.rank
         self._adj = None
         self._hom_masks = None
-        # results shared by several checks
+        self._ext1_rows = {}
+        # results shared by several checks; _facet_masks parallels _tilting,
+        # and _faces maps each almost complete mask to the positions in
+        # _facet_masks of the facets containing it
         self._tilting = None
+        self._facet_masks = None
+        self._faces = None
         self._almost = None
         self._facet_stats = None
         self._graph_checks = None
-        # memos of the mutation module, keyed by objects or almost complete sets;
+        # memos of the mutation module, keyed by objects or almost complete masks;
+        # _fans maps an almost complete mask to its fan as object indices.
         # _composites maps (a, mid, b) to the structure constants t[k, i, j] of
         # Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis coordinates.
         # The rank problems read off them are memoized by object indices:
@@ -84,6 +90,14 @@ class TiltingContext:
             hom = self.oc.dims()[:, :, 0] != 0
             self._hom_masks = (_row_masks(hom), _row_masks(hom.T))
         return self._hom_masks
+
+    def ext1_row(self, i: int) -> int:
+        """Bitmask of the j with Ext^1(X_i, X_j) != 0; each row is read from
+        the dimension table on first use, so one fan reads only its own rows."""
+        row = self._ext1_rows.get(i)
+        if row is None:
+            row = self._ext1_rows[i] = _row_masks(self.oc.dims()[i, None, :, 1] != 0)[0]
+        return row
 
     def canonical(self, x: Obj) -> Obj:
         """The fundamental-domain representative of x; x itself when it is one."""
@@ -188,54 +202,56 @@ def complete_to_tilting(ctx: TiltingContext, objs: Sequence[Obj]) -> Tuple[Obj, 
 
 def maximal_rigid_sets(ctx: TiltingContext) -> List[int]:
     """All maximal cliques of the compatibility graph (pivoted Bron-Kerbosch)."""
-    adj = ctx.adjacency()
     m = len(ctx.objects)
     out: List[int] = []
-
-    def bk(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pux = p | x
-        pivot = max(_bits(pux), key=lambda u: _popcount(p & adj[u]))
-        for v in list(_bits(p & ~adj[pivot])):
-            bk(r | (1 << v), p & adj[v], x & adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    bk(0, (1 << m) - 1, 0)
+    _bron_kerbosch(ctx.adjacency(), 0, (1 << m) - 1, 0, out)
     return out
+
+
+def _bron_kerbosch(adj: List[int], r: int, p: int, x: int, out: List[int]) -> None:
+    if p == 0 and x == 0:
+        out.append(r)
+        return
+    pux = p | x
+    pivot = max(_bits(pux), key=lambda u: _popcount(p & adj[u]))
+    for v in list(_bits(p & ~adj[pivot])):
+        _bron_kerbosch(adj, r | (1 << v), p & adj[v], x & adj[v], out)
+        p &= ~(1 << v)
+        x |= 1 << v
 
 
 def enumerate_tilting(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
     """All rigid sets of size exactly n, by ordered backtracking (cached)."""
-    if ctx._tilting is not None:
-        return ctx._tilting
-    adj = ctx.adjacency()
-    m = len(ctx.objects)
-    n = ctx.n
-    full = (1 << m) - 1
-    out: List[int] = []
-
-    def grow(mask: int, cand: int, size: int, start: int):
-        if size == n:
-            out.append(mask)
-            return
-        if size + _popcount(cand & (full << start)) < n:
-            return
-        for j in range(start, m):
-            if (cand >> j) & 1:
-                grow(mask | (1 << j), cand & adj[j], size + 1, j + 1)
-
-    grow(0, full, 0, 0)
-    ctx._tilting = [ctx.objs_of(mask) for mask in out]
+    if ctx._tilting is None:
+        out: List[int] = []
+        _grow(ctx.adjacency(), ctx.n, 0, (1 << len(ctx.objects)) - 1, 0, 0, out)
+        ctx._facet_masks = out
+        ctx._tilting = [ctx.objs_of(mask) for mask in out]
     return ctx._tilting
+
+
+def _grow(adj: List[int], n: int, mask: int, cand: int, size: int, start: int,
+          out: List[int]) -> None:
+    if size == n:
+        out.append(mask)
+        return
+    rest = cand >> start << start
+    if size + _popcount(rest) < n:
+        return
+    for j in _bits(rest):
+        _grow(adj, n, mask | (1 << j), cand & adj[j], size + 1, j + 1, out)
+
+
+def facet_masks(ctx: TiltingContext) -> List[int]:
+    """The bitmasks of the tilting sets, in the order of enumerate_tilting."""
+    enumerate_tilting(ctx)
+    return ctx._facet_masks
 
 
 def verify_equivalence(ctx: TiltingContext) -> Dict[str, object]:
     """The three-way-equivalence check; raises on self/symmetry defects."""
     maximal = set(maximal_rigid_sets(ctx))
-    complete = {ctx.mask_of(t) for t in enumerate_tilting(ctx)}
+    complete = set(facet_masks(ctx))
     sizes = sorted({_popcount(mask) for mask in maximal})
     closure_ok = all(_common_neighbors(ctx, mask) == 0 for mask in maximal)
     return {

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -6,11 +7,14 @@ from dcluster.complex import (ClusterComplex, build_complex, colored_roots,
                               f_vector, f_vector_text, facet_adjacency,
                               facet_stats, gamma, gamma_is_bijection, to_dot,
                               to_json)
-from dcluster.mutation import mutation_graph
+from dcluster import tilting
+from dcluster.mutation import group_by_face, mutation_graph, mutation_graph_checks
 from dcluster.orbit import OrbitCategory
-from dcluster.quiver import coxeter_data, parse_quiver
+from dcluster.quiver import coxeter_data, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import TiltingContext, enumerate_tilting, is_rigid
+from dcluster.tilting import (TiltingContext, enumerate_tilting, is_rigid,
+                              verify_equivalence)
+from dcluster.verify import load_context
 
 _cache = {}
 
@@ -141,13 +145,62 @@ def test_positive_part_frozen():
     assert len(build_complex(ctx("A", 3, 1), positive_only=True).facets) == 5
 
 
+def _facet_adjacency_pairwise(facets):
+    """Facets sharing all but one summand, by comparing every pair."""
+    return [{j for j, g in enumerate(facets) if len(set(f) & set(g)) == len(f) - 1}
+            for f in facets]
+
+
 @pytest.mark.parametrize("diagram,rank,d", CASES)
 def test_facet_adjacency_is_mutation_graph(diagram, rank, d):
     c = ctx(diagram, rank, d)
     cpx = build_complex(c)
     facets, nbrs = mutation_graph(c)
     assert cpx.facets == facets
-    assert facet_adjacency(cpx.facets) == nbrs
+    assert _facet_adjacency_pairwise(cpx.facets) == nbrs
+    pos = build_complex(c, positive_only=True)
+    assert pos.facet_masks == [c.mask_of(f) for f in pos.facets]
+    assert (facet_adjacency(group_by_face(pos.facet_masks), len(pos.facets))
+            == _facet_adjacency_pairwise(pos.facets))
+
+
+def test_facet_stats_catches_a_dropped_facet(monkeypatch):
+    grow = tilting._grow
+
+    def grow_but_drop_one(adj, n, mask, cand, size, start, out):
+        grow(adj, n, mask, cand, size, start, out)
+        if size == 0:
+            del out[len(out) // 2]
+
+    monkeypatch.setattr(tilting, "_grow", grow_but_drop_one)
+    c = TiltingContext(OrbitCategory(ModuleCategory(parse_quiver("A", 3)), 2))
+    cpx = build_complex(c)
+    assert len(cpx.facets) == 54
+    with pytest.raises(RuntimeError, match=r"codimension-1 face \{.*\} is completed by"):
+        facet_stats(cpx)
+
+
+def _census_operation(diagram, rank, d):
+    """The library path of demos/complex_census.py on one configuration."""
+    c = load_context(diagram, rank, d)
+    facets = enumerate_tilting(c)
+    assert verify_equivalence(c)["ok"]
+    assert mutation_graph_checks(c)["connected"]
+    full = build_complex(c)
+    build_complex(c, positive_only=True)
+    assert facet_stats(full)["colors_ok"]
+    assert f_vector(full)[-1] == len(facets) == fomin_reading_count(c.oc.cat.q, d)
+    assert len(to_json(full)["facets"]) == len(facets)
+
+
+def test_census_operation_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        _census_operation("D", 4, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_json_export():

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -16,11 +17,12 @@ from dcluster.mutation import (almost_completes, approximation_mults, complement
                                middle_union_rigid, mutate, mutation_graph,
                                mutation_graph_checks, order_into_fan,
                                right_approximation, rotate_to,
-                               successor_hom_vanishing)
+                               successor_hom_vanishing, triangles_of)
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import dynkin_edges, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import TiltingContext, enumerate_tilting, is_tilting
+from dcluster.tilting import (TiltingContext, complete_to_tilting,
+                              enumerate_tilting, is_rigid, is_tilting)
 
 _cache = {}
 
@@ -114,6 +116,131 @@ def test_fan_is_single_cycle_of_complements(diagram, rank, d):
         fan = fan_of(c, a)
         assert len(fan) == d + 1
         assert set(fan) == set(complements(c, a))
+
+
+# The tuple-based codimension-1 layer that the bitmask path replaced, kept as
+# the oracle for it.
+
+
+def _almost_completes_by_tuples(c):
+    seen = set()
+    for facet in enumerate_tilting(c):
+        for drop in facet:
+            seen.add(tuple(x for x in facet if x != drop))
+    return sorted(seen, key=lambda t: tuple(c.index[x] for x in t))
+
+
+def _complements_by_tuples(c, almost):
+    """By the definition: the objects that make `almost` a tilting set."""
+    if not is_rigid(c, almost):
+        raise ValueError("almost complete part is not rigid")
+    return [y for y in c.objects if is_tilting(c, list(almost) + [y])]
+
+
+def _successor_by_tuples(c, comps, x):
+    ext1 = c.oc.dims()[c.index[x], :, 1]
+    succ = [y for y in comps if y != x and ext1[c.index[y]] != 0]
+    if len(succ) != 1:
+        raise RuntimeError("complement %r has %d Ext^1-successors, expected 1"
+                           % (x, len(succ)))
+    return succ[0]
+
+
+def _order_into_fan_by_tuples(c, comps, start=None):
+    comps = list(comps)
+    if start is None:
+        start = min(comps, key=lambda y: c.index[y])
+    cycle = [start]
+    cur = start
+    for _ in range(len(comps) - 1):
+        cur = _successor_by_tuples(c, comps, cur)
+        if cur in cycle:
+            raise RuntimeError("Ext^1-successors revisit %r before closing" % (cur,))
+        cycle.append(cur)
+    if _successor_by_tuples(c, comps, cycle[-1]) != start:
+        raise RuntimeError("Ext^1-successor cycle does not close")
+    return tuple(cycle)
+
+
+def _facet_adjacency_by_tuples(facets):
+    nbrs = [set() for _ in facets]
+    groups = {}
+    for fi, facet in enumerate(facets):
+        for drop in facet:
+            groups.setdefault(tuple(x for x in facet if x != drop), []).append(fi)
+    for members in groups.values():
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                nbrs[members[a]].add(members[b])
+                nbrs[members[b]].add(members[a])
+    return nbrs
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 4, 2), ("D", 4, 2),
+                                            ("A", 3, 3), ("D", 5, 1), ("E", 6, 1)])
+def test_mask_path_matches_tuple_oracles(diagram, rank, d, seed):
+    c = _oriented_ctx(diagram, rank, d, seed)
+    almosts = almost_completes(c)
+    assert almosts == _almost_completes_by_tuples(c)
+    for a in almosts:
+        comps = complements(c, a)
+        assert comps == _complements_by_tuples(c, a)
+        fan = fan_of(c, a)
+        assert fan == _order_into_fan_by_tuples(c, comps)
+        for start in comps:
+            assert order_into_fan(c, comps, start) == _order_into_fan_by_tuples(c, comps, start)
+    facets, nbrs = mutation_graph(c)
+    assert nbrs == _facet_adjacency_by_tuples(facets)
+
+
+def test_fan_errors_keep_their_messages(monkeypatch):
+    c = _oriented_ctx("A", 3, 2, None)
+    adj = c.adjacency()
+    m = len(c.objects)
+    x, y = next((i, j) for i in range(m) for j in range(i + 1, m) if not (adj[i] >> j) & 1)
+    with pytest.raises(ValueError, match="almost complete part is not rigid"):
+        fan_of(c, [c.objects[x], c.objects[y]])
+    a = almost_completes(c)[0]
+    comps = complements(c, a)
+    i, j, k = c.indices(comps)
+    rows = {}
+    monkeypatch.setattr(c, "ext1_row", lambda r: rows[r])
+    rows.update({i: -1, j: -1, k: -1})
+    with pytest.raises(RuntimeError, match=r"complement %s has 2 Ext\^1-successors, "
+                       "expected 1" % re.escape(repr(comps[0]))):
+        order_into_fan(c, comps)
+    rows.update({i: 1 << j, j: 1 << i, k: 1 << i})
+    with pytest.raises(RuntimeError, match=r"Ext\^1-successors revisit %s before "
+                       "closing" % re.escape(repr(comps[0]))):
+        order_into_fan(c, comps)
+    rows.update({i: 1 << j, j: 1 << k, k: 1 << j})
+    with pytest.raises(RuntimeError, match=r"Ext\^1-successor cycle does not close"):
+        order_into_fan(c, comps)
+    with pytest.raises(ValueError, match="start .* is not among the complements"):
+        order_into_fan(c, comps[:2], comps[2])
+
+
+def test_repeated_summand_is_rejected_before_any_cache_lookup():
+    for cached in (False, True):
+        c = _oriented_ctx("A", 3, 2, None)
+        a = almost_completes(c)[0]
+        if cached:
+            fan_of(c, a)
+            triangles_of(c, a)
+        for fn in (fan_of, triangles_of):
+            with pytest.raises(ValueError, match="summand %s is repeated"
+                               % re.escape(repr(a[0]))):
+                fn(c, a + (a[0],))
+
+
+def test_single_fan_reads_only_its_own_rows():
+    c = _oriented_ctx("D", 5, 2, None)
+    facet = complete_to_tilting(c, [c.objects[3]])
+    fan = fan_of(c, facet[1:])
+    assert facet[0] in fan
+    assert c._tilting is None and c._faces is None
+    assert set(c._ext1_rows) == set(c.indices(fan))
 
 
 def test_right_approximation_frozen_a2_d1():

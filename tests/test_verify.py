@@ -153,7 +153,7 @@ def test_shared_results_computed_once_per_context(monkeypatch):
     from dcluster import complex as cpxmod
     from dcluster import mutation as mut
 
-    calls = {"almost": 0, "facet_stats": 0, "graph": 0}
+    calls = {"grouping": 0, "almost": 0, "facet_stats": 0, "graph": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -161,15 +161,17 @@ def test_shared_results_computed_once_per_context(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(mut, "enumerate_tilting", counted("almost", mut.enumerate_tilting))
+    monkeypatch.setattr(mut, "group_by_face", counted("grouping", mut.group_by_face))
+    monkeypatch.setattr(mut, "codim1_faces", counted("almost", mut.codim1_faces))
     monkeypatch.setattr(cpxmod, "_facet_stats", counted("facet_stats", cpxmod._facet_stats))
     monkeypatch.setattr(mut, "_graph_checks", counted("graph", mut._graph_checks))
     c = load_context("A", 3, 2)
     report, _ = run_checks(c)
     assert report["summary"]["fail"] == 0
-    # in mutation, enumerate_tilting is read once by almost_completes and
-    # once by mutation_graph; 11 checks read almost_completes
-    assert calls == {"almost": 2, "facet_stats": 1, "graph": 1}
+    # the facets are grouped by codimension-1 face once; in mutation the
+    # grouping is read once by almost_completes (which 11 checks read) and
+    # once by mutation_graph, and facet_stats reads it too
+    assert calls == {"grouping": 1, "almost": 2, "facet_stats": 1, "graph": 1}
 
 
 def _cy_duality_by_loop(c):
