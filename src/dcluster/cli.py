@@ -371,8 +371,7 @@ def cmd_fans(args) -> int:
     almosts = mut.almost_completes(ctx)
     print("%d almost complete sets" % len(almosts))
     if args.list:
-        for a in almosts:
-            fan = mut.fan_of(ctx, a)
+        for a, fan in mut.fans(ctx):
             print("{%s}: %s" % (", ".join(oc.obj_name(x) for x in a),
                                 " -> ".join(oc.obj_name(x) for x in fan)))
     rc = 0

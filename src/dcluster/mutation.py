@@ -20,6 +20,15 @@ problems depends only on (a, b) and on the summands t with Hom(a, t) and
 Hom(t, b) nonzero (the others contribute no columns), so it is solved once
 per context and reused by every add set and fan that poses it again.
 
+The same tensors give the composites of connecting classes.  The shift is
+an autoequivalence, so the shifted class delta_j[k] of the one-dimensional
+Ext^1(X_j, X_{j+1}) is a nonzero multiple of the basis vector of
+Hom(X_j[k], X_{j+1}[k+1]).  The composite of the basis vectors along
+X_i -> X_{i+1}[1] -> ... -> X_{i+k}[k] is thus a nonzero scalar times the
+shifted Yoneda product of delta_i, ..., delta_{i+k-1}, and is zero exactly
+when that product is.  Composition, through these tensors, is the module's
+only morphism operation.
+
 The module also packages the fan-level laws this data obeys: the cyclic
 Ext-dimension pattern with its nonvanishing composites of connecting
 classes ("exchange team"), degree bounds and the two-piece degree profile,
@@ -35,8 +44,8 @@ import numpy as np
 
 from . import linalg
 from .orbit import CMorphism, Obj
-from .tilting import TiltingContext, _bits, _popcount, enumerate_tilting, \
-    facet_masks, is_rigid, is_tilting
+from .tilting import TiltingContext, _bits, _compatible_with, _popcount, \
+    enumerate_tilting, facet_masks, is_rigid, is_tilting
 
 
 def _hom_basis(ctx: TiltingContext, a: Obj, b: Obj) -> List[CMorphism]:
@@ -66,15 +75,13 @@ def _almost_mask(ctx: TiltingContext, almost: Sequence[Obj]) -> int:
 
 def _complement_mask(ctx: TiltingContext, mask: int) -> int:
     """Bitmask of the indecomposables completing the set `mask` to a tilting set."""
+    near = _compatible_with(ctx, mask)
+    if mask & ~near:
+        raise ValueError("almost complete part is not rigid")
     adj = ctx.adjacency()
-    cand = (1 << len(ctx.objects)) - 1
-    for i in _bits(mask):
-        if mask & ~adj[i] != 1 << i:
-            raise ValueError("almost complete part is not rigid")
-        cand &= adj[i]
-    # adj is irreflexive, so cand holds the common neighbours outside the set;
     # the set plus X_i is rigid for every common neighbour i, and is tilting
     # exactly when no other common neighbour is compatible with X_i
+    cand = near & ~mask
     comps = 0
     for i in _bits(cand):
         if cand & adj[i] == 0:
@@ -116,10 +123,10 @@ def _fan_cycle(ctx: TiltingContext, comps: int,
 
 def _fan(ctx: TiltingContext, mask: int) -> Tuple[int, ...]:
     """The fan of the almost complete set `mask` as object indices (cached)."""
-    fans = ctx._fans
-    if mask not in fans:
-        fans[mask] = _fan_cycle(ctx, _complement_mask(ctx, mask))
-    return fans[mask]
+    cache = ctx._fans
+    if mask not in cache:
+        cache[mask] = _fan_cycle(ctx, _complement_mask(ctx, mask))
+    return cache[mask]
 
 
 def complements(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Obj]:
@@ -188,6 +195,13 @@ def almost_completes(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
         keys = sorted(tuple(_bits(mask)) for mask in codim1_faces(ctx))
         ctx._almost = [tuple(objects[i] for i in key) for key in keys]
     return ctx._almost
+
+
+def fans(ctx: TiltingContext) -> List[Tuple[Tuple[Obj, ...], Tuple[Obj, ...]]]:
+    """The (almost complete set, fan) pairs, in almost_completes order (cached)."""
+    if ctx._fan_pairs is None:
+        ctx._fan_pairs = [(a, fan_of(ctx, a)) for a in almost_completes(ctx)]
+    return ctx._fan_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -388,47 +402,39 @@ def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, o
     return cache[mask]
 
 
-def delta_classes(ctx: TiltingContext, cycle: Sequence[Obj]) -> List[CMorphism]:
-    """A basis vector of each Ext^1(X_i, X_{i+1}) along the cycle."""
-    oc = ctx.oc
-    out = []
-    m = len(cycle)
-    for i in range(m):
-        basis = oc.ext_basis(cycle[i], cycle[(i + 1) % m], 1)
-        if len(basis) != 1:
-            raise RuntimeError("Ext^1(%r, %r) is not one-dimensional"
-                               % (cycle[i], cycle[(i + 1) % m]))
-        out.append(basis[0])
-    return out
-
-
-def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[Obj],
-                         deltas: Optional[List[CMorphism]] = None) -> bool:
+def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
     """Are all composites of consecutive connecting classes nonzero?
 
     Starting anywhere, composing k of them gives a class in
     Ext^k(X_i, X_{i+k}); these must be nonzero for k up to the full cycle
     length (the length-(d+1) composite is a self-extension of top degree).
-    Every starting point is tested, so with the default deltas the answer
-    does not depend on rotation and is cached per cyclic_form.
+    Every starting point is tested, so the answer does not depend on
+    rotation and is cached per cyclic_form.
     """
-    oc = ctx.oc
-    if deltas is not None:
-        return _chains_nonzero(oc, deltas)
     cycle = tuple(map(ctx.canonical, cycle))
     key = cyclic_form(ctx, cycle)
     if key not in ctx._delta_chains:
-        ctx._delta_chains[key] = _chains_nonzero(oc, delta_classes(ctx, cycle))
+        ctx._delta_chains[key] = _chains_nonzero(ctx, cycle)
     return ctx._delta_chains[key]
 
 
-def _chains_nonzero(oc, deltas: List[CMorphism]) -> bool:
-    m = len(deltas)
+def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[Obj, ...]) -> bool:
+    """From each start X_i, the composites Y_0 -> ... -> Y_k of the basis
+    vectors of Hom(Y_j, Y_{j+1}), Y_j = X_{i+j}[j], one tensor step each."""
+    oc = ctx.oc
+    m = len(cycle)
     for i in range(m):
-        chain = deltas[i]
+        x, y = cycle[i], cycle[(i + 1) % m]
+        if oc.ext_dim(x, y, 1) != 1:
+            raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (x, y))
+    for i in range(m):
+        ys = [oc.normalize((x[0], x[1] + k))[0]
+              for k, x in enumerate(cycle[i:] + cycle[:i + 1])]
+        chain = np.ones(1, dtype=np.int64)
         for k in range(1, m):
-            chain = oc.yoneda(deltas[(i + k) % m], chain, 1)
-            if oc.is_zero(chain):
+            t = _composite_tensor(ctx, ys[0], ys[k], ys[k + 1])
+            chain = t[:, :, 0] @ chain % oc.cat.p
+            if not chain.any():
                 return False
     return True
 

@@ -126,7 +126,6 @@ class SumRep:
     """
 
     def __init__(self, cat: "ModuleCategory", kind: str, verts):
-        self.cat = cat
         self.kind = kind
         self.verts = tuple(int(v) for v in verts)
         q = cat.q

@@ -45,6 +45,7 @@ class TiltingContext:
         self._facet_masks = None
         self._faces = None
         self._almost = None
+        self._fan_pairs = None
         self._facet_stats = None
         self._graph_checks = None
         # memos of the mutation module, keyed by objects or almost complete masks;
@@ -134,23 +135,24 @@ def _popcount(mask: int) -> int:
 
 
 def is_rigid(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
+    """Pairwise compatible, with no object repeated."""
+    idx = set(ctx.indices(objs))
+    mask = sum(1 << i for i in idx)
+    return len(idx) == len(objs) and mask & ~_compatible_with(ctx, mask) == 0
+
+
+def _compatible_with(ctx: TiltingContext, mask: int) -> int:
+    """The objects compatible with every other member of `mask`: the common
+    neighbours, plus all of `mask` exactly when `mask` is rigid."""
     adj = ctx.adjacency()
-    idx = ctx.indices(objs)
-    if len(set(idx)) != len(idx):
-        return False
-    for a in idx:
-        for b in idx:
-            if a < b and not (adj[a] >> b) & 1:
-                return False
-    return True
+    out = (1 << len(ctx.objects)) - 1
+    for i in _bits(mask):
+        out &= adj[i] | 1 << i
+    return out
 
 
 def _common_neighbors(ctx: TiltingContext, mask: int) -> int:
-    adj = ctx.adjacency()
-    cand = (1 << len(ctx.objects)) - 1
-    for i in _bits(mask):
-        cand &= adj[i]
-    return cand & ~mask
+    return _compatible_with(ctx, mask) & ~mask
 
 
 def is_tilting(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:

@@ -153,9 +153,8 @@ def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
 def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     count = 0
-    for a in mut.almost_completes(ctx):
+    for a, fan in mut.fans(ctx):
         count += 1
-        fan = mut.fan_of(ctx, a)
         if len(fan) != oc.d + 1:
             return _fail(count, {"almost": [oc.obj_name(x) for x in a],
                                  "complements": len(fan)})
@@ -166,9 +165,8 @@ def check_complement_degrees(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     total = 0
     fans = 0
-    for a in mut.almost_completes(ctx):
+    for a, fan in mut.fans(ctx):
         fans += 1
-        fan = mut.fan_of(ctx, a)
         inst, viol = mut.degree_bounds_instances(ctx, fan)
         total += inst
         if viol:
@@ -180,9 +178,8 @@ def check_complement_degrees(ctx: TiltingContext) -> Dict[str, object]:
 def check_fan_ext_pattern(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     count = 0
-    for a in mut.almost_completes(ctx):
+    for _, fan in mut.fans(ctx):
         count += 1
-        fan = mut.fan_of(ctx, a)
         if not mut.ext_pattern_ok(ctx, fan):
             return _fail(count, {"fan": [oc.obj_name(x) for x in fan]})
     return _pass(count)
@@ -191,9 +188,8 @@ def check_fan_ext_pattern(ctx: TiltingContext) -> Dict[str, object]:
 def check_delta_composites(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     count = 0
-    for a in mut.almost_completes(ctx):
+    for _, fan in mut.fans(ctx):
         count += 1
-        fan = mut.fan_of(ctx, a)
         if not mut.delta_chains_nonzero(ctx, fan):
             return _fail(count, {"fan": [oc.obj_name(x) for x in fan]})
     return _pass(count)
@@ -202,9 +198,8 @@ def check_delta_composites(ctx: TiltingContext) -> Dict[str, object]:
 def check_middle_rigid(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     count = 0
-    for a in mut.almost_completes(ctx):
+    for a, fan in mut.fans(ctx):
         count += 1
-        fan = mut.fan_of(ctx, a)
         tris = mut.triangles_of(ctx, a)
         if not mut.middle_union_rigid(ctx, fan, tris):
             return _fail(count, {"almost": [oc.obj_name(x) for x in a]})
@@ -213,8 +208,7 @@ def check_middle_rigid(ctx: TiltingContext) -> Dict[str, object]:
 
 def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
-    fans = {mut.cyclic_form(ctx, mut.fan_of(ctx, a))
-            for a in mut.almost_completes(ctx)}
+    fans = {mut.cyclic_form(ctx, fan) for _, fan in mut.fans(ctx)}
     # instances: the cyclic (d+1)-tuples of distinct objects
     candidates = math.perm(len(ctx.objects), oc.d + 1) // (oc.d + 1)
     teams = set(mut.exchange_teams_exhaustive(ctx))
@@ -228,8 +222,7 @@ def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:
 def check_degree_profile(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     total = 0
-    for a in mut.almost_completes(ctx):
-        fan = mut.fan_of(ctx, a)
+    for a, fan in mut.fans(ctx):
         inst, viol = mut.degree_profile_instances(ctx, fan)
         total += inst
         if viol:
@@ -251,9 +244,9 @@ def check_hom_onedirectional(ctx: TiltingContext) -> Dict[str, object]:
 def check_successor_hom(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     count = 0
-    for a in mut.almost_completes(ctx):
+    for a, fan in mut.fans(ctx):
         count += 1
-        if not mut.successor_hom_vanishing(ctx, mut.fan_of(ctx, a)):
+        if not mut.successor_hom_vanishing(ctx, fan):
             return _fail(count, {"almost": [oc.obj_name(x) for x in a]})
     return _pass(count)
 

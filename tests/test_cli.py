@@ -157,10 +157,18 @@ def test_fans_verify_all(tmp_path, capsys):
 
 
 def test_fans_list(capsys):
+    from dcluster import mutation as mut
+    from dcluster.verify import load_context
+
     assert run(["fans", "--list"] + A2D1) == 0
     out = capsys.readouterr().out
     assert "5 almost complete sets" in out
     assert out.count("->") == 5
+    c = load_context("A", 2, 1)
+    name = c.oc.obj_name
+    assert out.splitlines()[1:] == [
+        "{%s}: %s" % (", ".join(map(name, a)), " -> ".join(map(name, mut.fan_of(c, a))))
+        for a in mut.almost_completes(c)]
 
 
 def test_config_file(tmp_path, capsys):
@@ -280,6 +288,26 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write %s: " % bad)
         assert err.count("\n") == 1
+
+
+def test_verify_run_leaves_no_package_objects_in_cycles():
+    import gc
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(["verify", "--all", "--diagram", "A", "--rank", "3",
+                    "--d", "2"]) == 0
+        gc.collect()
+        left = sorted({type(o).__module__ + "." + type(o).__qualname__
+                       for o in gc.garbage
+                       if type(o).__module__.startswith("dcluster")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from dcluster import mutation as mut
 from dcluster.mutation import (almost_completes, approximation_mults, complements,
                                cyclic_form, degree_bounds_instances,
                                degree_profile_instances, delta_chains_nonzero,
-                               delta_classes, exchange_teams_exhaustive,
+                               exchange_teams_exhaustive,
                                ext_pattern_ok, fan_degrees, fan_of, fan_triangles,
                                hom_one_directional, is_exchange_team,
                                left_approximation, middle_supports_disjoint,
@@ -486,26 +486,135 @@ def test_middle_supports_disjoint(diagram, rank, d):
         assert middle_supports_disjoint(tris)
 
 
+def _delta_classes(c, cycle):
+    """A basis vector of each Ext^1(X_i, X_{i+1}) along the cycle."""
+    oc = c.oc
+    out = []
+    m = len(cycle)
+    for i in range(m):
+        basis = oc.ext_basis(cycle[i], cycle[(i + 1) % m], 1)
+        if len(basis) != 1:
+            raise RuntimeError("Ext^1(%r, %r) is not one-dimensional"
+                               % (cycle[i], cycle[(i + 1) % m]))
+        out.append(basis[0])
+    return out
+
+
+def _chains_by_yoneda(c, cycle):
+    """Reference: Yoneda products of the connecting classes, from each start."""
+    oc = c.oc
+    deltas = _delta_classes(c, cycle)
+    m = len(deltas)
+    for i in range(m):
+        chain = deltas[i]
+        for k in range(1, m):
+            chain = oc.yoneda(deltas[(i + k) % m], chain, 1)
+            if oc.is_zero(chain):
+                return False
+    return True
+
+
 def test_delta_classes_and_chains_a2_d2():
     c = ctx("A", 2, 2)
     for a in almost_completes(c):
         fan = fan_of(c, a)
-        deltas = delta_classes(c, fan)
+        deltas = _delta_classes(c, fan)
         assert len(deltas) == 3
-        for i, delta in enumerate(deltas):
+        for delta in deltas:
             assert not c.oc.is_zero(delta)
-        assert delta_chains_nonzero(c, fan, deltas)
+        assert delta_chains_nonzero(c, fan) is _chains_by_yoneda(c, fan) is True
 
 
-def test_delta_chains_cached_once_per_cycle():
+def test_delta_chains_cached_once_per_cycle(monkeypatch):
     c = TiltingContext(OrbitCategory(ModuleCategory(parse_quiver("A", 3)), 2))
+    calls = []
+    chains = mut._chains_nonzero
+    monkeypatch.setattr(mut, "_chains_nonzero",
+                        lambda *args: calls.append(1) or chains(*args))
     cycles = {cyclic_form(c, fan_of(c, a)) for a in almost_completes(c)}
     for cyc in cycles:
         for r in range(len(cyc)):
             rot = cyc[r:] + cyc[:r]
-            assert delta_chains_nonzero(c, rot) is \
-                delta_chains_nonzero(c, rot, delta_classes(c, rot)) is True
+            assert delta_chains_nonzero(c, rot) is _chains_by_yoneda(c, rot) is True
     assert set(c._delta_chains) == cycles
+    assert len(calls) == len(cycles)
+
+
+def _pattern_paths(c):
+    """Every (d+1)-path of distinct objects with the cyclic Ext pattern, once
+    per rotation class: from its least member."""
+    ext1 = c.oc.dims()[:, :, 1].tolist()
+    succ = [[j for j, e in enumerate(row) if e == 1] for row in ext1]
+    paths = [(i,) for i in range(len(c.objects))]
+    for _ in range(c.oc.d):
+        paths = [p + (j,) for p in paths for j in succ[p[-1]] if j > p[0] and j not in p]
+    paths = [tuple(c.objects[i] for i in p) for p in paths]
+    return [p for p in paths if ext_pattern_ok(c, p)]
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 4, 2), ("D", 4, 2),
+                                            ("A", 3, 3), ("D", 5, 1), ("D", 4, 3)])
+def test_tensor_chains_match_yoneda_oracle(diagram, rank, d, seed):
+    c = _oriented_ctx(diagram, rank, d, seed)
+    fans = {cyclic_form(c, fan) for _, fan in mut.fans(c)}
+    cycles = fans | {cyclic_form(c, p) for p in _pattern_paths(c)}
+    for cycle in cycles:
+        assert delta_chains_nonzero(c, cycle) is _chains_by_yoneda(c, cycle), cycle
+    # every such cycle is nonzero here, so the mutant tests below are needed
+    assert set(c._delta_chains) == cycles and all(c._delta_chains.values())
+
+
+def _first_chain_step(c, start=0):
+    """A fan and the key (X_i, X_{i+1}[1], X_{i+2}[2]) of the first chain
+    step from its member X_i, i = start."""
+    fan = fan_of(c, almost_completes(c)[0])
+    rot = fan[start:] + fan[:start]
+    ys = tuple(c.oc.normalize((x[0], x[1] + k))[0] for k, x in enumerate(rot[:3]))
+    return fan, ys
+
+
+@pytest.mark.parametrize("start", [0, 1, 2])
+def test_zeroed_structure_constant_breaks_a_chain(start):
+    c = _oriented_ctx("A", 3, 2, None)
+    fan, key = _first_chain_step(c, start)
+    t = mut._composite_tensor(c, *key)
+    # Hom(X_i, X_{i+2}[2]) = Ext^2(X_i, X_{i+2}) is one-dimensional
+    assert t.shape == (1, 1, 1) and t[0, 0, 0] != 0
+    fresh = _oriented_ctx("A", 3, 2, None)
+    mut._composite_tensor(fresh, *key)[0, 0, 0] = 0
+    assert delta_chains_nonzero(c, fan) is True
+    assert delta_chains_nonzero(fresh, fan) is False
+
+
+def test_zeroed_structure_constant_fails_delta_composites(monkeypatch, capsys):
+    from dcluster.cli import run
+
+    _, key = _first_chain_step(_oriented_ctx("A", 3, 2, None))
+    fill = mut._composite_tensor
+
+    def zeroed(c, a, mid, b):
+        new = (a, mid, b) not in c._composites
+        t = fill(c, a, mid, b)
+        if new and (a, mid, b) == key:
+            t[0, 0, 0] = 0
+        return t
+
+    monkeypatch.setattr(mut, "_composite_tensor", zeroed)
+    assert run(["verify", "--check", "delta-composites", "--diagram", "A",
+                "--rank", "3", "--d", "2"]) == 1
+    assert re.search(r"^delta-composites +fail ", capsys.readouterr().out, re.M)
+
+
+def test_chain_step_needs_one_dimensional_ext1():
+    c = _oriented_ctx("A", 3, 2, None)
+    x0, x1, x2 = fan_of(c, almost_completes(c)[0])
+    # Ext^1 links each fan member only to its successor
+    assert c.oc.ext_dim(x0, x2, 1) == 0
+    want = re.escape("Ext^1(%r, %r) is not one-dimensional" % (x0, x2))
+    for chains in (delta_chains_nonzero, _chains_by_yoneda):
+        with pytest.raises(RuntimeError, match=want):
+            chains(c, (x0, x2, x1))
 
 
 @pytest.mark.parametrize("diagram,rank,d", CASES)

@@ -1,13 +1,15 @@
 import re
+from itertools import combinations
 
 import pytest
 
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import coxeter_data, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import (TiltingContext, classify, complete_to_tilting,
-                              enumerate_tilting, is_maximal_rigid, is_rigid,
-                              is_tilting, maximal_rigid_sets, verify_equivalence)
+from dcluster.tilting import (TiltingContext, _common_neighbors, classify,
+                              complete_to_tilting, enumerate_tilting,
+                              is_maximal_rigid, is_rigid, is_tilting,
+                              maximal_rigid_sets, verify_equivalence)
 
 _cache = {}
 
@@ -97,6 +99,22 @@ def test_completion_from_every_singleton():
             assert x in t
             assert len(t) == rank
             assert is_tilting(c, t)
+
+
+def test_rigidity_and_common_neighbors_by_definition():
+    c = ctx("A", 3, 2)
+    compatible = ~c.oc.dims()[:, :, 1:3].any(axis=2)
+    m = len(c.objects)
+    for size in (0, 1, 2, 3):
+        for sub in combinations(range(m), size):
+            rigid = all(compatible[a, b] for a in sub for b in sub)
+            assert is_rigid(c, [c.objects[i] for i in sub]) is rigid
+            common = sum(1 << j for j in range(m)
+                         if j not in sub and all(compatible[i, j] for i in sub))
+            assert _common_neighbors(c, sum(1 << i for i in sub)) == common
+    # a repeated object is rejected even though it is compatible with itself
+    x = c.objects[0]
+    assert is_rigid(c, [x]) and not is_rigid(c, [x, x])
 
 
 def test_completion_rejects_non_rigid():

@@ -169,9 +169,30 @@ def test_shared_results_computed_once_per_context(monkeypatch):
     report, _ = run_checks(c)
     assert report["summary"]["fail"] == 0
     # the facets are grouped by codimension-1 face once; in mutation the
-    # grouping is read once by almost_completes (which 11 checks read) and
-    # once by mutation_graph, and facet_stats reads it too
+    # grouping is read once by almost_completes (which fans and 2 other
+    # checks read) and once by mutation_graph, and facet_stats reads it too
     assert calls == {"grouping": 1, "almost": 2, "facet_stats": 1, "graph": 1}
+
+
+FAN_WALKERS = ["complement-count", "complement-degrees", "fan-ext-pattern",
+               "delta-composites", "middle-rigid", "exchange-team-fan",
+               "degree-profile", "successor-hom-vanishing"]
+
+
+def test_fan_checks_share_one_fan_walk(monkeypatch):
+    from dcluster import mutation as mut
+
+    calls = []
+    fan_of = mut.fan_of
+    monkeypatch.setattr(mut, "fan_of", lambda *args: calls.append(1) or fan_of(*args))
+    c = load_context("A", 3, 3)
+    # middle-rigid reaches fan_of once more per face, through triangles_of
+    report, _ = run_checks(c, [cid for cid in FAN_WALKERS if cid != "middle-rigid"])
+    assert report["summary"] == {"pass": 7, "fail": 0, "n/a": 0}
+    faces = len(mut.almost_completes(c))
+    assert len(calls) == faces
+    assert mut.fans(c) is mut.fans(c)
+    assert mut.fans(c) == [(a, fan_of(c, a)) for a in mut.almost_completes(c)]
 
 
 def _cy_duality_by_loop(c):
