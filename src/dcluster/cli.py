@@ -11,6 +11,7 @@ command-line flags win over config values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -45,7 +46,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file supplying any of the flags above")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dcluster parser, built once per process: parsing leaves it unchanged,
+    and each build would leave reference cycles behind."""
     ap = argparse.ArgumentParser(
         prog="dcluster",
         description="higher cluster categories of Dynkin quivers: "

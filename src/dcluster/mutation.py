@@ -15,7 +15,8 @@ approximation of X_i) and of Hom(X_{i+1}, T_j) (minimal left approximation
 of X_{i+1}), and the two routes must agree.  The factorization property of
 the approximation is checked by one rank comparison per summand over cached
 structure constants: each composition Hom(a, m) x Hom(m, b) -> Hom(a, b) is
-computed once, as a tensor in Hom-basis coordinates.  Each of these small rank
+computed once, as a tensor in the coordinates of the orbit category's Hom
+bases, which also give the tensor's shape.  Each of these small rank
 problems depends only on (a, b) and on the summands t with Hom(a, t) and
 Hom(t, b) nonzero (the others contribute no columns), so it is solved once
 per context and reused by every add set and fan that poses it again.
@@ -43,24 +44,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .orbit import CMorphism, Obj
+from .orbit import Obj
 from .tilting import TiltingContext, _bits, _compatible_with, _popcount, \
     enumerate_tilting, facet_masks, is_rigid, is_tilting
-
-
-def _hom_basis(ctx: TiltingContext, a: Obj, b: Obj) -> List[CMorphism]:
-    """hom_basis(a, b) (cached), whose length must match the dimension table:
-    the rank-problem memos skip and key summands by the table's zeros."""
-    cache = ctx._hom_bases
-    key = (a, b)
-    if key not in cache:
-        basis = ctx.oc.hom_basis(a, b)
-        dim = ctx.oc.hom_dim(a, b)
-        if len(basis) != dim:
-            raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
-                               "dimension table gives %d" % (a, b, len(basis), dim))
-        cache[key] = basis
-    return cache[key]
 
 
 def _almost_mask(ctx: TiltingContext, almost: Sequence[Obj]) -> int:
@@ -217,17 +203,11 @@ def _composite_tensor(ctx: TiltingContext, a: Obj, mid: Obj, b: Obj) -> np.ndarr
     key = (a, mid, b)
     if key not in cache:
         oc = ctx.oc
-        fs, gs, basis = (_hom_basis(ctx, a, mid), _hom_basis(ctx, mid, b),
-                         _hom_basis(ctx, a, b))
-        h = len(basis)
+        fs, gs = oc.hom_basis(a, mid), oc.hom_basis(mid, b)
+        h = len(oc.hom_basis(a, b))
         coef = linalg.zeros(h, 0)
         if fs and gs:
-            mat = np.stack([oc.morph_coords(v) for v in basis] +
-                           [oc.morph_coords(oc.compose(g, f)) for f in fs for g in gs], axis=1)
-            coef = linalg.solve_mod(mat[:, :h], mat[:, h:], oc.cat.p)
-            if coef is None:
-                raise RuntimeError("a composite %r -> %r -> %r lies outside the "
-                                   "span of the Hom basis" % (a, mid, b))
+            coef = np.stack([oc.morph_coords(oc.compose(g, f)) for f in fs for g in gs], axis=1)
         cache[key] = coef.reshape(h, len(fs), len(gs))
     return cache[key]
 
@@ -282,7 +262,7 @@ def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, .
     only on the span of the radical, not on the order of its columns."""
     objs = ctx.objects
     a, b = objs[a], objs[b]
-    h = len(_hom_basis(ctx, a, b))
+    h = len(ctx.oc.hom_basis(a, b))
     blocks = [_composite_tensor(ctx, a, objs[t], b).reshape(h, -1) for t in _bits(rel)]
     r = sum(blk.shape[1] for blk in blocks)
     _, piv = linalg.rref_mod(np.concatenate(blocks + [linalg.eye(h)], axis=1), ctx.oc.cat.p)
@@ -338,7 +318,7 @@ def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
     """Do the composites through the generators (t, gens) span Hom(a, b)?"""
     objs = ctx.objects
     a, b = objs[a], objs[b]
-    h = len(_hom_basis(ctx, a, b))
+    h = len(ctx.oc.hom_basis(a, b))
     blocks = [_composite_tensor(ctx, a, objs[t], b).take(gens, axis=2 if right else 1)
               .reshape(h, -1) for t, gens in gens_at]
     span = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)

@@ -14,6 +14,9 @@ piece, a vertexwise matrix tuple) or an extension class ("E" piece, a
 cocycle over the projective presentation of the source).  Every Hom and
 Ext^k dimension is read from one integer table over the fundamental domain,
 built from the Euler form and the Coxeter tau, without knitting a module.
+Each Hom_C(X, Y) has one basis, the slot-0 piece basis followed by the
+slot-1 one, built once per pair and checked against that table; a morphism's
+coordinates in it are Hom coordinates of module maps and classes of cocycles.
 
 F acts on morphisms through minimal injective copresentations: lift, apply
 the Nakayama equivalence backwards on canonical blocks, descend to the
@@ -76,6 +79,8 @@ class OrbitCategory:
         self._push_maps: Dict[tuple, tuple] = {}
         # (a_root, b_root) -> matrix taking Hom coordinates to P1 lift blocks
         self._lift_maps: Dict[tuple, np.ndarray] = {}
+        # (x, y) -> hom_basis(x, y), for normalized x and y
+        self._hom_bases: Dict[Tuple[Obj, Obj], List[CMorphism]] = {}
         # position of each canonical object in objects(), and the Ext^k
         # dimension table over them, built on the first dimension query
         self.index = {x: i for i, x in enumerate(self.objects())}
@@ -240,29 +245,36 @@ class OrbitCategory:
         return not self.cat.ext_class(src[0], tgt[0], data).any()
 
     def piece_coords(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> np.ndarray:
-        """Faithful linear coordinates of a piece (class coords for E)."""
-        gap = tgt[1] - src[1]
-        if gap == 0:
-            a, b = self.cat.rep[src[0]], self.cat.rep[tgt[0]]
-            if piece is None:
-                return vmap_flatten(vmap_zero(a, b))
-            return vmap_flatten(piece[1])
-        if gap == 1:
-            if piece is None:
-                return np.zeros(self.cat.ext_dim(src[0], tgt[0]), dtype=np.int64)
-            return self.cat.ext_class(src[0], tgt[0], piece[1])
-        return np.zeros(0, dtype=np.int64)
+        """Coordinates of a piece in piece_basis(src, tgt): Hom coordinates of
+        a module map, the class of a cocycle (the Ext basis is the section of
+        the class projection), zeros for an empty slot."""
+        if piece is None:
+            return np.zeros(self.piece_dim(src, tgt), dtype=np.int64)
+        kind, data = piece
+        if kind == "E":
+            return self.cat.ext_class(src[0], tgt[0], data)
+        coords = self.cat.hom_coords(src[0], tgt[0], data)
+        if coords is None:
+            raise RuntimeError("a module map %r -> %r lies outside the span of "
+                               "the Hom basis" % (src, tgt))
+        return coords
 
     def hom_basis(self, x: Obj, y: Obj) -> List[CMorphism]:
+        """Basis of Hom_C(x, y) (cached): the basis of the slot-0 piece, then
+        that of the slot-1 piece.  Its length must match the dimension table,
+        which the fan layer reads to skip and key summands."""
         x = self.normalize(x)[0]
         y = self.normalize(y)[0]
-        out = []
-        for piece in self.piece_basis(x, y):
-            out.append(CMorphism(x, y, {0: piece}))
-        fy = self.obj_F(y)
-        for piece in self.piece_basis(x, fy):
-            out.append(CMorphism(x, y, {1: piece}))
-        return out
+        key = (x, y)
+        if key not in self._hom_bases:
+            basis = [CMorphism(x, y, {l: piece}) for l, fly in enumerate((y, self.obj_F(y)))
+                     for piece in self.piece_basis(x, fly)]
+            dim = self.hom_dim(x, y)
+            if len(basis) != dim:
+                raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
+                                   "dimension table gives %d" % (x, y, len(basis), dim))
+            self._hom_bases[key] = basis
+        return self._hom_bases[key]
 
     def is_zero(self, f: CMorphism) -> bool:
         fy = self.obj_F(f.tgt)
@@ -270,6 +282,7 @@ class OrbitCategory:
                 and self.piece_is_zero(f.src, fy, f.pieces[1]))
 
     def morph_coords(self, f: CMorphism) -> np.ndarray:
+        """Coordinates of f in hom_basis(f.src, f.tgt)."""
         fy = self.obj_F(f.tgt)
         return np.concatenate([self.piece_coords(f.src, f.tgt, f.pieces[0]),
                                self.piece_coords(f.src, fy, f.pieces[1])])

@@ -3,19 +3,17 @@
 Two indecomposables of the orbit category are compatible when all the
 intermediate extension groups Ext^k, 1 <= k <= d, vanish between them (the
 condition is symmetric by Calabi-Yau duality, and symmetry is asserted, not
-assumed).  Rigid sets are cliques of the compatibility graph; tilting
-objects are characterized three ways:
+assumed).  Rigid sets are cliques of the compatibility graph.  A tilting
+set is rigid, and every indecomposable compatible with the whole set already
+belongs to it (the definition-level closure condition).  That is also what
+maximal rigid means (no proper rigid extension), so is_tilting and
+is_maximal_rigid are one predicate.
 
-  * tilting: rigid, and every indecomposable compatible with the whole set
-    already belongs to it (the definition-level closure condition);
-  * maximal rigid: rigid with no proper rigid extension;
-  * complete rigid: rigid with exactly n = rank elements.
-
-The three notions coincide, and verify_equivalence checks the coincidence
-by brute force: a pivoted Bron-Kerbosch enumeration of all maximal cliques
-is compared against an independent backtracking enumeration of size-n
-cliques, and the closure condition is evaluated literally on every maximal
-clique.
+Tilting sets are exactly the complete rigid sets, those with n = rank
+elements.  verify_equivalence checks this by brute force: a pivoted
+Bron-Kerbosch enumeration of all maximal cliques is compared against an
+independent backtracking enumeration of size-n cliques, and the closure
+condition is evaluated again on every maximal clique.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ class TiltingContext:
         # Hom(t, b) nonzero) to the generators of Hom(a, b) mod the radical,
         # _covers maps (right, a, b, ((t, generators), ...)) to whether the
         # generators at those summands span Hom(a, b)
-        self._hom_bases = {}
         self._fans = {}
         self._composites = {}
         self._radical_tops = {}
@@ -162,18 +159,10 @@ def is_tilting(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     return _common_neighbors(ctx, ctx.mask_of(objs)) == 0
 
 
-def is_maximal_rigid(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
-    if not is_rigid(ctx, objs):
-        return False
-    mask = ctx.mask_of(objs)
-    adj = ctx.adjacency()
-    for j in range(len(ctx.objects)):
-        if (mask >> j) & 1:
-            continue
-        ext = mask & ~adj[j]
-        if ext == 0:
-            return False
-    return True
+# Maximal rigid is the same predicate: a rigid set has a proper rigid
+# extension exactly when some object outside it is compatible with all of it,
+# i.e. is a common neighbour.
+is_maximal_rigid = is_tilting
 
 
 def classify(ctx: TiltingContext, objs: Sequence[Obj]) -> Dict[str, bool]:

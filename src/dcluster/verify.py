@@ -140,14 +140,14 @@ def check_rigidity_equivalence(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
-    count = 0
-    for x in ctx.objects:
-        complete_to_tilting(ctx, [x])
-        count += 1
-    for a in mut.almost_completes(ctx):
-        complete_to_tilting(ctx, a)
-        count += 1
-    return _pass(count)
+    # each greedy completion must be complete rigid: n summands
+    starts = [(x,) for x in ctx.objects] + mut.almost_completes(ctx)
+    for count, start in enumerate(starts, 1):
+        size = len(complete_to_tilting(ctx, start))
+        if size != ctx.n:
+            return _fail(count, {"start": [ctx.oc.obj_name(x) for x in start],
+                                 "size": size})
+    return _pass(len(starts))
 
 
 def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:

@@ -310,6 +310,39 @@ def test_verify_run_leaves_no_package_objects_in_cycles():
     assert left == []
 
 
+def test_verify_run_leaves_no_reference_cycles():
+    import gc
+
+    # the parser is built once, on the first run
+    assert run(["indecomposables"] + A2D1) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(["verify", "--all", "--diagram", "A", "--rank", "3",
+                    "--d", "2"]) == 0
+        gc.collect()
+        left = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == 0
+
+
+def test_incomplete_greedy_completion_fails(monkeypatch, capsys):
+    from dcluster import verify
+
+    complete = verify.complete_to_tilting
+    monkeypatch.setattr(verify, "complete_to_tilting",
+                        lambda ctx, objs: complete(ctx, objs)[1:])
+    assert run(["verify", "--check", "rigid-extends-to-tilting",
+                "--diagram", "A", "--rank", "3", "--d", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("rigid-extends-to-tilting     fail      1 instances "
+                          'counterexample={"size": 2, "start": ["root#0[0]"]}')
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     from dcluster import mutation
 
