@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 names, files, unwritable output paths, config values or primes, or a
 configuration too large for memory), 3 internal error (a violated internal
-invariant; one line naming the configuration).
+invariant; one line naming the configuration), 141 stdout closed by its
+reader before the command finished (no traceback).
 A JSON config file (--config) may supply any of the common flags; explicit
 command-line flags win over config values.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -449,7 +451,18 @@ def _config_name(args: argparse.Namespace) -> str:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The console entry point.  A reader that closes stdout early (as in
+    `dcluster verify --all ... | head`) ends the run with exit code 141, the
+    shell's code for SIGPIPE, and no traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush reach
+        # devnull instead of the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,10 +16,12 @@ of X_{i+1}), and the two routes must agree.  The factorization property of
 the approximation is checked by one rank comparison per summand over cached
 structure constants: each composition Hom(a, m) x Hom(m, b) -> Hom(a, b) is
 computed once, as a tensor in the coordinates of the orbit category's Hom
-bases, which also give the tensor's shape.  Each of these small rank
-problems depends only on (a, b) and on the summands t with Hom(a, t) and
-Hom(t, b) nonzero (the others contribute no columns), so it is solved once
-per context and reused by every add set and fan that poses it again.
+bases (paths of the mesh category of ZQ), which also give the tensor's
+shape.  Each of these small rank problems depends only on (a, b) and on the
+summands t with Hom(a, t) and Hom(t, b) nonzero (the others contribute no
+columns), so it is solved once per context and reused by every add set and
+fan that poses it again.  Its size, dim Hom(a, b), is read from the
+dimension table, so a problem without such summands composes nothing.
 
 The same tensors give the composites of connecting classes.  The shift is
 an autoequivalence, so the shifted class delta_j[k] of the one-dimensional
@@ -262,7 +264,7 @@ def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, .
     only on the span of the radical, not on the order of its columns."""
     objs = ctx.objects
     a, b = objs[a], objs[b]
-    h = len(ctx.oc.hom_basis(a, b))
+    h = ctx.oc.hom_dim(a, b)
     blocks = [_composite_tensor(ctx, a, objs[t], b).reshape(h, -1) for t in _bits(rel)]
     r = sum(blk.shape[1] for blk in blocks)
     _, piv = linalg.rref_mod(np.concatenate(blocks + [linalg.eye(h)], axis=1), ctx.oc.cat.p)
@@ -318,7 +320,7 @@ def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
     """Do the composites through the generators (t, gens) span Hom(a, b)?"""
     objs = ctx.objects
     a, b = objs[a], objs[b]
-    h = len(ctx.oc.hom_basis(a, b))
+    h = ctx.oc.hom_dim(a, b)
     blocks = [_composite_tensor(ctx, a, objs[t], b).take(gens, axis=2 if right else 1)
               .reshape(h, -1) for t, gens in gens_at]
     span = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)

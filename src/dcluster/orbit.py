@@ -1,31 +1,38 @@
-"""The orbit category C_d of the bounded derived category by tau^{-1}[d].
+"""The orbit category C_d of the bounded derived category by F = tau^{-1}[d].
 
 Objects are pairs (root, shift) of an indecomposable's dimension vector and
-an integer shift; each orbit of the translation F = tau^{-1}[d] meets the
-canonical window
+an integer shift; each orbit of F meets the canonical window
 
     0 <= shift <= d-1          (any indecomposable), or
     shift == d                 (projectives only)
 
-exactly once, and the window is the fundamental domain of C_d.  Morphism
-spaces are Hom_C(X, Y) = (+)_l Hom_D(X, F^l Y); for canonical pairs only
-l = 0, 1 can contribute, each piece being either a module morphism ("H"
-piece, a vertexwise matrix tuple) or an extension class ("E" piece, a
-cocycle over the projective presentation of the source).  Every Hom and
-Ext^k dimension is read from one integer table over the fundamental domain,
-built from the Euler form and the Coxeter tau, without knitting a module.
-Each Hom_C(X, Y) has one basis, the slot-0 piece basis followed by the
-slot-1 one, built once per pair and checked against that table; a morphism's
-coordinates in it are Hom coordinates of module maps and classes of cocycles.
+exactly once, and the window is the fundamental domain of C_d.  Every Hom
+and Ext^k dimension is read from one integer table over the fundamental
+domain, built from the Euler form and the Coxeter tau, without knitting a
+module.
 
-F acts on morphisms through minimal injective copresentations: lift, apply
-the Nakayama equivalence backwards on canonical blocks, descend to the
-cokernel.  Because the projective presentation of tau^{-1}M *is* the
-nu^{-1}-image of the copresentation of M (see reps), extension data moves
-through F without any comparison maps.  F is linear on each piece space, and
-so is the lift of a module map along projective presentations that pulls
-cocycles back in composition; each is a matrix built lazily, once per root
-pair, from the direct lift on a basis (kept as the test oracle).
+Morphisms live in the mesh category k(ZQ), which is D^b(kQ) for Dynkin Q
+(Happel).  Vertex (m, i) of ZQ is tau^{-m} P_i; a Q-arrow s -> t gives the
+arrows (m, t) -> (m, s) and (m, s) -> (m+1, t), and the mesh relation at z
+sums the paths tau z -> w -> z.  The shift relabels vertices by
+S(m, i) = (m + k_i + 1, j_i), where (k_i, j_i) is the vertex of I_i (because
+P_i[1] = tau^{-1} I_i), and F by phi(v) = S^d(tau^{-1} v).  So for canonical
+X, Y with vertices x, y, Hom_C(X, Y) = Hom(x, y) (+) Hom(x, phi y) (no other
+F^l Y contributes), composition is path composition, and F^l acts on a path
+by relabelling its vertices with phi^l: no F matrix is ever filled.
+
+On the first morphism call, Hom((0, i), -) is knitted once per vertex i of
+Q (tau^{-m} moves it to level m), and every Hom_C dimension it gives is
+checked against the table.  Level by level, sinks of Q first, Hom(x, z) for
+z != x is the cokernel of the mesh map Hom(x, tau z) -> (+)_{w -> z}
+Hom(x, w), until a whole level is zero.  Its basis is the unit vectors
+picked as pivots by one row reduction of [R | I], so each basis vector is a
+single path (a basis path of some Hom(x, w), then the arrow w -> z) and the
+arrow maps of Hom(x, -) are blocks of the cokernel projection.  A morphism
+of C_d is kept as its coordinates in these path bases, slot 0 then slot 1.
+g . f is f carried along the paths of g through the arrow maps of Hom(x, -),
+with g's slot-0 paths relabelled by phi (push_piece) for the term through
+F(Y); the slot-2 term must vanish.
 
 Shifts of morphisms are implemented downward only (src/tgt both [-1]), so
 re-canonicalization only ever applies F forward.  Ext^k classes are kept in
@@ -36,32 +43,36 @@ plain composition after one downward shift.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import linalg, reps
-from .reps import ModuleCategory, vmap_add, vmap_compose, vmap_flatten, \
-    vmap_is_zero, vmap_scale, vmap_unflatten, vmap_zero
+from . import linalg
+from .reps import ModuleCategory
 
 Obj = Tuple[Tuple[int, ...], int]   # (root, shift)
+Vertex = Tuple[int, int]            # (m, i): the vertex tau^{-m} P_i of ZQ
+Path = Tuple[Vertex, ...]           # consecutive vertices joined by arrows
+# a "piece" is a linear combination of paths with common ends: ((c, path), ...)
+VertexMap = Tuple[Vertex, ...]      # (m, i) -> (m + a, j) stored as (a, j) at i
 
 
 class CMorphism:
     """A morphism of the orbit category between canonical-window objects.
 
-    pieces[l] is None or ("H", vmap) / ("E", cocycle coords), a morphism
-    X -> F^l(Y) of the derived category.
+    pieces[l] is None (zero) or the coordinate vector, in the path basis, of
+    a morphism X -> F^l(Y) of the derived category.
     """
 
-    def __init__(self, src: Obj, tgt: Obj, pieces: Dict[int, Optional[tuple]]):
+    def __init__(self, src: Obj, tgt: Obj, pieces: Dict[int, Optional[np.ndarray]]):
         self.src = src
         self.tgt = tgt
         self.pieces = {0: pieces.get(0), 1: pieces.get(1)}
 
     def __repr__(self):
-        kinds = {l: (p[0] if p else None) for l, p in self.pieces.items()}
-        return "CMorphism(%r -> %r, %r)" % (self.src, self.tgt, kinds)
+        coords = {l: None if c is None else c.tolist() for l, c in self.pieces.items()}
+        return "CMorphism(%r -> %r, %r)" % (self.src, self.tgt, coords)
 
 
 class OrbitCategory:
@@ -74,11 +85,10 @@ class OrbitCategory:
         self.inj_roots = frozenset(cat.inj_root)
         self.inj_vertex = {cat.inj_root[x]: x for x in range(cat.q.rank)}
         self.proj_vertex = {cat.proj_root[x]: x for x in range(cat.q.rank)}
-        # matrices of linear maps on piece spaces, filled lazily per root pair:
-        # (kind, a_root, b_root) -> (output kind, matrix of F, output shapes)
-        self._push_maps: Dict[tuple, tuple] = {}
-        # (a_root, b_root) -> matrix taking Hom coordinates to P1 lift blocks
-        self._lift_maps: Dict[tuple, np.ndarray] = {}
+        # the mesh category (_mesh) is knitted on the first morphism call;
+        # (source vertex, target vertex) -> the basis paths of its Hom
+        self._paths: Dict[Tuple[Vertex, Vertex], List[Path]] = {}
+        self._vertex_of: Dict[Obj, Vertex] = {}
         # (x, y) -> hom_basis(x, y), for normalized x and y
         self._hom_bases: Dict[Tuple[Obj, Obj], List[CMorphism]] = {}
         # position of each canonical object in objects(), and the Ext^k
@@ -226,361 +236,206 @@ class OrbitCategory:
             cur = self.obj_F(cur)
         return total
 
+    # -- the mesh category k(ZQ) ----------------------------------------------
+
+    @cached_property
+    def _relabellings(self) -> tuple:
+        """(vertex of each module root, S, S^-1, phi) as vertex maps."""
+        cat = self.cat
+        root_vertex: Dict[Tuple[int, ...], Vertex] = {}
+        for i, root in enumerate(cat.proj_root):
+            m = 0
+            while root is not None:
+                root_vertex[root] = (m, i)
+                root, m = cat.tau_minus[root], m + 1
+        shift = tuple((m + 1, j) for m, j in (root_vertex[r] for r in cat.inj_root))
+        unshift = [None] * len(shift)
+        for i, (a, j) in enumerate(shift):
+            unshift[j] = (-a, i)
+        phi = _then(tuple((1, i) for i in range(len(shift))),
+                    *([shift] * self.d))
+        return root_vertex, shift, tuple(unshift), phi
+
+    def vertex(self, obj: Obj) -> Vertex:
+        """The vertex of ZQ of an object (root, shift): S^shift of its module's."""
+        v = self._vertex_of.get(obj)
+        if v is None:
+            root_vertex, shift, unshift, _ = self._relabellings
+            step = shift if obj[1] >= 0 else unshift
+            v = root_vertex[obj[0]]
+            for _ in range(abs(obj[1])):
+                v = _apply(step, v)
+            self._vertex_of[obj] = v
+        return v
+
+    def phi(self, v: Vertex) -> Vertex:
+        """F on vertices: phi(v) = S^d(tau^{-1} v)."""
+        return _apply(self._relabellings[3], v)
+
+    @cached_property
+    def _mesh(self) -> List["HomFrom"]:
+        """Hom((0, i), -) for every vertex i of Q, knitted on the first
+        morphism call and checked against the dimension table: for every
+        canonical X and Y, dim Hom(x, y) + dim Hom(x, phi y) must be the
+        table's dim Hom_C(X, Y)."""
+        mesh = [knit_hom_from(self.cat, i) for i in range(self.cat.q.rank)]
+        objs = self.objects()
+        table = self.dims()[:, :, 0].tolist()
+        ends = [(self.vertex(y), self.phi(self.vertex(y))) for y in objs]
+        for a, x in enumerate(objs):
+            m, i = self.vertex(x)
+            dims = mesh[i].dims
+            for b, (yv, fyv) in enumerate(ends):
+                got = dims.get((yv[0] - m, yv[1]), 0) + dims.get((fyv[0] - m, fyv[1]), 0)
+                if got != table[a][b]:
+                    raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
+                                       "dimension table gives %d"
+                                       % (x, objs[b], got, table[a][b]))
+        return mesh
+
+    def mesh_dim(self, u: Vertex, v: Vertex) -> int:
+        """dim Hom(u, v) in the mesh category."""
+        return self._mesh[u[1]].dims.get((v[0] - u[0], v[1]), 0)
+
+    def slot_dims(self, x: Obj, y: Obj) -> Tuple[int, int]:
+        """(dim Hom(x, y), dim Hom(x, phi y)) on the vertices of x and y."""
+        xv, yv = self.vertex(x), self.vertex(y)
+        return self.mesh_dim(xv, yv), self.mesh_dim(xv, self.phi(yv))
+
+    def basis_paths(self, u: Vertex, v: Vertex) -> List[Path]:
+        """The paths u -> v forming the basis of Hom(u, v) (cached)."""
+        key = (u, v)
+        paths = self._paths.get(key)
+        if paths is None:
+            hom = self._mesh[u[1]]
+            paths = []
+            for k in range(hom.dims.get((v[0] - u[0], v[1]), 0)):
+                path, z = [], (v[0] - u[0], v[1])
+                while k is not None:
+                    path.append((z[0] + u[0], z[1]))
+                    z, k = hom.steps[z][k]
+                paths.append(tuple(reversed(path)))
+            self._paths[key] = paths
+        return paths
+
+    def path_map(self, u: Vertex, path: Path) -> np.ndarray:
+        """Composition with `path` on Hom(u, -): the matrix from Hom(u, path[0])
+        to Hom(u, path[-1]), a product of arrow maps."""
+        hom = self._mesh[u[1]]
+        rel = [(m - u[0], i) for m, i in path]
+        mat = linalg.eye(hom.dims.get(rel[0], 0))
+        for w, z in zip(rel, rel[1:]):
+            arrow = hom.maps.get((w, z))
+            if arrow is None:
+                return linalg.zeros(hom.dims.get(rel[-1], 0), mat.shape[1])
+            mat = arrow @ mat % self.cat.p
+        return mat
+
+    def _piece(self, x: Obj, y: Obj, coords: Optional[np.ndarray]) -> Optional[tuple]:
+        """The piece x -> y with the given path coordinates (None when zero)."""
+        if coords is None or not coords.any():
+            return None
+        paths = self.basis_paths(self.vertex(x), self.vertex(y))
+        return tuple((int(c), path) for c, path in zip(coords, paths) if c)
+
+    def _carry(self, x: Obj, coords: Optional[np.ndarray],
+               piece: Optional[tuple]) -> Optional[np.ndarray]:
+        """piece . f, in coordinates, for f: x -> (start of the piece's paths)
+        with path coordinates `coords`; None when either is zero."""
+        if coords is None or piece is None:
+            return None
+        xv = self.vertex(x)
+        out = sum(c * (self.path_map(xv, path) @ coords) for c, path in piece)
+        return out % self.cat.p
+
     # -- morphism spaces -----------------------------------------------------
 
-    def piece_basis(self, src: Obj, tgt: Obj) -> List[tuple]:
-        gap = tgt[1] - src[1]
-        if gap == 0:
-            return [("H", f) for f in self.cat.hom_basis(src[0], tgt[0])]
-        if gap == 1:
-            return [("E", u) for u in self.cat.ext_basis_coords(src[0], tgt[0])]
-        return []
-
-    def piece_is_zero(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> bool:
-        if piece is None:
-            return True
-        kind, data = piece
-        if kind == "H":
-            return vmap_is_zero(data)
-        return not self.cat.ext_class(src[0], tgt[0], data).any()
-
-    def piece_coords(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> np.ndarray:
-        """Coordinates of a piece in piece_basis(src, tgt): Hom coordinates of
-        a module map, the class of a cocycle (the Ext basis is the section of
-        the class projection), zeros for an empty slot."""
-        if piece is None:
-            return np.zeros(self.piece_dim(src, tgt), dtype=np.int64)
-        kind, data = piece
-        if kind == "E":
-            return self.cat.ext_class(src[0], tgt[0], data)
-        coords = self.cat.hom_coords(src[0], tgt[0], data)
-        if coords is None:
-            raise RuntimeError("a module map %r -> %r lies outside the span of "
-                               "the Hom basis" % (src, tgt))
-        return coords
-
     def hom_basis(self, x: Obj, y: Obj) -> List[CMorphism]:
-        """Basis of Hom_C(x, y) (cached): the basis of the slot-0 piece, then
-        that of the slot-1 piece.  Its length must match the dimension table,
-        which the fan layer reads to skip and key summands."""
+        """Basis of Hom_C(x, y) (cached): the basis paths of Hom(x, y), then
+        those of Hom(x, phi y), as unit coordinate vectors.  Its length is the
+        dimension table's (_mesh checks the knit against the table), which
+        the fan layer reads to skip and key summands."""
         x = self.normalize(x)[0]
         y = self.normalize(y)[0]
         key = (x, y)
         if key not in self._hom_bases:
-            basis = [CMorphism(x, y, {l: piece}) for l, fly in enumerate((y, self.obj_F(y)))
-                     for piece in self.piece_basis(x, fly)]
-            dim = self.hom_dim(x, y)
-            if len(basis) != dim:
-                raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
-                                   "dimension table gives %d" % (x, y, len(basis), dim))
-            self._hom_bases[key] = basis
+            self._hom_bases[key] = [CMorphism(x, y, {l: linalg.eye(size)[k]})
+                                    for l, size in enumerate(self.slot_dims(x, y))
+                                    for k in range(size)]
         return self._hom_bases[key]
 
     def is_zero(self, f: CMorphism) -> bool:
-        fy = self.obj_F(f.tgt)
-        return (self.piece_is_zero(f.src, f.tgt, f.pieces[0])
-                and self.piece_is_zero(f.src, fy, f.pieces[1]))
+        return all(c is None or not c.any() for c in f.pieces.values())
 
     def morph_coords(self, f: CMorphism) -> np.ndarray:
         """Coordinates of f in hom_basis(f.src, f.tgt)."""
-        fy = self.obj_F(f.tgt)
-        return np.concatenate([self.piece_coords(f.src, f.tgt, f.pieces[0]),
-                               self.piece_coords(f.src, fy, f.pieces[1])])
+        return np.concatenate([np.zeros(size, dtype=np.int64) if c is None else c
+                               for c, size in zip(f.pieces.values(),
+                                                  self.slot_dims(f.src, f.tgt))])
 
     def identity(self, x: Obj) -> CMorphism:
         x = self.normalize(x)[0]
-        return CMorphism(x, x, {0: ("H", reps.vmap_id(self.cat.rep[x[0]]))})
+        return CMorphism(x, x, {0: np.ones(1, dtype=np.int64)})
 
     def add(self, f: CMorphism, g: CMorphism) -> CMorphism:
         assert f.src == g.src and f.tgt == g.tgt
-        pieces = {}
-        for l in (0, 1):
-            a, b = f.pieces[l], g.pieces[l]
-            if a is None:
-                pieces[l] = b
-            elif b is None:
-                pieces[l] = a
-            elif a[0] == "H":
-                pieces[l] = ("H", vmap_add(self.cat.p, a[1], b[1]))
-            else:
-                pieces[l] = ("E", (a[1] + b[1]) % self.cat.p)
-        return CMorphism(f.src, f.tgt, pieces)
+        return CMorphism(f.src, f.tgt, {l: _add(f.pieces[l], g.pieces[l], self.cat.p)
+                                        for l in (0, 1)})
 
     def scale(self, c: int, f: CMorphism) -> CMorphism:
-        pieces = {}
-        for l in (0, 1):
-            a = f.pieces[l]
-            if a is None:
-                pieces[l] = None
-            elif a[0] == "H":
-                pieces[l] = ("H", vmap_scale(self.cat.p, c, a[1]))
-            else:
-                pieces[l] = ("E", (int(c) * a[1]) % self.cat.p)
-        return CMorphism(f.src, f.tgt, pieces)
-
-    # -- composition in the derived category ----------------------------------
-
-    def compose_piece(self, fsrc: Obj, fmid: Obj, f: Optional[tuple],
-                      gmid: Obj, gtgt: Obj, g: Optional[tuple]) -> Optional[tuple]:
-        """(g: gmid->gtgt) . (f: fsrc->fmid) with fmid == gmid, in D."""
-        if f is None or g is None:
-            return None
-        if fmid != gmid:
-            raise RuntimeError("non-matching middle object in composition")
-        cat = self.cat
-        gf, gg = fmid[1] - fsrc[1], gtgt[1] - gmid[1]
-        if gf == 0 and gg == 0:
-            return ("H", vmap_compose(cat.p, g[1], f[1]))
-        if gf == 0 and gg == 1:
-            # pull the cocycle of g back along f through the presentations
-            pa, pb = cat.pres[fsrc[0]], cat.pres[fmid[0]]
-            blocks = self._lift_blocks(fsrc[0], fmid[0], f[1])
-            return ("E", cat.pushforward_coords(blocks, pa.p1, pb.p1,
-                                                cat.rep[gtgt[0]], g[1]))
-        if gf == 1 and gg == 0:
-            # postcompose the cocycle of f with the module map g
-            pa = cat.pres[fsrc[0]]
-            n_src = cat.rep[fmid[0]]
-            n_tgt = cat.rep[gtgt[0]]
-            sl_src = cat.coord_slices(pa.p1, n_src)
-            sl_tgt = cat.coord_slices(pa.p1, n_tgt)
-            out = np.zeros(sl_tgt[-1][1] if sl_tgt else 0, dtype=np.int64)
-            for i, x in enumerate(pa.p1.verts):
-                lo, hi = sl_src[i]
-                out[sl_tgt[i][0]:sl_tgt[i][1]] = (g[1][x] @ f[1][lo:hi]) % cat.p
-            return ("E", out)
-        if gf == 1 and gg == 1:
-            return None  # lands in a gap-2 group, which vanishes
-        raise RuntimeError("unexpected piece gaps (%d, %d)" % (gf, gg))
-
-    def _lift_direct(self, a_root, b_root, fv) -> np.ndarray:
-        """Blocks of a lift P1_A -> P1_B of the module map fv: A -> B along
-        the projective presentations (the oracle behind _lift_blocks)."""
-        cat = self.cat
-        pa, pb = cat.pres[a_root], cat.pres[b_root]
-        f0 = cat.solve_block_map(pa.p0, pb.p0, [(pb.pi, None,
-                                                 vmap_compose(cat.p, fv, pa.pi))])
-        if f0 is None:
-            raise RuntimeError("projective lift failed")
-        f1 = cat.solve_block_map(pa.p1, pb.p1, [(pb.p_vmap, None,
-                                                 vmap_compose(cat.p, f0, pa.p_vmap))])
-        if f1 is None:
-            raise RuntimeError("projective lift failed at level 1")
-        return cat.vmap_to_blocks(pa.p1, pb.p1, f1)
-
-    def _lift_blocks(self, a_root, b_root, fv) -> np.ndarray:
-        """_lift_direct as one matrix product on the Hom coordinates of fv.
-
-        solve_mod's particular solution is linear in the right-hand side, so
-        this equals _lift_direct exactly, not just up to homotopy.
-        """
-        cat = self.cat
-        coords = cat.hom_coords(a_root, b_root, fv)
-        if coords is None:
-            raise RuntimeError("projective lift failed")
-        shape = (len(cat.pres[b_root].p1), len(cat.pres[a_root].p1))
-        key = (a_root, b_root)
-        if key not in self._lift_maps:
-            cols = [self._lift_direct(a_root, b_root, g).ravel()
-                    for g in cat.hom_basis(a_root, b_root)]
-            self._lift_maps[key] = np.stack(cols, axis=1) if cols \
-                else linalg.zeros(shape[0] * shape[1], 0)
-        return ((self._lift_maps[key] @ coords) % cat.p).reshape(shape)
-
-    # -- the translation functor on pieces ------------------------------------
-
-    def push_piece(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> Optional[tuple]:
-        """Image under F of a piece src -> tgt, as a piece F(src) -> F(tgt).
-
-        F is linear on each piece space: its matrix is built once per
-        (kind, source root, target root) by _push_direct on a basis (Hom
-        basis vmaps, or unit cocycles), and each push is one product.
-        """
-        if piece is None:
-            return None
-        kind, data = piece
-        a_root, b_root = src[0], tgt[0]
-        if kind == "H":
-            if a_root in self.inj_roots and b_root not in self.inj_roots:
-                if not vmap_is_zero(data):
-                    raise RuntimeError("nonzero module map out of an injective "
-                                       "into a non-injective indecomposable")
-                return None
-            coords = self.cat.hom_coords(a_root, b_root, data)
-            if coords is None:
-                raise RuntimeError("injective lift failed")
-        else:
-            if b_root in self.inj_roots:
-                if not self.piece_is_zero(src, tgt, piece):
-                    raise RuntimeError("nonzero extension class with injective target")
-                return None
-            coords = data
-        out_kind, mat, shapes = self._push_map(kind, a_root, b_root)
-        flat = (mat @ coords) % self.cat.p
-        return (out_kind, vmap_unflatten(flat, shapes) if out_kind == "H" else flat)
-
-    def _push_map(self, kind: str, a_root, b_root) -> tuple:
-        key = (kind, a_root, b_root)
-        if key not in self._push_maps:
-            cat = self.cat
-            src, tgt = (a_root, 0), (b_root, 0 if kind == "H" else 1)
-            if kind == "H":
-                basis = cat.hom_basis(a_root, b_root)
-                zero = vmap_zero(cat.rep[a_root], cat.rep[b_root])
-            else:
-                width = sum(cat.rep[b_root].dims[x] for x in cat.pres[a_root].p1.verts)
-                basis = list(linalg.eye(width))
-                zero = np.zeros(0, dtype=np.int64)
-            # an empty basis still pushes zero once, for the output's kind and shape
-            images = [self._push_direct(src, tgt, (kind, x)) for x in basis or [zero]]
-            out_kind = images[0][0]
-            flatten = vmap_flatten if out_kind == "H" else (lambda v: v)
-            mat = np.stack([flatten(data) for _, data in images], axis=1)
-            shapes = [m.shape for m in images[0][1]] if out_kind == "H" else None
-            self._push_maps[key] = (out_kind, mat[:, :len(basis)], shapes)
-        return self._push_maps[key]
-
-    def _push_direct(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> Optional[tuple]:
-        """push_piece by lifting along (co)presentations (the oracle)."""
-        if piece is None:
-            return None
-        cat = self.cat
-        p = cat.p
-        kind, data = piece
-        a_root, b_root = src[0], tgt[0]
-        a_inj, b_inj = a_root in self.inj_roots, b_root in self.inj_roots
-        if kind == "H":
-            if not a_inj and not b_inj:
-                # lift along the copresentations, nu^{-1}, descend
-                ca, cb = cat.copresentation(a_root), cat.copresentation(b_root)
-                phi0 = cat.solve_block_map(ca.j0, cb.j0, [(None, ca.iota,
-                    vmap_compose(p, cb.iota, data))])
-                if phi0 is None:
-                    raise RuntimeError("injective lift failed")
-                phi1 = cat.solve_block_map(ca.j1, cb.j1, [(None, ca.delta_vmap,
-                    vmap_compose(p, cb.delta_vmap, phi0))])
-                if phi1 is None:
-                    raise RuntimeError("injective lift failed at level 1")
-                na, ra = cat.pres[cat.tau_minus[a_root]], cat.tau_minus[a_root]
-                nb, rb = cat.pres[cat.tau_minus[b_root]], cat.tau_minus[b_root]
-                blocks = cat.vmap_to_blocks(ca.j1, cb.j1, phi1)
-                nu_phi1 = cat.blocks_to_vmap(na.p0, nb.p0, blocks)
-                out = vmap_compose(p, nb.pi, vmap_compose(p, nu_phi1, na.sec))
-                return ("H", out)
-            if not a_inj and b_inj:
-                # module map into an injective becomes an extension class
-                y = self.inj_vertex[b_root]
-                ca = cat.copresentation(a_root)
-                iy = cat.isum([y])
-                phi0 = cat.solve_block_map(ca.j0, iy, [(None, ca.iota, data)])
-                if phi0 is None:
-                    raise RuntimeError("extension along the envelope failed")
-                na = cat.pres[cat.tau_minus[a_root]]
-                py = cat.psum([y])
-                blocks = cat.vmap_to_blocks(ca.j0, iy, phi0)
-                nu_phi0 = cat.blocks_to_vmap(na.p1, py, blocks)
-                pyroot = cat.proj_root[y]
-                return ("E", cat.coords_from_pmap(na.p1, cat.rep[pyroot], nu_phi0))
-            if a_inj and not b_inj:
-                # Hom(I_x, N) = 0 for indecomposable non-injective N
-                if not vmap_is_zero(data):
-                    raise RuntimeError("nonzero module map out of an injective "
-                                       "into a non-injective indecomposable")
-                return None
-            # both injective: strict Nakayama relabelling
-            x, y = self.inj_vertex[a_root], self.inj_vertex[b_root]
-            blocks = cat.vmap_to_blocks(cat.isum([x]), cat.isum([y]), data)
-            out = cat.blocks_to_vmap(cat.psum([x]), cat.psum([y]), blocks)
-            return ("H", out)
-        # extension piece
-        if b_inj:
-            if not self.piece_is_zero(src, tgt, piece):
-                raise RuntimeError("nonzero extension class with injective target")
-            return None
-        cb = cat.copresentation(b_root)
-        pa = cat.pres[a_root]
-        umap = cat.pmap_from_coords(pa.p1, cat.rep[b_root], data)
-        # chain homotopy s0: P0 -> J0_B with s0 . p = iota_B . u
-        s0 = cat.solve_block_map(pa.p0, cb.j0, [(None, pa.p_vmap,
-            vmap_compose(p, cb.iota, umap))])
-        if s0 is None:
-            raise RuntimeError("homotopy solve failed")
-        rhs = vmap_compose(p, cb.delta_vmap, s0)
-        nb = cat.pres[cat.tau_minus[b_root]]
-        if not a_inj:
-            # w: J0_A -> J1_B with w . iota_A . pi_A = delta_B . s0
-            ca = cat.copresentation(a_root)
-            iota_pi = vmap_compose(p, ca.iota, pa.pi)
-            w = cat.solve_block_map(ca.j0, cb.j1, [(None, iota_pi, rhs)])
-            if w is None:
-                raise RuntimeError("injective-model solve failed")
-            na = cat.pres[cat.tau_minus[a_root]]
-            blocks = cat.vmap_to_blocks(ca.j0, cb.j1, w)
-            nu_w = cat.blocks_to_vmap(na.p1, nb.p0, blocks)
-            out = vmap_compose(p, nb.pi, nu_w)
-            return ("E", cat.coords_from_pmap(na.p1, cat.rep[cat.tau_minus[b_root]], out))
-        # source injective: the class becomes a plain module map P_x -> tau^{-1}B
-        x = self.inj_vertex[a_root]
-        ix = cat.isum([x])
-        w = cat.solve_block_map(ix, cb.j1, [(None, pa.pi, rhs)])
-        if w is None:
-            raise RuntimeError("injective-model solve failed")
-        blocks = cat.vmap_to_blocks(ix, cb.j1, w)
-        nu_w = cat.blocks_to_vmap(cat.psum([x]), nb.p0, blocks)
-        return ("H", vmap_compose(p, nb.pi, nu_w))
+        return CMorphism(f.src, f.tgt, {l: None if a is None else int(c) * a % self.cat.p
+                                        for l, a in f.pieces.items()})
 
     # -- composition and shifts in the orbit category --------------------------
 
+    def push_piece(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> Optional[tuple]:
+        """Image under F of a piece src -> tgt: its paths relabelled by phi,
+        a piece F(src) -> F(tgt)."""
+        return _relabel(self._relabellings[3], piece)
+
     def compose(self, g: CMorphism, f: CMorphism) -> CMorphism:
-        """g . f for f: X -> Y, g: Y -> Z between canonical objects."""
+        """g . f for f: X -> Y, g: Y -> Z between canonical objects:
+        slot 0 is g0 f0, slot 1 is g1 f0 + F(g0) f1, and F(g1) f1 must vanish."""
         if f.tgt != g.src:
             raise RuntimeError("compose: middle objects differ")
         x, y, z = f.src, f.tgt, g.tgt
-        fy, fz = self.obj_F(y), self.obj_F(z)
-        f2z = self.obj_F(fz)
-        pieces: Dict[int, Optional[tuple]] = {}
-        pieces[0] = self.compose_piece(x, y, f.pieces[0], y, z, g.pieces[0])
-        term_a = self.compose_piece(x, y, f.pieces[0], y, fz, g.pieces[1])
-        push_g0 = self.push_piece(y, z, g.pieces[0])
-        term_b = self.compose_piece(x, fy, f.pieces[1], fy, fz, push_g0)
-        if term_a is None:
-            pieces[1] = term_b
-        elif term_b is None:
-            pieces[1] = term_a
-        elif term_a[0] == "H":
-            pieces[1] = ("H", vmap_add(self.cat.p, term_a[1], term_b[1]))
-        else:
-            pieces[1] = ("E", (term_a[1] + term_b[1]) % self.cat.p)
-        # the slot-2 term must vanish; verify rather than assume
-        push_g1 = self.push_piece(y, fz, g.pieces[1])
-        r2 = self.compose_piece(x, fy, f.pieces[1], fy, f2z, push_g1)
-        if r2 is not None and not self.piece_is_zero(x, f2z, r2):
+        fz = self.obj_F(z)
+        g0 = self._piece(y, z, g.pieces[0])
+        g1 = self._piece(y, fz, g.pieces[1])
+        f0, f1 = f.pieces[0], f.pieces[1]
+        pieces = {0: self._carry(x, f0, g0),
+                  1: _add(self._carry(x, f0, g1),
+                          self._carry(x, f1, self.push_piece(y, z, g0)), self.cat.p)}
+        r2 = self._carry(x, f1, self.push_piece(y, fz, g1))
+        if r2 is not None and r2.any():
             raise RuntimeError("nonzero slot-2 piece in orbit composition")
         return CMorphism(x, z, pieces)
 
     def shift_down(self, f: CMorphism) -> CMorphism:
-        """The morphism f[-1]: normalize(X[-1]) -> normalize(Y[-1])."""
+        """The morphism f[-1]: normalize(X[-1]) -> normalize(Y[-1]): each path
+        relabelled by S^-1, and by phi when X[-1] left the window."""
         x2, ex = self.normalize((f.src[0], f.src[1] - 1))
         y2, ey = self.normalize((f.tgt[0], f.tgt[1] - 1))
         if ex not in (-1, 0) or ey not in (-1, 0):
             raise RuntimeError("unexpected normalization power in shift_down")
-        pieces: Dict[int, Optional[tuple]] = {0: None, 1: None}
+        unit = np.ones(1, dtype=np.int64)
+        pieces: Dict[int, Optional[np.ndarray]] = {0: None, 1: None}
         for l in (0, 1):
-            piece = f.pieces[l]
+            tgt_l = self.obj_F(f.tgt) if l else f.tgt
+            piece = self._piece(f.src, tgt_l, f.pieces[l])
             if piece is None:
                 continue
-            src_l = (f.src[0], f.src[1] - 1)
-            tgt_l = self.obj_F(f.tgt) if l else f.tgt
-            tgt_l = (tgt_l[0], tgt_l[1] - 1)
+            src_l, tgt_l = (f.src[0], f.src[1] - 1), (tgt_l[0], tgt_l[1] - 1)
+            piece = _relabel(self._relabellings[2], piece)
             if ex == -1:
                 piece = self.push_piece(src_l, tgt_l, piece)
-                src_l, tgt_l = self.obj_F(src_l), self.obj_F(tgt_l)
+            coords = self._carry(x2, unit, piece)
             new_slot = l + ey - ex
             if new_slot in (0, 1):
                 if pieces[new_slot] is not None:
                     raise RuntimeError("slot collision in shift_down")
-                pieces[new_slot] = piece
-            elif not self.piece_is_zero(src_l, tgt_l, piece):
+                pieces[new_slot] = coords
+            elif coords.any():
                 raise RuntimeError("nonzero piece left the slot window in shift_down")
         return CMorphism(x2, y2, pieces)
 
@@ -606,3 +461,92 @@ class OrbitCategory:
         if shifted.tgt != g.src:
             raise RuntimeError("yoneda: endpoints do not match")
         return self.compose(g, shifted)
+
+
+def _apply(relabel: VertexMap, v: Vertex) -> Vertex:
+    a, j = relabel[v[1]]
+    return (v[0] + a, j)
+
+
+def _relabel(relabel: VertexMap, piece: Optional[tuple]) -> Optional[tuple]:
+    if piece is None:
+        return None
+    return tuple((c, tuple(_apply(relabel, v) for v in path)) for c, path in piece)
+
+
+def _then(first: VertexMap, *rest: VertexMap) -> VertexMap:
+    """The vertex map applying `first`, then each of `rest` in turn."""
+    out = first
+    for nxt in rest:
+        out = tuple((a + nxt[j][0], nxt[j][1]) for a, j in out)
+    return out
+
+
+def _add(a: Optional[np.ndarray], b: Optional[np.ndarray], p: int) -> Optional[np.ndarray]:
+    if a is None or b is None:
+        return b if a is None else a
+    return (a + b) % p
+
+
+class HomFrom(NamedTuple):
+    """The representation Hom((0, i), -) of the mesh category.
+
+    dims maps each vertex with a nonzero Hom to its dimension, maps each arrow
+    w -> z between two such vertices to its matrix, and steps[z][k] is the
+    (w, index) of the basis path that basis path k of Hom((0, i), z) extends
+    by the arrow w -> z, or (None, None) for the identity path at (0, i).
+    """
+    dims: Dict[Vertex, int]
+    maps: Dict[Tuple[Vertex, Vertex], np.ndarray]
+    steps: Dict[Vertex, List[tuple]]
+
+
+def _mesh_map(hom: HomFrom, tau_z: Vertex, preds: List[Vertex]) -> np.ndarray:
+    """Hom(x, tau z) -> (+)_w Hom(x, w): the mesh relation at z, each path
+    tau z -> w with coefficient 1."""
+    cols = hom.dims.get(tau_z, 0)
+    return np.concatenate([hom.maps[(tau_z, w)] if (tau_z, w) in hom.maps
+                           else linalg.zeros(hom.dims.get(w, 0), cols) for w in preds])
+
+
+def knit_hom_from(cat: ModuleCategory, i: int) -> HomFrom:
+    """Knit Hom((0, i), -) level by level until a level is all zero."""
+    q, p = cat.q, cat.p
+    # sinks first: a Q-arrow s -> t gives the ZQ arrow (m, t) -> (m, s)
+    order = sorted(range(q.rank), key=lambda j: (len(cat.psupp[j]), j))
+    heads = [[t for s, t in q.arrows if s == j] for j in range(q.rank)]
+    tails = [[s for s, t in q.arrows if t == j] for j in range(q.rank)]
+    hom = HomFrom({(0, i): 1}, {}, {(0, i): [(None, None)]})
+    m = 0
+    while True:
+        level = False
+        for j in order:
+            z = (m, j)
+            if z == (0, i):
+                level = True
+                continue
+            preds = [(m, t) for t in heads[j]] + [(m - 1, s) for s in tails[j]]
+            sizes = [hom.dims.get(w, 0) for w in preds]
+            if not sum(sizes):
+                continue
+            rel = _mesh_map(hom, (m - 1, j), preds)
+            red, piv = linalg.rref_mod(np.concatenate([rel, linalg.eye(rel.shape[0])],
+                                                      axis=1), p)
+            basis = [c - rel.shape[1] for c in piv if c >= rel.shape[1]]
+            if not basis:
+                continue
+            # the rows below the relations' pivots project onto the cokernel,
+            # taking the unit vector at the k-th chosen pivot to the k-th one
+            rank = len(piv) - len(basis)
+            proj = red[rank:len(piv), rel.shape[1]:]
+            hom.dims[z] = len(basis)
+            offs = np.cumsum([0] + sizes)
+            for w, lo, hi in zip(preds, offs, offs[1:]):
+                if hi > lo:
+                    hom.maps[(w, z)] = proj[:, lo:hi]
+            block = np.searchsorted(offs, basis, side="right") - 1
+            hom.steps[z] = [(preds[b], int(c - offs[b])) for b, c in zip(block, basis)]
+            level = True
+        if not level:
+            return hom
+        m += 1

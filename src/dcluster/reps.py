@@ -12,14 +12,19 @@ The whole engine leans on the underlying graph being a tree:
     minimal injective copresentations are short exact.
 
 The roots of P_x and I_x are their supports and tau acts on roots as the
-Coxeter matrix, so no dimension count needs a module.  The modules are the
-morphism layer, knitted on the first access to rep or pres: tau^{-1} is
-applied repeatedly to the projectives, as tau^{-1} M = coker( nu^{-1} J0 ->
-nu^{-1} J1 ) for the minimal injective copresentation 0 -> M -> J0 -> J1 -> 0,
-and each cokernel must have the Coxeter tau^{-1} as its dimension vector.
-The nu^{-1}-image of that copresentation is kept as *the* projective
-presentation of tau^{-1} M, which keeps every later Ext computation
-consistent with the translation functor.
+Coxeter matrix, so no dimension count needs a module, and morphisms of the
+orbit category are paths of ZQ (see orbit), so no composition needs one
+either.  The modules are the linear-algebra witness that the Euler-form
+dimensions are right (the euler-identity and window-hom-reduction checks
+read hom_basis and ext_data), knitted on the first access to rep or pres:
+tau^{-1} is applied repeatedly to the projectives, as tau^{-1} M = coker(
+nu^{-1} J0 -> nu^{-1} J1 ) for the minimal injective copresentation
+0 -> M -> J0 -> J1 -> 0, and each cokernel must have the Coxeter tau^{-1} as
+its dimension vector.  The nu^{-1}-image of that copresentation is kept as
+*the* projective presentation of tau^{-1} M, which keeps every Ext
+computation consistent with the translation functor.  solve_block_map and
+copresentation serve the module-path composition that the tests keep as an
+oracle for the mesh category.
 
 Isomorphism testing is dimension-vector equality (valid here: Gabriel).
 """
@@ -96,10 +101,6 @@ def vmap_unflatten(flat: np.ndarray, shapes) -> List[np.ndarray]:
         out.append(flat[lo:lo + rows * cols].reshape(rows, cols))
         lo += rows * cols
     return out
-
-
-def vmap_is_zero(f) -> bool:
-    return all(not m.size or not m.any() for m in f)
 
 
 def vmap_invert(p, f):
@@ -213,7 +214,6 @@ class ModuleCategory:
                 self.tau_plus[r], self.tau_minus[t] = t, r
         self._hom_cache: Dict[Tuple[Root, Root], List[List[np.ndarray]]] = {}
         self._ext_cache: Dict[Tuple[Root, Root], tuple] = {}
-        self._hom_coords_cache: Dict[Tuple[Root, Root], tuple] = {}
 
     @cached_property
     def _knitted(self) -> tuple:
@@ -495,31 +495,6 @@ class ModuleCategory:
             self._hom_cache[key] = self.hom_vmaps(self.rep[ra], self.rep[rb])
         return self._hom_cache[key]
 
-    def hom_coords(self, ra: Root, rb: Root, f) -> Optional[np.ndarray]:
-        """Coordinates of the vmap f in hom_basis(ra, rb), or None if f is
-        not in its span (not a morphism).
-
-        Per pair this keeps the flattened basis, a set of pivot rows on which
-        it is invertible and the inverse of that minor; the coordinates read
-        off the pivot rows are then checked against every row.
-        """
-        key = (ra, rb)
-        if key not in self._hom_coords_cache:
-            basis = self.hom_basis(ra, rb)
-            size = sum(self.rep[rb].dims[v] * self.rep[ra].dims[v]
-                       for v in range(self.q.rank))
-            mat = np.stack([vmap_flatten(g) for g in basis], axis=1) if basis \
-                else linalg.zeros(size, 0)
-            _, piv = linalg.rref_mod(mat.T, self.p)
-            self._hom_coords_cache[key] = (mat, piv,
-                                           linalg.inv_mod(mat[piv, :], self.p))
-        mat, piv, minv = self._hom_coords_cache[key]
-        flat = vmap_flatten(f) % self.p
-        coords = (minv @ flat[piv]) % self.p
-        if not np.array_equal((mat @ coords) % self.p, flat):
-            return None
-        return coords
-
     def hom_dim(self, ra: Root, rb: Root) -> int:
         return len(self.hom_basis(ra, rb))
 
@@ -555,24 +530,6 @@ class ModuleCategory:
             out[lo:hi] = acc
         return out
 
-    def pmap_from_coords(self, psum: SumRep, n: Rep, coords: np.ndarray):
-        """The morphism psum.rep -> n with the given generator images."""
-        sl = self.coord_slices(psum, n)
-        f = vmap_zero(psum.rep, n)
-        for i, x in enumerate(psum.verts):
-            gen = coords[sl[i][0]:sl[i][1]]
-            for v in self.psupp[x]:
-                col = (self.path_matrix(n, x, v) @ gen) % self.p
-                f[v][:, psum.offsets[i][v]] = col
-        return f
-
-    def coords_from_pmap(self, psum: SumRep, n: Rep, f) -> np.ndarray:
-        sl = self.coord_slices(psum, n)
-        out = np.zeros(sl[-1][1] if sl else 0, dtype=np.int64)
-        for i, x in enumerate(psum.verts):
-            out[sl[i][0]:sl[i][1]] = f[x][:, psum.offsets[i][x]]
-        return out
-
     def ext_data(self, ra: Root, rb: Root):
         """(Q, S, dim) for Ext^1(A, B): Q projects cocycles onto classes,
         S sections class coordinates back to cocycles."""
@@ -596,11 +553,3 @@ class ModuleCategory:
             raise RuntimeError("Ext dimension mismatch for %r, %r" % (ra, rb))
         self._ext_cache[key] = data
         return data
-
-    def ext_basis_coords(self, ra: Root, rb: Root) -> List[np.ndarray]:
-        _, s_, dim = self.ext_data(ra, rb)
-        return [s_[:, k].copy() for k in range(dim)]
-
-    def ext_class(self, ra: Root, rb: Root, cocycle: np.ndarray) -> np.ndarray:
-        q_, _, _ = self.ext_data(ra, rb)
-        return (q_ @ cocycle) % self.p

@@ -518,22 +518,62 @@ def test_morphism_free_commands_never_knit(monkeypatch, capsys, argv):
     assert capsys.readouterr().out == want
 
 
-def test_complements_solves_only_the_hom_systems_it_reads(monkeypatch, capsys):
-    from dcluster import cli
-    from dcluster.verify import load_context
+QUERY_COMMANDS = [["complements"], ["mutate"], ["tilting", "enumerate"], ["complex"],
+                  ["mutation-graph"]]
 
-    made = []
 
-    def recording(*args, **kwargs):
-        made.append(load_context(*args, **kwargs))
-        return made[-1]
+@pytest.mark.parametrize("argv", QUERY_COMMANDS, ids=" ".join)
+def test_query_commands_knit_no_modules_and_only_complements_knits_the_mesh(
+        monkeypatch, capsys, argv):
+    """The commands of the cli-queries and complex-census benchmarks never knit
+    a module.  Only complements composes morphisms, for its triangles, so only
+    it knits the mesh category: once per vertex of Q.  The triangles' rank
+    problems read their sizes from the dimension table."""
+    from dcluster import orbit
+    from dcluster.reps import ModuleCategory
 
-    monkeypatch.setattr(cli, "load_context", recording)
-    argv = ["complements"] + _facet_args("D", 5, 2) + ["--diagram", "D", "--rank", "5",
-                                                       "--d", "2"]
+    if argv[0] in ("complements", "mutate"):
+        argv = argv + _facet_args("D", 5, 2)
+    argv = argv + ["--diagram", "D", "--rank", "5", "--d", "2"]
     assert run(argv) == 0
-    assert "triangle:" in capsys.readouterr().out
-    cat = made[0].oc.cat
-    # it knits, for its triangles, but solves fewer than the 20 x 20 root pairs
-    assert "_knitted" in vars(cat)
-    assert 0 < len(cat._hom_cache) < 400
+    want = capsys.readouterr().out
+
+    def no_knit(self):
+        raise RuntimeError("knitting was not needed here")
+
+    knits = []
+    knit = orbit.knit_hom_from
+    monkeypatch.setattr(ModuleCategory, "_knit", no_knit)
+    monkeypatch.setattr(orbit, "knit_hom_from", lambda cat, i: knits.append(i) or knit(cat, i))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+    assert knits == (list(range(5)) if argv[0] == "complements" else [])
+
+
+@pytest.mark.parametrize("argv,first", [
+    # the reported pipeline: check lines are printed and flushed one by one
+    (["verify", "--all", "--diagram", "A", "--rank", "4", "--d", "2"],
+     [b"euler-identity", b"fundamental-domain-size"]),
+    # 125 kB of facets, more than a pipe holds, so a write must fail however
+    # slowly the reader closes
+    (["tilting", "enumerate", "--diagram", "D", "--rank", "5", "--d", "2"],
+     [b"root#0[0]", b"root#0[0]"]),
+], ids=["verify", "tilting"])
+def test_closed_stdout_exits_141_without_a_traceback(argv, first):
+    import os
+    import subprocess
+    import sys
+
+    import dcluster
+
+    src = os.path.dirname(os.path.dirname(dcluster.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "dcluster"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # like `| head -2`: read two lines, then close the pipe while output remains
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert [line.split()[0] for line in lines] == first
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

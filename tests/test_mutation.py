@@ -23,6 +23,8 @@ from dcluster.quiver import dynkin_edges, parse_quiver
 from dcluster.reps import ModuleCategory
 from dcluster.tilting import (TiltingContext, complete_to_tilting,
                               enumerate_tilting, is_rigid, is_tilting)
+from dcluster.verify import run_checks
+from module_oracle import ModuleOrbitCategory, composite_tensor
 
 _cache = {}
 
@@ -465,29 +467,31 @@ def test_hom_basis_must_match_the_dimension_table():
         mut._composite_tensor(c, P1, P1, S1)
 
 
-def test_composite_outside_the_hom_span_raises(monkeypatch):
-    c = _oriented_ctx("A", 3, 2, None)
-    oc = c.oc
-    compose = oc.compose
+TENSOR_CHECKS = ["delta-composites", "middle-rigid", "exchange-team-fan",
+                 "middle-terms-disjoint"]
 
-    def broken_compose(g, f):
-        # double the first nonzero vertex block of each module map with two
-        # or more, so that it no longer commutes with the arrows
-        h = compose(g, f)
-        for l, piece in h.pieces.items():
-            if piece is None or piece[0] != "H":
-                continue
-            nonzero = [v for v, blk in enumerate(piece[1]) if blk.any()]
-            if len(nonzero) >= 2:
-                vmap = list(piece[1])
-                vmap[nonzero[0]] = 2 * vmap[nonzero[0]] % oc.cat.p
-                h.pieces[l] = ("H", vmap)
-        return h
 
-    monkeypatch.setattr(oc, "compose", broken_compose)
-    with pytest.raises(RuntimeError, match="outside the span of the Hom basis"):
-        for a, fan in mut.fans(c):
-            fan_triangles(c, a, fan)
+def _flattening_ranks(t, p):
+    return [linalg.rank_mod(np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1), p)
+            for axis in range(3)]
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 4, 2), ("D", 4, 2),
+                                            ("A", 3, 3), ("D", 5, 1), ("D", 4, 3)])
+def test_tensor_ranks_match_the_module_oracle(diagram, rank, d, seed):
+    """Every tensor the fan checks build, from paths of ZQ, has the flattening
+    ranks of the same tensor composed through module presentations: the two
+    differ by a change of basis in each of the three Hom spaces."""
+    c = _oriented_ctx(diagram, rank, d, seed)
+    report, _ = run_checks(c, TENSOR_CHECKS)
+    assert report["summary"]["fail"] == 0 and c._composites
+    oracle = ModuleOrbitCategory(c.oc.cat, d)
+    p = c.oc.cat.p
+    for (a, mid, b), t in c._composites.items():
+        ref = composite_tensor(oracle, a, mid, b)
+        assert t.shape == ref.shape
+        assert _flattening_ranks(t, p) == _flattening_ranks(ref, p), (a, mid, b)
 
 
 @pytest.mark.parametrize("diagram,rank,d", [c for c in CASES if c[2] >= 2])

@@ -3,10 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from dcluster import linalg, quiver, reps
+from dcluster import cli, linalg, orbit, quiver, reps
 from dcluster.orbit import CMorphism, OrbitCategory
 from dcluster.quiver import parse_quiver
 from dcluster.reps import ModuleCategory, vmap_id
+from module_oracle import ModuleOrbitCategory, ext_basis_coords
 
 CASES = [
     ("A", 1, 1), ("A", 1, 2), ("A", 1, 3),
@@ -18,12 +19,17 @@ CASES = [
 _cache = {}
 
 
-def oc(diagram, rank, d, p=101):
-    key = (diagram, rank, d, p)
+def oc(diagram, rank, d, p=101, kind=OrbitCategory):
+    key = (diagram, rank, d, p, kind)
     if key not in _cache:
         q = parse_quiver(diagram, rank)
-        _cache[key] = OrbitCategory(ModuleCategory(q, p=p), d)
+        _cache[key] = kind(ModuleCategory(q, p=p), d)
     return _cache[key]
+
+
+def oracle(diagram, rank, d):
+    """The orbit category with the module-path morphisms of module_oracle."""
+    return oc(diagram, rank, d, kind=ModuleOrbitCategory)
 
 
 @pytest.mark.parametrize("diagram,rank,d", CASES)
@@ -161,7 +167,10 @@ def _sample_composable(c, max_chains=40):
 
 @pytest.mark.parametrize("diagram,rank,d", [("A", 2, 1), ("A", 2, 2), ("A", 3, 1), ("D", 4, 2)])
 def test_identity_laws(diagram, rank, d):
-    c = oc(diagram, rank, d)
+    _identity_laws(oc(diagram, rank, d))
+
+
+def _identity_laws(c):
     objs = c.objects()
     for x in objs:
         ident = c.identity(x)
@@ -214,7 +223,7 @@ def _piece_coords_or_zero(c, src, tgt, piece):
 
 @pytest.mark.parametrize("diagram,rank", [("A", 2), ("A", 3), ("D", 4)])
 def test_push_identity_and_hom_functorial(diagram, rank):
-    c = oc(diagram, rank, 1)
+    c = oracle(diagram, rank, 1)
     cat = c.cat
     for r in cat.roots:
         x = (r, 0)
@@ -226,7 +235,7 @@ def test_push_identity_and_hom_functorial(diagram, rank):
 
 @pytest.mark.parametrize("diagram,rank", [("A", 2), ("A", 3), ("D", 4)])
 def test_push_respects_module_composition(diagram, rank):
-    c = oc(diagram, rank, 1)
+    c = oracle(diagram, rank, 1)
     cat = c.cat
     roots = cat.roots
     for a in roots:
@@ -255,7 +264,7 @@ def test_push_respects_module_composition(diagram, rank):
 def test_push_respects_extension_pullback(diagram, rank):
     # F(u . f) = F(u) . F(f) for a module map f: X -> A and a class
     # u in Ext^1(A, B), and similarly for postcomposition with g: B -> C.
-    c = oc(diagram, rank, 1)
+    c = oracle(diagram, rank, 1)
     cat = c.cat
     roots = cat.roots
     seen = 0
@@ -264,7 +273,7 @@ def test_push_respects_extension_pullback(diagram, rank):
             if cat.ext_dim(a, b) == 0:
                 continue
             ya, yb1 = (a, 0), (b, 1)
-            for u in cat.ext_basis_coords(a, b)[:2]:
+            for u in ext_basis_coords(cat, a, b)[:2]:
                 upiece = ("E", u)
                 for x in roots:
                     if cat.hom_dim(x, a) == 0 or x == a:
@@ -302,11 +311,10 @@ def test_push_respects_extension_pullback(diagram, rank):
 
 
 # -- downward shift ------------------------------------------------------------
+# the same laws on the module-path oracle and on the mesh category
 
 
-@pytest.mark.parametrize("diagram,rank,d", [("A", 2, 1), ("A", 2, 2), ("A", 3, 1), ("A", 3, 2), ("D", 4, 1)])
-def test_shift_down_is_an_equivalence(diagram, rank, d):
-    c = oc(diagram, rank, d)
+def _shift_down_is_an_equivalence(c):
     objs = c.objects()
     for x in objs:
         for y in objs:
@@ -323,9 +331,7 @@ def test_shift_down_is_an_equivalence(diagram, rank, d):
             assert linalg.rank_mod(coords, c.cat.p) == len(basis)
 
 
-@pytest.mark.parametrize("diagram,rank,d", [("A", 2, 1), ("A", 2, 2), ("A", 3, 2), ("D", 4, 1)])
-def test_shift_down_natural(diagram, rank, d):
-    c = oc(diagram, rank, d)
+def _shift_down_natural(c):
     for x, y, z in _sample_composable(c, max_chains=25):
         f = c.hom_basis(x, y)[0]
         g = c.hom_basis(y, z)[-1]
@@ -334,12 +340,44 @@ def test_shift_down_natural(diagram, rank, d):
         assert np.array_equal(c.morph_coords(lhs), c.morph_coords(rhs))
 
 
-def test_shift_down_identity():
-    c = oc("A", 3, 2)
+def _shift_down_identity(c):
     for x in c.objects():
         s = c.shift_down(c.identity(x))
         x2 = c.normalize((x[0], x[1] - 1))[0]
         assert np.array_equal(c.morph_coords(s), c.morph_coords(c.identity(x2)))
+
+
+SHIFT_CASES = [("A", 2, 1), ("A", 2, 2), ("A", 3, 1), ("A", 3, 2), ("D", 4, 1)]
+NATURAL_CASES = [("A", 2, 1), ("A", 2, 2), ("A", 3, 2), ("D", 4, 1)]
+
+
+@pytest.mark.parametrize("diagram,rank,d", SHIFT_CASES)
+def test_shift_down_is_an_equivalence(diagram, rank, d):
+    _shift_down_is_an_equivalence(oracle(diagram, rank, d))
+
+
+@pytest.mark.parametrize("diagram,rank,d", NATURAL_CASES)
+def test_shift_down_natural(diagram, rank, d):
+    _shift_down_natural(oracle(diagram, rank, d))
+
+
+def test_shift_down_identity():
+    _shift_down_identity(oracle("A", 3, 2))
+
+
+@pytest.mark.parametrize("diagram,rank,d", SHIFT_CASES + [("D", 4, 3), ("E", 6, 2)])
+def test_mesh_shift_down_is_an_equivalence(diagram, rank, d):
+    _shift_down_is_an_equivalence(oc(diagram, rank, d))
+
+
+@pytest.mark.parametrize("diagram,rank,d", NATURAL_CASES + [("D", 4, 3), ("E", 6, 2)])
+def test_mesh_shift_down_natural(diagram, rank, d):
+    _shift_down_natural(oc(diagram, rank, d))
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 3)])
+def test_mesh_shift_down_identity(diagram, rank, d):
+    _shift_down_identity(oc(diagram, rank, d))
 
 
 # -- Ext classes in the downward convention ------------------------------------
@@ -369,7 +407,7 @@ def test_yoneda_square_of_simple_selfextension():
     assert not c.is_zero(uu)
 
 
-# -- F and the projective lift as cached linear maps ---------------------------
+# -- the oracle's F and projective lift as cached linear maps ----------------
 
 
 def _random_orientation(diagram, rank, seed):
@@ -397,7 +435,7 @@ ORACLE_QUIVERS = [(dg, rk, seed) for dg, rk in (("A", 4), ("D", 4), ("E", 6))
 @pytest.mark.parametrize("diagram,rank,seed", ORACLE_QUIVERS)
 def test_cached_maps_equal_direct_lifts(diagram, rank, seed):
     arrows = None if seed is None else _random_orientation(diagram, rank, seed)
-    c = OrbitCategory(ModuleCategory(parse_quiver(diagram, rank, arrows)), 1)
+    c = ModuleOrbitCategory(ModuleCategory(parse_quiver(diagram, rank, arrows)), 1)
     cat = c.cat
     p = cat.p
     rng = np.random.default_rng(0 if seed is None else seed)
@@ -418,7 +456,7 @@ def test_cached_maps_equal_direct_lifts(diagram, rank, seed):
                                c._push_direct(h_src, e_tgt, ("E", u)))
             # a vertexwise map that is not a morphism is refused by both caches
             bad = [rng.integers(p, size=m.shape).astype(np.int64) for m in f]
-            if cat.hom_coords(a, b, bad) is None:
+            if c.hom_coords(a, b, bad) is None:
                 rejected += 1
                 with pytest.raises(RuntimeError):
                     c.push_piece(h_src, h_tgt, ("H", bad))
@@ -459,3 +497,179 @@ def test_dimension_table_matches_wide_window(diagram, rank, d, seed):
                 assert type(got) is int
                 assert got == c.hom_dim_wide(x, (y[0], y[1] + k))
                 assert c.ext_dim(x, gy, k) == got
+
+
+# -- the mesh category of ZQ ---------------------------------------------------
+
+
+MESH_CASES = [(dg, rk, d, seed)
+              for dg, rk, d in (("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3),
+                                ("D", 5, 1), ("D", 4, 3), ("E", 6, 1))
+              for seed in (None, 5)]
+
+
+def _oriented(diagram, rank, d, seed):
+    arrows = None if seed is None else _random_orientation(diagram, rank, seed)
+    return OrbitCategory(ModuleCategory(parse_quiver(diagram, rank, arrows)), d)
+
+
+def _phi_relabels_like_F(c):
+    """phi(vertex(x)) = vertex(F x), in and out of the fundamental domain."""
+    for x in c.objects():
+        for y in (x, c.obj_F(x), c.obj_F_inv(x), (x[0], x[1] - 1)):
+            assert c.phi(c.vertex(y)) == c.vertex(c.obj_F(y)), y
+
+
+def _knitted_dims_match_the_table(c):
+    """dim Hom(x, y) + dim Hom(x, phi y) of a fresh knit is the table's dim
+    Hom_C(X, Y) for every pair, and Hom(x, phi^2 y), the slot-2 target, is 0."""
+    homs = [orbit.knit_hom_from(c.cat, i) for i in range(c.cat.q.rank)]
+    dims = c.dims()
+    objs = c.objects()
+    for a, x in enumerate(objs):
+        m, i = c.vertex(x)
+        for b, y in enumerate(objs):
+            ends = [c.vertex(y)]
+            for _ in range(2):
+                ends.append(c.phi(ends[-1]))
+            got = [homs[i].dims.get((v[0] - m, v[1]), 0) for v in ends]
+            assert got[0] + got[1] == dims[a, b, 0] and got[2] == 0, (x, y)
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", MESH_CASES)
+def test_phi_relabels_like_F(diagram, rank, d, seed):
+    _phi_relabels_like_F(_oriented(diagram, rank, d, seed))
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", MESH_CASES)
+def test_knitted_dims_match_the_table(diagram, rank, d, seed):
+    c = _oriented(diagram, rank, d, seed)
+    _knitted_dims_match_the_table(c)
+    # the knit is a morphism-layer cost: objects and dimensions never build it
+    assert "_mesh" not in vars(c) and "_knitted" not in vars(c.cat)
+
+
+def test_mesh_is_knitted_once_per_vertex_on_the_first_morphism_call(monkeypatch):
+    knits = []
+    knit = orbit.knit_hom_from
+    monkeypatch.setattr(orbit, "knit_hom_from", lambda cat, i: knits.append(i) or knit(cat, i))
+    c = _oriented("D", 4, 2, None)
+    x, y = c.objects()[0], c.objects()[5]
+    c.dims()
+    assert knits == []
+    c.compose(c.identity(x), c.identity(x))
+    c.hom_basis(x, y)
+    assert knits == [0, 1, 2, 3]
+
+
+def test_basis_paths_are_single_paths_of_arrows():
+    c = _oriented("D", 4, 2, None)
+    arrows = {((0, t), (0, s)) for s, t in c.cat.q.arrows} | \
+        {((0, s), (1, t)) for s, t in c.cat.q.arrows}
+    for x in c.objects():
+        for y in c.objects():
+            xv, yv = c.vertex(x), c.vertex(y)
+            for v, size in zip((yv, c.phi(yv)), c.slot_dims(x, y)):
+                paths = c.basis_paths(xv, v)
+                assert len(paths) == size == len(set(paths))
+                for path in paths:
+                    assert path[0] == xv and path[-1] == v
+                    for (m1, i1), (m2, i2) in zip(path, path[1:]):
+                        assert ((0, i1), (m2 - m1, i2)) in arrows
+                    # a basis path has its unit vector as coordinates
+                    coords = c.path_map(xv, path)
+                    assert coords.shape[1] == 1
+                    k = paths.index(path)
+                    assert np.array_equal(coords[:, 0], np.eye(size, dtype=np.int64)[k])
+
+
+def test_nonzero_slot_two_composite_raises():
+    # f: F(Y) -> Y and g: Y -> F^-1(Y), each the identity path of F(y) or y in
+    # slot 1; F(g1) f1 is then the identity of F(y), a nonzero slot-2 term,
+    # which the fundamental domain never produces
+    c = _oriented("A", 3, 2, None)
+    y = c.objects()[0]
+    one = np.ones(1, dtype=np.int64)
+    f = CMorphism(c.obj_F(y), y, {1: one})
+    g = CMorphism(y, c.obj_F_inv(y), {1: one})
+    with pytest.raises(RuntimeError, match="nonzero slot-2 piece in orbit composition"):
+        c.compose(g, f)
+
+
+# mutants of the mesh category; each must fail the named test's assertions
+
+
+def _wrong_phi(monkeypatch):
+    """phi followed by one more tau^{-1}."""
+    relabel = OrbitCategory._relabellings.func
+
+    def wrong(self):
+        root_vertex, shift, unshift, phi = relabel(self)
+        tau_minus = tuple((1, i) for i in range(len(shift)))
+        return root_vertex, shift, unshift, orbit._then(phi, tau_minus)
+
+    monkeypatch.setattr(OrbitCategory, "_relabellings", property(wrong))
+
+
+def _drop_a_mesh_relation(monkeypatch):
+    """The first nonempty mesh relation of each knit loses its first column."""
+    mesh_map = orbit._mesh_map
+    dropped = set()
+
+    def drop(hom, tau_z, preds):
+        rel = mesh_map(hom, tau_z, preds)
+        if rel.shape[1] and id(hom) not in dropped:
+            dropped.add(id(hom))
+            return rel[:, 1:]
+        return rel
+
+    monkeypatch.setattr(orbit, "_mesh_map", drop)
+
+
+def _swap_a_path_basis(monkeypatch):
+    """In each knit, the first Hom of dimension >= 2 swaps its first two paths."""
+    knit = orbit.knit_hom_from
+
+    def swapped(cat, i):
+        hom = knit(cat, i)
+        steps = next((s for s in hom.steps.values() if len(s) >= 2), None)
+        if steps is not None:
+            steps[0], steps[1] = steps[1], steps[0]
+        return hom
+
+    monkeypatch.setattr(orbit, "knit_hom_from", swapped)
+
+
+def test_wrong_phi_fails_test_phi_relabels_like_F(monkeypatch):
+    _wrong_phi(monkeypatch)
+    c = _oriented("D", 4, 2, None)
+    with pytest.raises(AssertionError):
+        _phi_relabels_like_F(c)
+    # and the runtime check on the first morphism call refuses it
+    with pytest.raises(RuntimeError, match="but the dimension table gives"):
+        c.hom_basis(c.objects()[0], c.objects()[0])
+
+
+def test_dropped_mesh_relation_fails_test_knitted_dims_match_the_table(monkeypatch):
+    _drop_a_mesh_relation(monkeypatch)
+    c = _oriented("D", 4, 2, None)
+    with pytest.raises(AssertionError):
+        _knitted_dims_match_the_table(c)
+
+
+def test_swapped_path_basis_fails_test_identity_laws(monkeypatch):
+    _swap_a_path_basis(monkeypatch)
+    c = _oriented("D", 4, 2, None)
+    with pytest.raises(AssertionError):
+        _identity_laws(c)
+
+
+def test_mesh_disagreeing_with_the_table_exits_3(monkeypatch, capsys):
+    # the dimension table is right and the mesh is wrong: the first morphism
+    # call compares the two and the command exits 3 with one line
+    _drop_a_mesh_relation(monkeypatch)
+    argv = ["verify", "--check", "middle-rigid", "--diagram", "A", "--rank", "3", "--d", "2"]
+    assert cli.run(argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"internal error \(A3 d=2 p=101\): Hom\(.*\) has \d+ basis "
+                        r"morphisms, but the dimension table gives \d+\n", err)

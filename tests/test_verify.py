@@ -273,3 +273,21 @@ def test_window_reduction_compares_the_table_with_linear_algebra(monkeypatch, si
     assert entry["status"] == "fail"
     y = (b, 0) if side == "hom" else (b, 1)
     assert entry["counterexample"] == {"x": oc.obj_name((a, 0)), "y": oc.obj_name(y)}
+
+
+def test_only_the_linear_algebra_checks_knit_modules(monkeypatch):
+    """Morphisms are paths of the mesh category, so the modules are knitted
+    only by the two checks that compare linear algebra with the Euler form."""
+    from dcluster.reps import ModuleCategory
+
+    def no_knit(self):
+        raise RuntimeError("knitting was not needed here")
+
+    monkeypatch.setattr(ModuleCategory, "_knit", no_knit)
+    c = load_context("D", 4, 3)
+    knitting = ["euler-identity", "window-hom-reduction"]
+    report, _ = run_checks(c, [cid for cid in CHECK_IDS if cid not in knitting])
+    assert report["summary"] == {"pass": 22, "fail": 0, "n/a": 0}
+    for cid in knitting:
+        with pytest.raises(RuntimeError, match="knitting was not needed here"):
+            run_checks(c, [cid])
