@@ -16,12 +16,19 @@ of X_{i+1}), and the two routes must agree.  The factorization property of
 the approximation is checked by one rank comparison per summand over cached
 structure constants: each composition Hom(a, m) x Hom(m, b) -> Hom(a, b) is
 computed once, as a tensor in the coordinates of the orbit category's Hom
-bases (paths of the mesh category of ZQ), which also give the tensor's
-shape.  Each of these small rank problems depends only on (a, b) and on the
-summands t with Hom(a, t) and Hom(t, b) nonzero (the others contribute no
-columns), so it is solved once per context and reused by every add set and
-fan that poses it again.  Its size, dim Hom(a, b), is read from the
-dimension table, so a problem without such summands composes nothing.
+bases (paths of the mesh category of ZQ), by carrying identity blocks along
+the basis paths of Hom(m, b) (OrbitCategory.compose_tensor).  Each of these
+small rank problems depends only on (a, b) and on the summands t with
+Hom(a, t) and Hom(t, b) nonzero (the others contribute no columns), so it is
+solved once per context and reused by every add set and fan that poses it
+again.  Its size, dim Hom(a, b), is read from the dimension table, so a
+problem without such summands composes nothing.
+
+The triangles are computed on object indices and bitmasks.  A whole minimal
+approximation of X, its generators and its factorization verdict, depends
+only on the side, on X and on the mask of the summands with nonzero Hom to
+(or from) X, so it is computed once per context for that key and shared by
+every almost complete set and fan member that poses it.
 
 The same tensors give the composites of connecting classes.  The shift is
 an autoequivalence, so the shifted class delta_j[k] of the one-dimensional
@@ -29,8 +36,9 @@ Ext^1(X_j, X_{j+1}) is a nonzero multiple of the basis vector of
 Hom(X_j[k], X_{j+1}[k+1]).  The composite of the basis vectors along
 X_i -> X_{i+1}[1] -> ... -> X_{i+k}[k] is thus a nonzero scalar times the
 shifted Yoneda product of delta_i, ..., delta_{i+k-1}, and is zero exactly
-when that product is.  Composition, through these tensors, is the module's
-only morphism operation.
+when that product is.  The shifted members are read from a per-context
+table of shift-by-one indices.  Composition, through these tensors, is the
+module's only morphism operation.
 
 The module also packages the fan-level laws this data obeys: the cyclic
 Ext-dimension pattern with its nonvanishing composites of connecting
@@ -41,24 +49,33 @@ and the mutation graph on facets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .orbit import Obj
 from .tilting import TiltingContext, _bits, _compatible_with, _popcount, \
-    enumerate_tilting, facet_masks, is_rigid, is_tilting
+    enumerate_tilting, facet_masks, is_tilting
 
 
 def _almost_mask(ctx: TiltingContext, almost: Sequence[Obj]) -> int:
     """Bitmask of the normalized objects; a repeated summand is rejected."""
-    mask = 0
-    for i in ctx.indices(almost):
-        if (mask >> i) & 1:
-            raise ValueError("summand %r is repeated" % (ctx.objects[i],))
-        mask |= 1 << i
+    mask, dup = _summand_bits(ctx, almost)
+    if dup:
+        first = (dup & -dup).bit_length() - 1
+        raise ValueError("summand %r is repeated" % (ctx.objects[first],))
     return mask
+
+
+def _summand_bits(ctx: TiltingContext, addset: Sequence[Obj]) -> Tuple[int, int]:
+    """(mask, dup): the bits of the normalized summands, and the bits of
+    those that occur more than once."""
+    mask = dup = 0
+    for i in ctx.indices(addset):
+        dup |= mask & (1 << i)
+        mask |= 1 << i
+    return mask, dup
 
 
 def _complement_mask(ctx: TiltingContext, mask: int) -> int:
@@ -148,9 +165,12 @@ def rotate_to(cycle: Sequence[Obj], start: Obj) -> Tuple[Obj, ...]:
 
 def cyclic_form(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[Obj, ...]:
     """Least rotation; identifies cycles that differ only in starting point."""
-    cycle = tuple(cycle)
-    rots = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-    return min(rots, key=lambda t: tuple(ctx.index[x] for x in t))
+    objects = ctx.objects
+    return tuple(objects[i] for i in _least_rotation(tuple(ctx.indices(cycle))))
+
+
+def _least_rotation(idx: Tuple[int, ...]) -> Tuple[int, ...]:
+    return min(idx[i:] + idx[:i] for i in range(len(idx)))
 
 
 def fan_degrees(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[int, ...]:
@@ -199,62 +219,94 @@ def fans(ctx: TiltingContext) -> List[Tuple[Tuple[Obj, ...], Tuple[Obj, ...]]]:
 def _composite_tensor(ctx: TiltingContext, a: Obj, mid: Obj, b: Obj) -> np.ndarray:
     """Structure constants t[k, i, j] of composition through `mid` (cached):
     the coefficient of the k-th vector of hom_basis(a, b) in g_j o f_i, for
-    f_i in hom_basis(a, mid) and g_j in hom_basis(mid, b).  Composition is
-    bilinear, so any composite through `mid` is read off t."""
+    f_i in hom_basis(a, mid) and g_j in hom_basis(mid, b), read from path
+    maps by OrbitCategory.compose_tensor.  Composition is bilinear, so any
+    composite through `mid` is read off t."""
     cache = ctx._composites
     key = (a, mid, b)
-    if key not in cache:
-        oc = ctx.oc
-        fs, gs = oc.hom_basis(a, mid), oc.hom_basis(mid, b)
-        h = len(oc.hom_basis(a, b))
-        coef = linalg.zeros(h, 0)
-        if fs and gs:
-            coef = np.stack([oc.morph_coords(oc.compose(g, f)) for f in fs for g in gs], axis=1)
-        cache[key] = coef.reshape(h, len(fs), len(gs))
-    return cache[key]
+    t = cache.get(key)
+    if t is None:
+        t = cache[key] = ctx.oc.compose_tensor(a, mid, b)
+    return t
 
 
-def _check_end_fields(ctx: TiltingContext, addset: Sequence[Obj]) -> None:
-    for t in addset:
-        if ctx.oc.hom_dim(t, t) != 1:
-            raise RuntimeError("endomorphism ring of %r is not one-dimensional" % (t,))
+def _check_end_fields(ctx: TiltingContext, mask: int) -> None:
+    """Every End(T_j), j in `mask`, must be one-dimensional, so that the
+    radical of a Hom from or to T_j is the span of the composites through
+    the other summands."""
+    if ctx._end_defects is None:
+        ends = np.diagonal(ctx.oc.dims()[:, :, 0])
+        ctx._end_defects = sum(1 << int(j) for j in np.flatnonzero(ends != 1))
+    bad = mask & ctx._end_defects
+    if bad:
+        raise RuntimeError("endomorphism ring of %r is not one-dimensional"
+                           % (ctx.objects[(bad & -bad).bit_length() - 1],))
 
 
-def _ordered(right: bool, s, t):
-    """(s, t) on the right-approximation side, (t, s) on its mirror image."""
-    return (s, t) if right else (t, s)
+class Approximation(NamedTuple):
+    """A minimal approximation of X_ix from add(T), over the summands T_j in
+    the bitmask supp, those with nonzero Hom to (right) or from X_ix.
+
+    gens[k] holds the generators of that Hom mod the radical, as indices into
+    its Hom basis, for the k-th bit j of supp; mults holds the (j, number of
+    generators) that are nonzero, and covers whether every map between those
+    summands and X_ix factors through the generators."""
+    supp: int
+    gens: Tuple[Tuple[int, ...], ...]
+    mults: Tuple[Tuple[int, int], ...]
+    covers: bool
+
+    def by_summand(self):
+        """(j, generators at T_j) for each bit j of supp."""
+        return zip(_bits(self.supp), self.gens)
 
 
-def _approximation(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
-                   right: bool) -> Dict[Obj, List[int]]:
-    """Generators of Hom(T_j, x) (right) or Hom(x, T_j) (left) mod the radical,
-    as indices into the Hom basis, for each T_j with that Hom nonzero.
+def _approximation(ctx: TiltingContext, right: bool, ix: int, supp: int,
+                   dup: int = 0) -> Approximation:
+    """The minimal right (left) approximation of X_ix from add(T), with its
+    factorization verdict (memoized).
 
-    With (a, b) = (T_j, x) or (x, T_j), the radical is spanned by the
+    `supp` is the bitmask of the summands T_j with Hom(T_j, X_ix) (left:
+    Hom(X_ix, T_j)) nonzero; the other summands contribute neither a
+    generator nor a composite, so the result depends only on (right, ix,
+    supp) and on the bits `dup` (within supp) of repeated summands.
+    """
+    key = (right, ix, supp, dup)
+    memo = ctx._approximations
+    got = memo.get(key)
+    if got is None:
+        gens = _generators(ctx, right, ix, supp, dup)
+        mults = tuple((j, len(g)) for j, g in zip(_bits(supp), gens) if g)
+        # few distinct generator and multiplicity lists occur: each is kept once
+        shared = ctx._shared_tuples
+        got = memo[key] = Approximation(supp, shared.setdefault(gens, gens),
+                                        shared.setdefault(mults, mults),
+                                        _covered(ctx, right, ix, supp, gens))
+    return got
+
+
+def _generators(ctx: TiltingContext, right: bool, ix: int, supp: int,
+                dup: int) -> Tuple[Tuple[int, ...], ...]:
+    """For each bit j of `supp` in turn, the generators of Hom(T_j, X_ix)
+    (left: Hom(X_ix, T_j)) mod the radical, as indices into the Hom basis.
+
+    With (a, b) = (T_j, X_ix) or (X_ix, T_j), the radical is spanned by the
     composites through the other summands, and only the summands t with
     Hom(a, t) and Hom(t, b) nonzero contribute any; the generators are
-    solved once per (a, b, those summands) and context.
+    solved once per (a, b, those summands) and context.  A repeated summand
+    keeps its own bit: its copy spans Hom(a, b).
     """
-    index = ctx.index
     out, into = ctx.hom_masks()
-    ix = index[ctx.canonical(x)]
-    pos = [index[ctx.canonical(t)] for t in addset]
-    # a repeated summand keeps its own bit: its copy spans Hom(a, b)
-    mask = dup = 0
-    for i in pos:
-        dup |= mask & (1 << i)
-        mask |= 1 << i
     memo = ctx._radical_tops
-    tops = {}
-    for i in pos:
-        a, b = _ordered(right, i, ix)
-        if not (out[a] >> b) & 1:
-            continue
-        key = (a, b, out[a] & into[b] & (mask & ~(1 << i) | dup))
-        if key not in memo:
-            memo[key] = _radical_tops(ctx, *key)
-        tops[ctx.objects[i]] = list(memo[key])
-    return tops
+    gens = []
+    for j in _bits(supp):
+        a, b = (j, ix) if right else (ix, j)
+        key = (a, b, out[a] & into[b] & (supp & ~(1 << j) | dup))
+        tops = memo.get(key)
+        if tops is None:
+            tops = memo[key] = _radical_tops(ctx, *key)
+        gens.append(tops)
+    return tuple(gens)
 
 
 def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, ...]:
@@ -271,47 +323,28 @@ def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, .
     return tuple(c - r for c in piv if c >= r)
 
 
-def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
-                        target: Obj) -> Dict[Obj, List[int]]:
-    """Radical-complement generators of Hom(T_j, target) for each summand T_j.
+def _covered(ctx: TiltingContext, right: bool, ix: int, supp: int,
+             gens: Tuple[Tuple[int, ...], ...]) -> bool:
+    """Does every map between the summands in `supp` and X_ix factor through
+    the generators `gens` (one tuple per bit of supp, as _generators gives)?
 
-    The number of generators at T_j is the multiplicity of T_j in the
-    minimal right approximation of `target` from the additive hull of
-    `addset`.  Every End(T_j) must be one-dimensional (the callers in this
-    module check it once per add set), so that the radical is exactly the
-    span of composites through the other summands.
-    """
-    return _approximation(ctx, addset, target, right=True)
-
-
-def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
-                       source: Obj) -> Dict[Obj, List[int]]:
-    """Dual of right_approximation: generators of Hom(source, T_j) mod radical."""
-    return _approximation(ctx, addset, source, right=False)
-
-
-def _factors_through(ctx, addset, x, tops, right: bool) -> bool:
-    """Does every map between add set and x factor through the generators?
-
-    Right side: Hom(T_l, x) must be spanned by the composites f o v of the
+    Right side: Hom(T_l, X_ix) must be spanned by the composites f o v of the
     generators f at T_j with v in Hom(T_l, T_j); the left side is the mirror
     image.  One rank comparison per T_l over the cached structure constants,
-    memoized by (side, T_l, x, generators at the T_j whose tensor has columns).
+    memoized by (side, T_l, X_ix, generators at the T_j whose tensor has
+    columns).
     """
-    index = ctx.index
     out, into = ctx.hom_masks()
-    ix = index[x]
-    gens_at = [(index[tj], tuple(gens)) for tj, gens in tops.items() if gens]
+    gens_at = [(j, g) for j, g in zip(_bits(supp), gens) if g]
     memo = ctx._covers
-    for tl in addset:
-        a, b = _ordered(right, index[tl], ix)
-        if not (out[a] >> b) & 1:
-            continue
+    for l in _bits(supp):
+        a, b = (l, ix) if right else (ix, l)
         rel = out[a] & into[b]
         key = (right, a, b, tuple(tg for tg in gens_at if (rel >> tg[0]) & 1))
-        if key not in memo:
-            memo[key] = _covers(ctx, *key)
-        if not memo[key]:
+        covers = memo.get(key)
+        if covers is None:
+            covers = memo[key] = _covers(ctx, *key)
+        if not covers:
             return False
     return True
 
@@ -327,16 +360,50 @@ def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
     return linalg.rank_mod(span, ctx.oc.cat.p) == h
 
 
+def _approximation_of(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
+                      right: bool) -> Approximation:
+    """_approximation of the object x from the summands `addset`."""
+    mask, dup = _summand_bits(ctx, addset)
+    ix = ctx.index[ctx.canonical(x)]
+    out, into = ctx.hom_masks()
+    supp = mask & (into[ix] if right else out[ix])
+    return _approximation(ctx, right, ix, supp, dup & supp)
+
+
+def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
+                        target: Obj) -> Dict[Obj, List[int]]:
+    """Radical-complement generators of Hom(T_j, target) for each summand T_j
+    with that Hom nonzero.
+
+    The number of generators at T_j is the multiplicity of T_j in the
+    minimal right approximation of `target` from the additive hull of
+    `addset`.  Every End(T_j) must be one-dimensional (the callers in this
+    module check it once per add set), so that the radical is exactly the
+    span of composites through the other summands.
+    """
+    objs = ctx.objects
+    return {objs[j]: list(g) for j, g in
+            _approximation_of(ctx, addset, target, True).by_summand()}
+
+
+def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
+                       source: Obj) -> Dict[Obj, List[int]]:
+    """Dual of right_approximation: generators of Hom(source, T_j) mod radical."""
+    objs = ctx.objects
+    return {objs[j]: list(g) for j, g in
+            _approximation_of(ctx, addset, source, False).by_summand()}
+
+
 def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
                         target: Obj) -> Dict[Obj, int]:
     """Multiplicities of the minimal right approximation, factorization-checked."""
-    addset = tuple(map(ctx.canonical, addset))
-    _check_end_fields(ctx, addset)
-    tops = right_approximation(ctx, addset, target)
-    if not _factors_through(ctx, addset, ctx.canonical(target), tops, right=True):
+    _check_end_fields(ctx, _summand_bits(ctx, addset)[0])
+    appr = _approximation_of(ctx, addset, target, True)
+    if not appr.covers:
         raise RuntimeError("approximation candidates do not cover Hom(add set, %r)"
                            % (target,))
-    return {tj: len(fs) for tj, fs in tops.items()}
+    objs = ctx.objects
+    return {objs[j]: len(g) for j, g in appr.by_summand()}
 
 
 def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
@@ -349,26 +416,38 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
     are checked.  An empty middle term is legal: the connecting class is
     then an isomorphism X_i = X_{i+1}[1].
     """
-    almost = tuple(map(ctx.canonical, almost))
-    cycle = tuple(map(ctx.canonical, cycle))
-    _check_end_fields(ctx, almost)
-    out = []
+    mask, dup = _summand_bits(ctx, almost)
+    return _triangles(ctx, mask, ctx.indices(cycle), dup)
+
+
+def _triangles(ctx: TiltingContext, mask: int, cycle: Sequence[int],
+               dup: int = 0) -> List[Dict[str, object]]:
+    """fan_triangles of the summands `mask` (repeated ones in `dup`) along
+    the cycle of object indices `cycle`."""
+    _check_end_fields(ctx, mask)
+    out, into = ctx.hom_masks()
+    objs = ctx.objects
+    tris = []
     m = len(cycle)
-    for i in range(m):
-        xi, xnext = cycle[i], cycle[(i + 1) % m]
-        rtops = right_approximation(ctx, almost, xi)
-        ltops = left_approximation(ctx, almost, xnext)
-        rm = {t: len(fs) for t, fs in rtops.items() if fs}
-        lm = {t: len(gs) for t, gs in ltops.items() if gs}
+    for k, i in enumerate(cycle):
+        nxt = cycle[(k + 1) % m]
+        rsupp, lsupp = mask & into[i], mask & out[nxt]
+        _, _, rm, rcov = _approximation(ctx, True, i, rsupp, dup & rsupp)
+        _, _, lm, lcov = _approximation(ctx, False, nxt, lsupp, dup & lsupp)
         if rm != lm:
             raise RuntimeError("middle term of triangle at %r disagrees between "
-                               "right (%r) and left (%r) approximations" % (xi, rm, lm))
-        if not _factors_through(ctx, almost, xi, rtops, right=True):
-            raise RuntimeError("right approximation of %r does not cover all maps" % (xi,))
-        if not _factors_through(ctx, almost, xnext, ltops, right=False):
-            raise RuntimeError("left approximation of %r does not cover all maps" % (xnext,))
-        out.append({"target": xi, "source": xnext, "mults": rm})
-    return out
+                               "right (%r) and left (%r) approximations"
+                               % (objs[i], {objs[j]: n for j, n in rm},
+                                  {objs[j]: n for j, n in lm}))
+        if not rcov:
+            raise RuntimeError("right approximation of %r does not cover all maps"
+                               % (objs[i],))
+        if not lcov:
+            raise RuntimeError("left approximation of %r does not cover all maps"
+                               % (objs[nxt],))
+        tris.append({"target": objs[i], "source": objs[nxt],
+                     "mults": {objs[j]: n for j, n in rm}})
+    return tris
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +458,10 @@ def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, o
     """fan_triangles over the cached fan of `almost`, itself cached."""
     mask = _almost_mask(ctx, almost)
     cache = ctx._triangles
-    if mask not in cache:
-        cache[mask] = fan_triangles(ctx, almost, fan_of(ctx, almost))
-    return cache[mask]
+    tris = cache.get(mask)
+    if tris is None:
+        tris = cache[mask] = _triangles(ctx, mask, _fan(ctx, mask))
+    return tris
 
 
 def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
@@ -393,29 +473,47 @@ def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
     Every starting point is tested, so the answer does not depend on
     rotation and is cached per cyclic_form.
     """
-    cycle = tuple(map(ctx.canonical, cycle))
-    key = cyclic_form(ctx, cycle)
-    if key not in ctx._delta_chains:
-        ctx._delta_chains[key] = _chains_nonzero(ctx, cycle)
-    return ctx._delta_chains[key]
+    idx = tuple(ctx.indices(cycle))
+    objects = ctx.objects
+    key = tuple(objects[i] for i in _least_rotation(idx))
+    memo = ctx._delta_chains
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = _chains_nonzero(ctx, idx)
+    return got
 
 
-def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[Obj, ...]) -> bool:
+def _shifts(ctx: TiltingContext) -> List[int]:
+    """The index of X_i[1], normalized, for each object index i (cached)."""
+    if ctx._shifts is None:
+        oc, index = ctx.oc, ctx.index
+        ctx._shifts = [index[oc.normalize((root, s + 1))[0]] for root, s in ctx.objects]
+    return ctx._shifts
+
+
+def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[int, ...]) -> bool:
     """From each start X_i, the composites Y_0 -> ... -> Y_k of the basis
-    vectors of Hom(Y_j, Y_{j+1}), Y_j = X_{i+j}[j], one tensor step each."""
-    oc = ctx.oc
+    vectors of Hom(Y_j, Y_{j+1}), Y_j = X_{i+j}[j], one tensor step each.
+    `cycle` holds object indices; the shifts are read from _shifts."""
+    objs = ctx.objects
+    dims = ctx.oc.dims()
     m = len(cycle)
     for i in range(m):
         x, y = cycle[i], cycle[(i + 1) % m]
-        if oc.ext_dim(x, y, 1) != 1:
-            raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (x, y))
+        if dims[x, y, 1] != 1:
+            raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (objs[x], objs[y]))
+    shift = _shifts(ctx)
+    # shifted[k][j] is the index of X_j[k]
+    shifted = [cycle]
+    for _ in range(m):
+        shifted.append([shift[j] for j in shifted[-1]])
+    p = ctx.oc.cat.p
     for i in range(m):
-        ys = [oc.normalize((x[0], x[1] + k))[0]
-              for k, x in enumerate(cycle[i:] + cycle[:i + 1])]
+        ys = [objs[shifted[k][(i + k) % m]] for k in range(m + 1)]
         chain = np.ones(1, dtype=np.int64)
         for k in range(1, m):
             t = _composite_tensor(ctx, ys[0], ys[k], ys[k + 1])
-            chain = t[:, :, 0] @ chain % oc.cat.p
+            chain = t[:, :, 0] @ chain % p
             if not chain.any():
                 return False
     return True
@@ -432,13 +530,17 @@ def ext_pattern_ok(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
     forces those to vanish.
     """
     d = ctx.oc.d
+    dims = ctx.oc.dims()
     idx = ctx.indices(cycle)
     m = len(idx)
-    sub = ctx.oc.dims()[np.ix_(idx, idx)]
-    pos = np.arange(m)
-    # want[i, j, k-1] = 1 exactly when j = i + k (mod m)
-    want = (pos[:, None, None] + np.arange(1, d + 1) - pos[None, :, None]) % m == 0
-    return bool((np.diag(sub[:, :, 0]) == 1).all() and (sub[:, :, 1:d + 1] == want).all())
+    for i, a in enumerate(idx):
+        if dims[a, a, 0] != 1:
+            return False
+        for j, b in enumerate(idx):
+            for k in range(1, d + 1):
+                if dims[a, b, k] != ((i + k - j) % m == 0):
+                    return False
+    return True
 
 
 def is_exchange_team(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
@@ -529,10 +631,16 @@ def middle_supports_disjoint(triangles: List[Dict[str, object]]) -> bool:
 def middle_union_rigid(ctx: TiltingContext, cycle: Sequence[Obj],
                        triangles: List[Dict[str, object]]) -> bool:
     """Is the union of all middle-term summands rigid with each complement?"""
-    support = sorted({t for tri in triangles
-                      for t, mm in tri["mults"].items() if mm > 0},
-                     key=lambda t: ctx.index[t])
-    return all(is_rigid(ctx, support + [x]) for x in cycle)
+    index = ctx.index
+    support = 0
+    for tri in triangles:
+        for t, mm in tri["mults"].items():
+            if mm > 0:
+                support |= 1 << index[t]
+    comp = _compatible_with(ctx, support)
+    # the objects that extend the support, if it is rigid, to a rigid set
+    ext = comp & ~support if support & ~comp == 0 else 0
+    return all((ext >> i) & 1 for i in ctx.indices(cycle))
 
 
 def hom_one_directional(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:

@@ -32,7 +32,8 @@ arrow maps of Hom(x, -) are blocks of the cokernel projection.  A morphism
 of C_d is kept as its coordinates in these path bases, slot 0 then slot 1.
 g . f is f carried along the paths of g through the arrow maps of Hom(x, -),
 with g's slot-0 paths relabelled by phi (push_piece) for the term through
-F(Y); the slot-2 term must vanish.
+F(Y); the slot-2 term must vanish.  compose_tensor is its batched form over
+two Hom bases: the same path maps, applied to identity blocks.
 
 Shifts of morphisms are implemented downward only (src/tgt both [-1]), so
 re-canonicalization only ever applies F forward.  Ext^k classes are kept in
@@ -410,6 +411,37 @@ class OrbitCategory:
         if r2 is not None and r2.any():
             raise RuntimeError("nonzero slot-2 piece in orbit composition")
         return CMorphism(x, z, pieces)
+
+    def compose_tensor(self, x: Obj, y: Obj, z: Obj) -> np.ndarray:
+        """compose over the bases: t[k, i, j] is the k-th coordinate of g_j . f_i
+        for f_i in hom_basis(x, y) and g_j in hom_basis(y, z).
+
+        The f_i are unit vectors, so the slab t[:, :, j] holds compose's path
+        maps along g_j's basis path, applied to identity blocks: for g_j in
+        slot 0 (path p), path_map(p) takes f's slot 0 to slot 0 and
+        path_map(phi p) takes f's slot 1 to slot 1; for g_j in slot 1 (path
+        q), path_map(q) takes f's slot 0 to slot 1, and path_map(phi q), the
+        slot-2 term, must vanish on f's slot 1."""
+        xv, yv, zv = self.vertex(x), self.vertex(y), self.vertex(z)
+        f0, f1 = self.slot_dims(x, y)
+        g0, g1 = self.slot_dims(y, z)
+        h0, h1 = self.slot_dims(x, z)
+        t = np.zeros((h0 + h1, f0 + f1, g0 + g1), dtype=np.int64)
+        if not (f0 + f1 and g0 + g1):
+            return t
+        for j, path in enumerate(self.basis_paths(yv, zv)):
+            t[:h0, :f0, j] = self.path_map(xv, path)
+            if f1 and h1:
+                (_, path), = self.push_piece(y, z, ((1, path),))
+                t[h0:, f0:, j] = self.path_map(xv, path)
+        fz = self.obj_F(z)
+        for j, path in enumerate(self.basis_paths(yv, self.phi(zv)), g0):
+            t[h0:, :f0, j] = self.path_map(xv, path)
+            if f1:
+                (_, path), = self.push_piece(y, fz, ((1, path),))
+                if self.path_map(xv, path).any():
+                    raise RuntimeError("nonzero slot-2 piece in orbit composition")
+        return t
 
     def shift_down(self, f: CMorphism) -> CMorphism:
         """The morphism f[-1]: normalize(X[-1]) -> normalize(Y[-1]): each path

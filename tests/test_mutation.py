@@ -347,6 +347,17 @@ def _factors_through(c, addset, x, tops, right):
     return True
 
 
+def _supp(c, addset, x, right):
+    """(index of x, bitmask of the summands with nonzero Hom to or from x)."""
+    out, into = c.hom_masks()
+    ix = c.index[x]
+    return ix, c.mask_of(addset) & (into[ix] if right else out[ix])
+
+
+def _tops(c, appr):
+    return {c.objects[j]: list(g) for j, g in appr.by_summand()}
+
+
 @pytest.mark.parametrize("seed", [None, 5])
 @pytest.mark.parametrize("diagram,rank,d", CASES)
 def test_tensor_path_matches_composition_path(diagram, rank, d, seed):
@@ -354,19 +365,21 @@ def test_tensor_path_matches_composition_path(diagram, rank, d, seed):
     for a in almost_completes(c):
         for x in fan_of(c, a):
             for right in (True, False):
-                tops = mut._approximation(c, a, x, right)
+                ix, supp = _supp(c, a, x, right)
+                appr = mut._approximation(c, right, ix, supp)
+                tops = _tops(c, appr)
                 ref = _approximation_by_composition(c, a, x, right)
                 assert tops.keys() == ref.keys()
                 for tj, fs in ref.items():
                     basis = c.oc.hom_basis(*((tj, x) if right else (x, tj)))
                     assert tops[tj] == [basis.index(f) for f in fs]
-                assert mut._factors_through(c, a, x, tops, right) is \
-                    _factors_through(c, a, x, ref, right) is True
+                assert appr.covers is _factors_through(c, a, x, ref, right) is True
                 # without one generator, both paths must see the gap
                 for tj in [t for t in ref if ref[t]][:1]:
-                    short = {**tops, tj: tops[tj][1:]}
+                    short = tuple(g[1:] if c.objects[j] == tj else g
+                                  for j, g in appr.by_summand())
                     ref_short = {**ref, tj: ref[tj][1:]}
-                    assert mut._factors_through(c, a, x, short, right) is \
+                    assert mut._covered(c, right, ix, supp, short) is \
                         _factors_through(c, a, x, ref_short, right) is False
 
 
@@ -383,13 +396,13 @@ def test_generator_choice_matches_on_two_dimensional_homs(diagram, rank, d):
                                 (False, c.objects[j], c.objects[i])):
                 if s == t:
                     continue
-                tops = mut._approximation(c, (t, s), x, right)
+                appr = mut._approximation(c, right, *_supp(c, (t, s), x, right))
+                tops = _tops(c, appr)
                 ref = _approximation_by_composition(c, (t, s), x, right)
                 basis = c.oc.hom_basis(*((t, x) if right else (x, t)))
                 assert tops[t] == [basis.index(f) for f in ref[t]]
                 chosen += 0 < len(tops[t]) < 2
-                assert mut._factors_through(c, (t, s), x, tops, right) is \
-                    _factors_through(c, (t, s), x, ref, right)
+                assert appr.covers is _factors_through(c, (t, s), x, ref, right)
     assert chosen > 0
 
 
@@ -401,9 +414,12 @@ def test_cover_verdict_depends_on_the_generators():
     for right, t, x in ((True, c.objects[i], c.objects[j]),
                         (False, c.objects[j], c.objects[i])):
         basis = c.oc.hom_basis(*((t, x) if right else (x, t)))
+        ix, supp = _supp(c, (t,), x, right)
+        assert supp == 1 << c.index[t]
         for gens, want in (([0, 1], True), ([0], False), ([1], False), ([1, 0], True)):
-            assert mut._factors_through(c, (t,), x, {t: gens}, right) is \
-                _factors_through(c, (t,), x, {t: [basis[g] for g in gens]}, right) is want
+            got = mut._covered(c, right, ix, supp, (tuple(gens),))
+            assert got is _factors_through(c, (t,), x, {t: [basis[g] for g in gens]},
+                                           right) is want
 
 
 def test_end_fields_checked_once_per_fan(monkeypatch):
@@ -414,8 +430,24 @@ def test_end_fields_checked_once_per_fan(monkeypatch):
                         lambda *args: calls.append(1) or check(*args))
     almosts = almost_completes(c)
     for a in almosts:
-        fan_triangles(c, a, fan_of(c, a))
+        triangles_of(c, a)
     assert len(calls) == len(almosts)
+    for a in almosts:
+        triangles_of(c, a)
+        fan_triangles(c, a, fan_of(c, a))
+    assert len(calls) == 2 * len(almosts)
+
+
+def test_end_field_defect_raises():
+    c = _oriented_ctx("A", 3, 2, None)
+    a = almost_completes(c)[0]
+    t = a[-1]
+    c.oc.dims()[c.index[t], c.index[t], 0] = 2
+    want = re.escape("endomorphism ring of %r is not one-dimensional" % (t,))
+    with pytest.raises(RuntimeError, match=want):
+        triangles_of(c, a)
+    with pytest.raises(RuntimeError, match=want):
+        approximation_mults(c, a, fan_of(c, a)[0])
 
 
 def test_zeroed_structure_constant_breaks_a_triangle():
@@ -436,6 +468,34 @@ def test_zeroed_structure_constant_breaks_a_triangle():
         fan_triangles(fresh, a, fan_of(fresh, a))
 
 
+def test_each_triangle_error_names_its_check(monkeypatch):
+    c = _oriented_ctx("A", 3, 2, None)
+    a, tri = next((a, t) for a in almost_completes(c) for t in triangles_of(c, a)
+                  if t["mults"])
+    x, y, tj = tri["target"], tri["source"], next(iter(tri["mults"]))
+    k = right_approximation(c, a, x)[tj][0]
+    g = left_approximation(c, a, y)[tj][0]
+    for key, entry, call, want in (
+            ((tj, tj, x), (k, 0, k), triangles_of,
+             "right approximation of %r does not cover all maps" % (x,)),
+            ((tj, tj, x), (k, 0, k), lambda c, a: approximation_mults(c, a, x),
+             "approximation candidates do not cover Hom(add set, %r)" % (x,)),
+            ((y, tj, tj), (g, g, 0), triangles_of,
+             "left approximation of %r does not cover all maps" % (y,))):
+        # the generator composed with the identity of T_j loses its coordinate
+        fresh = _oriented_ctx("A", 3, 2, None)
+        mut._composite_tensor(fresh, *key)[entry] = 0
+        with pytest.raises(RuntimeError, match=re.escape(want)):
+            call(fresh, a)
+    # a left side without generators: the two routes disagree
+    generators = mut._generators
+    monkeypatch.setattr(mut, "_generators", lambda c, right, *rest: tuple(
+        g if right else () for g in generators(c, right, *rest)))
+    with pytest.raises(RuntimeError, match=r"middle term of triangle at .* disagrees "
+                       r"between right \(\{.+\}\) and left \(\{\}\) approximations"):
+        triangles_of(_oriented_ctx("A", 3, 2, None), a)
+
+
 @pytest.mark.parametrize("diagram,rank,d", [("A", 4, 2), ("D", 4, 2)])
 def test_each_radical_problem_is_reduced_once(diagram, rank, d, monkeypatch):
     c = _oriented_ctx(diagram, rank, d, None)
@@ -449,9 +509,124 @@ def test_each_radical_problem_is_reduced_once(diagram, rank, d, monkeypatch):
     for a in almosts:
         fan_triangles(c, a, fan_of(c, a))
     assert len(calls) == len(c._radical_tops)
-    posed = sum(len(mut._approximation(c, a, x, right)) for a in almosts
+    posed = sum(len(mut._approximation_of(c, a, x, right).gens) for a in almosts
                 for x in fan_of(c, a) for right in (True, False))
     assert len(calls) == len(c._radical_tops) < posed
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 4, 2), ("D", 5, 2)])
+def test_one_approximation_per_side_object_and_support(diagram, rank, d, monkeypatch):
+    c = _oriented_ctx(diagram, rank, d, None)
+    calls = []
+    generators = mut._generators
+    monkeypatch.setattr(mut, "_generators",
+                        lambda *args: calls.append(args[1:4]) or generators(*args))
+    out, into = c.hom_masks()
+    posed = []
+    for a in almost_completes(c):
+        mask = c.mask_of(a)
+        fan = fan_of(c, a)
+        for x, y in zip(fan, fan[1:] + fan[:1]):
+            i, j = c.index[x], c.index[y]
+            posed += [(True, i, mask & into[i]), (False, j, mask & out[j])]
+        triangles_of(c, a)
+    assert sorted(calls) == sorted(set(posed))
+    assert set(c._approximations) == {key + (0,) for key in posed}
+    assert len(c._approximations) < len(posed)
+
+
+# the object-level approximations that _approximation replaced, kept as the
+# oracle for the triangles: one generator problem per summand of the add set
+# and one cover problem per summand, each keyed from objects
+
+
+def _ordered(right, s, t):
+    return (s, t) if right else (t, s)
+
+
+def _object_approximation(c, addset, x, right):
+    index = c.index
+    out, into = c.hom_masks()
+    ix = index[c.canonical(x)]
+    pos = [index[c.canonical(t)] for t in addset]
+    # a repeated summand keeps its own bit: its copy spans Hom(a, b)
+    mask = dup = 0
+    for i in pos:
+        dup |= mask & (1 << i)
+        mask |= 1 << i
+    memo = c._radical_tops
+    tops = {}
+    for i in pos:
+        a, b = _ordered(right, i, ix)
+        if not (out[a] >> b) & 1:
+            continue
+        key = (a, b, out[a] & into[b] & (mask & ~(1 << i) | dup))
+        if key not in memo:
+            memo[key] = mut._radical_tops(c, *key)
+        tops[c.objects[i]] = list(memo[key])
+    return tops
+
+
+def _object_factors_through(c, addset, x, tops, right):
+    index = c.index
+    out, into = c.hom_masks()
+    ix = index[x]
+    gens_at = [(index[tj], tuple(gens)) for tj, gens in tops.items() if gens]
+    memo = c._covers
+    for tl in addset:
+        a, b = _ordered(right, index[tl], ix)
+        if not (out[a] >> b) & 1:
+            continue
+        rel = out[a] & into[b]
+        key = (right, a, b, tuple(tg for tg in gens_at if (rel >> tg[0]) & 1))
+        if key not in memo:
+            memo[key] = mut._covers(c, *key)
+        if not memo[key]:
+            return False
+    return True
+
+
+def _object_fan_triangles(c, almost, cycle):
+    almost = tuple(map(c.canonical, almost))
+    cycle = tuple(map(c.canonical, cycle))
+    for t in almost:
+        if c.oc.hom_dim(t, t) != 1:
+            raise RuntimeError("endomorphism ring of %r is not one-dimensional" % (t,))
+    out = []
+    m = len(cycle)
+    for i in range(m):
+        xi, xnext = cycle[i], cycle[(i + 1) % m]
+        rtops = _object_approximation(c, almost, xi, True)
+        ltops = _object_approximation(c, almost, xnext, False)
+        rm = {t: len(fs) for t, fs in rtops.items() if fs}
+        lm = {t: len(gs) for t, gs in ltops.items() if gs}
+        if rm != lm:
+            raise RuntimeError("middle term of triangle at %r disagrees" % (xi,))
+        if not _object_factors_through(c, almost, xi, rtops, True):
+            raise RuntimeError("right approximation of %r does not cover all maps" % (xi,))
+        if not _object_factors_through(c, almost, xnext, ltops, False):
+            raise RuntimeError("left approximation of %r does not cover all maps" % (xnext,))
+        out.append({"target": xi, "source": xnext, "mults": rm})
+    return out
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank,d", [("D", 5, 2), ("E", 6, 1)])
+def test_triangles_match_the_object_level_oracle(diagram, rank, d, seed):
+    c = _oriented_ctx(diagram, rank, d, seed)
+    # the oracle fills memos of its own context, not those it is compared with
+    oracle = _oriented_ctx(diagram, rank, d, seed)
+    for a in almost_completes(c):
+        tris = triangles_of(c, a)
+        assert tris == _object_fan_triangles(oracle, a, fan_of(oracle, a))
+        # the middle terms are listed in index order, whatever the add set's
+        assert [list(tri["mults"]) for tri in tris] == \
+            [sorted(tri["mults"], key=c.index.get) for tri in tris]
+    # fan_triangles on a reversed add set and from another fan member
+    for a in almost_completes(c)[::7]:
+        fan = fan_of(c, a)
+        rot = fan[1:] + fan[:1]
+        assert fan_triangles(c, a[::-1], rot) == _object_fan_triangles(oracle, a, rot)
 
 
 def test_hom_basis_must_match_the_dimension_table():
@@ -492,6 +667,58 @@ def test_tensor_ranks_match_the_module_oracle(diagram, rank, d, seed):
         ref = composite_tensor(oracle, a, mid, b)
         assert t.shape == ref.shape
         assert _flattening_ranks(t, p) == _flattening_ranks(ref, p), (a, mid, b)
+
+
+GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
+
+
+def _tensors_differing_from_compose(c):
+    """The keys of the cached tensors that differ, in some entry, from the
+    tensor stacked from one OrbitCategory.compose per pair of basis morphisms."""
+    return [key for key, t in c._composites.items()
+            if not np.array_equal(t, composite_tensor(c.oc, *key))]
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank,d", GRID + [("E", 6, 1), ("D", 4, 3)])
+def test_tensors_equal_per_pair_composition(diagram, rank, d, seed):
+    """compose_tensor is compose batched over two Hom bases: every tensor the
+    fan checks build equals the per-pair composites entry by entry."""
+    c = _oriented_ctx(diagram, rank, d, seed)
+    report, _ = run_checks(c, TENSOR_CHECKS)
+    assert report["summary"]["fail"] == 0 and c._composites
+    assert _tensors_differing_from_compose(c) == []
+
+
+def test_slot_one_block_without_phi_relabelling_fails(monkeypatch):
+    """Mutant: the F(g0) . f1 block is read along the basis path of
+    Hom(phi y, phi z) at g_j's position instead of along g_j's path
+    relabelled by phi.  On D5 d=1 it flips the sign of some entries, which
+    leaves every flattening rank as it was."""
+    keys = list(_checked_context("D", 5, 1)._composites)
+    c = _oriented_ctx("D", 5, 1, None)
+
+    def unrelabelled(self, src, tgt, piece):
+        (coef, path), = piece
+        u, v = path[0], path[-1]
+        k = self.basis_paths(u, v).index(path)
+        return ((coef, self.basis_paths(self.phi(u), self.phi(v))[k]),)
+
+    monkeypatch.setattr(OrbitCategory, "push_piece", unrelabelled)
+    for key in keys:
+        mut._composite_tensor(c, *key)
+    monkeypatch.undo()
+    bad = _tensors_differing_from_compose(c)
+    assert bad
+    p = c.oc.cat.p
+    assert all(_flattening_ranks(c._composites[key], p) ==
+               _flattening_ranks(composite_tensor(c.oc, *key), p) for key in bad)
+
+
+def _checked_context(diagram, rank, d):
+    c = _oriented_ctx(diagram, rank, d, None)
+    run_checks(c, TENSOR_CHECKS)
+    return c
 
 
 @pytest.mark.parametrize("diagram,rank,d", [c for c in CASES if c[2] >= 2])
@@ -631,6 +858,72 @@ def test_chain_step_needs_one_dimensional_ext1():
     for chains in (delta_chains_nonzero, _chains_by_yoneda):
         with pytest.raises(RuntimeError, match=want):
             chains(c, (x0, x2, x1))
+
+
+def _samples(c, seed, count, size):
+    """`count` tuples of `size` objects drawn with repeats, some given as
+    their image under F, outside the fundamental domain."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        objs = [c.objects[i] for i in rng.integers(len(c.objects), size=size)]
+        out.append(tuple(c.oc.obj_F(x) if rng.integers(2) else x for x in objs))
+    return out
+
+
+def test_cyclic_form_is_the_least_rotation_by_index():
+    c = ctx("D", 4, 2)
+    for cycle in _samples(c, 0, 200, 3) + [fan for _, fan in mut.fans(c)]:
+        canon = tuple(map(c.canonical, cycle))
+        rots = [canon[i:] + canon[:i] for i in range(len(canon))]
+        assert cyclic_form(c, cycle) == min(rots, key=lambda t: tuple(c.index[x] for x in t))
+
+
+def test_middle_union_rigid_matches_is_rigid():
+    c = ctx("A", 3, 2)
+    cases = [(fan, triangles_of(c, a)) for a, fan in mut.fans(c)]
+    # supports that are not rigid or contain a cycle member, and empty cycles
+    for k, support in enumerate(_samples(c, 1, 300, 2) + [()]):
+        tris = [{"mults": {c.canonical(t): 1 for t in support}}, {"mults": {}}]
+        cases.append((_samples(c, 100 + k, 1, 3)[0][:k % 4], tris))
+    seen = set()
+    for cycle, tris in cases:
+        support = sorted({t for tri in tris for t, m in tri["mults"].items() if m > 0},
+                         key=c.index.get)
+        want = all(is_rigid(c, support + [x]) for x in cycle)
+        assert middle_union_rigid(c, cycle, tris) is want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def _ext_pattern_by_arrays(c, cycle):
+    d = c.oc.d
+    idx = c.indices(cycle)
+    m = len(idx)
+    sub = c.oc.dims()[np.ix_(idx, idx)]
+    pos = np.arange(m)
+    want = (pos[:, None, None] + np.arange(1, d + 1) - pos[None, :, None]) % m == 0
+    return bool((np.diag(sub[:, :, 0]) == 1).all() and (sub[:, :, 1:d + 1] == want).all())
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 3), ("D", 4, 1)])
+def test_ext_pattern_ok_matches_the_array_predicate(diagram, rank, d):
+    c = ctx(diagram, rank, d)
+    cycles = [fan for _, fan in mut.fans(c)] + _pattern_paths(c)
+    for size in range(1, d + 3):
+        cycles += _samples(c, size, 100, size)
+    seen = set()
+    for cycle in cycles:
+        want = _ext_pattern_by_arrays(c, cycle)
+        assert ext_pattern_ok(c, cycle) is want, cycle
+        seen.add(want)
+    assert seen == {True, False}
+    # an endomorphism ring of dimension 2 breaks the pattern of a fan
+    fresh = _oriented_ctx(diagram, rank, d, None)
+    fan = fan_of(fresh, almost_completes(fresh)[0])
+    assert ext_pattern_ok(fresh, fan)
+    fresh.oc.dims()[fresh.index[fan[-1]], fresh.index[fan[-1]], 0] = 2
+    assert ext_pattern_ok(fresh, fan) is _ext_pattern_by_arrays(fresh, fan) is False
 
 
 @pytest.mark.parametrize("diagram,rank,d", CASES)

@@ -596,6 +596,14 @@ def test_nonzero_slot_two_composite_raises():
         c.compose(g, f)
 
 
+def test_nonzero_slot_two_tensor_raises():
+    # the same pair as a tensor over the bases of Hom(F(Y), Y) and Hom(Y, F^-1(Y))
+    c = _oriented("A", 3, 2, None)
+    y = c.objects()[0]
+    with pytest.raises(RuntimeError, match="nonzero slot-2 piece in orbit composition"):
+        c.compose_tensor(c.obj_F(y), y, c.obj_F_inv(y))
+
+
 # mutants of the mesh category; each must fail the named test's assertions
 
 
