@@ -186,9 +186,8 @@ def test_fan_checks_share_one_fan_walk(monkeypatch):
     fan_of = mut.fan_of
     monkeypatch.setattr(mut, "fan_of", lambda *args: calls.append(1) or fan_of(*args))
     c = load_context("A", 3, 3)
-    # middle-rigid reaches fan_of once more per face, through triangles_of
-    report, _ = run_checks(c, [cid for cid in FAN_WALKERS if cid != "middle-rigid"])
-    assert report["summary"] == {"pass": 7, "fail": 0, "n/a": 0}
+    report, _ = run_checks(c, FAN_WALKERS)
+    assert report["summary"] == {"pass": 8, "fail": 0, "n/a": 0}
     faces = len(mut.almost_completes(c))
     assert len(calls) == faces
     assert mut.fans(c) is mut.fans(c)
