@@ -290,3 +290,85 @@ def test_only_the_linear_algebra_checks_knit_modules(monkeypatch):
     for cid in knitting:
         with pytest.raises(RuntimeError, match="knitting was not needed here"):
             run_checks(c, [cid])
+
+
+def _on_call(at, fn, failed):
+    """fn, except that its at-th call returns failed(its result)."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(1)
+        got = fn(*args)
+        return failed(got) if len(calls) == at else got
+    return wrapper
+
+
+_A3D3_NAMES = {
+    "almost": ["root#0[0]", "root#5[0]"],
+    "fan": ["root#2[0]", "root#3[0]", "root#2[2]", "root#2[1]"],
+}
+
+# check id -> (module, attribute, at-th call, what that call returns instead,
+# the failing entry on A3 d=3, where no check is gated)
+FAILURE_PINS = {
+    "complement-count": (
+        "mutation", "fans", 1,
+        lambda fans: fans[:2] + [(fans[2][0], fans[2][1][:-1])] + fans[3:],
+        3, {"almost": _A3D3_NAMES["almost"], "complements": 3}),
+    "complement-degrees": (
+        "mutation", "degree_bounds_instances", 3, lambda got: (got[0], 1),
+        4, {"almost": _A3D3_NAMES["almost"], "degrees": [0, 0, 2, 1]}),
+    "fan-ext-pattern": (
+        "mutation", "ext_pattern_ok", 3, lambda got: False,
+        3, {"fan": _A3D3_NAMES["fan"]}),
+    "delta-composites": (
+        "mutation", "delta_chains_nonzero", 3, lambda got: False,
+        3, {"fan": _A3D3_NAMES["fan"]}),
+    "middle-rigid": (
+        "mutation", "middle_union_rigid", 3, lambda got: False,
+        3, {"almost": _A3D3_NAMES["almost"]}),
+    # the teams lose the 1st and 3rd and gain a rotation of the 6th; the
+    # difference lists teams minus fans, then fans minus teams, each sorted
+    # by object tuples (the 1st and 3rd are in the other order by index)
+    "exchange-team-fan": (
+        "mutation", "exchange_teams_exhaustive", 1,
+        lambda teams: [teams[1]] + teams[3:] + [teams[5][1:] + teams[5][:1]],
+        35910, {"difference": [
+            ["root#1[2]", "root#0[2]", "root#0[1]", "root#0[0]"],
+            ["root#0[0]", "root#1[2]", "root#1[1]", "root#0[1]"],
+            ["root#0[0]", "root#1[2]", "root#1[1]", "root#1[0]"]]}),
+    "degree-profile": (
+        "mutation", "degree_profile_instances", 3, lambda got: (got[0], 1),
+        3, {"almost": _A3D3_NAMES["almost"], "degrees": [0, 0, 2, 1]}),
+    "successor-hom-vanishing": (
+        "mutation", "successor_hom_vanishing", 3, lambda got: False,
+        3, {"almost": _A3D3_NAMES["almost"]}),
+    "middle-terms-disjoint": (
+        "mutation", "middle_supports_disjoint", 3, lambda got: False,
+        3, {"almost": _A3D3_NAMES["almost"]}),
+    "rigid-extends-to-tilting": (
+        "verify", "complete_to_tilting", 3, lambda got: got[1:],
+        3, {"size": 2, "start": ["root#2[0]"]}),
+    # the 3rd almost complete start, after the 21 singletons
+    "rigid-extends-to-tilting@almost": (
+        "verify", "complete_to_tilting", 24, lambda got: got[1:],
+        24, {"size": 2, "start": _A3D3_NAMES["almost"]}),
+    "summand-hom-onedirectional": (
+        "mutation", "hom_one_directional", 3, lambda got: False,
+        3, {"facet": ["root#0[0]", "root#2[0]", "root#3[2]"]}),
+}
+
+
+@pytest.mark.parametrize("pin", sorted(FAILURE_PINS))
+def test_failing_check_reports_the_exact_entry(monkeypatch, pin):
+    """Each fan-level check, made to fail at one instance, reports exactly
+    the status, instance count and counterexample of that instance."""
+    import importlib
+
+    cid = pin.split("@")[0]
+    modname, attr, at, failed, instances, counterexample = FAILURE_PINS[pin]
+    module = importlib.import_module("dcluster." + modname)
+    monkeypatch.setattr(module, attr, _on_call(at, getattr(module, attr), failed))
+    got = run_checks(load_context("A", 3, 3), [cid])[0]["checks"][0]
+    assert {k: got.get(k) for k in ("status", "instances", "counterexample")} == {
+        "status": "fail", "instances": instances, "counterexample": counterexample}
