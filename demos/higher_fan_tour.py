@@ -58,9 +58,11 @@ def main():
             print("  Ext^*(%s, %s) = %s%s" % (
                 oc.obj_name(x), oc.obj_name(y), dims,
                 "   <- the one live slot" if any(dims) else ""))
-    print("  pattern holds: %s" % mut.ext_pattern_ok(ctx, fan))
+    # the fan-level predicates read object indices
+    idx = ctx.indices(fan)
+    print("  pattern holds: %s" % mut.ext_pattern_ok(ctx, idx))
     print("  composite connecting classes nonzero: %s"
-          % mut.delta_chains_nonzero(ctx, fan))
+          % mut.delta_chains_nonzero(ctx, idx))
 
     print("\n== mutation returns after d+1 = %d steps ==" % (d + 1))
     cur, dropped = facet, drop

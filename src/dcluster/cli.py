@@ -372,14 +372,18 @@ def _run_checks(ctx: TiltingContext, only: Optional[List[str]]) -> dict:
 
 
 def cmd_fans(args) -> int:
+    if args.out:
+        raise UsageError("fans writes no --out file; its check report goes to "
+                         "--json with --verify-all")
+    if args.json_out and not args.verify_all:
+        raise UsageError("--json needs --verify-all")
     ctx = _context(args)
-    oc = ctx.oc
-    almosts = mut.almost_completes(ctx)
-    print("%d almost complete sets" % len(almosts))
+    oc, objs = ctx.oc, ctx.objects
+    print("%d almost complete sets" % len(mut.almost_completes(ctx)))
     if args.list:
-        for a, fan in mut.fans(ctx):
-            print("{%s}: %s" % (", ".join(oc.obj_name(x) for x in a),
-                                " -> ".join(oc.obj_name(x) for x in fan)))
+        for mask, fan in mut.fans(ctx):
+            print("{%s}: %s" % (", ".join(oc.obj_name(x) for x in ctx.objs_of(mask)),
+                                " -> ".join(oc.obj_name(objs[i]) for i in fan)))
     rc = 0
     if args.verify_all:
         report = _run_checks(ctx, FAN_CHECKS)

@@ -60,22 +60,14 @@ from .tilting import TiltingContext, _bits, _compatible_with, _popcount, \
 
 
 def _almost_mask(ctx: TiltingContext, almost: Sequence[Obj]) -> int:
-    """Bitmask of the normalized objects; a repeated summand is rejected."""
-    mask, dup = _summand_bits(ctx, almost)
-    if dup:
-        first = (dup & -dup).bit_length() - 1
-        raise ValueError("summand %r is repeated" % (ctx.objects[first],))
-    return mask
-
-
-def _summand_bits(ctx: TiltingContext, addset: Sequence[Obj]) -> Tuple[int, int]:
-    """(mask, dup): the bits of the normalized summands, and the bits of
-    those that occur more than once."""
-    mask = dup = 0
-    for i in ctx.indices(addset):
-        dup |= mask & (1 << i)
+    """Bitmask of the normalized objects; a repeated summand is rejected,
+    since add(T + T) = add(T) has no approximation that counts both copies."""
+    mask = 0
+    for i in ctx.indices(almost):
+        if (mask >> i) & 1:
+            raise ValueError("summand %r is repeated" % (ctx.objects[i],))
         mask |= 1 << i
-    return mask, dup
+    return mask
 
 
 def _complement_mask(ctx: TiltingContext, mask: int) -> int:
@@ -163,18 +155,18 @@ def rotate_to(cycle: Sequence[Obj], start: Obj) -> Tuple[Obj, ...]:
     return cycle[i:] + cycle[:i]
 
 
-def cyclic_form(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[Obj, ...]:
-    """Least rotation; identifies cycles that differ only in starting point."""
+def cyclic_form(cycle: Sequence[int]) -> Tuple[int, ...]:
+    """Least rotation of a cycle of object indices; identifies cycles that
+    differ only in starting point."""
+    cycle = tuple(cycle)
+    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
+def fan_degrees(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, ...]:
+    """The degrees of the objects with indices `cycle`: a canonical object's
+    degree is its shift."""
     objects = ctx.objects
-    return tuple(objects[i] for i in _least_rotation(tuple(ctx.indices(cycle))))
-
-
-def _least_rotation(idx: Tuple[int, ...]) -> Tuple[int, ...]:
-    return min(idx[i:] + idx[:i] for i in range(len(idx)))
-
-
-def fan_degrees(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[int, ...]:
-    return tuple(ctx.oc.degree(x) for x in cycle)
+    return tuple(objects[i][1] for i in cycle)
 
 
 def group_by_face(masks: Sequence[int]) -> Dict[int, List[int]]:
@@ -196,19 +188,19 @@ def codim1_faces(ctx: TiltingContext) -> Dict[int, List[int]]:
     return ctx._faces
 
 
-def almost_completes(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
-    """Every facet minus one summand, deduplicated, in canonical order."""
+def almost_completes(ctx: TiltingContext) -> List[int]:
+    """The mask of every facet minus one summand, deduplicated, sorted by
+    their tuples of object indices (cached)."""
     if ctx._almost is None:
-        objects = ctx.objects
-        keys = sorted(tuple(_bits(mask)) for mask in codim1_faces(ctx))
-        ctx._almost = [tuple(objects[i] for i in key) for key in keys]
+        ctx._almost = sorted(codim1_faces(ctx), key=lambda mask: tuple(_bits(mask)))
     return ctx._almost
 
 
-def fans(ctx: TiltingContext) -> List[Tuple[Tuple[Obj, ...], Tuple[Obj, ...]]]:
-    """The (almost complete set, fan) pairs, in almost_completes order (cached)."""
+def fans(ctx: TiltingContext) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The (almost complete mask, fan as object indices) pairs, in
+    almost_completes order (cached)."""
     if ctx._fan_pairs is None:
-        ctx._fan_pairs = [(a, fan_of(ctx, a)) for a in almost_completes(ctx)]
+        ctx._fan_pairs = [(mask, _fan(ctx, mask)) for mask in almost_completes(ctx)]
     return ctx._fan_pairs
 
 
@@ -261,21 +253,20 @@ class Approximation(NamedTuple):
         return zip(_bits(self.supp), self.gens)
 
 
-def _approximation(ctx: TiltingContext, right: bool, ix: int, supp: int,
-                   dup: int = 0) -> Approximation:
+def _approximation(ctx: TiltingContext, right: bool, ix: int, supp: int) -> Approximation:
     """The minimal right (left) approximation of X_ix from add(T), with its
     factorization verdict (memoized).
 
     `supp` is the bitmask of the summands T_j with Hom(T_j, X_ix) (left:
     Hom(X_ix, T_j)) nonzero; the other summands contribute neither a
     generator nor a composite, so the result depends only on (right, ix,
-    supp) and on the bits `dup` (within supp) of repeated summands.
+    supp).
     """
-    key = (right, ix, supp, dup)
+    key = (right, ix, supp)
     memo = ctx._approximations
     got = memo.get(key)
     if got is None:
-        gens = _generators(ctx, right, ix, supp, dup)
+        gens = _generators(ctx, right, ix, supp)
         mults = tuple((j, len(g)) for j, g in zip(_bits(supp), gens) if g)
         # few distinct generator and multiplicity lists occur: each is kept once
         shared = ctx._shared_tuples
@@ -285,23 +276,22 @@ def _approximation(ctx: TiltingContext, right: bool, ix: int, supp: int,
     return got
 
 
-def _generators(ctx: TiltingContext, right: bool, ix: int, supp: int,
-                dup: int) -> Tuple[Tuple[int, ...], ...]:
+def _generators(ctx: TiltingContext, right: bool, ix: int,
+                supp: int) -> Tuple[Tuple[int, ...], ...]:
     """For each bit j of `supp` in turn, the generators of Hom(T_j, X_ix)
     (left: Hom(X_ix, T_j)) mod the radical, as indices into the Hom basis.
 
     With (a, b) = (T_j, X_ix) or (X_ix, T_j), the radical is spanned by the
     composites through the other summands, and only the summands t with
     Hom(a, t) and Hom(t, b) nonzero contribute any; the generators are
-    solved once per (a, b, those summands) and context.  A repeated summand
-    keeps its own bit: its copy spans Hom(a, b).
+    solved once per (a, b, those summands) and context.
     """
     out, into = ctx.hom_masks()
     memo = ctx._radical_tops
     gens = []
     for j in _bits(supp):
         a, b = (j, ix) if right else (ix, j)
-        key = (a, b, out[a] & into[b] & (supp & ~(1 << j) | dup))
+        key = (a, b, out[a] & into[b] & supp & ~(1 << j))
         tops = memo.get(key)
         if tops is None:
             tops = memo[key] = _radical_tops(ctx, *key)
@@ -360,14 +350,12 @@ def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
     return linalg.rank_mod(span, ctx.oc.cat.p) == h
 
 
-def _approximation_of(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
+def _approximation_of(ctx: TiltingContext, mask: int, x: Obj,
                       right: bool) -> Approximation:
-    """_approximation of the object x from the summands `addset`."""
-    mask, dup = _summand_bits(ctx, addset)
+    """_approximation of the object x from the summands in `mask`."""
     ix = ctx.index[ctx.canonical(x)]
     out, into = ctx.hom_masks()
-    supp = mask & (into[ix] if right else out[ix])
-    return _approximation(ctx, right, ix, supp, dup & supp)
+    return _approximation(ctx, right, ix, mask & (into[ix] if right else out[ix]))
 
 
 def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
@@ -377,13 +365,14 @@ def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
 
     The number of generators at T_j is the multiplicity of T_j in the
     minimal right approximation of `target` from the additive hull of
-    `addset`.  Every End(T_j) must be one-dimensional (the callers in this
-    module check it once per add set), so that the radical is exactly the
-    span of composites through the other summands.
+    `addset`, whose summands must be distinct.  Every End(T_j) must be
+    one-dimensional (the callers in this module check it once per add set),
+    so that the radical is exactly the span of composites through the other
+    summands.
     """
     objs = ctx.objects
     return {objs[j]: list(g) for j, g in
-            _approximation_of(ctx, addset, target, True).by_summand()}
+            _approximation_of(ctx, _almost_mask(ctx, addset), target, True).by_summand()}
 
 
 def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
@@ -391,14 +380,15 @@ def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
     """Dual of right_approximation: generators of Hom(source, T_j) mod radical."""
     objs = ctx.objects
     return {objs[j]: list(g) for j, g in
-            _approximation_of(ctx, addset, source, False).by_summand()}
+            _approximation_of(ctx, _almost_mask(ctx, addset), source, False).by_summand()}
 
 
 def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
                         target: Obj) -> Dict[Obj, int]:
     """Multiplicities of the minimal right approximation, factorization-checked."""
-    _check_end_fields(ctx, _summand_bits(ctx, addset)[0])
-    appr = _approximation_of(ctx, addset, target, True)
+    mask = _almost_mask(ctx, addset)
+    _check_end_fields(ctx, mask)
+    appr = _approximation_of(ctx, mask, target, True)
     if not appr.covers:
         raise RuntimeError("approximation candidates do not cover Hom(add set, %r)"
                            % (target,))
@@ -416,24 +406,35 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
     are checked.  An empty middle term is legal: the connecting class is
     then an isomorphism X_i = X_{i+1}[1].
     """
-    mask, dup = _summand_bits(ctx, almost)
-    return _triangles(ctx, mask, ctx.indices(cycle), dup)
+    cycle = ctx.indices(cycle)
+    return _triangle_dicts(ctx, cycle, _triangles(ctx, _almost_mask(ctx, almost), cycle))
 
 
-def _triangles(ctx: TiltingContext, mask: int, cycle: Sequence[int],
-               dup: int = 0) -> List[Dict[str, object]]:
-    """fan_triangles of the summands `mask` (repeated ones in `dup`) along
-    the cycle of object indices `cycle`."""
+def _triangle_dicts(ctx: TiltingContext, cycle: Sequence[int],
+                    middles: Sequence[Tuple[Tuple[int, int], ...]]
+                    ) -> List[Dict[str, object]]:
+    """The triangles X_{i+1} -> middle -> X_i along `cycle` as dicts of objects."""
+    objs = ctx.objects
+    m = len(cycle)
+    return [{"target": objs[i], "source": objs[cycle[(k + 1) % m]],
+             "mults": {objs[j]: n for j, n in middles[k]}}
+            for k, i in enumerate(cycle)]
+
+
+def _triangles(ctx: TiltingContext, mask: int,
+               cycle: Sequence[int]) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The middle terms, as (j, multiplicity of T_j) tuples, of the
+    triangles X_{i+1} -> middle -> X_i from add(`mask`) along the cycle of
+    object indices `cycle`, each checked as fan_triangles describes."""
     _check_end_fields(ctx, mask)
     out, into = ctx.hom_masks()
     objs = ctx.objects
-    tris = []
+    middles = []
     m = len(cycle)
     for k, i in enumerate(cycle):
         nxt = cycle[(k + 1) % m]
-        rsupp, lsupp = mask & into[i], mask & out[nxt]
-        _, _, rm, rcov = _approximation(ctx, True, i, rsupp, dup & rsupp)
-        _, _, lm, lcov = _approximation(ctx, False, nxt, lsupp, dup & lsupp)
+        _, _, rm, rcov = _approximation(ctx, True, i, mask & into[i])
+        _, _, lm, lcov = _approximation(ctx, False, nxt, mask & out[nxt])
         if rm != lm:
             raise RuntimeError("middle term of triangle at %r disagrees between "
                                "right (%r) and left (%r) approximations"
@@ -445,9 +446,8 @@ def _triangles(ctx: TiltingContext, mask: int, cycle: Sequence[int],
         if not lcov:
             raise RuntimeError("left approximation of %r does not cover all maps"
                                % (objs[nxt],))
-        tris.append({"target": objs[i], "source": objs[nxt],
-                     "mults": {objs[j]: n for j, n in rm}})
-    return tris
+        middles.append(rm)
+    return tuple(middles)
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +455,40 @@ def _triangles(ctx: TiltingContext, mask: int, cycle: Sequence[int],
 
 
 def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
-    """fan_triangles over the cached fan of `almost`, itself cached."""
+    """fan_triangles over the cached fan of `almost`, from the cached middle terms."""
     mask = _almost_mask(ctx, almost)
+    return _triangle_dicts(ctx, _fan(ctx, mask), _face_triangles(ctx, mask))
+
+
+def _face_triangles(ctx: TiltingContext,
+                    mask: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """_triangles along the fan of the almost complete set `mask` (cached)."""
     cache = ctx._triangles
-    tris = cache.get(mask)
-    if tris is None:
-        tris = cache[mask] = _triangles(ctx, mask, _fan(ctx, mask))
-    return tris
+    middles = cache.get(mask)
+    if middles is None:
+        middles = cache[mask] = _triangles(ctx, mask, _fan(ctx, mask))
+    return middles
 
 
-def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
+def middle_supports(ctx: TiltingContext, mask: int) -> List[int]:
+    """The summand masks of the middle terms along the fan of `mask`."""
+    return [sum(1 << j for j, _ in mids) for mids in _face_triangles(ctx, mask)]
+
+
+def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
     """Are all composites of consecutive connecting classes nonzero?
 
     Starting anywhere, composing k of them gives a class in
     Ext^k(X_i, X_{i+k}); these must be nonzero for k up to the full cycle
     length (the length-(d+1) composite is a self-extension of top degree).
     Every starting point is tested, so the answer does not depend on
-    rotation and is cached per cyclic_form.
+    rotation and is cached per cyclic_form.  `cycle` holds object indices.
     """
-    idx = tuple(ctx.indices(cycle))
-    objects = ctx.objects
-    key = tuple(objects[i] for i in _least_rotation(idx))
+    key = cyclic_form(cycle)
     memo = ctx._delta_chains
     got = memo.get(key)
     if got is None:
-        got = memo[key] = _chains_nonzero(ctx, idx)
+        got = memo[key] = _chains_nonzero(ctx, tuple(cycle))
     return got
 
 
@@ -519,7 +528,7 @@ def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[int, ...]) -> bool:
     return True
 
 
-def ext_pattern_ok(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
+def ext_pattern_ok(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
     """One-dimensional endomorphisms and the cyclic shifted-Ext pattern.
 
     Requires dim Hom(X_i, X_i) = 1 and, for 1 <= k <= d,
@@ -527,16 +536,15 @@ def ext_pattern_ok(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
     otherwise.  Plain Homs between distinct members are deliberately not
     constrained: complement cycles at d = 2 can have nonzero
     Hom(X_i, X_{i-1}) (computed A_3, d = 2 fans do), and only d >= 3
-    forces those to vanish.
+    forces those to vanish.  `cycle` holds object indices.
     """
     d = ctx.oc.d
     dims = ctx.oc.dims()
-    idx = ctx.indices(cycle)
-    m = len(idx)
-    for i, a in enumerate(idx):
+    m = len(cycle)
+    for i, a in enumerate(cycle):
         if dims[a, a, 0] != 1:
             return False
-        for j, b in enumerate(idx):
+        for j, b in enumerate(cycle):
             for k in range(1, d + 1):
                 if dims[a, b, k] != ((i + k - j) % m == 0):
                     return False
@@ -545,39 +553,36 @@ def ext_pattern_ok(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
 
 def is_exchange_team(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     """Ordered (d+1)-tuple with the cyclic Ext pattern and nonzero composites."""
-    objs = tuple(map(ctx.canonical, objs))
-    if len(objs) != ctx.oc.d + 1 or len(set(objs)) != len(objs):
+    idx = ctx.indices(objs)
+    if len(idx) != ctx.oc.d + 1 or len(set(idx)) != len(idx):
         return False
-    if not ext_pattern_ok(ctx, objs):
-        return False
-    return delta_chains_nonzero(ctx, objs)
+    return ext_pattern_ok(ctx, idx) and delta_chains_nonzero(ctx, idx)
 
 
-def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
-    """All exchange teams up to rotation, in sorted order.
+def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[int, ...]]:
+    """All exchange teams up to rotation, as object indices, in index order.
 
     Consecutive team members have one-dimensional Ext^1 and a cyclic form
     starts at its least member, so each team is found once as a path of
-    "Ext^1 = 1" edges from its least object; is_exchange_team tests the
-    rest, including the closing edge.
+    "Ext^1 = 1" edges from its least object, of d+1 distinct members; the
+    Ext pattern and the composites are tested on the rest, including the
+    closing edge.
     """
     oc = ctx.oc
-    index = ctx.index
-    ext1 = oc.dims()[:, :, 1]
-    succ = {x: [ctx.objects[j] for j in np.flatnonzero(ext1[i] == 1)]
-            for i, x in enumerate(ctx.objects)}
-    paths = [(x,) for x in ctx.objects]
+    succ = [np.flatnonzero(row == 1).tolist() for row in oc.dims()[:, :, 1]]
+    paths = [(i,) for i in range(len(ctx.objects))]
     for _ in range(oc.d):
-        paths = [path + (y,) for path in paths for y in succ[path[-1]]
-                 if index[y] > index[path[0]] and y not in path]
-    return [path for path in paths if is_exchange_team(ctx, path)]
+        paths = [path + (j,) for path in paths for j in succ[path[-1]]
+                 if j > path[0] and j not in path]
+    return [path for path in paths
+            if ext_pattern_ok(ctx, path) and delta_chains_nonzero(ctx, path)]
 
 
 # ---------------------------------------------------------------------------
 # fan-level laws
 
 
-def degree_bounds_instances(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[int, int]:
+def degree_bounds_instances(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, int]:
     """(#rotations with deg X_0 = 0, #those breaking the degree bounds).
 
     For a rotation starting at degree 0 the next member has degree 0, d or
@@ -598,7 +603,7 @@ def degree_bounds_instances(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[
     return instances, violations
 
 
-def degree_profile_instances(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple[int, int]:
+def degree_profile_instances(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, int]:
     """(#rotations with deg X_0 = 0 != deg X_1, #those off the two-piece profile).
 
     Such a rotation must satisfy, for some 0 <= k <= d: deg X_i = d - i for
@@ -620,40 +625,39 @@ def degree_profile_instances(ctx: TiltingContext, cycle: Sequence[Obj]) -> Tuple
     return instances, violations
 
 
-def middle_supports_disjoint(triangles: List[Dict[str, object]]) -> bool:
-    """Do the middle terms of a fan's triangles share no indecomposable summand?"""
-    sups = [frozenset(t for t, mm in tri["mults"].items() if mm > 0)
-            for tri in triangles]
-    return all(not (sups[i] & sups[j])
-               for i in range(len(sups)) for j in range(i + 1, len(sups)))
+def middle_supports_disjoint(supports: Sequence[int]) -> bool:
+    """Do the middle terms of a fan's triangles, given by their summand
+    masks, share no indecomposable summand?"""
+    seen = 0
+    for supp in supports:
+        if supp & seen:
+            return False
+        seen |= supp
+    return True
 
 
-def middle_union_rigid(ctx: TiltingContext, cycle: Sequence[Obj],
-                       triangles: List[Dict[str, object]]) -> bool:
-    """Is the union of all middle-term summands rigid with each complement?"""
-    index = ctx.index
+def middle_union_rigid(ctx: TiltingContext, cycle: Sequence[int],
+                       supports: Sequence[int]) -> bool:
+    """Is the union of the middle terms' summand masks `supports` rigid with
+    each complement in `cycle` (object indices)?"""
     support = 0
-    for tri in triangles:
-        for t, mm in tri["mults"].items():
-            if mm > 0:
-                support |= 1 << index[t]
+    for supp in supports:
+        support |= supp
     comp = _compatible_with(ctx, support)
     # the objects that extend the support, if it is rigid, to a rigid set
     ext = comp & ~support if support & ~comp == 0 else 0
-    return all((ext >> i) & 1 for i in ctx.indices(cycle))
+    return all((ext >> i) & 1 for i in cycle)
 
 
-def hom_one_directional(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
-    """No two distinct members with nonzero Hom in both directions."""
-    idx = ctx.indices(objs)
+def hom_one_directional(ctx: TiltingContext, idx: Sequence[int]) -> bool:
+    """No two distinct members (object indices) with nonzero Hom in both directions."""
     hom = ctx.oc.dims()[:, :, 0][np.ix_(idx, idx)] != 0
     return not np.triu(hom & hom.T, 1).any()
 
 
-def successor_hom_vanishing(ctx: TiltingContext, cycle: Sequence[Obj]) -> bool:
-    """Hom(X_i, X_{i+1}) = 0 for consecutive fan members."""
-    idx = ctx.indices(cycle)
-    return not ctx.oc.dims()[idx, np.roll(idx, -1), 0].any()
+def successor_hom_vanishing(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
+    """Hom(X_i, X_{i+1}) = 0 for consecutive fan members (object indices)."""
+    return not ctx.oc.dims()[cycle, np.roll(cycle, -1), 0].any()
 
 
 # ---------------------------------------------------------------------------

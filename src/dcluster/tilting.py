@@ -193,16 +193,19 @@ def complete_to_tilting(ctx: TiltingContext, objs: Sequence[Obj]) -> Tuple[Obj, 
     """Greedy extension in canonical object order; result passes is_tilting."""
     if not is_rigid(ctx, objs):
         raise ValueError("starting set is not rigid")
-    mask = ctx.mask_of(objs)
+    return ctx.objs_of(complete_mask(ctx, ctx.mask_of(objs)))
+
+
+def complete_mask(ctx: TiltingContext, mask: int) -> int:
+    """Greedy extension of the rigid set `mask` by its least common neighbour
+    until none is left; the result must be rigid, and so tilting."""
     cand = _common_neighbors(ctx, mask)
     while cand:
-        j = (cand & -cand).bit_length() - 1
-        mask |= 1 << j
+        mask |= cand & -cand
         cand = _common_neighbors(ctx, mask)
-    out = ctx.objs_of(mask)
-    if not is_tilting(ctx, out):
+    if mask & ~_compatible_with(ctx, mask):
         raise RuntimeError("greedy completion failed to reach a tilting object")
-    return out
+    return mask
 
 
 def maximal_rigid_sets(ctx: TiltingContext) -> List[int]:

@@ -24,8 +24,8 @@ from . import mutation as mut
 from .orbit import OrbitCategory
 from .quiver import coxeter_data, fomin_reading_count, parse_quiver
 from .reps import ModuleCategory
-from .tilting import (TiltingContext, complete_to_tilting, enumerate_tilting,
-                      verify_equivalence)
+from .tilting import (TiltingContext, _bits, _popcount, complete_mask,
+                      enumerate_tilting, facet_masks, verify_equivalence)
 
 SCHEMA_VERSION = 1
 
@@ -56,6 +56,11 @@ def _fail(instances: int, counterexample, **detail) -> Dict[str, object]:
            "counterexample": counterexample}
     out.update(detail)
     return out
+
+
+def _names(ctx: TiltingContext, idx) -> List[str]:
+    """The names of the objects with indices `idx`, for a counterexample."""
+    return [ctx.oc.obj_name(ctx.objects[i]) for i in idx]
 
 
 def check_euler_identity(ctx: TiltingContext) -> Dict[str, object]:
@@ -141,123 +146,106 @@ def check_rigidity_equivalence(ctx: TiltingContext) -> Dict[str, object]:
 
 def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
     # each greedy completion must be complete rigid: n summands
-    starts = [(x,) for x in ctx.objects] + mut.almost_completes(ctx)
+    starts = [1 << i for i in range(len(ctx.objects))] + mut.almost_completes(ctx)
     for count, start in enumerate(starts, 1):
-        size = len(complete_to_tilting(ctx, start))
+        size = _popcount(complete_mask(ctx, start))
         if size != ctx.n:
-            return _fail(count, {"start": [ctx.oc.obj_name(x) for x in start],
-                                 "size": size})
+            return _fail(count, {"start": _names(ctx, _bits(start)), "size": size})
     return _pass(len(starts))
 
 
 def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
+    d = ctx.oc.d
     count = 0
-    for a, fan in mut.fans(ctx):
+    for mask, fan in mut.fans(ctx):
         count += 1
-        if len(fan) != oc.d + 1:
-            return _fail(count, {"almost": [oc.obj_name(x) for x in a],
+        if len(fan) != d + 1:
+            return _fail(count, {"almost": _names(ctx, _bits(mask)),
                                  "complements": len(fan)})
-    return _pass(count, complements_each=oc.d + 1)
+    return _pass(count, complements_each=d + 1)
 
 
-def check_complement_degrees(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
-    total = 0
-    fans = 0
-    for a, fan in mut.fans(ctx):
-        fans += 1
-        inst, viol = mut.degree_bounds_instances(ctx, fan)
-        total += inst
-        if viol:
-            return _fail(total, {"almost": [oc.obj_name(x) for x in a],
-                                 "degrees": list(mut.fan_degrees(ctx, fan))})
-    return _pass(total, fans=fans)
+def _each_fan(ctx: TiltingContext, holds: Callable[[int, Tuple[int, ...]], bool],
+              name: str) -> Dict[str, object]:
+    """Pass if holds(face mask, fan) for every fan, one instance each; else
+    fail at the first fan that breaks it, naming its face ("almost") or its
+    fan ("fan")."""
+    count = 0
+    for mask, fan in mut.fans(ctx):
+        count += 1
+        if not holds(mask, fan):
+            named = _bits(mask) if name == "almost" else fan
+            return _fail(count, {name: _names(ctx, named)})
+    return _pass(count)
 
 
 def check_fan_ext_pattern(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
-    count = 0
-    for _, fan in mut.fans(ctx):
-        count += 1
-        if not mut.ext_pattern_ok(ctx, fan):
-            return _fail(count, {"fan": [oc.obj_name(x) for x in fan]})
-    return _pass(count)
+    return _each_fan(ctx, lambda _, fan: mut.ext_pattern_ok(ctx, fan), "fan")
 
 
 def check_delta_composites(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
-    count = 0
-    for _, fan in mut.fans(ctx):
-        count += 1
-        if not mut.delta_chains_nonzero(ctx, fan):
-            return _fail(count, {"fan": [oc.obj_name(x) for x in fan]})
-    return _pass(count)
+    return _each_fan(ctx, lambda _, fan: mut.delta_chains_nonzero(ctx, fan), "fan")
 
 
 def check_middle_rigid(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
-    count = 0
-    for a, fan in mut.fans(ctx):
-        count += 1
-        tris = mut.triangles_of(ctx, a)
-        if not mut.middle_union_rigid(ctx, fan, tris):
-            return _fail(count, {"almost": [oc.obj_name(x) for x in a]})
-    return _pass(count)
-
-
-def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
-    fans = {mut.cyclic_form(ctx, fan) for _, fan in mut.fans(ctx)}
-    # instances: the cyclic (d+1)-tuples of distinct objects
-    candidates = math.perm(len(ctx.objects), oc.d + 1) // (oc.d + 1)
-    teams = set(mut.exchange_teams_exhaustive(ctx))
-    if teams != fans:
-        extra = sorted(teams - fans) + sorted(fans - teams)
-        return _fail(candidates,
-                     {"difference": [[oc.obj_name(x) for x in t] for t in extra]})
-    return _pass(candidates, converse="exhaustive", teams=len(teams))
-
-
-def check_degree_profile(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
-    total = 0
-    for a, fan in mut.fans(ctx):
-        inst, viol = mut.degree_profile_instances(ctx, fan)
-        total += inst
-        if viol:
-            return _fail(total, {"almost": [oc.obj_name(x) for x in a],
-                                 "degrees": list(mut.fan_degrees(ctx, fan))})
-    return _pass(total)
-
-
-def check_hom_onedirectional(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
-    count = 0
-    for facet in enumerate_tilting(ctx):
-        count += 1
-        if not mut.hom_one_directional(ctx, facet):
-            return _fail(count, {"facet": [oc.obj_name(x) for x in facet]})
-    return _pass(count)
+    return _each_fan(ctx, lambda mask, fan: mut.middle_union_rigid(
+        ctx, fan, mut.middle_supports(ctx, mask)), "almost")
 
 
 def check_successor_hom(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
-    count = 0
-    for a, fan in mut.fans(ctx):
-        count += 1
-        if not mut.successor_hom_vanishing(ctx, fan):
-            return _fail(count, {"almost": [oc.obj_name(x) for x in a]})
-    return _pass(count)
+    return _each_fan(ctx, lambda _, fan: mut.successor_hom_vanishing(ctx, fan), "almost")
 
 
 def check_middles_disjoint(ctx: TiltingContext) -> Dict[str, object]:
-    oc = ctx.oc
+    return _each_fan(ctx, lambda mask, _: mut.middle_supports_disjoint(
+        mut.middle_supports(ctx, mask)), "almost")
+
+
+def _degree_rotations(ctx: TiltingContext,
+                      instances: Callable[[Tuple[int, ...]], Tuple[int, int]],
+                      **detail) -> Dict[str, object]:
+    """Pass with the sum over the fans of instances(fan) = (rotations,
+    violations); else fail at the first fan with a violation."""
+    total = 0
+    for mask, fan in mut.fans(ctx):
+        inst, viol = instances(fan)
+        total += inst
+        if viol:
+            return _fail(total, {"almost": _names(ctx, _bits(mask)),
+                                 "degrees": list(mut.fan_degrees(ctx, fan))})
+    return _pass(total, **detail)
+
+
+def check_complement_degrees(ctx: TiltingContext) -> Dict[str, object]:
+    return _degree_rotations(ctx, lambda fan: mut.degree_bounds_instances(ctx, fan),
+                             fans=len(mut.fans(ctx)))
+
+
+def check_degree_profile(ctx: TiltingContext) -> Dict[str, object]:
+    return _degree_rotations(ctx, lambda fan: mut.degree_profile_instances(ctx, fan))
+
+
+def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:
+    d = ctx.oc.d
+    fans = {mut.cyclic_form(fan) for _, fan in mut.fans(ctx)}
+    # instances: the cyclic (d+1)-tuples of distinct objects
+    candidates = math.perm(len(ctx.objects), d + 1) // (d + 1)
+    teams = set(mut.exchange_teams_exhaustive(ctx))
+    if teams != fans:
+        def by_objects(team):
+            return tuple(ctx.objects[i] for i in team)
+        extra = sorted(teams - fans, key=by_objects) + sorted(fans - teams, key=by_objects)
+        return _fail(candidates, {"difference": [_names(ctx, t) for t in extra]})
+    return _pass(candidates, converse="exhaustive", teams=len(teams))
+
+
+def check_hom_onedirectional(ctx: TiltingContext) -> Dict[str, object]:
     count = 0
-    for a in mut.almost_completes(ctx):
+    for mask in facet_masks(ctx):
         count += 1
-        if not mut.middle_supports_disjoint(mut.triangles_of(ctx, a)):
-            return _fail(count, {"almost": [oc.obj_name(x) for x in a]})
+        facet = tuple(_bits(mask))
+        if not mut.hom_one_directional(ctx, facet):
+            return _fail(count, {"facet": _names(ctx, facet)})
     return _pass(count)
 
 

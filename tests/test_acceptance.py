@@ -104,8 +104,9 @@ def test_criterion_05_complement_counts():
     for dg, rk in MAIN_GRID:
         for d in DS:
             c = ctx(dg, rk, d)
-            for a in mut.almost_completes(c):
+            for mask in mut.almost_completes(c):
                 total += 1
+                a = c.objs_of(mask)
                 assert len(mut.fan_of(c, a)) == d + 1, (dg, rk, d, a)
     report(5, "complement-count", True,
            "%d almost complete sets, always d+1 complements" % total)
@@ -116,17 +117,17 @@ def test_criterion_06_fan_pattern_and_exchange_teams():
     for dg, rk in MAIN_GRID:
         for d in DS:
             c = ctx(dg, rk, d)
-            for a in mut.almost_completes(c):
+            for mask in mut.almost_completes(c):
                 fans += 1
-                fan = mut.fan_of(c, a)
+                fan = c.indices(mut.fan_of(c, c.objs_of(mask)))
                 assert mut.ext_pattern_ok(c, fan), (dg, rk, d, fan)
                 assert mut.delta_chains_nonzero(c, fan), (dg, rk, d, fan)
     tuples = 0
     for d in (1, 2):
         c = ctx("A", 2, d)
         teams = set(mut.exchange_teams_exhaustive(c))
-        real = {mut.cyclic_form(c, mut.fan_of(c, a))
-                for a in mut.almost_completes(c)}
+        real = {mut.cyclic_form(c.indices(mut.fan_of(c, c.objs_of(mask))))
+                for mask in mut.almost_completes(c)}
         assert teams == real, (d, teams ^ real)
         tuples += len(teams)
     report(6, "exchange-teams", True,
@@ -139,10 +140,10 @@ def test_criterion_07_degree_profile():
     for dg, rk in MAIN_GRID:
         for d in (2, 3):
             c = ctx(dg, rk, d)
-            for a in mut.almost_completes(c):
-                got, viol = mut.degree_profile_instances(c, mut.fan_of(c, a))
+            for mask, fan in mut.fans(c):
+                got, viol = mut.degree_profile_instances(c, fan)
                 inst += got
-                assert viol == 0, (dg, rk, d, a)
+                assert viol == 0, (dg, rk, d, c.objs_of(mask))
     report(7, "degree-profile", True,
            "%d rotations matched the two-piece formula, zero violations" % inst)
 
@@ -152,16 +153,16 @@ def test_criterion_08_middle_disjoint_and_hom_vanishing():
     for dg, rk in MAIN_GRID:
         for d in (2, 3):
             c = ctx(dg, rk, d)
-            for a in mut.almost_completes(c):
+            for mask in mut.almost_completes(c):
                 mids += 1
-                assert mut.middle_supports_disjoint(mut.triangles_of(c, a)), \
-                    (dg, rk, d, a)
+                assert mut.middle_supports_disjoint(mut.middle_supports(c, mask)), \
+                    (dg, rk, d, c.objs_of(mask))
         c = ctx(dg, rk, 3)
         for facet in enumerate_tilting(c):
             homs += 1
-            assert mut.hom_one_directional(c, facet), (dg, rk, facet)
-        for a in mut.almost_completes(c):
-            assert mut.successor_hom_vanishing(c, mut.fan_of(c, a)), (dg, rk, a)
+            assert mut.hom_one_directional(c, c.indices(facet)), (dg, rk, facet)
+        for mask, fan in mut.fans(c):
+            assert mut.successor_hom_vanishing(c, fan), (dg, rk, c.objs_of(mask))
     report(8, "middle-terms", True,
            "%d fans disjoint (d>=2); %d facets one-directional and "
            "successor-Hom-free (d=3)" % (mids, homs))

@@ -168,7 +168,31 @@ def test_fans_list(capsys):
     name = c.oc.obj_name
     assert out.splitlines()[1:] == [
         "{%s}: %s" % (", ".join(map(name, a)), " -> ".join(map(name, mut.fan_of(c, a))))
-        for a in mut.almost_completes(c)]
+        for a in map(c.objs_of, mut.almost_completes(c))]
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["--out", "x.json"], "fans writes no --out file"),
+    (["--list", "--out", "x.json"], "fans writes no --out file"),
+    (["--verify-all", "--json", "r.json", "--out", "x.json"], "fans writes no --out file"),
+    (["--json", "r.json"], "--json needs --verify-all"),
+    (["--list", "--json", "r.json"], "--json needs --verify-all")])
+def test_fans_rejects_output_flags_it_would_ignore(tmp_path, monkeypatch, capsys, argv, err):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fans"] + argv + ["--diagram", "A", "--rank", "2", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + err) and captured.err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_fans_rejects_out_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"diagram": "A", "rank": 2, "d": 2,
+                               "out": str(tmp_path / "x.json")}))
+    assert run(["fans", "--list", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: fans writes no --out file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_config_file(tmp_path, capsys):
@@ -333,9 +357,10 @@ def test_verify_run_leaves_no_reference_cycles():
 def test_incomplete_greedy_completion_fails(monkeypatch, capsys):
     from dcluster import verify
 
-    complete = verify.complete_to_tilting
-    monkeypatch.setattr(verify, "complete_to_tilting",
-                        lambda ctx, objs: complete(ctx, objs)[1:])
+    complete = verify.complete_mask
+    # drop the completion's first summand
+    monkeypatch.setattr(verify, "complete_mask",
+                        lambda ctx, mask: complete(ctx, mask) & (complete(ctx, mask) - 1))
     assert run(["verify", "--check", "rigid-extends-to-tilting",
                 "--diagram", "A", "--rank", "3", "--d", "2"]) == 1
     out = capsys.readouterr().out
@@ -346,10 +371,10 @@ def test_incomplete_greedy_completion_fails(monkeypatch, capsys):
 def test_internal_error_exits_3(monkeypatch, capsys):
     from dcluster import mutation
 
-    def broken(ctx, almost):
+    def broken(*args):
         raise RuntimeError("complement cycle does not close")
 
-    monkeypatch.setattr(mutation, "fan_of", broken)
+    monkeypatch.setattr(mutation, "_fan_cycle", broken)
     assert run(["verify", "--check", "complement-count", "--diagram", "A",
                 "--rank", "3", "--d", "2"]) == 3
     assert capsys.readouterr().err == \
