@@ -256,10 +256,8 @@ def cmd_complements(args) -> int:
     by_source = {tri["source"]: tri for tri in tris}
     for x in fan:
         tri = by_source[x]
-        mid = " + ".join("%d*%s" % (m, oc.obj_name(t))
-                         for t, m in sorted(tri["mults"].items(),
-                                            key=lambda kv: ctx.index[kv[0]])
-                         if m > 0) or "0"
+        # the middle term lists its summands in index order
+        mid = " + ".join("%d*%s" % (m, oc.obj_name(t)) for t, m in tri["mults"].items()) or "0"
         print("triangle: %s -> %s -> %s" % (oc.obj_name(tri["source"]), mid,
                                             oc.obj_name(tri["target"])))
     _write_out(args, {
@@ -268,8 +266,7 @@ def cmd_complements(args) -> int:
         "cycle": [oc.obj_name(x) for x in fan],
         "triangles": [{"source": oc.obj_name(tri["source"]),
                        "target": oc.obj_name(tri["target"]),
-                       "middle": {oc.obj_name(t): m
-                                  for t, m in tri["mults"].items() if m > 0}}
+                       "middle": {oc.obj_name(t): m for t, m in tri["mults"].items()}}
                       for tri in (by_source[x] for x in fan)]})
     return 0
 

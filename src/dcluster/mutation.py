@@ -24,11 +24,16 @@ solved once per context and reused by every add set and fan that poses it
 again.  Its size, dim Hom(a, b), is read from the dimension table, so a
 problem without such summands composes nothing.
 
-The triangles are computed on object indices and bitmasks.  A whole minimal
-approximation of X, its generators and its factorization verdict, depends
-only on the side, on X and on the mask of the summands with nonzero Hom to
-(or from) X, so it is computed once per context for that key and shared by
-every almost complete set and fan member that poses it.
+From the codimension-1 faces to the fan-level predicates, an almost
+complete set is a bitmask of object indices, a fan a tuple of indices and a
+middle term a tuple of (index, multiplicity) pairs.  Objects appear only at
+the public edge (complements, fan_of, triangles_of, fan_triangles, the
+approximations, is_exchange_team, mutate), which rejects a repeated summand.
+
+A whole minimal approximation of X, its generators and its factorization
+verdict, depends only on the side, on X and on the mask of the summands with
+nonzero Hom to (or from) X, so it is computed once per context for that key
+and shared by every almost complete set and fan member that poses it.
 
 The same tensors give the composites of connecting classes.  The shift is
 an autoequivalence, so the shifted class delta_j[k] of the one-dimensional
@@ -49,6 +54,8 @@ and the mutation graph on facets.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +64,9 @@ from . import linalg
 from .orbit import Obj
 from .tilting import TiltingContext, _bits, _compatible_with, _popcount, \
     enumerate_tilting, facet_masks, is_tilting
+
+# a middle term: (object index j, multiplicity of T_j) for each summand in it
+Middle = Tuple[Tuple[int, int], ...]
 
 
 def _almost_mask(ctx: TiltingContext, almost: Sequence[Obj]) -> int:
@@ -163,8 +173,7 @@ def cyclic_form(cycle: Sequence[int]) -> Tuple[int, ...]:
 
 
 def fan_degrees(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, ...]:
-    """The degrees of the objects with indices `cycle`: a canonical object's
-    degree is its shift."""
+    """The degrees of the objects `cycle`: a canonical object's is its shift."""
     objects = ctx.objects
     return tuple(objects[i][1] for i in cycle)
 
@@ -197,8 +206,7 @@ def almost_completes(ctx: TiltingContext) -> List[int]:
 
 
 def fans(ctx: TiltingContext) -> List[Tuple[int, Tuple[int, ...]]]:
-    """The (almost complete mask, fan as object indices) pairs, in
-    almost_completes order (cached)."""
+    """The (face mask, fan as object indices) pairs, in almost_completes order (cached)."""
     if ctx._fan_pairs is None:
         ctx._fan_pairs = [(mask, _fan(ctx, mask)) for mask in almost_completes(ctx)]
     return ctx._fan_pairs
@@ -350,9 +358,12 @@ def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
     return linalg.rank_mod(span, ctx.oc.cat.p) == h
 
 
-def _approximation_of(ctx: TiltingContext, mask: int, x: Obj,
+def _approximation_of(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
                       right: bool) -> Approximation:
-    """_approximation of the object x from the summands in `mask`."""
+    """_approximation of the object x from the distinct summands `addset`,
+    whose endomorphism rings are checked to be fields."""
+    mask = _almost_mask(ctx, addset)
+    _check_end_fields(ctx, mask)
     ix = ctx.index[ctx.canonical(x)]
     out, into = ctx.hom_masks()
     return _approximation(ctx, right, ix, mask & (into[ix] if right else out[ix]))
@@ -366,13 +377,12 @@ def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
     The number of generators at T_j is the multiplicity of T_j in the
     minimal right approximation of `target` from the additive hull of
     `addset`, whose summands must be distinct.  Every End(T_j) must be
-    one-dimensional (the callers in this module check it once per add set),
-    so that the radical is exactly the span of composites through the other
-    summands.
+    one-dimensional (it is checked), so that the radical is exactly the span
+    of composites through the other summands.
     """
     objs = ctx.objects
     return {objs[j]: list(g) for j, g in
-            _approximation_of(ctx, _almost_mask(ctx, addset), target, True).by_summand()}
+            _approximation_of(ctx, addset, target, True).by_summand()}
 
 
 def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
@@ -380,15 +390,13 @@ def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
     """Dual of right_approximation: generators of Hom(source, T_j) mod radical."""
     objs = ctx.objects
     return {objs[j]: list(g) for j, g in
-            _approximation_of(ctx, _almost_mask(ctx, addset), source, False).by_summand()}
+            _approximation_of(ctx, addset, source, False).by_summand()}
 
 
 def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
                         target: Obj) -> Dict[Obj, int]:
     """Multiplicities of the minimal right approximation, factorization-checked."""
-    mask = _almost_mask(ctx, addset)
-    _check_end_fields(ctx, mask)
-    appr = _approximation_of(ctx, mask, target, True)
+    appr = _approximation_of(ctx, addset, target, True)
     if not appr.covers:
         raise RuntimeError("approximation candidates do not cover Hom(add set, %r)"
                            % (target,))
@@ -411,8 +419,7 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
 
 
 def _triangle_dicts(ctx: TiltingContext, cycle: Sequence[int],
-                    middles: Sequence[Tuple[Tuple[int, int], ...]]
-                    ) -> List[Dict[str, object]]:
+                    middles: Sequence[Middle]) -> List[Dict[str, object]]:
     """The triangles X_{i+1} -> middle -> X_i along `cycle` as dicts of objects."""
     objs = ctx.objects
     m = len(cycle)
@@ -421,11 +428,10 @@ def _triangle_dicts(ctx: TiltingContext, cycle: Sequence[int],
             for k, i in enumerate(cycle)]
 
 
-def _triangles(ctx: TiltingContext, mask: int,
-               cycle: Sequence[int]) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """The middle terms, as (j, multiplicity of T_j) tuples, of the
-    triangles X_{i+1} -> middle -> X_i from add(`mask`) along the cycle of
-    object indices `cycle`, each checked as fan_triangles describes."""
+def _triangles(ctx: TiltingContext, mask: int, cycle: Sequence[int]) -> Tuple[Middle, ...]:
+    """The middle terms of the triangles X_{i+1} -> middle -> X_i from
+    add(`mask`) along the cycle of object indices `cycle`, each checked as
+    fan_triangles describes; they are the approximations' shared tuples."""
     _check_end_fields(ctx, mask)
     out, into = ctx.hom_masks()
     objs = ctx.objects
@@ -460,8 +466,7 @@ def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, o
     return _triangle_dicts(ctx, _fan(ctx, mask), _face_triangles(ctx, mask))
 
 
-def _face_triangles(ctx: TiltingContext,
-                    mask: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+def _face_triangles(ctx: TiltingContext, mask: int) -> Tuple[Middle, ...]:
     """_triangles along the fan of the almost complete set `mask` (cached)."""
     cache = ctx._triangles
     middles = cache.get(mask)
@@ -627,22 +632,15 @@ def degree_profile_instances(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple
 
 def middle_supports_disjoint(supports: Sequence[int]) -> bool:
     """Do the middle terms of a fan's triangles, given by their summand
-    masks, share no indecomposable summand?"""
-    seen = 0
-    for supp in supports:
-        if supp & seen:
-            return False
-        seen |= supp
-    return True
+    masks, share no indecomposable summand (no bit is counted twice)?"""
+    return sum(map(_popcount, supports)) == _popcount(reduce(or_, supports, 0))
 
 
 def middle_union_rigid(ctx: TiltingContext, cycle: Sequence[int],
                        supports: Sequence[int]) -> bool:
     """Is the union of the middle terms' summand masks `supports` rigid with
     each complement in `cycle` (object indices)?"""
-    support = 0
-    for supp in supports:
-        support |= supp
+    support = reduce(or_, supports, 0)
     comp = _compatible_with(ctx, support)
     # the objects that extend the support, if it is rigid, to a rigid set
     ext = comp & ~support if support & ~comp == 0 else 0

@@ -38,7 +38,8 @@ class TiltingContext:
         self._ext1_rows = {}
         # results shared by several checks; _facet_masks parallels _tilting,
         # and _faces maps each almost complete mask to the positions in
-        # _facet_masks of the facets containing it
+        # _facet_masks of the facets containing it.  _almost lists those
+        # masks in order, and _fan_pairs pairs each with its fan.
         self._tilting = None
         self._facet_masks = None
         self._faces = None
@@ -46,15 +47,16 @@ class TiltingContext:
         self._fan_pairs = None
         self._facet_stats = None
         self._graph_checks = None
-        # memos of the mutation module.  _fans and _triangles map an almost
-        # complete mask to its fan as object indices and to its triangles.
+        # memos of the mutation module, which hold object indices and
+        # bitmasks, never objects, except for the tensors' keys.  _fans and
+        # _triangles map an almost complete mask to its fan and to the middle
+        # terms of its triangles, each a tuple of (index, multiplicity).
         # _composites maps objects (a, mid, b) to the structure constants
         # t[k, i, j] of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis
-        # coordinates.  The approximations read off them are memoized by
-        # object indices and bitmasks: _approximations maps (right, x, supp,
-        # dup), supp the summands with nonzero Hom to (right) or from x and
-        # dup its repeated ones, to an Approximation: the generators at each
-        # summand of supp, the multiplicities and the factorization verdict.
+        # coordinates.  _approximations maps (right, x, supp), supp the
+        # summands with nonzero Hom to (right) or from x, to an
+        # Approximation: the generators at each summand of supp, the
+        # multiplicities and the factorization verdict.
         # Few distinct generator and multiplicity tuples occur (92 and 751
         # among the 26460 approximations of E7 d=1), so _shared_tuples keeps
         # one copy of each.  Approximations are built from two smaller rank

@@ -530,7 +530,7 @@ def test_each_radical_problem_is_reduced_once(diagram, rank, d, monkeypatch):
     for a in almosts:
         fan_triangles(c, a, fan_of(c, a))
     assert len(calls) == len(c._radical_tops)
-    posed = sum(len(mut._approximation_of(c, c.mask_of(a), x, right).gens) for a in almosts
+    posed = sum(len(mut._approximation_of(c, a, x, right).gens) for a in almosts
                 for x in fan_of(c, a) for right in (True, False))
     assert len(calls) == len(c._radical_tops) < posed
 
