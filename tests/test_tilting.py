@@ -125,6 +125,23 @@ def test_completion_rejects_non_rigid():
         complete_to_tilting(c, bad)
 
 
+def test_greedy_completion_that_leaves_rigidity_raises(monkeypatch):
+    """The mask-level completion checks its result: a candidate that is not
+    compatible with the set (a broken common-neighbour step) is caught."""
+    from dcluster import tilting
+
+    c = ctx("A", 3, 2)
+    adj = c.adjacency()
+    y = next(j for j in range(1, len(c.objects)) if not (adj[0] >> j) & 1)
+    assert tilting.complete_mask(c, 1) == c.mask_of(complete_to_tilting(c, [c.objects[0]]))
+    common = tilting._common_neighbors
+    steps = []
+    monkeypatch.setattr(tilting, "_common_neighbors", lambda c, mask: (
+        common(c, mask) if steps else steps.append(1) or 1 << y))
+    with pytest.raises(RuntimeError, match="greedy completion failed to reach a tilting object"):
+        complete_to_tilting(c, [c.objects[0]])
+
+
 def test_every_tilting_is_maximal_and_closed():
     c = ctx("A", 3, 2)
     for t in enumerate_tilting(c)[::7]:
