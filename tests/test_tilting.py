@@ -1,14 +1,16 @@
+import random
 import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dcluster.orbit import OrbitCategory
-from dcluster.quiver import coxeter_data, fomin_reading_count, parse_quiver
+from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import (TiltingContext, _common_neighbors, classify,
-                              complete_to_tilting, enumerate_tilting,
-                              is_maximal_rigid, is_rigid, is_tilting,
+from dcluster.tilting import (TiltingContext, _bits, _common_neighbors, _popcount,
+                              classify, complete_to_tilting, enumerate_tilting,
+                              facet_masks, is_maximal_rigid, is_rigid, is_tilting,
                               maximal_rigid_sets, verify_equivalence)
 
 _cache = {}
@@ -200,3 +202,86 @@ def test_adjacency_reports_the_first_defect_in_row_order():
     with pytest.raises(RuntimeError, match=re.escape(
             "indecomposable %r is not rigid" % (c.objects[i],))):
         c.adjacency()
+
+
+# -- the bit kernels and the orders that reports depend on ------------------
+
+
+def _seeded(diagram, rank, d, seed):
+    """A fresh context; seed None keeps the default orientation."""
+    arrows = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        arrows = [(s, t) if rng.random() < 0.5 else (t, s)
+                  for s, t in dynkin_edges(diagram, rank)]
+    q = parse_quiver(diagram, rank, arrows)
+    return TiltingContext(OrbitCategory(ModuleCategory(q), d))
+
+
+def _reference_bits(mask):
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def test_bits_and_popcount_match_reference_loops():
+    rng = random.Random(2024)
+    masks = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 200) | 5]
+    masks += [rng.getrandbits(rng.randrange(65, 300)) for _ in range(200)]
+    for mask in masks:
+        want = _reference_bits(mask)
+        assert list(_bits(mask)) == want
+        assert _popcount(mask) == bin(mask).count("1") == len(want)
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", [
+    ("A", 3, 2, None), ("A", 3, 2, 6), ("D", 4, 2, None), ("D", 4, 2, 3)])
+def test_facet_masks_come_in_bit_tuple_order(diagram, rank, d, seed):
+    """Reports and to_json list facets in this order."""
+    c = _seeded(diagram, rank, d, seed)
+    masks = facet_masks(c)
+    keys = [tuple(_bits(mask)) for mask in masks]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert [c.objs_of(mask) for mask in masks] == enumerate_tilting(c)
+
+
+def _maximal_cliques_by_levels(adj, m):
+    """Every clique, grown one larger index at a time, kept when no vertex
+    outside it is adjacent to all of its members."""
+    out = set()
+    level = [0]
+    while level:
+        nxt = []
+        for clique in level:
+            members = _reference_bits(clique)
+            common = [j for j in range(m) if not (clique >> j) & 1
+                      and all((adj[i] >> j) & 1 for i in members)]
+            if not common:
+                out.add(clique)
+            nxt.extend(clique | 1 << j for j in common if j >= clique.bit_length())
+        level = nxt
+    return out
+
+
+def _pivoted_bron_kerbosch(adj, r, p, x, out):
+    """The enumeration order of maximal_rigid_sets: the pivot is the first
+    vertex of P | X, in index order, with the most neighbours in P."""
+    if p == 0 and x == 0:
+        out.append(r)
+        return
+    pivot = max(_reference_bits(p | x), key=lambda u: bin(p & adj[u]).count("1"))
+    for v in _reference_bits(p & ~adj[pivot]):
+        _pivoted_bron_kerbosch(adj, r | 1 << v, p & adj[v], x & adj[v], out)
+        p &= ~(1 << v)
+        x |= 1 << v
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", [
+    ("A", 3, 2, 6), ("A", 3, 2, 8), ("D", 4, 2, 3)])
+def test_maximal_rigid_sets_by_brute_force_and_in_pivot_order(diagram, rank, d, seed):
+    c = _seeded(diagram, rank, d, seed)
+    adj = c.adjacency()
+    m = len(c.objects)
+    got = maximal_rigid_sets(c)
+    assert set(got) == _maximal_cliques_by_levels(adj, m)
+    want = []
+    _pivoted_bron_kerbosch(adj, 0, (1 << m) - 1, 0, want)
+    assert got == want
