@@ -291,16 +291,15 @@ def cmd_mutate(args) -> int:
 def cmd_mutation_graph(args) -> int:
     ctx = _context(args)
     res = mut.mutation_graph_checks(ctx)
-    edges = res["vertices"] * res["degree"] // 2
     print("vertices=%d edges=%d degree=%d regular=%s connected=%s"
-          % (res["vertices"], edges, res["degree"],
+          % (res["vertices"], res["edges"], res["degree"],
              res["regular"], res["connected"]))
     if args.dot:
         dot = cpxmod.facet_graph_dot(ctx, facet_masks(ctx), "mutation")
         _write(args.dot, dot)
         print("wrote %s" % args.dot)
     _write_out(args, {"schema": "mutation-graph", "schema_version": 1,
-                      "vertices": res["vertices"], "edges": edges,
+                      "vertices": res["vertices"], "edges": res["edges"],
                       "degree": res["degree"], "regular": res["regular"],
                       "connected": res["connected"]})
     if not (res["regular"] and res["connected"]):

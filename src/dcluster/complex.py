@@ -13,7 +13,10 @@ labels); its facets are the tilting sets avoiding the shifted projectives.
 
 Faces are never materialized beyond the facets, which are kept as bitmasks
 over the fundamental domain next to their object tuples.  The f-vector is
-counted by backtracking over compatibility bitmasks.  The codimension-1
+counted by backtracking over compatibility bitmasks, once per complex (the
+exports reuse that count), and its last level is counted by popcount: a
+face one short of a facet extends to as many facets as it has common
+neighbours above its largest member.  The codimension-1
 faces are the facet masks with one bit cleared, grouped once per context
 with the facets containing them; their statistics come from the complement
 fans, computed on the same masks, and each fan must consist of exactly the
@@ -78,6 +81,7 @@ class ClusterComplex:
         kept = [k for k, mask in enumerate(masks) if not mask & outside]
         self.facets = [facets[k] for k in kept]
         self.facet_masks = [masks[k] for k in kept]
+        self._f_vector = None
 
 
 def build_complex(ctx: TiltingContext, positive_only: bool = False) -> ClusterComplex:
@@ -85,20 +89,32 @@ def build_complex(ctx: TiltingContext, positive_only: bool = False) -> ClusterCo
 
 
 def f_vector(cpx: ClusterComplex) -> List[int]:
-    """Face counts by size, starting from the empty face: [1, f_0, ..., f_{n-1}]."""
-    ctx = cpx.ctx
-    counts = [0] * (ctx.n + 1)
-    counts[0] = 1
-    _count_faces(ctx.adjacency(), ctx.n, ctx.mask_of(cpx.vertices), 0, counts)
-    return counts
+    """Face counts by size, starting from the empty face: [1, f_0, ..., f_{n-1}].
+
+    Counted once per complex; each call returns a fresh copy."""
+    if cpx._f_vector is None:
+        ctx = cpx.ctx
+        counts = [0] * (ctx.n + 1)
+        counts[0] = 1
+        _count_faces(ctx.adjacency(), ctx.n, ctx.mask_of(cpx.vertices), 0, counts)
+        cpx._f_vector = counts
+    return list(cpx._f_vector)
 
 
 def _count_faces(adj: List[int], n: int, cand: int, size: int, counts: List[int]) -> None:
-    for i in _bits(cand):
-        counts[size + 1] += 1
-        higher = cand & ~((1 << (i + 1)) - 1)
-        nxt = higher & adj[i]
-        if nxt and size + 1 < n:
+    """Count the faces extending a face of `size` members by members of
+    `cand`, all compatible with the face and above its largest member."""
+    counts[size + 1] += cand.bit_count()
+    if size + 2 > n:
+        return
+    last = size + 2 == n
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        nxt = cand & adj[low.bit_length() - 1]
+        if last:
+            counts[n] += nxt.bit_count()
+        elif nxt:
             _count_faces(adj, n, nxt, size + 1, counts)
 
 
@@ -123,7 +139,10 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
     pure = all(len(f) == ctx.n for f in cpx.facets)
     masks = facet_masks(ctx)
     faces = codim1_faces(ctx)
-    color = [oc.color(x) for x in ctx.objects]
+    color_masks: Dict[int, int] = {}
+    for i, x in enumerate(ctx.objects):
+        c = oc.color(x)
+        color_masks[c] = color_masks.get(c, 0) | 1 << i
     all_colors = set(range(1, oc.d + 1))
     incidence: Dict[int, int] = {}
     colors_ok = True
@@ -143,7 +162,7 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
                                    [oc.obj_name(x) for x in ctx.objs_of(found)],
                                    [oc.obj_name(ctx.objects[i]) for i in fan]))
         incidence[len(fan)] = incidence.get(len(fan), 0) + 1
-        if {color[i] for i in fan} != all_colors:
+        if {c for c, cm in color_masks.items() if cm & in_fan} != all_colors:
             colors_ok = False
     return {
         "facets": len(cpx.facets),

@@ -88,11 +88,13 @@ def _complement_mask(ctx: TiltingContext, mask: int) -> int:
     adj = ctx.adjacency()
     # the set plus X_i is rigid for every common neighbour i, and is tilting
     # exactly when no other common neighbour is compatible with X_i
-    cand = near & ~mask
+    cand = rest = near & ~mask
     comps = 0
-    for i in _bits(cand):
-        if cand & adj[i] == 0:
-            comps |= 1 << i
+    while rest:
+        low = rest & -rest
+        if cand & adj[low.bit_length() - 1] == 0:
+            comps |= low
+        rest ^= low
     return comps
 
 
@@ -684,7 +686,8 @@ def facet_adjacency(faces: Dict[int, List[int]], count: int) -> List[set]:
     for members in faces.values():
         for a in members:
             nbrs[a].update(members)
-            nbrs[a].discard(a)
+    for a, s in enumerate(nbrs):
+        s.discard(a)
     return nbrs
 
 
@@ -695,7 +698,8 @@ def mutation_graph(ctx: TiltingContext) -> Tuple[List[Tuple[Obj, ...]], List[set
 
 
 def mutation_graph_checks(ctx: TiltingContext) -> Dict[str, object]:
-    """Vertex count, n*d-regularity and connectivity of the mutation graph (cached)."""
+    """Vertex and edge counts, n*d-regularity and connectivity of the
+    mutation graph (cached)."""
     if ctx._graph_checks is None:
         ctx._graph_checks = _graph_checks(ctx)
     return ctx._graph_checks
@@ -715,5 +719,5 @@ def _graph_checks(ctx: TiltingContext) -> Dict[str, object]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-    return {"vertices": len(facets), "degree": want, "regular": regular,
-            "connected": len(seen) == len(facets)}
+    return {"vertices": len(facets), "edges": sum(map(len, nbrs)) // 2,
+            "degree": want, "regular": regular, "connected": len(seen) == len(facets)}

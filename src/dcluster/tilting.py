@@ -136,15 +136,19 @@ def _row_masks(rows: np.ndarray) -> List[int]:
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in rows]
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> List[int]:
+    """The set bits of `mask`, least first, as a list.  The hot loops walk
+    `low = mask & -mask` inline instead of calling this."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def is_rigid(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
@@ -159,8 +163,10 @@ def _compatible_with(ctx: TiltingContext, mask: int) -> int:
     neighbours, plus all of `mask` exactly when `mask` is rigid."""
     adj = ctx.adjacency()
     out = (1 << len(ctx.objects)) - 1
-    for i in _bits(mask):
-        out &= adj[i] | 1 << i
+    while mask:
+        low = mask & -mask
+        out &= adj[low.bit_length() - 1] | low
+        mask ^= low
     return out
 
 
@@ -222,12 +228,25 @@ def _bron_kerbosch(adj: List[int], r: int, p: int, x: int, out: List[int]) -> No
     if p == 0 and x == 0:
         out.append(r)
         return
+    # the pivot is the first u of P | X, in index order, with the most
+    # neighbours in P
     pux = p | x
-    pivot = max(_bits(pux), key=lambda u: _popcount(p & adj[u]))
-    for v in list(_bits(p & ~adj[pivot])):
-        _bron_kerbosch(adj, r | (1 << v), p & adj[v], x & adj[v], out)
-        p &= ~(1 << v)
-        x |= 1 << v
+    pivot, best = 0, -1
+    while pux:
+        low = pux & -pux
+        u = low.bit_length() - 1
+        deg = (p & adj[u]).bit_count()
+        if deg > best:
+            pivot, best = u, deg
+        pux ^= low
+    rest = p & ~adj[pivot]
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        _bron_kerbosch(adj, r | low, p & adj[v], x & adj[v], out)
+        p ^= low
+        x |= low
+        rest ^= low
 
 
 def enumerate_tilting(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
@@ -246,10 +265,13 @@ def _grow(adj: List[int], n: int, mask: int, cand: int, size: int, start: int,
         out.append(mask)
         return
     rest = cand >> start << start
-    if size + _popcount(rest) < n:
+    if size + rest.bit_count() < n:
         return
-    for j in _bits(rest):
-        _grow(adj, n, mask | (1 << j), cand & adj[j], size + 1, j + 1, out)
+    while rest:
+        low = rest & -rest
+        j = low.bit_length() - 1
+        _grow(adj, n, mask | low, cand & adj[j], size + 1, j + 1, out)
+        rest ^= low
 
 
 def facet_masks(ctx: TiltingContext) -> List[int]:
@@ -262,7 +284,7 @@ def verify_equivalence(ctx: TiltingContext) -> Dict[str, object]:
     """The three-way-equivalence check; raises on self/symmetry defects."""
     maximal = set(maximal_rigid_sets(ctx))
     complete = set(facet_masks(ctx))
-    sizes = sorted({_popcount(mask) for mask in maximal})
+    sizes = sorted({mask.bit_count() for mask in maximal})
     closure_ok = all(_common_neighbors(ctx, mask) == 0 for mask in maximal)
     return {
         "count": len(maximal),

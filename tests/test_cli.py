@@ -126,6 +126,30 @@ def test_mutation_graph_with_dot(tmp_path, capsys):
     assert text.count(" -- ") == 5
 
 
+def test_mutation_graph_counts_its_edges(monkeypatch, tmp_path, capsys):
+    """The edge count is read from the graph, not derived from the expected
+    degree, so a graph that is not regular reports the edges it has."""
+    from dcluster import mutation
+
+    adjacency = mutation.facet_adjacency
+
+    def drop_one_edge(faces, count):
+        nbrs = adjacency(faces, count)
+        b = min(nbrs[0])
+        nbrs[0].discard(b)
+        nbrs[b].discard(0)
+        return nbrs
+
+    monkeypatch.setattr(mutation, "facet_adjacency", drop_one_edge)
+    outp = tmp_path / "g.json"
+    assert run(["mutation-graph", "--out", str(outp)] + A2D1) == 1
+    captured = capsys.readouterr()
+    assert "vertices=5 edges=4 degree=2 regular=False connected=True" in captured.out
+    assert "fails regularity" in captured.err
+    data = json.loads(outp.read_text())
+    assert (data["edges"], data["regular"], data["connected"]) == (4, False, True)
+
+
 def test_complex_full(tmp_path, capsys):
     outp = tmp_path / "c.json"
     assert run(["complex", "--out", str(outp)] + A2D1) == 0

@@ -1,6 +1,8 @@
 import gc
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dcluster.complex import (ClusterComplex, build_complex, colored_roots,
@@ -10,7 +12,7 @@ from dcluster.complex import (ClusterComplex, build_complex, colored_roots,
 from dcluster import tilting
 from dcluster.mutation import group_by_face, mutation_graph, mutation_graph_checks
 from dcluster.orbit import OrbitCategory
-from dcluster.quiver import coxeter_data, fomin_reading_count, parse_quiver
+from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
 from dcluster.tilting import (TiltingContext, enumerate_tilting, is_rigid,
                               verify_equivalence)
@@ -82,11 +84,53 @@ def test_f_vector_frozen(diagram, rank, d, fv):
 
 def test_f_vector_counts_rigid_subsets():
     c = ctx("A", 2, 2)
-    from itertools import combinations
     fv = f_vector(build_complex(c))
     for size in range(c.n + 1):
         byhand = sum(1 for sub in combinations(c.objects, size) if is_rigid(c, sub))
         assert fv[size] == byhand
+
+
+def _oriented(diagram, rank, d, seed):
+    """A fresh context; seed None keeps the default orientation."""
+    arrows = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        arrows = [(s, t) if rng.random() < 0.5 else (t, s)
+                  for s, t in dynkin_edges(diagram, rank)]
+    return load_context(diagram, rank, d, orientation=arrows)
+
+
+@pytest.mark.parametrize("seed", [None, 6])
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 3, 3), ("D", 4, 2)])
+def test_f_vector_equals_a_brute_force_count(diagram, rank, d, seed):
+    c = _oriented(diagram, rank, d, seed)
+    for positive in (False, True):
+        cpx = build_complex(c, positive_only=positive)
+        byhand = [sum(1 for sub in combinations(cpx.vertices, size) if is_rigid(c, sub))
+                  for size in range(c.n + 1)]
+        assert f_vector(cpx) == byhand
+        assert to_json(cpx)["f_vector"] == byhand
+
+
+def test_f_vector_is_counted_once_per_complex(monkeypatch):
+    from dcluster import complex as cpxmod
+
+    calls = []
+    count = cpxmod._count_faces
+    monkeypatch.setattr(cpxmod, "_count_faces",
+                        lambda *args: calls.append(args[3]) or count(*args))
+    cpx = build_complex(_oriented("A", 3, 2, None))
+    want = f_vector(cpx)
+    assert want == [1, 15, 55, 55] and calls.count(0) == 1
+    counted = len(calls)
+    assert f_vector_text(cpx) == "1 15 55 55\n"
+    assert to_json(cpx)["f_vector"] == want
+    # the caller owns the list it gets
+    got = f_vector(cpx)
+    got[1] = 0
+    got.append(7)
+    assert f_vector(cpx) == want
+    assert len(calls) == counted
 
 
 def test_sphere_euler_characteristics():
