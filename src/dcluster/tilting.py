@@ -229,7 +229,7 @@ def _bron_kerbosch(adj: List[int], r: int, p: int, x: int, out: List[int]) -> No
         out.append(r)
         return
     # the pivot is the first u of P | X, in index order, with the most
-    # neighbours in P
+    # neighbours in P; the order of the output depends on that choice
     pux = p | x
     pivot, best = 0, -1
     while pux:
