@@ -148,18 +148,18 @@ def cokernel_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     proj is a (m-rank) x m matrix with kernel exactly the column span of a,
     and sec is an m x (m-rank) section with proj @ sec = identity.  proj
     realizes the quotient k^m / im(a) in the coordinates of the standard
-    basis vectors chosen by sec.
+    basis vectors chosen by sec: the greedy complement of im(a), those e_j
+    not in the span of im(a) and the e_i before them.
+
+    One elimination of [a | I] gives both.  Its pivots in the I block are
+    that complement, and the rows below the rank, L, satisfy L @ a = 0 and
+    have rank m - rank; as rows of a reduced echelon form they are the unit
+    vectors on those pivot columns, so L @ sec = I and L is proj.  (proj is
+    unique given its kernel and proj @ sec = I.)
     """
-    a = np.asarray(a, dtype=np.int64)
-    m = a.shape[0]
-    _, piv = rref_mod(a, p)
-    cspan = a[:, piv]
-    r = len(piv)
-    aug = np.concatenate([mod_p(cspan, p), eye(m)], axis=1)
-    _, piv2 = rref_mod(aug, p)
-    sel = [j - r for j in piv2 if j >= r]
-    basis = np.concatenate([mod_p(cspan, p), eye(m)[:, sel]], axis=1)
-    binv = inv_mod(basis, p)
-    proj = binv[r:, :]
-    sec = eye(m)[:, sel]
-    return proj, sec
+    a = mod_p(np.asarray(a, dtype=np.int64), p)
+    m, n = a.shape
+    red, piv = rref_mod(np.concatenate([a, eye(m)], axis=1), p)
+    r = sum(1 for j in piv if j < n)
+    sel = [j - n for j in piv[r:]]
+    return red[r:, n:], eye(m)[:, sel]

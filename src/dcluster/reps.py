@@ -16,15 +16,15 @@ Coxeter matrix, so no dimension count needs a module, and morphisms of the
 orbit category are paths of ZQ (see orbit), so no composition needs one
 either.  The modules are the linear-algebra witness that the Euler-form
 dimensions are right (the euler-identity and window-hom-reduction checks
-read hom_basis and ext_data), knitted on the first access to rep or pres:
-tau^{-1} is applied repeatedly to the projectives, as tau^{-1} M = coker(
-nu^{-1} J0 -> nu^{-1} J1 ) for the minimal injective copresentation
-0 -> M -> J0 -> J1 -> 0, and each cokernel must have the Coxeter tau^{-1} as
-its dimension vector.  The nu^{-1}-image of that copresentation is kept as
-*the* projective presentation of tau^{-1} M, which keeps every Ext
-computation consistent with the translation functor.  solve_block_map and
-copresentation serve the module-path composition that the tests keep as an
-oracle for the mesh category.
+read hom_basis and ext_dim, the corank of coboundary), knitted on the first
+access to rep or pres: tau^{-1} is applied repeatedly to the projectives, as
+tau^{-1} M = coker( nu^{-1} J0 -> nu^{-1} J1 ) for the minimal injective
+copresentation 0 -> M -> J0 -> J1 -> 0, and each cokernel must have the
+Coxeter tau^{-1} as its dimension vector.  The nu^{-1}-image of that
+copresentation is kept as *the* projective presentation of tau^{-1} M, which
+keeps every Ext computation consistent with the translation functor.
+solve_block_map and copresentation serve the module-path composition that
+the tests keep as an oracle for the mesh category.
 
 Isomorphism testing is dimension-vector equality (valid here: Gabriel).
 """
@@ -213,7 +213,7 @@ class ModuleCategory:
             if t in self.root_index:
                 self.tau_plus[r], self.tau_minus[t] = t, r
         self._hom_cache: Dict[Tuple[Root, Root], List[List[np.ndarray]]] = {}
-        self._ext_cache: Dict[Tuple[Root, Root], tuple] = {}
+        self._ext_cache: Dict[Tuple[Root, Root], int] = {}
 
     @cached_property
     def _knitted(self) -> tuple:
@@ -502,54 +502,61 @@ class ModuleCategory:
         return int(np.asarray(ra, dtype=np.int64) @ self.euler @ np.asarray(rb, dtype=np.int64))
 
     def ext_dim(self, ra: Root, rb: Root) -> int:
-        return self.ext_data(ra, rb)[2]
+        """dim Ext^1(A, B): the cocycle space Hom(P1, B) modulo the image of
+        the coboundary, checked against dim Hom(A, B) - <a, b>."""
+        key = (ra, rb)
+        if key not in self._ext_cache:
+            cob = self.coboundary(ra, rb)
+            dim = cob.shape[0] - linalg.rank_mod(cob, self.p)
+            if dim != self.hom_dim(ra, rb) - self.euler_pairing(ra, rb):
+                raise RuntimeError("Ext dimension mismatch for %r, %r" % (ra, rb))
+            self._ext_cache[key] = dim
+        return self._ext_cache[key]
 
-    # Ext^1(A, N) is Hom(P1, N) / im Hom(P0, N), with Hom(P., N) read through
-    # Hom(P_x, N) = N_x.  Cocycles are coordinate vectors in (+) N_{p1.verts}.
+    # Ext^1(A, N) is Hom(P1, N) / im Hom(P0, N) for the presentation
+    # 0 -> P1 -> P0 -> A -> 0, with Hom(P., N) read through Hom(P_x, N) = N_x:
+    # cocycles are coordinate vectors in (+) N_{p1.verts}, and coboundary is
+    # the matrix of Hom(p, N), whose rank ext_dim subtracts.
 
     def coord_slices(self, sumrep: SumRep, n: Rep):
-        sizes = [n.dims[x] for x in sumrep.verts]
-        offs = np.cumsum([0] + sizes)
-        return [(int(offs[i]), int(offs[i + 1])) for i in range(len(sizes))]
+        out, lo = [], 0
+        for x in sumrep.verts:
+            hi = lo + n.dims[x]
+            out.append((lo, hi))
+            lo = hi
+        return out
+
+    def _pushforward_matrix(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
+                            n: Rep) -> np.ndarray:
+        """Matrix of phi |-> phi . h on coordinates, for h: src -> tgt given by
+        its canonical blocks and phi: tgt -> n; the (src summand a, tgt summand
+        b) block is blocks[b, a] times the action of the path b ~> a on n."""
+        p = self.p
+        ssl = self.coord_slices(src, n)
+        tsl = self.coord_slices(tgt, n)
+        out = linalg.zeros(ssl[-1][1] if ssl else 0, tsl[-1][1] if tsl else 0)
+        for si, a in enumerate(src.verts):
+            for ti, b in enumerate(tgt.verts):
+                c = int(blocks[ti, si]) % p
+                if c and (b, a) in self.paths:
+                    out[ssl[si][0]:ssl[si][1], tsl[ti][0]:tsl[ti][1]] = \
+                        (c * self.path_matrix(n, b, a)) % p
+        return out
 
     def pushforward_coords(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
                            n: Rep, coords: np.ndarray) -> np.ndarray:
         """Coordinates of (phi . h) given phi: tgt -> n and h: src -> tgt."""
-        p = self.p
-        ssl = self.coord_slices(src, n)
-        tsl = self.coord_slices(tgt, n)
-        out = np.zeros(ssl[-1][1] if ssl else 0, dtype=np.int64)
-        for si, a in enumerate(src.verts):
-            acc = np.zeros(n.dims[a], dtype=np.int64)
-            for ti, b in enumerate(tgt.verts):
-                c = int(blocks[ti, si]) % p
-                if c and (b, a) in self.paths:
-                    acc = (acc + c * ((self.path_matrix(n, b, a)
-                                       @ coords[tsl[ti][0]:tsl[ti][1]]) % p)) % p
-            lo, hi = ssl[si]
-            out[lo:hi] = acc
-        return out
+        return (self._pushforward_matrix(blocks, src, tgt, n)
+                @ np.asarray(coords, dtype=np.int64)) % self.p
+
+    def coboundary(self, ra: Root, rb: Root) -> np.ndarray:
+        """Hom(P0, B) -> Hom(P1, B) on coordinates, for the presentation of A."""
+        pres = self.pres[ra]
+        return self._pushforward_matrix(pres.p_blocks, pres.p1, pres.p0, self.rep[rb])
 
     def ext_data(self, ra: Root, rb: Root):
-        """(Q, S, dim) for Ext^1(A, B): Q projects cocycles onto classes,
-        S sections class coordinates back to cocycles."""
-        key = (ra, rb)
-        if key in self._ext_cache:
-            return self._ext_cache[key]
-        pres = self.pres[ra]
-        n = self.rep[rb]
-        sl1 = self.coord_slices(pres.p1, n)
-        len1 = sl1[-1][1] if sl1 else 0
-        sl0 = self.coord_slices(pres.p0, n)
-        len0 = sl0[-1][1] if sl0 else 0
-        cob = linalg.zeros(len1, len0)
-        for j in range(len0):
-            e = np.zeros(len0, dtype=np.int64)
-            e[j] = 1
-            cob[:, j] = self.pushforward_coords(pres.p_blocks, pres.p1, pres.p0, n, e)
-        q_, s_ = linalg.cokernel_mod(cob, self.p)
-        data = (q_, s_, q_.shape[0])
-        if data[2] != self.hom_dim(ra, rb) - self.euler_pairing(ra, rb):
-            raise RuntimeError("Ext dimension mismatch for %r, %r" % (ra, rb))
-        self._ext_cache[key] = data
-        return data
+        """(Q, S, dim) for Ext^1(A, B) (uncached; dimensions read ext_dim):
+        Q projects cocycles onto classes and S sections class coordinates
+        back to cocycles, from the cokernel of coboundary(ra, rb)."""
+        q_, s_ = linalg.cokernel_mod(self.coboundary(ra, rb), self.p)
+        return q_, s_, self.ext_dim(ra, rb)

@@ -71,7 +71,7 @@ def check_euler_identity(ctx: TiltingContext) -> Dict[str, object]:
         for b in cat.roots:
             count += 1
             e = cat.euler_pairing(a, b)
-            if len(cat.hom_basis(a, b)) != max(e, 0) or cat.ext_data(a, b)[2] != max(-e, 0):
+            if len(cat.hom_basis(a, b)) != max(e, 0) or cat.ext_dim(a, b) != max(-e, 0):
                 return _fail(count, {"pair": [list(a), list(b)]})
     return _pass(count)
 

@@ -116,3 +116,46 @@ def test_empty_matrices_are_fine():
     assert linalg.nullspace_mod(b, p).shape == (0, 0)
     proj, sec = linalg.cokernel_mod(b, p)
     assert proj.shape == (3, 3)
+
+
+def _cokernel_by_three_eliminations(a, p):
+    """Reference: the pivot columns of a, then the greedy complement of their
+    span among the e_j, then the inverse of [span | complement]."""
+    a = linalg.mod_p(a, p)
+    m = a.shape[0]
+    _, piv = linalg.rref_mod(a, p)
+    cspan = a[:, piv]
+    r = len(piv)
+    _, piv2 = linalg.rref_mod(np.concatenate([cspan, linalg.eye(m)], axis=1), p)
+    sel = [j - r for j in piv2 if j >= r]
+    basis = np.concatenate([cspan, linalg.eye(m)[:, sel]], axis=1)
+    return linalg.inv_mod(basis, p)[r:, :], linalg.eye(m)[:, sel]
+
+
+def _cokernel_cases(rng, p):
+    for _ in range(60):
+        yield random_matrix(rng, rng.integers(0, 7), rng.integers(0, 7), p)
+    for _ in range(60):
+        m, n, k = rng.integers(1, 7), rng.integers(1, 7), rng.integers(0, 4)
+        low = random_matrix(rng, m, k, p) @ random_matrix(rng, k, n, p)
+        low[:, rng.integers(0, n)] = 0
+        yield low % p
+    for m, n in [(0, 0), (0, 4), (4, 0), (5, 1), (1, 5)]:
+        yield linalg.zeros(m, n)
+    yield linalg.eye(4)
+    yield np.concatenate([linalg.zeros(4, 2), linalg.eye(4)[:, [2, 0]]], axis=1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_cokernel_matches_three_eliminations(p):
+    """One elimination of [a | I] gives the same projection and section,
+    entry for entry, as the pivot-span / complement / inverse route."""
+    rng = np.random.default_rng(17 + p)
+    for a in _cokernel_cases(rng, p):
+        proj, sec = linalg.cokernel_mod(a, p)
+        want_proj, want_sec = _cokernel_by_three_eliminations(a, p)
+        assert proj.shape == want_proj.shape and np.array_equal(proj, want_proj)
+        assert sec.shape == want_sec.shape and np.array_equal(sec, want_sec)
+        k = a.shape[0] - linalg.rank_mod(a, p)
+        assert not ((proj @ a) % p).any()
+        assert np.array_equal((proj @ sec) % p, linalg.eye(k))

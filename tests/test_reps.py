@@ -221,6 +221,72 @@ def test_pushforward_matches_vmap_composition():
             assert np.array_equal(direct, via_blocks)
 
 
+def _pushforward_by_paths(c, blocks, src, tgt, n, coords):
+    """Reference: coords(phi . h) summand by summand, one path action per
+    nonzero canonical block."""
+    ssl, tsl = c.coord_slices(src, n), c.coord_slices(tgt, n)
+    out = np.zeros(ssl[-1][1] if ssl else 0, dtype=np.int64)
+    for si, a in enumerate(src.verts):
+        for ti, b in enumerate(tgt.verts):
+            k = int(blocks[ti, si]) % c.p
+            if k and (b, a) in c.paths:
+                lo, hi = ssl[si]
+                out[lo:hi] += k * (c.path_matrix(n, b, a) @ coords[tsl[ti][0]:tsl[ti][1]])
+    return out % c.p
+
+
+@pytest.mark.parametrize("diagram,rank,seed", [("A", 3, None), ("D", 4, None), ("D", 5, 3)])
+def test_coboundary_matches_the_column_by_column_stack(diagram, rank, seed):
+    """The block-built coboundary of every root pair equals the stack of the
+    images of the unit cochains, by paths and by pushforward_coords."""
+    c = cat(diagram, rank, arrows=_seeded_arrows(diagram, rank, seed))
+    for r1 in c.roots:
+        pres = c.pres[r1]
+        for r2 in c.roots:
+            n = c.rep[r2]
+            sl0 = c.coord_slices(pres.p0, n)
+            unit = linalg.eye(sl0[-1][1] if sl0 else 0)
+            by_paths = [_pushforward_by_paths(c, pres.p_blocks, pres.p1, pres.p0, n, e)
+                        for e in unit]
+            by_coords = [c.pushforward_coords(pres.p_blocks, pres.p1, pres.p0, n, e)
+                         for e in unit]
+            cob = c.coboundary(r1, r2)
+            assert cob.shape == (sum(n.dims[x] for x in pres.p1.verts), len(unit))
+            for j in range(len(unit)):
+                assert np.array_equal(cob[:, j], by_paths[j])
+                assert np.array_equal(cob[:, j], by_coords[j])
+
+
+def test_a_zeroed_coboundary_block_breaks_ext_dim(monkeypatch):
+    """Dropping any one nonzero block of the coboundary changes its rank on
+    A3, and ext_dim's cross-check against hom - <a, b> must catch it."""
+    coboundary = reps.ModuleCategory.coboundary
+    roots = cat("A", 3).roots
+    mutants = 0
+    for r1 in roots:
+        for r2 in roots:
+            c = cat("A", 3)
+            pres, n = c.pres[r1], c.rep[r2]
+            cob = c.coboundary(r1, r2)
+            for lo1, hi1 in c.coord_slices(pres.p1, n):
+                for lo0, hi0 in c.coord_slices(pres.p0, n):
+                    if not cob[lo1:hi1, lo0:hi0].any():
+                        continue
+
+                    def zeroed(self, ra, rb, lo1=lo1, hi1=hi1, lo0=lo0, hi0=hi0):
+                        out = coboundary(self, ra, rb)
+                        if (ra, rb) == (r1, r2):
+                            out[lo1:hi1, lo0:hi0] = 0
+                        return out
+
+                    monkeypatch.setattr(reps.ModuleCategory, "coboundary", zeroed)
+                    with pytest.raises(RuntimeError, match="Ext dimension mismatch"):
+                        cat("A", 3).ext_dim(r1, r2)
+                    monkeypatch.setattr(reps.ModuleCategory, "coboundary", coboundary)
+                    mutants += 1
+    assert mutants == 5
+
+
 def test_solve_block_map_lifts_along_envelope():
     c = cat("A", 3)
     p = c.p

@@ -253,20 +253,19 @@ def _break_one_root_pair(monkeypatch, ctx, side):
     euler = ctx.oc.cat.euler_pairing
     pair = next((a, b) for a in roots for b in roots if euler(a, b) < 0) \
         if side == "ext" else (roots[-1], roots[-1])
-    hom_basis, ext_data = ModuleCategory.hom_basis, ModuleCategory.ext_data
+    hom_basis, ext_dim = ModuleCategory.hom_basis, ModuleCategory.ext_dim
 
     def short_hom(self, ra, rb):
         out = hom_basis(self, ra, rb)
         return out[:-1] if (ra, rb) == pair else out
 
     def wide_ext(self, ra, rb):
-        q_, s_, dim = ext_data(self, ra, rb)
-        return (q_, s_, dim + 1) if (ra, rb) == pair else (q_, s_, dim)
+        return ext_dim(self, ra, rb) + ((ra, rb) == pair)
 
     if side == "hom":
         monkeypatch.setattr(ModuleCategory, "hom_basis", short_hom)
     else:
-        monkeypatch.setattr(ModuleCategory, "ext_data", wide_ext)
+        monkeypatch.setattr(ModuleCategory, "ext_dim", wide_ext)
     return pair
 
 
