@@ -47,7 +47,9 @@ class Rep:
     """A quiver representation: dims per vertex, one matrix per arrow.
 
     The matrix for an arrow s -> t has shape (dims[t], dims[s]) and acts on
-    column vectors.
+    column vectors.  The matrices are not changed after construction, so
+    path actions computed from them are kept in path_actions (see
+    ModuleCategory.path_matrix).
     """
 
     def __init__(self, q: DynkinQuiver, dims, mats):
@@ -55,6 +57,7 @@ class Rep:
         self.dims = tuple(int(x) for x in dims)
         self.mats = [np.asarray(m, dtype=np.int64).reshape(
             self.dims[t], self.dims[s]) for (s, t), m in zip(q.arrows, mats)]
+        self.path_actions: Dict[Tuple[int, int, int], np.ndarray] = {}
 
     @property
     def total_dim(self) -> int:
@@ -248,10 +251,16 @@ class ModuleCategory:
         return SumRep(self, "I", verts)
 
     def path_matrix(self, m: Rep, u: int, v: int) -> np.ndarray:
-        """Action of the unique path u ~> v on m, as a dims[v] x dims[u] matrix."""
-        out = linalg.eye(m.dims[u])
-        for a in self.paths[(u, v)]:
-            out = (m.mats[a] @ out) % self.p
+        """Action of the unique path u ~> v on m, as a dims[v] x dims[u] matrix
+        (read-only, computed once per m)."""
+        key = (u, v, self.p)
+        out = m.path_actions.get(key)
+        if out is None:
+            out = linalg.eye(m.dims[u])
+            for a in self.paths[(u, v)]:
+                out = (m.mats[a] @ out) % self.p
+            out.flags.writeable = False
+            m.path_actions[key] = out
         return out
 
     # -- canonical generators between P/I summands --------------------------

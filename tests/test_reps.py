@@ -257,6 +257,22 @@ def test_coboundary_matches_the_column_by_column_stack(diagram, rank, seed):
                 assert np.array_equal(cob[:, j], by_coords[j])
 
 
+def test_path_matrix_is_the_arrow_product_computed_once():
+    """path_matrix keeps each path action on its module, read-only, and the
+    kept matrix is the product of the arrow matrices along the path."""
+    c = cat("D", 4, arrows=[(1, 0), (1, 2), (3, 1)])
+    for n in c.rep.values():
+        for (u, v), arrows in c.paths.items():
+            want = linalg.eye(n.dims[u])
+            for a in arrows:
+                want = (n.mats[a] @ want) % c.p
+            got = c.path_matrix(n, u, v)
+            assert np.array_equal(got, want)
+            assert c.path_matrix(n, u, v) is got
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0
+
+
 def test_a_zeroed_coboundary_block_breaks_ext_dim(monkeypatch):
     """Dropping any one nonzero block of the coboundary changes its rank on
     A3, and ext_dim's cross-check against hom - <a, b> must catch it."""
