@@ -1,10 +1,16 @@
-"""Exact linear algebra over the prime field F_p, on numpy int64 arrays.
+"""Exact linear algebra over the prime field F_p.
 
 Everything in the package that looks like numerical linear algebra goes
-through this module, so all ranks, kernels and solves are exact.  Matrices
-are ordinary numpy arrays with dtype int64 and entries reduced into
-[0, p); p is a parameter everywhere (default prime lives in config, not
-here).  Zero-sized matrices are legal and common (empty representations).
+through this module, so all ranks, kernels and solves are exact.  The
+elimination core, rref_rows, runs on lists of Python ints: the matrices
+reduced here are small (a knit's mesh relations average 1.4 x 2.0), and on
+them numpy's per-call dispatch costs more than the arithmetic.  Arrays
+appear only at the edges: the other functions take and return numpy int64
+arrays with entries reduced into [0, p), converting to rows and back around
+one call of the core.  check_field's int64 bound still guards the numpy
+products that callers form, such as mmul and the mesh category's path_map.
+p is a parameter everywhere (the default prime lives in config, not here).
+Zero-sized matrices are legal and common (empty representations).
 """
 
 from __future__ import annotations
@@ -53,36 +59,56 @@ def mmul(p: int, *mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def inv_scalar(a: int, p: int) -> int:
-    """Inverse of a nonzero scalar mod p (p prime)."""
-    a = int(a) % p
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0 mod %d" % p)
-    return pow(a, p - 2, p)
+def rref_rows(rows: List[List[int]], ncols: int, p: int) -> List[int]:
+    """Reduce `rows`, lists of ncols ints in [0, p), to reduced row echelon
+    form mod p in place (each row of the list is replaced by its reduced
+    row), and return the pivot columns.
+
+    Rows with a 0 in the pivot column are left alone, and a pivot row is
+    scaled only when its pivot is not already 1.  A pivot row is zero left
+    of its pivot, so the update of the other rows starts at the pivot column.
+    """
+    piv: List[int] = []
+    h = 0
+    n = len(rows)
+    for j in range(ncols):
+        if h == n:
+            break
+        for i in range(h, n):
+            if rows[i][j]:
+                break
+        else:
+            continue
+        top = rows[i]
+        if i != h:
+            rows[i] = rows[h]
+        c = top[j]
+        if c != 1:
+            c = pow(c, p - 2, p)
+            top = [v * c % p for v in top]
+        rows[h] = top
+        right = top[j:]
+        for k in range(n):
+            row = rows[k]
+            c = row[j]
+            if c and k != h:
+                rows[k] = row[:j] + [(v - c * t) % p for v, t in zip(row[j:], right)]
+        piv.append(j)
+        h += 1
+    return piv
 
 
 def rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Row-reduced echelon form mod p; returns (R, pivot column list)."""
-    r = mod_p(np.array(a, dtype=np.int64, copy=True), p)
-    rows, cols = r.shape
-    piv: List[int] = []
-    h = 0
-    for j in range(cols):
-        if h >= rows:
-            break
-        nz = np.nonzero(r[h:, j])[0]
-        if nz.size == 0:
-            continue
-        i = h + int(nz[0])
-        if i != h:
-            r[[h, i]] = r[[i, h]]
-        r[h] = (r[h] * inv_scalar(int(r[h, j]), p)) % p
-        col = r[:, j].copy()
-        col[h] = 0
-        r = (r - np.outer(col, r[h])) % p
-        piv.append(j)
-        h += 1
-    return r, piv
+    """Row-reduced echelon form mod p; returns (R, pivot column list).
+
+    R is an int64 array of a's shape, read back from rref_rows on a's rows;
+    the reduced echelon form of a matrix is unique, so it does not depend on
+    how the elimination is ordered.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    rows = (a % p).tolist()
+    piv = rref_rows(rows, a.shape[1], p)
+    return np.array(rows, dtype=np.int64).reshape(a.shape), piv
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:

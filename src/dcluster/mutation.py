@@ -63,7 +63,7 @@ import numpy as np
 from . import linalg
 from .orbit import Obj
 from .tilting import TiltingContext, _bits, _compatible_with, _popcount, \
-    enumerate_tilting, facet_masks, is_tilting
+    _row_masks, enumerate_tilting, facet_masks, is_tilting
 
 # a middle term: (object index j, multiplicity of T_j) for each summand in it
 Middle = Tuple[Tuple[int, int], ...]
@@ -238,7 +238,7 @@ def _check_end_fields(ctx: TiltingContext, mask: int) -> None:
     the other summands."""
     if ctx._end_defects is None:
         ends = np.diagonal(ctx.oc.dims()[:, :, 0])
-        ctx._end_defects = sum(1 << int(j) for j in np.flatnonzero(ends != 1))
+        ctx._end_defects = _row_masks(ends[None] != 1)[0]
     bad = mask & ctx._end_defects
     if bad:
         raise RuntimeError("endomorphism ring of %r is not one-dimensional"

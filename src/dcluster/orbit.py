@@ -23,12 +23,15 @@ by relabelling its vertices with phi^l: no F matrix is ever filled.
 
 On the first morphism call, Hom((0, i), -) is knitted once per vertex i of
 Q (tau^{-m} moves it to level m), and every Hom_C dimension it gives is
-checked against the table.  Level by level, sinks of Q first, Hom(x, z) for
-z != x is the cokernel of the mesh map Hom(x, tau z) -> (+)_{w -> z}
-Hom(x, w), until a whole level is zero.  Its basis is the unit vectors
-picked as pivots by one row reduction of [R | I], so each basis vector is a
-single path (a basis path of some Hom(x, w), then the arrow w -> z) and the
-arrow maps of Hom(x, -) are blocks of the cokernel projection.  A morphism
+checked against the table in one array comparison.  Level by level, sinks
+of Q first, Hom(x, z) for z != x is the cokernel of the mesh map
+Hom(x, tau z) -> (+)_{w -> z} Hom(x, w), until a whole level is zero.  Its
+basis is the unit vectors picked as pivots by one row reduction of [R | I],
+R the mesh relation's rows, so each basis vector is a single path (a basis
+path of some Hom(x, w), then the arrow w -> z) and the arrow maps of
+Hom(x, -) are blocks of the cokernel projection.  These matrices are tiny,
+so the knit reduces them as lists of Python ints (linalg.rref_rows) and
+turns the arrow maps into int64 arrays once, when it returns.  A morphism
 of C_d is kept as its coordinates in these path bases, slot 0 then slot 1.
 g . f is f carried along the paths of g through the arrow maps of Hom(x, -),
 with g's slot-0 paths relabelled by phi (push_piece) for the term through
@@ -278,20 +281,35 @@ class OrbitCategory:
         """Hom((0, i), -) for every vertex i of Q, knitted on the first
         morphism call and checked against the dimension table: for every
         canonical X and Y, dim Hom(x, y) + dim Hom(x, phi y) must be the
-        table's dim Hom_C(X, Y)."""
+        table's dim Hom_C(X, Y).
+
+        The check is one array comparison.  knit[i, l, j] is dim Hom((0, i),
+        (low + l, j)), with a zero row for the levels that were not knitted,
+        and each pair (X, Y) reads it at the levels of y and of phi y relative
+        to x; the first mismatch in row-major order is reported."""
         mesh = [knit_hom_from(self.cat, i) for i in range(self.cat.q.rank)]
+        levels = [m for hom in mesh for m, _ in hom.dims]
+        low, span = min(levels), max(levels) - min(levels) + 1
+        knit = np.zeros((len(mesh), span + 1, len(mesh)), dtype=np.int64)
+        for i, hom in enumerate(mesh):
+            for (m, j), dim in hom.dims.items():
+                knit[i, m - low, j] = dim
         objs = self.objects()
-        table = self.dims()[:, :, 0].tolist()
-        ends = [(self.vertex(y), self.phi(self.vertex(y))) for y in objs]
-        for a, x in enumerate(objs):
-            m, i = self.vertex(x)
-            dims = mesh[i].dims
-            for b, (yv, fyv) in enumerate(ends):
-                got = dims.get((yv[0] - m, yv[1]), 0) + dims.get((fyv[0] - m, fyv[1]), 0)
-                if got != table[a][b]:
-                    raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
-                                       "dimension table gives %d"
-                                       % (x, objs[b], got, table[a][b]))
+        xv = [self.vertex(x) for x in objs]
+        xs = np.array(xv, dtype=np.int64)
+        got = 0
+        for ys in (xs, np.array([self.phi(v) for v in xv], dtype=np.int64)):
+            rel = ys[None, :, 0] - xs[:, None, 0] - low
+            # a level that was not knitted reads the zero row at index span
+            rel = np.where((rel >= 0) & (rel < span), rel, span)
+            got = got + knit[xs[:, None, 1], rel, ys[None, :, 1]]
+        table = self.dims()[:, :, 0]
+        bad = np.flatnonzero(got != table)
+        if bad.size:
+            a, b = divmod(int(bad[0]), len(objs))
+            raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
+                               "dimension table gives %d"
+                               % (objs[a], objs[b], got[a, b], table[a, b]))
         return mesh
 
     def mesh_dim(self, u: Vertex, v: Vertex) -> int:
@@ -533,12 +551,18 @@ class HomFrom(NamedTuple):
     steps: Dict[Vertex, List[tuple]]
 
 
-def _mesh_map(hom: HomFrom, tau_z: Vertex, preds: List[Vertex]) -> np.ndarray:
+def _mesh_map(hom: HomFrom, tau_z: Vertex, preds: List[Vertex]) -> List[List[int]]:
     """Hom(x, tau z) -> (+)_w Hom(x, w): the mesh relation at z, each path
-    tau z -> w with coefficient 1."""
+    tau z -> w with coefficient 1, as the rows of its matrix (hom.maps holds
+    row lists while it is being knitted)."""
     cols = hom.dims.get(tau_z, 0)
-    return np.concatenate([hom.maps[(tau_z, w)] if (tau_z, w) in hom.maps
-                           else linalg.zeros(hom.dims.get(w, 0), cols) for w in preds])
+    rows: List[List[int]] = []
+    for w in preds:
+        arrow = hom.maps.get((tau_z, w))
+        if arrow is None:
+            arrow = [[0] * cols for _ in range(hom.dims.get(w, 0))]
+        rows += arrow
+    return rows
 
 
 def knit_hom_from(cat: ModuleCategory, i: int) -> HomFrom:
@@ -562,23 +586,26 @@ def knit_hom_from(cat: ModuleCategory, i: int) -> HomFrom:
             if not sum(sizes):
                 continue
             rel = _mesh_map(hom, (m - 1, j), preds)
-            red, piv = linalg.rref_mod(np.concatenate([rel, linalg.eye(rel.shape[0])],
-                                                      axis=1), p)
-            basis = [c - rel.shape[1] for c in piv if c >= rel.shape[1]]
+            cols, n = len(rel[0]), len(rel)
+            red = [row + [0] * k + [1] + [0] * (n - k - 1) for k, row in enumerate(rel)]
+            piv = linalg.rref_rows(red, cols + n, p)
+            basis = [c - cols for c in piv if c >= cols]
             if not basis:
                 continue
             # the rows below the relations' pivots project onto the cokernel,
             # taking the unit vector at the k-th chosen pivot to the k-th one
-            rank = len(piv) - len(basis)
-            proj = red[rank:len(piv), rel.shape[1]:]
+            proj = red[len(piv) - len(basis):len(piv)]
             hom.dims[z] = len(basis)
-            offs = np.cumsum([0] + sizes)
-            for w, lo, hi in zip(preds, offs, offs[1:]):
-                if hi > lo:
-                    hom.maps[(w, z)] = proj[:, lo:hi]
-            block = np.searchsorted(offs, basis, side="right") - 1
-            hom.steps[z] = [(preds[b], int(c - offs[b])) for b, c in zip(block, basis)]
+            lo = cols
+            slots = []
+            for w, size in zip(preds, sizes):
+                if size:
+                    hom.maps[(w, z)] = [row[lo:lo + size] for row in proj]
+                    slots += [(w, k) for k in range(size)]
+                    lo += size
+            hom.steps[z] = [slots[c] for c in basis]
             level = True
         if not level:
-            return hom
+            return hom._replace(maps={key: np.array(rows, dtype=np.int64)
+                                      for key, rows in hom.maps.items()})
         m += 1

@@ -75,6 +75,13 @@ def default_orientation(diagram: str, rank: int) -> List[Tuple[int, int]]:
     return [(u, v) if dist[u] > dist[v] else (v, u) for u, v in edges]
 
 
+def _vertex(v) -> int:
+    """A vertex number: an integer, but not a bool (JSON true/false)."""
+    if isinstance(v, bool):
+        raise TypeError("a vertex is not a bool")
+    return operator.index(v)
+
+
 class DynkinQuiver:
     """A Dynkin diagram with a chosen orientation of its edges."""
 
@@ -86,7 +93,7 @@ class DynkinQuiver:
         if arrows is None:
             arrows = default_orientation(diagram, rank)
         try:
-            arrows = [(operator.index(s), operator.index(t)) for s, t in arrows]
+            arrows = [(_vertex(s), _vertex(t)) for s, t in arrows]
         except (TypeError, ValueError):
             raise ValueError("arrows must be a list of [source, target] vertex "
                              "pairs") from None
@@ -150,22 +157,23 @@ def cartan_matrix(q: DynkinQuiver) -> np.ndarray:
 
 
 def positive_roots(q: DynkinQuiver) -> List[Root]:
-    """Positive roots in the simple-root basis, sorted by (height, coords)."""
-    c = cartan_matrix(q)
+    """Positive roots in the simple-root basis, sorted by (height, coords):
+    the closure of the simple roots under the simple reflections
+    s_i(b) = b - (c_i . b) e_i, c the Cartan matrix, kept while nonnegative."""
+    c = cartan_matrix(q).tolist()
     found = set()
-    frontier = [tuple(int(x) for x in row) for row in np.eye(q.rank, dtype=np.int64)]
+    frontier = [tuple(int(i == j) for j in range(q.rank)) for i in range(q.rank)]
     while frontier:
         nxt = []
         for beta in frontier:
             if beta in found:
                 continue
             found.add(beta)
-            bv = np.array(beta, dtype=np.int64)
-            for i in range(q.rank):
-                new = bv.copy()
-                new[i] -= int(c[i] @ bv)
-                if new.min() >= 0 and new.max() > 0:
-                    t = tuple(int(x) for x in new)
+            for i, row in enumerate(c):
+                new = list(beta)
+                new[i] -= sum(x * y for x, y in zip(row, beta))
+                if min(new) >= 0 and max(new) > 0:
+                    t = tuple(new)
                     if t not in found:
                         nxt.append(t)
         frontier = nxt

@@ -133,7 +133,12 @@ class TiltingContext:
 
 
 def _row_masks(rows: np.ndarray) -> List[int]:
-    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in rows]
+    """Bit j of the k-th int is set when rows[k, j] is: each boolean row packed
+    into little-endian bytes, read as one int."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[-1]
+    return [int.from_bytes(data[k * width:(k + 1) * width], "little")
+            for k in range(len(packed))]
 
 
 def _bits(mask: int) -> List[int]:

@@ -308,6 +308,16 @@ def test_orientation_of_wrong_shape_exits_2(tmp_path, capsys):
         assert err == "error: arrows must be a list of [source, target] vertex pairs\n"
 
 
+def test_orientation_with_bool_vertices_exits_2(tmp_path, capsys):
+    ori = tmp_path / "f.json"
+    ori.write_text("[[false, true], [true, 2]]")
+    argv = ["indecomposables", "--diagram", "A", "--rank", "3", "--d", "1",
+            "--orientation", str(ori)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: arrows must be a list of [source, target] vertex pairs\n"
+
+
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for cfg_data, message in (

@@ -22,6 +22,70 @@ def test_rref_shapes_and_pivots(p):
             assert np.count_nonzero(r[:, col]) == 1
 
 
+def _rref_per_pivot(a, p):
+    """Reference: the per-pivot numpy elimination rref_mod first used, one
+    swap, scale and rank-one update of the whole array per pivot."""
+    r = np.array(a, dtype=np.int64, copy=True) % p
+    rows, cols = r.shape
+    piv = []
+    h = 0
+    for j in range(cols):
+        if h >= rows:
+            break
+        nz = np.nonzero(r[h:, j])[0]
+        if nz.size == 0:
+            continue
+        i = h + int(nz[0])
+        if i != h:
+            r[[h, i]] = r[[i, h]]
+        r[h] = (r[h] * pow(int(r[h, j]), p - 2, p)) % p
+        col = r[:, j].copy()
+        col[h] = 0
+        r = (r - np.outer(col, r[h])) % p
+        piv.append(j)
+        h += 1
+    return r, piv
+
+
+def _rref_cases(rng, p):
+    for _ in range(150):
+        yield random_matrix(rng, rng.integers(0, 9), rng.integers(0, 9), p)
+    for _ in range(100):
+        m, n, k = rng.integers(1, 9), rng.integers(1, 9), rng.integers(0, 4)
+        low = random_matrix(rng, m, k, p) @ random_matrix(rng, k, n, p)
+        low[:, rng.integers(0, n)] = 0
+        low[rng.integers(0, m)] = 0
+        yield low % p
+    for _ in range(30):
+        sparse = random_matrix(rng, 12, 16, p) * (rng.random((12, 16)) < 0.2)
+        yield np.concatenate([sparse, linalg.eye(12)], axis=1)
+    for m, n in [(0, 0), (0, 5), (5, 0), (1, 1), (3, 1), (1, 3)]:
+        yield linalg.zeros(m, n)
+    yield linalg.eye(5)[::-1]
+    # entries outside [0, p) are reduced first
+    yield rng.integers(-3 * p, 3 * p, size=(4, 6))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_rref_matches_the_per_pivot_elimination(p):
+    rng = np.random.default_rng(40 + p)
+    for a in _rref_cases(rng, p):
+        r, piv = linalg.rref_mod(a, p)
+        want_r, want_piv = _rref_per_pivot(a, p)
+        assert r.dtype == np.int64 and r.shape == a.shape
+        assert np.array_equal(r, want_r)
+        assert piv == want_piv and all(type(j) is int for j in piv)
+
+
+def test_rref_rows_reduces_in_place():
+    rows = [[0, 2, 4], [3, 1, 0], [3, 3, 4]]
+    assert linalg.rref_rows(rows, 3, 5) == [0, 1]
+    assert rows == [[1, 0, 1], [0, 1, 2], [0, 0, 0]]
+    assert linalg.rref_rows([], 4, 5) == []
+    empty = [[], []]
+    assert linalg.rref_rows(empty, 0, 5) == [] and empty == [[], []]
+
+
 @pytest.mark.parametrize("p", [2, 101])
 def test_nullspace_is_kernel(p):
     rng = np.random.default_rng(1)

@@ -30,6 +30,16 @@ def test_bad_input_rejected():
         quiver.parse_quiver("A", 3, [(0, 1), (0, 2)])
 
 
+def test_bool_vertices_rejected():
+    # JSON true/false are ints to operator.index; they must not pass as 1/0
+    for arrows in ([(False, True), (True, 2)], [(0, 1), (1, True)],
+                   [(np.bool_(False), 1), (1, 2)]):
+        with pytest.raises(ValueError, match="arrows must be a list of "
+                           r"\[source, target\] vertex pairs"):
+            quiver.DynkinQuiver("A", 3, arrows)
+    assert quiver.DynkinQuiver("A", 3, [(np.int64(0), 1), (1, 2)]).arrows == ((0, 1), (1, 2))
+
+
 def test_reversed_orientation_accepted():
     q = quiver.parse_quiver("A", 3, [(1, 0), (1, 2)])
     assert q.arrows == ((1, 0), (1, 2))
@@ -49,6 +59,47 @@ def test_positive_root_counts(diagram, rank):
     assert len(roots) == ROOT_COUNTS[(diagram, rank)]
     assert len(set(roots)) == len(roots)
     assert roots == sorted(roots, key=lambda r: (sum(r), r))
+
+
+def _positive_roots_on_arrays(q):
+    """Reference: the reflection closure on numpy vectors, as first written."""
+    c = quiver.cartan_matrix(q)
+    found = set()
+    frontier = [tuple(int(x) for x in row) for row in np.eye(q.rank, dtype=np.int64)]
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            if beta in found:
+                continue
+            found.add(beta)
+            bv = np.array(beta, dtype=np.int64)
+            for i in range(q.rank):
+                new = bv.copy()
+                new[i] -= int(c[i] @ bv)
+                if new.min() >= 0 and new.max() > 0:
+                    t = tuple(int(x) for x in new)
+                    if t not in found:
+                        nxt.append(t)
+        frontier = nxt
+    return sorted(found, key=lambda r: (sum(r), r))
+
+
+ALL_TYPES = [("A", n) for n in range(1, 7)] + [("D", n) for n in (4, 5, 6)] + \
+    [("E", n) for n in (6, 7, 8)]
+
+
+@pytest.mark.parametrize("diagram,rank", ALL_TYPES)
+def test_positive_roots_match_the_array_closure(diagram, rank):
+    rng = np.random.default_rng(rank)
+    edges = quiver.dynkin_edges(diagram, rank)
+    orientations = [None] + [[(u, v) if flip else (v, u) for (u, v), flip
+                              in zip(edges, rng.integers(0, 2, len(edges)))]
+                             for _ in range(3)]
+    for arrows in orientations:
+        q = quiver.parse_quiver(diagram, rank, arrows)
+        roots = quiver.positive_roots(q)
+        assert roots == _positive_roots_on_arrays(q)
+        assert all(type(x) is int for r in roots for x in r)
 
 
 def test_a2_roots_frozen():

@@ -9,7 +9,7 @@ from dcluster.orbit import OrbitCategory
 from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
 from dcluster.tilting import (TiltingContext, _bits, _common_neighbors, _popcount,
-                              classify, complete_to_tilting, enumerate_tilting,
+                              _row_masks, classify, complete_to_tilting, enumerate_tilting,
                               facet_masks, is_maximal_rigid, is_rigid, is_tilting,
                               maximal_rigid_sets, verify_equivalence)
 
@@ -230,6 +230,19 @@ def test_bits_and_popcount_match_reference_loops():
         want = _reference_bits(mask)
         assert list(_bits(mask)) == want
         assert _popcount(mask) == bin(mask).count("1") == len(want)
+
+
+def test_row_masks_match_the_bit_sum():
+    rng = np.random.default_rng(11)
+    shapes = [(0, 0), (0, 7), (3, 0), (1, 1), (5, 8), (4, 9), (6, 64), (3, 65), (7, 200)]
+    for rows, cols in shapes:
+        for density in (0.0, 0.3, 1.0):
+            a = rng.random((rows, cols)) < density
+            want = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in a]
+            for view in (a, a.T.copy().T, a[:, ::-1][:, ::-1]):
+                got = _row_masks(view)
+                assert got == want and all(type(m) is int for m in got)
+    assert _row_masks(np.array([[1, 1, 0], [0, 0, 1]], dtype=bool).T) == [1, 1, 2]
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", [
