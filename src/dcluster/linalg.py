@@ -2,19 +2,21 @@
 
 Everything in the package that looks like numerical linear algebra goes
 through this module, so all ranks, kernels and solves are exact.  The
-elimination core, rref_rows, runs on lists of Python ints: the matrices
-reduced here are small (a knit's mesh relations average 1.4 x 2.0), and on
-them numpy's per-call dispatch costs more than the arithmetic.  Arrays
-appear only at the edges: the other functions take and return numpy int64
-arrays with entries reduced into [0, p), converting to rows and back around
-one call of the core.  check_field's int64 bound still guards the numpy
-products that callers form, such as mmul and the mesh category's path_map.
+elimination core, rref_rows, and its reduction of [a | I], complement_rows,
+run on lists of Python ints: the matrices reduced here are small (a knit's
+mesh relations average 1.4 x 2.0), and on them numpy's per-call dispatch
+costs more than the arithmetic.  Arrays appear only at the edges: the other
+functions take and return numpy int64 arrays with entries reduced into
+[0, p), converting to rows and back around one call of the core.
+check_field's int64 bound still guards the numpy products that callers
+form, such as mmul and the mesh category's path_map.
 p is a parameter everywhere (the default prime lives in config, not here).
 Zero-sized matrices are legal and common (empty representations).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isqrt
 from typing import List, Optional, Tuple
 
@@ -157,15 +159,29 @@ def inv_mod(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("inv_mod needs a square matrix")
-    r, piv = rref_mod(np.concatenate([a, eye(n)], axis=1), p)
-    if len(piv) < n or piv[:n] != list(range(n)):
+    r, _, red = complement_rows((a % p).tolist(), n, p)
+    if r < n:
         raise ZeroDivisionError("matrix is singular mod %d" % p)
-    return r[:, n:]
+    return np.array([row[n:] for row in red], dtype=np.int64).reshape(n, n)
 
 
 def in_span(span: np.ndarray, v: np.ndarray, p: int) -> bool:
     """Is the vector v in the column span of `span` mod p?"""
     return solve_mod(span, v, p) is not None
+
+
+def complement_rows(rows: List[List[int]], ncols: int,
+                    p: int) -> Tuple[int, List[int], List[List[int]]]:
+    """(rank of a, complement, reduced rows) of [a | I] mod p, for a given
+    by its m rows of ncols ints in [0, p).  The pivots of the I block are the
+    greedy complement of im(a): each e_j not in the span of im(a) and the
+    e_i before it.  All m rows are pivot rows; the rows below the rank kill
+    a and are unit vectors on the complement.  The rows are returned whole."""
+    m = len(rows)
+    red = [row + [0] * k + [1] + [0] * (m - k - 1) for k, row in enumerate(rows)]
+    piv = rref_rows(red, ncols + m, p)
+    rank = bisect_left(piv, ncols)
+    return rank, [j - ncols for j in piv[rank:]], red
 
 
 def cokernel_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,18 +190,11 @@ def cokernel_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     proj is a (m-rank) x m matrix with kernel exactly the column span of a,
     and sec is an m x (m-rank) section with proj @ sec = identity.  proj
     realizes the quotient k^m / im(a) in the coordinates of the standard
-    basis vectors chosen by sec: the greedy complement of im(a), those e_j
-    not in the span of im(a) and the e_i before them.
-
-    One elimination of [a | I] gives both.  Its pivots in the I block are
-    that complement, and the rows below the rank, L, satisfy L @ a = 0 and
-    have rank m - rank; as rows of a reduced echelon form they are the unit
-    vectors on those pivot columns, so L @ sec = I and L is proj.  (proj is
-    unique given its kernel and proj @ sec = I.)
+    basis vectors chosen by sec, the greedy complement of im(a); proj is the
+    I block of complement_rows' rows below the rank.
     """
     a = mod_p(np.asarray(a, dtype=np.int64), p)
     m, n = a.shape
-    red, piv = rref_mod(np.concatenate([a, eye(m)], axis=1), p)
-    r = sum(1 for j in piv if j < n)
-    sel = [j - n for j in piv[r:]]
-    return red[r:, n:], eye(m)[:, sel]
+    r, comp, red = complement_rows(a.tolist(), n, p)
+    proj = np.array([row[n:] for row in red[r:]], dtype=np.int64).reshape(m - r, m)
+    return proj, eye(m)[:, comp]

@@ -310,17 +310,17 @@ def _generators(ctx: TiltingContext, right: bool, ix: int,
 
 
 def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, ...]:
-    """The pivots in the identity block of one row reduction of [radical | I],
+    """The greedy complement of the radical that linalg.complement_rows picks,
     i.e. the first basis vectors of Hom(a, b) that complete the composites
     through the summands in the bitmask `rel` to a spanning set.  They depend
     only on the span of the radical, not on the order of its columns."""
     objs = ctx.objects
     a, b = objs[a], objs[b]
     h = ctx.oc.hom_dim(a, b)
+    p = ctx.oc.cat.p
     blocks = [_composite_tensor(ctx, a, objs[t], b).reshape(h, -1) for t in _bits(rel)]
-    r = sum(blk.shape[1] for blk in blocks)
-    _, piv = linalg.rref_mod(np.concatenate(blocks + [linalg.eye(h)], axis=1), ctx.oc.cat.p)
-    return tuple(c - r for c in piv if c >= r)
+    radical = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
+    return tuple(linalg.complement_rows((radical % p).tolist(), radical.shape[1], p)[1])
 
 
 def _covered(ctx: TiltingContext, right: bool, ix: int, supp: int,

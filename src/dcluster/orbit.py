@@ -26,13 +26,14 @@ Q (tau^{-m} moves it to level m), and every Hom_C dimension it gives is
 checked against the table in one array comparison.  Level by level, sinks
 of Q first, Hom(x, z) for z != x is the cokernel of the mesh map
 Hom(x, tau z) -> (+)_{w -> z} Hom(x, w), until a whole level is zero.  Its
-basis is the unit vectors picked as pivots by one row reduction of [R | I],
-R the mesh relation's rows, so each basis vector is a single path (a basis
-path of some Hom(x, w), then the arrow w -> z) and the arrow maps of
-Hom(x, -) are blocks of the cokernel projection.  These matrices are tiny,
-so the knit reduces them as lists of Python ints (linalg.rref_rows) and
-turns the arrow maps into int64 arrays once, when it returns.  A morphism
-of C_d is kept as its coordinates in these path bases, slot 0 then slot 1.
+basis is the greedy complement of the mesh map's image, which
+linalg.complement_rows picks from the relation's rows R, so each basis
+vector is a single path (a basis path of some Hom(x, w), then the arrow
+w -> z) and the arrow maps of Hom(x, -) are blocks of the cokernel
+projection, the reduced rows of [R | I] below the rank.  These matrices are
+tiny, so the knit keeps them as lists of Python ints and turns the arrow
+maps into int64 arrays once, when it returns.  A morphism of C_d is kept as
+its coordinates in these path bases, slot 0 then slot 1.
 g . f is f carried along the paths of g through the arrow maps of Hom(x, -),
 with g's slot-0 paths relabelled by phi (push_piece) for the term through
 F(Y); the slot-2 term must vanish.  compose_tensor is its batched form over
@@ -586,15 +587,13 @@ def knit_hom_from(cat: ModuleCategory, i: int) -> HomFrom:
             if not sum(sizes):
                 continue
             rel = _mesh_map(hom, (m - 1, j), preds)
-            cols, n = len(rel[0]), len(rel)
-            red = [row + [0] * k + [1] + [0] * (n - k - 1) for k, row in enumerate(rel)]
-            piv = linalg.rref_rows(red, cols + n, p)
-            basis = [c - cols for c in piv if c >= cols]
+            cols = len(rel[0])
+            rank, basis, red = linalg.complement_rows(rel, cols, p)
             if not basis:
                 continue
-            # the rows below the relations' pivots project onto the cokernel,
-            # taking the unit vector at the k-th chosen pivot to the k-th one
-            proj = red[len(piv) - len(basis):len(piv)]
+            # the reduced rows below the rank project onto the cokernel,
+            # taking the unit vector at the k-th basis path to the k-th one
+            proj = red[rank:]
             hom.dims[z] = len(basis)
             lo = cols
             slots = []

@@ -13,9 +13,8 @@ underlying diagram is accepted.
 
 from __future__ import annotations
 
-import math
 import operator
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -146,11 +145,6 @@ def euler_matrix(q: DynkinQuiver) -> np.ndarray:
     return e
 
 
-def euler_form(q: DynkinQuiver, a: Sequence[int], b: Sequence[int]) -> int:
-    e = euler_matrix(q)
-    return int(np.asarray(a, dtype=np.int64) @ e @ np.asarray(b, dtype=np.int64))
-
-
 def cartan_matrix(q: DynkinQuiver) -> np.ndarray:
     e = euler_matrix(q)
     return e + e.T
@@ -207,60 +201,32 @@ def coxeter_matrix(q: DynkinQuiver) -> np.ndarray:
     return -inv @ e.T
 
 
-def _rank_q(mat: np.ndarray) -> int:
-    """Rank over Q, by exact Fraction elimination (a rank mod p can be lower)."""
-    rows = [[Fraction(int(v)) for v in row] for row in mat]
-    rank = 0
-    for c in range(mat.shape[1]):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] / rows[rank][c]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def coxeter_data(q: DynkinQuiver) -> CoxeterData:
-    """Coxeter number h (the order of Phi) and the exponents.
+    """Coxeter number h and exponents, read from the heights of the roots.
 
-    Phi has finite order h, so it is diagonalizable with eigenvalues
-    exp(2 pi i m / h) over the exponents m.  dim ker(Phi^j - I) counts the
-    eigenvalues whose order divides j; Moebius inversion over the divisors
-    of h (subtracting the counts of proper divisors) leaves those of exact
-    order k, which fill whole sets of primitive k-th roots exp(2 pi i r / k),
-    gcd(r, k) = 1, each giving the exponent h r / k.
+    The exponents are the dual partition of the numbers of positive roots of
+    each height (Kostant), and h is one more than the highest height.  Both
+    are checked: Phi must have order exactly h, the height counts must form
+    a partition, and the n exponents must sum to n h / 2.
     """
     phi = coxeter_matrix(q)
+    counts = Counter(sum(r) for r in positive_roots(q))
+    h = max(counts) + 1
     eye = np.eye(q.rank, dtype=np.int64)
-    powers = [eye]
-    h = 0
-    for k in range(1, 100):
-        powers.append(powers[-1] @ phi)
-        if np.array_equal(powers[-1], eye):
-            h = k
-            break
-    if h == 0:
-        raise RuntimeError("Coxeter transformation has unexpected infinite order")
-    exact: Dict[int, int] = {}
-    exponents: List[int] = []
-    for k in (k for k in range(1, h + 1) if h % k == 0):
-        exact[k] = q.rank - _rank_q(powers[k] - eye) - \
-            sum(c for j, c in exact.items() if k % j == 0)
-        coprime = [r for r in range(1, k + 1) if math.gcd(r, k) == 1]
-        mult, rem = divmod(exact[k], len(coprime))
-        if rem or mult < 0:
-            raise RuntimeError("%d eigenvalues of order %d do not fill whole "
-                               "cyclotomic factors" % (exact[k], k))
-        for r in coprime:
-            exponents.extend([h * r // k] * mult)
-    exponents.sort()
+    power = eye
+    for k in range(1, h + 1):
+        power = power @ phi
+        if np.array_equal(power, eye) != (k == h):
+            raise RuntimeError("the Coxeter transformation does not have order "
+                               "h = %d" % h)
+    hist = [counts[k] for k in range(1, h)]
+    if hist != sorted(hist, reverse=True):
+        raise RuntimeError("root height counts %r are not a partition" % hist)
+    exponents = tuple(sorted(sum(1 for c in hist if c >= j)
+                             for j in range(1, hist[0] + 1)))
     if len(exponents) != q.rank or sum(exponents) != q.rank * h // 2:
-        raise RuntimeError("exponent bookkeeping failed: %r" % exponents)
-    return CoxeterData(phi, h, tuple(exponents))
+        raise RuntimeError("exponent bookkeeping failed: %r" % (exponents,))
+    return CoxeterData(phi, h, exponents)
 
 
 def fomin_reading_count(q: DynkinQuiver, d: int) -> int:

@@ -32,7 +32,7 @@ Isomorphism testing is dimension-vector equality (valid here: Gabriel).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -83,14 +83,6 @@ def vmap_compose(p: int, g: List[np.ndarray], f: List[np.ndarray]) -> List[np.nd
     return [(g[v] @ f[v]) % p for v in range(len(f))]
 
 
-def vmap_add(p, f, g):
-    return [(f[v] + g[v]) % p for v in range(len(f))]
-
-
-def vmap_scale(p, c, f):
-    return [(int(c) * f[v]) % p for v in range(len(f))]
-
-
 def vmap_flatten(f: List[np.ndarray]) -> np.ndarray:
     if not f:
         return np.zeros(0, dtype=np.int64)
@@ -104,10 +96,6 @@ def vmap_unflatten(flat: np.ndarray, shapes) -> List[np.ndarray]:
         out.append(flat[lo:lo + rows * cols].reshape(rows, cols))
         lo += rows * cols
     return out
-
-
-def vmap_invert(p, f):
-    return [linalg.inv_mod(m, p) for m in f]
 
 
 def is_morphism(p: int, src: Rep, tgt: Rep, f: List[np.ndarray]) -> bool:
@@ -160,29 +148,23 @@ class SumRep:
 # ---------------------------------------------------------------------------
 
 
-class PresData:
+class PresData(NamedTuple):
     """Short exact 0 -> P1 -> P0 -> M -> 0 (p1 may be the empty sum)."""
-
-    def __init__(self, p1: SumRep, p0: SumRep, p_blocks: np.ndarray,
-                 p_vmap, pi, sec):
-        self.p1 = p1          # SumRep of kind P
-        self.p0 = p0          # SumRep of kind P
-        self.p_blocks = p_blocks  # (len p0, len p1) canonical-generator scalars
-        self.p_vmap = p_vmap  # realized map p1.rep -> p0.rep
-        self.pi = pi          # p0.rep -> M
-        self.sec = sec        # M -> p0.rep with pi . sec = id
+    p1: SumRep             # of kind P
+    p0: SumRep             # of kind P
+    p_blocks: np.ndarray   # (len p0, len p1) canonical-generator scalars
+    p_vmap: list           # realized map p1.rep -> p0.rep
+    pi: list               # p0.rep -> M
+    sec: list              # M -> p0.rep with pi . sec = id
 
 
-class CopresData:
+class CopresData(NamedTuple):
     """Short exact 0 -> M -> J0 -> J1 -> 0 (j1 may be the empty sum)."""
-
-    def __init__(self, j0: SumRep, j1: SumRep, delta_blocks: np.ndarray,
-                 delta_vmap, iota):
-        self.j0 = j0
-        self.j1 = j1
-        self.delta_blocks = delta_blocks  # (len j1, len j0)
-        self.delta_vmap = delta_vmap      # j0.rep -> j1.rep
-        self.iota = iota                  # M -> j0.rep
+    j0: SumRep
+    j1: SumRep
+    delta_blocks: np.ndarray   # (len j1, len j0)
+    delta_vmap: list           # j0.rep -> j1.rep
+    iota: list                 # M -> j0.rep
 
 
 class ModuleCategory:
@@ -295,12 +277,18 @@ class ModuleCategory:
         return out
 
     def blocks_to_vmap(self, src: SumRep, tgt: SumRep, blocks: np.ndarray):
-        """Realize a (len tgt, len src) scalar block matrix as a vmap."""
+        """Realize a (len tgt, len src) scalar block matrix as a vmap: each
+        scalar is written on the support of its canonical generator (the
+        generators' supports occupy disjoint entries)."""
         f = vmap_zero(src.rep, tgt.rep)
-        for i, j, g in self.block_generators(src, tgt):
-            c = int(blocks[j, i]) % self.p
-            if c:
-                f = vmap_add(self.p, f, vmap_scale(self.p, c, g))
+        for i, a in enumerate(src.verts):
+            for j, b in enumerate(tgt.verts):
+                supp = self._gen_support(src.kind, a, tgt.kind, b)
+                c = int(blocks[j, i]) % self.p
+                if supp is None or not c:
+                    continue
+                for v in supp:
+                    f[v][tgt.offsets[j][v], src.offsets[i][v]] = c
         return f
 
     def vmap_to_blocks(self, src: SumRep, tgt: SumRep, f) -> np.ndarray:
@@ -342,28 +330,29 @@ class ModuleCategory:
         z = linalg.solve_mod(a, rhs_flat, self.p)
         if z is None:
             return None
-        f = vmap_zero(src.rep, tgt.rep)
-        for (_, _, g), c in zip(gens, z):
-            if int(c):
-                f = vmap_add(self.p, f, vmap_scale(self.p, int(c), g))
-        return f
+        blocks = linalg.zeros(len(tgt), len(src))
+        for (i, j, _), c in zip(gens, z):
+            blocks[j, i] = c
+        return self.blocks_to_vmap(src, tgt, blocks)
 
     # -- envelopes and knitting ---------------------------------------------
 
     def socle_functionals(self, m: Rep):
-        """(vertex, functional row) pairs giving a dual basis of soc(m)."""
+        """(vertex, functional row) pairs giving a dual basis of soc(m): the
+        I block of the first k rows of linalg.complement_rows on [S | I], S
+        the k basis columns of soc(m)_x, i.e. the first k rows of [S | C]^-1
+        for C the greedy complement of im S."""
         out = []
         for x in range(self.q.rank):
             outs = [m.mats[i] for i, (s, _) in enumerate(self.q.arrows) if s == x]
             stacked = np.concatenate(outs, axis=0) if outs else linalg.zeros(0, m.dims[x])
             soc = linalg.nullspace_mod(stacked, self.p)
-            if soc.shape[1] == 0:
+            k = soc.shape[1]
+            if k == 0:
                 continue
-            _, sec = linalg.cokernel_mod(soc, self.p)
-            basis = np.concatenate([soc, sec], axis=1)
-            lam = linalg.inv_mod(basis, self.p)[:soc.shape[1], :]
-            for k in range(soc.shape[1]):
-                out.append((x, lam[k]))
+            _, _, red = linalg.complement_rows(soc.tolist(), k, self.p)
+            for row in red[:k]:
+                out.append((x, np.array(row[k:], dtype=np.int64)))
         return out
 
     def envelope(self, m: Rep):
@@ -407,12 +396,6 @@ class ModuleCategory:
             raise RuntimeError("delta is not in the canonical block span")
         return CopresData(j0, j1, blocks, delta, iota)
 
-    def _nakayama_minus(self, isrc: SumRep, itgt: SumRep, blocks: np.ndarray):
-        """nu^{-1} of a map between injective sums: same blocks, P-sums."""
-        psrc = self.psum(isrc.verts)
-        ptgt = self.psum(itgt.verts)
-        return psrc, ptgt, self.blocks_to_vmap(psrc, ptgt, blocks)
-
     def _knit(self) -> tuple:
         """(rep, pres, copres) by root, checked against the Coxeter tau."""
         q, p = self.q, self.p
@@ -430,7 +413,9 @@ class ModuleCategory:
                 vmap_zero(self.psum([]).rep, p0.rep), vmap_id(cur), vmap_id(cur))
             while cur_root not in inj_vertex:
                 cop = copres[cur_root] = self._copresent(cur)
-                p1, p0, pvm = self._nakayama_minus(cop.j0, cop.j1, cop.delta_blocks)
+                # nu^{-1} of delta: the same canonical blocks between P-sums
+                p1, p0 = self.psum(cop.j0.verts), self.psum(cop.j1.verts)
+                pvm = self.blocks_to_vmap(p1, p0, cop.delta_blocks)
                 new, projs, secs = self._cokernel(p0.rep, pvm)
                 new_root = new.dims
                 if new_root != self.tau_minus[cur_root]:
@@ -442,7 +427,7 @@ class ModuleCategory:
                     # rebase onto the canonical interval copy of the injective
                     target = self.inj(inj_vertex[new_root])
                     u = self._iso(new, target)
-                    uinv = vmap_invert(p, u)
+                    uinv = [linalg.inv_mod(m, p) for m in u]
                     pi = [linalg.mmul(p, u[v], projs[v]) for v in range(q.rank)]
                     sec = [linalg.mmul(p, secs[v], uinv[v]) for v in range(q.rank)]
                     new = target
@@ -450,7 +435,7 @@ class ModuleCategory:
                     raise RuntimeError("knitting revisited root %r" % (new_root,))
                 rep[new_root] = new
                 pres[new_root] = PresData(
-                    p1, p0, self.vmap_to_blocks(p1, p0, pvm), pvm,
+                    p1, p0, cop.delta_blocks, pvm,
                     [m.copy() for m in pi], [m.copy() for m in sec])
                 cur_root, cur = new_root, new
         if len(rep) != len(self.roots):

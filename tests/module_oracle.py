@@ -27,8 +27,16 @@ import numpy as np
 
 from dcluster import linalg, reps
 from dcluster.orbit import Obj, OrbitCategory
-from dcluster.reps import (ModuleCategory, Rep, SumRep, vmap_add, vmap_compose,
-                           vmap_flatten, vmap_unflatten, vmap_zero)
+from dcluster.reps import (ModuleCategory, Rep, SumRep, vmap_compose, vmap_flatten,
+                           vmap_unflatten, vmap_zero)
+
+
+def vmap_add(p, f, g):
+    return [(f[v] + g[v]) % p for v in range(len(f))]
+
+
+def vmap_scale(p, c, f):
+    return [(int(c) * f[v]) % p for v in range(len(f))]
 
 
 def vmap_is_zero(f) -> bool:

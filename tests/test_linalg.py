@@ -223,3 +223,26 @@ def test_cokernel_matches_three_eliminations(p):
         k = a.shape[0] - linalg.rank_mod(a, p)
         assert not ((proj @ a) % p).any()
         assert np.array_equal((proj @ sec) % p, linalg.eye(k))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_complement_rows_match_three_eliminations(p):
+    """complement_rows' complement and the I block of its rows below the rank
+    are the section's columns and the projection of the three-elimination
+    route; its rows come back whole, as the reduced echelon form of [a | I]."""
+    rng = np.random.default_rng(29 + p)
+    for a in _cokernel_cases(rng, p):
+        m, n = a.shape
+        rows = (a % p).tolist()
+        rank, comp, red = linalg.complement_rows(rows, n, p)
+        want_proj, want_sec = _cokernel_by_three_eliminations(a, p)
+        assert rank == linalg.rank_mod(a, p)
+        assert linalg.eye(m)[:, comp].shape == want_sec.shape
+        assert np.array_equal(linalg.eye(m)[:, comp], want_sec)
+        assert comp == sorted(comp)
+        proj = np.array([row[n:] for row in red[rank:]], dtype=np.int64).reshape(m - rank, m)
+        assert np.array_equal(proj, want_proj)
+        assert all(len(row) == n + m for row in red)
+        aug = np.concatenate([a % p, linalg.eye(m)], axis=1)
+        assert np.array_equal(np.array(red, dtype=np.int64).reshape(m, n + m),
+                              _rref_per_pivot(aug, p)[0])

@@ -521,11 +521,12 @@ def test_each_triangle_error_names_its_check(monkeypatch):
 def test_each_radical_problem_is_reduced_once(diagram, rank, d, monkeypatch):
     c = _oriented_ctx(diagram, rank, d, None)
     calls = []
-    rref = linalg.rref_mod
-    # count the row reductions made by the mutation module itself, not those
-    # inside solve_mod or the Hom-basis solves
+    complement = linalg.complement_rows
+    # count the [radical | I] reductions made by the mutation module itself,
+    # not the rank problems or the Hom-basis solves
     monkeypatch.setattr(mut, "linalg", SimpleNamespace(**{
-        **vars(linalg), "rref_mod": lambda a, p: calls.append(1) or rref(a, p)}))
+        **vars(linalg),
+        "complement_rows": lambda *args: calls.append(1) or complement(*args)}))
     almosts = _faces(c)
     for a in almosts:
         fan_triangles(c, a, fan_of(c, a))

@@ -7,7 +7,7 @@ from dcluster import cli, linalg, orbit, quiver, reps
 from dcluster.orbit import CMorphism, OrbitCategory
 from dcluster.quiver import parse_quiver
 from dcluster.reps import ModuleCategory, vmap_id
-from module_oracle import ModuleOrbitCategory, ext_basis_coords
+from module_oracle import ModuleOrbitCategory, ext_basis_coords, vmap_add, vmap_scale
 
 CASES = [
     ("A", 1, 1), ("A", 1, 2), ("A", 1, 3),
@@ -446,7 +446,7 @@ def test_cached_maps_equal_direct_lifts(diagram, rank, seed):
             basis = cat.hom_basis(a, b)
             f = reps.vmap_zero(cat.rep[a], cat.rep[b])
             for g in basis:
-                f = reps.vmap_add(p, f, reps.vmap_scale(p, int(rng.integers(p)), g))
+                f = vmap_add(p, f, vmap_scale(p, int(rng.integers(p)), g))
             assert _same_piece(c.push_piece(h_src, h_tgt, ("H", f)),
                                c._push_direct(h_src, h_tgt, ("H", f)))
             assert np.array_equal(c._lift_blocks(a, b, f), c._lift_direct(a, b, f))

@@ -1,13 +1,15 @@
+import math
 import os
 import subprocess
 import sys
-from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcluster import quiver
+from dcluster.reps import ModuleCategory
 
 
 def test_default_orientations():
@@ -88,14 +90,18 @@ ALL_TYPES = [("A", n) for n in range(1, 7)] + [("D", n) for n in (4, 5, 6)] + \
     [("E", n) for n in (6, 7, 8)]
 
 
-@pytest.mark.parametrize("diagram,rank", ALL_TYPES)
-def test_positive_roots_match_the_array_closure(diagram, rank):
+def _orientations(diagram, rank):
+    """The default orientation and three seeded ones."""
     rng = np.random.default_rng(rank)
     edges = quiver.dynkin_edges(diagram, rank)
-    orientations = [None] + [[(u, v) if flip else (v, u) for (u, v), flip
-                              in zip(edges, rng.integers(0, 2, len(edges)))]
-                             for _ in range(3)]
-    for arrows in orientations:
+    return [None] + [[(u, v) if flip else (v, u) for (u, v), flip
+                      in zip(edges, rng.integers(0, 2, len(edges)))]
+                     for _ in range(3)]
+
+
+@pytest.mark.parametrize("diagram,rank", ALL_TYPES)
+def test_positive_roots_match_the_array_closure(diagram, rank):
+    for arrows in _orientations(diagram, rank):
         q = quiver.parse_quiver(diagram, rank, arrows)
         roots = quiver.positive_roots(q)
         assert roots == _positive_roots_on_arrays(q)
@@ -110,17 +116,17 @@ def test_a2_roots_frozen():
 def test_euler_matrix_and_form():
     q = quiver.parse_quiver("A", 2)
     assert np.array_equal(quiver.euler_matrix(q), np.array([[1, -1], [0, 1]]))
+    euler = ModuleCategory(q).euler_pairing
     # hom - ext of P_0=(1,1) against S_0=(1,0): hom=1, ext=0
-    assert quiver.euler_form(q, (1, 1), (1, 0)) == 1
+    assert euler((1, 1), (1, 0)) == 1
     # ... and against S_1=(0,1): hom=0 (no map out of the top), ext=0
-    assert quiver.euler_form(q, (1, 1), (0, 1)) == 0
-    assert quiver.euler_form(q, (0, 1), (1, 0)) == 0
+    assert euler((1, 1), (0, 1)) == 0
+    assert euler((0, 1), (1, 0)) == 0
     # bilinearity spot check
     rng = np.random.default_rng(5)
     for _ in range(20):
         a, b, c = (rng.integers(-3, 4, size=2) for _ in range(3))
-        assert quiver.euler_form(q, a + c, b) == \
-            quiver.euler_form(q, a, b) + quiver.euler_form(q, c, b)
+        assert euler(a + c, b) == euler(a, b) + euler(c, b)
 
 
 COXETER = {
@@ -148,16 +154,73 @@ def test_coxeter_numbers_and_exponents(diagram, rank):
     assert len(quiver.positive_roots(q)) == rank * h // 2
 
 
+def _rank_q(mat):
+    """Rank over Q, by exact Fraction elimination (a rank mod p can be lower)."""
+    rows = [[Fraction(int(v)) for v in row] for row in mat]
+    rank = 0
+    for c in range(mat.shape[1]):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _coxeter_by_eigenvalues(q):
+    """Reference: h as the order of Phi, and the exponents from eigenvalue
+    counts.  Phi has finite order h, so it is diagonalizable with eigenvalues
+    exp(2 pi i m / h) over the exponents m.  dim ker(Phi^j - I) counts the
+    eigenvalues whose order divides j; Moebius inversion over the divisors
+    of h leaves those of exact order k, which fill whole sets of primitive
+    k-th roots exp(2 pi i r / k), gcd(r, k) = 1, each giving the exponent
+    h r / k."""
+    phi = quiver.coxeter_matrix(q)
+    eye = np.eye(q.rank, dtype=np.int64)
+    powers = [eye]
+    while len(powers) == 1 or not np.array_equal(powers[-1], eye):
+        powers.append(powers[-1] @ phi)
+    h = len(powers) - 1
+    exact = {}
+    exponents = []
+    for k in (k for k in range(1, h + 1) if h % k == 0):
+        exact[k] = q.rank - _rank_q(powers[k] - eye) - \
+            sum(c for j, c in exact.items() if k % j == 0)
+        coprime = [r for r in range(1, k + 1) if math.gcd(r, k) == 1]
+        mult, rem = divmod(exact[k], len(coprime))
+        assert rem == 0 and mult >= 0
+        for r in coprime:
+            exponents.extend([h * r // k] * mult)
+    return h, tuple(sorted(exponents))
+
+
 @pytest.mark.parametrize("diagram,rank", sorted(COXETER))
 def test_exponents_match_height_dual_partition(diagram, rank):
-    """Independent oracle: exponents are the dual partition of the root
-    height distribution."""
-    q = quiver.parse_quiver(diagram, rank)
-    heights = Counter(sum(r) for r in quiver.positive_roots(q))
-    hist = [heights[i] for i in range(1, max(heights) + 1)]
-    assert hist == sorted(hist, reverse=True)
-    dual = [sum(1 for m in hist if m >= j) for j in range(1, max(hist) + 1)]
-    assert tuple(sorted(dual)) == quiver.coxeter_data(q).exponents
+    """Kostant: the exponents that coxeter_data reads off the root heights
+    (their dual partition) are those of the eigenvalues of Phi, and h is its
+    order, in every orientation."""
+    for arrows in _orientations(diagram, rank):
+        q = quiver.parse_quiver(diagram, rank, arrows)
+        cox = quiver.coxeter_data(q)
+        assert (cox.h, cox.exponents) == _coxeter_by_eigenvalues(q)
+        assert np.array_equal(cox.matrix, quiver.coxeter_matrix(q))
+
+
+@pytest.mark.parametrize("wrong", ["identity", "square", "unipotent"])
+def test_coxeter_data_checks_the_order_of_phi(wrong, monkeypatch):
+    """Phi must have order exactly h = 12 on E6: order 1, order 6 and
+    infinite order are all refused."""
+    q = quiver.parse_quiver("E", 6)
+    phi = quiver.coxeter_matrix(q)
+    mats = {"identity": np.eye(6, dtype=np.int64), "square": phi @ phi,
+            "unipotent": np.eye(6, dtype=np.int64) + np.eye(6, k=1, dtype=np.int64)}
+    monkeypatch.setattr(quiver, "coxeter_matrix", lambda q: mats[wrong])
+    with pytest.raises(RuntimeError, match="does not have order h = 12"):
+        quiver.coxeter_data(q)
 
 
 def test_coxeter_is_orientation_dependent_but_h_is_not():

@@ -3,7 +3,8 @@ import pytest
 
 from dcluster import linalg, quiver, reps
 from dcluster.orbit import OrbitCategory
-from module_oracle import coords_from_pmap, ext_basis_coords, ext_class, pmap_from_coords
+from module_oracle import (coords_from_pmap, ext_basis_coords, ext_class, pmap_from_coords,
+                           vmap_add, vmap_scale)
 
 
 def cat(diagram, rank, p=101, arrows=None):
@@ -398,3 +399,99 @@ def test_hom_and_cocycle_dims_follow_the_euler_form(diagram, rank, seed):
             e = c.euler_pairing(a, b)
             assert len(c.hom_basis(a, b)) == max(e, 0), (a, b)
             assert c.ext_data(a, b)[2] == max(-e, 0), (a, b)
+
+
+# the module-layer pieces that were rewritten onto one [a | I] reduction and
+# one block realization, pinned against their earlier forms
+PINNED = [("A", n) for n in range(1, 7)] + [("D", n) for n in (4, 5, 6)] + [("E", 6)]
+PIN_SEEDS = [None, 5, 6, 7]
+
+
+def _pinned_cats(diagram, rank, p):
+    return [cat(diagram, rank, p, _seeded_arrows(diagram, rank, seed)) for seed in PIN_SEEDS]
+
+
+def _socle_by_inverse(c, m):
+    """The earlier socle_functionals: the greedy complement sec of soc(m)_x,
+    then the first s rows of [soc | sec]^{-1}."""
+    out = []
+    for x in range(c.q.rank):
+        outs = [m.mats[i] for i, (s, _) in enumerate(c.q.arrows) if s == x]
+        stacked = np.concatenate(outs, axis=0) if outs else linalg.zeros(0, m.dims[x])
+        soc = linalg.nullspace_mod(stacked, c.p)
+        if soc.shape[1] == 0:
+            continue
+        _, sec = linalg.cokernel_mod(soc, c.p)
+        lam = linalg.inv_mod(np.concatenate([soc, sec], axis=1), c.p)[:soc.shape[1], :]
+        out += [(x, row) for row in lam]
+    return out
+
+
+def _greedy_complement(span, p):
+    """The e_j not in the span of span's columns and the e_i before them."""
+    chosen = []
+    for j in range(span.shape[0]):
+        cols = np.concatenate([span, linalg.eye(span.shape[0])[:, chosen + [j]]], axis=1)
+        if linalg.rank_mod(cols, p) == span.shape[1] + len(chosen) + 1:
+            chosen.append(j)
+    return chosen
+
+
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("diagram,rank", PINNED)
+def test_socle_functionals_match_the_inverse_of_soc_and_complement(diagram, rank, p):
+    for c in _pinned_cats(diagram, rank, p):
+        for m in list(c.rep.values()) + [j.rep for cop in c._knitted[2].values()
+                                         for j in (cop.j0, cop.j1)]:
+            got = c.socle_functionals(m)
+            want = _socle_by_inverse(c, m)
+            assert [x for x, _ in got] == [x for x, _ in want]
+            for (x, lam), (_, row) in zip(got, want):
+                assert lam.dtype == row.dtype and np.array_equal(lam, row)
+            # and, without the elimination: dual to soc, zero on the complement
+            for x in sorted({x for x, _ in got}):
+                lam = np.array([row for y, row in got if y == x])
+                outs = [m.mats[i] for i, (s, _) in enumerate(c.q.arrows) if s == x]
+                stacked = np.concatenate(outs, axis=0) if outs else linalg.zeros(0, m.dims[x])
+                soc = linalg.nullspace_mod(stacked, c.p)
+                sec = linalg.eye(m.dims[x])[:, _greedy_complement(soc, c.p)]
+                assert np.array_equal(linalg.mmul(c.p, lam, soc), linalg.eye(len(lam)))
+                assert not linalg.mmul(c.p, lam, sec).any()
+
+
+def _blocks_to_vmap_by_generators(c, src, tgt, blocks):
+    """The earlier blocks_to_vmap: the sum of the scaled canonical generators."""
+    f = reps.vmap_zero(src.rep, tgt.rep)
+    for i, j, g in c.block_generators(src, tgt):
+        k = int(blocks[j, i]) % c.p
+        if k:
+            f = vmap_add(c.p, f, vmap_scale(c.p, k, g))
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("diagram,rank", PINNED)
+def test_blocks_to_vmap_matches_the_sum_of_scaled_generators(diagram, rank, p):
+    rng = np.random.default_rng(rank + p)
+    for c in _pinned_cats(diagram, rank, p):
+        pairs = [(pr.p1, pr.p0, pr.p_blocks) for pr in c.pres.values()]
+        pairs += [(cop.j0, cop.j1, cop.delta_blocks) for cop in c._knitted[2].values()]
+        pairs += [(c.psum(cop.j0.verts), c.isum(cop.j0.verts), None)
+                  for cop in c._knitted[2].values()]
+        for src, tgt, blocks in pairs:
+            for b in ([] if blocks is None else [blocks]) + \
+                    [rng.integers(-p, 2 * p, size=(len(tgt), len(src)))]:
+                got = c.blocks_to_vmap(src, tgt, b)
+                want = _blocks_to_vmap_by_generators(c, src, tgt, b)
+                assert all(u.dtype == v.dtype and u.shape == v.shape and np.array_equal(u, v)
+                           for u, v in zip(got, want))
+
+
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("diagram,rank", PINNED)
+def test_knitted_p_blocks_are_the_blocks_of_the_presentation_map(diagram, rank, p):
+    for c in _pinned_cats(diagram, rank, p):
+        for pres in c.pres.values():
+            want = c.vmap_to_blocks(pres.p1, pres.p0, pres.p_vmap)
+            assert pres.p_blocks.dtype == want.dtype
+            assert pres.p_blocks.shape == want.shape and np.array_equal(pres.p_blocks, want)
