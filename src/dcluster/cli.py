@@ -247,15 +247,18 @@ def cmd_complements(args) -> int:
         raise UsageError("--facet is not a tilting set")
     almost = [x for x in facet if x != drop[0]]
     try:
-        fan = mut.rotate_to(mut.fan_of(ctx, almost), drop[0])
         tris = mut.triangles_of(ctx, almost)
     except ValueError as exc:
         raise UsageError(str(exc))
+    # tris[k] runs from X_{k+1} to X_k along the fan; from the drop X_k on,
+    # list the cycle and each member's triangle as source, tris[k-1] first
+    fan = [tri["target"] for tri in tris]
+    k = fan.index(drop[0])
+    fan = fan[k:] + fan[:k]
+    tris = tris[k - 1:] + tris[:k - 1]
     for x in fan:
         print("%-12s degree=%d" % (oc.obj_name(x), oc.degree(x)))
-    by_source = {tri["source"]: tri for tri in tris}
-    for x in fan:
-        tri = by_source[x]
+    for tri in tris:
         # the middle term lists its summands in index order
         mid = " + ".join("%d*%s" % (m, oc.obj_name(t)) for t, m in tri["mults"].items()) or "0"
         print("triangle: %s -> %s -> %s" % (oc.obj_name(tri["source"]), mid,
@@ -267,7 +270,7 @@ def cmd_complements(args) -> int:
         "triangles": [{"source": oc.obj_name(tri["source"]),
                        "target": oc.obj_name(tri["target"]),
                        "middle": {oc.obj_name(t): m for t, m in tri["mults"].items()}}
-                      for tri in (by_source[x] for x in fan)]})
+                      for tri in tris]})
     return 0
 
 

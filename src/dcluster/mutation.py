@@ -26,9 +26,12 @@ problem without such summands composes nothing.
 
 From the codimension-1 faces to the fan-level predicates, an almost
 complete set is a bitmask of object indices, a fan a tuple of indices and a
-middle term a tuple of (index, multiplicity) pairs.  Objects appear only at
-the public edge (complements, fan_of, triangles_of, fan_triangles, the
-approximations, is_exchange_team, mutate), which rejects a repeated summand.
+middle term a tuple of (index, multiplicity) pairs; every memo, the
+composition tensors included, is keyed by indices and masks and holds no
+object.  Objects appear only at the public edge (complements, fan_of,
+triangles_of, the approximations, is_exchange_team, mutate), which turns
+them into a mask with TiltingContext.mask_of and so rejects a repeated
+summand.
 
 A whole minimal approximation of X, its generators and its factorization
 verdict, depends only on the side, on X and on the mask of the summands with
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -67,17 +70,6 @@ from .tilting import TiltingContext, _bits, _compatible_with, _popcount, \
 
 # a middle term: (object index j, multiplicity of T_j) for each summand in it
 Middle = Tuple[Tuple[int, int], ...]
-
-
-def _almost_mask(ctx: TiltingContext, almost: Sequence[Obj]) -> int:
-    """Bitmask of the normalized objects; a repeated summand is rejected,
-    since add(T + T) = add(T) has no approximation that counts both copies."""
-    mask = 0
-    for i in ctx.indices(almost):
-        if (mask >> i) & 1:
-            raise ValueError("summand %r is repeated" % (ctx.objects[i],))
-        mask |= 1 << i
-    return mask
 
 
 def _complement_mask(ctx: TiltingContext, mask: int) -> int:
@@ -107,14 +99,12 @@ def _successor(ctx: TiltingContext, comps: int, i: int) -> int:
     return succ.bit_length() - 1
 
 
-def _fan_cycle(ctx: TiltingContext, comps: int,
-               start: Optional[int] = None) -> Tuple[int, ...]:
+def _fan_cycle(ctx: TiltingContext, comps: int) -> Tuple[int, ...]:
     """The complements `comps` ordered into the Ext^1-successor cycle, from
-    `start` or else from the least complement."""
+    the least complement."""
     if comps == 0:
         raise ValueError("no complements to order")
-    if start is None:
-        start = (comps & -comps).bit_length() - 1
+    start = (comps & -comps).bit_length() - 1
     cycle = [start]
     seen = 1 << start
     cur = start
@@ -140,25 +130,13 @@ def _fan(ctx: TiltingContext, mask: int) -> Tuple[int, ...]:
 
 def complements(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Obj]:
     """All indecomposables completing `almost` to a tilting set, in domain order."""
-    return list(ctx.objs_of(_complement_mask(ctx, _almost_mask(ctx, almost))))
-
-
-def order_into_fan(ctx: TiltingContext, comps: Sequence[Obj],
-                   start: Optional[Obj] = None) -> Tuple[Obj, ...]:
-    """Order complements into the Ext^1-successor cycle, starting at `start`."""
-    mask = ctx.mask_of(comps)
-    i = None
-    if start is not None:
-        i = ctx.index.get(start)
-        if i is None or not (mask >> i) & 1:
-            raise ValueError("start %r is not among the complements" % (start,))
-    return tuple(ctx.objects[j] for j in _fan_cycle(ctx, mask, i))
+    return list(ctx.objs_of(_complement_mask(ctx, ctx.mask_of(almost))))
 
 
 def fan_of(ctx: TiltingContext, almost: Sequence[Obj]) -> Tuple[Obj, ...]:
     """The ordered complement cycle of an almost complete set (cached)."""
     objects = ctx.objects
-    return tuple(objects[i] for i in _fan(ctx, _almost_mask(ctx, almost)))
+    return tuple(objects[i] for i in _fan(ctx, ctx.mask_of(almost)))
 
 
 def rotate_to(cycle: Sequence[Obj], start: Obj) -> Tuple[Obj, ...]:
@@ -218,17 +196,19 @@ def fans(ctx: TiltingContext) -> List[Tuple[int, Tuple[int, ...]]]:
 # approximations
 
 
-def _composite_tensor(ctx: TiltingContext, a: Obj, mid: Obj, b: Obj) -> np.ndarray:
-    """Structure constants t[k, i, j] of composition through `mid` (cached):
-    the coefficient of the k-th vector of hom_basis(a, b) in g_j o f_i, for
-    f_i in hom_basis(a, mid) and g_j in hom_basis(mid, b), read from path
-    maps by OrbitCategory.compose_tensor.  Composition is bilinear, so any
-    composite through `mid` is read off t."""
+def _composite_tensor(ctx: TiltingContext, a: int, mid: int, b: int) -> np.ndarray:
+    """Structure constants t[k, i, j] of composition through X_mid, cached by
+    the object indices (a, mid, b): the coefficient of the k-th vector of
+    hom_basis(X_a, X_b) in g_j o f_i, for f_i in hom_basis(X_a, X_mid) and
+    g_j in hom_basis(X_mid, X_b), read from path maps by
+    OrbitCategory.compose_tensor.  Composition is bilinear, so any composite
+    through X_mid is read off t."""
     cache = ctx._composites
     key = (a, mid, b)
     t = cache.get(key)
     if t is None:
-        t = cache[key] = ctx.oc.compose_tensor(a, mid, b)
+        objs = ctx.objects
+        t = cache[key] = ctx.oc.compose_tensor(objs[a], objs[mid], objs[b])
     return t
 
 
@@ -314,11 +294,9 @@ def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, .
     i.e. the first basis vectors of Hom(a, b) that complete the composites
     through the summands in the bitmask `rel` to a spanning set.  They depend
     only on the span of the radical, not on the order of its columns."""
-    objs = ctx.objects
-    a, b = objs[a], objs[b]
-    h = ctx.oc.hom_dim(a, b)
+    h = int(ctx.oc.dims()[a, b, 0])
     p = ctx.oc.cat.p
-    blocks = [_composite_tensor(ctx, a, objs[t], b).reshape(h, -1) for t in _bits(rel)]
+    blocks = [_composite_tensor(ctx, a, t, b).reshape(h, -1) for t in _bits(rel)]
     radical = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
     return tuple(linalg.complement_rows((radical % p).tolist(), radical.shape[1], p)[1])
 
@@ -351,10 +329,8 @@ def _covered(ctx: TiltingContext, right: bool, ix: int, supp: int,
 
 def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
     """Do the composites through the generators (t, gens) span Hom(a, b)?"""
-    objs = ctx.objects
-    a, b = objs[a], objs[b]
-    h = ctx.oc.hom_dim(a, b)
-    blocks = [_composite_tensor(ctx, a, objs[t], b).take(gens, axis=2 if right else 1)
+    h = int(ctx.oc.dims()[a, b, 0])
+    blocks = [_composite_tensor(ctx, a, t, b).take(gens, axis=2 if right else 1)
               .reshape(h, -1) for t, gens in gens_at]
     span = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
     return linalg.rank_mod(span, ctx.oc.cat.p) == h
@@ -364,7 +340,7 @@ def _approximation_of(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
                       right: bool) -> Approximation:
     """_approximation of the object x from the distinct summands `addset`,
     whose endomorphism rings are checked to be fields."""
-    mask = _almost_mask(ctx, addset)
+    mask = ctx.mask_of(addset)
     _check_end_fields(ctx, mask)
     ix = ctx.index[ctx.canonical(x)]
     out, into = ctx.hom_masks()
@@ -406,9 +382,8 @@ def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
     return {objs[j]: len(g) for j, g in appr.by_summand()}
 
 
-def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
-                  cycle: Sequence[Obj]) -> List[Dict[str, object]]:
-    """Middle-term data of the connecting triangles along a fan.
+def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
+    """Middle-term data of the connecting triangles along the fan of `almost`.
 
     Each entry records the multiplicities of the middle term between X_i
     (triangle target) and X_{i+1} (triangle source).  Multiplicities are
@@ -416,24 +391,24 @@ def fan_triangles(ctx: TiltingContext, almost: Sequence[Obj],
     are checked.  An empty middle term is legal: the connecting class is
     then an isomorphism X_i = X_{i+1}[1].
     """
-    cycle = ctx.indices(cycle)
-    return _triangle_dicts(ctx, cycle, _triangles(ctx, _almost_mask(ctx, almost), cycle))
-
-
-def _triangle_dicts(ctx: TiltingContext, cycle: Sequence[int],
-                    middles: Sequence[Middle]) -> List[Dict[str, object]]:
-    """The triangles X_{i+1} -> middle -> X_i along `cycle` as dicts of objects."""
+    mask = ctx.mask_of(almost)
+    fan = _fan(ctx, mask)
     objs = ctx.objects
-    m = len(cycle)
-    return [{"target": objs[i], "source": objs[cycle[(k + 1) % m]],
-             "mults": {objs[j]: n for j, n in middles[k]}}
-            for k, i in enumerate(cycle)]
+    m = len(fan)
+    return [{"target": objs[i], "source": objs[fan[(k + 1) % m]],
+             "mults": {objs[j]: n for j, n in mids}}
+            for k, (i, mids) in enumerate(zip(fan, _face_triangles(ctx, mask)))]
 
 
-def _triangles(ctx: TiltingContext, mask: int, cycle: Sequence[int]) -> Tuple[Middle, ...]:
+def _face_triangles(ctx: TiltingContext, mask: int) -> Tuple[Middle, ...]:
     """The middle terms of the triangles X_{i+1} -> middle -> X_i from
-    add(`mask`) along the cycle of object indices `cycle`, each checked as
-    fan_triangles describes; they are the approximations' shared tuples."""
+    add(`mask`) along the fan of `mask`, each checked as triangles_of
+    describes (cached); they are the approximations' shared tuples."""
+    cache = ctx._triangles
+    got = cache.get(mask)
+    if got is not None:
+        return got
+    cycle = _fan(ctx, mask)
     _check_end_fields(ctx, mask)
     out, into = ctx.hom_masks()
     objs = ctx.objects
@@ -455,31 +430,17 @@ def _triangles(ctx: TiltingContext, mask: int, cycle: Sequence[int]) -> Tuple[Mi
             raise RuntimeError("left approximation of %r does not cover all maps"
                                % (objs[nxt],))
         middles.append(rm)
-    return tuple(middles)
-
-
-# ---------------------------------------------------------------------------
-# connecting classes and the cyclic Ext pattern
-
-
-def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
-    """fan_triangles over the cached fan of `almost`, from the cached middle terms."""
-    mask = _almost_mask(ctx, almost)
-    return _triangle_dicts(ctx, _fan(ctx, mask), _face_triangles(ctx, mask))
-
-
-def _face_triangles(ctx: TiltingContext, mask: int) -> Tuple[Middle, ...]:
-    """_triangles along the fan of the almost complete set `mask` (cached)."""
-    cache = ctx._triangles
-    middles = cache.get(mask)
-    if middles is None:
-        middles = cache[mask] = _triangles(ctx, mask, _fan(ctx, mask))
-    return middles
+    got = cache[mask] = tuple(middles)
+    return got
 
 
 def middle_supports(ctx: TiltingContext, mask: int) -> List[int]:
     """The summand masks of the middle terms along the fan of `mask`."""
     return [sum(1 << j for j, _ in mids) for mids in _face_triangles(ctx, mask)]
+
+
+# ---------------------------------------------------------------------------
+# connecting classes and the cyclic Ext pattern
 
 
 def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
@@ -489,13 +450,19 @@ def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
     Ext^k(X_i, X_{i+k}); these must be nonzero for k up to the full cycle
     length (the length-(d+1) composite is a self-extension of top degree).
     Every starting point is tested, so the answer does not depend on
-    rotation and is cached per cyclic_form.  `cycle` holds object indices.
+    rotation and is cached per cyclic_form.  `cycle` holds object indices,
+    and each Ext^1(X_i, X_{i+1}) must be one-dimensional.
     """
     key = cyclic_form(cycle)
     memo = ctx._delta_chains
     got = memo.get(key)
     if got is None:
-        got = memo[key] = _chains_nonzero(ctx, tuple(cycle))
+        cycle = tuple(cycle)
+        dims, objs = ctx.oc.dims(), ctx.objects
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            if dims[x, y, 1] != 1:
+                raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (objs[x], objs[y]))
+        got = memo[key] = _chains_nonzero(ctx, cycle)
     return got
 
 
@@ -510,14 +477,9 @@ def _shifts(ctx: TiltingContext) -> List[int]:
 def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[int, ...]) -> bool:
     """From each start X_i, the composites Y_0 -> ... -> Y_k of the basis
     vectors of Hom(Y_j, Y_{j+1}), Y_j = X_{i+j}[j], one tensor step each.
-    `cycle` holds object indices; the shifts are read from _shifts."""
-    objs = ctx.objects
-    dims = ctx.oc.dims()
+    `cycle` holds object indices, each Ext^1 step one-dimensional; the shifts
+    are read from _shifts."""
     m = len(cycle)
-    for i in range(m):
-        x, y = cycle[i], cycle[(i + 1) % m]
-        if dims[x, y, 1] != 1:
-            raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (objs[x], objs[y]))
     shift = _shifts(ctx)
     # shifted[k][j] is the index of X_j[k]
     shifted = [cycle]
@@ -525,7 +487,7 @@ def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[int, ...]) -> bool:
         shifted.append([shift[j] for j in shifted[-1]])
     p = ctx.oc.cat.p
     for i in range(m):
-        ys = [objs[shifted[k][(i + k) % m]] for k in range(m + 1)]
+        ys = [shifted[k][(i + k) % m] for k in range(m + 1)]
         chain = np.ones(1, dtype=np.int64)
         for k in range(1, m):
             t = _composite_tensor(ctx, ys[0], ys[k], ys[k + 1])
@@ -667,16 +629,14 @@ def successor_hom_vanishing(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
 def mutate(ctx: TiltingContext, objs: Sequence[Obj], drop: Obj,
            pick: int = 1) -> Tuple[Obj, ...]:
     """Replace `drop` by the pick-th complement along the fan starting there."""
-    objs = tuple(sorted(map(ctx.canonical, objs), key=lambda t: ctx.index[t]))
-    drop = ctx.canonical(drop)
-    if drop not in objs:
-        raise ValueError("drop object %r is not a summand" % (drop,))
+    i = ctx.index[ctx.canonical(drop)]
+    if i not in ctx.indices(objs):
+        raise ValueError("drop object %r is not a summand" % (ctx.objects[i],))
     if not is_tilting(ctx, objs):
         raise ValueError("mutation requires a tilting set")
-    almost = tuple(x for x in objs if x != drop)
-    cycle = rotate_to(fan_of(ctx, almost), drop)
-    new = cycle[pick % len(cycle)]
-    return tuple(sorted(almost + (new,), key=lambda t: ctx.index[t]))
+    almost = ctx.mask_of(objs) & ~(1 << i)
+    fan = _fan(ctx, almost)
+    return ctx.objs_of(almost | 1 << fan[(fan.index(i) + pick) % len(fan)])
 
 
 def facet_adjacency(faces: Dict[int, List[int]], count: int) -> List[set]:

@@ -48,15 +48,15 @@ class TiltingContext:
         self._facet_stats = None
         self._graph_checks = None
         # memos of the mutation module, which hold object indices and
-        # bitmasks, never objects, except for the tensors' keys.  _fans and
-        # _triangles map an almost complete mask to its fan and to the middle
-        # terms of its triangles, each a tuple of (index, multiplicity).
-        # _composites maps objects (a, mid, b) to the structure constants
-        # t[k, i, j] of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis
-        # coordinates.  _approximations maps (right, x, supp), supp the
-        # summands with nonzero Hom to (right) or from x, to an
-        # Approximation: the generators at each summand of supp, the
-        # multiplicities and the factorization verdict.
+        # bitmasks, never objects.  _fans and _triangles map an almost
+        # complete mask to its fan and to the middle terms of its triangles,
+        # each a tuple of (index, multiplicity).  _composites maps an index
+        # triple (a, mid, b) to the structure constants t[k, i, j] of
+        # Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis coordinates.
+        # _approximations maps (right, x, supp), supp the summands with
+        # nonzero Hom to (right) or from x, to an Approximation: the
+        # generators at each summand of supp, the multiplicities and the
+        # factorization verdict.
         # Few distinct generator and multiplicity tuples occur (92 and 751
         # among the 26460 approximations of E7 d=1), so _shared_tuples keeps
         # one copy of each.  Approximations are built from two smaller rank
@@ -123,10 +123,14 @@ class TiltingContext:
         return [index[x] if x in index else index[self.oc.normalize(x)[0]] for x in objs]
 
     def mask_of(self, objs: Sequence[Obj]) -> int:
-        m = 0
+        """Bitmask of the normalized objects.  A repeated summand is rejected,
+        since add(T + T) = add(T) has no approximation that counts both copies."""
+        mask = 0
         for i in self.indices(objs):
-            m |= 1 << i
-        return m
+            if (mask >> i) & 1:
+                raise ValueError("summand %r is repeated" % (self.objects[i],))
+            mask |= 1 << i
+        return mask
 
     def objs_of(self, mask: int) -> Tuple[Obj, ...]:
         return tuple(self.objects[i] for i in _bits(mask))

@@ -104,6 +104,56 @@ def test_complements_rejects_non_tilting(capsys):
     assert "not a tilting set" in capsys.readouterr().err
 
 
+def _complements_rendering(c, facet, drop):
+    """The complements output built from fan_of, rotate_to and a lookup of
+    each triangle by its source: (stdout, --out text)."""
+    from dcluster import mutation as mut
+
+    name = c.oc.obj_name
+    almost = [x for x in facet if x != drop]
+    fan = mut.rotate_to(mut.fan_of(c, almost), drop)
+    by_source = {tri["source"]: tri for tri in mut.triangles_of(c, almost)}
+    tris = [by_source[x] for x in fan]
+    lines = ["%-12s degree=%d" % (name(x), c.oc.degree(x)) for x in fan]
+    for tri in tris:
+        mid = " + ".join("%d*%s" % (m, name(t)) for t, m in tri["mults"].items()) or "0"
+        lines.append("triangle: %s -> %s -> %s" % (name(tri["source"]), mid,
+                                                   name(tri["target"])))
+    payload = {"schema": "complements", "schema_version": 1,
+               "almost": sorted(map(name, almost)), "cycle": list(map(name, fan)),
+               "triangles": [{"source": name(tri["source"]), "target": name(tri["target"]),
+                              "middle": {name(t): m for t, m in tri["mults"].items()}}
+                             for tri in tris]}
+    return "\n".join(lines) + "\n", json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("diagram,rank,d,arrows", [
+    ("A", 3, 2, None), ("D", 4, 2, [[1, 0], [2, 1], [1, 3]]), ("A", 3, 3, [[1, 0], [1, 2]])])
+def test_complements_match_a_rendering_from_fan_of(tmp_path, capsys, diagram, rank, d, arrows):
+    """For every drop of sampled facets, given in either order, the cycle
+    starts at the drop and lists each member's triangle as source."""
+    from dcluster.tilting import enumerate_tilting
+    from dcluster.verify import load_context
+
+    c = load_context(diagram, rank, d, orientation=arrows)
+    orientation = "default"
+    if arrows is not None:
+        orientation = str(tmp_path / "ori.json")
+        (tmp_path / "ori.json").write_text(json.dumps(arrows))
+    out = str(tmp_path / "out.json")
+    facets = enumerate_tilting(c)
+    for k, facet in enumerate(facets[::max(1, len(facets) // 6)]):
+        given = facet[::-1] if k % 2 else facet
+        for drop in facet:
+            assert run(["complements", "--facet", ",".join(map(c.oc.obj_name, given)),
+                        "--drop", c.oc.obj_name(drop), "--diagram", diagram,
+                        "--rank", str(rank), "--d", str(d), "--orientation", orientation,
+                        "--out", out]) == 0
+            with open(out) as fh:
+                got = capsys.readouterr().out, fh.read()
+            assert got == _complements_rendering(c, given, drop)
+
+
 def test_mutate(capsys):
     assert run(["mutate", "--facet", "root#0[0],root#2[0]",
                 "--drop", "root#0[0]"] + A2D1) == 0

@@ -11,12 +11,11 @@ from dcluster.mutation import (almost_completes, approximation_mults, complement
                                cyclic_form, degree_bounds_instances,
                                degree_profile_instances, delta_chains_nonzero,
                                exchange_teams_exhaustive,
-                               ext_pattern_ok, fan_degrees, fan_of, fan_triangles,
+                               ext_pattern_ok, fan_degrees, fan_of,
                                hom_one_directional, is_exchange_team,
                                left_approximation, middle_supports_disjoint,
                                middle_union_rigid, mutate, mutation_graph,
-                               mutation_graph_checks, order_into_fan,
-                               right_approximation, rotate_to,
+                               mutation_graph_checks, right_approximation, rotate_to,
                                successor_hom_vanishing, triangles_of)
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import dynkin_edges, parse_quiver
@@ -91,8 +90,7 @@ def test_every_almost_complete_has_d_plus_one_complements(diagram, rank, d):
 
 def test_fan_frozen_a2_d1():
     c = ctx("A", 2, 1)
-    fan = order_into_fan(c, complements(c, [P1]), start=P2)
-    assert fan == (P2, S1)
+    assert rotate_to(fan_of(c, [P1]), P2) == (P2, S1)
     assert fan_of(c, [P1]) == (P2, S1)
 
 
@@ -101,12 +99,6 @@ def test_fan_frozen_a1_d2():
     fan = fan_of(c, ())
     assert fan == (((1,), 0), ((1,), 2), ((1,), 1))
     assert fan_degrees(c, c.indices(fan)) == tuple(map(c.oc.degree, fan)) == (0, 2, 1)
-
-
-def test_order_into_fan_rejects_bad_start():
-    c = ctx("A", 2, 1)
-    with pytest.raises(ValueError):
-        order_into_fan(c, complements(c, [P1]), start=P1)
 
 
 def test_rotate_and_cyclic_form():
@@ -198,7 +190,7 @@ def test_mask_path_matches_tuple_oracles(diagram, rank, d, seed):
         fan = fan_of(c, a)
         assert fan == _order_into_fan_by_tuples(c, comps)
         for start in comps:
-            assert order_into_fan(c, comps, start) == _order_into_fan_by_tuples(c, comps, start)
+            assert rotate_to(fan, start) == _order_into_fan_by_tuples(c, comps, start)
     facets, nbrs = mutation_graph(c)
     assert nbrs == _facet_adjacency_by_tuples(facets)
 
@@ -213,21 +205,20 @@ def test_fan_errors_keep_their_messages(monkeypatch):
     a = _faces(c)[0]
     comps = complements(c, a)
     i, j, k = c.indices(comps)
+    mask = c.mask_of(comps)
     rows = {}
     monkeypatch.setattr(c, "ext1_row", lambda r: rows[r])
     rows.update({i: -1, j: -1, k: -1})
     with pytest.raises(RuntimeError, match=r"complement %s has 2 Ext\^1-successors, "
                        "expected 1" % re.escape(repr(comps[0]))):
-        order_into_fan(c, comps)
+        mut._fan_cycle(c, mask)
     rows.update({i: 1 << j, j: 1 << i, k: 1 << i})
     with pytest.raises(RuntimeError, match=r"Ext\^1-successors revisit %s before "
                        "closing" % re.escape(repr(comps[0]))):
-        order_into_fan(c, comps)
+        mut._fan_cycle(c, mask)
     rows.update({i: 1 << j, j: 1 << k, k: 1 << j})
     with pytest.raises(RuntimeError, match=r"Ext\^1-successor cycle does not close"):
-        order_into_fan(c, comps)
-    with pytest.raises(ValueError, match="start .* is not among the complements"):
-        order_into_fan(c, comps[:2], comps[2])
+        mut._fan_cycle(c, mask)
 
 
 def test_repeated_summand_is_rejected_before_any_cache_lookup():
@@ -238,8 +229,7 @@ def test_repeated_summand_is_rejected_before_any_cache_lookup():
         calls = [fan_of, triangles_of, complements,
                  lambda c, a: right_approximation(c, a, fan[0]),
                  lambda c, a: left_approximation(c, a, fan[0]),
-                 lambda c, a: approximation_mults(c, a, fan[0]),
-                 lambda c, a: fan_triangles(c, a, fan)]
+                 lambda c, a: approximation_mults(c, a, fan[0])]
         if cached:
             for fn in calls:
                 fn(c, a)
@@ -267,11 +257,10 @@ def test_right_approximation_frozen_a2_d1():
     assert approximation_mults(c, [P1], P2) == {}
     # add(P1 + P1) = add(P1), but no approximation counts both copies:
     # a repeated summand is rejected, as fan_of and triangles_of reject it
-    fan = fan_of(c, [P1])
     for repeated, call in ((P1, lambda: right_approximation(c, (P1, P1), S1)),
                            (S1, lambda: left_approximation(c, (S1, S1), P1)),
                            (P1, lambda: approximation_mults(c, [P1, P1], S1)),
-                           (P1, lambda: fan_triangles(c, (P1, P1), fan))):
+                           (P1, lambda: triangles_of(c, (P1, P1)))):
         with pytest.raises(ValueError, match=re.escape("summand %r is repeated" % (repeated,))):
             call()
 
@@ -286,7 +275,7 @@ def test_left_and_right_routes_agree_a2_d1():
 
 def test_fan_triangles_frozen_a2_d1():
     c = ctx("A", 2, 1)
-    tris = fan_triangles(c, (P1,), fan_of(c, [P1]))
+    tris = triangles_of(c, (P1,))
     assert tris[0] == {"target": P2, "source": S1, "mults": {}}
     assert tris[1] == {"target": S1, "source": P2, "mults": {P1: 1}}
 
@@ -296,7 +285,7 @@ def test_fan_triangles_consistent(diagram, rank, d):
     c = ctx(diagram, rank, d)
     for a in _faces(c):
         fan = fan_of(c, a)
-        tris = fan_triangles(c, a, fan)
+        tris = triangles_of(c, a)
         assert len(tris) == d + 1
         for tri in tris:
             assert all(m > 0 for m in tri["mults"].values())
@@ -453,10 +442,10 @@ def test_end_fields_checked_once_per_fan(monkeypatch):
     for a in almosts:
         triangles_of(c, a)
     assert len(calls) == len(almosts)
+    # the middle terms are cached per face: a second pass checks nothing
     for a in almosts:
         triangles_of(c, a)
-        fan_triangles(c, a, fan_of(c, a))
-    assert len(calls) == 2 * len(almosts)
+    assert len(calls) == len(almosts)
 
 
 def test_end_field_defect_raises():
@@ -474,7 +463,7 @@ def test_end_field_defect_raises():
 def test_zeroed_structure_constant_breaks_a_triangle():
     c = _oriented_ctx("A", 3, 2, None)
     for a in _faces(c):
-        tris = fan_triangles(c, a, fan_of(c, a))
+        tris = triangles_of(c, a)
         tri = next((t for t in tris if t["mults"]), None)
         if tri is not None:
             break
@@ -484,9 +473,9 @@ def test_zeroed_structure_constant_breaks_a_triangle():
     # planted in a fresh context before any rank problem reads the tensor
     # (c has memoized the verdicts that read it)
     fresh = _oriented_ctx("A", 3, 2, None)
-    mut._composite_tensor(fresh, tj, tj, x)[k, 0, k] = 0
+    mut._composite_tensor(fresh, *fresh.indices((tj, tj, x)))[k, 0, k] = 0
     with pytest.raises(RuntimeError, match="does not cover all maps"):
-        fan_triangles(fresh, a, fan_of(fresh, a))
+        triangles_of(fresh, a)
 
 
 def test_each_triangle_error_names_its_check(monkeypatch):
@@ -505,7 +494,7 @@ def test_each_triangle_error_names_its_check(monkeypatch):
              "left approximation of %r does not cover all maps" % (y,))):
         # the generator composed with the identity of T_j loses its coordinate
         fresh = _oriented_ctx("A", 3, 2, None)
-        mut._composite_tensor(fresh, *key)[entry] = 0
+        mut._composite_tensor(fresh, *fresh.indices(key))[entry] = 0
         with pytest.raises(RuntimeError, match=re.escape(want)):
             call(fresh, a)
     # a left side without generators: the two routes disagree
@@ -529,7 +518,7 @@ def test_each_radical_problem_is_reduced_once(diagram, rank, d, monkeypatch):
         "complement_rows": lambda *args: calls.append(1) or complement(*args)}))
     almosts = _faces(c)
     for a in almosts:
-        fan_triangles(c, a, fan_of(c, a))
+        triangles_of(c, a)
     assert len(calls) == len(c._radical_tops)
     posed = sum(len(mut._approximation_of(c, a, x, right).gens) for a in almosts
                 for x in fan_of(c, a) for right in (True, False))
@@ -640,11 +629,12 @@ def test_triangles_match_the_object_level_oracle(diagram, rank, d, seed):
         # the middle terms are listed in index order, whatever the add set's
         assert [list(tri["mults"]) for tri in tris] == \
             [sorted(tri["mults"], key=c.index.get) for tri in tris]
-    # fan_triangles on a reversed add set and from another fan member
+    # triangles_of on a reversed add set, rotated to start at another fan member
     for a in _faces(c)[::7]:
         fan = fan_of(c, a)
         rot = fan[1:] + fan[:1]
-        assert fan_triangles(c, a[::-1], rot) == _object_fan_triangles(oracle, a, rot)
+        tris = triangles_of(c, a[::-1])
+        assert tris[1:] + tris[:1] == _object_fan_triangles(oracle, a, rot)
 
 
 def test_hom_basis_must_match_the_dimension_table():
@@ -657,7 +647,7 @@ def test_hom_basis_must_match_the_dimension_table():
     with pytest.raises(RuntimeError, match=want):
         c.oc.hom_basis(P1, S1)
     with pytest.raises(RuntimeError, match=want):
-        mut._composite_tensor(c, P1, P1, S1)
+        mut._composite_tensor(c, *c.indices((P1, P1, S1)))
 
 
 TENSOR_CHECKS = ["delta-composites", "middle-rigid", "exchange-team-fan",
@@ -681,7 +671,8 @@ def test_tensor_ranks_match_the_module_oracle(diagram, rank, d, seed):
     assert report["summary"]["fail"] == 0 and c._composites
     oracle = ModuleOrbitCategory(c.oc.cat, d)
     p = c.oc.cat.p
-    for (a, mid, b), t in c._composites.items():
+    for key, t in c._composites.items():
+        a, mid, b = (c.objects[i] for i in key)
         ref = composite_tensor(oracle, a, mid, b)
         assert t.shape == ref.shape
         assert _flattening_ranks(t, p) == _flattening_ranks(ref, p), (a, mid, b)
@@ -694,7 +685,7 @@ def _tensors_differing_from_compose(c):
     """The keys of the cached tensors that differ, in some entry, from the
     tensor stacked from one OrbitCategory.compose per pair of basis morphisms."""
     return [key for key, t in c._composites.items()
-            if not np.array_equal(t, composite_tensor(c.oc, *key))]
+            if not np.array_equal(t, composite_tensor(c.oc, *(c.objects[i] for i in key)))]
 
 
 @pytest.mark.parametrize("seed", [None, 5])
@@ -730,7 +721,8 @@ def test_slot_one_block_without_phi_relabelling_fails(monkeypatch):
     assert bad
     p = c.oc.cat.p
     assert all(_flattening_ranks(c._composites[key], p) ==
-               _flattening_ranks(composite_tensor(c.oc, *key), p) for key in bad)
+               _flattening_ranks(composite_tensor(c.oc, *(c.objects[i] for i in key)), p)
+               for key in bad)
 
 
 def _checked_context(diagram, rank, d):
@@ -743,7 +735,7 @@ def _checked_context(diagram, rank, d):
 def test_middle_supports_disjoint(diagram, rank, d):
     c = ctx(diagram, rank, d)
     for a in _faces(c):
-        tris = fan_triangles(c, a, fan_of(c, a))
+        tris = triangles_of(c, a)
         assert middle_supports_disjoint([c.mask_of(tri["mults"]) for tri in tris])
         assert middle_supports_disjoint(mut.middle_supports(c, c.mask_of(a)))
     assert middle_supports_disjoint([0b011, 0b100, 0])
@@ -834,12 +826,11 @@ def test_tensor_chains_match_yoneda_oracle(diagram, rank, d, seed):
 
 
 def _first_chain_step(c, start=0):
-    """A fan and the key (X_i, X_{i+1}[1], X_{i+2}[2]) of the first chain
-    step from its member X_i, i = start."""
+    """A fan and the index key (X_i, X_{i+1}[1], X_{i+2}[2]) of the first
+    chain step from its member X_i, i = start."""
     fan = fan_of(c, _faces(c)[0])
     rot = fan[start:] + fan[:start]
-    ys = tuple(c.oc.normalize((x[0], x[1] + k))[0] for k, x in enumerate(rot[:3]))
-    return fan, ys
+    return fan, tuple(c.indices([(x[0], x[1] + k) for k, x in enumerate(rot[:3])]))
 
 
 @pytest.mark.parametrize("start", [0, 1, 2])
@@ -1079,6 +1070,53 @@ def test_mutate_walks_fan_and_returns(diagram, rank, d):
                 assert len(added) == 1
                 back = mutate(c, new, added[0], d + 1 - pick)
                 assert back == tuple(sorted(facet, key=lambda t: c.index[t]))
+
+
+def _mutate_by_objects(c, objs, drop, pick=1):
+    """The object-level mutate that the mask path replaced, kept as its oracle."""
+    objs = tuple(sorted(map(c.canonical, objs), key=lambda t: c.index[t]))
+    drop = c.canonical(drop)
+    if drop not in objs:
+        raise ValueError("drop object %r is not a summand" % (drop,))
+    if not is_tilting(c, objs):
+        raise ValueError("mutation requires a tilting set")
+    almost = tuple(x for x in objs if x != drop)
+    cycle = rotate_to(fan_of(c, almost), drop)
+    new = cycle[pick % len(cycle)]
+    return tuple(sorted(almost + (new,), key=lambda t: c.index[t]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", [("A", 3, 2, None), ("D", 4, 2, None),
+                                                 ("A", 3, 3, None), ("D", 5, 1, 11)])
+def test_mutate_matches_the_object_level_oracle(diagram, rank, d, seed):
+    c = _oriented_ctx(diagram, rank, d, seed)
+    oc = c.oc
+    facets = enumerate_tilting(c)
+    for fi, facet in enumerate(facets):
+        # the facet as given: reversed, or with a summand as its image under F
+        given = facet[::-1] if fi % 2 else (oc.obj_F(facet[0]),) + facet[1:]
+        for drop in facet:
+            for pick in range(-(d + 1), d + 2):
+                assert mutate(c, given, drop, pick) == _mutate_by_objects(c, given, drop, pick)
+    # both messages, in the same order: a drop outside the set is named
+    # first, even when the set is not tilting; a repeat makes it not tilting
+    facet = facets[0]
+    outside = next(x for x in c.objects if x not in facet)
+    not_summand = "ValueError: drop object %r is not a summand"
+    for objs, drop, want in ((facet, outside, not_summand % (outside,)),
+                             (facet[1:], facet[0], not_summand % (facet[0],)),
+                             (facet[:-1], facet[0], "ValueError: mutation requires a tilting set"),
+                             (facet + (facet[0],), facet[0],
+                              "ValueError: mutation requires a tilting set")):
+        assert _outcome(mutate, c, objs, drop) == _outcome(_mutate_by_objects, c, objs, drop) \
+            == want
 
 
 @pytest.mark.parametrize("diagram,rank,d", CASES)

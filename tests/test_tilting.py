@@ -127,6 +127,30 @@ def test_completion_rejects_non_rigid():
         complete_to_tilting(c, bad)
 
 
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 1)])
+def test_mask_of_rejects_a_repeat_and_the_predicates_still_answer(diagram, rank, d):
+    """mask_of is the one object-to-mask edge, and a repeated summand (also
+    one given by its image under F) raises there; the predicates test
+    rigidity first, so they still answer False or raise their own error."""
+    c = ctx(diagram, rank, d)
+    oc = c.oc
+    for facet in enumerate_tilting(c)[:5]:
+        x, y = facet[0], facet[-1]
+        assert c.mask_of(facet) == sum(1 << i for i in c.indices(facet))
+        assert c.mask_of([oc.obj_F(y), x]) == (1 << c.index[x]) | (1 << c.index[y])
+        for repeated, twice in (([x, y, x], x), ([x, oc.obj_F(x)], x),
+                                (list(facet) + [y], y)):
+            with pytest.raises(ValueError, match=re.escape("summand %r is repeated" % (twice,))):
+                c.mask_of(repeated)
+            assert is_rigid(c, repeated) is False
+            assert is_tilting(c, repeated) is False
+            assert is_maximal_rigid(c, repeated) is False
+            assert classify(c, repeated) == dict.fromkeys(
+                ("rigid", "maximal", "complete", "tilting"), False)
+            with pytest.raises(ValueError, match="starting set is not rigid"):
+                complete_to_tilting(c, repeated)
+
+
 def test_greedy_completion_that_leaves_rigidity_raises(monkeypatch):
     """The mask-level completion checks its result: a candidate that is not
     compatible with the set (a broken common-neighbour step) is caught."""

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcluster.mutation import almost_completes, cyclic_form, fan_of
-from dcluster.quiver import default_orientation
+from dcluster.quiver import default_orientation, dynkin_edges
 from dcluster.verify import (CHECK_IDS, CHECKS, load_context, report_to_json,
                              run_checks)
 
@@ -215,6 +216,43 @@ def test_fan_layer_caches_hold_no_objects():
     # a delta-chain verdict is a bool, keyed by a cycle of indices
     assert c._delta_chains and _ints_only(list(c._delta_chains))
     assert all(v is True for v in c._delta_chains.values())
+
+
+def _holds_object(value):
+    """Is an object (root, shift) found anywhere in `value`: in a tuple or
+    list, a dict key or value, or a numpy array of Python objects?"""
+    if isinstance(value, np.ndarray):
+        return value.dtype == object
+    if isinstance(value, dict):
+        return any(_holds_object(k) or _holds_object(v) for k, v in value.items())
+    if isinstance(value, (tuple, list)):
+        if len(value) == 2 and isinstance(value[0], tuple) and isinstance(value[1], int):
+            return True
+        return any(map(_holds_object, value))
+    return False
+
+
+MUTATION_MEMOS = ["_fans", "_composites", "_approximations", "_radical_tops",
+                  "_covers", "_triangles", "_delta_chains"]
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", [("D", 4, 2, None), ("A", 4, 2, 7)])
+def test_mutation_memos_hold_no_objects(diagram, rank, d, seed):
+    """After verify --all, every memo of the mutation module, the composition
+    tensors included, is keyed by indices and masks and holds no object."""
+    arrows = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        arrows = [(s, t) if rng.random() < 0.5 else (t, s)
+                  for s, t in dynkin_edges(diagram, rank)]
+    c = load_context(diagram, rank, d, orientation=arrows)
+    assert run_checks(c)[0]["summary"]["fail"] == 0
+    assert _holds_object({c.objects[0]: 1}) and _holds_object([(1, c.objects[-1])])
+    for name in MUTATION_MEMOS:
+        memo = getattr(c, name)
+        assert memo and not _holds_object(memo), name
+    # the tensors' keys are index triples: the object lookup is only on a miss
+    assert all(len(key) == 3 and all(type(i) is int for i in key) for key in c._composites)
 
 
 def _cy_duality_by_loop(c):
