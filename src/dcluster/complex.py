@@ -20,7 +20,10 @@ neighbours above its largest member.  The codimension-1
 faces are the facet masks with one bit cleared, grouped once per context
 with the facets containing them; their statistics come from the complement
 fans, computed on the same masks, and each fan must consist of exactly the
-summands that complete the face in the enumerated facets.
+summands that complete the face in the enumerated facets.  A fan depends
+only on the face's common neighbours, and many faces share one (33176 faces
+and 3107 fans on E6 d=2), so each fan is walked once (mutation._fan), and
+its member mask and color verdict are computed once per facet_stats.
 """
 
 from __future__ import annotations
@@ -139,22 +142,27 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
     pure = all(len(f) == ctx.n for f in cpx.facets)
     masks = facet_masks(ctx)
     faces = codim1_faces(ctx)
-    color_masks: Dict[int, int] = {}
-    for i, x in enumerate(ctx.objects):
-        c = oc.color(x)
-        color_masks[c] = color_masks.get(c, 0) | 1 << i
+    colors = [oc.color(x) for x in ctx.objects]
     all_colors = set(range(1, oc.d + 1))
+    # many faces share a fan: its member mask and color verdict, once each
+    per_fan: Dict[Tuple[int, ...], Tuple[int, bool]] = {}
     incidence: Dict[int, int] = {}
     colors_ok = True
     for almost, members in faces.items():
         fan = _fan(ctx, almost)
+        got = per_fan.get(fan)
+        if got is None:
+            in_fan = 0
+            for i in fan:
+                in_fan |= 1 << i
+            got = per_fan[fan] = (in_fan, {colors[i] for i in fan} == all_colors)
+        in_fan, covered = got
         # the fan's members must be exactly the summands completing the
-        # face in the enumerated facets
-        found = in_fan = 0
+        # face in the enumerated facets, each of which contains the face
+        found = 0
         for k in members:
-            found |= masks[k] ^ almost
-        for i in fan:
-            in_fan |= 1 << i
+            found |= masks[k]
+        found ^= almost
         if found != in_fan:
             raise RuntimeError("codimension-1 face {%s} is completed by %s in the "
                                "facets, but its fan is %s" % (
@@ -162,7 +170,7 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
                                    [oc.obj_name(x) for x in ctx.objs_of(found)],
                                    [oc.obj_name(ctx.objects[i]) for i in fan]))
         incidence[len(fan)] = incidence.get(len(fan), 0) + 1
-        if {c for c, cm in color_masks.items() if cm & in_fan} != all_colors:
+        if not covered:
             colors_ok = False
     return {
         "facets": len(cpx.facets),

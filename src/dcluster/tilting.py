@@ -50,9 +50,11 @@ class TiltingContext:
         # memos of the mutation module, which hold object indices and
         # bitmasks, never objects.  _fans and _triangles map an almost
         # complete mask to its fan and to the middle terms of its triangles,
-        # each a tuple of (index, multiplicity).  _composites maps an index
-        # triple (a, mid, b) to the structure constants t[k, i, j] of
-        # Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis coordinates.
+        # each a tuple of (index, multiplicity); the fan depends only on the
+        # common neighbours of the set, and _cycles maps their mask to it.
+        # _composites maps an index triple (a, mid, b) to the structure
+        # constants t[k, i, j] of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in
+        # Hom-basis coordinates.
         # _approximations maps (right, x, supp), supp the summands with
         # nonzero Hom to (right) or from x, to an Approximation: the
         # generators at each summand of supp, the multiplicities and the
@@ -68,6 +70,7 @@ class TiltingContext:
         # lists the index of X_i[1] for each object index i, and
         # _end_defects masks the objects whose End is not one-dimensional.
         self._fans = {}
+        self._cycles = {}
         self._composites = {}
         self._approximations = {}
         self._shared_tuples = {}

@@ -1,6 +1,7 @@
 import gc
 import json
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from dcluster.complex import (ClusterComplex, build_complex, colored_roots,
                               facet_stats, gamma, gamma_is_bijection, to_dot,
                               to_json)
 from dcluster import tilting
-from dcluster.mutation import group_by_face, mutation_graph, mutation_graph_checks
+from dcluster.mutation import (codim1_faces, fan_of, group_by_face, mutation_graph,
+                               mutation_graph_checks)
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
@@ -141,6 +143,43 @@ def test_sphere_euler_characteristics():
     assert fv[1] - fv[2] + fv[3] - fv[4] == 0
 
 
+def _h_vector(fv):
+    """h_k = sum_i (-1)^(k-i) C(n-i, k-i) f_(i-1), from fv = [1, f_0, ..., f_(n-1)]."""
+    n = len(fv) - 1
+    return [sum((-1) ** (k - i) * comb(n - i, k - i) * fv[i] for i in range(k + 1))
+            for k in range(n + 1)]
+
+
+LAW_CASES = [(dg, rk, d) for dg, rk in (("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5))
+             for d in (1, 2)] + [("A", 3, 3), ("E", 6, 1), ("E", 6, 2)]
+
+
+@pytest.mark.parametrize("diagram,rank,d", LAW_CASES)
+def test_face_count_laws(diagram, rank, d):
+    """The reduced Euler characteristic and the h-vector of Delta^d(Phi)
+    are read off the facet counts N(Phi, d) and N(Phi, d-1), N(Phi, 0) = 1;
+    in type A the h-vector is the Fuss-Narayana sequence."""
+    c = ctx(diagram, rank, d)
+    q, n = c.oc.cat.q, rank
+    facets, below = fomin_reading_count(q, d), fomin_reading_count(q, d - 1)
+    fv = f_vector(build_complex(c))
+    assert sum((-1) ** (i - 1) * f for i, f in enumerate(fv)) == (-1) ** (n - 1) * below
+    h = _h_vector(fv)
+    assert (h[0], sum(h), h[n]) == (1, facets, below)
+    if diagram == "A":
+        assert [(n + 1) * hk for hk in h] == [comb(n + 1, k + 1) * comb(d * (n + 1), k)
+                                              for k in range(n + 1)]
+    stats = facet_stats(build_complex(c))
+    assert fv[n - 1] == stats["codim1_faces"]
+    assert n * stats["facets"] == (d + 1) * stats["codim1_faces"]
+
+
+def test_face_count_laws_frozen_e6_d2():
+    assert fomin_reading_count(parse_quiver("E", 6), 0) == 1
+    assert _h_vector(f_vector(build_complex(ctx("E", 6, 2)))) \
+        == [1, 72, 912, 3906, 6580, 4284, 833]
+
+
 @pytest.mark.parametrize("diagram,rank,d", CASES)
 def test_facet_stats(diagram, rank, d):
     c = ctx(diagram, rank, d)
@@ -222,6 +261,23 @@ def test_facet_stats_catches_a_dropped_facet(monkeypatch):
     assert len(cpx.facets) == 54
     with pytest.raises(RuntimeError, match=r"codimension-1 face \{.*\} is completed by"):
         facet_stats(cpx)
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 2), ("A", 3, 3)])
+def test_colors_verdict_follows_each_fan(diagram, rank, d, monkeypatch):
+    """With one object moved to the next color, colors_ok is False exactly
+    when some face's fan then misses a color."""
+    oc = load_context(diagram, rank, d).oc
+    color = oc.color
+    verdicts = set()
+    for moved in oc.objects():
+        monkeypatch.setattr(oc, "color", lambda x: color(x) % d + 1 if x == moved else color(x))
+        c = TiltingContext(oc)
+        want = all({oc.color(x) for x in fan_of(c, c.objs_of(mask))} == set(range(1, d + 1))
+                   for mask in codim1_faces(c))
+        assert facet_stats(build_complex(TiltingContext(oc)))["colors_ok"] is want
+        verdicts.add(want)
+    assert verdicts == {False, True}
 
 
 def _census_operation(diagram, rank, d):

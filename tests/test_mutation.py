@@ -20,7 +20,7 @@ from dcluster.mutation import (almost_completes, approximation_mults, complement
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import dynkin_edges, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import (TiltingContext, complete_to_tilting,
+from dcluster.tilting import (TiltingContext, _bits, complete_to_tilting,
                               enumerate_tilting, is_rigid, is_tilting)
 from dcluster.verify import run_checks
 from module_oracle import ModuleOrbitCategory, composite_tensor
@@ -45,6 +45,10 @@ def _oriented_ctx(diagram, rank, d, seed):
                   for s, t in dynkin_edges(diagram, rank)]
     q = parse_quiver(diagram, rank, arrows)
     return TiltingContext(OrbitCategory(ModuleCategory(q), d))
+
+
+# the verify-grid configurations
+GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
 
 
 def _faces(c):
@@ -246,6 +250,100 @@ def test_single_fan_reads_only_its_own_rows():
     assert facet[0] in fan
     assert c._tilting is None and c._faces is None
     assert set(c._ext1_rows) == set(c.indices(fan))
+
+
+_orbit_cache = {}
+
+
+def _fresh_oriented_ctx(diagram, rank, d, seed):
+    """A context with empty memos over a shared orbit category."""
+    key = (diagram, rank, d, seed)
+    if key not in _orbit_cache:
+        _orbit_cache[key] = _oriented_ctx(diagram, rank, d, seed).oc
+    return TiltingContext(_orbit_cache[key])
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11, 29])
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_cycle_memo_matches_one_walk_per_face(diagram, rank, d, seed):
+    c = _fresh_oriented_ctx(diagram, rank, d, seed)
+    faces = almost_completes(c)
+    for mask in faces:
+        # the oracle walks on a context whose memos are all empty
+        fresh = TiltingContext(c.oc)
+        assert mut._fan(c, mask) == mut._fan_cycle(fresh, mut._complement_mask(fresh, mask))
+    common = {mut._common_mask(c, mask) for mask in faces}
+    assert set(c._cycles) == common and len(common) < len(faces)
+    assert all(set(fan) == set(_bits(mut._complements_among(c, key)))
+               for key, fan in c._cycles.items())
+    assert all(type(i) is int for key, fan in c._cycles.items() for i in (key,) + fan)
+
+
+def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
+    """Two faces with the same common neighbours raise the same error in
+    turn when Ext^1 is broken: no memo entry is left half filled."""
+    c = _fresh_oriented_ctx("A", 3, 3, None)
+    groups = {}
+    for mask in almost_completes(c):
+        groups.setdefault(mut._common_mask(c, mask), []).append(mask)
+    first, second = next(group for group in groups.values() if len(group) > 1)[:2]
+    comps = mut._complement_mask(c, first)
+    want = "complement %r has 3 Ext^1-successors, expected 1" % (
+        c.objects[(comps & -comps).bit_length() - 1],)
+    monkeypatch.setattr(c, "ext1_row", lambda r: -1)
+    for mask in (first, second, first):
+        with pytest.raises(RuntimeError, match=re.escape(want)):
+            mut._fan(c, mask)
+    assert c._fans == {} and c._cycles == {}
+    monkeypatch.undo()
+    fresh = TiltingContext(c.oc)
+    assert mut._fan(c, second) == mut._fan(c, first) \
+        == mut._fan_cycle(fresh, mut._complement_mask(fresh, first))
+    assert len(c._cycles) == 1 and len(c._fans) == 2
+
+
+def _graph_checks_by_sets(nbrs, degree):
+    """The mutation graph's counts from one neighbour set per facet."""
+    seen = {0} if nbrs else set()
+    queue = list(seen)
+    while queue:
+        for w in nbrs[queue.pop()] - seen:
+            seen.add(w)
+            queue.append(w)
+    return {"vertices": len(nbrs), "edges": sum(map(len, nbrs)) // 2, "degree": degree,
+            "regular": all(len(s) == degree for s in nbrs),
+            "connected": len(seen) == len(nbrs)}
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11, 29])
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_graph_checks_match_neighbour_sets(diagram, rank, d, seed, monkeypatch):
+    c = _fresh_oriented_ctx(diagram, rank, d, seed)
+    want = _graph_checks_by_sets(_facet_adjacency_by_tuples(enumerate_tilting(c)), rank * d)
+
+    def no_sets(*args):
+        raise AssertionError("the graph checks built neighbour sets")
+
+    monkeypatch.setattr(mut, "facet_adjacency", no_sets)
+    assert mutation_graph_checks(c) == want
+    assert want["regular"] and want["connected"]
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_a_facet_left_out_of_its_face_groups_is_isolated(which, monkeypatch):
+    c = _fresh_oriented_ctx("A", 3, 2, None)
+    count = len(enumerate_tilting(c))
+    gone = {"first": 0, "middle": count // 2, "last": count - 1}[which]
+    grouping = mut.codim1_faces
+    monkeypatch.setattr(mut, "codim1_faces", lambda ctx: {
+        face: [a for a in members if a != gone] for face, members in grouping(ctx).items()})
+    nbrs = _facet_adjacency_by_tuples(enumerate_tilting(c))
+    for s in nbrs:
+        s.discard(gone)
+    nbrs[gone] = set()
+    got = mutation_graph_checks(c)
+    assert got == _graph_checks_by_sets(nbrs, 3 * 2)
+    assert (got["edges"], got["regular"], got["connected"]) == (165 - 6, False, False)
 
 
 def test_right_approximation_frozen_a2_d1():
@@ -676,9 +774,6 @@ def test_tensor_ranks_match_the_module_oracle(diagram, rank, d, seed):
         ref = composite_tensor(oracle, a, mid, b)
         assert t.shape == ref.shape
         assert _flattening_ranks(t, p) == _flattening_ranks(ref, p), (a, mid, b)
-
-
-GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
 
 
 def _tensors_differing_from_compose(c):

@@ -189,12 +189,16 @@ def test_fan_checks_share_one_fan_walk(monkeypatch):
     c = load_context("A", 3, 3)
     report, _ = run_checks(c, FAN_WALKERS)
     assert report["summary"] == {"pass": 9, "fail": 0, "n/a": 0}
-    faces = len(mut.almost_completes(c))
-    assert len(calls) == faces
+    # one walk per distinct set of common neighbours, not one per face
+    faces = mut.almost_completes(c)
+    common = {mut._common_mask(c, a) for a in faces}
+    assert len(faces) == 105 and len(calls) == len(common) == 63
+    assert set(c._cycles) == common
     assert mut.fans(c) is mut.fans(c)
     assert mut.fans(c) == [(a, tuple(c.indices(fan_of(c, c.objs_of(a)))))
-                           for a in mut.almost_completes(c)]
-    assert len(calls) == faces
+                           for a in faces]
+    run_checks(c, FAN_WALKERS)
+    assert len(calls) == 63
 
 
 def _ints_only(value):
