@@ -27,8 +27,8 @@ problem without such summands composes nothing.
 From the codimension-1 faces to the fan-level predicates, an almost
 complete set is a bitmask of object indices, a fan a tuple of indices and a
 middle term a tuple of (index, multiplicity) pairs; every memo, the
-composition tensors included, is keyed by indices and masks and holds no
-object.  Objects appear only at the public edge (complements, fan_of,
+composition tensors included, is keyed by indices and masks (and the law,
+for fan_law) and holds no object.  Objects appear only at the public edge (complements, fan_of,
 triangles_of, the approximations, is_exchange_team, mutate), which turns
 them into a mask with TiltingContext.mask_of and so rejects a repeated
 summand.
@@ -57,23 +57,25 @@ module's only morphism operation.
 The module also packages the fan-level laws this data obeys: the cyclic
 Ext-dimension pattern with its nonvanishing composites of connecting
 classes ("exchange team"), degree bounds and the two-piece degree profile,
-disjointness of middle-term supports, one-directional Hom between summands,
-and the mutation graph on facets, whose counts are read from the face
-groups without building a neighbour set.
+disjointness of middle-term supports, one-directional Hom between summands
+(read from the nonzero-Hom bit rows), and the mutation graph on facets,
+whose counts are read from the face groups without building a neighbour
+set.  A law of the fan alone runs once per distinct cycle, through the one
+verdict memo of fan_law; the exchange-team search reads the composites there.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .orbit import Obj
-from .tilting import TiltingContext, _bits, _compatible_with, _popcount, \
-    _row_masks, enumerate_tilting, facet_masks, is_tilting
+from .tilting import TiltingContext, _bits, _compatible_with, _row_masks, \
+    enumerate_tilting, facet_masks, is_tilting
 
 # a middle term: (object index j, multiplicity of T_j) for each summand in it
 Middle = Tuple[Tuple[int, int], ...]
@@ -101,11 +103,6 @@ def _complements_among(ctx: TiltingContext, common: int) -> int:
             comps |= low
         rest ^= low
     return comps
-
-
-def _complement_mask(ctx: TiltingContext, mask: int) -> int:
-    """Bitmask of the indecomposables completing the set `mask` to a tilting set."""
-    return _complements_among(ctx, _common_mask(ctx, mask))
 
 
 def _fan_cycle(ctx: TiltingContext, comps: int) -> Tuple[int, ...]:
@@ -153,7 +150,8 @@ def _fan(ctx: TiltingContext, mask: int) -> Tuple[int, ...]:
 
 def complements(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Obj]:
     """All indecomposables completing `almost` to a tilting set, in domain order."""
-    return list(ctx.objs_of(_complement_mask(ctx, ctx.mask_of(almost))))
+    comps = _complements_among(ctx, _common_mask(ctx, ctx.mask_of(almost)))
+    return list(ctx.objs_of(comps))
 
 
 def fan_of(ctx: TiltingContext, almost: Sequence[Obj]) -> Tuple[Obj, ...]:
@@ -173,6 +171,17 @@ def cyclic_form(cycle: Sequence[int]) -> Tuple[int, ...]:
     differ only in starting point."""
     cycle = tuple(cycle)
     return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
+def fan_law(ctx: TiltingContext, law: Callable, cycle: Tuple[int, ...]):
+    """law(ctx, cycle) for a law of the cycle of object indices alone, memoized
+    per context by (law, cycle) as given (fans and exchange-team search paths
+    start at their least member); nothing is cached when the law raises."""
+    key = (law, cycle)
+    got = ctx._fan_laws.get(key)
+    if got is None:
+        got = ctx._fan_laws[key] = law(ctx, cycle)
+    return got
 
 
 def fan_degrees(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, ...]:
@@ -473,20 +482,14 @@ def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
     Ext^k(X_i, X_{i+k}); these must be nonzero for k up to the full cycle
     length (the length-(d+1) composite is a self-extension of top degree).
     Every starting point is tested, so the answer does not depend on
-    rotation and is cached per cyclic_form.  `cycle` holds object indices,
-    and each Ext^1(X_i, X_{i+1}) must be one-dimensional.
+    rotation.  `cycle` holds object indices, and each Ext^1(X_i, X_{i+1})
+    must be one-dimensional.
     """
-    key = cyclic_form(cycle)
-    memo = ctx._delta_chains
-    got = memo.get(key)
-    if got is None:
-        cycle = tuple(cycle)
-        dims, objs = ctx.oc.dims(), ctx.objects
-        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-            if dims[x, y, 1] != 1:
-                raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (objs[x], objs[y]))
-        got = memo[key] = _chains_nonzero(ctx, cycle)
-    return got
+    dims, objs = ctx.oc.dims(), ctx.objects
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        if dims[x, y, 1] != 1:
+            raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (objs[x], objs[y]))
+    return _chains_nonzero(ctx, cycle)
 
 
 def _shifts(ctx: TiltingContext) -> List[int]:
@@ -548,7 +551,8 @@ def is_exchange_team(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     idx = ctx.indices(objs)
     if len(idx) != ctx.oc.d + 1 or len(set(idx)) != len(idx):
         return False
-    return ext_pattern_ok(ctx, idx) and delta_chains_nonzero(ctx, idx)
+    cycle = cyclic_form(idx)
+    return ext_pattern_ok(ctx, cycle) and fan_law(ctx, delta_chains_nonzero, cycle)
 
 
 def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[int, ...]]:
@@ -567,7 +571,7 @@ def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[int, ...]]:
         paths = [path + (j,) for path in paths for j in succ[path[-1]]
                  if j > path[0] and j not in path]
     return [path for path in paths
-            if ext_pattern_ok(ctx, path) and delta_chains_nonzero(ctx, path)]
+            if ext_pattern_ok(ctx, path) and fan_law(ctx, delta_chains_nonzero, path)]
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +624,7 @@ def degree_profile_instances(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple
 def middle_supports_disjoint(supports: Sequence[int]) -> bool:
     """Do the middle terms of a fan's triangles, given by their summand
     masks, share no indecomposable summand (no bit is counted twice)?"""
-    return sum(map(_popcount, supports)) == _popcount(reduce(or_, supports, 0))
+    return sum(s.bit_count() for s in supports) == reduce(or_, supports, 0).bit_count()
 
 
 def middle_union_rigid(ctx: TiltingContext, cycle: Sequence[int],
@@ -634,15 +638,16 @@ def middle_union_rigid(ctx: TiltingContext, cycle: Sequence[int],
     return all((ext >> i) & 1 for i in cycle)
 
 
-def hom_one_directional(ctx: TiltingContext, idx: Sequence[int]) -> bool:
-    """No two distinct members (object indices) with nonzero Hom in both directions."""
-    hom = ctx.oc.dims()[:, :, 0][np.ix_(idx, idx)] != 0
-    return not np.triu(hom & hom.T, 1).any()
+def hom_one_directional(ctx: TiltingContext, mask: int) -> bool:
+    """No two distinct members of the set `mask` with nonzero Hom in both directions."""
+    out, into = ctx.hom_masks()
+    return not any(out[i] & into[i] & mask & ~(1 << i) for i in _bits(mask))
 
 
 def successor_hom_vanishing(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
     """Hom(X_i, X_{i+1}) = 0 for consecutive fan members (object indices)."""
-    return not ctx.oc.dims()[cycle, np.roll(cycle, -1), 0].any()
+    out = ctx.hom_masks()[0]
+    return not any(out[a] >> b & 1 for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,10 @@ class TiltingContext:
         # and Hom(t, b) nonzero) to the generators of Hom(a, b) mod the
         # radical, and _covers maps (right, a, b, ((t, generators), ...)) to
         # whether the generators at those summands span Hom(a, b).
-        # _delta_chains maps a cycle's cyclic_form to its verdict, _shifts
-        # lists the index of X_i[1] for each object index i, and
-        # _end_defects masks the objects whose End is not one-dimensional.
+        # _fan_laws maps (law, cycle) to a fan-only law's verdict on a cycle of
+        # object indices (mutation.fan_law).  _shifts lists the index of X_i[1]
+        # for each object index i, and _end_defects masks the objects whose End
+        # is not one-dimensional.
         self._fans = {}
         self._cycles = {}
         self._composites = {}
@@ -77,7 +78,7 @@ class TiltingContext:
         self._radical_tops = {}
         self._covers = {}
         self._triangles = {}
-        self._delta_chains = {}
+        self._fan_laws = {}
         self._shifts = None
         self._end_defects = None
 
@@ -157,10 +158,6 @@ def _bits(mask: int) -> List[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def is_rigid(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:

@@ -24,8 +24,8 @@ from . import mutation as mut
 from .orbit import OrbitCategory
 from .quiver import coxeter_data, fomin_reading_count, parse_quiver
 from .reps import ModuleCategory
-from .tilting import (TiltingContext, _bits, _popcount, complete_mask,
-                      enumerate_tilting, facet_masks, verify_equivalence)
+from .tilting import (TiltingContext, _bits, complete_mask, enumerate_tilting,
+                      facet_masks, verify_equivalence)
 
 SCHEMA_VERSION = 1
 
@@ -148,7 +148,7 @@ def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
     # each greedy completion must be complete rigid: n summands
     starts = [1 << i for i in range(len(ctx.objects))] + mut.almost_completes(ctx)
     for count, start in enumerate(starts, 1):
-        size = _popcount(complete_mask(ctx, start))
+        size = complete_mask(ctx, start).bit_count()
         if size != ctx.n:
             return _fail(count, {"start": _names(ctx, _bits(start)), "size": size})
     return _pass(len(starts))
@@ -180,11 +180,12 @@ def _each_fan(ctx: TiltingContext, holds: Callable[[int, Tuple[int, ...]], bool]
 
 
 def check_fan_ext_pattern(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan(ctx, lambda _, fan: mut.ext_pattern_ok(ctx, fan), "fan")
+    return _each_fan(ctx, lambda _, fan: mut.fan_law(ctx, mut.ext_pattern_ok, fan), "fan")
 
 
 def check_delta_composites(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan(ctx, lambda _, fan: mut.delta_chains_nonzero(ctx, fan), "fan")
+    return _each_fan(ctx, lambda _, fan: mut.fan_law(ctx, mut.delta_chains_nonzero, fan),
+                     "fan")
 
 
 def check_middle_rigid(ctx: TiltingContext) -> Dict[str, object]:
@@ -193,7 +194,8 @@ def check_middle_rigid(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def check_successor_hom(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan(ctx, lambda _, fan: mut.successor_hom_vanishing(ctx, fan), "almost")
+    return _each_fan(ctx, lambda _, fan: mut.fan_law(ctx, mut.successor_hom_vanishing, fan),
+                     "almost")
 
 
 def check_middles_disjoint(ctx: TiltingContext) -> Dict[str, object]:
@@ -202,13 +204,13 @@ def check_middles_disjoint(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def _degree_rotations(ctx: TiltingContext,
-                      instances: Callable[[Tuple[int, ...]], Tuple[int, int]],
+                      law: Callable[[TiltingContext, Tuple[int, ...]], Tuple[int, int]],
                       **detail) -> Dict[str, object]:
-    """Pass with the sum over the fans of instances(fan) = (rotations,
-    violations); else fail at the first fan with a violation."""
+    """Pass with the sum over the fans of mut.fan_law(ctx, law, fan) =
+    (rotations, violations); else fail at the first fan with a violation."""
     total = 0
     for mask, fan in mut.fans(ctx):
-        inst, viol = instances(fan)
+        inst, viol = mut.fan_law(ctx, law, fan)
         total += inst
         if viol:
             return _fail(total, {"almost": _names(ctx, _bits(mask)),
@@ -217,12 +219,11 @@ def _degree_rotations(ctx: TiltingContext,
 
 
 def check_complement_degrees(ctx: TiltingContext) -> Dict[str, object]:
-    return _degree_rotations(ctx, lambda fan: mut.degree_bounds_instances(ctx, fan),
-                             fans=len(mut.fans(ctx)))
+    return _degree_rotations(ctx, mut.degree_bounds_instances, fans=len(mut.fans(ctx)))
 
 
 def check_degree_profile(ctx: TiltingContext) -> Dict[str, object]:
-    return _degree_rotations(ctx, lambda fan: mut.degree_profile_instances(ctx, fan))
+    return _degree_rotations(ctx, mut.degree_profile_instances)
 
 
 def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:
@@ -240,13 +241,10 @@ def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def check_hom_onedirectional(ctx: TiltingContext) -> Dict[str, object]:
-    count = 0
-    for mask in facet_masks(ctx):
-        count += 1
-        facet = tuple(_bits(mask))
-        if not mut.hom_one_directional(ctx, facet):
-            return _fail(count, {"facet": _names(ctx, facet)})
-    return _pass(count)
+    for count, mask in enumerate(facet_masks(ctx), 1):
+        if not mut.hom_one_directional(ctx, mask):
+            return _fail(count, {"facet": _names(ctx, _bits(mask))})
+    return _pass(len(facet_masks(ctx)))
 
 
 def check_mutation_connected(ctx: TiltingContext) -> Dict[str, object]:

@@ -160,7 +160,7 @@ def test_criterion_08_middle_disjoint_and_hom_vanishing():
         c = ctx(dg, rk, 3)
         for facet in enumerate_tilting(c):
             homs += 1
-            assert mut.hom_one_directional(c, c.indices(facet)), (dg, rk, facet)
+            assert mut.hom_one_directional(c, c.mask_of(facet)), (dg, rk, facet)
         for mask, fan in mut.fans(c):
             assert mut.successor_hom_vanishing(c, fan), (dg, rk, c.objs_of(mask))
     report(8, "middle-terms", True,

@@ -263,6 +263,11 @@ def _fresh_oriented_ctx(diagram, rank, d, seed):
     return TiltingContext(_orbit_cache[key])
 
 
+def _complement_mask(c, mask):
+    """The complements of the set `mask`, filtered from its common neighbours."""
+    return mut._complements_among(c, mut._common_mask(c, mask))
+
+
 @pytest.mark.parametrize("seed", [None, 3, 11, 29])
 @pytest.mark.parametrize("diagram,rank,d", GRID)
 def test_cycle_memo_matches_one_walk_per_face(diagram, rank, d, seed):
@@ -271,7 +276,7 @@ def test_cycle_memo_matches_one_walk_per_face(diagram, rank, d, seed):
     for mask in faces:
         # the oracle walks on a context whose memos are all empty
         fresh = TiltingContext(c.oc)
-        assert mut._fan(c, mask) == mut._fan_cycle(fresh, mut._complement_mask(fresh, mask))
+        assert mut._fan(c, mask) == mut._fan_cycle(fresh, _complement_mask(fresh, mask))
     common = {mut._common_mask(c, mask) for mask in faces}
     assert set(c._cycles) == common and len(common) < len(faces)
     assert all(set(fan) == set(_bits(mut._complements_among(c, key)))
@@ -287,7 +292,7 @@ def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
     for mask in almost_completes(c):
         groups.setdefault(mut._common_mask(c, mask), []).append(mask)
     first, second = next(group for group in groups.values() if len(group) > 1)[:2]
-    comps = mut._complement_mask(c, first)
+    comps = _complement_mask(c, first)
     want = "complement %r has 3 Ext^1-successors, expected 1" % (
         c.objects[(comps & -comps).bit_length() - 1],)
     monkeypatch.setattr(c, "ext1_row", lambda r: -1)
@@ -298,8 +303,52 @@ def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
     monkeypatch.undo()
     fresh = TiltingContext(c.oc)
     assert mut._fan(c, second) == mut._fan(c, first) \
-        == mut._fan_cycle(fresh, mut._complement_mask(fresh, first))
+        == mut._fan_cycle(fresh, _complement_mask(fresh, first))
     assert len(c._cycles) == 1 and len(c._fans) == 2
+
+
+def _law_cycles(c, law):
+    """The cycles whose verdict under `law` the context's fan_law memo holds."""
+    return {cycle for got, cycle in c._fan_laws if got is law}
+
+
+FAN_LAWS = [ext_pattern_ok, delta_chains_nonzero, successor_hom_vanishing,
+            degree_bounds_instances, degree_profile_instances]
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_fan_law_matches_the_uncached_law(diagram, rank, d, seed):
+    """Every face's memoized verdict equals its law evaluated afresh, and
+    each law holds one entry per distinct fan."""
+    c = _fresh_oriented_ctx(diagram, rank, d, seed)
+    pairs = mut.fans(c)
+    for law in FAN_LAWS:
+        for mask, fan in pairs:
+            assert mut.fan_law(c, law, fan) == law(c, fan), (law.__name__, mask)
+        assert _law_cycles(c, law) == {fan for _, fan in pairs}
+    assert len(c._fan_laws) == len(FAN_LAWS) * len({fan for _, fan in pairs}) < \
+        len(FAN_LAWS) * len(pairs)
+
+
+def test_a_raising_law_leaves_no_fan_law_entry(monkeypatch):
+    c = _fresh_oriented_ctx("A", 3, 2, None)
+    fan = mut.fans(c)[0][1]
+    chains, calls = mut._chains_nonzero, []
+
+    def raise_once(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("composite failed")
+        return chains(*args)
+
+    monkeypatch.setattr(mut, "_chains_nonzero", raise_once)
+    with pytest.raises(RuntimeError, match="composite failed"):
+        mut.fan_law(c, delta_chains_nonzero, fan)
+    assert c._fan_laws == {}
+    assert mut.fan_law(c, delta_chains_nonzero, fan) is True
+    assert mut.fan_law(c, delta_chains_nonzero, fan) is True
+    assert c._fan_laws == {(delta_chains_nonzero, fan): True} and len(calls) == 2
 
 
 def _graph_checks_by_sets(nbrs, degree):
@@ -877,6 +926,8 @@ def test_delta_classes_and_chains_a2_d2():
 
 
 def test_delta_chains_cached_once_per_cycle(monkeypatch):
+    """is_exchange_team keys every rotation of a cycle by its cyclic_form,
+    so the chains of each cycle are composed once."""
     c = TiltingContext(OrbitCategory(ModuleCategory(parse_quiver("A", 3)), 2))
     calls = []
     chains = mut._chains_nonzero
@@ -886,8 +937,9 @@ def test_delta_chains_cached_once_per_cycle(monkeypatch):
     for cyc in cycles:
         for r in range(len(cyc)):
             rot = cyc[r:] + cyc[:r]
-            assert delta_chains_nonzero(c, rot) is _objects_chains(c, rot) is True
-    assert set(c._delta_chains) == cycles
+            team = [c.objects[i] for i in rot]
+            assert is_exchange_team(c, team) is _objects_chains(c, rot) is True
+    assert _law_cycles(c, delta_chains_nonzero) == cycles
     assert len(calls) == len(cycles)
 
 
@@ -915,9 +967,10 @@ def test_tensor_chains_match_yoneda_oracle(diagram, rank, d, seed):
     fans = {cyclic_form(fan) for _, fan in mut.fans(c)}
     cycles = fans | {cyclic_form(p) for p in _pattern_paths(c)}
     for cycle in cycles:
-        assert delta_chains_nonzero(c, cycle) is _objects_chains(c, cycle), cycle
+        got = mut.fan_law(c, delta_chains_nonzero, cycle)
+        assert got is _objects_chains(c, cycle), cycle
     # every such cycle is nonzero here, so the mutant tests below are needed
-    assert set(c._delta_chains) == cycles and all(c._delta_chains.values())
+    assert _law_cycles(c, delta_chains_nonzero) == cycles and all(c._fan_laws.values())
 
 
 def _first_chain_step(c, start=0):
@@ -1133,7 +1186,7 @@ def test_degree_profile_two_piece_shape_a2_d2():
 def test_hom_vanishing_at_d3(diagram, rank, d):
     c = ctx(diagram, rank, d)
     for facet in enumerate_tilting(c):
-        assert hom_one_directional(c, c.indices(facet))
+        assert hom_one_directional(c, c.mask_of(facet))
     for _, fan in mut.fans(c):
         assert successor_hom_vanishing(c, fan)
 

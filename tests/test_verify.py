@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -218,8 +219,11 @@ def test_fan_layer_caches_hold_no_objects():
         cache = getattr(c, name)
         assert cache and _ints_only(cache), name
     # a delta-chain verdict is a bool, keyed by a cycle of indices
-    assert c._delta_chains and _ints_only(list(c._delta_chains))
-    assert all(v is True for v in c._delta_chains.values())
+    from dcluster import mutation as mut
+    chains = {cycle: v for (law, cycle), v in c._fan_laws.items()
+              if law is mut.delta_chains_nonzero}
+    assert chains and _ints_only(list(chains))
+    assert all(v is True for v in chains.values())
 
 
 def _holds_object(value):
@@ -237,7 +241,7 @@ def _holds_object(value):
 
 
 MUTATION_MEMOS = ["_fans", "_composites", "_approximations", "_radical_tops",
-                  "_covers", "_triangles", "_delta_chains"]
+                  "_covers", "_triangles", "_fan_laws"]
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", [("D", 4, 2, None), ("A", 4, 2, 7)])
@@ -422,6 +426,68 @@ FAILURE_PINS = {
         "mutation", "hom_one_directional", 3, lambda got: False,
         3, {"facet": ["root#0[0]", "root#2[0]", "root#3[2]"]}),
 }
+
+
+# check id -> (the fan-only law it reads through mutation.fan_law, what that
+# law returns on the patched fan, whether the report names the face)
+FAN_LAW_CHECKS = {
+    "fan-ext-pattern": ("ext_pattern_ok", lambda got: False, False),
+    "delta-composites": ("delta_chains_nonzero", lambda got: False, False),
+    "successor-hom-vanishing": ("successor_hom_vanishing", lambda got: False, True),
+    "complement-degrees": ("degree_bounds_instances", lambda got: (got[0], 1), True),
+    "degree-profile": ("degree_profile_instances", lambda got: (got[0], 1), True),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(FAN_LAW_CHECKS))
+def test_memoized_law_fails_at_the_first_face_of_its_fan(monkeypatch, cid):
+    """A law made to fail on one fan that recurs fails its check at that
+    fan's first face, with that face's instance count; that face comes after
+    a memo hit, so counting distinct fans would give another count."""
+    from dcluster import mutation as mut
+
+    attr, failed, names_face = FAN_LAW_CHECKS[cid]
+    law = getattr(mut, attr)
+    c = load_context("A", 3, 3)
+    pairs = mut.fans(c)
+    fans = [fan for _, fan in pairs]
+    first = next(i for i, fan in enumerate(fans) if fans.index(fan) == i
+                 and fans.count(fan) > 1 and len(set(fans[:i])) < i)
+    target = fans[first]
+    if cid in ("complement-degrees", "degree-profile"):
+        instances = sum(law(c, fan)[0] for fan in fans[:first + 1])
+    else:
+        instances = first + 1
+    mask = pairs[first][0]
+    named = c.objs_of(mask) if names_face else [c.objects[i] for i in target]
+    calls = []
+
+    def patched(ctx, cycle):
+        calls.append(cycle)
+        got = law(ctx, cycle)
+        return failed(got) if cycle == target else got
+
+    monkeypatch.setattr(mut, attr, patched)
+    got = run_checks(c, [cid])[0]["checks"][0]
+    assert got["status"] == "fail" and got["instances"] == instances
+    assert got["counterexample"][("almost" if names_face else "fan")] == \
+        [c.oc.obj_name(x) for x in named]
+    # one call per distinct fan up to the failing one
+    assert len(calls) == len(set(calls)) == len(set(fans[:first + 1]))
+
+
+# sha256 of report_to_json of verify --all in the default orientation, on two
+# configurations that gate no check (d = 3)
+GOLDEN_REPORTS = {
+    ("A", 3, 3): "2b65c336d620a6c9adf59a3331b8198302895668fd993d793cd45b921ebd7456",
+    ("D", 4, 3): "5935ad5e6596f128590e73944bdd39e3b0f00b424ff0e532e01a630039bd035f",
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_REPORTS))
+def test_report_bytes_match_the_golden_digest(config):
+    text = report_to_json(run_checks(load_context(*config))[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[config]
 
 
 @pytest.mark.parametrize("pin", sorted(FAILURE_PINS))
