@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import complex as cpxmod
 from . import mutation as mut
@@ -234,9 +234,8 @@ def cmd_tilting_enumerate(args) -> int:
     return 0
 
 
-def cmd_complements(args) -> int:
-    ctx = _context(args)
-    oc = ctx.oc
+def _facet_and_drop(ctx: TiltingContext, args) -> Tuple[List, object]:
+    """The tilting --facet and its one summand --drop, as objects."""
     facet = _parse_objs(ctx, args.facet)
     drop = _parse_objs(ctx, args.drop)
     if len(drop) != 1:
@@ -245,7 +244,14 @@ def cmd_complements(args) -> int:
         raise UsageError("%s is not a summand of the given facet" % args.drop)
     if not is_tilting(ctx, facet):
         raise UsageError("--facet is not a tilting set")
-    almost = [x for x in facet if x != drop[0]]
+    return facet, drop[0]
+
+
+def cmd_complements(args) -> int:
+    ctx = _context(args)
+    oc = ctx.oc
+    facet, drop = _facet_and_drop(ctx, args)
+    almost = [x for x in facet if x != drop]
     try:
         tris = mut.triangles_of(ctx, almost)
     except ValueError as exc:
@@ -253,7 +259,7 @@ def cmd_complements(args) -> int:
     # tris[k] runs from X_{k+1} to X_k along the fan; from the drop X_k on,
     # list the cycle and each member's triangle as source, tris[k-1] first
     fan = [tri["target"] for tri in tris]
-    k = fan.index(drop[0])
+    k = fan.index(drop)
     fan = fan[k:] + fan[:k]
     tris = tris[k - 1:] + tris[:k - 1]
     for x in fan:
@@ -277,12 +283,9 @@ def cmd_complements(args) -> int:
 def cmd_mutate(args) -> int:
     ctx = _context(args)
     oc = ctx.oc
-    facet = _parse_objs(ctx, args.facet)
-    drop = _parse_objs(ctx, args.drop)
-    if len(drop) != 1:
-        raise UsageError("--drop takes exactly one object name")
+    facet, drop = _facet_and_drop(ctx, args)
     try:
-        new = mut.mutate(ctx, facet, drop[0], pick=args.pick)
+        new = mut.mutate(ctx, facet, drop, pick=args.pick)
     except ValueError as exc:
         raise UsageError(str(exc))
     print(" + ".join(oc.obj_name(x) for x in new))
@@ -314,7 +317,7 @@ def cmd_complex(args) -> int:
     ctx = _context(args)
     cpx = cpxmod.build_complex(ctx, positive_only=args.positive)
     print(cpxmod.f_vector_text(cpx).strip())
-    print("%d vertices, %d facets" % (len(cpx.vertices), len(cpx.facets)))
+    print("%d vertices, %d facets" % (len(cpx.vertices), len(cpx.facet_masks)))
     if not args.positive:
         stats = cpxmod.facet_stats(cpx)
         print("pure=%s codim1_faces=%d codim1_in_d_plus_1=%s colors_ok=%s"

@@ -12,11 +12,12 @@ The positive part is the vertex-restriction to degrees < d (no negative
 labels); its facets are the tilting sets avoiding the shifted projectives.
 
 Faces are never materialized beyond the facets, which are kept as bitmasks
-over the fundamental domain next to their object tuples.  The f-vector is
-counted by backtracking over compatibility bitmasks, once per complex (the
-exports reuse that count), and its last level is counted by popcount: a
-face one short of a facet extends to as many facets as it has common
-neighbours above its largest member.  The codimension-1
+over the fundamental domain; purity, the facet count and the exports read
+the masks, and ClusterComplex.facets names them as object tuples on first
+use.  The f-vector is counted by backtracking over compatibility bitmasks,
+once per complex (the exports reuse that count), and its last level is
+counted by popcount: a face one short of a facet extends to as many facets
+as it has common neighbours above its largest member.  The codimension-1
 faces are the facet masks with one bit cleared, grouped once per context
 with the facets containing them; their statistics come from the complement
 fans, computed on the same masks, and each fan must consist of exactly the
@@ -74,17 +75,18 @@ class ClusterComplex:
         self.ctx = ctx
         self.positive_only = positive_only
         oc = ctx.oc
-        if positive_only:
-            self.vertices = [x for x in ctx.objects if oc.degree(x) < oc.d]
-        else:
-            self.vertices = list(ctx.objects)
+        self.vertices = [x for x in ctx.objects if not positive_only or oc.degree(x) < oc.d]
         self.labels = {x: gamma(oc, x) for x in self.vertices}
-        facets, masks = enumerate_tilting(ctx), facet_masks(ctx)
-        outside = ~ctx.mask_of(self.vertices)
-        kept = [k for k, mask in enumerate(masks) if not mask & outside]
-        self.facets = [facets[k] for k in kept]
-        self.facet_masks = [masks[k] for k in kept]
+        self.vertex_mask = vertex = ctx.mask_of(self.vertices)
+        self.facet_masks = [mask for mask in facet_masks(ctx) if mask & vertex == mask]
         self._f_vector = None
+
+    @property
+    def facets(self) -> List[Tuple[Obj, ...]]:
+        """The tilting sets within the vertex mask, named by enumerate_tilting."""
+        vertex = self.vertex_mask
+        return [facet for facet, mask in zip(enumerate_tilting(self.ctx), facet_masks(self.ctx))
+                if mask & vertex == mask]
 
 
 def build_complex(ctx: TiltingContext, positive_only: bool = False) -> ClusterComplex:
@@ -99,7 +101,7 @@ def f_vector(cpx: ClusterComplex) -> List[int]:
         ctx = cpx.ctx
         counts = [0] * (ctx.n + 1)
         counts[0] = 1
-        _count_faces(ctx.adjacency(), ctx.n, ctx.mask_of(cpx.vertices), 0, counts)
+        _count_faces(ctx.adjacency(), ctx.n, cpx.vertex_mask, 0, counts)
         cpx._f_vector = counts
     return list(cpx._f_vector)
 
@@ -139,8 +141,8 @@ def facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
 def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
     ctx = cpx.ctx
     oc = ctx.oc
-    pure = all(len(f) == ctx.n for f in cpx.facets)
     masks = facet_masks(ctx)
+    pure = all(mask.bit_count() == ctx.n for mask in masks)
     faces = codim1_faces(ctx)
     colors = [oc.color(x) for x in ctx.objects]
     all_colors = set(range(1, oc.d + 1))
@@ -152,10 +154,8 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
         fan = _fan(ctx, almost)
         got = per_fan.get(fan)
         if got is None:
-            in_fan = 0
-            for i in fan:
-                in_fan |= 1 << i
-            got = per_fan[fan] = (in_fan, {colors[i] for i in fan} == all_colors)
+            got = per_fan[fan] = (sum(1 << i for i in fan),
+                                  {colors[i] for i in fan} == all_colors)
         in_fan, covered = got
         # the fan's members must be exactly the summands completing the
         # face in the enumerated facets, each of which contains the face
@@ -173,7 +173,7 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
         if not covered:
             colors_ok = False
     return {
-        "facets": len(cpx.facets),
+        "facets": len(masks),
         "pure": pure,
         "codim1_faces": len(faces),
         "codim1_incidence": incidence,

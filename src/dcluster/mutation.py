@@ -74,8 +74,8 @@ import numpy as np
 
 from . import linalg
 from .orbit import Obj
-from .tilting import TiltingContext, _bits, _compatible_with, _row_masks, \
-    enumerate_tilting, facet_masks, is_tilting
+from .tilting import TiltingContext, _bits, _closure, _row_masks, enumerate_tilting, \
+    facet_masks, is_tilting
 
 # a middle term: (object index j, multiplicity of T_j) for each summand in it
 Middle = Tuple[Tuple[int, int], ...]
@@ -83,10 +83,10 @@ Middle = Tuple[Tuple[int, int], ...]
 
 def _common_mask(ctx: TiltingContext, mask: int) -> int:
     """The common neighbours of the set `mask`, which must be rigid."""
-    near = _compatible_with(ctx, mask)
-    if mask & ~near:
+    rigid, common = _closure(ctx, mask)
+    if not rigid:
         raise ValueError("almost complete part is not rigid")
-    return near & ~mask
+    return common
 
 
 def _complements_among(ctx: TiltingContext, common: int) -> int:
@@ -111,13 +111,13 @@ def _fan_cycle(ctx: TiltingContext, comps: int) -> Tuple[int, ...]:
     complement hit by a nonzero class in Ext^1(X_i, -)."""
     if comps == 0:
         raise ValueError("no complements to order")
-    ext1_row = ctx.ext1_row
+    ext1 = ctx.ext1_rows()
     m = comps.bit_count()
     start = cur = (comps & -comps).bit_length() - 1
     cycle = [start]
     seen = 1 << start
     while True:
-        succ = ext1_row(cur) & comps & ~(1 << cur)
+        succ = ext1[cur] & comps & ~(1 << cur)
         if succ == 0 or succ & (succ - 1):
             raise RuntimeError("complement %r has %d Ext^1-successors, expected 1"
                                % (ctx.objects[cur], succ.bit_count()))
@@ -578,6 +578,12 @@ def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[int, ...]]:
 # fan-level laws
 
 
+def _degree_zero_rotations(ctx: TiltingContext, cycle: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The rotations of the degrees of `cycle` (object indices) that start at degree 0."""
+    degs = fan_degrees(ctx, cycle)
+    return [degs[r:] + degs[:r] for r in range(len(degs)) if degs[r] == 0]
+
+
 def degree_bounds_instances(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, int]:
     """(#rotations with deg X_0 = 0, #those breaking the degree bounds).
 
@@ -585,18 +591,9 @@ def degree_bounds_instances(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[
     d-1, and the i-th member has degree at least d - i for 2 <= i <= d.
     """
     d = ctx.oc.d
-    degs = fan_degrees(ctx, cycle)
-    m = len(cycle)
-    instances = violations = 0
-    for r in range(m):
-        if degs[r] != 0:
-            continue
-        instances += 1
-        rot = [degs[(r + i) % m] for i in range(m)]
-        if rot[1] not in (0, d, d - 1) or \
-                any(rot[i] < d - i for i in range(2, d + 1)):
-            violations += 1
-    return instances, violations
+    rots = _degree_zero_rotations(ctx, cycle)
+    return len(rots), sum(1 for rot in rots if rot[1] not in (0, d, d - 1) or
+                          any(rot[i] < d - i for i in range(2, d + 1)))
 
 
 def degree_profile_instances(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, int]:
@@ -606,19 +603,10 @@ def degree_profile_instances(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple
     1 <= i <= k and deg X_i = d + 1 - i for k + 1 <= i <= d.
     """
     d = ctx.oc.d
-    degs = fan_degrees(ctx, cycle)
-    m = len(cycle)
-    instances = violations = 0
-    for r in range(m):
-        rot = [degs[(r + i) % m] for i in range(m)]
-        if rot[0] != 0 or rot[1] == 0:
-            continue
-        instances += 1
-        if not any(all(rot[i] == d - i for i in range(1, k + 1)) and
-                   all(rot[i] == d + 1 - i for i in range(k + 1, d + 1))
-                   for k in range(d + 1)):
-            violations += 1
-    return instances, violations
+    rots = [rot for rot in _degree_zero_rotations(ctx, cycle) if rot[1] != 0]
+    return len(rots), sum(1 for rot in rots if not any(
+        all(rot[i] == d - i for i in range(1, k + 1)) and
+        all(rot[i] == d + 1 - i for i in range(k + 1, d + 1)) for k in range(d + 1)))
 
 
 def middle_supports_disjoint(supports: Sequence[int]) -> bool:
@@ -631,11 +619,9 @@ def middle_union_rigid(ctx: TiltingContext, cycle: Sequence[int],
                        supports: Sequence[int]) -> bool:
     """Is the union of the middle terms' summand masks `supports` rigid with
     each complement in `cycle` (object indices)?"""
-    support = reduce(or_, supports, 0)
-    comp = _compatible_with(ctx, support)
-    # the objects that extend the support, if it is rigid, to a rigid set
-    ext = comp & ~support if support & ~comp == 0 else 0
-    return all((ext >> i) & 1 for i in cycle)
+    # the common neighbours of a rigid support extend it to a rigid set
+    rigid, common = _closure(ctx, reduce(or_, supports, 0))
+    return all(rigid and (common >> i) & 1 for i in cycle)
 
 
 def hom_one_directional(ctx: TiltingContext, mask: int) -> bool:

@@ -61,6 +61,7 @@ Vertex = Tuple[int, int]            # (m, i): the vertex tau^{-m} P_i of ZQ
 Path = Tuple[Vertex, ...]           # consecutive vertices joined by arrows
 # a "piece" is a linear combination of paths with common ends: ((c, path), ...)
 VertexMap = Tuple[Vertex, ...]      # (m, i) -> (m + a, j) stored as (a, j) at i
+WIDE_WINDOW = 4                     # slots on each side of 0..d that hom_dim_wide sums
 
 
 class CMorphism:
@@ -228,15 +229,14 @@ class OrbitCategory:
     def hom_dim(self, x: Obj, y: Obj) -> int:
         return self.ext_dim(x, y, 0)
 
-    def hom_dim_wide(self, x: Obj, y: Obj, window: int = 4) -> int:
-        """Brute-force orbit sum over slots -window..d+window (test oracle)."""
+    def hom_dim_wide(self, x: Obj, y: Obj) -> int:
+        """Brute-force orbit sum over slots -WIDE_WINDOW..d+WIDE_WINDOW (test oracle)."""
         x = self.normalize(x)[0]
-        y = self.normalize(y)[0]
-        total = 0
-        cur = y
-        for _ in range(window):
+        cur = self.normalize(y)[0]
+        for _ in range(WIDE_WINDOW):
             cur = self.obj_F_inv(cur)
-        for _ in range(2 * window + self.d):
+        total = 0
+        for _ in range(2 * WIDE_WINDOW + self.d):
             total += self.piece_dim(x, cur)
             cur = self.obj_F(cur)
         return total

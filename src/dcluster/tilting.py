@@ -7,18 +7,20 @@ assumed).  Rigid sets are cliques of the compatibility graph.  A tilting
 set is rigid, and every indecomposable compatible with the whole set already
 belongs to it (the definition-level closure condition).  That is also what
 maximal rigid means (no proper rigid extension), so is_tilting and
-is_maximal_rigid are one predicate.
+is_maximal_rigid are one predicate.  _closure answers both questions of a
+set, rigidity and common neighbours, in one pass over its compatibility rows.
 
 Tilting sets are exactly the complete rigid sets, those with n = rank
 elements.  verify_equivalence checks this by brute force: a pivoted
 Bron-Kerbosch enumeration of all maximal cliques is compared against an
 independent backtracking enumeration of size-n cliques, and the closure
-condition is evaluated again on every maximal clique.
+condition is evaluated again on every maximal clique.  The enumeration
+yields bitmasks; enumerate_tilting names them only when asked.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,13 +37,13 @@ class TiltingContext:
         self.n = oc.cat.q.rank
         self._adj = None
         self._hom_masks = None
-        self._ext1_rows = {}
-        # results shared by several checks; _facet_masks parallels _tilting,
-        # and _faces maps each almost complete mask to the positions in
-        # _facet_masks of the facets containing it.  _almost lists those
-        # masks in order, and _fan_pairs pairs each with its fan.
-        self._tilting = None
+        self._ext1_rows = None
+        # results shared by several checks: _facet_masks holds the tilting
+        # sets (named in _tilting for enumerate_tilting only), _faces maps each
+        # almost complete mask to the positions in _facet_masks of the facets
+        # containing it, _almost lists those masks and _fan_pairs their fans.
         self._facet_masks = None
+        self._tilting = None
         self._faces = None
         self._almost = None
         self._fan_pairs = None
@@ -109,13 +111,11 @@ class TiltingContext:
             self._hom_masks = (_row_masks(hom), _row_masks(hom.T))
         return self._hom_masks
 
-    def ext1_row(self, i: int) -> int:
-        """Bitmask of the j with Ext^1(X_i, X_j) != 0; each row is read from
-        the dimension table on first use, so one fan reads only its own rows."""
-        row = self._ext1_rows.get(i)
-        if row is None:
-            row = self._ext1_rows[i] = _row_masks(self.oc.dims()[i, None, :, 1] != 0)[0]
-        return row
+    def ext1_rows(self) -> List[int]:
+        """Nonzero-Ext^1 bitmasks: bit j of row i is set when Ext^1(X_i, X_j) != 0."""
+        if self._ext1_rows is None:
+            self._ext1_rows = _row_masks(self.oc.dims()[:, :, 1] != 0)
+        return self._ext1_rows
 
     def canonical(self, x: Obj) -> Obj:
         """The fundamental-domain representative of x; x itself when it is one."""
@@ -160,34 +160,35 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
+def _closure(ctx: TiltingContext, mask: int) -> Tuple[bool, int]:
+    """(is the set `mask` rigid, its common neighbours), in one pass over the
+    members' compatibility rows, each with the member's own bit added."""
+    adj = ctx.adjacency()
+    near = (1 << len(ctx.objects)) - 1
+    rest = mask
+    while rest:
+        low = rest & -rest
+        near &= adj[low.bit_length() - 1] | low
+        rest ^= low
+    return mask & ~near == 0, near & ~mask
+
+
+def _closure_of(ctx: TiltingContext, objs: Sequence[Obj]) -> Tuple[bool, int]:
+    """_closure of the normalized objects, not rigid if one is repeated."""
+    idx = set(ctx.indices(objs))
+    rigid, common = _closure(ctx, sum(1 << i for i in idx))
+    return rigid and len(idx) == len(objs), common
+
+
 def is_rigid(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     """Pairwise compatible, with no object repeated."""
-    idx = set(ctx.indices(objs))
-    mask = sum(1 << i for i in idx)
-    return len(idx) == len(objs) and mask & ~_compatible_with(ctx, mask) == 0
-
-
-def _compatible_with(ctx: TiltingContext, mask: int) -> int:
-    """The objects compatible with every other member of `mask`: the common
-    neighbours, plus all of `mask` exactly when `mask` is rigid."""
-    adj = ctx.adjacency()
-    out = (1 << len(ctx.objects)) - 1
-    while mask:
-        low = mask & -mask
-        out &= adj[low.bit_length() - 1] | low
-        mask ^= low
-    return out
-
-
-def _common_neighbors(ctx: TiltingContext, mask: int) -> int:
-    return _compatible_with(ctx, mask) & ~mask
+    return _closure_of(ctx, objs)[0]
 
 
 def is_tilting(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     """Rigid, and add-closure contains everything compatible with the set."""
-    if not is_rigid(ctx, objs):
-        return False
-    return _common_neighbors(ctx, ctx.mask_of(objs)) == 0
+    rigid, common = _closure_of(ctx, objs)
+    return rigid and common == 0
 
 
 # Maximal rigid is the same predicate: a rigid set has a proper rigid
@@ -197,12 +198,12 @@ is_maximal_rigid = is_tilting
 
 
 def classify(ctx: TiltingContext, objs: Sequence[Obj]) -> Dict[str, bool]:
-    rigid = is_rigid(ctx, objs)
+    rigid, common = _closure_of(ctx, objs)
     return {
         "rigid": rigid,
-        "maximal": rigid and is_maximal_rigid(ctx, objs),
+        "maximal": rigid and common == 0,
         "complete": rigid and len(set(objs)) == ctx.n,
-        "tilting": rigid and is_tilting(ctx, objs),
+        "tilting": rigid and common == 0,
     }
 
 
@@ -215,12 +216,15 @@ def complete_to_tilting(ctx: TiltingContext, objs: Sequence[Obj]) -> Tuple[Obj, 
 
 def complete_mask(ctx: TiltingContext, mask: int) -> int:
     """Greedy extension of the rigid set `mask` by its least common neighbour
-    until none is left; the result must be rigid, and so tilting."""
-    cand = _common_neighbors(ctx, mask)
+    until none is left, narrowing the common neighbours by each added
+    summand's row; the result must be rigid, and so tilting."""
+    adj = ctx.adjacency()
+    cand = _closure(ctx, mask)[1]
     while cand:
-        mask |= cand & -cand
-        cand = _common_neighbors(ctx, mask)
-    if mask & ~_compatible_with(ctx, mask):
+        low = cand & -cand
+        mask |= low
+        cand &= adj[low.bit_length() - 1]
+    if not _closure(ctx, mask)[0]:
         raise RuntimeError("greedy completion failed to reach a tilting object")
     return mask
 
@@ -258,13 +262,19 @@ def _bron_kerbosch(adj: List[int], r: int, p: int, x: int, out: List[int]) -> No
         rest ^= low
 
 
-def enumerate_tilting(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
-    """All rigid sets of size exactly n, by ordered backtracking (cached)."""
-    if ctx._tilting is None:
+def facet_masks(ctx: TiltingContext) -> List[int]:
+    """All rigid sets of size exactly n as bitmasks, by ordered backtracking (cached)."""
+    if ctx._facet_masks is None:
         out: List[int] = []
         _grow(ctx.adjacency(), ctx.n, 0, (1 << len(ctx.objects)) - 1, 0, 0, out)
         ctx._facet_masks = out
-        ctx._tilting = [ctx.objs_of(mask) for mask in out]
+    return ctx._facet_masks
+
+
+def enumerate_tilting(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
+    """The tilting sets as object tuples, in the order of facet_masks (cached)."""
+    if ctx._tilting is None:
+        ctx._tilting = [ctx.objs_of(mask) for mask in facet_masks(ctx)]
     return ctx._tilting
 
 
@@ -283,18 +293,12 @@ def _grow(adj: List[int], n: int, mask: int, cand: int, size: int, start: int,
         rest ^= low
 
 
-def facet_masks(ctx: TiltingContext) -> List[int]:
-    """The bitmasks of the tilting sets, in the order of enumerate_tilting."""
-    enumerate_tilting(ctx)
-    return ctx._facet_masks
-
-
 def verify_equivalence(ctx: TiltingContext) -> Dict[str, object]:
     """The three-way-equivalence check; raises on self/symmetry defects."""
     maximal = set(maximal_rigid_sets(ctx))
     complete = set(facet_masks(ctx))
     sizes = sorted({mask.bit_count() for mask in maximal})
-    closure_ok = all(_common_neighbors(ctx, mask) == 0 for mask in maximal)
+    closure_ok = all(_closure(ctx, mask) == (True, 0) for mask in maximal)
     return {
         "count": len(maximal),
         "maximal_sizes": sizes,

@@ -104,6 +104,19 @@ def test_complements_rejects_non_tilting(capsys):
     assert "not a tilting set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["complements", "mutate"])
+@pytest.mark.parametrize("facet,drop,err", [
+    ("root#0[0],root#1[0]", "root#2[0]", "root#2[0] is not a summand of the given facet"),
+    ("root#0[0],root#2[0]", "root#0[0],root#2[0]", "--drop takes exactly one object name"),
+    ("root#0[0],root#1[0]", "root#0[0]", "--facet is not a tilting set"),
+])
+def test_facet_and_drop_errors_are_shared(capsys, command, facet, drop, err):
+    """complements and mutate check the facet and the drop alike: one line on
+    stderr naming the drop by its name, exit 2, nothing on stdout."""
+    assert run([command, "--facet", facet, "--drop", drop] + A2D1) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % err)
+
+
 def _complements_rendering(c, facet, drop):
     """The complements output built from fan_of, rotate_to and a lookup of
     each triangle by its source: (stdout, --out text)."""

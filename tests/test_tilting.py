@@ -8,8 +8,8 @@ import pytest
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import (TiltingContext, _bits, _common_neighbors,
-                              _row_masks, classify, complete_to_tilting, enumerate_tilting,
+from dcluster.tilting import (TiltingContext, _bits, _closure, _row_masks, classify,
+                              complete_mask, complete_to_tilting, enumerate_tilting,
                               facet_masks, is_maximal_rigid, is_rigid, is_tilting,
                               maximal_rigid_sets, verify_equivalence)
 
@@ -113,7 +113,7 @@ def test_rigidity_and_common_neighbors_by_definition():
             assert is_rigid(c, [c.objects[i] for i in sub]) is rigid
             common = sum(1 << j for j in range(m)
                          if j not in sub and all(compatible[i, j] for i in sub))
-            assert _common_neighbors(c, sum(1 << i for i in sub)) == common
+            assert _closure(c, sum(1 << i for i in sub)) == (rigid, common)
     # a repeated object is rejected even though it is compatible with itself
     x = c.objects[0]
     assert is_rigid(c, [x]) and not is_rigid(c, [x, x])
@@ -160,12 +160,34 @@ def test_greedy_completion_that_leaves_rigidity_raises(monkeypatch):
     adj = c.adjacency()
     y = next(j for j in range(1, len(c.objects)) if not (adj[0] >> j) & 1)
     assert tilting.complete_mask(c, 1) == c.mask_of(complete_to_tilting(c, [c.objects[0]]))
-    common = tilting._common_neighbors
+    closure = tilting._closure
     steps = []
-    monkeypatch.setattr(tilting, "_common_neighbors", lambda c, mask: (
-        common(c, mask) if steps else steps.append(1) or 1 << y))
+    # the first call, which starts the completion, offers y as a common neighbour
+    monkeypatch.setattr(tilting, "_closure", lambda c, mask: (
+        closure(c, mask) if steps else steps.append(1) or (True, 1 << y)))
     with pytest.raises(RuntimeError, match="greedy completion failed to reach a tilting object"):
-        complete_to_tilting(c, [c.objects[0]])
+        tilting.complete_mask(c, 1)
+    assert steps == [1]
+
+
+def test_is_tilting_makes_one_closure_pass(monkeypatch):
+    """Rigidity and the closure condition come from one _closure call, for
+    tilting, almost complete, non-rigid and repeated sets alike."""
+    from dcluster import tilting
+
+    c = ctx("A", 3, 2)
+    facet = enumerate_tilting(c)[0]
+    adj = c.adjacency()
+    y = next(j for j in range(1, len(c.objects)) if not (adj[0] >> j) & 1)
+    calls = []
+    closure = tilting._closure
+    monkeypatch.setattr(tilting, "_closure", lambda c, mask: calls.append(mask)
+                        or closure(c, mask))
+    for objs, want in ((facet, True), (facet[1:], False),
+                       ((c.objects[0], c.objects[y]), False), (facet + facet[:1], False)):
+        calls.clear()
+        assert is_tilting(c, objs) is want
+        assert len(calls) == 1
 
 
 def test_every_tilting_is_maximal_and_closed():
@@ -321,3 +343,35 @@ def test_maximal_rigid_sets_by_brute_force_and_in_pivot_order(diagram, rank, d, 
     want = []
     _pivoted_bron_kerbosch(adj, 0, (1 << m) - 1, 0, want)
     assert got == want
+
+
+# the verify-grid configurations
+GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
+
+
+def _greedy_by_rederiving(compatible, mask):
+    """The greedy completion that re-derives the common neighbours of the
+    whole grown set, from the compatibility table, after each step."""
+    while True:
+        members = _reference_bits(mask)
+        common = [j for j in range(len(compatible)) if j not in members
+                  and all(compatible[i][j] for i in members)]
+        if not common:
+            return mask
+        mask |= 1 << common[0]
+
+
+@pytest.mark.parametrize("seed", [None, 4, 9])
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_complete_mask_matches_rederiving_the_common_neighbours(diagram, rank, d, seed):
+    """Narrowing the common neighbours by each added summand's row gives the
+    same completion, from every singleton and every codimension-1 face."""
+    from dcluster.mutation import almost_completes
+
+    c = _seeded(diagram, rank, d, seed)
+    compatible = (~c.oc.dims()[:, :, 1:d + 1].any(axis=2)).tolist()
+    starts = [1 << i for i in range(len(c.objects))] + almost_completes(c)
+    for start in starts:
+        got = complete_mask(c, start)
+        assert got == _greedy_by_rederiving(compatible, start)
+        assert got.bit_count() == rank

@@ -202,6 +202,16 @@ def test_fan_checks_share_one_fan_walk(monkeypatch):
     assert len(calls) == 63
 
 
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 4, 2), ("D", 4, 2),
+                                           ("A", 3, 3), ("D", 5, 1)])
+def test_verify_names_no_facet(diagram, rank, d):
+    """verify --all reads the facets as bitmasks only: the object tuples of
+    enumerate_tilting are never built."""
+    c = load_context(diagram, rank, d)
+    assert run_checks(c)[0]["summary"]["fail"] == 0
+    assert c._tilting is None and c._facet_masks
+
+
 def _ints_only(value):
     """Is `value` an int, or a tuple, list or dict built of ints alone?"""
     if isinstance(value, dict):
