@@ -234,16 +234,20 @@ def cmd_tilting_enumerate(args) -> int:
     return 0
 
 
-def _facet_and_drop(ctx: TiltingContext, args) -> Tuple[List, object]:
-    """The tilting --facet and its one summand --drop, as objects."""
+NOT_TILTING = "--facet is not a tilting set"
+
+
+def _facet_and_drop(ctx: TiltingContext, args, tilting: bool = True) -> Tuple[List, object]:
+    """The tilting --facet and its one summand --drop, as objects; with
+    tilting=False the facet is not tested for tilting (mutate tests it)."""
     facet = _parse_objs(ctx, args.facet)
     drop = _parse_objs(ctx, args.drop)
     if len(drop) != 1:
         raise UsageError("--drop takes exactly one object name")
     if drop[0] not in facet:
         raise UsageError("%s is not a summand of the given facet" % args.drop)
-    if not is_tilting(ctx, facet):
-        raise UsageError("--facet is not a tilting set")
+    if tilting and not is_tilting(ctx, facet):
+        raise UsageError(NOT_TILTING)
     return facet, drop[0]
 
 
@@ -283,9 +287,11 @@ def cmd_complements(args) -> int:
 def cmd_mutate(args) -> int:
     ctx = _context(args)
     oc = ctx.oc
-    facet, drop = _facet_and_drop(ctx, args)
+    facet, drop = _facet_and_drop(ctx, args, tilting=False)
     try:
         new = mut.mutate(ctx, facet, drop, pick=args.pick)
+    except mut.NotTiltingError:
+        raise UsageError(NOT_TILTING)
     except ValueError as exc:
         raise UsageError(str(exc))
     print(" + ".join(oc.obj_name(x) for x in new))

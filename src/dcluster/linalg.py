@@ -5,11 +5,13 @@ through this module, so all ranks, kernels and solves are exact.  The
 elimination core, rref_rows, and its reduction of [a | I], complement_rows,
 run on lists of Python ints: the matrices reduced here are small (a knit's
 mesh relations average 1.4 x 2.0), and on them numpy's per-call dispatch
-costs more than the arithmetic.  Arrays appear only at the edges: the other
+costs more than the arithmetic.  The fan layer's rank problems, the mesh
+category's path maps and composition tensors, and the module Hom systems and
+coboundaries are built as rows and reduced here directly.  The other
 functions take and return numpy int64 arrays with entries reduced into
 [0, p), converting to rows and back around one call of the core.
-check_field's int64 bound still guards the numpy products that callers
-form, such as mmul and the mesh category's path_map.
+check_field's int64 bound still guards the numpy products that callers form,
+such as mmul and the module knit's maps; Python-int rows cannot overflow.
 p is a parameter everywhere (the default prime lives in config, not here).
 Zero-sized matrices are legal and common (empty representations).
 """
@@ -68,7 +70,10 @@ def rref_rows(rows: List[List[int]], ncols: int, p: int) -> List[int]:
 
     Rows with a 0 in the pivot column are left alone, and a pivot row is
     scaled only when its pivot is not already 1.  A pivot row is zero left
-    of its pivot, so the update of the other rows starts at the pivot column.
+    of its pivot, so the update of the other rows starts at the pivot column;
+    when at most half of the pivot row's entries from there on are nonzero
+    (a Hom system has about two nonzeros per row), only those entries are
+    updated.
     """
     piv: List[int] = []
     h = 0
@@ -90,11 +95,19 @@ def rref_rows(rows: List[List[int]], ncols: int, p: int) -> List[int]:
             top = [v * c % p for v in top]
         rows[h] = top
         right = top[j:]
+        nonzero = [(q, t) for q, t in enumerate(right, j) if t]
+        sparse = 2 * len(nonzero) <= len(right)
         for k in range(n):
             row = rows[k]
             c = row[j]
             if c and k != h:
-                rows[k] = row[:j] + [(v - c * t) % p for v, t in zip(row[j:], right)]
+                if sparse:
+                    row = row[:]
+                    for q, t in nonzero:
+                        row[q] = (row[q] - c * t) % p
+                    rows[k] = row
+                else:
+                    rows[k] = row[:j] + [(v - c * t) % p for v, t in zip(row[j:], right)]
         piv.append(j)
         h += 1
     return piv

@@ -17,12 +17,17 @@ the approximation is checked by one rank comparison per summand over cached
 structure constants: each composition Hom(a, m) x Hom(m, b) -> Hom(a, b) is
 computed once, as a tensor in the coordinates of the orbit category's Hom
 bases (paths of the mesh category of ZQ), by carrying identity blocks along
-the basis paths of Hom(m, b) (OrbitCategory.compose_tensor).  Each of these
-small rank problems depends only on (a, b) and on the summands t with
-Hom(a, t) and Hom(t, b) nonzero (the others contribute no columns), so it is
-solved once per context and reused by every add set and fan that poses it
-again.  Its size, dim Hom(a, b), is read from the dimension table, so a
-problem without such summands composes nothing.
+the basis paths of Hom(m, b) (OrbitCategory.compose_tensor).  A tensor is
+dim Hom(a, b) rows of Python ints, entry i * g + j of row k being the k-th
+coordinate of g_j o f_i (g = dim Hom(m, b)): the matrices are tiny, so the
+rank problems join tensors by extending rows, pick generators by index
+lists and reduce with linalg.rref_rows and complement_rows, without numpy.
+Each of these small rank problems depends only on (a, b) and on the
+summands t with Hom(a, t) and Hom(t, b) nonzero (the others contribute no
+columns), so it is solved once per context and reused by every add set and
+fan that poses it again.  Its size, dim Hom(a, b), is read from the
+dimension table (TiltingContext.hom_dims), so a problem without such
+summands composes nothing.
 
 From the codimension-1 faces to the fan-level predicates, an almost
 complete set is a bitmask of object indices, a fan a tuple of indices and a
@@ -67,14 +72,14 @@ verdict memo of fan_law; the exchange-team search reads the composites there.
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from operator import mul, or_
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .orbit import Obj
-from .tilting import TiltingContext, _bits, _closure, _row_masks, enumerate_tilting, \
+from .tilting import TiltingContext, _bits, _closure, enumerate_tilting, \
     facet_masks, is_tilting
 
 # a middle term: (object index j, multiplicity of T_j) for each summand in it
@@ -228,13 +233,14 @@ def fans(ctx: TiltingContext) -> List[Tuple[int, Tuple[int, ...]]]:
 # approximations
 
 
-def _composite_tensor(ctx: TiltingContext, a: int, mid: int, b: int) -> np.ndarray:
-    """Structure constants t[k, i, j] of composition through X_mid, cached by
-    the object indices (a, mid, b): the coefficient of the k-th vector of
-    hom_basis(X_a, X_b) in g_j o f_i, for f_i in hom_basis(X_a, X_mid) and
-    g_j in hom_basis(X_mid, X_b), read from path maps by
-    OrbitCategory.compose_tensor.  Composition is bilinear, so any composite
-    through X_mid is read off t."""
+def _composite_tensor(ctx: TiltingContext, a: int, mid: int,
+                      b: int) -> Tuple[Tuple[int, ...], ...]:
+    """Structure constants of composition through X_mid, cached by the object
+    indices (a, mid, b): entry i * g + j of row k is the coefficient of the
+    k-th vector of hom_basis(X_a, X_b) in g_j o f_i, for f_i in
+    hom_basis(X_a, X_mid) and g_j among the g vectors of hom_basis(X_mid,
+    X_b), read from path maps by OrbitCategory.compose_tensor.  Composition
+    is bilinear, so any composite through X_mid is read off these rows."""
     cache = ctx._composites
     key = (a, mid, b)
     t = cache.get(key)
@@ -249,8 +255,7 @@ def _check_end_fields(ctx: TiltingContext, mask: int) -> None:
     radical of a Hom from or to T_j is the span of the composites through
     the other summands."""
     if ctx._end_defects is None:
-        ends = np.diagonal(ctx.oc.dims()[:, :, 0])
-        ctx._end_defects = _row_masks(ends[None] != 1)[0]
+        ctx._end_defects = sum(1 << i for i, row in enumerate(ctx.hom_dims()) if row[i] != 1)
     bad = mask & ctx._end_defects
     if bad:
         raise RuntimeError("endomorphism ring of %r is not one-dimensional"
@@ -326,11 +331,12 @@ def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, .
     i.e. the first basis vectors of Hom(a, b) that complete the composites
     through the summands in the bitmask `rel` to a spanning set.  They depend
     only on the span of the radical, not on the order of its columns."""
-    h = int(ctx.oc.dims()[a, b, 0])
-    p = ctx.oc.cat.p
-    blocks = [_composite_tensor(ctx, a, t, b).reshape(h, -1) for t in _bits(rel)]
-    radical = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
-    return tuple(linalg.complement_rows((radical % p).tolist(), radical.shape[1], p)[1])
+    rows: List[List[int]] = [[] for _ in range(ctx.hom_dims()[a][b])]
+    for t in _bits(rel):
+        for row, block in zip(rows, _composite_tensor(ctx, a, t, b)):
+            row += block
+    cols = len(rows[0]) if rows else 0
+    return tuple(linalg.complement_rows(rows, cols, ctx.oc.cat.p)[1])
 
 
 def _covered(ctx: TiltingContext, right: bool, ix: int, supp: int,
@@ -360,12 +366,21 @@ def _covered(ctx: TiltingContext, right: bool, ix: int, supp: int,
 
 
 def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
-    """Do the composites through the generators (t, gens) span Hom(a, b)?"""
-    h = int(ctx.oc.dims()[a, b, 0])
-    blocks = [_composite_tensor(ctx, a, t, b).take(gens, axis=2 if right else 1)
-              .reshape(h, -1) for t, gens in gens_at]
-    span = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
-    return linalg.rank_mod(span, ctx.oc.cat.p) == h
+    """Do the composites through the generators (t, gens) span Hom(a, b)?
+    The generators index the g axis of each tensor, Hom(t, b), on the right
+    side and its f axis, Hom(a, t), on the left."""
+    hom = ctx.hom_dims()
+    rows: List[List[int]] = [[] for _ in range(hom[a][b])]
+    for t, gens in gens_at:
+        f, g = hom[a][t], hom[t][b]
+        if right:
+            take = [i * g + j for i in range(f) for j in gens]
+        else:
+            take = [i * g + j for i in gens for j in range(g)]
+        for row, block in zip(rows, _composite_tensor(ctx, a, t, b)):
+            row += [block[k] for k in take]
+    cols = len(rows[0]) if rows else 0
+    return len(linalg.rref_rows(rows, cols, ctx.oc.cat.p)) == len(rows)
 
 
 def _approximation_of(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
@@ -512,13 +527,16 @@ def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[int, ...]) -> bool:
     for _ in range(m):
         shifted.append([shift[j] for j in shifted[-1]])
     p = ctx.oc.cat.p
+    hom = ctx.hom_dims()
     for i in range(m):
         ys = [shifted[k][(i + k) % m] for k in range(m + 1)]
-        chain = np.ones(1, dtype=np.int64)
+        chain = [1]
         for k in range(1, m):
-            t = _composite_tensor(ctx, ys[0], ys[k], ys[k + 1])
-            chain = t[:, :, 0] @ chain % p
-            if not chain.any():
+            # the chain composed with the first basis vector, j = 0, of the step
+            g = hom[ys[k]][ys[k + 1]]
+            chain = [sum(map(mul, row[::g], chain)) % p
+                     for row in _composite_tensor(ctx, ys[0], ys[k], ys[k + 1])]
+            if not any(chain):
                 return False
     return True
 
@@ -640,14 +658,20 @@ def successor_hom_vanishing(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
 # mutation of facets
 
 
+class NotTiltingError(ValueError):
+    """The set given to mutate is not tilting (the CLI words it its own way)."""
+
+
 def mutate(ctx: TiltingContext, objs: Sequence[Obj], drop: Obj,
            pick: int = 1) -> Tuple[Obj, ...]:
-    """Replace `drop` by the pick-th complement along the fan starting there."""
+    """Replace `drop` by the pick-th complement along the fan starting there.
+    Raises NotTiltingError unless `objs` is tilting, after a ValueError when
+    `drop` is not among them."""
     i = ctx.index[ctx.canonical(drop)]
     if i not in ctx.indices(objs):
         raise ValueError("drop object %r is not a summand" % (ctx.objects[i],))
     if not is_tilting(ctx, objs):
-        raise ValueError("mutation requires a tilting set")
+        raise NotTiltingError("mutation requires a tilting set")
     almost = ctx.mask_of(objs) & ~(1 << i)
     fan = _fan(ctx, almost)
     return ctx.objs_of(almost | 1 << fan[(fan.index(i) + pick) % len(fan)])

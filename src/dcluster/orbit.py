@@ -31,13 +31,18 @@ linalg.complement_rows picks from the relation's rows R, so each basis
 vector is a single path (a basis path of some Hom(x, w), then the arrow
 w -> z) and the arrow maps of Hom(x, -) are blocks of the cokernel
 projection, the reduced rows of [R | I] below the rank.  These matrices are
-tiny, so the knit keeps them as lists of Python ints and turns the arrow
-maps into int64 arrays once, when it returns.  A morphism of C_d is kept as
-its coordinates in these path bases, slot 0 then slot 1.
+tiny (often 1 x 1), so the knit keeps them as lists of Python ints, and so
+does everything built from them: path_rows multiplies the arrow maps along
+a path once per context, keyed by the source's vertex of Q and the path
+relative to the source's level, and compose_tensor stacks those products
+into rows of ints.  A morphism of C_d is kept as its coordinates in these
+path bases, slot 0 then slot 1.
 g . f is f carried along the paths of g through the arrow maps of Hom(x, -),
 with g's slot-0 paths relabelled by phi (push_piece) for the term through
 F(Y); the slot-2 term must vanish.  compose_tensor is its batched form over
-two Hom bases: the same path maps, applied to identity blocks.
+two Hom bases: the same path maps, applied to identity blocks.  The numpy
+path_map only wraps path_rows for the CMorphism half, which the tests keep
+as the per-pair oracle of compose_tensor.
 
 Shifts of morphisms are implemented downward only (src/tgt both [-1]), so
 re-canonicalization only ever applies F forward.  Ext^k classes are kept in
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -59,6 +65,7 @@ from .reps import ModuleCategory
 Obj = Tuple[Tuple[int, ...], int]   # (root, shift)
 Vertex = Tuple[int, int]            # (m, i): the vertex tau^{-m} P_i of ZQ
 Path = Tuple[Vertex, ...]           # consecutive vertices joined by arrows
+Rows = Tuple[Tuple[int, ...], ...]  # a matrix over F_p as its rows of Python ints
 # a "piece" is a linear combination of paths with common ends: ((c, path), ...)
 VertexMap = Tuple[Vertex, ...]      # (m, i) -> (m + a, j) stored as (a, j) at i
 WIDE_WINDOW = 4                     # slots on each side of 0..d that hom_dim_wide sums
@@ -92,8 +99,11 @@ class OrbitCategory:
         self.inj_vertex = {cat.inj_root[x]: x for x in range(cat.q.rank)}
         self.proj_vertex = {cat.proj_root[x]: x for x in range(cat.q.rank)}
         # the mesh category (_mesh) is knitted on the first morphism call;
-        # (source vertex, target vertex) -> the basis paths of its Hom
+        # (source vertex, target vertex) -> the basis paths of its Hom, and
+        # (source vertex of Q, path relative to the source's level) -> the
+        # rows of the path's map on Hom(source, -)
         self._paths: Dict[Tuple[Vertex, Vertex], List[Path]] = {}
+        self._path_rows: Dict[Tuple[int, Path], Rows] = {}
         self._vertex_of: Dict[Obj, Vertex] = {}
         # (x, y) -> hom_basis(x, y), for normalized x and y
         self._hom_bases: Dict[Tuple[Obj, Obj], List[CMorphism]] = {}
@@ -338,18 +348,26 @@ class OrbitCategory:
             self._paths[key] = paths
         return paths
 
+    def path_rows(self, u: Vertex, path: Path) -> Rows:
+        """Composition with `path` on Hom(u, -): the rows of the matrix from
+        Hom(u, path[0]) to Hom(u, path[-1]), a product of arrow maps (zero
+        when the path leaves the support of Hom(u, -)).  The map depends
+        only on the knit of Hom((0, u[1]), -) and on the path moved down by
+        u's level, so it is memoized per context by those two."""
+        level = u[0]
+        key = (u[1], tuple((m - level, i) for m, i in path))
+        rows = self._path_rows.get(key)
+        if rows is None:
+            rows = self._path_rows[key] = _path_product(self._mesh[u[1]], key[1],
+                                                        self.cat.p)
+        return rows
+
     def path_map(self, u: Vertex, path: Path) -> np.ndarray:
-        """Composition with `path` on Hom(u, -): the matrix from Hom(u, path[0])
-        to Hom(u, path[-1]), a product of arrow maps."""
+        """path_rows as an int64 array, for the CMorphism half."""
         hom = self._mesh[u[1]]
-        rel = [(m - u[0], i) for m, i in path]
-        mat = linalg.eye(hom.dims.get(rel[0], 0))
-        for w, z in zip(rel, rel[1:]):
-            arrow = hom.maps.get((w, z))
-            if arrow is None:
-                return linalg.zeros(hom.dims.get(rel[-1], 0), mat.shape[1])
-            mat = arrow @ mat % self.cat.p
-        return mat
+        shape = (hom.dims.get((path[-1][0] - u[0], path[-1][1]), 0),
+                 hom.dims.get((path[0][0] - u[0], path[0][1]), 0))
+        return np.array(self.path_rows(u, path), dtype=np.int64).reshape(shape)
 
     def _piece(self, x: Obj, y: Obj, coords: Optional[np.ndarray]) -> Optional[tuple]:
         """The piece x -> y with the given path coordinates (None when zero)."""
@@ -431,36 +449,44 @@ class OrbitCategory:
             raise RuntimeError("nonzero slot-2 piece in orbit composition")
         return CMorphism(x, z, pieces)
 
-    def compose_tensor(self, x: Obj, y: Obj, z: Obj) -> np.ndarray:
-        """compose over the bases: t[k, i, j] is the k-th coordinate of g_j . f_i
-        for f_i in hom_basis(x, y) and g_j in hom_basis(y, z).
+    def compose_tensor(self, x: Obj, y: Obj, z: Obj) -> Rows:
+        """compose over the bases, as h rows of f * g ints: entry i * g + j of
+        row k is the k-th coordinate, in hom_basis(x, z), of g_j . f_i, for
+        f_i the i-th of the f vectors of hom_basis(x, y) and g_j the j-th of
+        the g vectors of hom_basis(y, z).
 
-        The f_i are unit vectors, so the slab t[:, :, j] holds compose's path
-        maps along g_j's basis path, applied to identity blocks: for g_j in
-        slot 0 (path p), path_map(p) takes f's slot 0 to slot 0 and
-        path_map(phi p) takes f's slot 1 to slot 1; for g_j in slot 1 (path
-        q), path_map(q) takes f's slot 0 to slot 1, and path_map(phi q), the
-        slot-2 term, must vanish on f's slot 1."""
+        The f_i are unit vectors, so the slab at j holds compose's path maps
+        along g_j's basis path, applied to identity blocks: for g_j in slot 0
+        (path p), path_rows(p) takes f's slot 0 to slot 0 and path_rows(phi p)
+        takes f's slot 1 to slot 1; for g_j in slot 1 (path q), path_rows(q)
+        takes f's slot 0 to slot 1, and path_rows(phi q), the slot-2 term,
+        must vanish on f's slot 1."""
         xv, yv, zv = self.vertex(x), self.vertex(y), self.vertex(z)
         f0, f1 = self.slot_dims(x, y)
         g0, g1 = self.slot_dims(y, z)
         h0, h1 = self.slot_dims(x, z)
-        t = np.zeros((h0 + h1, f0 + f1, g0 + g1), dtype=np.int64)
-        if not (f0 + f1 and g0 + g1):
-            return t
-        for j, path in enumerate(self.basis_paths(yv, zv)):
-            t[:h0, :f0, j] = self.path_map(xv, path)
-            if f1 and h1:
-                (_, path), = self.push_piece(y, z, ((1, path),))
-                t[h0:, f0:, j] = self.path_map(xv, path)
-        fz = self.obj_F(z)
-        for j, path in enumerate(self.basis_paths(yv, self.phi(zv)), g0):
-            t[h0:, :f0, j] = self.path_map(xv, path)
-            if f1:
-                (_, path), = self.push_piece(y, fz, ((1, path),))
-                if self.path_map(xv, path).any():
-                    raise RuntimeError("nonzero slot-2 piece in orbit composition")
-        return t
+        f, g = f0 + f1, g0 + g1
+        t = [[0] * (f * g) for _ in range(h0 + h1)]
+
+        def put(k, i, j, block):
+            # block[r][c] is entry (k + r, i + c, j)
+            for row, vals in zip(t[k:], block):
+                row[i * g + j:(i + len(vals)) * g:g] = vals
+
+        if f and g:
+            for j, path in enumerate(self.basis_paths(yv, zv)):
+                put(0, 0, j, self.path_rows(xv, path))
+                if f1 and h1:
+                    (_, path), = self.push_piece(y, z, ((1, path),))
+                    put(h0, f0, j, self.path_rows(xv, path))
+            fz = self.obj_F(z)
+            for j, path in enumerate(self.basis_paths(yv, self.phi(zv)), g0):
+                put(h0, 0, j, self.path_rows(xv, path))
+                if f1:
+                    (_, path), = self.push_piece(y, fz, ((1, path),))
+                    if any(map(any, self.path_rows(xv, path))):
+                        raise RuntimeError("nonzero slot-2 piece in orbit composition")
+        return tuple(map(tuple, t))
 
     def shift_down(self, f: CMorphism) -> CMorphism:
         """The morphism f[-1]: normalize(X[-1]) -> normalize(Y[-1]): each path
@@ -543,19 +569,19 @@ class HomFrom(NamedTuple):
     """The representation Hom((0, i), -) of the mesh category.
 
     dims maps each vertex with a nonzero Hom to its dimension, maps each arrow
-    w -> z between two such vertices to its matrix, and steps[z][k] is the
-    (w, index) of the basis path that basis path k of Hom((0, i), z) extends
-    by the arrow w -> z, or (None, None) for the identity path at (0, i).
+    w -> z between two such vertices to the rows of its matrix, and
+    steps[z][k] is the (w, index) of the basis path that basis path k of
+    Hom((0, i), z) extends by the arrow w -> z, or (None, None) for the
+    identity path at (0, i).
     """
     dims: Dict[Vertex, int]
-    maps: Dict[Tuple[Vertex, Vertex], np.ndarray]
+    maps: Dict[Tuple[Vertex, Vertex], List[List[int]]]
     steps: Dict[Vertex, List[tuple]]
 
 
 def _mesh_map(hom: HomFrom, tau_z: Vertex, preds: List[Vertex]) -> List[List[int]]:
     """Hom(x, tau z) -> (+)_w Hom(x, w): the mesh relation at z, each path
-    tau z -> w with coefficient 1, as the rows of its matrix (hom.maps holds
-    row lists while it is being knitted)."""
+    tau z -> w with coefficient 1, as the rows of its matrix."""
     cols = hom.dims.get(tau_z, 0)
     rows: List[List[int]] = []
     for w in preds:
@@ -605,6 +631,19 @@ def knit_hom_from(cat: ModuleCategory, i: int) -> HomFrom:
             hom.steps[z] = [slots[c] for c in basis]
             level = True
         if not level:
-            return hom._replace(maps={key: np.array(rows, dtype=np.int64)
-                                      for key, rows in hom.maps.items()})
+            return hom
         m += 1
+
+
+def _path_product(hom: HomFrom, path: Path, p: int) -> Rows:
+    """The product of hom's arrow maps along `path` (vertices relative to the
+    source of hom), as rows; zero when an arrow leaves hom's support."""
+    n = hom.dims.get(path[0], 0)
+    mat = [[int(r == c) for c in range(n)] for r in range(n)]
+    for w, z in zip(path, path[1:]):
+        arrow = hom.maps.get((w, z))
+        if arrow is None:
+            return ((0,) * n,) * hom.dims.get(path[-1], 0)
+        cols = list(zip(*mat))
+        mat = [[sum(map(mul, row, col)) % p for col in cols] for row in arrow]
+    return tuple(map(tuple, mat))

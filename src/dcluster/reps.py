@@ -15,9 +15,15 @@ The roots of P_x and I_x are their supports and tau acts on roots as the
 Coxeter matrix, so no dimension count needs a module, and morphisms of the
 orbit category are paths of ZQ (see orbit), so no composition needs one
 either.  The modules are the linear-algebra witness that the Euler-form
-dimensions are right (the euler-identity and window-hom-reduction checks
-read hom_basis and ext_dim, the corank of coboundary), knitted on the first
-access to rep or pres: tau^{-1} is applied repeatedly to the projectives, as
+dimensions are right: the euler-identity and window-hom-reduction checks
+read hom_dim, the nullity of the Hom system, and ext_dim, the corank of the
+coboundary, two separate systems so that hom - ext = <a, b> is not read off
+one rank.  Both are small (a Hom system averages about 12 x 12 on E8), so
+they are assembled once as rows of Python ints and reduced by
+linalg.rref_rows; hom_vmaps builds its kernel basis from the same rows, and
+coboundary wraps the rows as an array for the tests' module oracle.  The
+modules themselves keep numpy arrow matrices, knitted on the first access
+to rep or pres: tau^{-1} is applied repeatedly to the projectives, as
 tau^{-1} M = coker( nu^{-1} J0 -> nu^{-1} J1 ) for the minimal injective
 copresentation 0 -> M -> J0 -> J1 -> 0, and each cokernel must have the
 Coxeter tau^{-1} as its dimension vector.  The nu^{-1}-image of that
@@ -96,6 +102,11 @@ def vmap_unflatten(flat: np.ndarray, shapes) -> List[np.ndarray]:
         out.append(flat[lo:lo + rows * cols].reshape(rows, cols))
         lo += rows * cols
     return out
+
+
+def _array(rows: List[List[int]], cols: int) -> np.ndarray:
+    """Rows of ints, possibly none, as an int64 array with `cols` columns."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
 
 
 def is_morphism(p: int, src: Rep, tgt: Rep, f: List[np.ndarray]) -> bool:
@@ -198,6 +209,7 @@ class ModuleCategory:
             if t in self.root_index:
                 self.tau_plus[r], self.tau_minus[t] = t, r
         self._hom_cache: Dict[Tuple[Root, Root], List[List[np.ndarray]]] = {}
+        self._hom_dims: Dict[Tuple[Root, Root], int] = {}
         self._ext_cache: Dict[Tuple[Root, Root], int] = {}
 
     @cached_property
@@ -453,35 +465,51 @@ class ModuleCategory:
 
     # -- Hom and Ext --------------------------------------------------------
 
-    def hom_vmaps(self, a: Rep, b: Rep) -> List[List[np.ndarray]]:
-        """Echelon basis of Hom(a, b) as vmaps (uncached; see hom_basis)."""
+    def _hom_system(self, a: Rep, b: Rep) -> Tuple[List[List[int]], List[int]]:
+        """The linear system of Hom(a, b) as rows of Python ints, and the
+        column offsets of the unknowns: the row-major entries of each phi_v,
+        vertex by vertex.  An arrow s -> t gives the equations
+        phi_t a(i) - b(i) phi_s = 0, equation (r, c) being row r * a.dims[s] + c
+        of the arrow's block."""
         p = self.p
-        n = self.q.rank
-        sizes = [b.dims[v] * a.dims[v] for v in range(n)]
-        offs = np.cumsum([0] + sizes)
-        total = int(offs[-1])
-        heights = [b.dims[t] * a.dims[s] for s, t in self.q.arrows]
-        system = linalg.zeros(sum(heights), total)
-        lo = 0
+        offs = [0]
+        for bv, av in zip(b.dims, a.dims):
+            offs.append(offs[-1] + bv * av)
+        rows: List[List[int]] = []
         for i, (s, t) in enumerate(self.q.arrows):
-            # phi_t a(i) - b(i) phi_s = 0, unknowns = row-major entries of each
-            # phi_v; the equation (r, c) is row r * a.dims[s] + c of the block
-            bt, a_s = b.dims[t], a.dims[s]
-            blk = system[lo:lo + heights[i]].reshape(bt, a_s, total)
-            lo += heights[i]
-            if not heights[i]:
-                continue  # skips the index work of the many empty blocks
-            # (phi_t a(i))[r, c] = sum_q phi_t[r, q] a(i)[q, c]
-            left = blk[:, :, offs[t]:offs[t + 1]].reshape(bt, a_s, bt, a.dims[t])
-            rr = np.arange(bt)
-            left[rr, :, rr, :] = a.mats[i].T
-            # (b(i) phi_s)[r, c] = sum_q b(i)[r, q] phi_s[q, c]
-            right = blk[:, :, offs[s]:offs[s + 1]].reshape(bt, a_s, b.dims[s], a_s)
-            cc = np.arange(a_s)
-            right[:, cc, :, cc] = (-b.mats[i]) % p
-        ns = linalg.nullspace_mod(system, p)
-        shapes = [(b.dims[v], a.dims[v]) for v in range(n)]
-        return [vmap_unflatten(ns[:, k], shapes) for k in range(ns.shape[1])]
+            a_s, a_t, b_s = a.dims[s], a.dims[t], b.dims[s]
+            if not (b.dims[t] and a_s):
+                continue
+            am, bm = a.mats[i].tolist(), b.mats[i].tolist()
+            for r, brow in enumerate(bm):
+                # (phi_t a(i))[r, c] = sum_q phi_t[r, q] a(i)[q, c]
+                left = offs[t] + r * a_t
+                for c in range(a_s):
+                    row = [0] * offs[-1]
+                    for q in range(a_t):
+                        row[left + q] = am[q][c]
+                    # (b(i) phi_s)[r, c] = sum_q b(i)[r, q] phi_s[q, c]
+                    for q in range(b_s):
+                        row[offs[s] + q * a_s + c] = -brow[q] % p
+                    rows.append(row)
+        return rows, offs
+
+    def hom_vmaps(self, a: Rep, b: Rep) -> List[List[np.ndarray]]:
+        """Echelon basis of Hom(a, b) as vmaps (uncached; see hom_basis): one
+        kernel vector of _hom_system per free column."""
+        p = self.p
+        rows, offs = self._hom_system(a, b)
+        total = offs[-1]
+        piv = linalg.rref_rows(rows, total, p)
+        shapes = list(zip(b.dims, a.dims))
+        out = []
+        for j in sorted(set(range(total)) - set(piv)):
+            vec = [0] * total
+            vec[j] = 1
+            for row, pj in zip(rows, piv):
+                vec[pj] = -row[j] % p
+            out.append(vmap_unflatten(np.array(vec, dtype=np.int64), shapes))
+        return out
 
     def hom_basis(self, ra: Root, rb: Root):
         key = (ra, rb)
@@ -490,18 +518,28 @@ class ModuleCategory:
         return self._hom_cache[key]
 
     def hom_dim(self, ra: Root, rb: Root) -> int:
-        return len(self.hom_basis(ra, rb))
+        """dim Hom(A, B): the nullity of _hom_system, memoized per root pair."""
+        key = (ra, rb)
+        dim = self._hom_dims.get(key)
+        if dim is None:
+            rows, offs = self._hom_system(self.rep[ra], self.rep[rb])
+            rank = len(linalg.rref_rows(rows, offs[-1], self.p))
+            dim = self._hom_dims[key] = offs[-1] - rank
+        return dim
 
     def euler_pairing(self, ra, rb) -> int:
-        return int(np.asarray(ra, dtype=np.int64) @ self.euler @ np.asarray(rb, dtype=np.int64))
+        """<a, b> = sum_v a_v b_v - sum over arrows s -> t of a_s b_t, the
+        Euler form a^T E b."""
+        return (sum(x * y for x, y in zip(ra, rb))
+                - sum(ra[s] * rb[t] for s, t in self.q.arrows))
 
     def ext_dim(self, ra: Root, rb: Root) -> int:
         """dim Ext^1(A, B): the cocycle space Hom(P1, B) modulo the image of
         the coboundary, checked against dim Hom(A, B) - <a, b>."""
         key = (ra, rb)
         if key not in self._ext_cache:
-            cob = self.coboundary(ra, rb)
-            dim = cob.shape[0] - linalg.rank_mod(cob, self.p)
+            rows, cols = self.coboundary_rows(ra, rb)
+            dim = len(rows) - len(linalg.rref_rows(rows, cols, self.p))
             if dim != self.hom_dim(ra, rb) - self.euler_pairing(ra, rb):
                 raise RuntimeError("Ext dimension mismatch for %r, %r" % (ra, rb))
             self._ext_cache[key] = dim
@@ -520,22 +558,32 @@ class ModuleCategory:
             lo = hi
         return out
 
-    def _pushforward_matrix(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
-                            n: Rep) -> np.ndarray:
-        """Matrix of phi |-> phi . h on coordinates, for h: src -> tgt given by
-        its canonical blocks and phi: tgt -> n; the (src summand a, tgt summand
-        b) block is blocks[b, a] times the action of the path b ~> a on n."""
+    def _pushforward_rows(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
+                          n: Rep) -> Tuple[List[List[int]], int]:
+        """(rows, columns) of the matrix of phi |-> phi . h on coordinates, for
+        h: src -> tgt given by its canonical blocks and phi: tgt -> n; the
+        (src summand a, tgt summand b) block is blocks[b, a] times the action
+        of the path b ~> a on n."""
         p = self.p
         ssl = self.coord_slices(src, n)
         tsl = self.coord_slices(tgt, n)
-        out = linalg.zeros(ssl[-1][1] if ssl else 0, tsl[-1][1] if tsl else 0)
+        cols = tsl[-1][1] if tsl else 0
+        rows = [[0] * cols for _ in range(ssl[-1][1] if ssl else 0)]
+        scalars = blocks.tolist()
         for si, a in enumerate(src.verts):
             for ti, b in enumerate(tgt.verts):
-                c = int(blocks[ti, si]) % p
+                c = scalars[ti][si] % p
                 if c and (b, a) in self.paths:
-                    out[ssl[si][0]:ssl[si][1], tsl[ti][0]:tsl[ti][1]] = \
-                        (c * self.path_matrix(n, b, a)) % p
-        return out
+                    lo = tsl[ti][0]
+                    for row, action in zip(rows[ssl[si][0]:],
+                                           self.path_matrix(n, b, a).tolist()):
+                        row[lo:lo + len(action)] = [c * v % p for v in action]
+        return rows, cols
+
+    def _pushforward_matrix(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
+                            n: Rep) -> np.ndarray:
+        """_pushforward_rows as an int64 array."""
+        return _array(*self._pushforward_rows(blocks, src, tgt, n))
 
     def pushforward_coords(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
                            n: Rep, coords: np.ndarray) -> np.ndarray:
@@ -543,10 +591,15 @@ class ModuleCategory:
         return (self._pushforward_matrix(blocks, src, tgt, n)
                 @ np.asarray(coords, dtype=np.int64)) % self.p
 
-    def coboundary(self, ra: Root, rb: Root) -> np.ndarray:
-        """Hom(P0, B) -> Hom(P1, B) on coordinates, for the presentation of A."""
+    def coboundary_rows(self, ra: Root, rb: Root) -> Tuple[List[List[int]], int]:
+        """Hom(P0, B) -> Hom(P1, B) on coordinates, for the presentation of A,
+        as (rows, columns)."""
         pres = self.pres[ra]
-        return self._pushforward_matrix(pres.p_blocks, pres.p1, pres.p0, self.rep[rb])
+        return self._pushforward_rows(pres.p_blocks, pres.p1, pres.p0, self.rep[rb])
+
+    def coboundary(self, ra: Root, rb: Root) -> np.ndarray:
+        """coboundary_rows as an int64 array."""
+        return _array(*self.coboundary_rows(ra, rb))
 
     def ext_data(self, ra: Root, rb: Root):
         """(Q, S, dim) for Ext^1(A, B) (uncached; dimensions read ext_dim):

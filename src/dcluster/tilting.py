@@ -36,6 +36,7 @@ class TiltingContext:
         self.index = oc.index
         self.n = oc.cat.q.rank
         self._adj = None
+        self._hom_dims = None
         self._hom_masks = None
         self._ext1_rows = None
         # results shared by several checks: _facet_masks holds the tilting
@@ -55,8 +56,8 @@ class TiltingContext:
         # each a tuple of (index, multiplicity); the fan depends only on the
         # common neighbours of the set, and _cycles maps their mask to it.
         # _composites maps an index triple (a, mid, b) to the structure
-        # constants t[k, i, j] of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in
-        # Hom-basis coordinates.
+        # constants of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis
+        # coordinates, as rows of ints (OrbitCategory.compose_tensor).
         # _approximations maps (right, x, supp), supp the summands with
         # nonzero Hom to (right) or from x, to an Approximation: the
         # generators at each summand of supp, the multiplicities and the
@@ -102,6 +103,13 @@ class TiltingContext:
         np.fill_diagonal(comp, False)
         self._adj = _row_masks(comp)
         return self._adj
+
+    def hom_dims(self) -> List[List[int]]:
+        """dim Hom(X_i, X_j) at [i][j], as Python ints read from the dimension
+        table, for the fan layer's rank problems."""
+        if self._hom_dims is None:
+            self._hom_dims = self.oc.dims()[:, :, 0].tolist()
+        return self._hom_dims
 
     def hom_masks(self) -> Tuple[List[int], List[int]]:
         """Nonzero-Hom bitmasks (out, into): bit j of out[i] and bit i of

@@ -437,7 +437,8 @@ class ModuleOrbitCategory(OrbitCategory):
 
 def composite_tensor(oc: ModuleOrbitCategory, a: Obj, mid: Obj, b: Obj) -> np.ndarray:
     """The structure constants of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in
-    the oracle's bases, shaped like mutation._composite_tensor."""
+    the oracle's bases, as an (h, f, g) array: mutation._composite_tensor
+    holds the rows of its reshape(h, f * g)."""
     fs, gs = oc.hom_basis(a, mid), oc.hom_basis(mid, b)
     h = len(oc.hom_basis(a, b))
     coef = linalg.zeros(h, 0)

@@ -173,6 +173,33 @@ def test_mutate(capsys):
     assert capsys.readouterr().out.strip() == "root#1[0] + root#2[0]"
 
 
+@pytest.mark.parametrize("diagram,rank,d", [("A", 2, 1), ("D", 5, 2)])
+def test_one_mutate_query_tests_its_facet_once(monkeypatch, capsys, diagram, rank, d):
+    """A mutate query tests its facet for tilting once, in mutation.mutate:
+    one _closure pass over the whole facet, besides the fan's pass over the
+    facet without the drop, and the same output as mutate called directly."""
+    from dcluster import mutation as mut
+    from dcluster import tilting
+    from dcluster.verify import load_context
+
+    c = load_context(diagram, rank, d)
+    facet = tilting.enumerate_tilting(c)[-1]
+    calls = []
+    closure = tilting._closure
+    counted = lambda c, mask: calls.append(mask) or closure(c, mask)  # noqa: E731
+    monkeypatch.setattr(tilting, "_closure", counted)
+    monkeypatch.setattr(mut, "_closure", counted)
+    mask = c.mask_of(facet)
+    argv = ["mutate", "--facet", ",".join(map(c.oc.obj_name, facet)), "--drop",
+            c.oc.obj_name(facet[0]), "--diagram", diagram, "--rank", str(rank), "--d", str(d)]
+    assert run(argv) == 0
+    assert calls.count(mask) == 1 and calls.count(mask & ~(1 << c.index[facet[0]])) == 1
+    want = capsys.readouterr().out
+    calls.clear()
+    assert " + ".join(map(c.oc.obj_name, mut.mutate(c, facet, facet[0]))) + "\n" == want
+    assert calls.count(mask) == 1
+
+
 def test_mutate_rejects_bad_drop(capsys):
     assert run(["mutate", "--facet", "root#0[0],root#2[0]",
                 "--drop", "root#1[0]"] + A2D1) == 2

@@ -84,6 +84,12 @@ def test_rref_rows_reduces_in_place():
     assert linalg.rref_rows([], 4, 5) == []
     empty = [[], []]
     assert linalg.rref_rows(empty, 0, 5) == [] and empty == [[], []]
+    # a row is replaced, never written into, on the sparse update as well
+    mine = [1, 0, 0, 2, 0, 0]
+    rows = [[1, 1, 0, 0, 0, 0], mine]
+    assert linalg.rref_rows(rows, 6, 5) == [0, 1]
+    assert rows == [[1, 0, 0, 2, 0, 0], [0, 1, 0, 3, 0, 0]]
+    assert mine == [1, 0, 0, 2, 0, 0]
 
 
 @pytest.mark.parametrize("p", [2, 101])

@@ -56,6 +56,36 @@ def _faces(c):
     return [c.objs_of(mask) for mask in almost_completes(c)]
 
 
+def _tensor_array(c, key):
+    """The tensor rows of the index triple `key` (cached on first use) as an
+    (h, f, g) array, after checking that there are h rows of f * g entries,
+    h, f and g being the Hom dimensions of the table."""
+    a, mid, b = key
+    hom = c.hom_dims()
+    h, f, g = hom[a][b], hom[a][mid], hom[mid][b]
+    rows = mut._composite_tensor(c, *key)
+    assert len(rows) == h and all(len(row) == f * g for row in rows), key
+    return np.array(rows, dtype=np.int64).reshape(h, f, g)
+
+
+def _plant_zero(mp, objs, entry):
+    """Patch the row builder, OrbitCategory.compose_tensor, so that the tensor
+    of the object triple `objs` reads 0 at entry (k, i, j) in every context
+    that builds it from now on."""
+    build = OrbitCategory.compose_tensor
+    k, i, j = entry
+
+    def zeroed(self, x, y, z):
+        rows = build(self, x, y, z)
+        if (x, y, z) != tuple(objs):
+            return rows
+        rows = [list(row) for row in rows]
+        rows[k][i * sum(self.slot_dims(y, z)) + j] = 0
+        return tuple(map(tuple, rows))
+
+    mp.setattr(OrbitCategory, "compose_tensor", zeroed)
+
+
 CASES = [
     ("A", 1, 1), ("A", 1, 2), ("A", 1, 3),
     ("A", 2, 1), ("A", 2, 2), ("A", 2, 3),
@@ -606,7 +636,7 @@ def test_end_field_defect_raises():
         approximation_mults(c, a, fan_of(c, a)[0])
 
 
-def test_zeroed_structure_constant_breaks_a_triangle():
+def test_zeroed_structure_constant_breaks_a_triangle(monkeypatch):
     c = _oriented_ctx("A", 3, 2, None)
     for a in _faces(c):
         tris = triangles_of(c, a)
@@ -618,8 +648,8 @@ def test_zeroed_structure_constant_breaks_a_triangle():
     # the generator composed with the basis of End(T_j) loses its coordinate,
     # planted in a fresh context before any rank problem reads the tensor
     # (c has memoized the verdicts that read it)
+    _plant_zero(monkeypatch, (tj, tj, x), (k, 0, k))
     fresh = _oriented_ctx("A", 3, 2, None)
-    mut._composite_tensor(fresh, *fresh.indices((tj, tj, x)))[k, 0, k] = 0
     with pytest.raises(RuntimeError, match="does not cover all maps"):
         triangles_of(fresh, a)
 
@@ -639,10 +669,11 @@ def test_each_triangle_error_names_its_check(monkeypatch):
             ((y, tj, tj), (g, g, 0), triangles_of,
              "left approximation of %r does not cover all maps" % (y,))):
         # the generator composed with the identity of T_j loses its coordinate
-        fresh = _oriented_ctx("A", 3, 2, None)
-        mut._composite_tensor(fresh, *fresh.indices(key))[entry] = 0
-        with pytest.raises(RuntimeError, match=re.escape(want)):
-            call(fresh, a)
+        with monkeypatch.context() as mp:
+            _plant_zero(mp, key, entry)
+            fresh = _oriented_ctx("A", 3, 2, None)
+            with pytest.raises(RuntimeError, match=re.escape(want)):
+                call(fresh, a)
     # a left side without generators: the two routes disagree
     generators = mut._generators
     monkeypatch.setattr(mut, "_generators", lambda c, right, *rest: tuple(
@@ -817,18 +848,20 @@ def test_tensor_ranks_match_the_module_oracle(diagram, rank, d, seed):
     assert report["summary"]["fail"] == 0 and c._composites
     oracle = ModuleOrbitCategory(c.oc.cat, d)
     p = c.oc.cat.p
-    for key, t in c._composites.items():
+    for key in c._composites:
         a, mid, b = (c.objects[i] for i in key)
-        ref = composite_tensor(oracle, a, mid, b)
+        t, ref = _tensor_array(c, key), composite_tensor(oracle, a, mid, b)
         assert t.shape == ref.shape
         assert _flattening_ranks(t, p) == _flattening_ranks(ref, p), (a, mid, b)
 
 
-def _tensors_differing_from_compose(c):
-    """The keys of the cached tensors that differ, in some entry, from the
-    tensor stacked from one OrbitCategory.compose per pair of basis morphisms."""
-    return [key for key, t in c._composites.items()
-            if not np.array_equal(t, composite_tensor(c.oc, *(c.objects[i] for i in key)))]
+def _tensors_differing_from_compose(c, keys=None):
+    """The keys of the cached tensors (or of `keys`) that differ, in some
+    entry, from the tensor stacked from one OrbitCategory.compose per pair
+    of basis morphisms."""
+    return [key for key in (list(c._composites) if keys is None else keys)
+            if not np.array_equal(_tensor_array(c, key),
+                                  composite_tensor(c.oc, *(c.objects[i] for i in key)))]
 
 
 @pytest.mark.parametrize("seed", [None, 5])
@@ -840,6 +873,30 @@ def test_tensors_equal_per_pair_composition(diagram, rank, d, seed):
     report, _ = run_checks(c, TENSOR_CHECKS)
     assert report["summary"]["fail"] == 0 and c._composites
     assert _tensors_differing_from_compose(c) == []
+
+
+def _wide_keys(c):
+    """The index triples (a, mid, b) with dim Hom(a, mid) * dim Hom(mid, b)
+    at least 2.  The fan checks build none (every tensor they read is
+    1 x 1 x 1 on the grid), so only these show the layout of a tensor."""
+    hom = c.hom_dims()
+    n = len(c.objects)
+    return [(a, mid, b) for a in range(n) for mid in range(n) for b in range(n)
+            if hom[a][mid] * hom[mid][b] > 1]
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank,d", [("D", 4, 1), ("D", 4, 2), ("D", 5, 1)])
+def test_wide_tensors_equal_per_pair_composition(diagram, rank, d, seed):
+    """On tensors with two or more basis vectors on a composed axis, row k
+    holds g_j . f_i at i * g + j: entry by entry the per-pair composites, a
+    zero Hom(a, b) giving no rows."""
+    c = _oriented_ctx(diagram, rank, d, seed)
+    keys = _wide_keys(c)
+    hom = c.hom_dims()
+    assert any(hom[a][mid] > 1 and hom[mid][b] > 1 for a, mid, b in keys)
+    assert any(hom[a][b] == 0 for a, _, b in keys)
+    assert _tensors_differing_from_compose(c, keys) == []
 
 
 def test_slot_one_block_without_phi_relabelling_fails(monkeypatch):
@@ -863,9 +920,107 @@ def test_slot_one_block_without_phi_relabelling_fails(monkeypatch):
     bad = _tensors_differing_from_compose(c)
     assert bad
     p = c.oc.cat.p
-    assert all(_flattening_ranks(c._composites[key], p) ==
+    assert all(_flattening_ranks(_tensor_array(c, key), p) ==
                _flattening_ranks(composite_tensor(c.oc, *(c.objects[i] for i in key)), p)
                for key in bad)
+
+
+def _covers_by_numpy(c, right, a, b, gens_at):
+    """Reference for mutation._covers on (h, f, g) arrays: the generators
+    taken on the g axis (right) or the f axis (left), the blocks joined and
+    their rank compared with h."""
+    h = c.hom_dims()[a][b]
+    takes = [_tensor_array(c, (a, t, b)).take(gens, axis=2 if right else 1)
+             for t, gens in gens_at]
+    blocks = [x.reshape(h, x.shape[1] * x.shape[2]) for x in takes]
+    span = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
+    return linalg.rank_mod(span, c.oc.cat.p) == h
+
+
+def _radical_tops_by_numpy(c, a, b, rel):
+    """Reference for mutation._radical_tops on (h, f, g) arrays."""
+    h = c.hom_dims()[a][b]
+    tensors = [_tensor_array(c, (a, t, b)) for t in _bits(rel)]
+    blocks = [x.reshape(h, x.shape[1] * x.shape[2]) for x in tensors]
+    radical = np.concatenate(blocks, axis=1) if blocks else linalg.zeros(h, 0)
+    return tuple(linalg.complement_rows(radical.tolist(), radical.shape[1], c.oc.cat.p)[1])
+
+
+def _chains_by_numpy(c, cycle):
+    """Reference for mutation._chains_nonzero on (h, f, g) arrays: the chain
+    composed with the slab t[:, :, 0] of each step."""
+    m, shift, p = len(cycle), mut._shifts(c), c.oc.cat.p
+    shifted = [list(cycle)]
+    for _ in range(m):
+        shifted.append([shift[j] for j in shifted[-1]])
+    for i in range(m):
+        ys = [shifted[k][(i + k) % m] for k in range(m + 1)]
+        chain = np.ones(1, dtype=np.int64)
+        for k in range(1, m):
+            chain = _tensor_array(c, (ys[0], ys[k], ys[k + 1]))[:, :, 0] @ chain % p
+            if not chain.any():
+                return False
+    return True
+
+
+def _subsets(n):
+    """Generator index lists on an axis of size n: none, each one, all, and
+    all in reverse."""
+    return [()] + [(i,) for i in range(n)] + [tuple(range(n)), tuple(range(n))[::-1]]
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 2), ("A", 3, 3),
+                                            ("D", 5, 1)])
+def test_rank_problems_on_rows_match_numpy(diagram, rank, d):
+    """_covers and _radical_tops give the numpy reference's verdicts: on
+    every tensor the checks build and every wide one, with generators on
+    either axis, and on the degenerate problems, a zero Hom(a, b), no
+    generators or no tensor."""
+    c = _checked_context(diagram, rank, d)
+    hom = c.hom_dims()
+    keys = list(c._composites) + _wide_keys(c)
+    zero_pairs = 0
+    for a, t, b in keys:
+        for right in (True, False):
+            for gens in _subsets(hom[t][b] if right else hom[a][t]):
+                gens_at = ((t, gens),)
+                assert mut._covers(c, right, a, b, gens_at) == \
+                    _covers_by_numpy(c, right, a, b, gens_at), (a, t, b, right, gens)
+            assert mut._covers(c, right, a, b, ()) == (hom[a][b] == 0)
+        # a zero Hom(a, b): nothing to span, every verdict is True
+        for other in range(len(c.objects)):
+            if hom[a][other] == 0 and hom[t][other]:
+                zero_pairs += 1
+                for right in (True, False):
+                    gens_at = ((t, tuple(range(hom[t][other] if right else hom[a][t]))),)
+                    assert mut._covers(c, right, a, other, gens_at) is True
+                    assert _covers_by_numpy(c, right, a, other, gens_at) is True
+                break
+    assert zero_pairs
+    for (a, b, rel), tops in c._radical_tops.items():
+        assert tops == _radical_tops_by_numpy(c, a, b, rel)
+        assert mut._radical_tops(c, a, b, 0) == _radical_tops_by_numpy(c, a, b, 0) \
+            == tuple(range(hom[a][b]))
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 2), ("A", 3, 3)])
+def test_chains_on_rows_match_numpy(diagram, rank, d):
+    """_chains_nonzero gives the numpy reference's verdict on every cycle of
+    one-dimensional Ext^1 steps up to length d + 2, those whose composite
+    lands in a zero Hom (an empty tensor) included."""
+    c = _oriented_ctx(diagram, rank, d, None)
+    ext1 = c.oc.dims()[:, :, 1]
+    succ = [np.flatnonzero(row == 1).tolist() for row in ext1]
+    paths = [(i,) for i in range(len(c.objects))]
+    cycles = []
+    for _ in range(d + 1):
+        paths = [path + (j,) for path in paths for j in succ[path[-1]]
+                 if j > path[0] and j not in path]
+        cycles += [path for path in paths if ext1[path[-1], path[0]] == 1]
+    verdicts = [mut._chains_nonzero(c, cycle) for cycle in cycles]
+    assert verdicts == [_chains_by_numpy(c, cycle) for cycle in cycles]
+    assert True in verdicts and False in verdicts
+    assert any(not rows for rows in c._composites.values())
 
 
 def _checked_context(diagram, rank, d):
@@ -981,14 +1136,14 @@ def _first_chain_step(c, start=0):
 
 
 @pytest.mark.parametrize("start", [0, 1, 2])
-def test_zeroed_structure_constant_breaks_a_chain(start):
+def test_zeroed_structure_constant_breaks_a_chain(start, monkeypatch):
     c = _oriented_ctx("A", 3, 2, None)
     fan, key = _first_chain_step(c, start)
-    t = mut._composite_tensor(c, *key)
     # Hom(X_i, X_{i+2}[2]) = Ext^2(X_i, X_{i+2}) is one-dimensional
+    t = _tensor_array(c, key)
     assert t.shape == (1, 1, 1) and t[0, 0, 0] != 0
+    _plant_zero(monkeypatch, [c.objects[i] for i in key], (0, 0, 0))
     fresh = _oriented_ctx("A", 3, 2, None)
-    mut._composite_tensor(fresh, *key)[0, 0, 0] = 0
     assert delta_chains_nonzero(c, c.indices(fan)) is True
     assert delta_chains_nonzero(fresh, fresh.indices(fan)) is False
 
@@ -996,17 +1151,9 @@ def test_zeroed_structure_constant_breaks_a_chain(start):
 def test_zeroed_structure_constant_fails_delta_composites(monkeypatch, capsys):
     from dcluster.cli import run
 
-    _, key = _first_chain_step(_oriented_ctx("A", 3, 2, None))
-    fill = mut._composite_tensor
-
-    def zeroed(c, a, mid, b):
-        new = (a, mid, b) not in c._composites
-        t = fill(c, a, mid, b)
-        if new and (a, mid, b) == key:
-            t[0, 0, 0] = 0
-        return t
-
-    monkeypatch.setattr(mut, "_composite_tensor", zeroed)
+    c = _oriented_ctx("A", 3, 2, None)
+    _, key = _first_chain_step(c)
+    _plant_zero(monkeypatch, [c.objects[i] for i in key], (0, 0, 0))
     assert run(["verify", "--check", "delta-composites", "--diagram", "A",
                 "--rank", "3", "--d", "2"]) == 1
     assert re.search(r"^delta-composites +fail ", capsys.readouterr().out, re.M)

@@ -583,6 +583,52 @@ def test_basis_paths_are_single_paths_of_arrows():
                     assert np.array_equal(coords[:, 0], np.eye(size, dtype=np.int64)[k])
 
 
+def _arrow_product(c, u, path):
+    """Reference: the product of the knit's arrow maps along `path` on
+    Hom(u, -), as int64 arrays."""
+    hom = c._mesh[u[1]]
+    rel = [(m - u[0], i) for m, i in path]
+    mat = np.eye(hom.dims.get(rel[0], 0), dtype=np.int64)
+    for w, z in zip(rel, rel[1:]):
+        if (w, z) not in hom.maps:
+            return np.zeros((hom.dims.get(rel[-1], 0), mat.shape[1]), dtype=np.int64)
+        arrow = np.array(hom.maps[(w, z)], dtype=np.int64).reshape(hom.dims[z], hom.dims[w])
+        mat = arrow @ mat % c.cat.p
+    return mat
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", [
+    (dg, rk, d, seed) for dg, rk, d in (("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3),
+                                        ("D", 5, 1))
+    for seed in (None, 5)])
+def test_path_rows_are_the_arrow_products(diagram, rank, d, seed):
+    """Every path map compose_tensor reads, the basis paths of Hom(y, z) and
+    Hom(y, phi z) and their phi images on Hom(x, -), has the rows of the
+    arrow maps' product; so has every memo entry, read from its key alone."""
+    c = _oriented(diagram, rank, d, seed)
+    objs = c.objects()
+    paths = set()
+    for y in objs:
+        yv = c.vertex(y)
+        for z in objs:
+            zv = c.vertex(z)
+            for v in (zv, c.phi(zv)):
+                for path in c.basis_paths(yv, v):
+                    paths |= {path, tuple(map(c.phi, path))}
+    for x in objs:
+        xv = c.vertex(x)
+        for path in sorted(paths):
+            rows = c.path_rows(xv, path)
+            want = _arrow_product(c, xv, path)
+            assert len(rows) == want.shape[0] and {len(r) for r in rows} <= {want.shape[1]}
+            assert np.array_equal(np.array(rows, dtype=np.int64).reshape(want.shape), want)
+            assert np.array_equal(c.path_map(xv, path), want)
+    for (i, rel), rows in c._path_rows.items():
+        want = _arrow_product(c, (0, i), rel)
+        assert np.array_equal(np.array(rows, dtype=np.int64).reshape(want.shape), want)
+    assert len(c._path_rows) < len(objs) * len(paths)
+
+
 def test_nonzero_slot_two_composite_raises():
     # f: F(Y) -> Y and g: Y -> F^-1(Y), each the identity path of F(y) or y in
     # slot 1; F(g1) f1 is then the identity of F(y), a nonzero slot-2 term,

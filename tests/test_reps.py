@@ -277,7 +277,7 @@ def test_path_matrix_is_the_arrow_product_computed_once():
 def test_a_zeroed_coboundary_block_breaks_ext_dim(monkeypatch):
     """Dropping any one nonzero block of the coboundary changes its rank on
     A3, and ext_dim's cross-check against hom - <a, b> must catch it."""
-    coboundary = reps.ModuleCategory.coboundary
+    coboundary = reps.ModuleCategory.coboundary_rows
     roots = cat("A", 3).roots
     mutants = 0
     for r1 in roots:
@@ -291,15 +291,16 @@ def test_a_zeroed_coboundary_block_breaks_ext_dim(monkeypatch):
                         continue
 
                     def zeroed(self, ra, rb, lo1=lo1, hi1=hi1, lo0=lo0, hi0=hi0):
-                        out = coboundary(self, ra, rb)
+                        rows, cols = coboundary(self, ra, rb)
                         if (ra, rb) == (r1, r2):
-                            out[lo1:hi1, lo0:hi0] = 0
-                        return out
+                            for row in rows[lo1:hi1]:
+                                row[lo0:hi0] = [0] * (hi0 - lo0)
+                        return rows, cols
 
-                    monkeypatch.setattr(reps.ModuleCategory, "coboundary", zeroed)
+                    monkeypatch.setattr(reps.ModuleCategory, "coboundary_rows", zeroed)
                     with pytest.raises(RuntimeError, match="Ext dimension mismatch"):
                         cat("A", 3).ext_dim(r1, r2)
-                    monkeypatch.setattr(reps.ModuleCategory, "coboundary", coboundary)
+                    monkeypatch.setattr(reps.ModuleCategory, "coboundary_rows", coboundary)
                     mutants += 1
     assert mutants == 5
 
@@ -341,6 +342,18 @@ def test_other_prime_same_combinatorics(p):
     for r1 in c2.roots:
         for r2 in c2.roots:
             assert c2.hom_dim(r1, r2) == c101.hom_dim(r1, r2)
+
+
+@pytest.mark.parametrize("diagram,rank,seed", [("A", 4, None), ("D", 4, 2), ("D", 5, None),
+                                               ("E", 6, 3)])
+def test_hom_dim_is_the_number_of_hom_vmaps(diagram, rank, seed):
+    """hom_dim, the nullity of the Hom system, is the length of the basis
+    hom_vmaps builds from the same system, on every root pair."""
+    c = cat(diagram, rank, arrows=_seeded_arrows(diagram, rank, seed))
+    for r1 in c.roots:
+        for r2 in c.roots:
+            assert c.hom_dim(r1, r2) == len(c.hom_vmaps(c.rep[r1], c.rep[r2])), (r1, r2)
+    assert len(c._hom_dims) == len(c.roots) ** 2
 
 
 def _hom_vmaps_by_kron(c, a, b):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -225,8 +226,8 @@ def test_fan_layer_caches_hold_no_objects():
     """The fan layer caches face masks and object indices, never objects."""
     c = load_context("D", 4, 2)
     assert run_checks(c)[0]["summary"]["fail"] == 0
-    for name in ("_almost", "_fan_pairs", "_triangles"):
-        cache = getattr(c, name)
+    for name in ("_almost", "_fan_pairs", "_triangles", "oc._path_rows"):
+        cache = attrgetter(name)(c)
         assert cache and _ints_only(cache), name
     # a delta-chain verdict is a bool, keyed by a cycle of indices
     from dcluster import mutation as mut
@@ -251,7 +252,7 @@ def _holds_object(value):
 
 
 MUTATION_MEMOS = ["_fans", "_composites", "_approximations", "_radical_tops",
-                  "_covers", "_triangles", "_fan_laws"]
+                  "_covers", "_triangles", "_fan_laws", "oc._path_rows"]
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", [("D", 4, 2, None), ("A", 4, 2, 7)])
@@ -267,7 +268,7 @@ def test_mutation_memos_hold_no_objects(diagram, rank, d, seed):
     assert run_checks(c)[0]["summary"]["fail"] == 0
     assert _holds_object({c.objects[0]: 1}) and _holds_object([(1, c.objects[-1])])
     for name in MUTATION_MEMOS:
-        memo = getattr(c, name)
+        memo = attrgetter(name)(c)
         assert memo and not _holds_object(memo), name
     # the tensors' keys are index triples: the object lookup is only on a miss
     assert all(len(key) == 3 and all(type(i) is int for i in key) for key in c._composites)
@@ -301,7 +302,7 @@ def test_cy_duality_reports_the_loop_order_counterexample(entries):
 
 
 def _break_one_root_pair(monkeypatch, ctx, side):
-    """Make one root pair's Hom basis one vector short (side "hom") or its
+    """Make one root pair's Hom-system nullity one short (side "hom") or its
     cocycle space one too wide ("ext"); returns that pair."""
     from dcluster.reps import ModuleCategory
 
@@ -309,17 +310,16 @@ def _break_one_root_pair(monkeypatch, ctx, side):
     euler = ctx.oc.cat.euler_pairing
     pair = next((a, b) for a in roots for b in roots if euler(a, b) < 0) \
         if side == "ext" else (roots[-1], roots[-1])
-    hom_basis, ext_dim = ModuleCategory.hom_basis, ModuleCategory.ext_dim
+    hom_dim, ext_dim = ModuleCategory.hom_dim, ModuleCategory.ext_dim
 
     def short_hom(self, ra, rb):
-        out = hom_basis(self, ra, rb)
-        return out[:-1] if (ra, rb) == pair else out
+        return hom_dim(self, ra, rb) - ((ra, rb) == pair)
 
     def wide_ext(self, ra, rb):
         return ext_dim(self, ra, rb) + ((ra, rb) == pair)
 
     if side == "hom":
-        monkeypatch.setattr(ModuleCategory, "hom_basis", short_hom)
+        monkeypatch.setattr(ModuleCategory, "hom_dim", short_hom)
     else:
         monkeypatch.setattr(ModuleCategory, "ext_dim", wide_ext)
     return pair
