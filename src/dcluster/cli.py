@@ -237,17 +237,15 @@ def cmd_tilting_enumerate(args) -> int:
 NOT_TILTING = "--facet is not a tilting set"
 
 
-def _facet_and_drop(ctx: TiltingContext, args, tilting: bool = True) -> Tuple[List, object]:
-    """The tilting --facet and its one summand --drop, as objects; with
-    tilting=False the facet is not tested for tilting (mutate tests it)."""
+def _facet_and_drop(ctx: TiltingContext, args) -> Tuple[List, object]:
+    """The --facet and its one summand --drop, as objects; the caller tests
+    the facet for tilting."""
     facet = _parse_objs(ctx, args.facet)
     drop = _parse_objs(ctx, args.drop)
     if len(drop) != 1:
         raise UsageError("--drop takes exactly one object name")
     if drop[0] not in facet:
         raise UsageError("%s is not a summand of the given facet" % args.drop)
-    if tilting and not is_tilting(ctx, facet):
-        raise UsageError(NOT_TILTING)
     return facet, drop[0]
 
 
@@ -255,6 +253,8 @@ def cmd_complements(args) -> int:
     ctx = _context(args)
     oc = ctx.oc
     facet, drop = _facet_and_drop(ctx, args)
+    if not is_tilting(ctx, facet):
+        raise UsageError(NOT_TILTING)
     almost = [x for x in facet if x != drop]
     try:
         tris = mut.triangles_of(ctx, almost)
@@ -287,7 +287,7 @@ def cmd_complements(args) -> int:
 def cmd_mutate(args) -> int:
     ctx = _context(args)
     oc = ctx.oc
-    facet, drop = _facet_and_drop(ctx, args, tilting=False)
+    facet, drop = _facet_and_drop(ctx, args)
     try:
         new = mut.mutate(ctx, facet, drop, pick=args.pick)
     except mut.NotTiltingError:

@@ -2,12 +2,13 @@
 
 Everything in the package that looks like numerical linear algebra goes
 through this module, so all ranks, kernels and solves are exact.  The
-elimination core, rref_rows, and its reduction of [a | I], complement_rows,
-run on lists of Python ints: the matrices reduced here are small (a knit's
-mesh relations average 1.4 x 2.0), and on them numpy's per-call dispatch
-costs more than the arithmetic.  The fan layer's rank problems, the mesh
-category's path maps and composition tensors, and the module Hom systems and
-coboundaries are built as rows and reduced here directly.  The other
+elimination core, rref_rows, its reduction of [a | I], complement_rows, and
+the kernel basis read from it, nullspace_rows, run on lists of Python ints:
+the matrices reduced here are small (a knit's mesh relations average
+1.4 x 2.0), and on them numpy's per-call dispatch costs more than the
+arithmetic.  The fan layer's rank problems, the mesh category's path maps
+and composition tensors, and the module Hom systems and coboundaries are
+built as rows and reduced here directly.  The other
 functions take and return numpy int64 arrays with entries reduced into
 [0, p), converting to rows and back around one call of the core.
 check_field's int64 bound still guards the numpy products that callers form,
@@ -70,10 +71,7 @@ def rref_rows(rows: List[List[int]], ncols: int, p: int) -> List[int]:
 
     Rows with a 0 in the pivot column are left alone, and a pivot row is
     scaled only when its pivot is not already 1.  A pivot row is zero left
-    of its pivot, so the update of the other rows starts at the pivot column;
-    when at most half of the pivot row's entries from there on are nonzero
-    (a Hom system has about two nonzeros per row), only those entries are
-    updated.
+    of its pivot, so the update of the other rows starts at the pivot column.
     """
     piv: List[int] = []
     h = 0
@@ -95,19 +93,11 @@ def rref_rows(rows: List[List[int]], ncols: int, p: int) -> List[int]:
             top = [v * c % p for v in top]
         rows[h] = top
         right = top[j:]
-        nonzero = [(q, t) for q, t in enumerate(right, j) if t]
-        sparse = 2 * len(nonzero) <= len(right)
         for k in range(n):
             row = rows[k]
             c = row[j]
             if c and k != h:
-                if sparse:
-                    row = row[:]
-                    for q, t in nonzero:
-                        row[q] = (row[q] - c * t) % p
-                    rows[k] = row
-                else:
-                    rows[k] = row[:j] + [(v - c * t) % p for v, t in zip(row[j:], right)]
+                rows[k] = row[:j] + [(v - c * t) % p for v, t in zip(row[j:], right)]
         piv.append(j)
         h += 1
     return piv
@@ -132,18 +122,30 @@ def rank_mod(a: np.ndarray, p: int) -> int:
     return len(rref_mod(a, p)[1])
 
 
+def nullspace_rows(rows: List[List[int]], ncols: int, p: int) -> List[List[int]]:
+    """Basis of the right kernel of the matrix given by `rows`, lists of
+    ncols ints in [0, p), which are reduced in place (see rref_rows): one
+    vector per free column j, 1 at j and minus column j of the reduced rows
+    at the pivots."""
+    piv = rref_rows(rows, ncols, p)
+    pivots = set(piv)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [0] * ncols
+        vec[j] = 1
+        for row, pj in zip(rows, piv):
+            vec[pj] = -row[j] % p
+        basis.append(vec)
+    return basis
+
+
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel of a, as the columns of the result."""
     a = np.asarray(a, dtype=np.int64)
-    rows, cols = a.shape
-    r, piv = rref_mod(a, p)
-    free = [j for j in range(cols) if j not in piv]
-    basis = zeros(cols, len(free))
-    for k, j in enumerate(free):
-        basis[j, k] = 1
-        for i, pj in enumerate(piv):
-            basis[pj, k] = (-int(r[i, j])) % p
-    return basis
+    basis = nullspace_rows((a % p).tolist(), a.shape[1], p)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), a.shape[1]).T
 
 
 def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:

@@ -497,19 +497,10 @@ class ModuleCategory:
     def hom_vmaps(self, a: Rep, b: Rep) -> List[List[np.ndarray]]:
         """Echelon basis of Hom(a, b) as vmaps (uncached; see hom_basis): one
         kernel vector of _hom_system per free column."""
-        p = self.p
         rows, offs = self._hom_system(a, b)
-        total = offs[-1]
-        piv = linalg.rref_rows(rows, total, p)
         shapes = list(zip(b.dims, a.dims))
-        out = []
-        for j in sorted(set(range(total)) - set(piv)):
-            vec = [0] * total
-            vec[j] = 1
-            for row, pj in zip(rows, piv):
-                vec[pj] = -row[j] % p
-            out.append(vmap_unflatten(np.array(vec, dtype=np.int64), shapes))
-        return out
+        return [vmap_unflatten(np.array(vec, dtype=np.int64), shapes)
+                for vec in linalg.nullspace_rows(rows, offs[-1], self.p)]
 
     def hom_basis(self, ra: Root, rb: Root):
         key = (ra, rb)
@@ -527,11 +518,15 @@ class ModuleCategory:
             dim = self._hom_dims[key] = offs[-1] - rank
         return dim
 
+    @cached_property
+    def _euler_terms(self) -> List[Tuple[int, int, int]]:
+        """The nonzero entries (u, v, E[u, v]) of the Euler matrix, as ints."""
+        return [(u, v, e) for u, row in enumerate(self.euler.tolist())
+                for v, e in enumerate(row) if e]
+
     def euler_pairing(self, ra, rb) -> int:
-        """<a, b> = sum_v a_v b_v - sum over arrows s -> t of a_s b_t, the
-        Euler form a^T E b."""
-        return (sum(x * y for x, y in zip(ra, rb))
-                - sum(ra[s] * rb[t] for s, t in self.q.arrows))
+        """<a, b> = a^T E b, summed over the nonzero entries of E."""
+        return sum(e * ra[u] * rb[v] for u, v, e in self._euler_terms)
 
     def ext_dim(self, ra: Root, rb: Root) -> int:
         """dim Ext^1(A, B): the cocycle space Hom(P1, B) modulo the image of

@@ -104,7 +104,7 @@ def check_degree_hom(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     d = oc.d
     objs = oc.objects()
-    hom = oc.dims()[:, :, 0].tolist()
+    hom = ctx.hom_dims()
     count = 0
     for a, x in enumerate(objs):
         if hom[a][a] != 1:

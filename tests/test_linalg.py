@@ -84,7 +84,7 @@ def test_rref_rows_reduces_in_place():
     assert linalg.rref_rows([], 4, 5) == []
     empty = [[], []]
     assert linalg.rref_rows(empty, 0, 5) == [] and empty == [[], []]
-    # a row is replaced, never written into, on the sparse update as well
+    # a row is replaced, never written into
     mine = [1, 0, 0, 2, 0, 0]
     rows = [[1, 1, 0, 0, 0, 0], mine]
     assert linalg.rref_rows(rows, 6, 5) == [0, 1]
@@ -102,6 +102,18 @@ def test_nullspace_is_kernel(p):
         assert ns.shape[1] == a.shape[1] - linalg.rank_mod(a, p)
         if ns.shape[1]:
             assert linalg.rank_mod(ns, p) == ns.shape[1]
+
+
+def test_nullspace_rows_reduce_in_place_and_give_the_columns_of_nullspace_mod():
+    p = 5
+    a = [[1, 2, 0, 3], [2, 4, 1, 1], [0, 0, 1, 0]]
+    rows = [r[:] for r in a]
+    basis = linalg.nullspace_rows(rows, 4, p)
+    assert rows == linalg.rref_mod(np.array(a), p)[0].tolist()
+    assert basis == [[3, 1, 0, 0], [2, 0, 0, 1]]
+    assert np.array_equal(linalg.nullspace_mod(np.array(a), p), np.array(basis).T)
+    assert linalg.nullspace_rows([], 3, p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.nullspace_rows([[], []], 0, p) == []
 
 
 @pytest.mark.parametrize("p", [2, 101])

@@ -356,6 +356,20 @@ def test_hom_dim_is_the_number_of_hom_vmaps(diagram, rank, seed):
     assert len(c._hom_dims) == len(c.roots) ** 2
 
 
+@pytest.mark.parametrize("diagram,rank,seed", [("A", 4, None), ("D", 5, 1), ("E", 6, 3)])
+def test_euler_pairing_reads_the_euler_matrix(diagram, rank, seed):
+    """euler_pairing is a^T E b for the E the dimension table reads, and
+    follows that matrix when it is replaced before the first pairing."""
+    c = cat(diagram, rank, arrows=_seeded_arrows(diagram, rank, seed))
+    for r1 in c.roots:
+        for r2 in c.roots:
+            assert c.euler_pairing(r1, r2) == int(np.array(r1) @ c.euler @ np.array(r2))
+    other = cat(diagram, rank, arrows=_seeded_arrows(diagram, rank, seed))
+    other.euler = other.euler + np.eye(rank, dtype=np.int64)
+    r = c.roots[-1]
+    assert other.euler_pairing(r, r) == c.euler_pairing(r, r) + sum(v * v for v in r)
+
+
 def _hom_vmaps_by_kron(c, a, b):
     """Reference: the Hom system assembled arrow by arrow with np.kron."""
     n = c.q.rank
