@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import complex as cpxmod
 from . import mutation as mut
+from .quiver import ARROWS_SHAPE
 from .tilting import TiltingContext, enumerate_tilting, facet_masks, is_tilting
 from .verify import CHECK_IDS, iter_checks, load_context, make_report, report_to_json
 
@@ -151,6 +152,9 @@ def _context(args: argparse.Namespace) -> TiltingContext:
     orientation = None
     if args.orientation not in (None, "default"):
         orientation = _read_json("orientation", args.orientation)
+        # a file holding null or "default" does not ask for the default
+        if not isinstance(orientation, list):
+            raise UsageError(ARROWS_SHAPE)
     try:
         return load_context(args.diagram, args.rank, args.d, prime=args.prime,
                             orientation=orientation)
@@ -211,12 +215,10 @@ def cmd_ext_table(args) -> int:
     names = [oc.obj_name(x) for x in objs]
     width = max(len(nm) for nm in names)
     print(" " * width, " ".join(nm.rjust(width) for nm in names))
-    table = []
-    for x in objs:
-        row = [oc.ext_dim(x, y, 1) for y in objs]
-        table.append(row)
-        print(oc.obj_name(x).rjust(width),
-              " ".join(str(v).rjust(width) for v in row))
+    # Ext^1(X_i, X_j) = Hom(X_i, X_j[1])
+    table = oc.hom_table[:, oc.shifts[1]].tolist()
+    for nm, row in zip(names, table):
+        print(nm.rjust(width), " ".join(str(v).rjust(width) for v in row))
     _write_out(args, {"schema": "ext-table", "schema_version": 1,
                       "objects": names, "ext1": table})
     return 0

@@ -55,9 +55,11 @@ Ext^1(X_j, X_{j+1}) is a nonzero multiple of the basis vector of
 Hom(X_j[k], X_{j+1}[k+1]).  The composite of the basis vectors along
 X_i -> X_{i+1}[1] -> ... -> X_{i+k}[k] is thus a nonzero scalar times the
 shifted Yoneda product of delta_i, ..., delta_{i+k-1}, and is zero exactly
-when that product is.  The shifted members are read from a per-context
-table of shift-by-one indices.  Composition, through these tensors, is the
-module's only morphism operation.
+when that product is.  The shifted members are read from the orbit
+category's shift table (OrbitCategory.shifts), and so is every Ext^k the
+module tests: Ext^k(X_i, X_j) = Hom(X_i, X_j[k]) is an entry of the Hom
+table (TiltingContext.hom_dims).  Composition, through these tensors, is
+the module's only morphism operation.
 
 The module also packages the fan-level laws this data obeys: the cyclic
 Ext-dimension pattern with its nonvanishing composites of connecting
@@ -74,8 +76,6 @@ from __future__ import annotations
 from functools import reduce
 from operator import mul, or_
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
-
-import numpy as np
 
 from . import linalg
 from .orbit import Obj
@@ -500,28 +500,20 @@ def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
     rotation.  `cycle` holds object indices, and each Ext^1(X_i, X_{i+1})
     must be one-dimensional.
     """
-    dims, objs = ctx.oc.dims(), ctx.objects
+    hom, shift, objs = ctx.hom_dims(), ctx.oc.shifts[1], ctx.objects
     for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-        if dims[x, y, 1] != 1:
+        if hom[x][shift[y]] != 1:
             raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (objs[x], objs[y]))
     return _chains_nonzero(ctx, cycle)
-
-
-def _shifts(ctx: TiltingContext) -> List[int]:
-    """The index of X_i[1], normalized, for each object index i (cached)."""
-    if ctx._shifts is None:
-        oc, index = ctx.oc, ctx.index
-        ctx._shifts = [index[oc.normalize((root, s + 1))[0]] for root, s in ctx.objects]
-    return ctx._shifts
 
 
 def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[int, ...]) -> bool:
     """From each start X_i, the composites Y_0 -> ... -> Y_k of the basis
     vectors of Hom(Y_j, Y_{j+1}), Y_j = X_{i+j}[j], one tensor step each.
     `cycle` holds object indices, each Ext^1 step one-dimensional; the shifts
-    are read from _shifts."""
+    are read from the orbit category's shift table."""
     m = len(cycle)
-    shift = _shifts(ctx)
+    shift = ctx.oc.shifts[1]
     # shifted[k][j] is the index of X_j[k]
     shifted = [cycle]
     for _ in range(m):
@@ -551,15 +543,15 @@ def ext_pattern_ok(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
     Hom(X_i, X_{i-1}) (computed A_3, d = 2 fans do), and only d >= 3
     forces those to vanish.  `cycle` holds object indices.
     """
-    d = ctx.oc.d
-    dims = ctx.oc.dims()
+    hom, shifts, d = ctx.hom_dims(), ctx.oc.shifts, ctx.oc.d
     m = len(cycle)
     for i, a in enumerate(cycle):
-        if dims[a, a, 0] != 1:
+        row = hom[a]
+        if row[a] != 1:
             return False
         for j, b in enumerate(cycle):
             for k in range(1, d + 1):
-                if dims[a, b, k] != ((i + k - j) % m == 0):
+                if row[shifts[k][b]] != ((i + k - j) % m == 0):
                     return False
     return True
 
@@ -582,10 +574,10 @@ def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[int, ...]]:
     Ext pattern and the composites are tested on the rest, including the
     closing edge.
     """
-    oc = ctx.oc
-    succ = [np.flatnonzero(row == 1).tolist() for row in oc.dims()[:, :, 1]]
+    shift = ctx.oc.shifts[1]
+    succ = [[j for j, sj in enumerate(shift) if row[sj] == 1] for row in ctx.hom_dims()]
     paths = [(i,) for i in range(len(ctx.objects))]
-    for _ in range(oc.d):
+    for _ in range(ctx.oc.d):
         paths = [path + (j,) for path in paths for j in succ[path[-1]]
                  if j > path[0] and j not in path]
     return [path for path in paths

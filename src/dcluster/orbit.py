@@ -7,9 +7,11 @@ an integer shift; each orbit of F meets the canonical window
     shift == d                 (projectives only)
 
 exactly once, and the window is the fundamental domain of C_d.  Every Hom
-and Ext^k dimension is read from one integer table over the fundamental
-domain, built from the Euler form and the Coxeter tau, without knitting a
-module.
+dimension is read from one square integer table over the fundamental domain,
+built from the Euler form and the Coxeter tau, without knitting a module.
+The shift [1] is an autoequivalence of C_d, so it permutes the fundamental
+domain; a table of its powers gives the index of each X[k], and Ext^k(X, Y)
+= Hom(X, Y[k]) is the Hom table read at the column of Y[k].
 
 Morphisms live in the mesh category k(ZQ), which is D^b(kQ) for Dynkin Q
 (Happel).  Vertex (m, i) of ZQ is tau^{-m} P_i; a Q-arrow s -> t gives the
@@ -107,10 +109,9 @@ class OrbitCategory:
         self._vertex_of: Dict[Obj, Vertex] = {}
         # (x, y) -> hom_basis(x, y), for normalized x and y
         self._hom_bases: Dict[Tuple[Obj, Obj], List[CMorphism]] = {}
-        # position of each canonical object in objects(), and the Ext^k
-        # dimension table over them, built on the first dimension query
+        # position of each canonical object in objects(); hom_table and
+        # shifts are built over them on the first dimension query
         self.index = {x: i for i, x in enumerate(self.objects())}
-        self._dims: Optional[np.ndarray] = None
 
     # -- objects -------------------------------------------------------------
 
@@ -185,56 +186,57 @@ class OrbitCategory:
             return self.cat.ext_dim(src[0], tgt[0])
         return 0
 
-    def dims(self) -> np.ndarray:
-        """dims[i, j, k] = dim Hom(X_i, X_j[k]) over objects(), 0 <= k <= d+1.
-
-        Built once from the Euler form: Dynkin indecomposables are directing
-        (Ringel), so for roots a, b dim Hom = max(<a, b>, 0) and dim Ext^1 =
-        max(-<a, b>, 0).  X_j[k] is normalized to a canonical c, and the entry
-        adds those pieces of X_i against c and F c (piece_dim, the oracle,
-        reads the same pieces from linear algebra).
-        """
-        if self._dims is None:
-            self._dims = self._build_dims()
-        return self._dims
-
-    def _build_dims(self) -> np.ndarray:
+    @cached_property
+    def hom_table(self) -> np.ndarray:
+        """hom_table[i, j] = dim Hom_C(X_i, X_j) over objects(), built on the
+        first dimension query from the Euler form: Dynkin indecomposables are
+        directing (Ringel), so for roots a, b dim Hom = max(<a, b>, 0) and dim
+        Ext^1 = max(-<a, b>, 0).  The entry adds those pieces of X_i against
+        X_j and F X_j (piece_dim, the oracle, reads the same pieces from
+        linear algebra); no object is normalized."""
         cat = self.cat
-        roots = cat.roots
         objs = self.objects()
-        mat = np.array(roots, dtype=np.int64)
+        mat = np.array(cat.roots, dtype=np.int64)
         euler = mat @ cat.euler @ mat.T
-        hom, ext = np.maximum(euler, 0), np.maximum(-euler, 0)
-        # the two slots of each target: root index and shift of c and of F c
-        targets = []
-        for root, shift in objs:
-            row = []
-            for k in range(self.d + 2):
-                c = self.normalize((root, shift + k))[0]
-                fc = self.obj_F(c)
-                row.append((cat.root_index[c[0]], c[1],
-                            cat.root_index[fc[0]], fc[1]))
-            targets.append(row)
-        t = np.array(targets, dtype=np.int64)          # (objects, d+2, 4)
-        src_root = np.array([cat.root_index[r] for r, _ in objs])[:, None, None]
-        src_shift = np.array([s for _, s in objs])[:, None, None]
-        out = np.zeros((len(objs), len(objs), self.d + 2), dtype=np.int64)
-        for slot in (0, 2):
-            tgt_root, gap = t[None, :, :, slot], t[None, :, :, slot + 1] - src_shift
-            out += np.where(gap == 0, hom[src_root, tgt_root],
-                            np.where(gap == 1, ext[src_root, tgt_root], 0))
+        src = np.array([cat.root_index[r] for r, _ in objs])[:, None]
+        src_shift = np.array([s for _, s in objs])[:, None]
+        out = 0
+        for tgts in (objs, [self.obj_F(y) for y in objs]):
+            gap = np.array([s for _, s in tgts])[None, :] - src_shift
+            pairing = euler[src, [cat.root_index[r] for r, _ in tgts]]
+            # Hom reads <a, b> at gap 0 and Ext^1 reads -<a, b> at gap 1
+            sign = (gap == 0).astype(np.int64) - (gap == 1)
+            out = out + np.maximum(sign * pairing, 0)
         return out
 
+    @cached_property
+    def shifts(self) -> List[List[int]]:
+        """shifts[k][j] is the index in objects() of X_j[k], normalized, for
+        0 <= k <= d+1: one normalize per object gives [1], and [k] is its
+        k-th power.  [1] is an autoequivalence of C, so it permutes the
+        fundamental domain, and Ext^k(X_i, X_j) = Hom(X_i, X_j[k]) is
+        hom_table[i, shifts[k][j]]."""
+        one = [self.index[self.normalize((root, s + 1))[0]] for root, s in self.objects()]
+        out = [list(range(len(one)))]
+        for _ in range(self.d + 1):
+            out.append([one[j] for j in out[-1]])
+        return out
+
+    def ext_block(self, ks: range) -> np.ndarray:
+        """block[i, l, j] = dim Ext^k(X_i, X_j) for the l-th k of ks, each
+        0 <= k <= d+1: one gather of hom_table's columns at shifts[k]."""
+        idx = [j for k in ks for j in self.shifts[k]]
+        return self.hom_table[:, idx].reshape(len(self.index), len(ks), len(self.index))
+
     def ext_dim(self, x: Obj, y: Obj, k: int) -> int:
-        """dim Hom(X, Y[k]) from dims(); objects outside the fundamental domain
-        and k outside 0..d+1 are normalized first and read at k = 0."""
-        dims = self.dims()
+        """dim Hom(X, Y[k]), hom_table at the column of Y[k]; objects outside the
+        fundamental domain and k outside 0..d+1 are normalized, read at k = 0."""
         i, j = self.index.get(x), self.index.get(y)
         if i is None or j is None or not 0 <= k <= self.d + 1:
             i = self.index[self.normalize(x)[0]]
             j = self.index[self.normalize((y[0], y[1] + k))[0]]
             k = 0
-        return int(dims[i, j, k])
+        return int(self.hom_table[i, self.shifts[k][j]])
 
     def hom_dim(self, x: Obj, y: Obj) -> int:
         return self.ext_dim(x, y, 0)
@@ -314,7 +316,7 @@ class OrbitCategory:
             # a level that was not knitted reads the zero row at index span
             rel = np.where((rel >= 0) & (rel < span), rel, span)
             got = got + knit[xs[:, None, 1], rel, ys[None, :, 1]]
-        table = self.dims()[:, :, 0]
+        table = self.hom_table
         bad = np.flatnonzero(got != table)
         if bad.size:
             a, b = divmod(int(bad[0]), len(objs))

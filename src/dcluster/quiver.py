@@ -74,6 +74,9 @@ def default_orientation(diagram: str, rank: int) -> List[Tuple[int, int]]:
     return [(u, v) if dist[u] > dist[v] else (v, u) for u, v in edges]
 
 
+ARROWS_SHAPE = "arrows must be a list of [source, target] vertex pairs"
+
+
 def _vertex(v) -> int:
     """A vertex number: an integer, but not a bool (JSON true/false)."""
     if isinstance(v, bool):
@@ -94,8 +97,7 @@ class DynkinQuiver:
         try:
             arrows = [(_vertex(s), _vertex(t)) for s, t in arrows]
         except (TypeError, ValueError):
-            raise ValueError("arrows must be a list of [source, target] vertex "
-                             "pairs") from None
+            raise ValueError(ARROWS_SHAPE) from None
         want = {frozenset(e) for e in edges}
         got = [frozenset(a) for a in arrows]
         if len(arrows) != len(edges) or set(got) != want or len(set(got)) != len(got):

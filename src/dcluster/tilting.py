@@ -70,9 +70,8 @@ class TiltingContext:
         # radical, and _covers maps (right, a, b, ((t, generators), ...)) to
         # whether the generators at those summands span Hom(a, b).
         # _fan_laws maps (law, cycle) to a fan-only law's verdict on a cycle of
-        # object indices (mutation.fan_law).  _shifts lists the index of X_i[1]
-        # for each object index i, and _end_defects masks the objects whose End
-        # is not one-dimensional.
+        # object indices (mutation.fan_law), and _end_defects masks the
+        # objects whose End is not one-dimensional.
         self._fans = {}
         self._cycles = {}
         self._composites = {}
@@ -82,15 +81,13 @@ class TiltingContext:
         self._covers = {}
         self._triangles = {}
         self._fan_laws = {}
-        self._shifts = None
         self._end_defects = None
 
     def adjacency(self) -> List[int]:
         """Irreflexive compatibility bitmasks; checks self-rigidity and symmetry."""
         if self._adj is not None:
             return self._adj
-        dims = self.oc.dims()
-        comp = ~dims[:, :, 1:self.oc.d + 1].any(axis=2)
+        comp = ~self.oc.ext_block(range(1, self.oc.d + 1)).any(axis=1)
         # the first defect in row order, the row's own rigidity before its pairs
         bad_self = ~np.diag(comp)
         bad_pair = np.triu(comp != comp.T, 1)
@@ -105,24 +102,26 @@ class TiltingContext:
         return self._adj
 
     def hom_dims(self) -> List[List[int]]:
-        """dim Hom(X_i, X_j) at [i][j], as Python ints read from the dimension
-        table, for the fan layer's rank problems."""
+        """dim Hom(X_i, X_j) at [i][j], as Python ints read from the Hom
+        table, for the fan layer's rank problems and Ext patterns."""
         if self._hom_dims is None:
-            self._hom_dims = self.oc.dims()[:, :, 0].tolist()
+            self._hom_dims = self.oc.hom_table.tolist()
         return self._hom_dims
 
     def hom_masks(self) -> Tuple[List[int], List[int]]:
         """Nonzero-Hom bitmasks (out, into): bit j of out[i] and bit i of
-        into[j] are set when Hom(X_i, X_j) != 0, read from the dimension table."""
+        into[j] are set when Hom(X_i, X_j) != 0, read from the Hom table."""
         if self._hom_masks is None:
-            hom = self.oc.dims()[:, :, 0] != 0
+            hom = self.oc.hom_table != 0
             self._hom_masks = (_row_masks(hom), _row_masks(hom.T))
         return self._hom_masks
 
     def ext1_rows(self) -> List[int]:
-        """Nonzero-Ext^1 bitmasks: bit j of row i is set when Ext^1(X_i, X_j) != 0."""
+        """Nonzero-Ext^1 bitmasks: bit j of row i is set when Ext^1(X_i, X_j)
+        = Hom(X_i, X_j[1]) != 0."""
         if self._ext1_rows is None:
-            self._ext1_rows = _row_masks(self.oc.dims()[:, :, 1] != 0)
+            oc = self.oc
+            self._ext1_rows = _row_masks(oc.hom_table[:, oc.shifts[1]] != 0)
         return self._ext1_rows
 
     def canonical(self, x: Obj) -> Obj:

@@ -90,8 +90,9 @@ def check_domain_size(ctx: TiltingContext) -> Dict[str, object]:
 def check_cy_duality(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     objs = oc.objects()
-    dims = oc.dims()
-    # (x, y, i) fails when Ext^i(x, y) differs from Ext^(d+1-i)(y, x)
+    # dims[x, y, i] = dim Ext^i(x, y), 0 <= i <= d+1; (x, y, i) fails when
+    # it differs from Ext^(d+1-i)(y, x)
+    dims = oc.ext_block(range(oc.d + 2)).transpose(0, 2, 1)
     bad = np.flatnonzero(dims != dims.transpose(1, 0, 2)[:, :, ::-1])
     if bad.size:
         x, y, i = np.unravel_index(bad[0], dims.shape)

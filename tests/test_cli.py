@@ -90,6 +90,31 @@ def test_ext_table(capsys):
     assert lines[1].split()[0] == "root#0[0]"
 
 
+# sha256 of the ext-table --out JSON, (diagram, rank, d, arrows or None)
+GOLDEN_EXT_TABLES = {
+    ("A", 3, 2, None):
+        "5669f1bdb015802a2ef2a6e12001aa7c89cce346d3ecfcd3b88843b753528ce7",
+    ("D", 4, 2, ((1, 0), (2, 1), (3, 1))):
+        "09c117f9edacadc4519bef62187fdf688e58c18cbbbf4d4d149431d2d4b7b7c8",
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_EXT_TABLES, key=str))
+def test_ext_table_bytes_match_the_golden_digest(tmp_path, capsys, config):
+    import hashlib
+
+    diagram, rank, d, arrows = config
+    orientation = "default"
+    if arrows is not None:
+        orientation = str(tmp_path / "ori.json")
+        (tmp_path / "ori.json").write_text(json.dumps(arrows))
+    out = tmp_path / "ext.json"
+    assert run(["ext-table", "--diagram", diagram, "--rank", str(rank), "--d", str(d),
+                "--orientation", orientation, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXT_TABLES[config]
+
+
 def test_complements_output(capsys):
     assert run(["complements", "--facet", "root#0[0],root#2[0]",
                 "--drop", "root#0[0]"] + A2D1) == 0
@@ -408,6 +433,23 @@ def test_orientation_with_bool_vertices_exits_2(tmp_path, capsys):
     assert err == "error: arrows must be a list of [source, target] vertex pairs\n"
 
 
+@pytest.mark.parametrize("text", ["null", '"default"', "{}", "5"])
+def test_orientation_file_that_is_not_a_list_exits_2(tmp_path, capsys, text):
+    """Anything but a JSON list in an orientation file is refused, given by
+    the flag or by a config's orientation key: null and "default" in the
+    file do not fall back to the default orientation."""
+    ori = tmp_path / "ori.json"
+    ori.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"diagram": "A", "rank": 3, "d": 1, "orientation": str(ori)}))
+    for argv in (["--diagram", "A", "--rank", "3", "--d", "1", "--orientation", str(ori)],
+                 ["--config", str(cfg)]):
+        assert run(["indecomposables"] + argv) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == "error: arrows must be a list of [source, target] vertex pairs\n"
+
+
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for cfg_data, message in (
@@ -512,7 +554,7 @@ def test_broken_dimension_table_exits_3(monkeypatch, capsys, defect):
     from dcluster.verify import load_context
 
     ref = load_context("A", 3, 2)
-    dims = ref.oc.dims()
+    dims = ref.oc.ext_block(range(3)).transpose(0, 2, 1)
     m = len(ref.objects)
     if defect == "self":
         i = j = 4
@@ -522,14 +564,14 @@ def test_broken_dimension_table_exits_3(monkeypatch, capsys, defect):
                     if not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any())
         want = "compatibility is not symmetric for %r, %r" % (ref.objects[i],
                                                                ref.objects[j])
-    build = OrbitCategory._build_dims
+    build = OrbitCategory.hom_table.func
 
     def corrupted(self):
         out = build(self)
-        out[i, j, 1] += 1
+        out[i, self.shifts[1][j]] += 1    # Ext^1(X_i, X_j)
         return out
 
-    monkeypatch.setattr(OrbitCategory, "_build_dims", corrupted)
+    monkeypatch.setattr(OrbitCategory, "hom_table", property(corrupted))
     assert run(["tilting", "enumerate", "--diagram", "A", "--rank", "3",
                 "--d", "2"]) == 3
     assert capsys.readouterr().err == "internal error (A3 d=2 p=101): %s\n" % want
@@ -538,16 +580,16 @@ def test_broken_dimension_table_exits_3(monkeypatch, capsys, defect):
 def test_hom_basis_disagreeing_with_the_table_exits_3(monkeypatch, capsys):
     from dcluster.orbit import OrbitCategory
 
-    build = OrbitCategory._build_dims
+    build = OrbitCategory.hom_table.func
     # A2 with the arrow 0 -> 1: Hom(P1, S1) is one-dimensional
     p1, s1 = ((1, 1), 0), ((1, 0), 0)
 
     def corrupted(self):
         out = build(self)
-        out[self.index[p1], self.index[s1], 0] = 2
+        out[self.index[p1], self.index[s1]] = 2
         return out
 
-    monkeypatch.setattr(OrbitCategory, "_build_dims", corrupted)
+    monkeypatch.setattr(OrbitCategory, "hom_table", property(corrupted))
     assert run(["verify", "--check", "middle-rigid"] + A2D1) == 3
     assert capsys.readouterr().err == (
         "internal error (A2 d=1 p=101): Hom(%r, %r) has 1 basis morphisms, "
@@ -557,10 +599,10 @@ def test_hom_basis_disagreeing_with_the_table_exits_3(monkeypatch, capsys):
 def test_config_too_large_for_memory_exits_2(monkeypatch, capsys):
     from dcluster.orbit import OrbitCategory
 
-    def out_of_memory(self):
-        raise MemoryError("cannot allocate the (6003, 6003, 1002) table")
+    def out_of_memory(self, ks):
+        raise MemoryError("cannot allocate the (6003, 6015006) Ext block")
 
-    monkeypatch.setattr(OrbitCategory, "_build_dims", out_of_memory)
+    monkeypatch.setattr(OrbitCategory, "ext_block", out_of_memory)
     assert run(["verify", "--all", "--diagram", "A", "--rank", "3",
                 "--d", "1000"]) == 2
     assert capsys.readouterr().err == (

@@ -478,9 +478,11 @@ TABLE_CASES = [(dg, rk, d, seed)
 def test_dimension_table_matches_wide_window(diagram, rank, d, seed):
     arrows = None if seed is None else _random_orientation(diagram, rank, seed)
     c = OrbitCategory(ModuleCategory(parse_quiver(diagram, rank, arrows)), d)
-    assert c._dims is None  # built on the first dimension query, not before
+    # built on the first dimension query, not before
+    assert "hom_table" not in vars(c) and "shifts" not in vars(c)
     objs = c.objects()
-    dims = c.dims()
+    assert c.hom_table.shape == (len(objs), len(objs))
+    dims = c.ext_block(range(d + 2)).transpose(0, 2, 1)
     assert dims.shape == (len(objs), len(objs), d + 2)
     want = np.array([[[c.hom_dim_wide(x, (y[0], y[1] + k)) for k in range(d + 2)]
                       for y in objs] for x in objs])
@@ -497,6 +499,34 @@ def test_dimension_table_matches_wide_window(diagram, rank, d, seed):
                 assert type(got) is int
                 assert got == c.hom_dim_wide(x, (y[0], y[1] + k))
                 assert c.ext_dim(x, gy, k) == got
+
+
+SHIFT_CASES = [(dg, rk, d, seed)
+               for dg, rk, d in (("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3),
+                                 ("D", 5, 1), ("E", 6, 1), ("E", 6, 2), ("A", 1, 3))
+               for seed in (None, 5)]
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", SHIFT_CASES)
+def test_shift_table_permutes_the_domain_and_its_d_th_power_is_tau(diagram, rank, d, seed):
+    """shifts[k][j] is the index of X_j[k]: each row is a permutation of the
+    fundamental domain, and since F = tau^{-1}[d] is the identity in C,
+    shifts[d] is tau on objects (tau P_i = I_i[-1])."""
+    arrows = None if seed is None else _random_orientation(diagram, rank, seed)
+    c = OrbitCategory(ModuleCategory(parse_quiver(diagram, rank, arrows)), d)
+    objs = c.objects()
+    n = len(objs)
+    assert len(c.shifts) == d + 2
+    for k, row in enumerate(c.shifts):
+        assert sorted(row) == list(range(n))
+        assert row == [c.index[c.normalize((r, s + k))[0]] for r, s in objs]
+    cat = c.cat
+    for j, (root, s) in enumerate(objs):
+        if root in c.proj_roots:
+            tau = (cat.inj_root[c.proj_vertex[root]], s - 1)
+        else:
+            tau = (cat.tau_plus[root], s)
+        assert c.shifts[d][j] == c.index[c.normalize(tau)[0]]
 
 
 # -- the mesh category of ZQ ---------------------------------------------------
@@ -524,7 +554,7 @@ def _knitted_dims_match_the_table(c):
     """dim Hom(x, y) + dim Hom(x, phi y) of a fresh knit is the table's dim
     Hom_C(X, Y) for every pair, and Hom(x, phi^2 y), the slot-2 target, is 0."""
     homs = [orbit.knit_hom_from(c.cat, i) for i in range(c.cat.q.rank)]
-    dims = c.dims()
+    table = c.hom_table
     objs = c.objects()
     for a, x in enumerate(objs):
         m, i = c.vertex(x)
@@ -533,7 +563,7 @@ def _knitted_dims_match_the_table(c):
             for _ in range(2):
                 ends.append(c.phi(ends[-1]))
             got = [homs[i].dims.get((v[0] - m, v[1]), 0) for v in ends]
-            assert got[0] + got[1] == dims[a, b, 0] and got[2] == 0, (x, y)
+            assert got[0] + got[1] == table[a, b] and got[2] == 0, (x, y)
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", MESH_CASES)
@@ -555,7 +585,7 @@ def test_mesh_is_knitted_once_per_vertex_on_the_first_morphism_call(monkeypatch)
     monkeypatch.setattr(orbit, "knit_hom_from", lambda cat, i: knits.append(i) or knit(cat, i))
     c = _oriented("D", 4, 2, None)
     x, y = c.objects()[0], c.objects()[5]
-    c.dims()
+    c.hom_table, c.shifts
     assert knits == []
     c.compose(c.identity(x), c.identity(x))
     c.hom_basis(x, y)
@@ -714,13 +744,13 @@ def test_dropped_mesh_relation_fails_test_knitted_dims_match_the_table(monkeypat
 def _first_table_mismatch(c, homs):
     """The first (X, Y), in row-major order, whose knitted dim Hom(x, y) +
     dim Hom(x, phi y) differs from the table: (X, Y, knitted, table)."""
-    table = c.dims()
+    table = c.hom_table
     for x in c.objects():
         m, i = c.vertex(x)
         for b, y in enumerate(c.objects()):
             yv = c.vertex(y)
             got = sum(homs[i].dims.get((v[0] - m, v[1]), 0) for v in (yv, c.phi(yv)))
-            want = table[c.index[x], b, 0]
+            want = table[c.index[x], b]
             if got != want:
                 return x, y, got, want
     return None

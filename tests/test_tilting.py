@@ -105,7 +105,7 @@ def test_completion_from_every_singleton():
 
 def test_rigidity_and_common_neighbors_by_definition():
     c = ctx("A", 3, 2)
-    compatible = ~c.oc.dims()[:, :, 1:3].any(axis=2)
+    compatible = ~c.oc.ext_block(range(1, 3)).any(axis=1)
     m = len(c.objects)
     for size in (0, 1, 2, 3):
         for sub in combinations(range(m), size):
@@ -215,7 +215,7 @@ def _fresh(diagram, rank, d):
 
 def test_adjacency_names_a_non_rigid_object():
     c = _fresh("A", 3, 2)
-    c.oc.dims()[5, 5, 1] = 1    # a self-extension in degree 1
+    c.oc.hom_table[5, c.oc.shifts[1][5]] = 1    # a self-extension in degree 1
     with pytest.raises(RuntimeError, match=re.escape(
             "indecomposable %r is not rigid" % (c.objects[5],))):
         c.adjacency()
@@ -223,12 +223,13 @@ def test_adjacency_names_a_non_rigid_object():
 
 def test_adjacency_names_an_asymmetric_pair():
     c = _fresh("A", 3, 2)
-    dims = c.oc.dims()
+    hom, shifts = c.oc.hom_table, c.oc.shifts
+    dims = c.oc.ext_block(range(3)).transpose(0, 2, 1)
     m = len(c.objects)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
              if not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any()]
     i, j = pairs[len(pairs) // 2]
-    dims[i, j, 2] += 1          # Ext^2(X_i, X_j) only, not its dual
+    hom[i, shifts[2][j]] += 1   # Ext^2(X_i, X_j), not its dual
     with pytest.raises(RuntimeError, match=re.escape(
             "compatibility is not symmetric for %r, %r" % (c.objects[i], c.objects[j]))):
         c.adjacency()
@@ -236,15 +237,16 @@ def test_adjacency_names_an_asymmetric_pair():
 
 def test_adjacency_reports_the_first_defect_in_row_order():
     c = _fresh("A", 3, 2)
-    dims = c.oc.dims()
+    hom, shifts = c.oc.hom_table, c.oc.shifts
+    dims = c.oc.ext_block(range(3)).transpose(0, 2, 1)
     m = len(c.objects)
     i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
                 if i >= 2 and not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any())
-    dims[i, j, 1] += 1
-    dims[i + 1, i + 1, 2] = 1   # a later row: the pair is named
+    hom[i, shifts[1][j]] += 1
+    hom[i + 1, shifts[2][i + 1]] = 1   # a later row: the pair is named
     with pytest.raises(RuntimeError, match="not symmetric"):
         c.adjacency()
-    dims[i, i, 1] = 1           # the same row: its own rigidity comes first
+    hom[i, shifts[1][i]] = 1           # the same row: its own rigidity comes first
     with pytest.raises(RuntimeError, match=re.escape(
             "indecomposable %r is not rigid" % (c.objects[i],))):
         c.adjacency()
@@ -369,7 +371,7 @@ def test_complete_mask_matches_rederiving_the_common_neighbours(diagram, rank, d
     from dcluster.mutation import almost_completes
 
     c = _seeded(diagram, rank, d, seed)
-    compatible = (~c.oc.dims()[:, :, 1:d + 1].any(axis=2)).tolist()
+    compatible = (~c.oc.ext_block(range(1, d + 1)).any(axis=1)).tolist()
     starts = [1 << i for i in range(len(c.objects))] + almost_completes(c)
     for start in starts:
         got = complete_mask(c, start)
