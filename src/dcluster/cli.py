@@ -216,7 +216,7 @@ def cmd_ext_table(args) -> int:
     width = max(len(nm) for nm in names)
     print(" " * width, " ".join(nm.rjust(width) for nm in names))
     # Ext^1(X_i, X_j) = Hom(X_i, X_j[1])
-    table = oc.hom_table[:, oc.shifts[1]].tolist()
+    table = [[row[j] for j in oc.shifts[1]] for row in oc.hom_table]
     for nm, row in zip(names, table):
         print(nm.rjust(width), " ".join(str(v).rjust(width) for v in row))
     _write_out(args, {"schema": "ext-table", "schema_version": 1,

@@ -8,24 +8,37 @@ the matrices reduced here are small (a knit's mesh relations average
 1.4 x 2.0), and on them numpy's per-call dispatch costs more than the
 arithmetic.  The fan layer's rank problems, the mesh category's path maps
 and composition tensors, and the module Hom systems and coboundaries are
-built as rows and reduced here directly.  The other
-functions take and return numpy int64 arrays with entries reduced into
-[0, p), converting to rows and back around one call of the core.
-check_field's int64 bound still guards the numpy products that callers form,
-such as mmul and the module knit's maps; Python-int rows cannot overflow.
-p is a parameter everywhere (the default prime lives in config, not here).
-Zero-sized matrices are legal and common (empty representations).
+built as rows and reduced here directly.  The other functions are the array
+edge for the module knit and the tests: they take and return numpy int64
+arrays with entries reduced into [0, p), converting to rows and back around
+one call of the core.  numpy is imported by numpy(), on the first call of an
+array function, so a process that only reads dimensions, masks and rows
+(a complements or mutate query, the census of the cluster complex) never
+loads it.  check_field's int64 bound still guards the numpy products that
+callers form, such as mmul and the module knit's maps; Python-int rows
+cannot overflow.  p is a parameter everywhere (the default prime lives in
+config, not here).  Zero-sized matrices are legal and common (empty
+representations).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import isqrt
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-INT64_MAX = int(np.iinfo(np.int64).max)
+INT64_MAX = 2 ** 63 - 1
+
+
+def numpy():
+    """The numpy module, imported on the first call (later calls find it in
+    sys.modules).  The array layers call this instead of importing numpy at
+    module level."""
+    import numpy
+    return numpy
 
 
 def check_field(p: int, inner: int) -> None:
@@ -45,19 +58,23 @@ def check_field(p: int, inner: int) -> None:
 
 def mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Reduce an integer array into [0, p)."""
+    np = numpy()
     return np.asarray(a, dtype=np.int64) % p
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
+    np = numpy()
     return np.zeros((rows, cols), dtype=np.int64)
 
 
 def eye(n: int) -> np.ndarray:
+    np = numpy()
     return np.eye(n, dtype=np.int64)
 
 
 def mmul(p: int, *mats: np.ndarray) -> np.ndarray:
     """Product of matrices mod p, left to right."""
+    np = numpy()
     out = np.asarray(mats[0], dtype=np.int64) % p
     for m in mats[1:]:
         out = (out @ (np.asarray(m, dtype=np.int64) % p)) % p
@@ -110,6 +127,7 @@ def rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     the reduced echelon form of a matrix is unique, so it does not depend on
     how the elimination is ordered.
     """
+    np = numpy()
     a = np.asarray(a, dtype=np.int64)
     rows = (a % p).tolist()
     piv = rref_rows(rows, a.shape[1], p)
@@ -143,6 +161,7 @@ def nullspace_rows(rows: List[List[int]], ncols: int, p: int) -> List[List[int]]
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel of a, as the columns of the result."""
+    np = numpy()
     a = np.asarray(a, dtype=np.int64)
     basis = nullspace_rows((a % p).tolist(), a.shape[1], p)
     return np.array(basis, dtype=np.int64).reshape(len(basis), a.shape[1]).T
@@ -153,6 +172,7 @@ def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
 
     b may be a vector or a matrix (solved column by column).
     """
+    np = numpy()
     a = mod_p(np.asarray(a, dtype=np.int64), p)
     b = mod_p(np.asarray(b, dtype=np.int64), p)
     vec = b.ndim == 1
@@ -170,6 +190,7 @@ def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
 
 def inv_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix mod p (raises if singular)."""
+    np = numpy()
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -208,6 +229,7 @@ def cokernel_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     basis vectors chosen by sec, the greedy complement of im(a); proj is the
     I block of complement_rows' rows below the rank.
     """
+    np = numpy()
     a = mod_p(np.asarray(a, dtype=np.int64), p)
     m, n = a.shape
     r, comp, red = complement_rows(a.tolist(), n, p)

@@ -7,11 +7,11 @@ an integer shift; each orbit of F meets the canonical window
     shift == d                 (projectives only)
 
 exactly once, and the window is the fundamental domain of C_d.  Every Hom
-dimension is read from one square integer table over the fundamental domain,
-built from the Euler form and the Coxeter tau, without knitting a module.
-The shift [1] is an autoequivalence of C_d, so it permutes the fundamental
-domain; a table of its powers gives the index of each X[k], and Ext^k(X, Y)
-= Hom(X, Y[k]) is the Hom table read at the column of Y[k].
+dimension is read from one square table over the fundamental domain, rows of
+Python ints built from the Euler form and the Coxeter tau, without knitting a
+module.  The shift [1] is an autoequivalence of C_d, so it permutes the
+fundamental domain; a table of its powers gives the index of each X[k], and
+Ext^k(X, Y) = Hom(X, Y[k]) is the Hom table read at the column of Y[k].
 
 Morphisms live in the mesh category k(ZQ), which is D^b(kQ) for Dynkin Q
 (Happel).  Vertex (m, i) of ZQ is tau^{-m} P_i; a Q-arrow s -> t gives the
@@ -25,7 +25,7 @@ by relabelling its vertices with phi^l: no F matrix is ever filled.
 
 On the first morphism call, Hom((0, i), -) is knitted once per vertex i of
 Q (tau^{-m} moves it to level m), and every Hom_C dimension it gives is
-checked against the table in one array comparison.  Level by level, sinks
+checked against the table, one whole row at a time.  Level by level, sinks
 of Q first, Hom(x, z) for z != x is the cokernel of the mesh map
 Hom(x, tau z) -> (+)_{w -> z} Hom(x, w), until a whole level is zero.  Its
 basis is the greedy complement of the mesh map's image, which
@@ -42,9 +42,11 @@ path bases, slot 0 then slot 1.
 g . f is f carried along the paths of g through the arrow maps of Hom(x, -),
 with g's slot-0 paths relabelled by phi (push_piece) for the term through
 F(Y); the slot-2 term must vanish.  compose_tensor is its batched form over
-two Hom bases: the same path maps, applied to identity blocks.  The numpy
-path_map only wraps path_rows for the CMorphism half, which the tests keep
-as the per-pair oracle of compose_tensor.
+two Hom bases: the same path maps, applied to identity blocks.  The
+CMorphism half keeps its coordinates as numpy vectors (path_map wraps
+path_rows as an array); the tests keep it as the per-pair oracle of
+compose_tensor, and it is the only part of this module that loads numpy
+(through linalg.numpy, on first use).
 
 Shifts of morphisms are implemented downward only (src/tgt both [-1]), so
 re-canonicalization only ever applies F forward.  Ext^k classes are kept in
@@ -56,13 +58,14 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
+from operator import add, itemgetter, mul, sub
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .reps import ModuleCategory
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Obj = Tuple[Tuple[int, ...], int]   # (root, shift)
 Vertex = Tuple[int, int]            # (m, i): the vertex tau^{-m} P_i of ZQ
@@ -187,27 +190,83 @@ class OrbitCategory:
         return 0
 
     @cached_property
-    def hom_table(self) -> np.ndarray:
-        """hom_table[i, j] = dim Hom_C(X_i, X_j) over objects(), built on the
-        first dimension query from the Euler form: Dynkin indecomposables are
-        directing (Ringel), so for roots a, b dim Hom = max(<a, b>, 0) and dim
-        Ext^1 = max(-<a, b>, 0).  The entry adds those pieces of X_i against
-        X_j and F X_j (piece_dim, the oracle, reads the same pieces from
-        linear algebra); no object is normalized."""
-        cat = self.cat
-        objs = self.objects()
-        mat = np.array(cat.roots, dtype=np.int64)
-        euler = mat @ cat.euler @ mat.T
-        src = np.array([cat.root_index[r] for r, _ in objs])[:, None]
-        src_shift = np.array([s for _, s in objs])[:, None]
-        out = 0
-        for tgts in (objs, [self.obj_F(y) for y in objs]):
-            gap = np.array([s for _, s in tgts])[None, :] - src_shift
-            pairing = euler[src, [cat.root_index[r] for r, _ in tgts]]
-            # Hom reads <a, b> at gap 0 and Ext^1 reads -<a, b> at gap 1
-            sign = (gap == 0).astype(np.int64) - (gap == 1)
-            out = out + np.maximum(sign * pairing, 0)
-        return out
+    def hom_table(self) -> List[List[int]]:
+        """hom_table[i][j] = dim Hom_C(X_i, X_j) over objects(), as rows of
+        Python ints, built on the first dimension query from the Euler form:
+        Dynkin indecomposables are directing (Ringel), so for roots a, b dim
+        Hom = max(<a, b>, 0) and dim Ext^1 = max(-<a, b>, 0).  The entry adds
+        those pieces of X_i against X_j and F X_j (piece_dim, the oracle,
+        reads the same pieces from linear algebra); no object is normalized.
+
+        Each row is put together from blocks over the roots of one slot.
+        X_i = (a, s) meets X_j = (b, t) at gap t - s, so its row holds Hom(a, -)
+        at slot s and Ext^1(a, -) at slot s + 1.  F X_j lies d slots above
+        X_j (d + 1 for X_j injective), so the F part adds to the rows in slots
+        d - 1 and d only: from slot d - 1, Ext^1(a, tau^-1 b) at slot 0; from
+        slot d, Hom(a, tau^-1 b), or Ext^1(a, P_x) for b = I_x, at slot 0 and
+        Ext^1(a, tau^-1 b) at slot 1.  Slot d holds the projective roots only.
+        The table is built row by row, so building it needs little more
+        memory than the table itself."""
+        cat, d = self.cat, self.d
+        roots, index = cat.roots, cat.root_index
+        size = len(roots)
+        # <a, b> for all roots, one row addition each: <e_i, b> = (E b)_i is
+        # b_i minus b_t for each arrow i -> t, and a root of height > 1 is a
+        # smaller root plus a simple root e_i
+        cols = list(zip(*roots))
+        simple = [list(col) for col in cols]
+        for s, t in cat.q.arrows:
+            simple[s] = list(map(sub, simple[s], cols[t]))
+        # the simple roots come first, sorted by their coordinates
+        pairing = [simple[a.index(1)] for a in roots[:len(cols)]]
+        for a in roots[len(cols):]:
+            for i, c in enumerate(a):
+                if c:
+                    k = index.get(a[:i] + (c - 1,) + a[i + 1:])
+                    if k is not None:
+                        pairing.append(list(map(add, pairing[k], simple[i])))
+                        break
+        # per root a: Hom(a, -), then Ext^1(a, -), each over the roots b
+        hom_ext = [[x if x > 0 else 0 for x in row] + [-x if x < 0 else 0 for x in row]
+                   for row in pairing]
+        n = len(self.index)
+        table = []
+        for s in range(d - 1):
+            for row_ab in hom_ext:
+                row = [0] * n
+                row[s * size:(s + 2) * size] = row_ab
+                table.append(row)
+        # the rows of slots d - 1 and d, each one gather of its n >= 2 entries
+        # from hom_ext[a] and a zero at position zero (two gathers, added,
+        # where blocks overlap, which happens for d = 1)
+        zero = 2 * size
+        fhom_at, fext_at = [], []
+        for b in roots:
+            if b in self.inj_roots:
+                fhom_at.append(size + index[cat.proj_root[self.inj_vertex[b]]])
+                fext_at.append(zero)
+            else:
+                fhom_at.append(index[cat.tau_minus[b]])
+                fext_at.append(size + index[cat.tau_minus[b]])
+        proj = [k for k, r in enumerate(roots) if r in self.proj_roots]
+        ext_p, fext_p = [size + k for k in proj], [fext_at[k] for k in proj]
+        padded = [row + [0] for row in hom_ext]
+        for sources, parts in (
+                (range(size), [(d - 1, range(size)), (d, ext_p), (0, fext_at)]),
+                (proj, [(d, proj), (0, fhom_at), (1, fext_at if d > 1 else fext_p)])):
+            first, second = [zero] * n, [zero] * n
+            filled = set()
+            for t, at in parts:
+                (second if t in filled else first)[t * size:t * size + len(at)] = at
+                filled.add(t)
+            gather = itemgetter(*first)
+            if len(filled) == len(parts):
+                table += [list(gather(padded[a])) for a in sources]
+            else:
+                also = itemgetter(*second)
+                table += [list(map(add, gather(padded[a]), also(padded[a])))
+                          for a in sources]
+        return table
 
     @cached_property
     def shifts(self) -> List[List[int]]:
@@ -215,18 +274,12 @@ class OrbitCategory:
         0 <= k <= d+1: one normalize per object gives [1], and [k] is its
         k-th power.  [1] is an autoequivalence of C, so it permutes the
         fundamental domain, and Ext^k(X_i, X_j) = Hom(X_i, X_j[k]) is
-        hom_table[i, shifts[k][j]]."""
+        hom_table[i][shifts[k][j]]."""
         one = [self.index[self.normalize((root, s + 1))[0]] for root, s in self.objects()]
         out = [list(range(len(one)))]
         for _ in range(self.d + 1):
             out.append([one[j] for j in out[-1]])
         return out
-
-    def ext_block(self, ks: range) -> np.ndarray:
-        """block[i, l, j] = dim Ext^k(X_i, X_j) for the l-th k of ks, each
-        0 <= k <= d+1: one gather of hom_table's columns at shifts[k]."""
-        idx = [j for k in ks for j in self.shifts[k]]
-        return self.hom_table[:, idx].reshape(len(self.index), len(ks), len(self.index))
 
     def ext_dim(self, x: Obj, y: Obj, k: int) -> int:
         """dim Hom(X, Y[k]), hom_table at the column of Y[k]; objects outside the
@@ -236,7 +289,7 @@ class OrbitCategory:
             i = self.index[self.normalize(x)[0]]
             j = self.index[self.normalize((y[0], y[1] + k))[0]]
             k = 0
-        return int(self.hom_table[i, self.shifts[k][j]])
+        return self.hom_table[i][self.shifts[k][j]]
 
     def hom_dim(self, x: Obj, y: Obj) -> int:
         return self.ext_dim(x, y, 0)
@@ -296,33 +349,40 @@ class OrbitCategory:
         canonical X and Y, dim Hom(x, y) + dim Hom(x, phi y) must be the
         table's dim Hom_C(X, Y).
 
-        The check is one array comparison.  knit[i, l, j] is dim Hom((0, i),
-        (low + l, j)), with a zero row for the levels that were not knitted,
-        and each pair (X, Y) reads it at the levels of y and of phi y relative
-        to x; the first mismatch in row-major order is reported."""
+        The check compares whole rows.  knit[i] lists dim Hom((0, i), (l, j))
+        level by level, over every level l that a pair can reach, with zeros
+        at the levels that were not knitted; for x = (m, i) one slice of
+        knit[i] moves it to the level of x, and two gathers read the slice at
+        the vertices of all y and of all phi y.  The first mismatch in
+        row-major order is reported."""
         mesh = [knit_hom_from(self.cat, i) for i in range(self.cat.q.rank)]
-        levels = [m for hom in mesh for m, _ in hom.dims]
-        low, span = min(levels), max(levels) - min(levels) + 1
-        knit = np.zeros((len(mesh), span + 1, len(mesh)), dtype=np.int64)
-        for i, hom in enumerate(mesh):
-            for (m, j), dim in hom.dims.items():
-                knit[i, m - low, j] = dim
+        rank = len(mesh)
         objs = self.objects()
+        n = len(objs)
         xv = [self.vertex(x) for x in objs]
-        xs = np.array(xv, dtype=np.int64)
-        got = 0
-        for ys in (xs, np.array([self.phi(v) for v in xv], dtype=np.int64)):
-            rel = ys[None, :, 0] - xs[:, None, 0] - low
-            # a level that was not knitted reads the zero row at index span
-            rel = np.where((rel >= 0) & (rel < span), rel, span)
-            got = got + knit[xs[:, None, 1], rel, ys[None, :, 1]]
+        yv = xv + [self.phi(v) for v in xv]
+        ymin = min(m for m, _ in yv)
+        low = ymin - max(m for m, _ in xv)
+        high = max(m for m, _ in yv) - min(m for m, _ in xv)
+        knit = []
+        for hom in mesh:
+            flat = [0] * ((high - low + 1) * rank)
+            for (m, j), dim in hom.dims.items():
+                if low <= m <= high:
+                    flat[(m - low) * rank + j] = dim
+            knit.append(flat)
+        at = [(m - ymin) * rank + j for m, j in yv]
+        at_y, at_phi = itemgetter(*at[:n]), itemgetter(*at[n:])   # n >= 2
         table = self.hom_table
-        bad = np.flatnonzero(got != table)
-        if bad.size:
-            a, b = divmod(int(bad[0]), len(objs))
-            raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
-                               "dimension table gives %d"
-                               % (objs[a], objs[b], got[a, b], table[a, b]))
+        for a, (m, i) in enumerate(xv):
+            # Hom((m, i), (m', j)) is Hom((0, i), (m' - m, j))
+            seq = knit[i][(ymin - m - low) * rank:]
+            got = list(map(add, at_y(seq), at_phi(seq)))
+            if got != table[a]:
+                b = next(b for b, (u, v) in enumerate(zip(got, table[a])) if u != v)
+                raise RuntimeError("Hom(%r, %r) has %d basis morphisms, but the "
+                                   "dimension table gives %d"
+                                   % (objs[a], objs[b], got[b], table[a][b]))
         return mesh
 
     def mesh_dim(self, u: Vertex, v: Vertex) -> int:
@@ -366,6 +426,7 @@ class OrbitCategory:
 
     def path_map(self, u: Vertex, path: Path) -> np.ndarray:
         """path_rows as an int64 array, for the CMorphism half."""
+        np = linalg.numpy()
         hom = self._mesh[u[1]]
         shape = (hom.dims.get((path[-1][0] - u[0], path[-1][1]), 0),
                  hom.dims.get((path[0][0] - u[0], path[0][1]), 0))
@@ -409,13 +470,14 @@ class OrbitCategory:
 
     def morph_coords(self, f: CMorphism) -> np.ndarray:
         """Coordinates of f in hom_basis(f.src, f.tgt)."""
+        np = linalg.numpy()
         return np.concatenate([np.zeros(size, dtype=np.int64) if c is None else c
                                for c, size in zip(f.pieces.values(),
                                                   self.slot_dims(f.src, f.tgt))])
 
     def identity(self, x: Obj) -> CMorphism:
         x = self.normalize(x)[0]
-        return CMorphism(x, x, {0: np.ones(1, dtype=np.int64)})
+        return CMorphism(x, x, {0: linalg.eye(1)[0]})
 
     def add(self, f: CMorphism, g: CMorphism) -> CMorphism:
         assert f.src == g.src and f.tgt == g.tgt
@@ -497,7 +559,7 @@ class OrbitCategory:
         y2, ey = self.normalize((f.tgt[0], f.tgt[1] - 1))
         if ex not in (-1, 0) or ey not in (-1, 0):
             raise RuntimeError("unexpected normalization power in shift_down")
-        unit = np.ones(1, dtype=np.int64)
+        unit = linalg.eye(1)[0]
         pieces: Dict[int, Optional[np.ndarray]] = {0: None, 1: None}
         for l in (0, 1):
             tgt_l = self.obj_F(f.tgt) if l else f.tgt

@@ -9,6 +9,9 @@ Vertices are 0-based.  Canonical layouts:
 The default orientation points every edge toward the branch vertex (for A_n,
 along the chain: 0 -> 1 -> ... -> n-1).  Any other orientation of the same
 underlying diagram is accepted.
+
+The Euler, Cartan and Coxeter matrices are lists of rows of Python ints: they
+are n x n with n <= 8, so their products are cheap without numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from collections import Counter, deque
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 Root = Tuple[int, ...]
+Matrix = List[List[int]]   # an integer matrix as its rows of Python ints
 
 
 def dynkin_edges(diagram: str, rank: int) -> List[Tuple[int, int]]:
@@ -139,24 +141,24 @@ def directed_paths(q: DynkinQuiver) -> Dict[Tuple[int, int], Tuple[int, ...]]:
     return paths
 
 
-def euler_matrix(q: DynkinQuiver) -> np.ndarray:
+def euler_matrix(q: DynkinQuiver) -> Matrix:
     """Matrix E of the Euler form: <a, b> = a^T E b, E = I - (arrow counts)."""
-    e = np.eye(q.rank, dtype=np.int64)
+    e = _identity(q.rank)
     for s, t in q.arrows:
-        e[s, t] -= 1
+        e[s][t] -= 1
     return e
 
 
-def cartan_matrix(q: DynkinQuiver) -> np.ndarray:
+def cartan_matrix(q: DynkinQuiver) -> Matrix:
     e = euler_matrix(q)
-    return e + e.T
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(e, zip(*e))]
 
 
 def positive_roots(q: DynkinQuiver) -> List[Root]:
     """Positive roots in the simple-root basis, sorted by (height, coords):
     the closure of the simple roots under the simple reflections
     s_i(b) = b - (c_i . b) e_i, c the Cartan matrix, kept while nonnegative."""
-    c = cartan_matrix(q).tolist()
+    c = cartan_matrix(q)
     found = set()
     frontier = [tuple(int(i == j) for j in range(q.rank)) for i in range(q.rank)]
     while frontier:
@@ -179,7 +181,7 @@ def positive_roots(q: DynkinQuiver) -> List[Root]:
 class CoxeterData:
     """Coxeter transformation, Coxeter number and exponents of the quiver."""
 
-    def __init__(self, matrix: np.ndarray, h: int, exponents: Tuple[int, ...]):
+    def __init__(self, matrix: Matrix, h: int, exponents: Tuple[int, ...]):
         self.matrix = matrix
         self.h = h
         self.exponents = exponents
@@ -188,19 +190,29 @@ class CoxeterData:
         return "CoxeterData(h=%d, exponents=%r)" % (self.h, list(self.exponents))
 
 
-def coxeter_matrix(q: DynkinQuiver) -> np.ndarray:
+def _identity(n: int) -> Matrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def coxeter_matrix(q: DynkinQuiver) -> Matrix:
     """Coxeter transformation Phi = -E^{-1} E^T, acting as [tau M] = Phi [M].
 
     E = I - A with A the nilpotent arrow matrix, so E^{-1} = sum_{k<n} A^k
     exactly in integers.
     """
     e = euler_matrix(q)
-    arrows = np.eye(q.rank, dtype=np.int64) - e
-    power = inv = np.eye(q.rank, dtype=np.int64)
+    eye = _identity(q.rank)
+    arrows = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(e)]
+    power = inv = eye
     for _ in range(1, q.rank):
-        power = power @ arrows
-        inv = inv + power
-    return -inv @ e.T
+        power = _matmul(power, arrows)
+        inv = [[x + y for x, y in zip(r, s)] for r, s in zip(inv, power)]
+    return [[-x for x in row] for row in _matmul(inv, list(zip(*e)))]
 
 
 def coxeter_data(q: DynkinQuiver) -> CoxeterData:
@@ -214,11 +226,11 @@ def coxeter_data(q: DynkinQuiver) -> CoxeterData:
     phi = coxeter_matrix(q)
     counts = Counter(sum(r) for r in positive_roots(q))
     h = max(counts) + 1
-    eye = np.eye(q.rank, dtype=np.int64)
+    eye = _identity(q.rank)
     power = eye
     for k in range(1, h + 1):
-        power = power @ phi
-        if np.array_equal(power, eye) != (k == h):
+        power = _matmul(power, phi)
+        if (power == eye) != (k == h):
             raise RuntimeError("the Coxeter transformation does not have order "
                                "h = %d" % h)
     hist = [counts[k] for k in range(1, h)]

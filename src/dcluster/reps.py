@@ -12,18 +12,20 @@ The whole engine leans on the underlying graph being a tree:
     minimal injective copresentations are short exact.
 
 The roots of P_x and I_x are their supports and tau acts on roots as the
-Coxeter matrix, so no dimension count needs a module, and morphisms of the
-orbit category are paths of ZQ (see orbit), so no composition needs one
-either.  The modules are the linear-algebra witness that the Euler-form
-dimensions are right: the euler-identity and window-hom-reduction checks
-read hom_dim, the nullity of the Hom system, and ext_dim, the corank of the
-coboundary, two separate systems so that hom - ext = <a, b> is not read off
-one rank.  Both are small (a Hom system averages about 12 x 12 on E8), so
+Coxeter matrix (rows of Python ints, like the Euler matrix, so building a
+ModuleCategory imports no numpy), so no dimension count needs a module, and
+morphisms of the orbit category are paths of ZQ (see orbit), so no
+composition needs one either.  The modules are the linear-algebra witness
+that the Euler-form dimensions are right: the euler-identity and
+window-hom-reduction checks read hom_dim, the nullity of the Hom system, and
+ext_dim, the corank of the coboundary, two separate systems so that
+hom - ext = <a, b> is not read off one rank.  Both are small (a Hom system averages about 12 x 12 on E8), so
 they are assembled once as rows of Python ints and reduced by
 linalg.rref_rows; hom_vmaps builds its kernel basis from the same rows, and
 coboundary wraps the rows as an array for the tests' module oracle.  The
 modules themselves keep numpy arrow matrices, knitted on the first access
-to rep or pres: tau^{-1} is applied repeatedly to the projectives, as
+to rep or pres, which is where numpy is first imported (through
+linalg.numpy): tau^{-1} is applied repeatedly to the projectives, as
 tau^{-1} M = coker( nu^{-1} J0 -> nu^{-1} J1 ) for the minimal injective
 copresentation 0 -> M -> J0 -> J1 -> 0, and each cokernel must have the
 Coxeter tau^{-1} as its dimension vector.  The nu^{-1}-image of that
@@ -38,13 +40,15 @@ Isomorphism testing is dimension-vector equality (valid here: Gabriel).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .quiver import DynkinQuiver, coxeter_matrix, directed_paths, euler_matrix, \
     positive_roots
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Root = Tuple[int, ...]
 
@@ -60,6 +64,7 @@ class Rep:
 
     def __init__(self, q: DynkinQuiver, dims, mats):
         self.q = q
+        np = linalg.numpy()
         self.dims = tuple(int(x) for x in dims)
         self.mats = [np.asarray(m, dtype=np.int64).reshape(
             self.dims[t], self.dims[s]) for (s, t), m in zip(q.arrows, mats)]
@@ -90,6 +95,7 @@ def vmap_compose(p: int, g: List[np.ndarray], f: List[np.ndarray]) -> List[np.nd
 
 
 def vmap_flatten(f: List[np.ndarray]) -> np.ndarray:
+    np = linalg.numpy()
     if not f:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate([m.ravel() for m in f])
@@ -106,11 +112,13 @@ def vmap_unflatten(flat: np.ndarray, shapes) -> List[np.ndarray]:
 
 def _array(rows: List[List[int]], cols: int) -> np.ndarray:
     """Rows of ints, possibly none, as an int64 array with `cols` columns."""
+    np = linalg.numpy()
     return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
 
 
 def is_morphism(p: int, src: Rep, tgt: Rep, f: List[np.ndarray]) -> bool:
     """Does f commute with all arrow actions?"""
+    np = linalg.numpy()
     for i, (s, t) in enumerate(src.q.arrows):
         lhs = (f[t] @ src.mats[i]) % p
         rhs = (tgt.mats[i] @ f[s]) % p
@@ -205,7 +213,7 @@ class ModuleCategory:
         self.tau_minus: Dict[Root, Optional[Root]] = dict.fromkeys(self.roots)
         self.tau_plus: Dict[Root, Optional[Root]] = dict.fromkeys(self.roots)
         for r in self.roots:
-            t = tuple(int(v) for v in phi @ r)
+            t = tuple(sum(map(mul, row, r)) for row in phi)
             if t in self.root_index:
                 self.tau_plus[r], self.tau_minus[t] = t, r
         self._hom_cache: Dict[Tuple[Root, Root], List[List[np.ndarray]]] = {}
@@ -227,7 +235,7 @@ class ModuleCategory:
         mats = []
         for s, t in self.q.arrows:
             if s in support and t in support:
-                mats.append(np.array([[1]], dtype=np.int64))
+                mats.append(linalg.eye(1))
             else:
                 mats.append(linalg.zeros(dims[t], dims[s]))
         return Rep(self.q, dims, mats)
@@ -324,6 +332,7 @@ class ModuleCategory:
         V -> W; the constraint is left . X . right = rhs.  Returns a vmap or
         None when the system is inconsistent.
         """
+        np = linalg.numpy()
         gens = self.block_generators(src, tgt)
         cols = []
         rhs_flat = np.concatenate([vmap_flatten(rhs) for _, _, rhs in conditions]) \
@@ -354,6 +363,7 @@ class ModuleCategory:
         I block of the first k rows of linalg.complement_rows on [S | I], S
         the k basis columns of soc(m)_x, i.e. the first k rows of [S | C]^-1
         for C the greedy complement of im S."""
+        np = linalg.numpy()
         out = []
         for x in range(self.q.rank):
             outs = [m.mats[i] for i, (s, _) in enumerate(self.q.arrows) if s == x]
@@ -403,7 +413,7 @@ class ModuleCategory:
         delta = [linalg.mmul(p, iota_c[v], projs[v]) for v in range(self.q.rank)]
         blocks = self.vmap_to_blocks(j0, j1, delta)
         # the extraction must be faithful
-        if not all(np.array_equal(a, b) for a, b in
+        if not all(linalg.numpy().array_equal(a, b) for a, b in
                    zip(self.blocks_to_vmap(j0, j1, blocks), delta)):
             raise RuntimeError("delta is not in the canonical block span")
         return CopresData(j0, j1, blocks, delta, iota)
@@ -497,6 +507,7 @@ class ModuleCategory:
     def hom_vmaps(self, a: Rep, b: Rep) -> List[List[np.ndarray]]:
         """Echelon basis of Hom(a, b) as vmaps (uncached; see hom_basis): one
         kernel vector of _hom_system per free column."""
+        np = linalg.numpy()
         rows, offs = self._hom_system(a, b)
         shapes = list(zip(b.dims, a.dims))
         return [vmap_unflatten(np.array(vec, dtype=np.int64), shapes)
@@ -521,7 +532,7 @@ class ModuleCategory:
     @cached_property
     def _euler_terms(self) -> List[Tuple[int, int, int]]:
         """The nonzero entries (u, v, E[u, v]) of the Euler matrix, as ints."""
-        return [(u, v, e) for u, row in enumerate(self.euler.tolist())
+        return [(u, v, e) for u, row in enumerate(self.euler)
                 for v, e in enumerate(row) if e]
 
     def euler_pairing(self, ra, rb) -> int:
@@ -583,6 +594,7 @@ class ModuleCategory:
     def pushforward_coords(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
                            n: Rep, coords: np.ndarray) -> np.ndarray:
         """Coordinates of (phi . h) given phi: tgt -> n and h: src -> tgt."""
+        np = linalg.numpy()
         return (self._pushforward_matrix(blocks, src, tgt, n)
                 @ np.asarray(coords, dtype=np.int64)) % self.p
 

@@ -20,9 +20,8 @@ yields bitmasks; enumerate_tilting names them only when asked.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from .orbit import Obj, OrbitCategory
 
@@ -36,7 +35,6 @@ class TiltingContext:
         self.index = oc.index
         self.n = oc.cat.q.rank
         self._adj = None
-        self._hom_dims = None
         self._hom_masks = None
         self._ext1_rows = None
         # results shared by several checks: _facet_masks holds the tilting
@@ -84,44 +82,58 @@ class TiltingContext:
         self._end_defects = None
 
     def adjacency(self) -> List[int]:
-        """Irreflexive compatibility bitmasks; checks self-rigidity and symmetry."""
+        """Irreflexive compatibility bitmasks; checks self-rigidity and symmetry.
+
+        Ext^k(X_j[k], -) = Hom(X_j, -) and Ext^k(-, X_i) = Hom(-, X_i[k]), so
+        for 1 <= k <= d the objects Y with some Ext^k(X_i, Y) != 0 are an OR
+        of d rows of out, and those with some Ext^k(Y, X_i) != 0 an OR of d
+        rows of into.  Compatibility is symmetric when the two agree."""
         if self._adj is not None:
             return self._adj
-        comp = ~self.oc.ext_block(range(1, self.oc.d + 1)).any(axis=1)
-        # the first defect in row order, the row's own rigidity before its pairs
-        bad_self = ~np.diag(comp)
-        bad_pair = np.triu(comp != comp.T, 1)
-        for i in np.flatnonzero(bad_self | bad_pair.any(axis=1)):
-            if bad_self[i]:
+        out, into = self.hom_masks()
+        m = len(self.objects)
+        ext_out, ext_in = [0] * m, [0] * m
+        for shift in self.oc.shifts[1:self.oc.d + 1]:
+            for j, sj in enumerate(shift):
+                ext_out[sj] |= out[j]
+                ext_in[j] |= into[sj]
+        adj = []
+        full = (1 << m) - 1
+        for i, (row, col) in enumerate(zip(ext_out, ext_in)):
+            bit = 1 << i
+            # the first defect in row order, the row's own rigidity before its pairs
+            if (row | col) & bit:
                 raise RuntimeError("indecomposable %r is not rigid" % (self.objects[i],))
-            j = np.flatnonzero(bad_pair[i])[0]
-            raise RuntimeError("compatibility is not symmetric for %r, %r"
-                               % (self.objects[i], self.objects[j]))
-        np.fill_diagonal(comp, False)
-        self._adj = _row_masks(comp)
-        return self._adj
+            pairs = row ^ col
+            if pairs:
+                j = (pairs & -pairs).bit_length() - 1
+                raise RuntimeError("compatibility is not symmetric for %r, %r"
+                                   % (self.objects[i], self.objects[j]))
+            adj.append(full & ~row & ~bit)
+        self._adj = adj
+        return adj
 
     def hom_dims(self) -> List[List[int]]:
-        """dim Hom(X_i, X_j) at [i][j], as Python ints read from the Hom
-        table, for the fan layer's rank problems and Ext patterns."""
-        if self._hom_dims is None:
-            self._hom_dims = self.oc.hom_table.tolist()
-        return self._hom_dims
+        """dim Hom(X_i, X_j) at [i][j]: the rows of the Hom table, for the fan
+        layer's rank problems and Ext patterns."""
+        return self.oc.hom_table
 
     def hom_masks(self) -> Tuple[List[int], List[int]]:
         """Nonzero-Hom bitmasks (out, into): bit j of out[i] and bit i of
         into[j] are set when Hom(X_i, X_j) != 0, read from the Hom table."""
         if self._hom_masks is None:
-            hom = self.oc.hom_table != 0
-            self._hom_masks = (_row_masks(hom), _row_masks(hom.T))
+            self._hom_masks = _nonzero_masks(self.oc.hom_table)
         return self._hom_masks
 
     def ext1_rows(self) -> List[int]:
         """Nonzero-Ext^1 bitmasks: bit j of row i is set when Ext^1(X_i, X_j)
-        = Hom(X_i, X_j[1]) != 0."""
+        = Hom(X_i[-1], X_j) != 0."""
         if self._ext1_rows is None:
-            oc = self.oc
-            self._ext1_rows = _row_masks(oc.hom_table[:, oc.shifts[1]] != 0)
+            out = self.hom_masks()[0]
+            rows = [0] * len(out)
+            for j, sj in enumerate(self.oc.shifts[1]):
+                rows[sj] = out[j]    # Ext^1(X_j[1], -) = Hom(X_j, -)
+            self._ext1_rows = rows
         return self._ext1_rows
 
     def canonical(self, x: Obj) -> Obj:
@@ -147,13 +159,22 @@ class TiltingContext:
         return tuple(self.objects[i] for i in _bits(mask))
 
 
-def _row_masks(rows: np.ndarray) -> List[int]:
-    """Bit j of the k-th int is set when rows[k, j] is: each boolean row packed
-    into little-endian bytes, read as one int."""
-    packed = np.packbits(rows, axis=-1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[-1]
-    return [int.from_bytes(data[k * width:(k + 1) * width], "little")
-            for k in range(len(packed))]
+# byte v -> b"0" if v == 0 else b"1"
+_NONZERO = bytes([48] + [49] * 255)
+
+
+def _nonzero_masks(table: List[List[int]]) -> Tuple[List[int], List[int]]:
+    """(rows, cols) for a square table of ints in 0..255: bit j of rows[i] and
+    bit i of cols[j] are set when table[i][j] != 0.  The table is packed once
+    as the bytes b"0"/b"1", in reverse order, so every row and every column
+    is one slice, most significant bit first, read in base 2."""
+    n = len(table)
+    flat = bytes(chain.from_iterable(table)).translate(_NONZERO)[::-1]
+    # flat[k] is entry n * n - 1 - k: row i is flat[(n - 1 - i) * n:(n - i) * n]
+    # and column j is flat[n - 1 - j::n]
+    rows = [int(flat[k:k + n], 2) for k in range((n - 1) * n, -1, -n)]
+    cols = [int(flat[k::n], 2) for k in range(n - 1, -1, -1)]
+    return rows, cols
 
 
 def _bits(mask: int) -> List[int]:

@@ -17,9 +17,8 @@ import math
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import complex as cpxmod
+from . import linalg
 from . import mutation as mut
 from .orbit import OrbitCategory
 from .quiver import coxeter_data, fomin_reading_count, parse_quiver
@@ -88,11 +87,16 @@ def check_domain_size(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def check_cy_duality(ctx: TiltingContext) -> Dict[str, object]:
+    np = linalg.numpy()
     oc = ctx.oc
     objs = oc.objects()
-    # dims[x, y, i] = dim Ext^i(x, y), 0 <= i <= d+1; (x, y, i) fails when
-    # it differs from Ext^(d+1-i)(y, x)
-    dims = oc.ext_block(range(oc.d + 2)).transpose(0, 2, 1)
+    n = len(objs)
+    # dims[x, y, i] = dim Ext^i(x, y) = dim Hom(x, y[i]), 0 <= i <= d+1, one
+    # gather of the Hom table's columns; (x, y, i) fails when it differs from
+    # Ext^(d+1-i)(y, x).  The gather is one array, so a configuration whose
+    # block does not fit fails at once with MemoryError.
+    idx = [j for k in range(oc.d + 2) for j in oc.shifts[k]]
+    dims = np.array(oc.hom_table)[:, idx].reshape(n, oc.d + 2, n).transpose(0, 2, 1)
     bad = np.flatnonzero(dims != dims.transpose(1, 0, 2)[:, :, ::-1])
     if bad.size:
         x, y, i = np.unravel_index(bad[0], dims.shape)

@@ -554,21 +554,22 @@ def test_broken_dimension_table_exits_3(monkeypatch, capsys, defect):
     from dcluster.verify import load_context
 
     ref = load_context("A", 3, 2)
-    dims = ref.oc.ext_block(range(3)).transpose(0, 2, 1)
     m = len(ref.objects)
+    ext = [[[ref.oc.ext_dim(x, y, k) for k in (1, 2)] for y in ref.objects]
+           for x in ref.objects]
     if defect == "self":
         i = j = 4
         want = "indecomposable %r is not rigid" % (ref.objects[i],)
     else:
         i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
-                    if not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any())
+                    if not any(ext[i][j]) and not any(ext[j][i]))
         want = "compatibility is not symmetric for %r, %r" % (ref.objects[i],
                                                                ref.objects[j])
     build = OrbitCategory.hom_table.func
 
     def corrupted(self):
         out = build(self)
-        out[i, self.shifts[1][j]] += 1    # Ext^1(X_i, X_j)
+        out[self.shifts[1].index(i)][j] += 1    # Ext^1(X_i, X_j) = Hom(X_i[-1], X_j)
         return out
 
     monkeypatch.setattr(OrbitCategory, "hom_table", property(corrupted))
@@ -586,7 +587,7 @@ def test_hom_basis_disagreeing_with_the_table_exits_3(monkeypatch, capsys):
 
     def corrupted(self):
         out = build(self)
-        out[self.index[p1], self.index[s1]] = 2
+        out[self.index[p1]][self.index[s1]] = 2
         return out
 
     monkeypatch.setattr(OrbitCategory, "hom_table", property(corrupted))
@@ -599,10 +600,10 @@ def test_hom_basis_disagreeing_with_the_table_exits_3(monkeypatch, capsys):
 def test_config_too_large_for_memory_exits_2(monkeypatch, capsys):
     from dcluster.orbit import OrbitCategory
 
-    def out_of_memory(self, ks):
-        raise MemoryError("cannot allocate the (6003, 6015006) Ext block")
+    def out_of_memory(self):
+        raise MemoryError("cannot allocate the 6003 x 6003 Hom table")
 
-    monkeypatch.setattr(OrbitCategory, "ext_block", out_of_memory)
+    monkeypatch.setattr(OrbitCategory, "hom_table", property(out_of_memory))
     assert run(["verify", "--all", "--diagram", "A", "--rank", "3",
                 "--d", "1000"]) == 2
     assert capsys.readouterr().err == (

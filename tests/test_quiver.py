@@ -65,7 +65,7 @@ def test_positive_root_counts(diagram, rank):
 
 def _positive_roots_on_arrays(q):
     """Reference: the reflection closure on numpy vectors, as first written."""
-    c = quiver.cartan_matrix(q)
+    c = np.array(quiver.cartan_matrix(q))
     found = set()
     frontier = [tuple(int(x) for x in row) for row in np.eye(q.rank, dtype=np.int64)]
     while frontier:
@@ -115,7 +115,8 @@ def test_a2_roots_frozen():
 
 def test_euler_matrix_and_form():
     q = quiver.parse_quiver("A", 2)
-    assert np.array_equal(quiver.euler_matrix(q), np.array([[1, -1], [0, 1]]))
+    assert quiver.euler_matrix(q) == [[1, -1], [0, 1]]
+    assert quiver.cartan_matrix(q) == [[2, -1], [-1, 2]]
     euler = ModuleCategory(q).euler_pairing
     # hom - ext of P_0=(1,1) against S_0=(1,0): hom=1, ext=0
     assert euler((1, 1), (1, 0)) == 1
@@ -179,7 +180,7 @@ def _coxeter_by_eigenvalues(q):
     of h leaves those of exact order k, which fill whole sets of primitive
     k-th roots exp(2 pi i r / k), gcd(r, k) = 1, each giving the exponent
     h r / k."""
-    phi = quiver.coxeter_matrix(q)
+    phi = np.array(quiver.coxeter_matrix(q))
     eye = np.eye(q.rank, dtype=np.int64)
     powers = [eye]
     while len(powers) == 1 or not np.array_equal(powers[-1], eye):
@@ -207,7 +208,8 @@ def test_exponents_match_height_dual_partition(diagram, rank):
         q = quiver.parse_quiver(diagram, rank, arrows)
         cox = quiver.coxeter_data(q)
         assert (cox.h, cox.exponents) == _coxeter_by_eigenvalues(q)
-        assert np.array_equal(cox.matrix, quiver.coxeter_matrix(q))
+        assert cox.matrix == quiver.coxeter_matrix(q)
+        assert all(type(v) is int for row in cox.matrix for v in row)
 
 
 @pytest.mark.parametrize("wrong", ["identity", "square", "unipotent"])
@@ -215,9 +217,10 @@ def test_coxeter_data_checks_the_order_of_phi(wrong, monkeypatch):
     """Phi must have order exactly h = 12 on E6: order 1, order 6 and
     infinite order are all refused."""
     q = quiver.parse_quiver("E", 6)
-    phi = quiver.coxeter_matrix(q)
+    phi = np.array(quiver.coxeter_matrix(q))
     mats = {"identity": np.eye(6, dtype=np.int64), "square": phi @ phi,
             "unipotent": np.eye(6, dtype=np.int64) + np.eye(6, k=1, dtype=np.int64)}
+    mats = {name: mat.tolist() for name, mat in mats.items()}
     monkeypatch.setattr(quiver, "coxeter_matrix", lambda q: mats[wrong])
     with pytest.raises(RuntimeError, match="does not have order h = 12"):
         quiver.coxeter_data(q)
@@ -244,14 +247,70 @@ def test_facet_count_formula(diagram, rank, d):
     assert quiver.fomin_reading_count(q, d) == FACETS[(diagram, rank, d)]
 
 
-def test_import_does_not_load_sympy():
+def _fresh_python(code):
+    """stdout of `code` run in a fresh interpreter with the package on its path."""
     src = str(Path(quiver.__file__).parents[1])
     env = dict(os.environ,
                PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_import_does_not_load_sympy():
     code = "import sys, dcluster; print('sympy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+_QUERY = """
+import contextlib, io
+from dcluster import cli, enumerate_tilting, load_context
+ctx = load_context("D", 5, 2)
+names = [ctx.oc.obj_name(x) for x in enumerate_tilting(ctx)[7]]
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("complements", "mutate"):
+        assert cli.run([command, "--diagram", "D", "--rank", "5", "--d", "2",
+                        "--facet", ",".join(names), "--drop", names[1]]) == 0
+"""
+
+_CENSUS = """
+from dcluster import (build_complex, f_vector, facet_stats, fomin_reading_count,
+                      load_context, mutation_graph_checks, verify_equivalence)
+from dcluster.complex import to_json
+ctx = load_context("A", 3, 2)
+ctx.adjacency()
+assert verify_equivalence(ctx)["ok"]
+graph = mutation_graph_checks(ctx)
+assert graph["regular"] and graph["connected"]
+full = build_complex(ctx)
+assert facet_stats(full)["pure"]
+assert f_vector(full)[-1] == fomin_reading_count(ctx.oc.cat.q, 2) == 55
+assert len(to_json(full)["facets"]) == 55
+"""
+
+
+@pytest.mark.parametrize("code", [
+    "import dcluster",
+    "from dcluster import enumerate_tilting, load_context\n"
+    "assert len(enumerate_tilting(load_context('D', 5, 2))) == 2079",
+    _QUERY, _CENSUS], ids=["import", "enumerate", "queries", "census"])
+def test_queries_and_the_census_do_not_load_numpy(code):
+    """numpy is loaded by the module knit and the array edges only: importing
+    the package, enumerating the tilting sets, a complements and a mutate
+    query, and the census of the complex never import it."""
+    code += "\nimport sys; print('numpy' in sys.modules)"
+    assert _fresh_python(code).splitlines()[-1] == "False"
+
+
+def test_verify_all_loads_numpy_and_passes():
+    """The positive control: verify --all knits the modules, so numpy is
+    loaded, and every check passes."""
+    code = ("import contextlib, io, json, sys\n"
+            "from dcluster import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    rc = cli.run(['verify', '--all', '--diagram', 'A', '--rank', '2', "
+            "'--d', '1'])\n"
+            "print(rc, 'numpy' in sys.modules, out.getvalue().splitlines()[-1])")
+    assert _fresh_python(code).strip() == "0 True summary: 17 pass, 0 fail, 7 n/a"
 
 
 def test_directed_paths():

@@ -8,7 +8,7 @@ import pytest
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import (TiltingContext, _bits, _closure, _row_masks, classify,
+from dcluster.tilting import (TiltingContext, _bits, _closure, _nonzero_masks, classify,
                               complete_mask, complete_to_tilting, enumerate_tilting,
                               facet_masks, is_maximal_rigid, is_rigid, is_tilting,
                               maximal_rigid_sets, verify_equivalence)
@@ -103,16 +103,25 @@ def test_completion_from_every_singleton():
             assert is_tilting(c, t)
 
 
+def _compatible(c):
+    """compatible[i][j]: Ext^k(X_i, X_j) = Hom(X_i, X_j[k]) vanishes for
+    1 <= k <= d, read cell by cell from the Hom table at the column of X_j[k]."""
+    hom, shifts = c.oc.hom_table, c.oc.shifts
+    m = len(c.objects)
+    return [[not any(hom[i][shifts[k][j]] for k in range(1, c.oc.d + 1))
+             for j in range(m)] for i in range(m)]
+
+
 def test_rigidity_and_common_neighbors_by_definition():
     c = ctx("A", 3, 2)
-    compatible = ~c.oc.ext_block(range(1, 3)).any(axis=1)
+    compatible = _compatible(c)
     m = len(c.objects)
     for size in (0, 1, 2, 3):
         for sub in combinations(range(m), size):
-            rigid = all(compatible[a, b] for a in sub for b in sub)
+            rigid = all(compatible[a][b] for a in sub for b in sub)
             assert is_rigid(c, [c.objects[i] for i in sub]) is rigid
             common = sum(1 << j for j in range(m)
-                         if j not in sub and all(compatible[i, j] for i in sub))
+                         if j not in sub and all(compatible[i][j] for i in sub))
             assert _closure(c, sum(1 << i for i in sub)) == (rigid, common)
     # a repeated object is rejected even though it is compatible with itself
     x = c.objects[0]
@@ -213,9 +222,15 @@ def _fresh(diagram, rank, d):
     return TiltingContext(OrbitCategory(ModuleCategory(parse_quiver(diagram, rank)), d))
 
 
+def _row_cell(c, i, j, k):
+    """The Hom-table cell that adjacency reads for Ext^k(X_i, X_j) in row i:
+    Hom(X_i[-k], X_j)."""
+    return c.oc.shifts[k].index(i), j
+
+
 def test_adjacency_names_a_non_rigid_object():
     c = _fresh("A", 3, 2)
-    c.oc.hom_table[5, c.oc.shifts[1][5]] = 1    # a self-extension in degree 1
+    c.oc.hom_table[5][c.oc.shifts[1][5]] = 1    # a self-extension in degree 1
     with pytest.raises(RuntimeError, match=re.escape(
             "indecomposable %r is not rigid" % (c.objects[5],))):
         c.adjacency()
@@ -224,12 +239,13 @@ def test_adjacency_names_a_non_rigid_object():
 def test_adjacency_names_an_asymmetric_pair():
     c = _fresh("A", 3, 2)
     hom, shifts = c.oc.hom_table, c.oc.shifts
-    dims = c.oc.ext_block(range(3)).transpose(0, 2, 1)
+    compatible = _compatible(c)
     m = len(c.objects)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
-             if not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any()]
+             if compatible[i][j] and compatible[j][i]]
     i, j = pairs[len(pairs) // 2]
-    hom[i, shifts[2][j]] += 1   # Ext^2(X_i, X_j), not its dual
+    a, b = _row_cell(c, i, j, 2)
+    hom[a][b] += 1   # Ext^2(X_i, X_j), not its dual
     with pytest.raises(RuntimeError, match=re.escape(
             "compatibility is not symmetric for %r, %r" % (c.objects[i], c.objects[j]))):
         c.adjacency()
@@ -238,15 +254,19 @@ def test_adjacency_names_an_asymmetric_pair():
 def test_adjacency_reports_the_first_defect_in_row_order():
     c = _fresh("A", 3, 2)
     hom, shifts = c.oc.hom_table, c.oc.shifts
-    dims = c.oc.ext_block(range(3)).transpose(0, 2, 1)
+    compatible = _compatible(c)
     m = len(c.objects)
     i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
-                if i >= 2 and not dims[i, j, 1:3].any() and not dims[j, i, 1:3].any())
-    hom[i, shifts[1][j]] += 1
-    hom[i + 1, shifts[2][i + 1]] = 1   # a later row: the pair is named
+                if i >= 2 and compatible[i][j] and compatible[j][i])
+    a, b = _row_cell(c, i, j, 1)
+    hom[a][b] += 1
+    a, b = _row_cell(c, i + 1, i + 1, 2)
+    hom[a][b] = 1           # a later row: the pair is named
     with pytest.raises(RuntimeError, match="not symmetric"):
         c.adjacency()
-    hom[i, shifts[1][i]] = 1           # the same row: its own rigidity comes first
+    a, b = _row_cell(c, i, i, 1)
+    hom[a][b] = 1           # the same row: its own rigidity comes first
+    c._hom_masks = None     # the masks memoize the table's first reading
     with pytest.raises(RuntimeError, match=re.escape(
             "indecomposable %r is not rigid" % (c.objects[i],))):
         c.adjacency()
@@ -279,17 +299,18 @@ def test_bits_and_popcount_match_reference_loops():
         assert list(_bits(mask)) == want
 
 
-def test_row_masks_match_the_bit_sum():
-    rng = np.random.default_rng(11)
-    shapes = [(0, 0), (0, 7), (3, 0), (1, 1), (5, 8), (4, 9), (6, 64), (3, 65), (7, 200)]
-    for rows, cols in shapes:
+def test_nonzero_masks_match_the_bit_sum():
+    rng = random.Random(11)
+    for n in (1, 2, 5, 8, 9, 63, 64, 65, 200):
         for density in (0.0, 0.3, 1.0):
-            a = rng.random((rows, cols)) < density
-            want = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in a]
-            for view in (a, a.T.copy().T, a[:, ::-1][:, ::-1]):
-                got = _row_masks(view)
-                assert got == want and all(type(m) is int for m in got)
-    assert _row_masks(np.array([[1, 1, 0], [0, 0, 1]], dtype=bool).T) == [1, 1, 2]
+            table = [[rng.randrange(1, 7) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(n)]
+            rows = [sum(1 << j for j, v in enumerate(row) if v) for row in table]
+            cols = [sum(1 << i for i, row in enumerate(table) if row[j]) for j in range(n)]
+            got = _nonzero_masks(table)
+            assert got == (rows, cols)
+            assert all(type(m) is int for m in got[0] + got[1])
+    assert _nonzero_masks([[1, 1, 0], [0, 0, 1], [0, 0, 0]]) == ([3, 4, 0], [1, 1, 2])
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", [
@@ -371,9 +392,73 @@ def test_complete_mask_matches_rederiving_the_common_neighbours(diagram, rank, d
     from dcluster.mutation import almost_completes
 
     c = _seeded(diagram, rank, d, seed)
-    compatible = (~c.oc.ext_block(range(1, d + 1)).any(axis=1)).tolist()
+    compatible = _compatible(c)
     starts = [1 << i for i in range(len(c.objects))] + almost_completes(c)
     for start in starts:
         got = complete_mask(c, start)
         assert got == _greedy_by_rederiving(compatible, start)
         assert got.bit_count() == rank
+
+
+# -- the Hom table and its masks against the array formula ---------------------
+
+
+def _hom_table_by_arrays(oc):
+    """Reference: dim Hom_C(X_i, X_j) from the Euler form on int64 arrays, as
+    first written: max(<a, b>, 0) at gap 0 and max(-<a, b>, 0) at gap 1, of
+    X_i against X_j and against F X_j."""
+    cat = oc.cat
+    objs = oc.objects()
+    mat = np.array(cat.roots, dtype=np.int64)
+    euler = mat @ np.array(cat.euler, dtype=np.int64) @ mat.T
+    src = np.array([cat.root_index[r] for r, _ in objs])[:, None]
+    src_shift = np.array([s for _, s in objs])[:, None]
+    out = 0
+    for tgts in (objs, [oc.obj_F(y) for y in objs]):
+        gap = np.array([s for _, s in tgts])[None, :] - src_shift
+        pairing = euler[src, [cat.root_index[r] for r, _ in tgts]]
+        sign = (gap == 0).astype(np.int64) - (gap == 1)
+        out = out + np.maximum(sign * pairing, 0)
+    return out
+
+
+def _masks_by_arrays(rows):
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in rows]
+
+
+@pytest.mark.parametrize("seed", [None, 4, 9])
+@pytest.mark.parametrize("diagram,rank,d", GRID + [("E", 6, 1), ("A", 1, 3)])
+def test_hom_table_and_masks_match_the_array_formula(diagram, rank, d, seed):
+    """The Hom table built from blocks is the array formula's, and the four
+    mask families (nonzero Hom out of and into each object, nonzero Ext^1,
+    compatibility) are those the arrays give: Ext^k(X_i, X_j) read as
+    Hom(X_i, X_j[k]) at the shifted columns."""
+    c = _seeded(diagram, rank, d, seed)
+    hom = _hom_table_by_arrays(c.oc)
+    assert c.oc.hom_table == hom.tolist()
+    assert c.hom_dims() is c.oc.hom_table
+    shifts = c.oc.shifts
+    ext = np.stack([hom[:, shifts[k]] for k in range(1, d + 1)], axis=1)
+    compatible = ~ext.any(axis=1)
+    np.fill_diagonal(compatible, False)
+    assert c.hom_masks() == (_masks_by_arrays(hom), _masks_by_arrays(hom.T))
+    assert c.ext1_rows() == _masks_by_arrays(hom[:, shifts[1]])
+    assert c.adjacency() == _masks_by_arrays(compatible)
+
+
+def test_building_the_hom_table_needs_little_more_than_the_table():
+    """A3 d=100 (603 objects): the peak of traced memory while the table is
+    built is at most twice the finished table."""
+    import tracemalloc
+
+    c = _fresh("A", 3, 100)
+    assert len(c.objects) == 603
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = c.oc.hom_table
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 603
+    assert peak - before <= 2 * (size - before)

@@ -309,7 +309,7 @@ def _add_to_ext(oc, x, y, k):
     shift = oc.shifts[1]
     start = a, b = x, oc.shifts[k][y]
     while True:
-        oc.hom_table[a, b] += 1
+        oc.hom_table[a][b] += 1
         a, b = shift[a], shift[b]
         if (a, b) == start:
             return
