@@ -15,13 +15,14 @@ import argparse
 import functools
 import json
 import os
+import resource
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import complex as cpxmod
 from . import mutation as mut
-from .quiver import ARROWS_SHAPE
+from .quiver import ARROWS_SHAPE, fomin_reading_count
 from .tilting import TiltingContext, enumerate_tilting, facet_masks, is_tilting
 from .verify import CHECK_IDS, iter_checks, load_context, make_report, report_to_json
 
@@ -145,7 +146,9 @@ def _apply_config(args: argparse.Namespace) -> None:
         args.prime = 101
 
 
-def _context(args: argparse.Namespace) -> TiltingContext:
+def _context(args: argparse.Namespace, facets: bool = False) -> TiltingContext:
+    """The configuration's context, refused first (_check_facets_fit) when
+    the command collects the facets and they cannot fit."""
     for key in ("diagram", "rank", "d"):
         if getattr(args, key, None) is None:
             raise UsageError("--%s is required (flag or config file)" % key)
@@ -156,10 +159,28 @@ def _context(args: argparse.Namespace) -> TiltingContext:
         if not isinstance(orientation, list):
             raise UsageError(ARROWS_SHAPE)
     try:
-        return load_context(args.diagram, args.rank, args.d, prime=args.prime,
-                            orientation=orientation)
+        ctx = load_context(args.diagram, args.rank, args.d, prime=args.prime,
+                           orientation=orientation)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if facets:
+        _check_facets_fit(ctx)
+    return ctx
+
+
+def _check_facets_fit(ctx: TiltingContext) -> None:
+    """Raise MemoryError, which run reports as a configuration too large,
+    when the facet masks alone exceed the memory budget: RLIMIT_AS when it is
+    finite, else the physical memory.  Each of the fomin_reading_count facets
+    takes at least an 8-byte list slot and an int with n bits set (but for
+    the few small ints Python shares), so a run that fits is never refused."""
+    mask = sys.getsizeof((1 << ctx.n) - 1) + 8
+    need = fomin_reading_count(ctx.oc.cat.q, ctx.oc.d) * mask
+    budget = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if budget == resource.RLIM_INFINITY:
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > budget:
+        raise MemoryError("%d bytes of facet masks exceed %d" % (need, budget))
 
 
 def _parse_objs(ctx: TiltingContext, text: str) -> List:
@@ -225,7 +246,7 @@ def cmd_ext_table(args) -> int:
 
 
 def cmd_tilting_enumerate(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, facets=True)
     oc = ctx.oc
     facets = enumerate_tilting(ctx)
     for f in facets:
@@ -303,7 +324,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_mutation_graph(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, facets=True)
     res = mut.mutation_graph_checks(ctx)
     print("vertices=%d edges=%d degree=%d regular=%s connected=%s"
           % (res["vertices"], res["edges"], res["degree"],
@@ -322,7 +343,7 @@ def cmd_mutation_graph(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, facets=True)
     cpx = cpxmod.build_complex(ctx, positive_only=args.positive)
     print(cpxmod.f_vector_text(cpx).strip())
     print("%d vertices, %d facets" % (len(cpx.vertices), len(cpx.facet_masks)))
@@ -337,6 +358,10 @@ def cmd_complex(args) -> int:
     _write_out(args, cpxmod.to_json(cpx))
     return 0
 
+
+# the checks that read the tables only; every other check collects the facets
+TABLE_CHECKS = {"euler-identity", "fundamental-domain-size", "cy-duality",
+                "degree-hom-constraints", "window-hom-reduction", "gamma-bijection"}
 
 FAN_CHECKS = ["complement-count", "complement-degrees", "fan-ext-pattern",
               "delta-composites", "middle-rigid", "exchange-team-fan",
@@ -387,7 +412,7 @@ def cmd_fans(args) -> int:
                          "--json with --verify-all")
     if args.json_out and not args.verify_all:
         raise UsageError("--json needs --verify-all")
-    ctx = _context(args)
+    ctx = _context(args, facets=True)
     oc, objs = ctx.oc, ctx.objects
     print("%d almost complete sets" % len(mut.almost_completes(ctx)))
     if args.list:
@@ -419,7 +444,8 @@ def cmd_verify(args) -> int:
             raise UsageError("unknown check id: %s" % ", ".join(unknown))
     elif not args.all:
         raise UsageError("verify needs --all or --check <id,...>")
-    report = _run_checks(_context(args), only)
+    facets = only is None or not TABLE_CHECKS.issuperset(only)
+    report = _run_checks(_context(args, facets), only)
     if getattr(args, "out", None):
         _write(args.out, report_to_json(report))
         print("wrote %s" % args.out)

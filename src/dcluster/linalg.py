@@ -3,19 +3,16 @@
 Everything in the package that looks like numerical linear algebra goes
 through this module, so all ranks, kernels and solves are exact.  The
 elimination core, rref_rows, its reduction of [a | I], complement_rows, and
-the kernel basis read from it, nullspace_rows, run on lists of Python ints:
-the matrices reduced here are small (a knit's mesh relations average
-1.4 x 2.0), and on them numpy's per-call dispatch costs more than the
-arithmetic.  The fan layer's rank problems, the mesh category's path maps
-and composition tensors, and the module Hom systems and coboundaries are
-built as rows and reduced here directly.  The other functions are the array
-edge for the module knit and the tests: they take and return numpy int64
+the kernel basis read from it, nullspace_rows, run on row matrices: lists
+of r lists of c Python ints in [0, p).  The matrices reduced here are small
+(a knit's mesh relations average 1.4 x 2.0), and on them numpy's per-call
+dispatch costs more than the arithmetic.  With mul_rows and inv_rows, they
+serve the module knit, the Hom systems and coboundaries, the mesh category
+and the fan layer.  The other functions are the array edge for the tests'
+module oracle, which no command calls: they take and return numpy int64
 arrays with entries reduced into [0, p), converting to rows and back around
-one call of the core.  numpy is imported by numpy(), on the first call of an
-array function, so a process that only reads dimensions, masks and rows
-(a complements or mutate query, the census of the cluster complex) never
-loads it.  check_field's int64 bound still guards the numpy products that
-callers form, such as mmul and the module knit's maps; Python-int rows
+one call of the core, and import numpy through numpy() on their first call.
+check_field's int64 bound guards only their products; Python-int rows
 cannot overflow.  p is a parameter everywhere (the default prime lives in
 config, not here).  Zero-sized matrices are legal and common (empty
 representations).
@@ -25,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import isqrt
+from operator import mul
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -44,9 +42,11 @@ def numpy():
 def check_field(p: int, inner: int) -> None:
     """Raise ValueError unless p is a prime whose arithmetic stays exact.
 
-    Products are reduced mod p after summing, so a sum of `inner` products
-    of reduced entries, inner * (p-1)^2, must fit in int64; `inner` bounds
-    the inner dimension of every matrix product the caller forms.
+    The array functions reduce products mod p after summing, so a sum of
+    `inner` products of reduced entries, inner * (p-1)^2, must fit in int64;
+    `inner` bounds the inner dimension of every matrix product the caller
+    forms.  The bound guards only those array functions, which the tests'
+    module oracle calls; the row functions compute on Python ints.
     """
     limit = isqrt(INT64_MAX // (inner + 1)) + 1
     if p > limit:
@@ -70,15 +70,6 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 def eye(n: int) -> np.ndarray:
     np = numpy()
     return np.eye(n, dtype=np.int64)
-
-
-def mmul(p: int, *mats: np.ndarray) -> np.ndarray:
-    """Product of matrices mod p, left to right."""
-    np = numpy()
-    out = np.asarray(mats[0], dtype=np.int64) % p
-    for m in mats[1:]:
-        out = (out @ (np.asarray(m, dtype=np.int64) % p)) % p
-    return out
 
 
 def rref_rows(rows: List[List[int]], ncols: int, p: int) -> List[int]:
@@ -195,10 +186,7 @@ def inv_mod(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("inv_mod needs a square matrix")
-    r, _, red = complement_rows((a % p).tolist(), n, p)
-    if r < n:
-        raise ZeroDivisionError("matrix is singular mod %d" % p)
-    return np.array([row[n:] for row in red], dtype=np.int64).reshape(n, n)
+    return np.array(inv_rows((a % p).tolist(), p), dtype=np.int64).reshape(n, n)
 
 
 def in_span(span: np.ndarray, v: np.ndarray, p: int) -> bool:
@@ -218,6 +206,23 @@ def complement_rows(rows: List[List[int]], ncols: int,
     piv = rref_rows(red, ncols + m, p)
     rank = bisect_left(piv, ncols)
     return rank, [j - ncols for j in piv[rank:]], red
+
+
+def mul_rows(a: List[List[int]], b: List[List[int]], ncols: int, p: int) -> List[List[int]]:
+    """The product a @ b mod p of row matrices, b with ncols columns (which
+    its rows cannot tell when it has none)."""
+    cols = list(zip(*b)) if b else [()] * ncols
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+
+
+def inv_rows(rows: List[List[int]], p: int) -> List[List[int]]:
+    """Inverse of a square row matrix mod p (raises if singular): the I block
+    of complement_rows' reduced rows."""
+    n = len(rows)
+    r, _, red = complement_rows(rows, n, p)
+    if r < n:
+        raise ZeroDivisionError("matrix is singular mod %d" % p)
+    return [row[n:] for row in red]
 
 
 def cokernel_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:

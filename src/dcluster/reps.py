@@ -12,27 +12,27 @@ The whole engine leans on the underlying graph being a tree:
     minimal injective copresentations are short exact.
 
 The roots of P_x and I_x are their supports and tau acts on roots as the
-Coxeter matrix (rows of Python ints, like the Euler matrix, so building a
-ModuleCategory imports no numpy), so no dimension count needs a module, and
-morphisms of the orbit category are paths of ZQ (see orbit), so no
-composition needs one either.  The modules are the linear-algebra witness
-that the Euler-form dimensions are right: the euler-identity and
-window-hom-reduction checks read hom_dim, the nullity of the Hom system, and
-ext_dim, the corank of the coboundary, two separate systems so that
-hom - ext = <a, b> is not read off one rank.  Both are small (a Hom system averages about 12 x 12 on E8), so
-they are assembled once as rows of Python ints and reduced by
-linalg.rref_rows; hom_vmaps builds its kernel basis from the same rows, and
-coboundary wraps the rows as an array for the tests' module oracle.  The
-modules themselves keep numpy arrow matrices, knitted on the first access
-to rep or pres, which is where numpy is first imported (through
-linalg.numpy): tau^{-1} is applied repeatedly to the projectives, as
+Coxeter matrix (rows of Python ints, like the Euler matrix), so no dimension
+count needs a module, and morphisms of the orbit category are paths of ZQ
+(see orbit), so no composition needs one either.  The modules are the
+linear-algebra witness that the Euler-form dimensions are right: the
+euler-identity and window-hom-reduction checks read hom_dim, the nullity of
+the Hom system, and ext_dim, the corank of the coboundary, two separate
+systems so that hom - ext = <a, b> is not read off one rank.  Both are
+small (a Hom system averages about 12 x 12 on E8), so they are assembled
+once as rows of Python ints and reduced by linalg.rref_rows.  The modules
+are knitted on the first access to rep or pres, on row matrices of Python
+ints too (a map of representations, a "vmap", is one row matrix per
+vertex), so the knit imports no numpy: tau^{-1} is applied repeatedly to
+the projectives, as
 tau^{-1} M = coker( nu^{-1} J0 -> nu^{-1} J1 ) for the minimal injective
 copresentation 0 -> M -> J0 -> J1 -> 0, and each cokernel must have the
 Coxeter tau^{-1} as its dimension vector.  The nu^{-1}-image of that
 copresentation is kept as *the* projective presentation of tau^{-1} M, which
 keeps every Ext computation consistent with the translation functor.
-solve_block_map and copresentation serve the module-path composition that
-the tests keep as an oracle for the mesh category.
+hom_vmaps/hom_basis, solve_block_map, copresentation, coboundary,
+pushforward_coords and ext_data are the array edge that the tests' module
+oracle composes with: they take and return int64 arrays, converting rows.
 
 Isomorphism testing is dimension-vector equality (valid here: Gabriel).
 """
@@ -44,6 +44,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
+from .linalg import mul_rows
 from .quiver import DynkinQuiver, coxeter_matrix, directed_paths, euler_matrix, \
     positive_roots
 
@@ -51,24 +52,31 @@ if TYPE_CHECKING:
     import numpy as np
 
 Root = Tuple[int, ...]
+Rows = List[List[int]]   # a matrix over F_p as its rows of Python ints
+
+
+def _zeros(rows: int, cols: int) -> Rows:
+    return [[0] * cols for _ in range(rows)]
+
+
+def _eye(n: int) -> Rows:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 class Rep:
     """A quiver representation: dims per vertex, one matrix per arrow.
 
-    The matrix for an arrow s -> t has shape (dims[t], dims[s]) and acts on
-    column vectors.  The matrices are not changed after construction, so
+    The matrix for an arrow s -> t has dims[t] rows of dims[s] ints and acts
+    on column vectors.  The matrices are not changed after construction, so
     path actions computed from them are kept in path_actions (see
     ModuleCategory.path_matrix).
     """
 
-    def __init__(self, q: DynkinQuiver, dims, mats):
+    def __init__(self, q: DynkinQuiver, dims, mats: List[Rows]):
         self.q = q
-        np = linalg.numpy()
-        self.dims = tuple(int(x) for x in dims)
-        self.mats = [np.asarray(m, dtype=np.int64).reshape(
-            self.dims[t], self.dims[s]) for (s, t), m in zip(q.arrows, mats)]
-        self.path_actions: Dict[Tuple[int, int, int], np.ndarray] = {}
+        self.dims = tuple(dims)
+        self.mats = mats
+        self.path_actions: Dict[Tuple[int, int, int], Tuple[Tuple[int, ...], ...]] = {}
 
     @property
     def total_dim(self) -> int:
@@ -79,52 +87,33 @@ class Rep:
 
 
 # ---------------------------------------------------------------------------
-# vertexwise maps ("vmaps"): a list of matrices, one per vertex
+# vertexwise maps ("vmaps"): a list of row matrices, one per vertex
 
 
-def vmap_zero(src: Rep, tgt: Rep) -> List[np.ndarray]:
-    return [linalg.zeros(tgt.dims[v], src.dims[v]) for v in range(src.q.rank)]
+def vmap_zero(src: Rep, tgt: Rep) -> List[Rows]:
+    return [_zeros(t, s) for s, t in zip(src.dims, tgt.dims)]
 
 
-def vmap_id(m: Rep) -> List[np.ndarray]:
-    return [linalg.eye(d) for d in m.dims]
+def vmap_id(m: Rep) -> List[Rows]:
+    return [_eye(d) for d in m.dims]
 
 
-def vmap_compose(p: int, g: List[np.ndarray], f: List[np.ndarray]) -> List[np.ndarray]:
-    return [(g[v] @ f[v]) % p for v in range(len(f))]
-
-
-def vmap_flatten(f: List[np.ndarray]) -> np.ndarray:
-    np = linalg.numpy()
-    if not f:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([m.ravel() for m in f])
-
-
-def vmap_unflatten(flat: np.ndarray, shapes) -> List[np.ndarray]:
-    """Inverse of vmap_flatten for vertex matrices of the given shapes."""
-    out, lo = [], 0
-    for rows, cols in shapes:
-        out.append(flat[lo:lo + rows * cols].reshape(rows, cols))
-        lo += rows * cols
-    return out
-
-
-def _array(rows: List[List[int]], cols: int) -> np.ndarray:
+def _array(rows: Rows, cols: int) -> np.ndarray:
     """Rows of ints, possibly none, as an int64 array with `cols` columns."""
     np = linalg.numpy()
     return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
 
 
-def is_morphism(p: int, src: Rep, tgt: Rep, f: List[np.ndarray]) -> bool:
+def _arrays(f: List[Rows], src: Rep) -> List[np.ndarray]:
+    """The vmap f out of src with its matrices as int64 arrays."""
+    return [_array(m, s) for m, s in zip(f, src.dims)]
+
+
+def is_morphism(p: int, src: Rep, tgt: Rep, f: List[Rows]) -> bool:
     """Does f commute with all arrow actions?"""
-    np = linalg.numpy()
-    for i, (s, t) in enumerate(src.q.arrows):
-        lhs = (f[t] @ src.mats[i]) % p
-        rhs = (tgt.mats[i] @ f[s]) % p
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    return all(mul_rows(f[t], src.mats[i], src.dims[s], p)
+               == mul_rows(tgt.mats[i], f[s], src.dims[s], p)
+               for i, (s, t) in enumerate(src.q.arrows))
 
 
 class SumRep:
@@ -152,11 +141,11 @@ class SumRep:
                     dims[v] += 1
             self.offsets.append(offs)
         mats = []
-        for i, (s, t) in enumerate(q.arrows):
-            m = linalg.zeros(dims[t], dims[s])
+        for s, t in q.arrows:
+            m = _zeros(dims[t], dims[s])
             for k, supp in enumerate(self.supports):
                 if s in supp and t in supp:
-                    m[self.offsets[k][t], self.offsets[k][s]] = 1
+                    m[self.offsets[k][t]][self.offsets[k][s]] = 1
             mats.append(m)
         self.rep = Rep(q, dims, mats)
 
@@ -171,7 +160,7 @@ class PresData(NamedTuple):
     """Short exact 0 -> P1 -> P0 -> M -> 0 (p1 may be the empty sum)."""
     p1: SumRep             # of kind P
     p0: SumRep             # of kind P
-    p_blocks: np.ndarray   # (len p0, len p1) canonical-generator scalars
+    p_blocks: Rows         # (len p0, len p1) canonical-generator scalars
     p_vmap: list           # realized map p1.rep -> p0.rep
     pi: list               # p0.rep -> M
     sec: list              # M -> p0.rep with pi . sec = id
@@ -181,7 +170,7 @@ class CopresData(NamedTuple):
     """Short exact 0 -> M -> J0 -> J1 -> 0 (j1 may be the empty sum)."""
     j0: SumRep
     j1: SumRep
-    delta_blocks: np.ndarray   # (len j1, len j0)
+    delta_blocks: Rows         # (len j1, len j0)
     delta_vmap: list           # j0.rep -> j1.rep
     iota: list                 # M -> j0.rep
 
@@ -193,7 +182,7 @@ class ModuleCategory:
         self.q = q
         self.p = p
         self.roots = positive_roots(q)
-        # Every product below has inner dimension at most rank * height *
+        # Every array-edge product has inner dimension at most rank * height *
         # (largest coefficient): a (co)presentation term of an indecomposable
         # M has at most sum_x dim Ext^1(S_x, M) <= rank * dim M summands, and
         # a cocycle has one block of size <= largest coefficient per summand.
@@ -232,12 +221,8 @@ class ModuleCategory:
 
     def interval(self, support) -> Rep:
         dims = [1 if v in support else 0 for v in range(self.q.rank)]
-        mats = []
-        for s, t in self.q.arrows:
-            if s in support and t in support:
-                mats.append(linalg.eye(1))
-            else:
-                mats.append(linalg.zeros(dims[t], dims[s]))
+        mats = [[[1]] if s in support and t in support else _zeros(dims[t], dims[s])
+                for s, t in self.q.arrows]
         return Rep(self.q, dims, mats)
 
     def proj(self, x: int) -> Rep:
@@ -252,17 +237,16 @@ class ModuleCategory:
     def isum(self, verts) -> SumRep:
         return SumRep(self, "I", verts)
 
-    def path_matrix(self, m: Rep, u: int, v: int) -> np.ndarray:
-        """Action of the unique path u ~> v on m, as a dims[v] x dims[u] matrix
-        (read-only, computed once per m)."""
+    def path_matrix(self, m: Rep, u: int, v: int) -> Tuple[Tuple[int, ...], ...]:
+        """Action of the unique path u ~> v on m, as dims[v] rows of dims[u]
+        ints (tuples, computed once per m)."""
         key = (u, v, self.p)
         out = m.path_actions.get(key)
         if out is None:
-            out = linalg.eye(m.dims[u])
+            rows = _eye(m.dims[u])
             for a in self.paths[(u, v)]:
-                out = (m.mats[a] @ out) % self.p
-            out.flags.writeable = False
-            m.path_actions[key] = out
+                rows = mul_rows(m.mats[a], rows, m.dims[u], self.p)
+            out = m.path_actions[key] = tuple(map(tuple, rows))
         return out
 
     # -- canonical generators between P/I summands --------------------------
@@ -292,11 +276,11 @@ class ModuleCategory:
                     continue
                 f = vmap_zero(src.rep, tgt.rep)
                 for v in supp:
-                    f[v][tgt.offsets[j][v], src.offsets[i][v]] = 1
+                    f[v][tgt.offsets[j][v]][src.offsets[i][v]] = 1
                 out.append((i, j, f))
         return out
 
-    def blocks_to_vmap(self, src: SumRep, tgt: SumRep, blocks: np.ndarray):
+    def blocks_to_vmap(self, src: SumRep, tgt: SumRep, blocks: Rows):
         """Realize a (len tgt, len src) scalar block matrix as a vmap: each
         scalar is written on the support of its canonical generator (the
         generators' supports occupy disjoint entries)."""
@@ -304,24 +288,23 @@ class ModuleCategory:
         for i, a in enumerate(src.verts):
             for j, b in enumerate(tgt.verts):
                 supp = self._gen_support(src.kind, a, tgt.kind, b)
-                c = int(blocks[j, i]) % self.p
+                c = blocks[j][i] % self.p
                 if supp is None or not c:
                     continue
                 for v in supp:
-                    f[v][tgt.offsets[j][v], src.offsets[i][v]] = c
+                    f[v][tgt.offsets[j][v]][src.offsets[i][v]] = c
         return f
 
-    def vmap_to_blocks(self, src: SumRep, tgt: SumRep, f) -> np.ndarray:
+    def vmap_to_blocks(self, src: SumRep, tgt: SumRep, f) -> Rows:
         """Extract canonical block scalars from a map src.rep -> tgt.rep."""
-        blocks = linalg.zeros(len(tgt), len(src))
+        blocks = _zeros(len(tgt), len(src))
         for i, a in enumerate(src.verts):
             for j, b in enumerate(tgt.verts):
                 supp = self._gen_support(src.kind, a, tgt.kind, b)
                 if supp is None:
                     continue
                 probe = a if src.kind == "P" else b
-                blocks[j, i] = f[probe][tgt.offsets[j][probe],
-                                        src.offsets[i][probe]]
+                blocks[j][i] = f[probe][tgt.offsets[j][probe]][src.offsets[i][probe]]
         return blocks
 
     def solve_block_map(self, src: SumRep, tgt: SumRep, conditions):
@@ -329,32 +312,38 @@ class ModuleCategory:
 
         conditions is a list of (left, right, rhs) with left: tgt.rep -> W,
         right: V -> src.rep (either may be None for identity) and rhs a vmap
-        V -> W; the constraint is left . X . right = rhs.  Returns a vmap or
-        None when the system is inconsistent.
+        V -> W, all of int64 arrays; the constraint is left . X . right =
+        rhs.  Returns a vmap of int64 arrays (the particular solution of
+        linalg.solve_mod: 0 at every free generator) or None when the system
+        is inconsistent.
         """
-        np = linalg.numpy()
+        p = self.p
         gens = self.block_generators(src, tgt)
-        cols = []
-        rhs_flat = np.concatenate([vmap_flatten(rhs) for _, _, rhs in conditions]) \
-            if conditions else np.zeros(0, dtype=np.int64)
-        for _, _, g in gens:
-            pieces = []
-            for left, right, _ in conditions:
-                term = g
-                if right is not None:
-                    term = vmap_compose(self.p, term, right)
-                if left is not None:
-                    term = vmap_compose(self.p, left, term)
-                pieces.append(vmap_flatten(term))
-            cols.append(np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64))
-        a = np.stack(cols, axis=1) if cols else linalg.zeros(len(rhs_flat), 0)
-        z = linalg.solve_mod(a, rhs_flat, self.p)
-        if z is None:
+        # one equation per entry of each rhs, in row-major order: the
+        # generators' images at that entry, then the entry of rhs
+        system = []
+        for left, right, rhs in conditions:
+            for v, want in enumerate(rhs):
+                cols = want.shape[1]
+                images = []
+                for _, _, g in gens:
+                    term = g[v]
+                    if right is not None:
+                        term = mul_rows(term, right[v].tolist(), cols, p)
+                    if left is not None:
+                        term = mul_rows(left[v].tolist(), term, cols, p)
+                    images.append(term)
+                for r, row in enumerate(want.tolist()):
+                    system += [[img[r][c] for img in images] + [w % p]
+                               for c, w in enumerate(row)]
+        piv = linalg.rref_rows(system, len(gens) + 1, p)
+        if piv and piv[-1] == len(gens):
             return None
-        blocks = linalg.zeros(len(tgt), len(src))
-        for (i, j, _), c in zip(gens, z):
-            blocks[j, i] = c
-        return self.blocks_to_vmap(src, tgt, blocks)
+        blocks = _zeros(len(tgt), len(src))
+        for row, k in zip(system, piv):
+            i, j, _ = gens[k]
+            blocks[j][i] = row[-1]
+        return _arrays(self.blocks_to_vmap(src, tgt, blocks), src.rep)
 
     # -- envelopes and knitting ---------------------------------------------
 
@@ -363,18 +352,16 @@ class ModuleCategory:
         I block of the first k rows of linalg.complement_rows on [S | I], S
         the k basis columns of soc(m)_x, i.e. the first k rows of [S | C]^-1
         for C the greedy complement of im S."""
-        np = linalg.numpy()
         out = []
         for x in range(self.q.rank):
-            outs = [m.mats[i] for i, (s, _) in enumerate(self.q.arrows) if s == x]
-            stacked = np.concatenate(outs, axis=0) if outs else linalg.zeros(0, m.dims[x])
-            soc = linalg.nullspace_mod(stacked, self.p)
-            k = soc.shape[1]
+            outs = [row for i, (s, _) in enumerate(self.q.arrows) if s == x
+                    for row in m.mats[i]]
+            soc = linalg.nullspace_rows(outs, m.dims[x], self.p)
+            k = len(soc)
             if k == 0:
                 continue
-            _, _, red = linalg.complement_rows(soc.tolist(), k, self.p)
-            for row in red[:k]:
-                out.append((x, np.array(row[k:], dtype=np.int64)))
+            _, _, red = linalg.complement_rows([list(r) for r in zip(*soc)], k, self.p)
+            out += [(x, row[k:]) for row in red[:k]]
         return out
 
     def envelope(self, m: Rep):
@@ -384,37 +371,48 @@ class ModuleCategory:
         iota = vmap_zero(m, j0.rep)
         for i, (x, lam) in enumerate(socs):
             for v in self.isupp[x]:
-                row = (lam @ self.path_matrix(m, v, x)) % self.p
-                iota[v][j0.offsets[i][v], :] = row
+                iota[v][j0.offsets[i][v]] = mul_rows(
+                    [lam], self.path_matrix(m, v, x), m.dims[v], self.p)[0]
         return j0, iota
 
     def copresentation(self, root: Root) -> CopresData:
-        """The copresentation knitting took tau^{-1} of (root not injective)."""
-        return self._knitted[2][root]
+        """The copresentation knitting took tau^{-1} of (root not injective),
+        with its maps as int64 arrays."""
+        cop = self._knitted[2][root]
+        return cop._replace(delta_blocks=_array(cop.delta_blocks, len(cop.j0)),
+                            delta_vmap=_arrays(cop.delta_vmap, cop.j0.rep),
+                            iota=_arrays(cop.iota, self.rep[root]))
 
-    def _cokernel(self, tgt: Rep, f):
-        """(coker f, projections, sections) of a vmap f into tgt, per vertex."""
-        projs, secs = zip(*(linalg.cokernel_mod(fv, self.p) for fv in f))
-        mats = [linalg.mmul(self.p, projs[t], tgt.mats[i], secs[s])
+    def _cokernel(self, src: Rep, tgt: Rep, f):
+        """(coker f, projections, sections) of a vmap f: src -> tgt, per
+        vertex as in linalg.cokernel_mod: the I block of complement_rows'
+        rows below the rank, and the unit columns of the greedy complement."""
+        p = self.p
+        projs, secs = [], []
+        for fv, n in zip(f, src.dims):
+            r, comp, red = linalg.complement_rows(fv, n, p)
+            projs.append([row[n:] for row in red[r:]])
+            secs.append([[int(i == j) for j in comp] for i in range(len(fv))])
+        mats = [mul_rows(mul_rows(projs[t], tgt.mats[i], tgt.dims[s], p),
+                         secs[s], len(projs[s]), p)
                 for i, (s, t) in enumerate(self.q.arrows)]
-        return Rep(self.q, [pr.shape[0] for pr in projs], mats), projs, secs
+        return Rep(self.q, [len(pr) for pr in projs], mats), projs, secs
 
     def _copresent(self, m: Rep) -> CopresData:
         p = self.p
         j0, iota = self.envelope(m)
         if not is_morphism(p, m, j0.rep, iota):
             raise RuntimeError("envelope map is not a morphism")
-        coker, projs, _ = self._cokernel(j0.rep, iota)
+        coker, projs, _ = self._cokernel(m, j0.rep, iota)
         j1, iota_c = self.envelope(coker)
         # hereditary: the cokernel is itself injective, so its envelope has
         # the same total dimension and delta is onto
         if j1.rep.total_dim != coker.total_dim:
             raise RuntimeError("copresentation is not short exact (not hereditary?)")
-        delta = [linalg.mmul(p, iota_c[v], projs[v]) for v in range(self.q.rank)]
+        delta = [mul_rows(iota_c[v], projs[v], n, p) for v, n in enumerate(j0.rep.dims)]
         blocks = self.vmap_to_blocks(j0, j1, delta)
         # the extraction must be faithful
-        if not all(linalg.numpy().array_equal(a, b) for a, b in
-                   zip(self.blocks_to_vmap(j0, j1, blocks), delta)):
+        if self.blocks_to_vmap(j0, j1, blocks) != delta:
             raise RuntimeError("delta is not in the canonical block span")
         return CopresData(j0, j1, blocks, delta, iota)
 
@@ -431,34 +429,31 @@ class ModuleCategory:
             rep[cur_root] = cur
             p0 = self.psum([x])
             pres[cur_root] = PresData(
-                self.psum([]), p0, linalg.zeros(1, 0),
+                self.psum([]), p0, [[]],
                 vmap_zero(self.psum([]).rep, p0.rep), vmap_id(cur), vmap_id(cur))
             while cur_root not in inj_vertex:
                 cop = copres[cur_root] = self._copresent(cur)
                 # nu^{-1} of delta: the same canonical blocks between P-sums
                 p1, p0 = self.psum(cop.j0.verts), self.psum(cop.j1.verts)
                 pvm = self.blocks_to_vmap(p1, p0, cop.delta_blocks)
-                new, projs, secs = self._cokernel(p0.rep, pvm)
+                new, pi, sec = self._cokernel(p1.rep, p0.rep, pvm)
                 new_root = new.dims
                 if new_root != self.tau_minus[cur_root]:
                     raise RuntimeError("knitted tau^-1 of %r is %r, not the Coxeter "
                                        "image %r" % (cur_root, new_root,
                                                      self.tau_minus[cur_root]))
-                pi, sec = projs, secs
                 if new_root in inj_vertex:
                     # rebase onto the canonical interval copy of the injective
                     target = self.inj(inj_vertex[new_root])
                     u = self._iso(new, target)
-                    uinv = [linalg.inv_mod(m, p) for m in u]
-                    pi = [linalg.mmul(p, u[v], projs[v]) for v in range(q.rank)]
-                    sec = [linalg.mmul(p, secs[v], uinv[v]) for v in range(q.rank)]
+                    pi = [mul_rows(u[v], pi[v], n, p) for v, n in enumerate(p0.rep.dims)]
+                    sec = [mul_rows(sec[v], linalg.inv_rows(u[v], p), n, p)
+                           for v, n in enumerate(new.dims)]
                     new = target
                 if new_root in rep:
                     raise RuntimeError("knitting revisited root %r" % (new_root,))
                 rep[new_root] = new
-                pres[new_root] = PresData(
-                    p1, p0, cop.delta_blocks, pvm,
-                    [m.copy() for m in pi], [m.copy() for m in sec])
+                pres[new_root] = PresData(p1, p0, cop.delta_blocks, pvm, pi, sec)
                 cur_root, cur = new_root, new
         if len(rep) != len(self.roots):
             raise RuntimeError("knitting found %d indecomposables, expected %d"
@@ -466,9 +461,10 @@ class ModuleCategory:
         return rep, pres, copres
 
     def _iso(self, a: Rep, b: Rep):
-        basis = self.hom_vmaps(a, b)
-        for f in basis:
-            if all(linalg.rank_mod(f[v], self.p) == a.dims[v]
+        """The first vector of the Hom(a, b) kernel basis that is invertible
+        at every vertex, as a vmap of rows."""
+        for f in self._hom_rows(a, b):
+            if all(len(linalg.rref_rows(list(f[v]), a.dims[v], self.p)) == a.dims[v]
                    for v in range(self.q.rank) if a.dims[v]):
                 return f
         raise RuntimeError("expected an isomorphism between equal dimension vectors")
@@ -490,8 +486,8 @@ class ModuleCategory:
             a_s, a_t, b_s = a.dims[s], a.dims[t], b.dims[s]
             if not (b.dims[t] and a_s):
                 continue
-            am, bm = a.mats[i].tolist(), b.mats[i].tolist()
-            for r, brow in enumerate(bm):
+            am = a.mats[i]
+            for r, brow in enumerate(b.mats[i]):
                 # (phi_t a(i))[r, c] = sum_q phi_t[r, q] a(i)[q, c]
                 left = offs[t] + r * a_t
                 for c in range(a_s):
@@ -504,14 +500,17 @@ class ModuleCategory:
                     rows.append(row)
         return rows, offs
 
-    def hom_vmaps(self, a: Rep, b: Rep) -> List[List[np.ndarray]]:
-        """Echelon basis of Hom(a, b) as vmaps (uncached; see hom_basis): one
-        kernel vector of _hom_system per free column."""
-        np = linalg.numpy()
+    def _hom_rows(self, a: Rep, b: Rep) -> List[List[Rows]]:
+        """Echelon basis of Hom(a, b) as vmaps of rows: one kernel vector of
+        _hom_system per free column, cut into its row-major vertex blocks."""
         rows, offs = self._hom_system(a, b)
-        shapes = list(zip(b.dims, a.dims))
-        return [vmap_unflatten(np.array(vec, dtype=np.int64), shapes)
+        return [[[vec[lo + r * av:lo + (r + 1) * av] for r in range(bv)]
+                 for lo, bv, av in zip(offs, b.dims, a.dims)]
                 for vec in linalg.nullspace_rows(rows, offs[-1], self.p)]
+
+    def hom_vmaps(self, a: Rep, b: Rep) -> List[List[np.ndarray]]:
+        """_hom_rows with int64 arrays (uncached; see hom_basis)."""
+        return [_arrays(f, a) for f in self._hom_rows(a, b)]
 
     def hom_basis(self, ra: Root, rb: Root):
         key = (ra, rb)
@@ -564,38 +563,31 @@ class ModuleCategory:
             lo = hi
         return out
 
-    def _pushforward_rows(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
+    def _pushforward_rows(self, blocks: Rows, src: SumRep, tgt: SumRep,
                           n: Rep) -> Tuple[List[List[int]], int]:
         """(rows, columns) of the matrix of phi |-> phi . h on coordinates, for
         h: src -> tgt given by its canonical blocks and phi: tgt -> n; the
-        (src summand a, tgt summand b) block is blocks[b, a] times the action
+        (src summand a, tgt summand b) block is blocks[b][a] times the action
         of the path b ~> a on n."""
         p = self.p
         ssl = self.coord_slices(src, n)
         tsl = self.coord_slices(tgt, n)
         cols = tsl[-1][1] if tsl else 0
         rows = [[0] * cols for _ in range(ssl[-1][1] if ssl else 0)]
-        scalars = blocks.tolist()
         for si, a in enumerate(src.verts):
             for ti, b in enumerate(tgt.verts):
-                c = scalars[ti][si] % p
+                c = blocks[ti][si] % p
                 if c and (b, a) in self.paths:
                     lo = tsl[ti][0]
-                    for row, action in zip(rows[ssl[si][0]:],
-                                           self.path_matrix(n, b, a).tolist()):
+                    for row, action in zip(rows[ssl[si][0]:], self.path_matrix(n, b, a)):
                         row[lo:lo + len(action)] = [c * v % p for v in action]
         return rows, cols
-
-    def _pushforward_matrix(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
-                            n: Rep) -> np.ndarray:
-        """_pushforward_rows as an int64 array."""
-        return _array(*self._pushforward_rows(blocks, src, tgt, n))
 
     def pushforward_coords(self, blocks: np.ndarray, src: SumRep, tgt: SumRep,
                            n: Rep, coords: np.ndarray) -> np.ndarray:
         """Coordinates of (phi . h) given phi: tgt -> n and h: src -> tgt."""
         np = linalg.numpy()
-        return (self._pushforward_matrix(blocks, src, tgt, n)
+        return (_array(*self._pushforward_rows(blocks.tolist(), src, tgt, n))
                 @ np.asarray(coords, dtype=np.int64)) % self.p
 
     def coboundary_rows(self, ra: Root, rb: Root) -> Tuple[List[List[int]], int]:

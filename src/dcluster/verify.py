@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import math
 import time
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import complex as cpxmod
-from . import linalg
 from . import mutation as mut
 from .orbit import OrbitCategory
 from .quiver import coxeter_data, fomin_reading_count, parse_quiver
@@ -87,22 +87,25 @@ def check_domain_size(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def check_cy_duality(ctx: TiltingContext) -> Dict[str, object]:
-    np = linalg.numpy()
     oc = ctx.oc
     objs = oc.objects()
-    n = len(objs)
-    # dims[x, y, i] = dim Ext^i(x, y) = dim Hom(x, y[i]), 0 <= i <= d+1, one
-    # gather of the Hom table's columns; (x, y, i) fails when it differs from
-    # Ext^(d+1-i)(y, x).  The gather is one array, so a configuration whose
-    # block does not fit fails at once with MemoryError.
-    idx = [j for k in range(oc.d + 2) for j in oc.shifts[k]]
-    dims = np.array(oc.hom_table)[:, idx].reshape(n, oc.d + 2, n).transpose(0, 2, 1)
-    bad = np.flatnonzero(dims != dims.transpose(1, 0, 2)[:, :, ::-1])
-    if bad.size:
-        x, y, i = np.unravel_index(bad[0], dims.shape)
-        return _fail(int(bad[0]) + 1, {"x": oc.obj_name(objs[x]),
-                                       "y": oc.obj_name(objs[y]), "i": int(i)})
-    return _pass(dims.size)
+    table, shifts, d = oc.hom_table, oc.shifts, oc.d
+    n, width = len(objs), d + 2
+    # (x, y, i) fails when Ext^i(x, y) = Hom(x, y[i]) (row x at the columns
+    # shifts[i]) differs from Ext^(d+1-i)(y, x) (column shifts[d+1-i][x]);
+    # instances count in (x, y, i) order: the first failure is x's least (y, i)
+    for x, row in enumerate(table):
+        bad = []
+        for i in range(width):
+            ext = list(map(row.__getitem__, shifts[i]))
+            dual = list(map(itemgetter(shifts[d + 1 - i][x]), table))
+            if ext != dual:
+                bad.append((next(y for y in range(n) if ext[y] != dual[y]), i))
+        if bad:
+            y, i = min(bad)
+            return _fail((x * n + y) * width + i + 1, {"x": oc.obj_name(objs[x]),
+                                                       "y": oc.obj_name(objs[y]), "i": i})
+    return _pass(n * n * width)
 
 
 def check_degree_hom(ctx: TiltingContext) -> Dict[str, object]:

@@ -13,7 +13,9 @@ comparison maps.  F is linear on each piece space, and so is the lift of a
 module map along projective presentations that pulls cocycles back in
 composition; each is a matrix built lazily, once per root pair, from the
 direct lift on a basis (_push_direct, _lift_direct).  Hom coordinates are
-Hom coordinates of module maps and classes of cocycles.
+Hom coordinates of module maps and classes of cocycles.  The modules are
+those of ArrayKnit, the package's knit redone on numpy arrays; the Hom
+bases and Ext data come from the package.
 
 Nothing here reads a path or a vertex of ZQ, so comparing the two is a
 comparison of independent models.
@@ -21,14 +23,73 @@ comparison of independent models.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from dcluster import linalg, reps
 from dcluster.orbit import Obj, OrbitCategory
-from dcluster.reps import (ModuleCategory, Rep, SumRep, vmap_compose, vmap_flatten,
-                           vmap_unflatten, vmap_zero)
+from dcluster.reps import CopresData, ModuleCategory, PresData
+
+
+# -- the module knit on numpy arrays ------------------------------------------
+#
+# reps.ModuleCategory knits its modules on rows of Python ints.  ArrayKnit
+# runs the same steps on int64 arrays, with linalg's array functions: the
+# reference that test_reps compares the row knit with, entry for entry, and
+# the modules that ModuleOrbitCategory composes.
+
+
+class Rep:
+    """A quiver representation with int64 arrow matrices, the matrix of an
+    arrow s -> t of shape (dims[t], dims[s]); mats may be arrays or rows."""
+
+    def __init__(self, q, dims, mats):
+        self.q = q
+        self.dims = tuple(int(x) for x in dims)
+        self.mats = [np.asarray(m, dtype=np.int64).reshape(self.dims[t], self.dims[s])
+                     for (s, t), m in zip(q.arrows, mats)]
+        self.path_actions = {}
+
+    @property
+    def total_dim(self) -> int:
+        return sum(self.dims)
+
+
+def mmul(p, *mats) -> np.ndarray:
+    """Product of matrices mod p, left to right."""
+    out = np.asarray(mats[0], dtype=np.int64) % p
+    for m in mats[1:]:
+        out = (out @ (np.asarray(m, dtype=np.int64) % p)) % p
+    return out
+
+
+def vmap_zero(src, tgt):
+    return [linalg.zeros(tgt.dims[v], src.dims[v]) for v in range(src.q.rank)]
+
+
+def vmap_id(m):
+    return [linalg.eye(d) for d in m.dims]
+
+
+def vmap_compose(p, g, f):
+    return [(g[v] @ f[v]) % p for v in range(len(f))]
+
+
+def vmap_flatten(f) -> np.ndarray:
+    if not f:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate([m.ravel() for m in f])
+
+
+def vmap_unflatten(flat: np.ndarray, shapes):
+    """Inverse of vmap_flatten for vertex matrices of the given shapes."""
+    out, lo = [], 0
+    for rows, cols in shapes:
+        out.append(flat[lo:lo + rows * cols].reshape(rows, cols))
+        lo += rows * cols
+    return out
 
 
 def vmap_add(p, f, g):
@@ -43,10 +104,222 @@ def vmap_is_zero(f) -> bool:
     return all(not m.size or not m.any() for m in f)
 
 
+def is_morphism(p, src, tgt, f) -> bool:
+    """Does the vmap of arrays f commute with all arrow actions?"""
+    return all(np.array_equal((f[t] @ src.mats[i]) % p, (tgt.mats[i] @ f[s]) % p)
+               for i, (s, t) in enumerate(src.q.arrows))
+
+
+class ArraySumRep:
+    """reps.SumRep with an array Rep: summand i sits at rows offsets[i][v]."""
+
+    def __init__(self, cat, kind, verts):
+        self.kind = kind
+        self.verts = tuple(int(v) for v in verts)
+        q = cat.q
+        self.supports = [cat.psupp[x] if kind == "P" else cat.isupp[x]
+                         for x in self.verts]
+        dims = [0] * q.rank
+        self.offsets = []
+        for supp in self.supports:
+            offs = [None] * q.rank
+            for v in range(q.rank):
+                if v in supp:
+                    offs[v] = dims[v]
+                    dims[v] += 1
+            self.offsets.append(offs)
+        mats = []
+        for s, t in q.arrows:
+            m = linalg.zeros(dims[t], dims[s])
+            for k, supp in enumerate(self.supports):
+                if s in supp and t in supp:
+                    m[self.offsets[k][t], self.offsets[k][s]] = 1
+            mats.append(m)
+        self.rep = Rep(q, dims, mats)
+
+    def __len__(self):
+        return len(self.verts)
+
+
+class ArrayKnit:
+    """The modules of a ModuleCategory knitted on int64 arrays.
+
+    rep, pres and copresentation have the row knit's layout with arrays in
+    place of rows.  Every attribute it does not define is the wrapped
+    category's, so Hom bases, Ext data and solve_block_map come from the
+    package (and so from the row knit, which these modules must equal).
+    """
+
+    def __init__(self, cat: ModuleCategory):
+        self.cat = cat
+
+    def __getattr__(self, name):
+        return getattr(self.cat, name)
+
+    @cached_property
+    def _knitted(self) -> tuple:
+        return self._knit()
+
+    rep = property(lambda self: self._knitted[0])
+    pres = property(lambda self: self._knitted[1])
+
+    def copresentation(self, root) -> CopresData:
+        return self._knitted[2][root]
+
+    def interval(self, support) -> Rep:
+        dims = [1 if v in support else 0 for v in range(self.q.rank)]
+        mats = [linalg.eye(1) if s in support and t in support
+                else linalg.zeros(dims[t], dims[s]) for s, t in self.q.arrows]
+        return Rep(self.q, dims, mats)
+
+    def proj(self, x):
+        return self.interval(self.psupp[x])
+
+    def inj(self, x):
+        return self.interval(self.isupp[x])
+
+    def psum(self, verts) -> ArraySumRep:
+        return ArraySumRep(self, "P", verts)
+
+    def isum(self, verts) -> ArraySumRep:
+        return ArraySumRep(self, "I", verts)
+
+    def path_matrix(self, m: Rep, u: int, v: int) -> np.ndarray:
+        """Action of the path u ~> v on m (read-only, computed once per m)."""
+        key = (u, v, self.p)
+        out = m.path_actions.get(key)
+        if out is None:
+            out = linalg.eye(m.dims[u])
+            for a in self.paths[(u, v)]:
+                out = (m.mats[a] @ out) % self.p
+            out.flags.writeable = False
+            m.path_actions[key] = out
+        return out
+
+    def blocks_to_vmap(self, src, tgt, blocks: np.ndarray):
+        f = vmap_zero(src.rep, tgt.rep)
+        for i, a in enumerate(src.verts):
+            for j, b in enumerate(tgt.verts):
+                supp = self._gen_support(src.kind, a, tgt.kind, b)
+                c = int(blocks[j, i]) % self.p
+                if supp is None or not c:
+                    continue
+                for v in supp:
+                    f[v][tgt.offsets[j][v], src.offsets[i][v]] = c
+        return f
+
+    def vmap_to_blocks(self, src, tgt, f) -> np.ndarray:
+        blocks = linalg.zeros(len(tgt), len(src))
+        for i, a in enumerate(src.verts):
+            for j, b in enumerate(tgt.verts):
+                if self._gen_support(src.kind, a, tgt.kind, b) is None:
+                    continue
+                probe = a if src.kind == "P" else b
+                blocks[j, i] = f[probe][tgt.offsets[j][probe], src.offsets[i][probe]]
+        return blocks
+
+    def socle_functionals(self, m: Rep):
+        out = []
+        for x in range(self.q.rank):
+            outs = [m.mats[i] for i, (s, _) in enumerate(self.q.arrows) if s == x]
+            stacked = np.concatenate(outs, axis=0) if outs else linalg.zeros(0, m.dims[x])
+            soc = linalg.nullspace_mod(stacked, self.p)
+            k = soc.shape[1]
+            if k == 0:
+                continue
+            _, _, red = linalg.complement_rows(soc.tolist(), k, self.p)
+            out += [(x, np.array(row[k:], dtype=np.int64)) for row in red[:k]]
+        return out
+
+    def envelope(self, m: Rep):
+        socs = self.socle_functionals(m)
+        j0 = self.isum([x for x, _ in socs])
+        iota = vmap_zero(m, j0.rep)
+        for i, (x, lam) in enumerate(socs):
+            for v in self.isupp[x]:
+                iota[v][j0.offsets[i][v], :] = (lam @ self.path_matrix(m, v, x)) % self.p
+        return j0, iota
+
+    def _cokernel(self, tgt: Rep, f):
+        projs, secs = zip(*(linalg.cokernel_mod(fv, self.p) for fv in f))
+        mats = [mmul(self.p, projs[t], tgt.mats[i], secs[s])
+                for i, (s, t) in enumerate(self.q.arrows)]
+        return Rep(self.q, [pr.shape[0] for pr in projs], mats), projs, secs
+
+    def _copresent(self, m: Rep) -> CopresData:
+        p = self.p
+        j0, iota = self.envelope(m)
+        assert is_morphism(p, m, j0.rep, iota)
+        coker, projs, _ = self._cokernel(j0.rep, iota)
+        j1, iota_c = self.envelope(coker)
+        assert j1.rep.total_dim == coker.total_dim
+        delta = [mmul(p, iota_c[v], projs[v]) for v in range(self.q.rank)]
+        blocks = self.vmap_to_blocks(j0, j1, delta)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(self.blocks_to_vmap(j0, j1, blocks), delta))
+        return CopresData(j0, j1, blocks, delta, iota)
+
+    def _knit(self) -> tuple:
+        q, p = self.q, self.p
+        inj_vertex = {r: x for x, r in enumerate(self.inj_root)}
+        rep, pres, copres = {}, {}, {}
+        for x in range(q.rank):
+            cur_root = self.proj_root[x]
+            cur = self.proj(x)
+            rep[cur_root] = cur
+            p0 = self.psum([x])
+            pres[cur_root] = PresData(
+                self.psum([]), p0, linalg.zeros(1, 0),
+                vmap_zero(self.psum([]).rep, p0.rep), vmap_id(cur), vmap_id(cur))
+            while cur_root not in inj_vertex:
+                cop = copres[cur_root] = self._copresent(cur)
+                p1, p0 = self.psum(cop.j0.verts), self.psum(cop.j1.verts)
+                pvm = self.blocks_to_vmap(p1, p0, cop.delta_blocks)
+                new, pi, sec = self._cokernel(p0.rep, pvm)
+                new_root = new.dims
+                assert new_root == self.tau_minus[cur_root], (cur_root, new_root)
+                if new_root in inj_vertex:
+                    target = self.inj(inj_vertex[new_root])
+                    u = self._iso(new, target)
+                    pi = [mmul(p, u[v], pi[v]) for v in range(q.rank)]
+                    sec = [mmul(p, sec[v], linalg.inv_mod(u[v], p))
+                           for v in range(q.rank)]
+                    new = target
+                assert new_root not in rep
+                rep[new_root] = new
+                pres[new_root] = PresData(p1, p0, cop.delta_blocks, pvm, list(pi), list(sec))
+                cur_root, cur = new_root, new
+        assert len(rep) == len(self.roots)
+        return rep, pres, copres
+
+    def _iso(self, a: Rep, b: Rep):
+        def rows(m):
+            return reps.Rep(self.q, m.dims, [x.tolist() for x in m.mats])
+
+        for f in self.cat.hom_vmaps(rows(a), rows(b)):
+            if all(linalg.rank_mod(f[v], self.p) == a.dims[v]
+                   for v in range(self.q.rank) if a.dims[v]):
+                return f
+        raise AssertionError("no isomorphism between equal dimension vectors")
+
+    def pushforward_coords(self, blocks, src, tgt, n: Rep, coords) -> np.ndarray:
+        """Coordinates of (phi . h) given phi: tgt -> n and h: src -> tgt."""
+        p = self.p
+        ssl, tsl = self.coord_slices(src, n), self.coord_slices(tgt, n)
+        mat = linalg.zeros(ssl[-1][1] if ssl else 0, tsl[-1][1] if tsl else 0)
+        for si, a in enumerate(src.verts):
+            for ti, b in enumerate(tgt.verts):
+                c = int(blocks[ti, si]) % p
+                if c and (b, a) in self.paths:
+                    (lo, hi), (lo2, hi2) = ssl[si], tsl[ti]
+                    mat[lo:hi, lo2:hi2] = (c * self.path_matrix(n, b, a)) % p
+        return (mat @ np.asarray(coords, dtype=np.int64)) % p
+
+
 # -- cocycle coordinates: Hom(P_x, N) = N_x -----------------------------------
 
 
-def pmap_from_coords(cat: ModuleCategory, psum: SumRep, n: Rep, coords: np.ndarray):
+def pmap_from_coords(cat: ArrayKnit, psum: ArraySumRep, n: Rep, coords: np.ndarray):
     """The morphism psum.rep -> n with the given generator images."""
     sl = cat.coord_slices(psum, n)
     f = vmap_zero(psum.rep, n)
@@ -58,7 +331,7 @@ def pmap_from_coords(cat: ModuleCategory, psum: SumRep, n: Rep, coords: np.ndarr
     return f
 
 
-def coords_from_pmap(cat: ModuleCategory, psum: SumRep, n: Rep, f) -> np.ndarray:
+def coords_from_pmap(cat, psum, n: Rep, f) -> np.ndarray:
     sl = cat.coord_slices(psum, n)
     out = np.zeros(sl[-1][1] if sl else 0, dtype=np.int64)
     for i, x in enumerate(psum.verts):
@@ -87,8 +360,11 @@ class VMorphism:
 
 
 class ModuleOrbitCategory(OrbitCategory):
+    """The orbit category of cat, with cat's modules knitted on arrays
+    (self.cat is cat's ArrayKnit)."""
+
     def __init__(self, cat: ModuleCategory, d: int):
-        super().__init__(cat, d)
+        super().__init__(ArrayKnit(cat), d)
         # (kind, a_root, b_root) -> (output kind, matrix of F, output shapes)
         self._push_maps: Dict[tuple, tuple] = {}
         # (a_root, b_root) -> matrix taking Hom coordinates to P1 lift blocks
@@ -170,7 +446,7 @@ class ModuleOrbitCategory(OrbitCategory):
 
     def identity(self, x: Obj) -> VMorphism:
         x = self.normalize(x)[0]
-        return VMorphism(x, x, {0: ("H", reps.vmap_id(self.cat.rep[x[0]]))})
+        return VMorphism(x, x, {0: ("H", vmap_id(self.cat.rep[x[0]]))})
 
     # -- composition in the derived category -----------------------------------
 

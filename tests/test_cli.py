@@ -610,6 +610,51 @@ def test_config_too_large_for_memory_exits_2(monkeypatch, capsys):
         "error: A3 d=1000 p=101 is too large: its tables do not fit in memory\n")
 
 
+TOO_LARGE = "error: A3 d=1000 p=101 is too large: its tables do not fit in memory\n"
+
+
+@pytest.mark.parametrize("command", [["verify", "--all"], ["tilting", "enumerate"]],
+                         ids=["verify", "tilting"])
+def test_too_many_facets_are_refused_before_any_table(command):
+    """A3 d=1000 has 2672671001 facets.  Under a 3 GB address-space limit,
+    set on the child process only, the run is refused at once, with the
+    one documented line and no traceback."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    import time
+
+    import dcluster
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = os.path.dirname(os.path.dirname(dcluster.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "dcluster"] + command +
+                          ["--diagram", "A", "--rank", "3", "--d", "1000"],
+                          capture_output=True, text=True, env=env, preexec_fn=limit,
+                          timeout=60)
+    assert time.monotonic() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", TOO_LARGE)
+
+
+def test_a_memory_error_after_the_preflight_exits_2(monkeypatch, capsys):
+    """The preflight lets A2 d=1 through; a MemoryError raised later in the
+    run, here by the Hom table, is still a configuration too large."""
+    from dcluster.orbit import OrbitCategory
+
+    def out_of_memory(self):
+        raise MemoryError("cannot allocate the Hom table")
+
+    monkeypatch.setattr(OrbitCategory, "hom_table", property(out_of_memory))
+    assert run(["verify", "--all"] + A2D1) == 2
+    assert capsys.readouterr().err == (
+        "error: A2 d=1 p=101 is too large: its tables do not fit in memory\n")
+
+
 def test_check_lines_print_before_a_later_check_fails(monkeypatch, capsys):
     from dcluster import verify
 

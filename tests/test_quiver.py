@@ -288,29 +288,52 @@ assert len(to_json(full)["facets"]) == 55
 """
 
 
+_VERIFY = """
+import contextlib, io
+from dcluster import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.run(["verify", "--all", "--diagram", "D", "--rank", "4", "--d", "2"]) == 0
+assert out.getvalue().splitlines()[-1] == "summary: 22 pass, 0 fail, 2 n/a"
+"""
+
+_EXT_TABLE = """
+import contextlib, io
+from dcluster import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["ext-table", "--diagram", "D", "--rank", "5", "--d", "2"]) == 0
+"""
+
+
 @pytest.mark.parametrize("code", [
     "import dcluster",
     "from dcluster import enumerate_tilting, load_context\n"
     "assert len(enumerate_tilting(load_context('D', 5, 2))) == 2079",
-    _QUERY, _CENSUS], ids=["import", "enumerate", "queries", "census"])
+    _QUERY, _CENSUS, _VERIFY, _EXT_TABLE],
+    ids=["import", "enumerate", "queries", "census", "verify", "ext-table"])
 def test_queries_and_the_census_do_not_load_numpy(code):
-    """numpy is loaded by the module knit and the array edges only: importing
-    the package, enumerating the tilting sets, a complements and a mutate
-    query, and the census of the complex never import it."""
+    """numpy is loaded by the array edges only, which no command calls:
+    importing the package, enumerating the tilting sets, a complements and a
+    mutate query, the census of the complex, verify --all (the module knit
+    included) and ext-table never import it."""
     code += "\nimport sys; print('numpy' in sys.modules)"
     assert _fresh_python(code).splitlines()[-1] == "False"
 
 
-def test_verify_all_loads_numpy_and_passes():
-    """The positive control: verify --all knits the modules, so numpy is
-    loaded, and every check passes."""
-    code = ("import contextlib, io, json, sys\n"
+def test_verify_all_passes_without_numpy():
+    """verify --all runs every check with numpy made unimportable, with the
+    summary lines of a run that could import it."""
+    code = ("import contextlib, io, sys\n"
+            "sys.modules['numpy'] = None\n"
             "from dcluster import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    rc = cli.run(['verify', '--all', '--diagram', 'A', '--rank', '2', "
-            "'--d', '1'])\n"
-            "print(rc, 'numpy' in sys.modules, out.getvalue().splitlines()[-1])")
-    assert _fresh_python(code).strip() == "0 True summary: 17 pass, 0 fail, 7 n/a"
+            "for diagram, rank, d in (('A', 2, 1), ('D', 4, 2)):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        rc = cli.run(['verify', '--all', '--diagram', diagram, '--rank', str(rank), "
+            "'--d', str(d)])\n"
+            "    lines = out.getvalue().splitlines()\n"
+            "    assert not any(' fail ' in line for line in lines), lines\n"
+            "    print(rc, lines[-1])")
+    assert _fresh_python(code).splitlines() == ["0 summary: 17 pass, 0 fail, 7 n/a",
+                                                "0 summary: 22 pass, 0 fail, 2 n/a"]
 
 
 def test_directed_paths():

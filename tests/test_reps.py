@@ -3,12 +3,30 @@ import pytest
 
 from dcluster import linalg, quiver, reps
 from dcluster.orbit import OrbitCategory
-from module_oracle import (coords_from_pmap, ext_basis_coords, ext_class, pmap_from_coords,
-                           vmap_add, vmap_scale)
+from module_oracle import (ArrayKnit, coords_from_pmap, ext_basis_coords, ext_class,
+                           is_morphism, mmul, pmap_from_coords, vmap_add,
+                           vmap_compose, vmap_flatten, vmap_scale, vmap_unflatten,
+                           vmap_zero)
+from module_oracle import Rep as ArrayRep
 
 
 def cat(diagram, rank, p=101, arrows=None):
     return reps.ModuleCategory(quiver.parse_quiver(diagram, rank, arrows), p)
+
+
+def _arr(rows, cols):
+    """A row matrix with `cols` columns as an int64 array."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+
+
+def _arrays(f, src, tgt):
+    """A vmap of rows src -> tgt as a vmap of int64 arrays."""
+    return [_arr(m, s) for m, s in zip(f, src.dims)]
+
+
+def _ints_only(f):
+    """Is every entry of the vmap of rows f a Python int?"""
+    return all(type(x) is int for m in f for row in m for x in row)
 
 
 QUIVERS = [
@@ -121,9 +139,9 @@ def test_hom_bases_are_morphisms(diagram, rank, arrows):
         for r2 in c.roots:
             basis = c.hom_basis(r1, r2)
             for f in basis:
-                assert reps.is_morphism(c.p, c.rep[r1], c.rep[r2], f)
+                assert reps.is_morphism(c.p, c.rep[r1], c.rep[r2], [m.tolist() for m in f])
             if basis:
-                flat = np.stack([reps.vmap_flatten(f) for f in basis], axis=1)
+                flat = np.stack([vmap_flatten(f) for f in basis], axis=1)
                 assert linalg.rank_mod(flat, c.p) == len(basis)
 
 
@@ -144,14 +162,16 @@ def test_presentations_short_exact(diagram, rank, arrows):
         pres = c.pres[r]
         assert reps.is_morphism(p, pres.p1.rep, pres.p0.rep, pres.p_vmap)
         assert reps.is_morphism(p, pres.p0.rep, m, pres.pi)
+        p_vmap = _arrays(pres.p_vmap, pres.p1.rep, pres.p0.rep)
+        pi, sec = _arrays(pres.pi, pres.p0.rep, m), _arrays(pres.sec, m, pres.p0.rep)
         # p injective, pi surjective, im p = ker pi, and pi sec = id
         for v in range(c.q.rank):
-            pv = pres.p_vmap[v]
+            pv = p_vmap[v]
             assert linalg.rank_mod(pv, p) == pres.p1.rep.dims[v]
-            assert linalg.rank_mod(pres.pi[v], p) == m.dims[v]
-            assert not ((pres.pi[v] @ pv) % p).any()
+            assert linalg.rank_mod(pi[v], p) == m.dims[v]
+            assert not ((pi[v] @ pv) % p).any()
             assert pres.p0.rep.dims[v] - pres.p1.rep.dims[v] == m.dims[v]
-            assert np.array_equal((pres.pi[v] @ pres.sec[v]) % p, linalg.eye(m.dims[v]))
+            assert np.array_equal((pi[v] @ sec[v]) % p, linalg.eye(m.dims[v]))
 
 
 @pytest.mark.parametrize("diagram,rank,arrows", QUIVERS)
@@ -163,8 +183,9 @@ def test_copresentations_short_exact(diagram, rank, arrows):
         if r in inj:
             continue
         cop = c.copresentation(r)
-        assert reps.is_morphism(p, m, cop.j0.rep, cop.iota)
-        assert reps.is_morphism(p, cop.j0.rep, cop.j1.rep, cop.delta_vmap)
+        assert reps.is_morphism(p, m, cop.j0.rep, [a.tolist() for a in cop.iota])
+        assert reps.is_morphism(p, cop.j0.rep, cop.j1.rep,
+                                [a.tolist() for a in cop.delta_vmap])
         for v in range(c.q.rank):
             assert linalg.rank_mod(cop.iota[v], p) == m.dims[v]
             assert linalg.rank_mod(cop.delta_vmap[v], p) == cop.j1.rep.dims[v]
@@ -193,7 +214,8 @@ def test_ext_classes_kill_coboundaries():
             len0 = sl0[-1][1] if sl0 else 0
             for _ in range(3):
                 phi = rng.integers(0, c.p, size=len0).astype(np.int64)
-                cob = c.pushforward_coords(pres.p_blocks, pres.p1, pres.p0, n, phi)
+                cob = c.pushforward_coords(_arr(pres.p_blocks, len(pres.p1)),
+                                           pres.p1, pres.p0, n, phi)
                 assert not ext_class(c, r1, r2, cob).any()
             for k, u in enumerate(ext_basis_coords(c, r1, r2)):
                 cls = ext_class(c, r1, r2, u)
@@ -203,22 +225,25 @@ def test_ext_classes_kill_coboundaries():
 
 
 def test_pushforward_matches_vmap_composition():
-    """Block-calculus cross-check: coords(phi . p) computed two ways."""
+    """Block-calculus cross-check: coords(phi . p) computed two ways, by
+    composing maps of the array knit and by the package's pushforward."""
     c = cat("D", 4)
+    k = ArrayKnit(c)
     rng = np.random.default_rng(11)
     for r1 in list(c.roots)[:8]:
-        pres = c.pres[r1]
+        pres = k.pres[r1]
         for r2 in list(c.roots)[:8]:
-            n = c.rep[r2]
+            n = k.rep[r2]
             sl0 = c.coord_slices(pres.p0, n)
             len0 = sl0[-1][1] if sl0 else 0
             coords = rng.integers(0, c.p, size=len0).astype(np.int64)
-            phi = pmap_from_coords(c, pres.p0, n, coords)
-            assert reps.is_morphism(c.p, pres.p0.rep, n, phi)
-            assert np.array_equal(coords_from_pmap(c, pres.p0, n, phi), coords)
-            comp = reps.vmap_compose(c.p, phi, pres.p_vmap)
-            direct = coords_from_pmap(c, pres.p1, n, comp)
-            via_blocks = c.pushforward_coords(pres.p_blocks, pres.p1, pres.p0, n, coords)
+            phi = pmap_from_coords(k, pres.p0, n, coords)
+            assert is_morphism(c.p, pres.p0.rep, n, phi)
+            assert np.array_equal(coords_from_pmap(k, pres.p0, n, phi), coords)
+            comp = vmap_compose(c.p, phi, pres.p_vmap)
+            direct = coords_from_pmap(k, pres.p1, n, comp)
+            via_blocks = c.pushforward_coords(pres.p_blocks, pres.p1, pres.p0, c.rep[r2],
+                                              coords)
             assert np.array_equal(direct, via_blocks)
 
 
@@ -241,13 +266,14 @@ def test_coboundary_matches_the_column_by_column_stack(diagram, rank, seed):
     """The block-built coboundary of every root pair equals the stack of the
     images of the unit cochains, by paths and by pushforward_coords."""
     c = cat(diagram, rank, arrows=_seeded_arrows(diagram, rank, seed))
+    k = ArrayKnit(c)
     for r1 in c.roots:
-        pres = c.pres[r1]
+        pres = k.pres[r1]
         for r2 in c.roots:
             n = c.rep[r2]
             sl0 = c.coord_slices(pres.p0, n)
             unit = linalg.eye(sl0[-1][1] if sl0 else 0)
-            by_paths = [_pushforward_by_paths(c, pres.p_blocks, pres.p1, pres.p0, n, e)
+            by_paths = [_pushforward_by_paths(k, pres.p_blocks, pres.p1, pres.p0, k.rep[r2], e)
                         for e in unit]
             by_coords = [c.pushforward_coords(pres.p_blocks, pres.p1, pres.p0, n, e)
                          for e in unit]
@@ -259,19 +285,21 @@ def test_coboundary_matches_the_column_by_column_stack(diagram, rank, seed):
 
 
 def test_path_matrix_is_the_arrow_product_computed_once():
-    """path_matrix keeps each path action on its module, read-only, and the
-    kept matrix is the product of the arrow matrices along the path."""
+    """path_matrix keeps each path action on its module, as tuples of ints,
+    and the kept matrix is the product of the arrow matrices along the path."""
     c = cat("D", 4, arrows=[(1, 0), (1, 2), (3, 1)])
     for n in c.rep.values():
         for (u, v), arrows in c.paths.items():
             want = linalg.eye(n.dims[u])
             for a in arrows:
-                want = (n.mats[a] @ want) % c.p
+                (s, t) = c.q.arrows[a]
+                want = (_arr(n.mats[a], n.dims[s]) @ want) % c.p
             got = c.path_matrix(n, u, v)
-            assert np.array_equal(got, want)
+            assert np.array_equal(_arr(got, n.dims[u]), want)
             assert c.path_matrix(n, u, v) is got
-            with pytest.raises(ValueError, match="read-only"):
-                got[...] = 0
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                got[0] = 0
 
 
 def test_a_zeroed_coboundary_block_breaks_ext_dim(monkeypatch):
@@ -315,7 +343,7 @@ def test_solve_block_map_lifts_along_envelope():
         # solve X: j0 -> j0 with X iota = iota; identity is a solution
         x = c.solve_block_map(cop.j0, cop.j0, [(None, cop.iota, cop.iota)])
         assert x is not None
-        got = reps.vmap_compose(p, x, cop.iota)
+        got = vmap_compose(p, x, cop.iota)
         assert all(np.array_equal(a, b) for a, b in zip(got, cop.iota))
 
 
@@ -330,7 +358,8 @@ def test_block_generators_are_morphisms_and_a_basis():
         n_hom = len(c.hom_vmaps(src.rep, tgt.rep))
         assert len(gens) == n_hom
         if gens:
-            flat = np.stack([reps.vmap_flatten(g) for _, _, g in gens], axis=1)
+            flat = np.stack([vmap_flatten(_arrays(g, src.rep, tgt.rep)) for _, _, g in gens],
+                            axis=1)
             assert linalg.rank_mod(flat, c.p) == len(gens)
 
 
@@ -390,7 +419,7 @@ def _hom_vmaps_by_kron(c, a, b):
     system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, total)
     ns = linalg.nullspace_mod(system, c.p)
     shapes = [(b.dims[v], a.dims[v]) for v in range(n)]
-    return [reps.vmap_unflatten(ns[:, k], shapes) for k in range(ns.shape[1])]
+    return [vmap_unflatten(ns[:, k], shapes) for k in range(ns.shape[1])]
 
 
 def _seeded_arrows(diagram, rank, seed):
@@ -405,11 +434,13 @@ def _seeded_arrows(diagram, rank, seed):
 @pytest.mark.parametrize("seed", [None, 5])
 @pytest.mark.parametrize("diagram,rank", [("A", 4), ("D", 5), ("E", 6)])
 def test_hom_basis_matches_kron_assembly(diagram, rank, seed):
+    """hom_basis, from the row knit, against np.kron on the array knit."""
     c = cat(diagram, rank, arrows=_seeded_arrows(diagram, rank, seed))
+    k = ArrayKnit(c)
     for r1 in c.roots:
         for r2 in c.roots:
             got = c.hom_basis(r1, r2)
-            want = _hom_vmaps_by_kron(c, c.rep[r1], c.rep[r2])
+            want = _hom_vmaps_by_kron(c, k.rep[r1], k.rep[r2])
             assert len(got) == len(want)
             for f, g in zip(got, want):
                 assert all(u.shape == v.shape and np.array_equal(u, v)
@@ -473,10 +504,11 @@ def test_socle_functionals_match_the_inverse_of_soc_and_complement(diagram, rank
         for m in list(c.rep.values()) + [j.rep for cop in c._knitted[2].values()
                                          for j in (cop.j0, cop.j1)]:
             got = c.socle_functionals(m)
+            m = ArrayRep(m.q, m.dims, m.mats)
             want = _socle_by_inverse(c, m)
             assert [x for x, _ in got] == [x for x, _ in want]
             for (x, lam), (_, row) in zip(got, want):
-                assert lam.dtype == row.dtype and np.array_equal(lam, row)
+                assert all(type(v) is int for v in lam) and lam == row.tolist()
             # and, without the elimination: dual to soc, zero on the complement
             for x in sorted({x for x, _ in got}):
                 lam = np.array([row for y, row in got if y == x])
@@ -484,17 +516,17 @@ def test_socle_functionals_match_the_inverse_of_soc_and_complement(diagram, rank
                 stacked = np.concatenate(outs, axis=0) if outs else linalg.zeros(0, m.dims[x])
                 soc = linalg.nullspace_mod(stacked, c.p)
                 sec = linalg.eye(m.dims[x])[:, _greedy_complement(soc, c.p)]
-                assert np.array_equal(linalg.mmul(c.p, lam, soc), linalg.eye(len(lam)))
-                assert not linalg.mmul(c.p, lam, sec).any()
+                assert np.array_equal(mmul(c.p, lam, soc), linalg.eye(len(lam)))
+                assert not mmul(c.p, lam, sec).any()
 
 
 def _blocks_to_vmap_by_generators(c, src, tgt, blocks):
     """The earlier blocks_to_vmap: the sum of the scaled canonical generators."""
-    f = reps.vmap_zero(src.rep, tgt.rep)
+    f = vmap_zero(src.rep, tgt.rep)
     for i, j, g in c.block_generators(src, tgt):
-        k = int(blocks[j, i]) % c.p
+        k = blocks[j][i] % c.p
         if k:
-            f = vmap_add(c.p, f, vmap_scale(c.p, k, g))
+            f = vmap_add(c.p, f, vmap_scale(c.p, k, _arrays(g, src.rep, tgt.rep)))
     return f
 
 
@@ -509,11 +541,12 @@ def test_blocks_to_vmap_matches_the_sum_of_scaled_generators(diagram, rank, p):
                   for cop in c._knitted[2].values()]
         for src, tgt, blocks in pairs:
             for b in ([] if blocks is None else [blocks]) + \
-                    [rng.integers(-p, 2 * p, size=(len(tgt), len(src)))]:
+                    [rng.integers(-p, 2 * p, size=(len(tgt), len(src))).tolist()]:
                 got = c.blocks_to_vmap(src, tgt, b)
                 want = _blocks_to_vmap_by_generators(c, src, tgt, b)
-                assert all(u.dtype == v.dtype and u.shape == v.shape and np.array_equal(u, v)
-                           for u, v in zip(got, want))
+                assert _ints_only(got)
+                assert all(np.array_equal(u, v) for u, v in
+                           zip(_arrays(got, src.rep, tgt.rep), want))
 
 
 @pytest.mark.parametrize("p", [2, 101])
@@ -522,5 +555,54 @@ def test_knitted_p_blocks_are_the_blocks_of_the_presentation_map(diagram, rank, 
     for c in _pinned_cats(diagram, rank, p):
         for pres in c.pres.values():
             want = c.vmap_to_blocks(pres.p1, pres.p0, pres.p_vmap)
-            assert pres.p_blocks.dtype == want.dtype
-            assert pres.p_blocks.shape == want.shape and np.array_equal(pres.p_blocks, want)
+            assert _ints_only([pres.p_blocks]) and pres.p_blocks == want
+            assert len(want) == len(pres.p0) and all(len(row) == len(pres.p1) for row in want)
+
+
+def _same(rows, ref):
+    """Are the row matrix `rows` and the int64 array `ref` equal entry for
+    entry, shape and Python-int entries included?"""
+    return (ref.dtype == np.int64 and len(rows) == ref.shape[0]
+            and all(type(x) is int for row in rows for x in row) and rows == ref.tolist())
+
+
+def _same_arrays(got, ref):
+    """Are two int64 arrays equal, dtype and shape included?"""
+    return got.dtype == ref.dtype == np.int64 and got.shape == ref.shape \
+        and np.array_equal(got, ref)
+
+
+KNIT_CASES = [(dg, rk, seed, 101) for dg, rk in (("E", 6), ("E", 7), ("E", 8))
+              for seed in (None, 3, 4)] + \
+             [(dg, rk, None, p) for dg, rk in [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5)]
+              for p in (101, 3)]
+
+
+@pytest.mark.parametrize("diagram,rank,seed,p", KNIT_CASES)
+def test_row_knit_equals_the_array_knit(diagram, rank, seed, p):
+    """The knit on rows of Python ints gives, entry for entry, the modules,
+    presentations and copresentations of the knit on int64 arrays that
+    module_oracle keeps as its reference."""
+    c = cat(diagram, rank, p, _seeded_arrows(diagram, rank, seed))
+    ref = ArrayKnit(c)
+    inj = set(c.inj_root)
+    for r in c.roots:
+        m, want = c.rep[r], ref.rep[r]
+        assert m.dims == want.dims == r
+        assert all(_same(a, b) for a, b in zip(m.mats, want.mats))
+        pres, pw = c.pres[r], ref.pres[r]
+        assert (pres.p1.verts, pres.p0.verts) == (pw.p1.verts, pw.p0.verts)
+        assert _same(pres.p_blocks, pw.p_blocks)
+        for got, arrays in ((pres.p_vmap, pw.p_vmap), (pres.pi, pw.pi), (pres.sec, pw.sec)):
+            assert len(got) == len(arrays) and all(map(_same, got, arrays))
+        if r in inj:
+            continue
+        cop, cw = c.copresentation(r), ref.copresentation(r)
+        assert (cop.j0.verts, cop.j1.verts) == (cw.j0.verts, cw.j1.verts)
+        assert _same_arrays(cop.delta_blocks, cw.delta_blocks)
+        for got, arrays in ((cop.delta_vmap, cw.delta_vmap), (cop.iota, cw.iota)):
+            assert len(got) == len(arrays) and all(map(_same_arrays, got, arrays))
+        # the edge converts the knit's own rows
+        rows = c._knitted[2][r]
+        assert _same(rows.delta_blocks, cw.delta_blocks)
+        assert all(map(_same, rows.delta_vmap + rows.iota, cw.delta_vmap + cw.iota))

@@ -302,6 +302,40 @@ def test_cy_duality_reports_the_loop_order_counterexample(entries):
     assert (got["status"] == "pass") is (entries in ([], [(0, 3, 2), (3, 0, 1)]))
 
 
+GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
+
+
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_cy_duality_equals_the_loop_on_the_grid(diagram, rank, d):
+    from dcluster.verify import check_cy_duality
+
+    c = ctx(diagram, rank, d)
+    assert check_cy_duality(c) == _cy_duality_by_loop(c)
+
+
+def test_cy_duality_allocates_no_gather_of_the_table():
+    """On E7 d=2 (n = 133 objects), the check's peak allocation is far below
+    one n x n x (d+2) list of references: it reads the Hom table in place,
+    two lists of n cells at a time."""
+    import tracemalloc
+
+    from dcluster.verify import check_cy_duality
+
+    c = load_context("E", 7, 2)
+    oc = c.oc
+    oc.hom_table, oc.shifts, oc.objects()
+    n = len(oc.objects())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = check_cy_duality(c)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got == {"status": "pass", "instances": n * n * (oc.d + 2)}
+    assert peak < 8 * n * n, (peak, n)
+
+
 def _add_to_ext(oc, x, y, k):
     """Add 1 to Ext^k(X_x, X_y) = Hom(X_x, X_y[k]) and to each of its shifted
     copies Hom(X_x[l], X_y[k + l]), so that the Hom table stays invariant
