@@ -414,7 +414,7 @@ def cmd_fans(args) -> int:
         raise UsageError("--json needs --verify-all")
     ctx = _context(args, facets=True)
     oc, objs = ctx.oc, ctx.objects
-    print("%d almost complete sets" % len(mut.almost_completes(ctx)))
+    print("%d almost complete sets" % len(mut.face_table(ctx)))
     if args.list:
         for mask, fan in mut.fans(ctx):
             print("{%s}: %s" % (", ".join(oc.obj_name(x) for x in ctx.objs_of(mask)),

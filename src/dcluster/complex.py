@@ -19,19 +19,22 @@ once per complex (the exports reuse that count), and its last level is
 counted by popcount: a face one short of a facet extends to as many facets
 as it has common neighbours above its largest member.  The codimension-1
 faces are the facet masks with one bit cleared, grouped once per context
-with the facets containing them; their statistics come from the complement
-fans, computed on the same masks, and each fan must consist of exactly the
+with the facets containing them into the flat arrays of the face table
+(mutation.face_table); their statistics come from the complement fans,
+computed on the same masks, and each fan must consist of exactly the
 summands that complete the face in the enumerated facets.  A fan depends
 only on the face's common neighbours, and many faces share one (33176 faces
-and 3107 fans on E6 d=2), so each fan is walked once (mutation._fan), and
-its member mask and color verdict are computed once per facet_stats.
+and 3107 fans on E6 d=2), so each fan is walked once, the table holds each
+face's fan as an index among the distinct fans, and a fan's member mask
+and color verdict are computed once per facet_stats.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Sequence, Tuple
 
-from .mutation import _fan, codim1_faces, facet_adjacency, group_by_face
+from .mutation import face_table, facet_adjacency, group_by_face
 from .orbit import Obj, OrbitCategory
 from .tilting import TiltingContext, _bits, enumerate_tilting, facet_masks
 
@@ -143,24 +146,22 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
     oc = ctx.oc
     masks = facet_masks(ctx)
     pure = all(mask.bit_count() == ctx.n for mask in masks)
-    faces = codim1_faces(ctx)
+    table = face_table(ctx)
+    members, cycles = table.members, table.cycles
     colors = [oc.color(x) for x in ctx.objects]
     all_colors = set(range(1, oc.d + 1))
     # many faces share a fan: its member mask and color verdict, once each
-    per_fan: Dict[Tuple[int, ...], Tuple[int, bool]] = {}
+    per_fan = [(sum(1 << i for i in fan), {colors[i] for i in fan} == all_colors)
+               for fan in cycles]
     incidence: Dict[int, int] = {}
     colors_ok = True
-    for almost, members in faces.items():
-        fan = _fan(ctx, almost)
-        got = per_fan.get(fan)
-        if got is None:
-            got = per_fan[fan] = (sum(1 << i for i in fan),
-                                  {colors[i] for i in fan} == all_colors)
-        in_fan, covered = got
+    for almost, fid, lo, hi in zip(table.masks(), table.fan_ids, table.starts,
+                                   islice(table.starts, 1, None)):
+        in_fan, covered = per_fan[fid]
         # the fan's members must be exactly the summands completing the
         # face in the enumerated facets, each of which contains the face
         found = 0
-        for k in members:
+        for k in members[lo:hi]:
             found |= masks[k]
         found ^= almost
         if found != in_fan:
@@ -168,14 +169,15 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
                                "facets, but its fan is %s" % (
                                    ", ".join(oc.obj_name(x) for x in ctx.objs_of(almost)),
                                    [oc.obj_name(x) for x in ctx.objs_of(found)],
-                                   [oc.obj_name(ctx.objects[i]) for i in fan]))
-        incidence[len(fan)] = incidence.get(len(fan), 0) + 1
+                                   [oc.obj_name(ctx.objects[i]) for i in cycles[fid]]))
+        size = len(cycles[fid])
+        incidence[size] = incidence.get(size, 0) + 1
         if not covered:
             colors_ok = False
     return {
         "facets": len(masks),
         "pure": pure,
-        "codim1_faces": len(faces),
+        "codim1_faces": len(table),
         "codim1_incidence": incidence,
         "codim1_in_d_plus_1": list(incidence) == [oc.d + 1],
         "colors_ok": colors_ok,

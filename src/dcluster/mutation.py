@@ -42,7 +42,22 @@ The complements of a set, and so its fan, depend only on the set's common
 neighbours, and far fewer distinct sets of those occur than faces (3107
 among the 33176 faces of E6 d=2, 1050 among the 14560 of E7 d=1), so a fan
 is filtered and walked once per common-neighbour mask and only looked up
-for every further face.
+for every further face.  A query on one face (complements, fan_of,
+triangles_of, mutate) does just that and keeps nothing per face.
+
+The checks over every face read one face table per context (FaceTable,
+face_table): the facet masks grouped once by group_by_face and compacted
+into flat arrays of unsigned ints, with no Python object per face.  Per
+face it holds the positions of the facets containing it, the summand that
+its first facet drops, and its fan as an id among the distinct cycles.
+almost_completes and fans read the faces in the order of their tuples of
+object indices, a sort permutation computed when a check first asks for
+it.  Each Ext^1(X_i, X_{i+1}) along a fan is one-dimensional, so each
+triangle along it is unique up to isomorphism and its middle terms depend
+only on the fan: they are kept once per fan id.  Every face still gets its
+own right and left approximations, their agreement and their cover
+verdicts, once per context (witnessed_fans), and its middle terms must
+equal those kept for its fan.
 
 A whole minimal approximation of X, its generators and its factorization
 verdict, depends only on the side, on X and on the mask of the summands with
@@ -66,16 +81,19 @@ Ext-dimension pattern with its nonvanishing composites of connecting
 classes ("exchange team"), degree bounds and the two-piece degree profile,
 disjointness of middle-term supports, one-directional Hom between summands
 (read from the nonzero-Hom bit rows), and the mutation graph on facets,
-whose counts are read from the face groups without building a neighbour
+whose counts are read from the face table without building a neighbour
 set.  A law of the fan alone runs once per distinct cycle, through the one
 verdict memo of fan_law; the exchange-team search reads the composites there.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import reduce
+from itertools import accumulate, chain, islice
 from operator import mul, or_
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import linalg
 from .orbit import Obj
@@ -139,17 +157,19 @@ def _fan_cycle(ctx: TiltingContext, comps: int) -> Tuple[int, ...]:
 
 
 def _fan(ctx: TiltingContext, mask: int) -> Tuple[int, ...]:
-    """The fan of the almost complete set `mask` as object indices (cached),
-    filtered and ordered once per common-neighbour mask; nothing is cached
-    when that raises."""
-    fan = ctx._fans.get(mask)
+    """The fan of the almost complete set `mask` as object indices, through
+    the memo of cycles by common-neighbour mask."""
+    return _cycle_of(ctx, _common_mask(ctx, mask))
+
+
+def _cycle_of(ctx: TiltingContext, common: int) -> Tuple[int, ...]:
+    """The fan of any set with the common neighbours `common` (cached),
+    filtered and ordered once per context; nothing is cached when that
+    raises."""
+    cycles = ctx._cycles
+    fan = cycles.get(common)
     if fan is None:
-        common = _common_mask(ctx, mask)
-        cycles = ctx._cycles
-        fan = cycles.get(common)
-        if fan is None:
-            fan = cycles[common] = _fan_cycle(ctx, _complements_among(ctx, common))
-        ctx._fans[mask] = fan
+        fan = cycles[common] = _fan_cycle(ctx, _complements_among(ctx, common))
     return fan
 
 
@@ -207,26 +227,143 @@ def group_by_face(masks: Sequence[int]) -> Dict[int, List[int]]:
     return faces
 
 
-def codim1_faces(ctx: TiltingContext) -> Dict[int, List[int]]:
-    """group_by_face over the facets of the context (cached)."""
-    if ctx._faces is None:
-        ctx._faces = group_by_face(facet_masks(ctx))
-    return ctx._faces
+class FaceTable:
+    """The codimension-1 faces of a context's facets, in flat arrays.
+
+    Faces are numbered in the first-seen order of group_by_face over the
+    facet masks.  Face f lies in the facets at the positions members[k] for
+    starts[f] <= k < starts[f + 1]; its mask is the first of those facets
+    without the summand drops[f], and its fan is cycles[fan_ids[f]], so the
+    table keeps no Python object per face.  order (sorted on first use)
+    lists the faces in almost_completes order.  middles[k] holds the middle
+    terms along cycles[k], kept from the first face with that fan whose own
+    triangles witnessed_fans checked; the first `witnessed` faces in order
+    are checked.
+    """
+
+    def __init__(self, facets: List[int], width: int, starts: array, members: array,
+                 drops: array, fan_ids: array, cycles: List[Tuple[int, ...]]):
+        self.facets = facets
+        self.width = width
+        self.starts = starts
+        self.members = members
+        self.drops = drops
+        self.fan_ids = fan_ids
+        self.cycles = cycles
+        self.middles: List[Optional[Tuple[Middle, ...]]] = [None] * len(cycles)
+        self.witnessed = 0
+        self._order = None
+
+    def __len__(self) -> int:
+        return len(self.drops)
+
+    def masks(self, faces: Optional[Iterable[int]] = None) -> Iterator[int]:
+        """The masks of the faces numbered `faces`, by default of every face
+        in first-seen order."""
+        facets, members, starts, drops = self.facets, self.members, self.starts, self.drops
+        for f in range(len(drops)) if faces is None else faces:
+            yield facets[members[starts[f]]] ^ 1 << drops[f]
+
+    def order(self) -> array:
+        """The face numbers sorted by their tuples of object indices (cached).
+
+        Two faces of one size differ first at the least summand that only
+        one of them has, and that one comes first; reversing the bits of
+        each mask makes that summand the most significant difference, so the
+        faces sort by their reversed masks, largest first.  Each sort key
+        carries its face number in its low bits."""
+        if self._order is None:
+            fmt = "0%db" % self.width
+            shift = len(self).bit_length()
+            keys = sorted((int(format(mask, fmt)[::-1], 2) << shift | f
+                           for f, mask in enumerate(self.masks())), reverse=True)
+            low = (1 << shift) - 1
+            self._order = array("I", [key & low for key in keys])
+        return self._order
+
+    def sorted_mask(self, pos: int) -> int:
+        """The mask of the pos-th face in almost_completes order."""
+        return next(self.masks((self.order()[pos],)))
+
+    def sorted_fan_ids(self) -> Iterator[int]:
+        """The fan id of each face, in almost_completes order."""
+        return map(self.fan_ids.__getitem__, self.order())
+
+
+def face_table(ctx: TiltingContext) -> FaceTable:
+    """The face table of group_by_face over the facets of the context
+    (cached).  A face's fan is looked up by its common neighbours, and each
+    distinct cycle gets the next id; nothing is kept when a fan walk raises."""
+    if ctx._face_table is None:
+        facets = facet_masks(ctx)
+        groups = group_by_face(facets)
+        faces = list(groups)
+        starts = array("I", accumulate(map(len, groups.values()), initial=0))
+        members = array("I", chain.from_iterable(groups.values()))
+        # the per-face lists go before the fans are walked, which keeps the
+        # peak of the build at that of the grouping
+        del groups
+        by_common: Dict[int, int] = {}
+        by_cycle: Dict[Tuple[int, ...], int] = {}
+        drops, fan_ids = array("I"), array("I")
+        # the compatibility rows, each with its own bit
+        rows = [row | 1 << i for i, row in enumerate(ctx.adjacency())]
+        full = (1 << len(ctx.objects)) - 1
+        for face, start in zip(faces, starts):
+            drops.append((facets[members[start]] ^ face).bit_length() - 1)
+            # the common neighbours, as tilting._closure finds them, inline
+            # since this runs once per face; a face of a facet is rigid
+            near, rest = full, face
+            while rest:
+                low = rest & -rest
+                near &= rows[low.bit_length() - 1]
+                rest ^= low
+            common = near & ~face
+            fid = by_common.get(common)
+            if fid is None:
+                fid = by_common[common] = by_cycle.setdefault(_cycle_of(ctx, common),
+                                                              len(by_cycle))
+            fan_ids.append(fid)
+        ctx._face_table = FaceTable(facets, len(ctx.objects), starts, members, drops,
+                                    fan_ids, list(by_cycle))
+    return ctx._face_table
 
 
 def almost_completes(ctx: TiltingContext) -> List[int]:
     """The mask of every facet minus one summand, deduplicated, sorted by
-    their tuples of object indices (cached)."""
-    if ctx._almost is None:
-        ctx._almost = sorted(codim1_faces(ctx), key=lambda mask: tuple(_bits(mask)))
-    return ctx._almost
+    their tuples of object indices."""
+    table = face_table(ctx)
+    return list(table.masks(table.order()))
 
 
-def fans(ctx: TiltingContext) -> List[Tuple[int, Tuple[int, ...]]]:
-    """The (face mask, fan as object indices) pairs, in almost_completes order (cached)."""
-    if ctx._fan_pairs is None:
-        ctx._fan_pairs = [(mask, _fan(ctx, mask)) for mask in almost_completes(ctx)]
-    return ctx._fan_pairs
+def fans(ctx: TiltingContext) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """The (face mask, fan as object indices) pairs, in almost_completes order."""
+    table = face_table(ctx)
+    return zip(table.masks(table.order()), map(table.cycles.__getitem__, table.sorted_fan_ids()))
+
+
+def witnessed_fans(ctx: TiltingContext) -> Iterator[int]:
+    """The fan id of each face in almost_completes order, yielded after the
+    face's own triangles were checked (_face_triangles) and found equal to
+    the middle terms kept for its fan; a RuntimeError is raised otherwise.
+
+    Each face is checked once per context: a later walk resumes after the
+    faces an earlier one reached, so a check that fails early leaves the
+    rest to the next."""
+    table = face_table(ctx)
+    cycles, middles, objs = table.cycles, table.middles, ctx.objects
+    for pos, (mask, fid) in enumerate(zip(table.masks(table.order()), table.sorted_fan_ids())):
+        if pos == table.witnessed:
+            got = _face_triangles(ctx, mask, cycles[fid])
+            kept = middles[fid]
+            if kept is None:
+                middles[fid] = got
+            elif kept != got:
+                raise RuntimeError("middle terms of the triangles of %r differ from "
+                                   "those of another face with the fan %r"
+                                   % (ctx.objs_of(mask), tuple(objs[i] for i in cycles[fid])))
+            table.witnessed = pos + 1
+        yield fid
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +581,15 @@ def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, o
     m = len(fan)
     return [{"target": objs[i], "source": objs[fan[(k + 1) % m]],
              "mults": {objs[j]: n for j, n in mids}}
-            for k, (i, mids) in enumerate(zip(fan, _face_triangles(ctx, mask)))]
+            for k, (i, mids) in enumerate(zip(fan, _face_triangles(ctx, mask, fan)))]
 
 
-def _face_triangles(ctx: TiltingContext, mask: int) -> Tuple[Middle, ...]:
+def _face_triangles(ctx: TiltingContext, mask: int, cycle: Tuple[int, ...]
+                    ) -> Tuple[Middle, ...]:
     """The middle terms of the triangles X_{i+1} -> middle -> X_i from
-    add(`mask`) along the fan of `mask`, each checked as triangles_of
-    describes (cached); they are the approximations' shared tuples."""
-    cache = ctx._triangles
-    got = cache.get(mask)
-    if got is not None:
-        return got
-    cycle = _fan(ctx, mask)
+    add(`mask`) along its fan `cycle`, each checked as triangles_of
+    describes, from the face's own approximations; they are the
+    approximations' shared tuples."""
     _check_end_fields(ctx, mask)
     out, into = ctx.hom_masks()
     objs = ctx.objects
@@ -477,13 +611,18 @@ def _face_triangles(ctx: TiltingContext, mask: int) -> Tuple[Middle, ...]:
             raise RuntimeError("left approximation of %r does not cover all maps"
                                % (objs[nxt],))
         middles.append(rm)
-    got = cache[mask] = tuple(middles)
-    return got
+    return tuple(middles)
+
+
+def supports_of(middles: Sequence[Middle]) -> List[int]:
+    """The summand masks of the middle terms `middles`."""
+    return [sum(1 << j for j, _ in mids) for mids in middles]
 
 
 def middle_supports(ctx: TiltingContext, mask: int) -> List[int]:
-    """The summand masks of the middle terms along the fan of `mask`."""
-    return [sum(1 << j for j, _ in mids) for mids in _face_triangles(ctx, mask)]
+    """The summand masks of the middle terms along the fan of `mask`, from
+    the face's own approximations."""
+    return supports_of(_face_triangles(ctx, mask, _fan(ctx, mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +823,7 @@ def facet_adjacency(faces: Dict[int, List[int]], count: int) -> List[set]:
 def mutation_graph(ctx: TiltingContext) -> Tuple[List[Tuple[Obj, ...]], List[set]]:
     """Facets and their adjacency (facets sharing all but one summand)."""
     facets = enumerate_tilting(ctx)
-    return facets, facet_adjacency(codim1_faces(ctx), len(facets))
+    return facets, facet_adjacency(group_by_face(facet_masks(ctx)), len(facets))
 
 
 def mutation_graph_checks(ctx: TiltingContext) -> Dict[str, object]:
@@ -696,19 +835,22 @@ def mutation_graph_checks(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def _graph_checks(ctx: TiltingContext) -> Dict[str, object]:
-    """The counts read from the face groups, with no neighbour set built.
+    """The counts read from the face table, with no neighbour set built.
 
     Two distinct facets share at most one codimension-1 face, so a facet's
     degree is the sum over its face groups of (members - 1), and two facets
     are connected exactly when a chain of face groups joins them: each group
     merges its members' components in a union-find forest."""
-    count = len(facet_masks(ctx))
+    table = face_table(ctx)
+    members = table.members
+    count = len(table.facets)
     degree = [0] * count
     parent = list(range(count))
-    for members in codim1_faces(ctx).values():
-        others = len(members) - 1
+    lo = 0
+    for hi in islice(table.starts, 1, None):
+        others = hi - lo - 1
         top = -1
-        for a in members:
+        for a in members[lo:hi]:
             degree[a] += others
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
@@ -716,6 +858,7 @@ def _graph_checks(ctx: TiltingContext) -> Dict[str, object]:
                 top = a
             else:
                 parent[a] = top
+        lo = hi
     want = ctx.n * ctx.oc.d
     roots = sum(1 for a, up in enumerate(parent) if a == up)
     return {"vertices": count, "edges": sum(degree) // 2, "degree": want,

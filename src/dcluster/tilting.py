@@ -38,21 +38,20 @@ class TiltingContext:
         self._hom_masks = None
         self._ext1_rows = None
         # results shared by several checks: _facet_masks holds the tilting
-        # sets (named in _tilting for enumerate_tilting only), _faces maps each
-        # almost complete mask to the positions in _facet_masks of the facets
-        # containing it, _almost lists those masks and _fan_pairs their fans.
+        # sets (named in _tilting for enumerate_tilting only), and
+        # _face_table the codimension-1 faces (mutation.FaceTable): for each
+        # face, in flat arrays, the positions in _facet_masks of the facets
+        # containing it and its fan's index among the distinct fans, whose
+        # middle terms it keeps once per fan.
         self._facet_masks = None
         self._tilting = None
-        self._faces = None
-        self._almost = None
-        self._fan_pairs = None
+        self._face_table = None
         self._facet_stats = None
         self._graph_checks = None
         # memos of the mutation module, which hold object indices and
-        # bitmasks, never objects.  _fans and _triangles map an almost
-        # complete mask to its fan and to the middle terms of its triangles,
-        # each a tuple of (index, multiplicity); the fan depends only on the
-        # common neighbours of the set, and _cycles maps their mask to it.
+        # bitmasks, never objects, and nothing per face.  A face's fan
+        # depends only on the common neighbours of the set, and _cycles maps
+        # their mask to it, a tuple of indices.
         # _composites maps an index triple (a, mid, b) to the structure
         # constants of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis
         # coordinates, as rows of ints (OrbitCategory.compose_tensor).
@@ -70,14 +69,12 @@ class TiltingContext:
         # _fan_laws maps (law, cycle) to a fan-only law's verdict on a cycle of
         # object indices (mutation.fan_law), and _end_defects masks the
         # objects whose End is not one-dimensional.
-        self._fans = {}
         self._cycles = {}
         self._composites = {}
         self._approximations = {}
         self._shared_tuples = {}
         self._radical_tops = {}
         self._covers = {}
-        self._triangles = {}
         self._fan_laws = {}
         self._end_defects = None
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -153,12 +154,13 @@ def check_rigidity_equivalence(ctx: TiltingContext) -> Dict[str, object]:
 
 def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
     # each greedy completion must be complete rigid: n summands
-    starts = [1 << i for i in range(len(ctx.objects))] + mut.almost_completes(ctx)
+    table = mut.face_table(ctx)
+    starts = chain((1 << i for i in range(len(ctx.objects))), table.masks(table.order()))
     for count, start in enumerate(starts, 1):
         size = complete_mask(ctx, start).bit_count()
         if size != ctx.n:
             return _fail(count, {"start": _names(ctx, _bits(start)), "size": size})
-    return _pass(len(starts))
+    return _pass(len(ctx.objects) + len(table))
 
 
 def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:
@@ -172,61 +174,88 @@ def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:
     return _pass(count, complements_each=d + 1)
 
 
-def _each_fan(ctx: TiltingContext, holds: Callable[[int, Tuple[int, ...]], bool],
-              name: str) -> Dict[str, object]:
-    """Pass if holds(face mask, fan) for every fan, one instance each; else
-    fail at the first fan that breaks it, naming its face ("almost") or its
-    fan ("fan")."""
+def _each_fan(ctx: TiltingContext, holds: Callable[[int], bool], name: str,
+              fan_ids: Optional[Iterator[int]] = None) -> Dict[str, object]:
+    """Pass if holds(fan id) for the fan of every face, one instance per
+    face, with one verdict per fan id; else fail at the first face whose fan
+    breaks it, naming the face ("almost") or its fan ("fan").  `fan_ids`
+    yields the faces' fan ids, by default the face table's in
+    almost_completes order."""
+    table = mut.face_table(ctx)
+    verdicts: List[Optional[bool]] = [None] * len(table.cycles)
     count = 0
-    for mask, fan in mut.fans(ctx):
+    for fid in table.sorted_fan_ids() if fan_ids is None else fan_ids:
         count += 1
-        if not holds(mask, fan):
-            named = _bits(mask) if name == "almost" else fan
+        ok = verdicts[fid]
+        if ok is None:
+            ok = verdicts[fid] = holds(fid)
+        if not ok:
+            named = _bits(table.sorted_mask(count - 1)) if name == "almost" else table.cycles[fid]
             return _fail(count, {name: _names(ctx, named)})
     return _pass(count)
 
 
+def _each_fan_law(ctx: TiltingContext, law: Callable, name: str) -> Dict[str, object]:
+    """_each_fan of a law of the fan alone, through mut.fan_law."""
+    cycles = mut.face_table(ctx).cycles
+    return _each_fan(ctx, lambda fid: mut.fan_law(ctx, law, cycles[fid]), name)
+
+
+def _each_fan_middles(ctx: TiltingContext, holds: Callable[[Tuple[int, ...], List[int]], bool]
+                      ) -> Dict[str, object]:
+    """_each_fan of holds(fan, middle supports), over the faces as
+    mut.witnessed_fans checks their own triangles against their fan's."""
+    table = mut.face_table(ctx)
+    return _each_fan(ctx, lambda fid: holds(table.cycles[fid],
+                                            mut.supports_of(table.middles[fid])),
+                     "almost", mut.witnessed_fans(ctx))
+
+
 def check_fan_ext_pattern(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan(ctx, lambda _, fan: mut.fan_law(ctx, mut.ext_pattern_ok, fan), "fan")
+    return _each_fan_law(ctx, mut.ext_pattern_ok, "fan")
 
 
 def check_delta_composites(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan(ctx, lambda _, fan: mut.fan_law(ctx, mut.delta_chains_nonzero, fan),
-                     "fan")
+    return _each_fan_law(ctx, mut.delta_chains_nonzero, "fan")
 
 
 def check_middle_rigid(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan(ctx, lambda mask, fan: mut.middle_union_rigid(
-        ctx, fan, mut.middle_supports(ctx, mask)), "almost")
+    return _each_fan_middles(ctx, lambda fan, supports: mut.middle_union_rigid(
+        ctx, fan, supports))
 
 
 def check_successor_hom(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan(ctx, lambda _, fan: mut.fan_law(ctx, mut.successor_hom_vanishing, fan),
-                     "almost")
+    return _each_fan_law(ctx, mut.successor_hom_vanishing, "almost")
 
 
 def check_middles_disjoint(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan(ctx, lambda mask, _: mut.middle_supports_disjoint(
-        mut.middle_supports(ctx, mask)), "almost")
+    return _each_fan_middles(ctx, lambda _, supports: mut.middle_supports_disjoint(supports))
 
 
 def _degree_rotations(ctx: TiltingContext,
                       law: Callable[[TiltingContext, Tuple[int, ...]], Tuple[int, int]],
                       **detail) -> Dict[str, object]:
-    """Pass with the sum over the fans of mut.fan_law(ctx, law, fan) =
-    (rotations, violations); else fail at the first fan with a violation."""
+    """Pass with the sum over the faces of mut.fan_law(ctx, law, fan) =
+    (rotations, violations), read once per fan id; else fail at the first
+    face whose fan has a violation."""
+    table = mut.face_table(ctx)
+    cycles = table.cycles
+    got: List[Optional[Tuple[int, int]]] = [None] * len(cycles)
     total = 0
-    for mask, fan in mut.fans(ctx):
-        inst, viol = mut.fan_law(ctx, law, fan)
+    for pos, fid in enumerate(table.sorted_fan_ids()):
+        res = got[fid]
+        if res is None:
+            res = got[fid] = mut.fan_law(ctx, law, cycles[fid])
+        inst, viol = res
         total += inst
         if viol:
-            return _fail(total, {"almost": _names(ctx, _bits(mask)),
-                                 "degrees": list(mut.fan_degrees(ctx, fan))})
+            return _fail(total, {"almost": _names(ctx, _bits(table.sorted_mask(pos))),
+                                 "degrees": list(mut.fan_degrees(ctx, cycles[fid]))})
     return _pass(total, **detail)
 
 
 def check_complement_degrees(ctx: TiltingContext) -> Dict[str, object]:
-    return _degree_rotations(ctx, mut.degree_bounds_instances, fans=len(mut.fans(ctx)))
+    return _degree_rotations(ctx, mut.degree_bounds_instances, fans=len(mut.face_table(ctx)))
 
 
 def check_degree_profile(ctx: TiltingContext) -> Dict[str, object]:
@@ -235,7 +264,7 @@ def check_degree_profile(ctx: TiltingContext) -> Dict[str, object]:
 
 def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:
     d = ctx.oc.d
-    fans = {mut.cyclic_form(fan) for _, fan in mut.fans(ctx)}
+    fans = {mut.cyclic_form(fan) for fan in mut.face_table(ctx).cycles}
     # instances: the cyclic (d+1)-tuples of distinct objects
     candidates = math.perm(len(ctx.objects), d + 1) // (d + 1)
     teams = set(mut.exchange_teams_exhaustive(ctx))

@@ -246,16 +246,16 @@ def test_mutation_graph_counts_its_edges(monkeypatch, tmp_path, capsys):
     degree, so a graph that is not regular reports the edges it has."""
     from dcluster import mutation
 
-    grouping = mutation.codim1_faces
+    grouping = mutation.group_by_face
 
-    def drop_one_edge(ctx):
+    def drop_one_edge(masks):
         # facet b leaves the face group it shares with facet 0
-        faces = {face: list(members) for face, members in grouping(ctx).items()}
+        faces = grouping(masks)
         shared = next(members for members in faces.values() if 0 in members)
         shared.remove(max(shared))
         return faces
 
-    monkeypatch.setattr(mutation, "codim1_faces", drop_one_edge)
+    monkeypatch.setattr(mutation, "group_by_face", drop_one_edge)
     outp = tmp_path / "g.json"
     assert run(["mutation-graph", "--out", str(outp)] + A2D1) == 1
     captured = capsys.readouterr()

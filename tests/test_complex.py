@@ -11,7 +11,7 @@ from dcluster.complex import (ClusterComplex, build_complex, colored_roots,
                               facet_stats, gamma, gamma_is_bijection, to_dot,
                               to_json)
 from dcluster import tilting
-from dcluster.mutation import (codim1_faces, fan_of, group_by_face, mutation_graph,
+from dcluster.mutation import (face_table, fan_of, group_by_face, mutation_graph,
                                mutation_graph_checks)
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
@@ -274,7 +274,7 @@ def test_colors_verdict_follows_each_fan(diagram, rank, d, monkeypatch):
         monkeypatch.setattr(oc, "color", lambda x: color(x) % d + 1 if x == moved else color(x))
         c = TiltingContext(oc)
         want = all({oc.color(x) for x in fan_of(c, c.objs_of(mask))} == set(range(1, d + 1))
-                   for mask in codim1_faces(c))
+                   for mask in face_table(c).masks())
         assert facet_stats(build_complex(TiltingContext(oc)))["colors_ok"] is want
         verdicts.add(want)
     assert verdicts == {False, True}

@@ -1,0 +1,239 @@
+"""The face table: codimension-1 faces in flat arrays, fans by id, middle
+terms kept per fan (mutation.FaceTable)."""
+
+from __future__ import annotations
+
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dcluster import complex as cpxmod
+from dcluster import mutation as mut
+from dcluster.cli import run
+from dcluster.orbit import OrbitCategory
+from dcluster.quiver import dynkin_edges, parse_quiver
+from dcluster.reps import ModuleCategory
+from dcluster.tilting import TiltingContext, _bits, complete_mask, facet_masks
+from dcluster.verify import check_rigid_extends, run_checks
+
+GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
+LAW_CONFIGS = GRID + [("E", 6, 1), ("A", 1, 3)]
+SEEDS = [None, 3, 11]
+
+_orbits = {}
+
+
+def _arrows(diagram, rank, seed):
+    """seed None keeps the default orientation; otherwise one coin per edge."""
+    if seed is None:
+        return None
+    rng = np.random.default_rng(seed)
+    return [(s, t) if rng.random() < 0.5 else (t, s) for s, t in dynkin_edges(diagram, rank)]
+
+
+def _ctx(diagram, rank, d, seed=None):
+    """A context with empty memos over an orbit category shared per configuration."""
+    key = (diagram, rank, d, seed)
+    if key not in _orbits:
+        q = parse_quiver(diagram, rank, _arrows(diagram, rank, seed))
+        _orbits[key] = OrbitCategory(ModuleCategory(q), d)
+    return TiltingContext(_orbits[key])
+
+
+def _members(table, f):
+    return list(table.members[table.starts[f]:table.starts[f + 1]])
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_face_table_matches_group_by_face(diagram, rank, d, seed):
+    """Per face, in first-seen order: the mask and the facet positions of
+    group_by_face, and the offsets walk the flat array without a gap."""
+    c = _ctx(diagram, rank, d, seed)
+    groups = mut.group_by_face(facet_masks(c))
+    table = mut.face_table(c)
+    assert len(table) == len(groups)
+    assert list(table.masks()) == list(groups)
+    assert [_members(table, f) for f in range(len(table))] == list(groups.values())
+    assert table.starts[0] == 0 and table.starts[-1] == len(table.members)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("diagram,rank,d", GRID + [("E", 6, 1)])
+def test_sort_order_is_the_tuple_order(diagram, rank, d, seed):
+    c = _ctx(diagram, rank, d, seed)
+    want = sorted(mut.group_by_face(facet_masks(c)), key=lambda mask: tuple(_bits(mask)))
+    assert mut.almost_completes(c) == want
+    table = mut.face_table(c)
+    assert sorted(table.order()) == list(range(len(table)))
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_each_face_has_the_fan_of_its_mask(diagram, rank, d, seed):
+    c = _ctx(diagram, rank, d, seed)
+    table = mut.face_table(c)
+    fresh = TiltingContext(c.oc)
+    for mask, fid in zip(table.masks(), table.fan_ids):
+        assert table.cycles[fid] == mut._fan(fresh, mask)
+    # one id per distinct cycle, each used
+    assert len(set(table.cycles)) == len(table.cycles) == len(set(table.fan_ids))
+    assert list(mut.fans(c)) == [(mask, mut._fan(fresh, mask))
+                                 for mask in mut.almost_completes(fresh)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("diagram,rank,d", LAW_CONFIGS)
+def test_faces_with_one_fan_have_equal_middle_terms(diagram, rank, d, seed):
+    """The law the per-fan middles rest on: each face's middle terms, from
+    its own right and left approximations, depend only on its fan (each
+    Ext^1 along a fan is one-dimensional, so each triangle is unique)."""
+    c = _ctx(diagram, rank, d, seed)
+    table = mut.face_table(c)
+    by_fan = {}
+    for mask, fid in zip(table.masks(), table.fan_ids):
+        got = mut._face_triangles(c, mask, table.cycles[fid])
+        assert by_fan.setdefault(fid, got) == got, c.objs_of(mask)
+    assert len(by_fan) == len(table.cycles) <= len(table)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_kept_middles_are_each_faces_own(diagram, rank, d, seed):
+    """After the per-face pass, the middles kept for a fan id are those of
+    every face with that fan, computed afresh in another context."""
+    c = _ctx(diagram, rank, d, seed)
+    assert len(list(mut.witnessed_fans(c))) == len(mut.face_table(c))
+    table = c._face_table
+    fresh = TiltingContext(c.oc)
+    for mask in table.masks():
+        cycle = mut._fan(fresh, mask)
+        assert table.middles[table.cycles.index(cycle)] == \
+            mut._face_triangles(fresh, mask, cycle), c.objs_of(mask)
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 3, 3)])
+def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
+    """The per-face witness is not skipped for a fan that already has
+    middles: each face asks for its own right and left approximations."""
+    c = _ctx(diagram, rank, d)
+    table = mut.face_table(c)
+    calls = []
+    approximation = mut._approximation
+    monkeypatch.setattr(mut, "_approximation",
+                        lambda *key: calls.append(key) or approximation(c, *key[1:]))
+    list(mut.witnessed_fans(c))
+    out, into = c.hom_masks()
+    want = []
+    for mask, fid in zip(table.masks(table.order()), table.sorted_fan_ids()):
+        cycle = table.cycles[fid]
+        for k, i in enumerate(cycle):
+            nxt = cycle[(k + 1) % len(cycle)]
+            want += [(c, True, i, mask & into[i]), (c, False, nxt, mask & out[nxt])]
+    assert calls == want
+    # the pass runs once per context
+    list(mut.witnessed_fans(c))
+    assert len(calls) == len(want)
+
+
+def _break_one_face(monkeypatch, c):
+    """Make _face_triangles answer differently on the second face of some fan."""
+    table = mut.face_table(c)
+    seen, target = set(), None
+    for mask, fid in zip(table.masks(table.order()), table.sorted_fan_ids()):
+        if fid in seen:
+            target = mask
+            break
+        seen.add(fid)
+    triangles = mut._face_triangles
+
+    def broken(ctx, mask, cycle):
+        got = triangles(ctx, mask, cycle)
+        return got[1:] + got[:1] if mask == target else got
+
+    monkeypatch.setattr(mut, "_face_triangles", broken)
+    return target
+
+
+def test_a_face_disagreeing_with_its_fan_raises(monkeypatch, capsys):
+    c = _ctx("A", 3, 3)
+    target = _break_one_face(monkeypatch, c)
+    with pytest.raises(RuntimeError, match="middle terms of the triangles of %s differ"
+                       % re.escape(repr(c.objs_of(target)))):
+        run_checks(c, ["middle-terms-disjoint"])
+    # the face is checked again, not skipped, by the next check
+    with pytest.raises(RuntimeError, match="differ from those of another face"):
+        run_checks(c, ["middle-rigid"])
+    assert run(["verify", "--check", "middle-rigid", "--diagram", "A", "--rank", "3",
+                "--d", "3"]) == 3
+    assert "differ from those of another face" in capsys.readouterr().err
+
+
+def test_each_middle_check_reads_the_other_ones_pass():
+    """middle-rigid and middle-terms-disjoint share one per-face pass, in
+    whichever order they run, with the same report."""
+    checks = ["middle-rigid", "middle-terms-disjoint"]
+    want = run_checks(_ctx("A", 3, 3), checks)[0]
+    for order in (checks, checks[::-1]):
+        c = _ctx("A", 3, 3)
+        got = [run_checks(c, [cid])[0]["checks"][0] for cid in order]
+        assert sorted(got, key=lambda e: e["id"]) == sorted(want["checks"],
+                                                            key=lambda e: e["id"])
+        assert c._face_table.witnessed == len(c._face_table)
+
+
+def test_rigid_extends_reads_the_sorted_faces(monkeypatch):
+    c = _ctx("A", 3, 3)
+    starts = []
+    monkeypatch.setattr("dcluster.verify.complete_mask",
+                        lambda ctx, mask: starts.append(mask) or complete_mask(ctx, mask))
+    assert check_rigid_extends(c)["instances"] == len(starts)
+    assert starts == [1 << i for i in range(len(c.objects))] + mut.almost_completes(c)
+
+
+def test_census_face_layer_keeps_under_100_bytes_per_face():
+    """What the face layer keeps after mutation_graph_checks and
+    facet_stats on E6 d=2: the flat arrays, the distinct fans and the
+    verdicts, well under one Python object per face."""
+    c = _ctx("E", 6, 2)
+    facet_masks(c)
+    c.adjacency(), c.hom_masks(), c.ext1_rows()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mut.mutation_graph_checks(c)
+        cpxmod.facet_stats(cpxmod.build_complex(c))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    faces = len(c._face_table)
+    assert faces == 33176
+    assert kept < 100 * faces, kept / faces
+
+
+def test_queries_leave_the_face_table_unbuilt(tmp_path, monkeypatch, capsys):
+    """complements and mutate on one face of a seeded D5 d=2 never group
+    the facets, in the library and through the CLI."""
+    c = _ctx("D", 5, 2, 3)
+    facet = c.objs_of(complete_mask(c, 1 << 4))
+    almost = facet[1:]
+    assert mut.complements(c, almost)
+    assert mut.mutate(c, facet, facet[0]) != facet
+    assert mut.fan_of(c, almost) and mut.triangles_of(c, almost)
+    assert c._face_table is None and c._facet_masks is None
+
+    def no_table(*args):
+        raise AssertionError("a query built the face table")
+
+    monkeypatch.setattr(mut, "face_table", no_table)
+    monkeypatch.setattr(mut, "group_by_face", no_table)
+    path = tmp_path / "orientation.json"
+    path.write_text(str([list(a) for a in _arrows("D", 5, 3)]))
+    names = [c.oc.obj_name(x) for x in facet]
+    argv = ["--diagram", "D", "--rank", "5", "--d", "2", "--orientation", str(path),
+            "--facet", ",".join(names), "--drop", names[0]]
+    assert run(["complements"] + argv) == 0
+    assert run(["mutate"] + argv) == 0
+    capsys.readouterr()

@@ -218,7 +218,8 @@ def test_mask_path_matches_tuple_oracles(diagram, rank, d, seed):
     almosts = _faces(c)
     assert almosts == _almost_completes_by_tuples(c)
     assert almost_completes(c) == [c.mask_of(a) for a in almosts]
-    assert mut.fans(c) == [(c.mask_of(a), tuple(c.indices(fan_of(c, a)))) for a in almosts]
+    assert list(mut.fans(c)) == [(c.mask_of(a), tuple(c.indices(fan_of(c, a))))
+                                 for a in almosts]
     for a in almosts:
         comps = complements(c, a)
         assert comps == _complements_by_tuples(c, a)
@@ -279,7 +280,7 @@ def test_single_fan_needs_no_enumeration():
     facet = complete_to_tilting(c, [c.objects[3]])
     fan = fan_of(c, facet[1:])
     assert facet[0] in fan
-    assert c._tilting is None and c._faces is None
+    assert c._tilting is None and c._face_table is None
 
 
 _orbit_cache = {}
@@ -319,7 +320,8 @@ def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
     turn when Ext^1 is broken: no memo entry is left half filled."""
     c = _fresh_oriented_ctx("A", 3, 3, None)
     groups = {}
-    for mask in almost_completes(c):
+    # listed in another context: the face table walks every fan
+    for mask in almost_completes(_fresh_oriented_ctx("A", 3, 3, None)):
         groups.setdefault(mut._common_mask(c, mask), []).append(mask)
     first, second = next(group for group in groups.values() if len(group) > 1)[:2]
     comps = _complement_mask(c, first)
@@ -329,12 +331,14 @@ def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
     for mask in (first, second, first):
         with pytest.raises(RuntimeError, match=re.escape(want)):
             mut._fan(c, mask)
-    assert c._fans == {} and c._cycles == {}
+    with pytest.raises(RuntimeError, match=r"Ext\^1-successors, expected 1"):
+        mut.face_table(c)
+    assert c._cycles == {} and c._face_table is None
     monkeypatch.undo()
     fresh = TiltingContext(c.oc)
     assert mut._fan(c, second) == mut._fan(c, first) \
         == mut._fan_cycle(fresh, _complement_mask(fresh, first))
-    assert len(c._cycles) == 1 and len(c._fans) == 2
+    assert len(c._cycles) == 1
 
 
 def _law_cycles(c, law):
@@ -352,7 +356,7 @@ def test_fan_law_matches_the_uncached_law(diagram, rank, d, seed):
     """Every face's memoized verdict equals its law evaluated afresh, and
     each law holds one entry per distinct fan."""
     c = _fresh_oriented_ctx(diagram, rank, d, seed)
-    pairs = mut.fans(c)
+    pairs = list(mut.fans(c))
     for law in FAN_LAWS:
         for mask, fan in pairs:
             assert mut.fan_law(c, law, fan) == law(c, fan), (law.__name__, mask)
@@ -363,7 +367,7 @@ def test_fan_law_matches_the_uncached_law(diagram, rank, d, seed):
 
 def test_a_raising_law_leaves_no_fan_law_entry(monkeypatch):
     c = _fresh_oriented_ctx("A", 3, 2, None)
-    fan = mut.fans(c)[0][1]
+    fan = next(mut.fans(c))[1]
     chains, calls = mut._chains_nonzero, []
 
     def raise_once(*args):
@@ -413,9 +417,9 @@ def test_a_facet_left_out_of_its_face_groups_is_isolated(which, monkeypatch):
     c = _fresh_oriented_ctx("A", 3, 2, None)
     count = len(enumerate_tilting(c))
     gone = {"first": 0, "middle": count // 2, "last": count - 1}[which]
-    grouping = mut.codim1_faces
-    monkeypatch.setattr(mut, "codim1_faces", lambda ctx: {
-        face: [a for a in members if a != gone] for face, members in grouping(ctx).items()})
+    grouping = mut.group_by_face
+    monkeypatch.setattr(mut, "group_by_face", lambda masks: {
+        face: [a for a in members if a != gone] for face, members in grouping(masks).items()})
     nbrs = _facet_adjacency_by_tuples(enumerate_tilting(c))
     for s in nbrs:
         s.discard(gone)
@@ -619,9 +623,11 @@ def test_end_fields_checked_once_per_fan(monkeypatch):
     for a in almosts:
         triangles_of(c, a)
     assert len(calls) == len(almosts)
-    # the middle terms are cached per face: a second pass checks nothing
-    for a in almosts:
-        triangles_of(c, a)
+    # nothing is kept per face, but the face table's pass checks each face
+    # once per context: a second walk checks nothing
+    calls.clear()
+    assert len(list(mut.witnessed_fans(c))) == len(almosts)
+    assert len(list(mut.witnessed_fans(c))) == len(almosts)
     assert len(calls) == len(almosts)
 
 
@@ -1242,7 +1248,7 @@ def test_ext_pattern_ok_matches_the_array_predicate(diagram, rank, d):
     assert seen == {True, False}
     # an endomorphism ring of dimension 2 breaks the pattern of a fan
     fresh = _oriented_ctx(diagram, rank, d, None)
-    fan = mut.fans(fresh)[0][1]
+    fan = next(mut.fans(fresh))[1]
     assert ext_pattern_ok(fresh, fan)
     # a context whose Hom rows (hom_dims) are not read yet
     fresh = _oriented_ctx(diagram, rank, d, None)

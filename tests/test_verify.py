@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from array import array
 import json
 from operator import attrgetter
 
@@ -156,7 +157,7 @@ def test_shared_results_computed_once_per_context(monkeypatch):
     from dcluster import complex as cpxmod
     from dcluster import mutation as mut
 
-    calls = {"grouping": 0, "almost": 0, "facet_stats": 0, "graph": 0}
+    calls = {"grouping": 0, "table": 0, "cycles": 0, "facet_stats": 0, "graph": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -165,16 +166,21 @@ def test_shared_results_computed_once_per_context(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(mut, "group_by_face", counted("grouping", mut.group_by_face))
-    monkeypatch.setattr(mut, "codim1_faces", counted("almost", mut.codim1_faces))
+    monkeypatch.setattr(mut, "FaceTable", counted("table", mut.FaceTable))
+    monkeypatch.setattr(mut, "_cycle_of", counted("cycles", mut._cycle_of))
     monkeypatch.setattr(cpxmod, "_facet_stats", counted("facet_stats", cpxmod._facet_stats))
     monkeypatch.setattr(mut, "_graph_checks", counted("graph", mut._graph_checks))
     c = load_context("A", 3, 2)
     report, _ = run_checks(c)
     assert report["summary"]["fail"] == 0
-    # the facets are grouped by codimension-1 face once; in mutation the
-    # grouping is read once by almost_completes (which fans and 2 other
-    # checks read) and once by mutation_graph, and facet_stats reads it too
-    assert calls == {"grouping": 1, "almost": 2, "facet_stats": 1, "graph": 1}
+    # the facets are grouped by codimension-1 face once, into the one face
+    # table that the fan checks, mutation_graph and facet_stats all read;
+    # its fan ids are filled once, one lookup per distinct common-neighbour mask
+    table = c._face_table
+    common = {mut._common_mask(c, mask) for mask in table.masks()}
+    assert calls == {"grouping": 1, "table": 1, "cycles": len(common), "facet_stats": 1,
+                     "graph": 1}
+    assert len(table) == 55
 
 
 FAN_WALKERS = ["complement-count", "complement-degrees", "fan-ext-pattern",
@@ -196,9 +202,9 @@ def test_fan_checks_share_one_fan_walk(monkeypatch):
     common = {mut._common_mask(c, a) for a in faces}
     assert len(faces) == 105 and len(calls) == len(common) == 63
     assert set(c._cycles) == common
-    assert mut.fans(c) is mut.fans(c)
-    assert mut.fans(c) == [(a, tuple(c.indices(fan_of(c, c.objs_of(a)))))
-                           for a in faces]
+    assert mut.face_table(c) is c._face_table
+    assert list(mut.fans(c)) == [(a, tuple(c.indices(fan_of(c, c.objs_of(a)))))
+                                 for a in faces]
     run_checks(c, FAN_WALKERS)
     assert len(calls) == 63
 
@@ -226,9 +232,13 @@ def test_fan_layer_caches_hold_no_objects():
     """The fan layer caches face masks and object indices, never objects."""
     c = load_context("D", 4, 2)
     assert run_checks(c)[0]["summary"]["fail"] == 0
-    for name in ("_almost", "_fan_pairs", "_triangles", "oc._path_rows"):
+    for name in ("_cycles", "_face_table.cycles", "_face_table.middles", "oc._path_rows"):
         cache = attrgetter(name)(c)
         assert cache and _ints_only(cache), name
+    # the per-face columns are flat arrays of unsigned ints
+    table = c._face_table
+    for column in (table.starts, table.members, table.drops, table.fan_ids, table.order()):
+        assert type(column) is array and column.typecode == "I"
     # a delta-chain verdict is a bool, keyed by a cycle of indices
     from dcluster import mutation as mut
     chains = {cycle: v for (law, cycle), v in c._fan_laws.items()
@@ -251,8 +261,9 @@ def _holds_object(value):
     return False
 
 
-MUTATION_MEMOS = ["_fans", "_composites", "_approximations", "_radical_tops",
-                  "_covers", "_triangles", "_fan_laws", "oc._path_rows"]
+MUTATION_MEMOS = ["_cycles", "_composites", "_approximations", "_radical_tops",
+                  "_covers", "_face_table.cycles", "_face_table.middles", "_fan_laws",
+                  "oc._path_rows"]
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", [("D", 4, 2, None), ("A", 4, 2, 7)])
@@ -439,7 +450,8 @@ _A3D3_NAMES = {
 FAILURE_PINS = {
     "complement-count": (
         "mutation", "fans", 1,
-        lambda fans: fans[:2] + [(fans[2][0], fans[2][1][:-1])] + fans[3:],
+        lambda pairs: (lambda fans: fans[:2] + [(fans[2][0], fans[2][1][:-1])] + fans[3:])(
+            list(pairs)),
         3, {"almost": _A3D3_NAMES["almost"], "complements": 3}),
     "complement-degrees": (
         "mutation", "degree_bounds_instances", 3, lambda got: (got[0], 1),
@@ -507,7 +519,7 @@ def test_memoized_law_fails_at_the_first_face_of_its_fan(monkeypatch, cid):
     attr, failed, names_face = FAN_LAW_CHECKS[cid]
     law = getattr(mut, attr)
     c = load_context("A", 3, 3)
-    pairs = mut.fans(c)
+    pairs = list(mut.fans(c))
     fans = [fan for _, fan in pairs]
     first = next(i for i, fan in enumerate(fans) if fans.index(fan) == i
                  and fans.count(fan) > 1 and len(set(fans[:i])) < i)
