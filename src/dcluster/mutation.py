@@ -32,8 +32,8 @@ summands composes nothing.
 From the codimension-1 faces to the fan-level predicates, an almost
 complete set is a bitmask of object indices, a fan a tuple of indices and a
 middle term a tuple of (index, multiplicity) pairs; every memo, the
-composition tensors included, is keyed by indices and masks (and the law,
-for fan_law) and holds no object.  Objects appear only at the public edge (complements, fan_of,
+composition tensors included, is keyed by indices and masks and holds no
+object.  Objects appear only at the public edge (complements, fan_of,
 triangles_of, the approximations, is_exchange_team, mutate), which turns
 them into a mask with TiltingContext.mask_of and so rejects a repeated
 summand.
@@ -54,10 +54,10 @@ almost_completes and fans read the faces in the order of their tuples of
 object indices, a sort permutation computed when a check first asks for
 it.  Each Ext^1(X_i, X_{i+1}) along a fan is one-dimensional, so each
 triangle along it is unique up to isomorphism and its middle terms depend
-only on the fan: they are kept once per fan id.  Every face still gets its
-own right and left approximations, their agreement and their cover
-verdicts, once per context (witnessed_fans), and its middle terms must
-equal those kept for its fan.
+only on the fan: fan_middles keeps them once per fan id, after one pass
+in which every face gets its own right and left approximations, their
+agreement and their cover verdicts, and its middle terms must equal those
+of its fan's first face.
 
 A whole minimal approximation of X, its generators and its factorization
 verdict, depends only on the side, on X and on the mask of the summands with
@@ -82,8 +82,7 @@ classes ("exchange team"), degree bounds and the two-piece degree profile,
 disjointness of middle-term supports, one-directional Hom between summands
 (read from the nonzero-Hom bit rows), and the mutation graph on facets,
 whose counts are read from the face table without building a neighbour
-set.  A law of the fan alone runs once per distinct cycle, through the one
-verdict memo of fan_law; the exchange-team search reads the composites there.
+set.
 """
 
 from __future__ import annotations
@@ -92,8 +91,7 @@ from array import array
 from functools import reduce
 from itertools import accumulate, chain, islice
 from operator import mul, or_
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .orbit import Obj
@@ -198,17 +196,6 @@ def cyclic_form(cycle: Sequence[int]) -> Tuple[int, ...]:
     return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
 
 
-def fan_law(ctx: TiltingContext, law: Callable, cycle: Tuple[int, ...]):
-    """law(ctx, cycle) for a law of the cycle of object indices alone, memoized
-    per context by (law, cycle) as given (fans and exchange-team search paths
-    start at their least member); nothing is cached when the law raises."""
-    key = (law, cycle)
-    got = ctx._fan_laws.get(key)
-    if got is None:
-        got = ctx._fan_laws[key] = law(ctx, cycle)
-    return got
-
-
 def fan_degrees(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, ...]:
     """The degrees of the objects `cycle`: a canonical object's is its shift."""
     objects = ctx.objects
@@ -235,10 +222,8 @@ class FaceTable:
     starts[f] <= k < starts[f + 1]; its mask is the first of those facets
     without the summand drops[f], and its fan is cycles[fan_ids[f]], so the
     table keeps no Python object per face.  order (sorted on first use)
-    lists the faces in almost_completes order.  middles[k] holds the middle
-    terms along cycles[k], kept from the first face with that fan whose own
-    triangles witnessed_fans checked; the first `witnessed` faces in order
-    are checked.
+    lists the faces in almost_completes order, and middles (fan_middles)
+    the middle terms along each cycle.
     """
 
     def __init__(self, facets: List[int], width: int, starts: array, members: array,
@@ -250,8 +235,7 @@ class FaceTable:
         self.drops = drops
         self.fan_ids = fan_ids
         self.cycles = cycles
-        self.middles: List[Optional[Tuple[Middle, ...]]] = [None] * len(cycles)
-        self.witnessed = 0
+        self.middles: Optional[List[Tuple[Middle, ...]]] = None
         self._order = None
 
     def __len__(self) -> int:
@@ -342,28 +326,27 @@ def fans(ctx: TiltingContext) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     return zip(table.masks(table.order()), map(table.cycles.__getitem__, table.sorted_fan_ids()))
 
 
-def witnessed_fans(ctx: TiltingContext) -> Iterator[int]:
-    """The fan id of each face in almost_completes order, yielded after the
-    face's own triangles were checked (_face_triangles) and found equal to
-    the middle terms kept for its fan; a RuntimeError is raised otherwise.
+def fan_middles(ctx: TiltingContext) -> List[Tuple[Middle, ...]]:
+    """The middle terms along each fan, by fan id (cached).
 
-    Each face is checked once per context: a later walk resumes after the
-    faces an earlier one reached, so a check that fails early leaves the
-    rest to the next."""
+    One pass over the faces in almost_completes order gives each face its
+    own triangles (_face_triangles); a face whose middle terms differ from
+    those of its fan's first face raises RuntimeError, and then nothing is
+    kept."""
     table = face_table(ctx)
-    cycles, middles, objs = table.cycles, table.middles, ctx.objects
-    for pos, (mask, fid) in enumerate(zip(table.masks(table.order()), table.sorted_fan_ids())):
-        if pos == table.witnessed:
+    if table.middles is None:
+        cycles, objs = table.cycles, ctx.objects
+        middles: List[Optional[Tuple[Middle, ...]]] = [None] * len(cycles)
+        for mask, fid in zip(table.masks(table.order()), table.sorted_fan_ids()):
             got = _face_triangles(ctx, mask, cycles[fid])
-            kept = middles[fid]
-            if kept is None:
+            if middles[fid] is None:
                 middles[fid] = got
-            elif kept != got:
+            elif middles[fid] != got:
                 raise RuntimeError("middle terms of the triangles of %r differ from "
                                    "those of another face with the fan %r"
                                    % (ctx.objs_of(mask), tuple(objs[i] for i in cycles[fid])))
-            table.witnessed = pos + 1
-        yield fid
+        table.middles = middles
+    return table.middles
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +683,7 @@ def is_exchange_team(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
     idx = ctx.indices(objs)
     if len(idx) != ctx.oc.d + 1 or len(set(idx)) != len(idx):
         return False
-    cycle = cyclic_form(idx)
-    return ext_pattern_ok(ctx, cycle) and fan_law(ctx, delta_chains_nonzero, cycle)
+    return ext_pattern_ok(ctx, idx) and delta_chains_nonzero(ctx, idx)
 
 
 def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[int, ...]]:
@@ -720,7 +702,7 @@ def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[int, ...]]:
         paths = [path + (j,) for path in paths for j in succ[path[-1]]
                  if j > path[0] and j not in path]
     return [path for path in paths
-            if ext_pattern_ok(ctx, path) and fan_law(ctx, delta_chains_nonzero, path)]
+            if ext_pattern_ok(ctx, path) and delta_chains_nonzero(ctx, path)]
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ class TiltingContext:
         # sets (named in _tilting for enumerate_tilting only), and
         # _face_table the codimension-1 faces (mutation.FaceTable): for each
         # face, in flat arrays, the positions in _facet_masks of the facets
-        # containing it and its fan's index among the distinct fans, whose
-        # middle terms it keeps once per fan.
+        # containing it and its fan's index among the distinct fans, and,
+        # once mutation.fan_middles has passed, each fan's middle terms.
         self._facet_masks = None
         self._tilting = None
         self._face_table = None
@@ -66,16 +66,13 @@ class TiltingContext:
         # and Hom(t, b) nonzero) to the generators of Hom(a, b) mod the
         # radical, and _covers maps (right, a, b, ((t, generators), ...)) to
         # whether the generators at those summands span Hom(a, b).
-        # _fan_laws maps (law, cycle) to a fan-only law's verdict on a cycle of
-        # object indices (mutation.fan_law), and _end_defects masks the
-        # objects whose End is not one-dimensional.
+        # _end_defects masks the objects whose End is not one-dimensional.
         self._cycles = {}
         self._composites = {}
         self._approximations = {}
         self._shared_tuples = {}
         self._radical_tops = {}
         self._covers = {}
-        self._fan_laws = {}
         self._end_defects = None
 
     def adjacency(self) -> List[int]:

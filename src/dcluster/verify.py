@@ -174,41 +174,46 @@ def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:
     return _pass(count, complements_each=d + 1)
 
 
-def _each_fan(ctx: TiltingContext, holds: Callable[[int], bool], name: str,
-              fan_ids: Optional[Iterator[int]] = None) -> Dict[str, object]:
-    """Pass if holds(fan id) for the fan of every face, one instance per
-    face, with one verdict per fan id; else fail at the first face whose fan
-    breaks it, naming the face ("almost") or its fan ("fan").  `fan_ids`
-    yields the faces' fan ids, by default the face table's in
-    almost_completes order."""
+def _each_fan(ctx: TiltingContext, law: Callable[[int], Tuple[int, bool]], name: str,
+              degrees: bool = False, **detail) -> Dict[str, object]:
+    """Pass with the sum over the faces, in almost_completes order, of the
+    instances in law(fan id) = (instances, holds), read once per fan id;
+    else fail at the first face whose fan breaks it, naming the face
+    ("almost") or its fan ("fan"), and with `degrees` the fan's degrees."""
     table = mut.face_table(ctx)
-    verdicts: List[Optional[bool]] = [None] * len(table.cycles)
-    count = 0
-    for fid in table.sorted_fan_ids() if fan_ids is None else fan_ids:
-        count += 1
-        ok = verdicts[fid]
-        if ok is None:
-            ok = verdicts[fid] = holds(fid)
-        if not ok:
-            named = _bits(table.sorted_mask(count - 1)) if name == "almost" else table.cycles[fid]
-            return _fail(count, {name: _names(ctx, named)})
-    return _pass(count)
+    cycles = table.cycles
+    verdicts: List[Optional[Tuple[int, bool]]] = [None] * len(cycles)
+    total = 0
+    for pos, fid in enumerate(table.sorted_fan_ids()):
+        got = verdicts[fid]
+        if got is None:
+            got = verdicts[fid] = law(fid)
+        total += got[0]
+        if not got[1]:
+            named = _bits(table.sorted_mask(pos)) if name == "almost" else cycles[fid]
+            example = {name: _names(ctx, named)}
+            if degrees:
+                example["degrees"] = list(mut.fan_degrees(ctx, cycles[fid]))
+            return _fail(total, example)
+    return _pass(total, **detail)
 
 
 def _each_fan_law(ctx: TiltingContext, law: Callable, name: str) -> Dict[str, object]:
-    """_each_fan of a law of the fan alone, through mut.fan_law."""
+    """_each_fan of a law of the fan alone, one instance per face."""
     cycles = mut.face_table(ctx).cycles
-    return _each_fan(ctx, lambda fid: mut.fan_law(ctx, law, cycles[fid]), name)
+    return _each_fan(ctx, lambda fid: (1, law(ctx, cycles[fid])), name)
 
 
-def _each_fan_middles(ctx: TiltingContext, holds: Callable[[Tuple[int, ...], List[int]], bool]
-                      ) -> Dict[str, object]:
-    """_each_fan of holds(fan, middle supports), over the faces as
-    mut.witnessed_fans checks their own triangles against their fan's."""
-    table = mut.face_table(ctx)
-    return _each_fan(ctx, lambda fid: holds(table.cycles[fid],
-                                            mut.supports_of(table.middles[fid])),
-                     "almost", mut.witnessed_fans(ctx))
+def _each_fan_rotations(ctx: TiltingContext,
+                        law: Callable[[TiltingContext, Tuple[int, ...]], Tuple[int, int]],
+                        **detail) -> Dict[str, object]:
+    """_each_fan of a law of the fan alone giving (rotations, violations)."""
+    cycles = mut.face_table(ctx).cycles
+
+    def rotations(fid: int) -> Tuple[int, bool]:
+        inst, viol = law(ctx, cycles[fid])
+        return inst, not viol
+    return _each_fan(ctx, rotations, "almost", degrees=True, **detail)
 
 
 def check_fan_ext_pattern(ctx: TiltingContext) -> Dict[str, object]:
@@ -220,8 +225,10 @@ def check_delta_composites(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def check_middle_rigid(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan_middles(ctx, lambda fan, supports: mut.middle_union_rigid(
-        ctx, fan, supports))
+    # mut.fan_middles checks every face's own triangles before any verdict
+    cycles, middles = mut.face_table(ctx).cycles, mut.fan_middles(ctx)
+    return _each_fan(ctx, lambda fid: (1, mut.middle_union_rigid(
+        ctx, cycles[fid], mut.supports_of(middles[fid]))), "almost")
 
 
 def check_successor_hom(ctx: TiltingContext) -> Dict[str, object]:
@@ -229,37 +236,17 @@ def check_successor_hom(ctx: TiltingContext) -> Dict[str, object]:
 
 
 def check_middles_disjoint(ctx: TiltingContext) -> Dict[str, object]:
-    return _each_fan_middles(ctx, lambda _, supports: mut.middle_supports_disjoint(supports))
-
-
-def _degree_rotations(ctx: TiltingContext,
-                      law: Callable[[TiltingContext, Tuple[int, ...]], Tuple[int, int]],
-                      **detail) -> Dict[str, object]:
-    """Pass with the sum over the faces of mut.fan_law(ctx, law, fan) =
-    (rotations, violations), read once per fan id; else fail at the first
-    face whose fan has a violation."""
-    table = mut.face_table(ctx)
-    cycles = table.cycles
-    got: List[Optional[Tuple[int, int]]] = [None] * len(cycles)
-    total = 0
-    for pos, fid in enumerate(table.sorted_fan_ids()):
-        res = got[fid]
-        if res is None:
-            res = got[fid] = mut.fan_law(ctx, law, cycles[fid])
-        inst, viol = res
-        total += inst
-        if viol:
-            return _fail(total, {"almost": _names(ctx, _bits(table.sorted_mask(pos))),
-                                 "degrees": list(mut.fan_degrees(ctx, cycles[fid]))})
-    return _pass(total, **detail)
+    middles = mut.fan_middles(ctx)
+    return _each_fan(ctx, lambda fid: (1, mut.middle_supports_disjoint(
+        mut.supports_of(middles[fid]))), "almost")
 
 
 def check_complement_degrees(ctx: TiltingContext) -> Dict[str, object]:
-    return _degree_rotations(ctx, mut.degree_bounds_instances, fans=len(mut.face_table(ctx)))
+    return _each_fan_rotations(ctx, mut.degree_bounds_instances, fans=len(mut.face_table(ctx)))
 
 
 def check_degree_profile(ctx: TiltingContext) -> Dict[str, object]:
-    return _degree_rotations(ctx, mut.degree_profile_instances)
+    return _each_fan_rotations(ctx, mut.degree_profile_instances)
 
 
 def check_exchange_team_fan(ctx: TiltingContext) -> Dict[str, object]:

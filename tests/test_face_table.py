@@ -105,8 +105,9 @@ def test_kept_middles_are_each_faces_own(diagram, rank, d, seed):
     """After the per-face pass, the middles kept for a fan id are those of
     every face with that fan, computed afresh in another context."""
     c = _ctx(diagram, rank, d, seed)
-    assert len(list(mut.witnessed_fans(c))) == len(mut.face_table(c))
-    table = c._face_table
+    table = mut.face_table(c)
+    assert table.middles is None
+    assert mut.fan_middles(c) is table.middles and len(table.middles) == len(table.cycles)
     fresh = TiltingContext(c.oc)
     for mask in table.masks():
         cycle = mut._fan(fresh, mask)
@@ -124,7 +125,7 @@ def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
     approximation = mut._approximation
     monkeypatch.setattr(mut, "_approximation",
                         lambda *key: calls.append(key) or approximation(c, *key[1:]))
-    list(mut.witnessed_fans(c))
+    mut.fan_middles(c)
     out, into = c.hom_masks()
     want = []
     for mask, fid in zip(table.masks(table.order()), table.sorted_fan_ids()):
@@ -134,12 +135,13 @@ def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
             want += [(c, True, i, mask & into[i]), (c, False, nxt, mask & out[nxt])]
     assert calls == want
     # the pass runs once per context
-    list(mut.witnessed_fans(c))
+    mut.fan_middles(c)
     assert len(calls) == len(want)
 
 
 def _break_one_face(monkeypatch, c):
-    """Make _face_triangles answer differently on the second face of some fan."""
+    """Make _face_triangles answer differently on the first face, in
+    almost_completes order, of a fan already seen, and return its mask."""
     table = mut.face_table(c)
     seen, target = set(), None
     for mask, fid in zip(table.masks(table.order()), table.sorted_fan_ids()):
@@ -154,6 +156,7 @@ def _break_one_face(monkeypatch, c):
         return got[1:] + got[:1] if mask == target else got
 
     monkeypatch.setattr(mut, "_face_triangles", broken)
+    assert target is not None
     return target
 
 
@@ -163,6 +166,7 @@ def test_a_face_disagreeing_with_its_fan_raises(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="middle terms of the triangles of %s differ"
                        % re.escape(repr(c.objs_of(target)))):
         run_checks(c, ["middle-terms-disjoint"])
+    assert c._face_table.middles is None
     # the face is checked again, not skipped, by the next check
     with pytest.raises(RuntimeError, match="differ from those of another face"):
         run_checks(c, ["middle-rigid"])
@@ -171,17 +175,47 @@ def test_a_face_disagreeing_with_its_fan_raises(monkeypatch, capsys):
     assert "differ from those of another face" in capsys.readouterr().err
 
 
-def test_each_middle_check_reads_the_other_ones_pass():
+def test_every_face_is_checked_before_a_middle_verdict(monkeypatch, capsys):
+    """At d = 1, where middle-terms-disjoint is gated, middle-rigid failing
+    on the first fan still checks every face's own triangles first: a later
+    face of an already seen fan with other middles stops the run (exit 3),
+    and no middles are kept."""
+    c = _ctx("D", 4, 1)
+    first = next(mut.fans(c))[1]
+    rigid = mut.middle_union_rigid
+    monkeypatch.setattr(mut, "middle_union_rigid", lambda ctx, cycle, supports:
+                        cycle != first and rigid(ctx, cycle, supports))
+    assert run_checks(c, ["middle-rigid"])[0]["checks"][0]["status"] == "fail"
+    target = _break_one_face(monkeypatch, c)
+    want = "middle terms of the triangles of %r differ" % (c.objs_of(target),)
+    with pytest.raises(RuntimeError, match=re.escape(want)):
+        run_checks(TiltingContext(c.oc), ["middle-rigid"])
+    assert run(["verify", "--check", "middle-rigid", "--diagram", "D", "--rank", "4",
+                "--d", "1"]) == 3
+    assert want in capsys.readouterr().err
+    c = TiltingContext(c.oc)
+    with pytest.raises(RuntimeError, match=re.escape(want)):
+        mut.fan_middles(c)
+    assert mut.face_table(c).middles is None
+
+
+def test_each_middle_check_reads_the_other_ones_pass(monkeypatch):
     """middle-rigid and middle-terms-disjoint share one per-face pass, in
     whichever order they run, with the same report."""
     checks = ["middle-rigid", "middle-terms-disjoint"]
     want = run_checks(_ctx("A", 3, 3), checks)[0]
+    faces = []
+    triangles = mut._face_triangles
+    monkeypatch.setattr(mut, "_face_triangles",
+                        lambda ctx, mask, cycle: faces.append(mask) or
+                        triangles(ctx, mask, cycle))
     for order in (checks, checks[::-1]):
         c = _ctx("A", 3, 3)
+        faces.clear()
         got = [run_checks(c, [cid])[0]["checks"][0] for cid in order]
         assert sorted(got, key=lambda e: e["id"]) == sorted(want["checks"],
                                                             key=lambda e: e["id"])
-        assert c._face_table.witnessed == len(c._face_table)
+        assert faces == mut.almost_completes(c)
 
 
 def test_rigid_extends_reads_the_sorted_faces(monkeypatch):

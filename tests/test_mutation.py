@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from dcluster.quiver import dynkin_edges, parse_quiver
 from dcluster.reps import ModuleCategory
 from dcluster.tilting import (TiltingContext, _bits, complete_to_tilting,
                               enumerate_tilting, is_rigid, is_tilting)
-from dcluster.verify import run_checks
+from dcluster.verify import CHECKS, run_checks
 from module_oracle import ModuleOrbitCategory, composite_tensor
 
 _cache = {}
@@ -341,48 +342,37 @@ def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
     assert len(c._cycles) == 1
 
 
-def _law_cycles(c, law):
-    """The cycles whose verdict under `law` the context's fan_law memo holds."""
-    return {cycle for got, cycle in c._fan_laws if got is law}
-
-
-FAN_LAWS = [ext_pattern_ok, delta_chains_nonzero, successor_hom_vanishing,
-            degree_bounds_instances, degree_profile_instances]
+# check id -> the law of the fan alone it reads
+FAN_LAWS = {"fan-ext-pattern": ext_pattern_ok, "delta-composites": delta_chains_nonzero,
+            "successor-hom-vanishing": successor_hom_vanishing,
+            "complement-degrees": degree_bounds_instances,
+            "degree-profile": degree_profile_instances}
 
 
 @pytest.mark.parametrize("seed", [None, 3, 11])
 @pytest.mark.parametrize("diagram,rank,d", GRID)
-def test_fan_law_matches_the_uncached_law(diagram, rank, d, seed):
-    """Every face's memoized verdict equals its law evaluated afresh, and
-    each law holds one entry per distinct fan."""
+def test_fan_law_matches_the_uncached_law(monkeypatch, diagram, rank, d, seed):
+    """Each check of a law of the fan alone evaluates it once per distinct
+    fan, and its instances are those of the law evaluated afresh on every
+    face's fan."""
     c = _fresh_oriented_ctx(diagram, rank, d, seed)
     pairs = list(mut.fans(c))
-    for law in FAN_LAWS:
-        for mask, fan in pairs:
-            assert mut.fan_law(c, law, fan) == law(c, fan), (law.__name__, mask)
-        assert _law_cycles(c, law) == {fan for _, fan in pairs}
-    assert len(c._fan_laws) == len(FAN_LAWS) * len({fan for _, fan in pairs}) < \
-        len(FAN_LAWS) * len(pairs)
-
-
-def test_a_raising_law_leaves_no_fan_law_entry(monkeypatch):
-    c = _fresh_oriented_ctx("A", 3, 2, None)
-    fan = next(mut.fans(c))[1]
-    chains, calls = mut._chains_nonzero, []
-
-    def raise_once(*args):
-        calls.append(1)
-        if len(calls) == 1:
-            raise RuntimeError("composite failed")
-        return chains(*args)
-
-    monkeypatch.setattr(mut, "_chains_nonzero", raise_once)
-    with pytest.raises(RuntimeError, match="composite failed"):
-        mut.fan_law(c, delta_chains_nonzero, fan)
-    assert c._fan_laws == {}
-    assert mut.fan_law(c, delta_chains_nonzero, fan) is True
-    assert mut.fan_law(c, delta_chains_nonzero, fan) is True
-    assert c._fan_laws == {(delta_chains_nonzero, fan): True} and len(calls) == 2
+    fans = {fan for _, fan in pairs}
+    assert len(fans) < len(pairs)
+    gates = {cid: min_d for cid, _, min_d, _ in CHECKS}
+    for cid, law in FAN_LAWS.items():
+        calls = []
+        monkeypatch.setattr(mut, law.__name__, lambda ctx, cycle, law=law:
+                            calls.append(cycle) or law(ctx, cycle))
+        got = run_checks(c, [cid])[0]["checks"][0]
+        if d < gates[cid]:
+            assert got["status"] == "n/a" and calls == []
+            continue
+        fresh = [law(c, fan) for _, fan in pairs]
+        # a degree law gives (rotations, violations), the others a bool
+        want = sum(inst for inst, _ in fresh) if isinstance(fresh[0], tuple) else sum(fresh)
+        assert (got["status"], got["instances"]) == ("pass", want), cid
+        assert sorted(calls) == sorted(fans), cid
 
 
 def _graph_checks_by_sets(nbrs, degree):
@@ -623,11 +613,11 @@ def test_end_fields_checked_once_per_fan(monkeypatch):
     for a in almosts:
         triangles_of(c, a)
     assert len(calls) == len(almosts)
-    # nothing is kept per face, but the face table's pass checks each face
-    # once per context: a second walk checks nothing
+    # nothing is kept per face, but fan_middles checks each face once per
+    # context: a second call checks nothing
     calls.clear()
-    assert len(list(mut.witnessed_fans(c))) == len(almosts)
-    assert len(list(mut.witnessed_fans(c))) == len(almosts)
+    assert len(mut.fan_middles(c)) == len(mut.face_table(c).cycles)
+    assert mut.fan_middles(c) is mut.fan_middles(c)
     assert len(calls) == len(almosts)
 
 
@@ -1087,21 +1077,27 @@ def test_delta_classes_and_chains_a2_d2():
 
 
 def test_delta_chains_cached_once_per_cycle(monkeypatch):
-    """is_exchange_team keys every rotation of a cycle by its cyclic_form,
-    so the chains of each cycle are composed once."""
+    """The delta-composites check composes the chains of each distinct fan
+    once per run, however many faces share it; is_exchange_team composes
+    them on each call, with the same verdict for every rotation."""
     c = TiltingContext(OrbitCategory(ModuleCategory(parse_quiver("A", 3)), 2))
     calls = []
     chains = mut._chains_nonzero
     monkeypatch.setattr(mut, "_chains_nonzero",
-                        lambda *args: calls.append(1) or chains(*args))
-    cycles = {cyclic_form(fan) for _, fan in mut.fans(c)}
-    for cyc in cycles:
+                        lambda ctx, cycle: calls.append(cycle) or chains(ctx, cycle))
+    pairs = list(mut.fans(c))
+    cycles = {fan for _, fan in pairs}
+    assert len(cycles) < len(pairs)
+    for runs in (1, 2):
+        assert run_checks(c, ["delta-composites"])[0]["summary"]["pass"] == 1
+        assert Counter(calls) == {cycle: runs for cycle in cycles}
+    calls.clear()
+    for cyc in {cyclic_form(fan) for fan in cycles}:
         for r in range(len(cyc)):
             rot = cyc[r:] + cyc[:r]
             team = [c.objects[i] for i in rot]
             assert is_exchange_team(c, team) is _objects_chains(c, rot) is True
-    assert _law_cycles(c, delta_chains_nonzero) == cycles
-    assert len(calls) == len(cycles)
+    assert len(calls) == sum(map(len, cycles))
 
 
 def _objects_chains(c, cycle):
@@ -1127,11 +1123,9 @@ def test_tensor_chains_match_yoneda_oracle(diagram, rank, d, seed):
     c = _oriented_ctx(diagram, rank, d, seed)
     fans = {cyclic_form(fan) for _, fan in mut.fans(c)}
     cycles = fans | {cyclic_form(p) for p in _pattern_paths(c)}
-    for cycle in cycles:
-        got = mut.fan_law(c, delta_chains_nonzero, cycle)
-        assert got is _objects_chains(c, cycle), cycle
     # every such cycle is nonzero here, so the mutant tests below are needed
-    assert _law_cycles(c, delta_chains_nonzero) == cycles and all(c._fan_laws.values())
+    for cycle in cycles:
+        assert delta_chains_nonzero(c, cycle) is _objects_chains(c, cycle) is True, cycle
 
 
 def _first_chain_step(c, start=0):

@@ -239,12 +239,6 @@ def test_fan_layer_caches_hold_no_objects():
     table = c._face_table
     for column in (table.starts, table.members, table.drops, table.fan_ids, table.order()):
         assert type(column) is array and column.typecode == "I"
-    # a delta-chain verdict is a bool, keyed by a cycle of indices
-    from dcluster import mutation as mut
-    chains = {cycle: v for (law, cycle), v in c._fan_laws.items()
-              if law is mut.delta_chains_nonzero}
-    assert chains and _ints_only(list(chains))
-    assert all(v is True for v in chains.values())
 
 
 def _holds_object(value):
@@ -262,8 +256,7 @@ def _holds_object(value):
 
 
 MUTATION_MEMOS = ["_cycles", "_composites", "_approximations", "_radical_tops",
-                  "_covers", "_face_table.cycles", "_face_table.middles", "_fan_laws",
-                  "oc._path_rows"]
+                  "_covers", "_face_table.cycles", "_face_table.middles", "oc._path_rows"]
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", [("D", 4, 2, None), ("A", 4, 2, 7)])
@@ -498,8 +491,8 @@ FAILURE_PINS = {
 }
 
 
-# check id -> (the fan-only law it reads through mutation.fan_law, what that
-# law returns on the patched fan, whether the report names the face)
+# check id -> (the fan-only law it reads once per fan id, what that law
+# returns on the patched fan, whether the report names the face)
 FAN_LAW_CHECKS = {
     "fan-ext-pattern": ("ext_pattern_ok", lambda got: False, False),
     "delta-composites": ("delta_chains_nonzero", lambda got: False, False),
