@@ -233,11 +233,12 @@ def cmd_ext_table(args) -> int:
     ctx = _context(args)
     oc = ctx.oc
     objs = ctx.objects
+    # Ext^1(X_i, X_j) = Hom(X_i, X_j[1]), built before anything is printed,
+    # so a configuration too large for the table prints only the error line
+    table = [[row[j] for j in oc.shifts[1]] for row in oc.hom_table]
     names = [oc.obj_name(x) for x in objs]
     width = max(len(nm) for nm in names)
     print(" " * width, " ".join(nm.rjust(width) for nm in names))
-    # Ext^1(X_i, X_j) = Hom(X_i, X_j[1])
-    table = [[row[j] for j in oc.shifts[1]] for row in oc.hom_table]
     for nm, row in zip(names, table):
         print(nm.rjust(width), " ".join(str(v).rjust(width) for v in row))
     _write_out(args, {"schema": "ext-table", "schema_version": 1,

@@ -15,13 +15,15 @@ approximation of X_i) and of Hom(X_{i+1}, T_j) (minimal left approximation
 of X_{i+1}), and the two routes must agree.  The factorization property of
 the approximation is checked by one rank comparison per summand over cached
 structure constants: each composition Hom(a, m) x Hom(m, b) -> Hom(a, b) is
-computed once, as a tensor in the coordinates of the orbit category's Hom
-bases (paths of the mesh category of ZQ), by carrying identity blocks along
-the basis paths of Hom(m, b) (OrbitCategory.compose_tensor).  A tensor is
-dim Hom(a, b) rows of Python ints, entry i * g + j of row k being the k-th
-coordinate of g_j o f_i (g = dim Hom(m, b)): the matrices are tiny, so the
-rank problems join tensors by extending rows, pick generators by index
-lists and reduce with linalg.rref_rows and complement_rows, without numpy.
+computed once per relative position of the vertices of a, m and b in ZQ
+(OrbitCategory.compose_tensor), as a tensor in the coordinates of the orbit
+category's Hom bases (paths of the mesh category of ZQ), by carrying
+identity blocks along the basis paths of Hom(m, b), and looked up per index
+triple (a, m, b) from then on.  A tensor is dim Hom(a, b) rows of Python
+ints, entry i * g + j of row k being the k-th coordinate of g_j o f_i
+(g = dim Hom(m, b)): the matrices are tiny, so the rank problems join
+tensors by extending rows, pick generators by index lists and reduce with
+linalg.rref_rows and complement_rows, without numpy.
 Each of these small rank problems depends only on (a, b) and on the
 summands t with Hom(a, t) and Hom(t, b) nonzero (the others contribute no
 columns), so it is solved once per context and reused by every add set and
@@ -356,8 +358,9 @@ def fan_middles(ctx: TiltingContext) -> List[Tuple[Middle, ...]]:
 def _composite_tensor(ctx: TiltingContext, a: int, mid: int,
                       b: int) -> Tuple[Tuple[int, ...], ...]:
     """Structure constants of composition through X_mid, cached by the object
-    indices (a, mid, b): entry i * g + j of row k is the coefficient of the
-    k-th vector of hom_basis(X_a, X_b) in g_j o f_i, for f_i in
+    indices (a, mid, b) in front of the orbit category's memo by relative
+    position: entry i * g + j of row k is the coefficient of the k-th vector
+    of hom_basis(X_a, X_b) in g_j o f_i, for f_i in
     hom_basis(X_a, X_mid) and g_j among the g vectors of hom_basis(X_mid,
     X_b), read from path maps by OrbitCategory.compose_tensor.  Composition
     is bilinear, so any composite through X_mid is read off these rows."""

@@ -37,8 +37,10 @@ tiny (often 1 x 1), so the knit keeps them as lists of Python ints, and so
 does everything built from them: path_rows multiplies the arrow maps along
 a path once per context, keyed by the source's vertex of Q and the path
 relative to the source's level, and compose_tensor stacks those products
-into rows of ints.  A morphism of C_d is kept as its coordinates in these
-path bases, slot 0 then slot 1.
+into rows of ints, once per context and relative position of its vertex
+triple (k(ZQ) is invariant under moving every vertex up a level).  A
+morphism of C_d is kept as its coordinates in these path bases, slot 0
+then slot 1.
 g . f is f carried along the paths of g through the arrow maps of Hom(x, -),
 with g's slot-0 paths relabelled by phi (push_piece) for the term through
 F(Y); the slot-2 term must vanish.  compose_tensor is its batched form over
@@ -104,11 +106,14 @@ class OrbitCategory:
         self.inj_vertex = {cat.inj_root[x]: x for x in range(cat.q.rank)}
         self.proj_vertex = {cat.proj_root[x]: x for x in range(cat.q.rank)}
         # the mesh category (_mesh) is knitted on the first morphism call;
-        # (source vertex, target vertex) -> the basis paths of its Hom, and
+        # (source vertex, target vertex) -> the basis paths of its Hom,
         # (source vertex of Q, path relative to the source's level) -> the
-        # rows of the path's map on Hom(source, -)
+        # rows of the path's map on Hom(source, -), and (x's vertex of Q,
+        # y and z relative to x's level) -> the composition tensor of the
+        # vertex triple (x, y, z)
         self._paths: Dict[Tuple[Vertex, Vertex], List[Path]] = {}
         self._path_rows: Dict[Tuple[int, Path], Rows] = {}
+        self._tensors: Dict[Tuple[int, Vertex, Vertex], Rows] = {}
         self._vertex_of: Dict[Obj, Vertex] = {}
         # (x, y) -> hom_basis(x, y), for normalized x and y
         self._hom_bases: Dict[Tuple[Obj, Obj], List[CMorphism]] = {}
@@ -490,9 +495,10 @@ class OrbitCategory:
 
     # -- composition and shifts in the orbit category --------------------------
 
-    def push_piece(self, src: Obj, tgt: Obj, piece: Optional[tuple]) -> Optional[tuple]:
+    def push_piece(self, src, tgt, piece: Optional[tuple]) -> Optional[tuple]:
         """Image under F of a piece src -> tgt: its paths relabelled by phi,
-        a piece F(src) -> F(tgt)."""
+        a piece F(src) -> F(tgt).  src and tgt, objects or their vertices,
+        only name the ends; the paths carry them."""
         return _relabel(self._relabellings[3], piece)
 
     def compose(self, g: CMorphism, f: CMorphism) -> CMorphism:
@@ -519,16 +525,35 @@ class OrbitCategory:
         f_i the i-th of the f vectors of hom_basis(x, y) and g_j the j-th of
         the g vectors of hom_basis(y, z).
 
+        The tensor depends only on the vertices x, y, z of ZQ, and moving all
+        three up one level, (m, i) -> (m + 1, i), leaves it unchanged: the
+        vertex maps (S, S^-1, phi) only add level offsets, and mesh_dim,
+        basis_paths and path_rows read the knit of x's vertex of Q at
+        coordinates relative to x.  So it is memoized per context by x's
+        vertex of Q and y and z relative to x's level, and composed once per
+        relative position (vertex_tensor); nothing is kept when the
+        composition raises."""
+        xv, yv, zv = self.vertex(x), self.vertex(y), self.vertex(z)
+        level = xv[0]
+        key = (xv[1], (yv[0] - level, yv[1]), (zv[0] - level, zv[1]))
+        t = self._tensors.get(key)
+        if t is None:
+            t = self._tensors[key] = self.vertex_tensor(xv, yv, zv)
+        return t
+
+    def vertex_tensor(self, xv: Vertex, yv: Vertex, zv: Vertex) -> Rows:
+        """compose_tensor on the vertices of ZQ, composed afresh.
+
         The f_i are unit vectors, so the slab at j holds compose's path maps
         along g_j's basis path, applied to identity blocks: for g_j in slot 0
         (path p), path_rows(p) takes f's slot 0 to slot 0 and path_rows(phi p)
         takes f's slot 1 to slot 1; for g_j in slot 1 (path q), path_rows(q)
         takes f's slot 0 to slot 1, and path_rows(phi q), the slot-2 term,
         must vanish on f's slot 1."""
-        xv, yv, zv = self.vertex(x), self.vertex(y), self.vertex(z)
-        f0, f1 = self.slot_dims(x, y)
-        g0, g1 = self.slot_dims(y, z)
-        h0, h1 = self.slot_dims(x, z)
+        phi_y, phi_z = self.phi(yv), self.phi(zv)
+        f0, f1 = self.mesh_dim(xv, yv), self.mesh_dim(xv, phi_y)
+        g0, g1 = self.mesh_dim(yv, zv), self.mesh_dim(yv, phi_z)
+        h0, h1 = self.mesh_dim(xv, zv), self.mesh_dim(xv, phi_z)
         f, g = f0 + f1, g0 + g1
         t = [[0] * (f * g) for _ in range(h0 + h1)]
 
@@ -541,13 +566,12 @@ class OrbitCategory:
             for j, path in enumerate(self.basis_paths(yv, zv)):
                 put(0, 0, j, self.path_rows(xv, path))
                 if f1 and h1:
-                    (_, path), = self.push_piece(y, z, ((1, path),))
+                    (_, path), = self.push_piece(yv, zv, ((1, path),))
                     put(h0, f0, j, self.path_rows(xv, path))
-            fz = self.obj_F(z)
-            for j, path in enumerate(self.basis_paths(yv, self.phi(zv)), g0):
+            for j, path in enumerate(self.basis_paths(yv, phi_z), g0):
                 put(h0, 0, j, self.path_rows(xv, path))
                 if f1:
-                    (_, path), = self.push_piece(y, fz, ((1, path),))
+                    (_, path), = self.push_piece(yv, phi_z, ((1, path),))
                     if any(map(any, self.path_rows(xv, path))):
                         raise RuntimeError("nonzero slot-2 piece in orbit composition")
         return tuple(map(tuple, t))

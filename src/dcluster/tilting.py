@@ -54,7 +54,10 @@ class TiltingContext:
         # their mask to it, a tuple of indices.
         # _composites maps an index triple (a, mid, b) to the structure
         # constants of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis
-        # coordinates, as rows of ints (OrbitCategory.compose_tensor).
+        # coordinates, as rows of ints: the tensor OrbitCategory.compose_tensor
+        # keeps once per relative position of the three vertices in ZQ
+        # (1813 of them for the 9373 triples of E6 d=2), looked up here
+        # without reading a vertex.
         # _approximations maps (right, x, supp), supp the summands with
         # nonzero Hom to (right) or from x, to an Approximation: the
         # generators at each summand of supp, the multiplicities and the

@@ -655,6 +655,21 @@ def test_a_memory_error_after_the_preflight_exits_2(monkeypatch, capsys):
         "error: A2 d=1 p=101 is too large: its tables do not fit in memory\n")
 
 
+def test_ext_table_too_large_prints_only_the_error_line(monkeypatch, capsys):
+    """ext-table builds its rows before it prints the header, so a Hom table
+    that does not fit leaves stdout empty and one line on stderr."""
+    from dcluster.orbit import OrbitCategory
+
+    def out_of_memory(self):
+        raise MemoryError("cannot allocate the Hom table")
+
+    monkeypatch.setattr(OrbitCategory, "hom_table", property(out_of_memory))
+    assert run(["ext-table"] + A2D1) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", "error: A2 d=1 p=101 is too large: its tables do not fit in memory\n")
+
+
 def test_check_lines_print_before_a_later_check_fails(monkeypatch, capsys):
     from dcluster import verify
 

@@ -922,6 +922,52 @@ def test_slot_one_block_without_phi_relabelling_fails(monkeypatch):
                for key in bad)
 
 
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("diagram,rank,d", GRID)
+def test_tensor_memo_entries_recompute_from_their_keys(diagram, rank, d, seed):
+    """Every entry of the orbit category's tensor memo, composed where its
+    triple first occurred, equals the tensor composed afresh from its key
+    alone, with x at vertex (0, i).  Some triples sit above level 0, and the
+    memo holds fewer tensors than the index-triple memo that reads it."""
+    c = _oriented_ctx(diagram, rank, d, seed)
+    report, _ = run_checks(c, TENSOR_CHECKS)
+    assert report["summary"]["fail"] == 0
+    oc = c.oc
+    assert any(oc.vertex(c.objects[a])[0] for a, _, _ in c._composites)
+    assert oc._tensors and len(oc._tensors) < len(c._composites)
+    for (i, y, z), rows in oc._tensors.items():
+        assert oc.vertex_tensor((0, i), y, z) == rows, (i, y, z)
+
+
+class _ZLevelDropped(dict):
+    """Mutant of OrbitCategory._tensors: the key keeps z's vertex of Q but
+    drops its level offset, so triples that differ only in z's level share a
+    tensor."""
+
+    @staticmethod
+    def _coarse(key):
+        i, y, (_, j) = key
+        return i, y, j
+
+    def get(self, key, default=None):
+        return super().get(self._coarse(key), default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self._coarse(key), value)
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 4, 2), ("D", 5, 1)])
+def test_tensor_memo_key_without_z_level_fails(diagram, rank, d):
+    """Mutant: a tensor memo key too coarse to tell z's level.  Some tensor
+    the fan checks build then differs from the per-pair composites."""
+    keys = list(_checked_context(diagram, rank, d)._composites)
+    c = _oriented_ctx(diagram, rank, d, None)
+    c.oc._tensors = _ZLevelDropped()
+    for key in keys:
+        mut._composite_tensor(c, *key)
+    assert _tensors_differing_from_compose(c)
+
+
 def _covers_by_numpy(c, right, a, b, gens_at):
     """Reference for mutation._covers on (h, f, g) arrays: the generators
     taken on the g axis (right) or the f axis (left), the blocks joined and

@@ -676,11 +676,14 @@ def test_nonzero_slot_two_composite_raises():
 
 
 def test_nonzero_slot_two_tensor_raises():
-    # the same pair as a tensor over the bases of Hom(F(Y), Y) and Hom(Y, F^-1(Y))
+    # the same pair as a tensor over the bases of Hom(F(Y), Y) and Hom(Y, F^-1(Y));
+    # nothing is memoized for the triple, so a second call composes and raises again
     c = _oriented("A", 3, 2, None)
     y = c.objects()[0]
-    with pytest.raises(RuntimeError, match="nonzero slot-2 piece in orbit composition"):
-        c.compose_tensor(c.obj_F(y), y, c.obj_F_inv(y))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="nonzero slot-2 piece in orbit composition"):
+            c.compose_tensor(c.obj_F(y), y, c.obj_F_inv(y))
+        assert c._tensors == {}
 
 
 # mutants of the mesh category; each must fail the named test's assertions

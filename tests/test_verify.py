@@ -256,7 +256,8 @@ def _holds_object(value):
 
 
 MUTATION_MEMOS = ["_cycles", "_composites", "_approximations", "_radical_tops",
-                  "_covers", "_face_table.cycles", "_face_table.middles", "oc._path_rows"]
+                  "_covers", "_face_table.cycles", "_face_table.middles", "oc._path_rows",
+                  "oc._tensors"]
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", [("D", 4, 2, None), ("A", 4, 2, 7)])
@@ -276,6 +277,8 @@ def test_mutation_memos_hold_no_objects(diagram, rank, d, seed):
         assert memo and not _holds_object(memo), name
     # the tensors' keys are index triples: the object lookup is only on a miss
     assert all(len(key) == 3 and all(type(i) is int for i in key) for key in c._composites)
+    # and the index triples share the tensors composed once per relative position
+    assert len(c.oc._tensors) < len(c._composites)
 
 
 def _cy_duality_by_loop(c):
