@@ -10,7 +10,7 @@ from .tilting import (TiltingContext, complete_to_tilting, enumerate_tilting,
                       is_maximal_rigid, is_rigid, is_tilting,
                       maximal_rigid_sets, verify_equivalence)
 from .mutation import (complements, fan_of, is_exchange_team, mutate,
-                       mutation_graph, mutation_graph_checks, triangles_of)
+                       mutation_graph_checks, triangles_of)
 from .complex import (ClusterComplex, build_complex, f_vector, facet_stats,
                       gamma, gamma_is_bijection)
 from .verify import CHECK_IDS, load_context, report_to_json, run_checks

@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--facet", required=True)
     mp.add_argument("--drop", required=True)
     mp.add_argument("--pick", type=int, default=1,
-                    help="steps along the complement cycle (default 1)")
+                    help="steps along the fan from the dropped summand, mod d+1: 0 and "
+                         "d+1 give the facet back, a negative pick steps back (default 1)")
     _add_common(mp)
 
     gp = sub.add_parser("mutation-graph", help="facet graph summary")

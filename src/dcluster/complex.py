@@ -18,8 +18,10 @@ use.  The f-vector is counted by backtracking over compatibility bitmasks,
 once per complex (the exports reuse that count), and its last level is
 counted by popcount: a face one short of a facet extends to as many facets
 as it has common neighbours above its largest member.  The codimension-1
-faces are the facet masks with one bit cleared, grouped once per context
-with the facets containing them into the flat arrays of the face table
+faces are the facet masks with one bit cleared; the DOT export groups its
+facets by them (mutation.group_by_face) and joins the facets in each group.
+The full complex's faces are grouped once per context with the facets
+containing them into the flat arrays of the face table
 (mutation.face_table); their statistics come from the complement fans,
 computed on the same masks, and each fan must consist of exactly the
 summands that complete the face in the enumerated facets.  A fan depends
@@ -31,10 +33,10 @@ and color verdict are computed once per facet_stats.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import combinations, islice
 from typing import Dict, List, Sequence, Tuple
 
-from .mutation import face_table, facet_adjacency, group_by_face
+from .mutation import face_table, group_by_face
 from .orbit import Obj, OrbitCategory
 from .tilting import TiltingContext, _bits, enumerate_tilting, facet_masks
 
@@ -225,16 +227,16 @@ def to_json(cpx: ClusterComplex) -> Dict[str, object]:
 
 def facet_graph_dot(ctx: TiltingContext, masks: Sequence[int], name: str) -> str:
     """DOT source, headed `graph <name> {`, for the adjacency of the facets
-    with the given bitmasks."""
-    nbrs = facet_adjacency(group_by_face(masks), len(masks))
+    with the given bitmasks.  Two facets are adjacent when they share a
+    codimension-1 face, and two distinct facets share at most one, so the
+    edges are the pairs in each group_by_face group, each once, in sorted
+    order."""
     names = _names(ctx)
     lines = ["graph %s {" % name]
     for i, mask in enumerate(masks):
         lines.append('  f%d [label="%s"];' % (i, " + ".join(names[j] for j in _bits(mask))))
-    for i, s in enumerate(nbrs):
-        for j in sorted(s):
-            if i < j:
-                lines.append("  f%d -- f%d;" % (i, j))
+    lines += ["  f%d -- f%d;" % edge for edge in sorted(
+        pair for members in group_by_face(masks).values() for pair in combinations(members, 2))]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

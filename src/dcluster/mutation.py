@@ -51,20 +51,23 @@ The checks over every face read one face table per context (FaceTable,
 face_table): the facet masks grouped once by group_by_face and compacted
 into flat arrays of unsigned ints, with no Python object per face.  Per
 face it holds the positions of the facets containing it, the summand that
-its first facet drops, and its fan as an id among the distinct cycles.
-almost_completes and fans read the faces in the order of their tuples of
-object indices, a sort permutation computed when a check first asks for
-it.  Each Ext^1(X_i, X_{i+1}) along a fan is one-dimensional, so each
-triangle along it is unique up to isomorphism and its middle terms depend
-only on the fan: fan_middles keeps them once per fan id, after one pass
-in which every face gets its own right and left approximations, their
+its first facet drops, and its fan as an id among the distinct cycles; a
+face is read by its number (FaceTable.mask, fan_ids).  almost_completes,
+fans and the checks over every face walk the faces in the order of their
+tuples of object indices, a sort permutation computed when a check first
+asks for it.  Each Ext^1(X_i, X_{i+1}) along a fan is one-dimensional, so
+each triangle along it is unique up to isomorphism and its middle terms
+depend only on the fan: fan_middles keeps them once per fan id, after one
+pass in which every face gets its own right and left approximations, their
 agreement and their cover verdicts, and its middle terms must equal those
 of its fan's first face.
 
-A whole minimal approximation of X, its generators and its factorization
-verdict, depends only on the side, on X and on the mask of the summands with
-nonzero Hom to (or from) X, so it is computed once per context for that key
-and shared by every almost complete set and fan member that poses it.
+A minimal approximation of X depends only on the side, on X and on the
+mask of the summands with nonzero Hom to (or from) X.  Its multiplicities
+and its factorization verdict, all that a triangle reads of it, are
+computed once per context for that key and shared by every almost complete
+set and fan member that poses it; its generators are kept only per rank
+problem, from which the object-level approximations read them again.
 
 The same tensors give the composites of connecting classes.  The shift is
 an autoequivalence, so the shifted class delta_j[k] of the one-dimensional
@@ -83,8 +86,8 @@ Ext-dimension pattern with its nonvanishing composites of connecting
 classes ("exchange team"), degree bounds and the two-piece degree profile,
 disjointness of middle-term supports, one-directional Hom between summands
 (read from the nonzero-Hom bit rows), and the mutation graph on facets,
-whose counts are read from the face table without building a neighbour
-set.
+whose edges join the facets of each face group: its counts are read from
+the face table without building a neighbour set.
 """
 
 from __future__ import annotations
@@ -93,12 +96,11 @@ from array import array
 from functools import reduce
 from itertools import accumulate, chain, islice
 from operator import mul, or_
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .orbit import Obj
-from .tilting import TiltingContext, _bits, _closure, enumerate_tilting, \
-    facet_masks, is_tilting
+from .tilting import TiltingContext, _bits, _closure, facet_masks, is_tilting
 
 # a middle term: (object index j, multiplicity of T_j) for each summand in it
 Middle = Tuple[Tuple[int, int], ...]
@@ -243,12 +245,15 @@ class FaceTable:
     def __len__(self) -> int:
         return len(self.drops)
 
-    def masks(self, faces: Optional[Iterable[int]] = None) -> Iterator[int]:
-        """The masks of the faces numbered `faces`, by default of every face
-        in first-seen order."""
-        facets, members, starts, drops = self.facets, self.members, self.starts, self.drops
-        for f in range(len(drops)) if faces is None else faces:
-            yield facets[members[starts[f]]] ^ 1 << drops[f]
+    def mask(self, f: int) -> int:
+        """The mask of face f."""
+        return self.facets[self.members[self.starts[f]]] ^ 1 << self.drops[f]
+
+    def masks(self) -> Iterator[int]:
+        """The mask of every face, in first-seen order."""
+        facets, members = self.facets, self.members
+        return (facets[members[start]] ^ 1 << drop
+                for start, drop in zip(self.starts, self.drops))
 
     def order(self) -> array:
         """The face numbers sorted by their tuples of object indices (cached).
@@ -266,14 +271,6 @@ class FaceTable:
             low = (1 << shift) - 1
             self._order = array("I", [key & low for key in keys])
         return self._order
-
-    def sorted_mask(self, pos: int) -> int:
-        """The mask of the pos-th face in almost_completes order."""
-        return next(self.masks((self.order()[pos],)))
-
-    def sorted_fan_ids(self) -> Iterator[int]:
-        """The fan id of each face, in almost_completes order."""
-        return map(self.fan_ids.__getitem__, self.order())
 
 
 def face_table(ctx: TiltingContext) -> FaceTable:
@@ -319,13 +316,14 @@ def almost_completes(ctx: TiltingContext) -> List[int]:
     """The mask of every facet minus one summand, deduplicated, sorted by
     their tuples of object indices."""
     table = face_table(ctx)
-    return list(table.masks(table.order()))
+    return list(map(table.mask, table.order()))
 
 
 def fans(ctx: TiltingContext) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     """The (face mask, fan as object indices) pairs, in almost_completes order."""
     table = face_table(ctx)
-    return zip(table.masks(table.order()), map(table.cycles.__getitem__, table.sorted_fan_ids()))
+    cycles, fan_ids = table.cycles, table.fan_ids
+    return ((table.mask(f), cycles[fan_ids[f]]) for f in table.order())
 
 
 def fan_middles(ctx: TiltingContext) -> List[Tuple[Middle, ...]]:
@@ -337,9 +335,10 @@ def fan_middles(ctx: TiltingContext) -> List[Tuple[Middle, ...]]:
     kept."""
     table = face_table(ctx)
     if table.middles is None:
-        cycles, objs = table.cycles, ctx.objects
+        cycles, fan_ids, objs = table.cycles, table.fan_ids, ctx.objects
         middles: List[Optional[Tuple[Middle, ...]]] = [None] * len(cycles)
-        for mask, fid in zip(table.masks(table.order()), table.sorted_fan_ids()):
+        for f in table.order():
+            fid, mask = fan_ids[f], table.mask(f)
             got = _face_triangles(ctx, mask, cycles[fid])
             if middles[fid] is None:
                 middles[fid] = got
@@ -385,27 +384,11 @@ def _check_end_fields(ctx: TiltingContext, mask: int) -> None:
                            % (ctx.objects[(bad & -bad).bit_length() - 1],))
 
 
-class Approximation(NamedTuple):
-    """A minimal approximation of X_ix from add(T), over the summands T_j in
-    the bitmask supp, those with nonzero Hom to (right) or from X_ix.
-
-    gens[k] holds the generators of that Hom mod the radical, as indices into
-    its Hom basis, for the k-th bit j of supp; mults holds the (j, number of
-    generators) that are nonzero, and covers whether every map between those
-    summands and X_ix factors through the generators."""
-    supp: int
-    gens: Tuple[Tuple[int, ...], ...]
-    mults: Tuple[Tuple[int, int], ...]
-    covers: bool
-
-    def by_summand(self):
-        """(j, generators at T_j) for each bit j of supp."""
-        return zip(_bits(self.supp), self.gens)
-
-
-def _approximation(ctx: TiltingContext, right: bool, ix: int, supp: int) -> Approximation:
-    """The minimal right (left) approximation of X_ix from add(T), with its
-    factorization verdict (memoized).
+def _approximation(ctx: TiltingContext, right: bool, ix: int,
+                   supp: int) -> Tuple[Middle, bool]:
+    """The multiplicities of the minimal right (left) approximation of X_ix
+    from add(T), the (j, number of generators at T_j) for each summand with
+    a generator, and its factorization verdict (memoized).
 
     `supp` is the bitmask of the summands T_j with Hom(T_j, X_ix) (left:
     Hom(X_ix, T_j)) nonzero; the other summands contribute neither a
@@ -418,11 +401,9 @@ def _approximation(ctx: TiltingContext, right: bool, ix: int, supp: int) -> Appr
     if got is None:
         gens = _generators(ctx, right, ix, supp)
         mults = tuple((j, len(g)) for j, g in zip(_bits(supp), gens) if g)
-        # few distinct generator and multiplicity lists occur: each is kept once
-        shared = ctx._shared_tuples
-        got = memo[key] = Approximation(supp, shared.setdefault(gens, gens),
-                                        shared.setdefault(mults, mults),
-                                        _covered(ctx, right, ix, supp, gens))
+        # few distinct multiplicity tuples occur: each is kept once
+        got = memo[key] = (ctx._shared_tuples.setdefault(mults, mults),
+                           _covered(ctx, right, ix, supp, gens))
     return got
 
 
@@ -506,15 +487,16 @@ def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
     return len(linalg.rref_rows(rows, cols, ctx.oc.cat.p)) == len(rows)
 
 
-def _approximation_of(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
-                      right: bool) -> Approximation:
-    """_approximation of the object x from the distinct summands `addset`,
-    whose endomorphism rings are checked to be fields."""
+def _support(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
+             right: bool) -> Tuple[int, int]:
+    """(index of x, bitmask of the summands of `addset` with nonzero Hom to
+    (right) or from x) for _approximation and _generators; the summands must
+    be distinct, and their endomorphism rings are checked to be fields."""
     mask = ctx.mask_of(addset)
     _check_end_fields(ctx, mask)
     ix = ctx.index[ctx.canonical(x)]
     out, into = ctx.hom_masks()
-    return _approximation(ctx, right, ix, mask & (into[ix] if right else out[ix]))
+    return ix, mask & (into[ix] if right else out[ix])
 
 
 def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
@@ -528,28 +510,28 @@ def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
     one-dimensional (it is checked), so that the radical is exactly the span
     of composites through the other summands.
     """
+    ix, supp = _support(ctx, addset, target, True)
     objs = ctx.objects
-    return {objs[j]: list(g) for j, g in
-            _approximation_of(ctx, addset, target, True).by_summand()}
+    return {objs[j]: list(g) for j, g in zip(_bits(supp), _generators(ctx, True, ix, supp))}
 
 
 def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
                        source: Obj) -> Dict[Obj, List[int]]:
     """Dual of right_approximation: generators of Hom(source, T_j) mod radical."""
+    ix, supp = _support(ctx, addset, source, False)
     objs = ctx.objects
-    return {objs[j]: list(g) for j, g in
-            _approximation_of(ctx, addset, source, False).by_summand()}
+    return {objs[j]: list(g) for j, g in zip(_bits(supp), _generators(ctx, False, ix, supp))}
 
 
 def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
                         target: Obj) -> Dict[Obj, int]:
     """Multiplicities of the minimal right approximation, factorization-checked."""
-    appr = _approximation_of(ctx, addset, target, True)
-    if not appr.covers:
+    ix, supp = _support(ctx, addset, target, True)
+    if not _approximation(ctx, True, ix, supp)[1]:
         raise RuntimeError("approximation candidates do not cover Hom(add set, %r)"
                            % (target,))
     objs = ctx.objects
-    return {objs[j]: len(g) for j, g in appr.by_summand()}
+    return {objs[j]: len(g) for j, g in zip(_bits(supp), _generators(ctx, True, ix, supp))}
 
 
 def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
@@ -583,8 +565,8 @@ def _face_triangles(ctx: TiltingContext, mask: int, cycle: Tuple[int, ...]
     m = len(cycle)
     for k, i in enumerate(cycle):
         nxt = cycle[(k + 1) % m]
-        _, _, rm, rcov = _approximation(ctx, True, i, mask & into[i])
-        _, _, lm, lcov = _approximation(ctx, False, nxt, mask & out[nxt])
+        rm, rcov = _approximation(ctx, True, i, mask & into[i])
+        lm, lcov = _approximation(ctx, False, nxt, mask & out[nxt])
         if rm != lm:
             raise RuntimeError("middle term of triangle at %r disagrees between "
                                "right (%r) and left (%r) approximations"
@@ -791,24 +773,6 @@ def mutate(ctx: TiltingContext, objs: Sequence[Obj], drop: Obj,
     almost = ctx.mask_of(objs) & ~(1 << i)
     fan = _fan(ctx, almost)
     return ctx.objs_of(almost | 1 << fan[(fan.index(i) + pick) % len(fan)])
-
-
-def facet_adjacency(faces: Dict[int, List[int]], count: int) -> List[set]:
-    """Adjacency of `count` facets sharing all but one summand, from their
-    group_by_face grouping."""
-    nbrs = [set() for _ in range(count)]
-    for members in faces.values():
-        for a in members:
-            nbrs[a].update(members)
-    for a, s in enumerate(nbrs):
-        s.discard(a)
-    return nbrs
-
-
-def mutation_graph(ctx: TiltingContext) -> Tuple[List[Tuple[Obj, ...]], List[set]]:
-    """Facets and their adjacency (facets sharing all but one summand)."""
-    facets = enumerate_tilting(ctx)
-    return facets, facet_adjacency(group_by_face(facet_masks(ctx)), len(facets))
 
 
 def mutation_graph_checks(ctx: TiltingContext) -> Dict[str, object]:

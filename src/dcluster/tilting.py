@@ -59,12 +59,12 @@ class TiltingContext:
         # (1813 of them for the 9373 triples of E6 d=2), looked up here
         # without reading a vertex.
         # _approximations maps (right, x, supp), supp the summands with
-        # nonzero Hom to (right) or from x, to an Approximation: the
-        # generators at each summand of supp, the multiplicities and the
-        # factorization verdict.
-        # Few distinct generator and multiplicity tuples occur (92 and 751
-        # among the 26460 approximations of E7 d=1), so _shared_tuples keeps
-        # one copy of each.  Approximations are built from two smaller rank
+        # nonzero Hom to (right) or from x, to the pair (multiplicities,
+        # factorization verdict), all that a triangle reads of it; the
+        # generators are kept only per rank problem, in _radical_tops.
+        # Few distinct multiplicity tuples occur (751 among the 26460
+        # approximations of E7 d=1), so _shared_tuples keeps one copy of
+        # each.  Approximations are built from two smaller rank
         # problems: _radical_tops maps (a, b, mask of summands t with Hom(a, t)
         # and Hom(t, b) nonzero) to the generators of Hom(a, b) mod the
         # radical, and _covers maps (right, a, b, ((t, generators), ...)) to

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from . import complex as cpxmod
 from . import mutation as mut
 from .orbit import OrbitCategory
-from .quiver import coxeter_data, fomin_reading_count, parse_quiver
+from .quiver import fomin_reading_count, parse_quiver
 from .reps import ModuleCategory
 from .tilting import TiltingContext, _bits, complete_mask, facet_masks, verify_equivalence
 
@@ -155,7 +155,7 @@ def check_rigidity_equivalence(ctx: TiltingContext) -> Dict[str, object]:
 def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
     # each greedy completion must be complete rigid: n summands
     table = mut.face_table(ctx)
-    starts = chain((1 << i for i in range(len(ctx.objects))), table.masks(table.order()))
+    starts = chain((1 << i for i in range(len(ctx.objects))), map(table.mask, table.order()))
     for count, start in enumerate(starts, 1):
         size = complete_mask(ctx, start).bit_count()
         if size != ctx.n:
@@ -181,16 +181,17 @@ def _each_fan(ctx: TiltingContext, law: Callable[[int], Tuple[int, bool]], name:
     else fail at the first face whose fan breaks it, naming the face
     ("almost") or its fan ("fan"), and with `degrees` the fan's degrees."""
     table = mut.face_table(ctx)
-    cycles = table.cycles
+    cycles, fan_ids = table.cycles, table.fan_ids
     verdicts: List[Optional[Tuple[int, bool]]] = [None] * len(cycles)
     total = 0
-    for pos, fid in enumerate(table.sorted_fan_ids()):
+    for f in table.order():
+        fid = fan_ids[f]
         got = verdicts[fid]
         if got is None:
             got = verdicts[fid] = law(fid)
         total += got[0]
         if not got[1]:
-            named = _bits(table.sorted_mask(pos)) if name == "almost" else cycles[fid]
+            named = _bits(table.mask(f)) if name == "almost" else cycles[fid]
             example = {name: _names(ctx, named)}
             if degrees:
                 example["degrees"] = list(mut.fan_degrees(ctx, cycles[fid]))

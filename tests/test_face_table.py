@@ -56,6 +56,7 @@ def test_face_table_matches_group_by_face(diagram, rank, d, seed):
     table = mut.face_table(c)
     assert len(table) == len(groups)
     assert list(table.masks()) == list(groups)
+    assert [table.mask(f) for f in range(len(table))] == list(groups)
     assert [_members(table, f) for f in range(len(table))] == list(groups.values())
     assert table.starts[0] == 0 and table.starts[-1] == len(table.members)
 
@@ -128,8 +129,8 @@ def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
     mut.fan_middles(c)
     out, into = c.hom_masks()
     want = []
-    for mask, fid in zip(table.masks(table.order()), table.sorted_fan_ids()):
-        cycle = table.cycles[fid]
+    for f in table.order():
+        mask, cycle = table.mask(f), table.cycles[table.fan_ids[f]]
         for k, i in enumerate(cycle):
             nxt = cycle[(k + 1) % len(cycle)]
             want += [(c, True, i, mask & into[i]), (c, False, nxt, mask & out[nxt])]
@@ -144,9 +145,10 @@ def _break_one_face(monkeypatch, c):
     almost_completes order, of a fan already seen, and return its mask."""
     table = mut.face_table(c)
     seen, target = set(), None
-    for mask, fid in zip(table.masks(table.order()), table.sorted_fan_ids()):
+    for f in table.order():
+        fid = table.fan_ids[f]
         if fid in seen:
-            target = mask
+            target = table.mask(f)
             break
         seen.add(fid)
     triangles = mut._face_triangles

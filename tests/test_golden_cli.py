@@ -32,6 +32,15 @@ EXPORTS = {
              "942456e7c210145010708f250f8891c7ab86d5d052ad1a2bbc27deb2cb22e2a8"),
 }
 
+# sha256 of the --dot file of `complex --positive` and of `mutation-graph`,
+# recorded before the DOT edges were read from the face groups
+GRAPH_DOTS = {
+    "D4d2": ("f3e8ed9174803a50598b489c104a8da756fa7f33973c073e1d13ccd9c0dff5c1",
+             "2a9952393b8ce660ab6fb56ca9bbb9e725d6d09159d3ff4ff73da4cd20dc667e"),
+    "A3d3": ("6ce398ee637686bcf5da9f06a77eab50f41b2ff63bf790dcf6bd6b5be3a8a823",
+             "9c4a3c81e70d92ad1f5bb5f2a1cc1050d4a2067b59281cc263153b8fc4b289b8"),
+}
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fans_list_matches_golden(case, capsys):
@@ -48,3 +57,14 @@ def test_complex_matches_golden(case, tmp_path, monkeypatch, capsys):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in (out, dot))
     assert digests == EXPORTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_graph_dots_match_golden(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["complex", "--positive", "--dot", "positive.dot"] + CASES[case]) == 0
+    assert run(["mutation-graph", "--dot", "mutation.dot"] + CASES[case]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("positive.dot", "mutation.dot"))
+    assert digests == GRAPH_DOTS[case]

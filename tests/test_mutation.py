@@ -15,8 +15,8 @@ from dcluster.mutation import (almost_completes, approximation_mults, complement
                                ext_pattern_ok, fan_degrees, fan_of,
                                hom_one_directional, is_exchange_team,
                                left_approximation, middle_supports_disjoint,
-                               middle_union_rigid, mutate, mutation_graph,
-                               mutation_graph_checks, right_approximation, rotate_to,
+                               middle_union_rigid, mutate, mutation_graph_checks,
+                               right_approximation, rotate_to,
                                successor_hom_vanishing, triangles_of)
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import dynkin_edges, parse_quiver
@@ -228,8 +228,6 @@ def test_mask_path_matches_tuple_oracles(diagram, rank, d, seed):
         assert fan == _order_into_fan_by_tuples(c, comps)
         for start in comps:
             assert rotate_to(fan, start) == _order_into_fan_by_tuples(c, comps, start)
-    facets, nbrs = mutation_graph(c)
-    assert nbrs == _facet_adjacency_by_tuples(facets)
 
 
 def test_fan_errors_keep_their_messages(monkeypatch):
@@ -390,14 +388,9 @@ def _graph_checks_by_sets(nbrs, degree):
 
 @pytest.mark.parametrize("seed", [None, 3, 11, 29])
 @pytest.mark.parametrize("diagram,rank,d", GRID)
-def test_graph_checks_match_neighbour_sets(diagram, rank, d, seed, monkeypatch):
+def test_graph_checks_match_neighbour_sets(diagram, rank, d, seed):
     c = _fresh_oriented_ctx(diagram, rank, d, seed)
     want = _graph_checks_by_sets(_facet_adjacency_by_tuples(enumerate_tilting(c)), rank * d)
-
-    def no_sets(*args):
-        raise AssertionError("the graph checks built neighbour sets")
-
-    monkeypatch.setattr(mut, "facet_adjacency", no_sets)
     assert mutation_graph_checks(c) == want
     assert want["regular"] and want["connected"]
 
@@ -535,8 +528,10 @@ def _supp(c, addset, x, right):
     return ix, c.mask_of(addset) & (into[ix] if right else out[ix])
 
 
-def _tops(c, appr):
-    return {c.objects[j]: list(g) for j, g in appr.by_summand()}
+def _tops(c, right, ix, supp):
+    """The generators of _generators at each summand of `supp`, by object."""
+    gens = mut._generators(c, right, ix, supp)
+    return {c.objects[j]: list(g) for j, g in zip(_bits(supp), gens)}
 
 
 @pytest.mark.parametrize("seed", [None, 5])
@@ -547,18 +542,18 @@ def test_tensor_path_matches_composition_path(diagram, rank, d, seed):
         for x in fan_of(c, a):
             for right in (True, False):
                 ix, supp = _supp(c, a, x, right)
-                appr = mut._approximation(c, right, ix, supp)
-                tops = _tops(c, appr)
+                mults, covers = mut._approximation(c, right, ix, supp)
+                tops = _tops(c, right, ix, supp)
                 ref = _approximation_by_composition(c, a, x, right)
                 assert tops.keys() == ref.keys()
                 for tj, fs in ref.items():
                     basis = c.oc.hom_basis(*((tj, x) if right else (x, tj)))
                     assert tops[tj] == [basis.index(f) for f in fs]
-                assert appr.covers is _factors_through(c, a, x, ref, right) is True
+                assert mults == tuple((c.index[tj], len(fs)) for tj, fs in tops.items() if fs)
+                assert covers is _factors_through(c, a, x, ref, right) is True
                 # without one generator, both paths must see the gap
                 for tj in [t for t in ref if ref[t]][:1]:
-                    short = tuple(g[1:] if c.objects[j] == tj else g
-                                  for j, g in appr.by_summand())
+                    short = tuple(tuple(g[1:] if t == tj else g) for t, g in tops.items())
                     ref_short = {**ref, tj: ref[tj][1:]}
                     assert mut._covered(c, right, ix, supp, short) is \
                         _factors_through(c, a, x, ref_short, right) is False
@@ -577,13 +572,14 @@ def test_generator_choice_matches_on_two_dimensional_homs(diagram, rank, d):
                                 (False, c.objects[j], c.objects[i])):
                 if s == t:
                     continue
-                appr = mut._approximation(c, right, *_supp(c, (t, s), x, right))
-                tops = _tops(c, appr)
+                ix, supp = _supp(c, (t, s), x, right)
+                tops = _tops(c, right, ix, supp)
                 ref = _approximation_by_composition(c, (t, s), x, right)
                 basis = c.oc.hom_basis(*((t, x) if right else (x, t)))
                 assert tops[t] == [basis.index(f) for f in ref[t]]
                 chosen += 0 < len(tops[t]) < 2
-                assert appr.covers is _factors_through(c, (t, s), x, ref, right)
+                assert mut._approximation(c, right, ix, supp)[1] is \
+                    _factors_through(c, (t, s), x, ref, right)
     assert chosen > 0
 
 
@@ -694,7 +690,7 @@ def test_each_radical_problem_is_reduced_once(diagram, rank, d, monkeypatch):
     for a in almosts:
         triangles_of(c, a)
     assert len(calls) == len(c._radical_tops)
-    posed = sum(len(mut._approximation_of(c, a, x, right).gens) for a in almosts
+    posed = sum(mut._support(c, a, x, right)[1].bit_count() for a in almosts
                 for x in fan_of(c, a) for right in (True, False))
     assert len(calls) == len(c._radical_tops) < posed
 
@@ -1482,9 +1478,11 @@ def test_mutation_graph_regular_connected(diagram, rank, d):
 
 def test_mutation_graph_pentagon():
     c = ctx("A", 2, 1)
-    facets, nbrs = mutation_graph(c)
+    facets = enumerate_tilting(c)
+    nbrs = _facet_adjacency_by_tuples(facets)
     assert len(facets) == 5
     assert all(len(s) == 2 for s in nbrs)
+    assert mutation_graph_checks(c) == _graph_checks_by_sets(nbrs, 2)
     # walk the 5-cycle
     seen = [0]
     prev, cur = None, 0
@@ -1497,7 +1495,8 @@ def test_mutation_graph_pentagon():
 
 def test_mutation_agrees_with_graph_edges():
     c = ctx("A", 2, 2)
-    facets, nbrs = mutation_graph(c)
+    facets = enumerate_tilting(c)
+    nbrs = _facet_adjacency_by_tuples(facets)
     index = {f: i for i, f in enumerate(facets)}
     for fi, facet in enumerate(facets):
         reached = set()

@@ -243,13 +243,16 @@ def test_fan_layer_caches_hold_no_objects():
 
 def _holds_object(value):
     """Is an object (root, shift) found anywhere in `value`: in a tuple or
-    list, a dict key or value, or a numpy array of Python objects?"""
+    list, a dict key or value, or a numpy array of Python objects?  A shift
+    is an int and never a bool, so a (multiplicities, covers) pair of
+    mutation._approximation is not taken for an object."""
     if isinstance(value, np.ndarray):
         return value.dtype == object
     if isinstance(value, dict):
         return any(_holds_object(k) or _holds_object(v) for k, v in value.items())
     if isinstance(value, (tuple, list)):
-        if len(value) == 2 and isinstance(value[0], tuple) and isinstance(value[1], int):
+        if (len(value) == 2 and isinstance(value[0], tuple) and isinstance(value[1], int)
+                and not isinstance(value[1], bool)):
             return True
         return any(map(_holds_object, value))
     return False
@@ -272,6 +275,14 @@ def test_mutation_memos_hold_no_objects(diagram, rank, d, seed):
     c = load_context(diagram, rank, d, orientation=arrows)
     assert run_checks(c)[0]["summary"]["fail"] == 0
     assert _holds_object({c.objects[0]: 1}) and _holds_object([(1, c.objects[-1])])
+    # an approximation's (multiplicities, covers) pair holds indices only, but
+    # an object planted in it, or in its place, is still found
+    planted = dict(c._approximations)
+    key = next(iter(planted))
+    assert not _holds_object({key: planted[key]}) and not _holds_object(((), True))
+    for value in ((((c.objects[0], 1),), True), (((0, 1),), c.objects[-1]), c.objects[0]):
+        planted[key] = value
+        assert _holds_object(planted), value
     for name in MUTATION_MEMOS:
         memo = attrgetter(name)(c)
         assert memo and not _holds_object(memo), name
