@@ -42,18 +42,18 @@ summand.
 
 The complements of a set, and so its fan, depend only on the set's common
 neighbours, and far fewer distinct sets of those occur than faces (3107
-among the 33176 faces of E6 d=2, 1050 among the 14560 of E7 d=1), so a fan
-is filtered and walked once per common-neighbour mask and only looked up
-for every further face.  A query on one face (complements, fan_of,
-triangles_of, mutate) does just that and keeps nothing per face.
+among the 33176 faces of E6 d=2, 1050 among the 14560 of E7 d=1), so the
+face table filters and walks a fan once per common-neighbour mask and only
+looks it up for every further face.  A query on one face (complements,
+fan_of, triangles_of, mutate) walks its one fan and keeps no fan.
 
 The checks over every face read one face table per context (FaceTable,
 face_table): the facet masks grouped once by group_by_face and compacted
 into flat arrays of unsigned ints, with no Python object per face.  Per
 face it holds the positions of the facets containing it, the summand that
 its first facet drops, and its fan as an id among the distinct cycles; a
-face is read by its number (FaceTable.mask, fan_ids).  almost_completes,
-fans and the checks over every face walk the faces in the order of their
+face is read by its number (FaceTable.mask, fan_ids).  fans and the checks
+over every face walk the faces in FaceTable.order, the order of their
 tuples of object indices, a sort permutation computed when a check first
 asks for it.  Each Ext^1(X_i, X_{i+1}) along a fan is one-dimensional, so
 each triangle along it is unique up to isomorphism and its middle terms
@@ -159,20 +159,8 @@ def _fan_cycle(ctx: TiltingContext, comps: int) -> Tuple[int, ...]:
 
 
 def _fan(ctx: TiltingContext, mask: int) -> Tuple[int, ...]:
-    """The fan of the almost complete set `mask` as object indices, through
-    the memo of cycles by common-neighbour mask."""
-    return _cycle_of(ctx, _common_mask(ctx, mask))
-
-
-def _cycle_of(ctx: TiltingContext, common: int) -> Tuple[int, ...]:
-    """The fan of any set with the common neighbours `common` (cached),
-    filtered and ordered once per context; nothing is cached when that
-    raises."""
-    cycles = ctx._cycles
-    fan = cycles.get(common)
-    if fan is None:
-        fan = cycles[common] = _fan_cycle(ctx, _complements_among(ctx, common))
-    return fan
+    """The fan of the almost complete set `mask` as object indices."""
+    return _fan_cycle(ctx, _complements_among(ctx, _common_mask(ctx, mask)))
 
 
 def complements(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Obj]:
@@ -182,7 +170,7 @@ def complements(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Obj]:
 
 
 def fan_of(ctx: TiltingContext, almost: Sequence[Obj]) -> Tuple[Obj, ...]:
-    """The ordered complement cycle of an almost complete set (cached)."""
+    """The ordered complement cycle of an almost complete set."""
     objects = ctx.objects
     return tuple(objects[i] for i in _fan(ctx, ctx.mask_of(almost)))
 
@@ -226,8 +214,8 @@ class FaceTable:
     starts[f] <= k < starts[f + 1]; its mask is the first of those facets
     without the summand drops[f], and its fan is cycles[fan_ids[f]], so the
     table keeps no Python object per face.  order (sorted on first use)
-    lists the faces in almost_completes order, and middles (fan_middles)
-    the middle terms along each cycle.
+    lists the faces by their tuples of object indices, and middles
+    (fan_middles) the middle terms along each cycle.
     """
 
     def __init__(self, facets: List[int], width: int, starts: array, members: array,
@@ -275,8 +263,9 @@ class FaceTable:
 
 def face_table(ctx: TiltingContext) -> FaceTable:
     """The face table of group_by_face over the facets of the context
-    (cached).  A face's fan is looked up by its common neighbours, and each
-    distinct cycle gets the next id; nothing is kept when a fan walk raises."""
+    (cached).  A fan is walked once per distinct common-neighbour mask and
+    looked up by that mask for every further face, and each distinct cycle
+    gets the next id; nothing is kept when a fan walk raises."""
     if ctx._face_table is None:
         facets = facet_masks(ctx)
         groups = group_by_face(facets)
@@ -304,23 +293,16 @@ def face_table(ctx: TiltingContext) -> FaceTable:
             common = near & ~face
             fid = by_common.get(common)
             if fid is None:
-                fid = by_common[common] = by_cycle.setdefault(_cycle_of(ctx, common),
-                                                              len(by_cycle))
+                cycle = _fan_cycle(ctx, _complements_among(ctx, common))
+                fid = by_common[common] = by_cycle.setdefault(cycle, len(by_cycle))
             fan_ids.append(fid)
         ctx._face_table = FaceTable(facets, len(ctx.objects), starts, members, drops,
                                     fan_ids, list(by_cycle))
     return ctx._face_table
 
 
-def almost_completes(ctx: TiltingContext) -> List[int]:
-    """The mask of every facet minus one summand, deduplicated, sorted by
-    their tuples of object indices."""
-    table = face_table(ctx)
-    return list(map(table.mask, table.order()))
-
-
 def fans(ctx: TiltingContext) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """The (face mask, fan as object indices) pairs, in almost_completes order."""
+    """The (face mask, fan as object indices) pairs, in FaceTable.order."""
     table = face_table(ctx)
     cycles, fan_ids = table.cycles, table.fan_ids
     return ((table.mask(f), cycles[fan_ids[f]]) for f in table.order())
@@ -329,7 +311,7 @@ def fans(ctx: TiltingContext) -> Iterator[Tuple[int, Tuple[int, ...]]]:
 def fan_middles(ctx: TiltingContext) -> List[Tuple[Middle, ...]]:
     """The middle terms along each fan, by fan id (cached).
 
-    One pass over the faces in almost_completes order gives each face its
+    One pass over the faces in FaceTable.order gives each face its
     own triangles (_face_triangles); a face whose middle terms differ from
     those of its fan's first face raises RuntimeError, and then nothing is
     kept."""
@@ -523,17 +505,6 @@ def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
     return {objs[j]: list(g) for j, g in zip(_bits(supp), _generators(ctx, False, ix, supp))}
 
 
-def approximation_mults(ctx: TiltingContext, addset: Sequence[Obj],
-                        target: Obj) -> Dict[Obj, int]:
-    """Multiplicities of the minimal right approximation, factorization-checked."""
-    ix, supp = _support(ctx, addset, target, True)
-    if not _approximation(ctx, True, ix, supp)[1]:
-        raise RuntimeError("approximation candidates do not cover Hom(add set, %r)"
-                           % (target,))
-    objs = ctx.objects
-    return {objs[j]: len(g) for j, g in zip(_bits(supp), _generators(ctx, True, ix, supp))}
-
-
 def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
     """Middle-term data of the connecting triangles along the fan of `almost`.
 
@@ -585,12 +556,6 @@ def _face_triangles(ctx: TiltingContext, mask: int, cycle: Tuple[int, ...]
 def supports_of(middles: Sequence[Middle]) -> List[int]:
     """The summand masks of the middle terms `middles`."""
     return [sum(1 << j for j, _ in mids) for mids in middles]
-
-
-def middle_supports(ctx: TiltingContext, mask: int) -> List[int]:
-    """The summand masks of the middle terms along the fan of `mask`, from
-    the face's own approximations."""
-    return supports_of(_face_triangles(ctx, mask, _fan(ctx, mask)))
 
 
 # ---------------------------------------------------------------------------

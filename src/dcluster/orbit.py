@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
@@ -215,13 +215,14 @@ class OrbitCategory:
         cat, d = self.cat, self.d
         roots, index = cat.roots, cat.root_index
         size = len(roots)
-        # <a, b> for all roots, one row addition each: <e_i, b> = (E b)_i is
-        # b_i minus b_t for each arrow i -> t, and a root of height > 1 is a
-        # smaller root plus a simple root e_i
+        # <a, b> for all roots, one row addition each: <e_u, b> = (E b)_u sums
+        # E[u, v] b_v over the nonzero entries of the Euler matrix that
+        # euler_pairing reads, and a root of height > 1 is a smaller root
+        # plus a simple root e_i
         cols = list(zip(*roots))
-        simple = [list(col) for col in cols]
-        for s, t in cat.q.arrows:
-            simple[s] = list(map(sub, simple[s], cols[t]))
+        simple = [[0] * size for _ in cols]
+        for u, v, e in cat.euler_terms:
+            simple[u] = [x + e * y for x, y in zip(simple[u], cols[v])]
         # the simple roots come first, sorted by their coordinates
         pairing = [simple[a.index(1)] for a in roots[:len(cols)]]
         for a in roots[len(cols):]:

@@ -155,27 +155,32 @@ def cartan_matrix(q: DynkinQuiver) -> Matrix:
 
 
 def positive_roots(q: DynkinQuiver) -> List[Root]:
-    """Positive roots in the simple-root basis, sorted by (height, coords):
-    the closure of the simple roots under the simple reflections
-    s_i(b) = b - (c_i . b) e_i, c the Cartan matrix, kept while nonnegative."""
+    """Positive roots in the simple-root basis, sorted by (height, coords).
+
+    The roots are walked by height along their root strings: for a positive
+    root b other than e_i in a simply-laced system, b + e_i is a root exactly
+    when (C b)_i = -1, C the Cartan matrix.  Each root keeps its Cartan
+    vector C b, and b + e_i gets it plus column i of C, which has at most
+    four nonzero entries; so the walk is cubic in the rank, not quartic."""
     c = cartan_matrix(q)
-    found = set()
-    frontier = [tuple(int(i == j) for j in range(q.rank)) for i in range(q.rank)]
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            if beta in found:
-                continue
-            found.add(beta)
-            for i, row in enumerate(c):
-                new = list(beta)
-                new[i] -= sum(x * y for x, y in zip(row, beta))
-                if min(new) >= 0 and max(new) > 0:
-                    t = tuple(new)
-                    if t not in found:
-                        nxt.append(t)
-        frontier = nxt
-    return sorted(found, key=lambda r: (sum(r), r))
+    n = q.rank
+    column = [[(j, x) for j, x in enumerate(row) if x] for row in c]   # C is symmetric
+    level = {tuple(int(i == j) for j in range(n)): c[i] for i in range(n)}
+    roots: List[Root] = []
+    while level:
+        nxt: Dict[Root, List[int]] = {}
+        for beta in sorted(level):
+            roots.append(beta)
+            cb = level[beta]
+            for i, x in enumerate(cb):
+                if x == -1:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in nxt:
+                        new = nxt[up] = list(cb)
+                        for j, y in column[i]:
+                            new[j] += y
+        level = nxt
+    return roots
 
 
 class CoxeterData:

@@ -529,14 +529,14 @@ class ModuleCategory:
         return dim
 
     @cached_property
-    def _euler_terms(self) -> List[Tuple[int, int, int]]:
+    def euler_terms(self) -> List[Tuple[int, int, int]]:
         """The nonzero entries (u, v, E[u, v]) of the Euler matrix, as ints."""
         return [(u, v, e) for u, row in enumerate(self.euler)
                 for v, e in enumerate(row) if e]
 
     def euler_pairing(self, ra, rb) -> int:
         """<a, b> = a^T E b, summed over the nonzero entries of E."""
-        return sum(e * ra[u] * rb[v] for u, v, e in self._euler_terms)
+        return sum(e * ra[u] * rb[v] for u, v, e in self.euler_terms)
 
     def ext_dim(self, ra: Root, rb: Root) -> int:
         """dim Ext^1(A, B): the cocycle space Hom(P1, B) modulo the image of

@@ -49,9 +49,8 @@ class TiltingContext:
         self._facet_stats = None
         self._graph_checks = None
         # memos of the mutation module, which hold object indices and
-        # bitmasks, never objects, and nothing per face.  A face's fan
-        # depends only on the common neighbours of the set, and _cycles maps
-        # their mask to it, a tuple of indices.
+        # bitmasks, never objects, and nothing per face; the fans are kept
+        # only in the face table, once per distinct cycle.
         # _composites maps an index triple (a, mid, b) to the structure
         # constants of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis
         # coordinates, as rows of ints: the tensor OrbitCategory.compose_tensor
@@ -70,7 +69,6 @@ class TiltingContext:
         # radical, and _covers maps (right, a, b, ((t, generators), ...)) to
         # whether the generators at those summands span Hom(a, b).
         # _end_defects masks the objects whose End is not one-dimensional.
-        self._cycles = {}
         self._composites = {}
         self._approximations = {}
         self._shared_tuples = {}
@@ -220,16 +218,6 @@ def is_tilting(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
 # extension exactly when some object outside it is compatible with all of it,
 # i.e. is a common neighbour.
 is_maximal_rigid = is_tilting
-
-
-def classify(ctx: TiltingContext, objs: Sequence[Obj]) -> Dict[str, bool]:
-    rigid, common = _closure_of(ctx, objs)
-    return {
-        "rigid": rigid,
-        "maximal": rigid and common == 0,
-        "complete": rigid and len(set(objs)) == ctx.n,
-        "tilting": rigid and common == 0,
-    }
 
 
 def complete_to_tilting(ctx: TiltingContext, objs: Sequence[Obj]) -> Tuple[Obj, ...]:

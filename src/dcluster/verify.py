@@ -165,21 +165,19 @@ def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
 
 def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:
     d = ctx.oc.d
-    count = 0
-    for mask, fan in mut.fans(ctx):
-        count += 1
-        if len(fan) != d + 1:
-            return _fail(count, {"almost": _names(ctx, _bits(mask)),
-                                 "complements": len(fan)})
-    return _pass(count, complements_each=d + 1)
+    cycles = mut.face_table(ctx).cycles
+    return _each_fan(ctx, lambda fid: (1, len(cycles[fid]) == d + 1), "almost",
+                     lambda fan: {"complements": len(fan)}, complements_each=d + 1)
 
 
 def _each_fan(ctx: TiltingContext, law: Callable[[int], Tuple[int, bool]], name: str,
-              degrees: bool = False, **detail) -> Dict[str, object]:
-    """Pass with the sum over the faces, in almost_completes order, of the
-    instances in law(fan id) = (instances, holds), read once per fan id;
-    else fail at the first face whose fan breaks it, naming the face
-    ("almost") or its fan ("fan"), and with `degrees` the fan's degrees."""
+              extra: Optional[Callable[[Tuple[int, ...]], Dict[str, object]]] = None,
+              **detail) -> Dict[str, object]:
+    """Pass with the sum over the faces, in FaceTable.order, of the instances
+    in law(fan id) = (instances, holds), read once per fan id; else fail at
+    the first face whose fan breaks it, naming the face ("almost") or its fan
+    ("fan"), plus the fields extra(fan) when given.  This is the one loop of
+    the checks over every fan."""
     table = mut.face_table(ctx)
     cycles, fan_ids = table.cycles, table.fan_ids
     verdicts: List[Optional[Tuple[int, bool]]] = [None] * len(cycles)
@@ -193,8 +191,8 @@ def _each_fan(ctx: TiltingContext, law: Callable[[int], Tuple[int, bool]], name:
         if not got[1]:
             named = _bits(table.mask(f)) if name == "almost" else cycles[fid]
             example = {name: _names(ctx, named)}
-            if degrees:
-                example["degrees"] = list(mut.fan_degrees(ctx, cycles[fid]))
+            if extra is not None:
+                example.update(extra(cycles[fid]))
             return _fail(total, example)
     return _pass(total, **detail)
 
@@ -214,7 +212,8 @@ def _each_fan_rotations(ctx: TiltingContext,
     def rotations(fid: int) -> Tuple[int, bool]:
         inst, viol = law(ctx, cycles[fid])
         return inst, not viol
-    return _each_fan(ctx, rotations, "almost", degrees=True, **detail)
+    return _each_fan(ctx, rotations, "almost",
+                     lambda fan: {"degrees": list(mut.fan_degrees(ctx, fan))}, **detail)
 
 
 def check_fan_ext_pattern(ctx: TiltingContext) -> Dict[str, object]:

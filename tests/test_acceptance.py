@@ -104,7 +104,7 @@ def test_criterion_05_complement_counts():
     for dg, rk in MAIN_GRID:
         for d in DS:
             c = ctx(dg, rk, d)
-            for mask in mut.almost_completes(c):
+            for mask, _ in mut.fans(c):
                 total += 1
                 a = c.objs_of(mask)
                 assert len(mut.fan_of(c, a)) == d + 1, (dg, rk, d, a)
@@ -117,7 +117,7 @@ def test_criterion_06_fan_pattern_and_exchange_teams():
     for dg, rk in MAIN_GRID:
         for d in DS:
             c = ctx(dg, rk, d)
-            for mask in mut.almost_completes(c):
+            for mask, _ in mut.fans(c):
                 fans += 1
                 fan = c.indices(mut.fan_of(c, c.objs_of(mask)))
                 assert mut.ext_pattern_ok(c, fan), (dg, rk, d, fan)
@@ -127,7 +127,7 @@ def test_criterion_06_fan_pattern_and_exchange_teams():
         c = ctx("A", 2, d)
         teams = set(mut.exchange_teams_exhaustive(c))
         real = {mut.cyclic_form(c.indices(mut.fan_of(c, c.objs_of(mask))))
-                for mask in mut.almost_completes(c)}
+                for mask, _ in mut.fans(c)}
         assert teams == real, (d, teams ^ real)
         tuples += len(teams)
     report(6, "exchange-teams", True,
@@ -153,9 +153,10 @@ def test_criterion_08_middle_disjoint_and_hom_vanishing():
     for dg, rk in MAIN_GRID:
         for d in (2, 3):
             c = ctx(dg, rk, d)
-            for mask in mut.almost_completes(c):
+            for mask, fan in mut.fans(c):
                 mids += 1
-                assert mut.middle_supports_disjoint(mut.middle_supports(c, mask)), \
+                supports = mut.supports_of(mut._face_triangles(c, mask, fan))
+                assert mut.middle_supports_disjoint(supports), \
                     (dg, rk, d, c.objs_of(mask))
         c = ctx(dg, rk, 3)
         for facet in enumerate_tilting(c):

@@ -320,7 +320,7 @@ def test_fans_list(capsys):
     name = c.oc.obj_name
     assert out.splitlines()[1:] == [
         "{%s}: %s" % (", ".join(map(name, a)), " -> ".join(map(name, mut.fan_of(c, a))))
-        for a in map(c.objs_of, mut.almost_completes(c))]
+        for a in map(c.objs_of, (mask for mask, _ in mut.fans(c)))]
 
 
 @pytest.mark.parametrize("argv,err", [

@@ -8,7 +8,7 @@ import pytest
 
 from dcluster import linalg
 from dcluster import mutation as mut
-from dcluster.mutation import (almost_completes, approximation_mults, complements,
+from dcluster.mutation import (complements,
                                cyclic_form, degree_bounds_instances,
                                degree_profile_instances, delta_chains_nonzero,
                                exchange_teams_exhaustive,
@@ -53,8 +53,14 @@ GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
 
 
 def _faces(c):
-    """The almost complete sets as object tuples, in almost_completes order."""
-    return [c.objs_of(mask) for mask in almost_completes(c)]
+    """The almost complete sets as object tuples, in FaceTable.order."""
+    return [c.objs_of(mask) for mask, _ in mut.fans(c)]
+
+
+def _middle_supports(c, mask):
+    """The summand masks of the middle terms along the fan of `mask`, from
+    the face's own approximations."""
+    return mut.supports_of(mut._face_triangles(c, mask, mut._fan(c, mask)))
 
 
 def _tensor_array(c, key):
@@ -218,7 +224,6 @@ def test_mask_path_matches_tuple_oracles(diagram, rank, d, seed):
     c = _oriented_ctx(diagram, rank, d, seed)
     almosts = _faces(c)
     assert almosts == _almost_completes_by_tuples(c)
-    assert almost_completes(c) == [c.mask_of(a) for a in almosts]
     assert list(mut.fans(c)) == [(c.mask_of(a), tuple(c.indices(fan_of(c, a))))
                                  for a in almosts]
     for a in almosts:
@@ -263,8 +268,7 @@ def test_repeated_summand_is_rejected_before_any_cache_lookup():
         fan = fan_of(c, a)
         calls = [fan_of, triangles_of, complements,
                  lambda c, a: right_approximation(c, a, fan[0]),
-                 lambda c, a: left_approximation(c, a, fan[0]),
-                 lambda c, a: approximation_mults(c, a, fan[0])]
+                 lambda c, a: left_approximation(c, a, fan[0])]
         if cached:
             for fn in calls:
                 fn(c, a)
@@ -301,26 +305,28 @@ def _complement_mask(c, mask):
 @pytest.mark.parametrize("seed", [None, 3, 11, 29])
 @pytest.mark.parametrize("diagram,rank,d", GRID)
 def test_cycle_memo_matches_one_walk_per_face(diagram, rank, d, seed):
+    """The face table, which walks a fan once per common-neighbour mask,
+    gives every face the fan that a walk on that face alone gives."""
     c = _fresh_oriented_ctx(diagram, rank, d, seed)
-    faces = almost_completes(c)
-    for mask in faces:
+    pairs = list(mut.fans(c))
+    for mask, fan in pairs:
         # the oracle walks on a context whose memos are all empty
         fresh = TiltingContext(c.oc)
-        assert mut._fan(c, mask) == mut._fan_cycle(fresh, _complement_mask(fresh, mask))
-    common = {mut._common_mask(c, mask) for mask in faces}
-    assert set(c._cycles) == common and len(common) < len(faces)
-    assert all(set(fan) == set(_bits(mut._complements_among(c, key)))
-               for key, fan in c._cycles.items())
-    assert all(type(i) is int for key, fan in c._cycles.items() for i in (key,) + fan)
+        assert fan == mut._fan(fresh, mask) \
+            == mut._fan_cycle(fresh, _complement_mask(fresh, mask))
+    cycles = mut.face_table(c).cycles
+    common = {mut._common_mask(c, mask) for mask, _ in pairs}
+    assert len(set(cycles)) == len(cycles) <= len(common) < len(pairs)
+    assert all(type(i) is int for fan in cycles for i in fan)
 
 
 def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
     """Two faces with the same common neighbours raise the same error in
-    turn when Ext^1 is broken: no memo entry is left half filled."""
+    turn when Ext^1 is broken, and the face table is left unbuilt."""
     c = _fresh_oriented_ctx("A", 3, 3, None)
     groups = {}
     # listed in another context: the face table walks every fan
-    for mask in almost_completes(_fresh_oriented_ctx("A", 3, 3, None)):
+    for mask, _ in mut.fans(_fresh_oriented_ctx("A", 3, 3, None)):
         groups.setdefault(mut._common_mask(c, mask), []).append(mask)
     first, second = next(group for group in groups.values() if len(group) > 1)[:2]
     comps = _complement_mask(c, first)
@@ -332,12 +338,12 @@ def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
             mut._fan(c, mask)
     with pytest.raises(RuntimeError, match=r"Ext\^1-successors, expected 1"):
         mut.face_table(c)
-    assert c._cycles == {} and c._face_table is None
+    assert c._face_table is None
     monkeypatch.undo()
     fresh = TiltingContext(c.oc)
-    assert mut._fan(c, second) == mut._fan(c, first) \
-        == mut._fan_cycle(fresh, _complement_mask(fresh, first))
-    assert len(c._cycles) == 1
+    fan = mut._fan_cycle(fresh, _complement_mask(fresh, first))
+    assert mut._fan(c, second) == mut._fan(c, first) == fan
+    assert (first, fan) in mut.fans(c) and (second, fan) in mut.fans(c)
 
 
 # check id -> the law of the fan alone it reads
@@ -415,15 +421,14 @@ def test_a_facet_left_out_of_its_face_groups_is_isolated(which, monkeypatch):
 def test_right_approximation_frozen_a2_d1():
     c = ctx("A", 2, 1)
     # the quotient map P1 ->> S1 is the whole approximation of S1 ...
-    assert approximation_mults(c, [P1], S1) == {P1: 1}
+    assert {t: len(g) for t, g in right_approximation(c, [P1], S1).items()} == {P1: 1}
     # ... while nothing maps to the third complement: its triangle has an
     # empty middle term and the connecting map is an isomorphism.
-    assert approximation_mults(c, [P1], P2) == {}
+    assert right_approximation(c, [P1], P2) == {}
     # add(P1 + P1) = add(P1), but no approximation counts both copies:
     # a repeated summand is rejected, as fan_of and triangles_of reject it
     for repeated, call in ((P1, lambda: right_approximation(c, (P1, P1), S1)),
                            (S1, lambda: left_approximation(c, (S1, S1), P1)),
-                           (P1, lambda: approximation_mults(c, [P1, P1], S1)),
                            (P1, lambda: triangles_of(c, (P1, P1)))):
         with pytest.raises(ValueError, match=re.escape("summand %r is repeated" % (repeated,))):
             call()
@@ -454,7 +459,7 @@ def test_fan_triangles_consistent(diagram, rank, d):
         for tri in tris:
             assert all(m > 0 for m in tri["mults"].values())
             assert set(tri["mults"]) <= set(a)
-        supports = mut.middle_supports(c, c.mask_of(a))
+        supports = _middle_supports(c, c.mask_of(a))
         assert supports == [c.mask_of(tri["mults"]) for tri in tris]
         assert middle_union_rigid(c, c.indices(fan), supports)
 
@@ -626,7 +631,7 @@ def test_end_field_defect_raises():
     with pytest.raises(RuntimeError, match=want):
         triangles_of(c, a)
     with pytest.raises(RuntimeError, match=want):
-        approximation_mults(c, a, fan_of(c, a)[0])
+        right_approximation(c, a, fan_of(c, a)[0])
 
 
 def test_zeroed_structure_constant_breaks_a_triangle(monkeypatch):
@@ -657,8 +662,6 @@ def test_each_triangle_error_names_its_check(monkeypatch):
     for key, entry, call, want in (
             ((tj, tj, x), (k, 0, k), triangles_of,
              "right approximation of %r does not cover all maps" % (x,)),
-            ((tj, tj, x), (k, 0, k), lambda c, a: approximation_mults(c, a, x),
-             "approximation candidates do not cover Hom(add set, %r)" % (x,)),
             ((y, tj, tj), (g, g, 0), triangles_of,
              "left approximation of %r does not cover all maps" % (y,))):
         # the generator composed with the identity of T_j loses its coordinate
@@ -1074,7 +1077,7 @@ def test_middle_supports_disjoint(diagram, rank, d):
     for a in _faces(c):
         tris = triangles_of(c, a)
         assert middle_supports_disjoint([c.mask_of(tri["mults"]) for tri in tris])
-        assert middle_supports_disjoint(mut.middle_supports(c, c.mask_of(a)))
+        assert middle_supports_disjoint(_middle_supports(c, c.mask_of(a)))
     assert middle_supports_disjoint([0b011, 0b100, 0])
     assert not middle_supports_disjoint([0b011, 0b100, 0b001])
 

@@ -401,6 +401,34 @@ def test_euler_pairing_reads_the_euler_matrix(diagram, rank, seed):
     assert other.euler_pairing(r, r) == c.euler_pairing(r, r) + sum(v * v for v in r)
 
 
+def _table_pairing(oc, a, b):
+    """<a, b> as the d = 2 dimension table holds it: dim Hom(a, b) at the
+    column of (b, 0) minus dim Ext^1(a, b) = dim Hom(a, b[1]) at (b, 1)."""
+    row = oc.hom_table[oc.index[(a, 0)]]
+    return row[oc.index[(b, 0)]] - row[oc.index[(b, 1)]]
+
+
+@pytest.mark.parametrize("diagram,rank,seed", [("A", 4, None), ("A", 5, 4), ("D", 5, 1),
+                                               ("D", 6, 2), ("E", 6, 3), ("E", 7, 5)])
+def test_dimension_table_reads_the_euler_matrix(diagram, rank, seed):
+    """The dimension table's pairing is euler_pairing on every root pair, and
+    both follow the Euler matrix in the same way when it is replaced before
+    the first dimension query."""
+    arrows = _seeded_arrows(diagram, rank, seed)
+    oc = OrbitCategory(cat(diagram, rank, arrows=arrows), 2)
+    roots = oc.cat.roots
+    for a in roots:
+        for b in roots:
+            assert _table_pairing(oc, a, b) == oc.cat.euler_pairing(a, b), (a, b)
+    other = OrbitCategory(cat(diagram, rank, arrows=arrows), 2)
+    other.cat.euler = [[e + (u == v) for v, e in enumerate(row)]
+                       for u, row in enumerate(other.cat.euler)]
+    for a in roots:
+        for b in roots:
+            want = oc.cat.euler_pairing(a, b) + sum(x * y for x, y in zip(a, b))
+            assert _table_pairing(other, a, b) == other.cat.euler_pairing(a, b) == want, (a, b)
+
+
 def _hom_vmaps_by_kron(c, a, b):
     """Reference: the Hom system assembled arrow by arrow with np.kron."""
     n = c.q.rank

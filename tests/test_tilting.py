@@ -8,7 +8,7 @@ import pytest
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import coxeter_data, dynkin_edges, fomin_reading_count, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import (TiltingContext, _bits, _closure, _nonzero_masks, classify,
+from dcluster.tilting import (TiltingContext, _bits, _closure, _nonzero_masks,
                               complete_mask, complete_to_tilting, enumerate_tilting,
                               facet_masks, is_maximal_rigid, is_rigid, is_tilting,
                               maximal_rigid_sets, verify_equivalence)
@@ -68,17 +68,17 @@ def test_frozen_rigid_pair_a2_d2():
     pair = [((1, 0), 0), ((0, 1), 1)]
     assert c.oc.ext_dim(pair[0], pair[1], 1) == 0
     assert c.oc.ext_dim(pair[1], pair[0], 1) == 0
-    assert is_rigid(c, pair)
-    flags = classify(c, pair)
-    assert flags == {"rigid": True, "maximal": True, "complete": True, "tilting": True}
+    assert is_rigid(c, pair) and is_maximal_rigid(c, pair) and is_tilting(c, pair)
+    assert len(pair) == c.n
     assert tuple(sorted(pair, key=c.index.get)) in enumerate_tilting(c)
 
 
 def test_frozen_singleton_classification_a2_d2():
     c = ctx("A", 2, 2)
     single = [((1, 0), 0)]
-    flags = classify(c, single)
-    assert flags == {"rigid": True, "maximal": False, "complete": False, "tilting": False}
+    assert is_rigid(c, single)
+    assert not is_maximal_rigid(c, single) and not is_tilting(c, single)
+    assert len(single) < c.n
 
 
 def test_greedy_completion_a2_d2():
@@ -154,8 +154,6 @@ def test_mask_of_rejects_a_repeat_and_the_predicates_still_answer(diagram, rank,
             assert is_rigid(c, repeated) is False
             assert is_tilting(c, repeated) is False
             assert is_maximal_rigid(c, repeated) is False
-            assert classify(c, repeated) == dict.fromkeys(
-                ("rigid", "maximal", "complete", "tilting"), False)
             with pytest.raises(ValueError, match="starting set is not rigid"):
                 complete_to_tilting(c, repeated)
 
@@ -206,9 +204,9 @@ def test_every_tilting_is_maximal_and_closed():
         assert is_tilting(c, t)
         for i in range(len(t)):
             sub = t[:i] + t[i + 1:]
-            flags = classify(c, sub)
-            assert flags["rigid"]
-            assert not flags["maximal"] and not flags["tilting"] and not flags["complete"]
+            assert is_rigid(c, sub)
+            assert not is_maximal_rigid(c, sub) and not is_tilting(c, sub)
+            assert len(sub) < c.n
 
 
 def test_counts_stable_across_primes():
@@ -389,11 +387,11 @@ def _greedy_by_rederiving(compatible, mask):
 def test_complete_mask_matches_rederiving_the_common_neighbours(diagram, rank, d, seed):
     """Narrowing the common neighbours by each added summand's row gives the
     same completion, from every singleton and every codimension-1 face."""
-    from dcluster.mutation import almost_completes
+    from dcluster.mutation import fans
 
     c = _seeded(diagram, rank, d, seed)
     compatible = _compatible(c)
-    starts = [1 << i for i in range(len(c.objects))] + almost_completes(c)
+    starts = [1 << i for i in range(len(c.objects))] + [mask for mask, _ in fans(c)]
     for start in starts:
         got = complete_mask(c, start)
         assert got == _greedy_by_rederiving(compatible, start)

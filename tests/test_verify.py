@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcluster.mutation import almost_completes, cyclic_form, fan_of
+from dcluster.mutation import cyclic_form, fan_of, fans
 from dcluster.quiver import default_orientation, dynkin_edges
 from dcluster.verify import (CHECK_IDS, CHECKS, load_context, report_to_json,
                              run_checks)
@@ -93,8 +93,8 @@ def test_exchange_team_converse_modes():
     assert res["converse"] == "exhaustive" and res["status"] == "pass"
     assert res["instances"] == 548340
     c = ctx("D", 4, 3)
-    fans = {cyclic_form(c.indices(fan_of(c, c.objs_of(a)))) for a in almost_completes(c)}
-    assert res["teams"] == len(fans) == 490
+    cycles = {cyclic_form(c.indices(fan_of(c, c.objs_of(a)))) for a, _ in fans(c)}
+    assert res["teams"] == len(cycles) == 490
 
 
 def test_statements_have_no_citation_text():
@@ -157,7 +157,7 @@ def test_shared_results_computed_once_per_context(monkeypatch):
     from dcluster import complex as cpxmod
     from dcluster import mutation as mut
 
-    calls = {"grouping": 0, "table": 0, "cycles": 0, "facet_stats": 0, "graph": 0}
+    calls = {}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -167,20 +167,24 @@ def test_shared_results_computed_once_per_context(monkeypatch):
 
     monkeypatch.setattr(mut, "group_by_face", counted("grouping", mut.group_by_face))
     monkeypatch.setattr(mut, "FaceTable", counted("table", mut.FaceTable))
-    monkeypatch.setattr(mut, "_cycle_of", counted("cycles", mut._cycle_of))
+    monkeypatch.setattr(mut, "_fan_cycle", counted("walks", mut._fan_cycle))
     monkeypatch.setattr(cpxmod, "_facet_stats", counted("facet_stats", cpxmod._facet_stats))
     monkeypatch.setattr(mut, "_graph_checks", counted("graph", mut._graph_checks))
-    c = load_context("A", 3, 2)
-    report, _ = run_checks(c)
-    assert report["summary"]["fail"] == 0
-    # the facets are grouped by codimension-1 face once, into the one face
-    # table that the fan checks, mutation_graph and facet_stats all read;
-    # its fan ids are filled once, one lookup per distinct common-neighbour mask
-    table = c._face_table
-    common = {mut._common_mask(c, mask) for mask in table.masks()}
-    assert calls == {"grouping": 1, "table": 1, "cycles": len(common), "facet_stats": 1,
-                     "graph": 1}
-    assert len(table) == 55
+    for diagram, rank, d, faces in (("A", 3, 2, 55), ("A", 3, 3, 105)):
+        calls.update(dict.fromkeys(("grouping", "table", "walks", "facet_stats", "graph"), 0))
+        c = load_context(diagram, rank, d)
+        report, _ = run_checks(c)
+        assert report["summary"]["fail"] == 0
+        # the facets are grouped by codimension-1 face once, into the one
+        # face table that the fan checks, the mutation graph and facet_stats
+        # all read; its fan ids are filled once, one fan walk per distinct
+        # common-neighbour mask, and a second run in the context walks no fan
+        table = c._face_table
+        common = {mut._common_mask(c, mask) for mask in table.masks()}
+        want = {"grouping": 1, "table": 1, "walks": len(common), "facet_stats": 1,
+                "graph": 1}
+        assert calls == want and len(common) < len(table) == faces
+        assert run_checks(c)[0] == report and calls == want
 
 
 FAN_WALKERS = ["complement-count", "complement-degrees", "fan-ext-pattern",
@@ -198,15 +202,15 @@ def test_fan_checks_share_one_fan_walk(monkeypatch):
     report, _ = run_checks(c, FAN_WALKERS)
     assert report["summary"] == {"pass": 9, "fail": 0, "n/a": 0}
     # one walk per distinct set of common neighbours, not one per face
-    faces = mut.almost_completes(c)
-    common = {mut._common_mask(c, a) for a in faces}
-    assert len(faces) == 105 and len(calls) == len(common) == 63
-    assert set(c._cycles) == common
+    pairs = list(fans(c))
+    common = {mut._common_mask(c, a) for a, _ in pairs}
+    assert len(pairs) == 105 and len(calls) == len(common) == 63
     assert mut.face_table(c) is c._face_table
-    assert list(mut.fans(c)) == [(a, tuple(c.indices(fan_of(c, c.objs_of(a)))))
-                                 for a in faces]
     run_checks(c, FAN_WALKERS)
     assert len(calls) == 63
+    # a query on one face walks that face's fan afresh
+    assert pairs == [(a, tuple(c.indices(fan_of(c, c.objs_of(a))))) for a, _ in pairs]
+    assert len(calls) == 63 + len(pairs)
 
 
 @pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 4, 2), ("D", 4, 2),
@@ -232,7 +236,7 @@ def test_fan_layer_caches_hold_no_objects():
     """The fan layer caches face masks and object indices, never objects."""
     c = load_context("D", 4, 2)
     assert run_checks(c)[0]["summary"]["fail"] == 0
-    for name in ("_cycles", "_face_table.cycles", "_face_table.middles", "oc._path_rows"):
+    for name in ("_face_table.cycles", "_face_table.middles", "oc._path_rows"):
         cache = attrgetter(name)(c)
         assert cache and _ints_only(cache), name
     # the per-face columns are flat arrays of unsigned ints
@@ -258,7 +262,7 @@ def _holds_object(value):
     return False
 
 
-MUTATION_MEMOS = ["_cycles", "_composites", "_approximations", "_radical_tops",
+MUTATION_MEMOS = ["_composites", "_approximations", "_radical_tops",
                   "_covers", "_face_table.cycles", "_face_table.middles", "oc._path_rows",
                   "oc._tensors"]
 
@@ -452,13 +456,20 @@ _A3D3_NAMES = {
     "fan": ["root#2[0]", "root#3[0]", "root#2[2]", "root#2[1]"],
 }
 
+
+def _shorten_third_fan(table):
+    """The face table, with the fan of its third face in FaceTable.order
+    (a fan no earlier face has on A3 d=3) one member short, in place."""
+    fid = table.fan_ids[table.order()[2]]
+    table.cycles[fid] = table.cycles[fid][:-1]
+    return table
+
+
 # check id -> (module, attribute, at-th call, what that call returns instead,
 # the failing entry on A3 d=3, where no check is gated)
 FAILURE_PINS = {
     "complement-count": (
-        "mutation", "fans", 1,
-        lambda pairs: (lambda fans: fans[:2] + [(fans[2][0], fans[2][1][:-1])] + fans[3:])(
-            list(pairs)),
+        "mutation", "face_table", 1, _shorten_third_fan,
         3, {"almost": _A3D3_NAMES["almost"], "complements": 3}),
     "complement-degrees": (
         "mutation", "degree_bounds_instances", 3, lambda got: (got[0], 1),
@@ -551,6 +562,27 @@ def test_memoized_law_fails_at_the_first_face_of_its_fan(monkeypatch, cid):
         [c.oc.obj_name(x) for x in named]
     # one call per distinct fan up to the failing one
     assert len(calls) == len(set(calls)) == len(set(fans[:first + 1]))
+
+
+def test_complement_count_reads_each_face_s_own_fan():
+    """A fan one member short fails complement-count at the first face, in
+    FaceTable.order, that has it, naming that face and the fan's size."""
+    from dcluster import mutation as mut
+    from dcluster.verify import check_complement_count
+
+    c = load_context("A", 3, 3)
+    table = mut.face_table(c)
+    fids = [table.fan_ids[f] for f in table.order()]
+    for fid, cycle in enumerate(table.cycles):
+        table.cycles[fid] = cycle[:-1]
+        got = check_complement_count(c)
+        table.cycles[fid] = cycle
+        first = fids.index(fid)
+        assert got == {"status": "fail", "instances": first + 1, "counterexample": {
+            "almost": [c.oc.obj_name(x) for x in c.objs_of(table.mask(table.order()[first]))],
+            "complements": 3}}
+    assert check_complement_count(c) == {"status": "pass", "instances": len(fids),
+                                         "complements_each": 4}
 
 
 # sha256 of report_to_json of verify --all in the default orientation, on two
