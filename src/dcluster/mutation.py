@@ -52,15 +52,21 @@ face_table): the facet masks grouped once by group_by_face and compacted
 into flat arrays of unsigned ints, with no Python object per face.  Per
 face it holds the positions of the facets containing it, the summand that
 its first facet drops, and its fan as an id among the distinct cycles; a
-face is read by its number (FaceTable.mask, fan_ids).  fans and the checks
-over every face walk the faces in FaceTable.order, the order of their
-tuples of object indices, a sort permutation computed when a check first
-asks for it.  Each Ext^1(X_i, X_{i+1}) along a fan is one-dimensional, so
+face is read by its number (FaceTable.mask, fan_ids).  FaceTable.order, the
+order of the faces' tuples of object indices, decides only which face a
+failure names and the order of fans (fans --list), so it is a sort
+permutation computed when one of those first asks for it.  The order of
+each fan's first face in it is found by one comparison per face
+(FaceTable.fan_order), so a check asks its question of each fan in that
+order, sums over the faces in table order, and sorts only to name a
+failing face.  Each Ext^1(X_i, X_{i+1}) along a fan is one-dimensional, so
 each triangle along it is unique up to isomorphism and its middle terms
 depend only on the fan: fan_middles keeps them once per fan id, after one
-pass in which every face gets its own right and left approximations, their
-agreement and their cover verdicts, and its middle terms must equal those
-of its fan's first face.
+pass in table order in which every face gets its own right and left
+approximations, their agreement and their cover verdicts, and its middle
+terms must equal those of its fan's other faces; when one differs or
+raises, the pass runs again in FaceTable.order and raises at the face it
+reaches first.
 
 A minimal approximation of X depends only on the side, on X and on the
 mask of the summands with nonzero Hom to (or from) X.  Its multiplicities
@@ -75,7 +81,10 @@ Ext^1(X_j, X_{j+1}) is a nonzero multiple of the basis vector of
 Hom(X_j[k], X_{j+1}[k+1]).  The composite of the basis vectors along
 X_i -> X_{i+1}[1] -> ... -> X_{i+k}[k] is thus a nonzero scalar times the
 shifted Yoneda product of delta_i, ..., delta_{i+k-1}, and is zero exactly
-when that product is.  The shifted members are read from the orbit
+when that product is.  The verdict is kept per cycle, as asked: the
+exchange-team search finds each fan again, from its least member as the
+face table has it, and reads the verdict that delta-composites composed.
+The shifted members are read from the orbit
 category's shift table (OrbitCategory.shifts), and so is every Ext^k the
 module tests: Ext^k(X_i, X_j) = Hom(X_i, X_j[k]) is an entry of the Hom
 table (TiltingContext.hom_dims).  Composition, through these tensors, is
@@ -96,7 +105,7 @@ from array import array
 from functools import reduce
 from itertools import accumulate, chain, islice
 from operator import mul, or_
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .orbit import Obj
@@ -214,7 +223,8 @@ class FaceTable:
     starts[f] <= k < starts[f + 1]; its mask is the first of those facets
     without the summand drops[f], and its fan is cycles[fan_ids[f]], so the
     table keeps no Python object per face.  order (sorted on first use)
-    lists the faces by their tuples of object indices, and middles
+    lists the faces by their tuples of object indices, fan_order (on first
+    use too) the fan ids by their first faces in that order, and middles
     (fan_middles) the middle terms along each cycle.
     """
 
@@ -229,6 +239,7 @@ class FaceTable:
         self.cycles = cycles
         self.middles: Optional[List[Tuple[Middle, ...]]] = None
         self._order = None
+        self._fan_order = None
 
     def __len__(self) -> int:
         return len(self.drops)
@@ -252,13 +263,41 @@ class FaceTable:
         faces sort by their reversed masks, largest first.  Each sort key
         carries its face number in its low bits."""
         if self._order is None:
-            fmt = "0%db" % self.width
             shift = len(self).bit_length()
-            keys = sorted((int(format(mask, fmt)[::-1], 2) << shift | f
+            keys = sorted((reversed_bits(mask, self.width) << shift | f
                            for f, mask in enumerate(self.masks())), reverse=True)
             low = (1 << shift) - 1
             self._order = array("I", [key & low for key in keys])
         return self._order
+
+    def fan_order(self) -> List[int]:
+        """The fan ids in the order of their first faces in order() (cached),
+        found by first_faces without sorting the faces."""
+        if self._fan_order is None:
+            firsts = first_faces(zip(self.fan_ids, self.masks()))
+            self._fan_order = sorted(firsts, reverse=True,
+                                     key=lambda fid: reversed_bits(firsts[fid], self.width))
+        return self._fan_order
+
+
+def reversed_bits(mask: int, width: int) -> int:
+    """The low `width` bits of `mask` in reverse order: sets of one size
+    sorted by their reversals, largest first, are in the order of their
+    tuples of object indices (FaceTable.order)."""
+    return int(format(mask, "0%db" % width)[::-1], 2)
+
+
+def first_faces(keyed: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """For each key among the (key, face mask) pairs, its first face in
+    FaceTable.order, found with one comparison per pair: of two faces of
+    one size, a comes first exactly when a & low != 0, low the least bit of
+    a ^ b."""
+    firsts: Dict[int, int] = {}
+    for key, face in keyed:
+        diff = firsts.setdefault(key, face) ^ face
+        if face & diff & -diff:
+            firsts[key] = face
+    return firsts
 
 
 def face_table(ctx: TiltingContext) -> FaceTable:
@@ -311,25 +350,37 @@ def fans(ctx: TiltingContext) -> Iterator[Tuple[int, Tuple[int, ...]]]:
 def fan_middles(ctx: TiltingContext) -> List[Tuple[Middle, ...]]:
     """The middle terms along each fan, by fan id (cached).
 
-    One pass over the faces in FaceTable.order gives each face its
-    own triangles (_face_triangles); a face whose middle terms differ from
-    those of its fan's first face raises RuntimeError, and then nothing is
-    kept."""
+    One pass over the faces in table order gives each face its own
+    triangles (_face_triangles).  When a face's middle terms differ from
+    those of an earlier face with its fan, or a face raises, the pass runs
+    again in FaceTable.order, which raises at the face it reaches first
+    (RuntimeError when its middle terms differ from those of its fan's
+    first face there), and then nothing is kept."""
     table = face_table(ctx)
     if table.middles is None:
-        cycles, fan_ids, objs = table.cycles, table.fan_ids, ctx.objects
-        middles: List[Optional[Tuple[Middle, ...]]] = [None] * len(cycles)
-        for f in table.order():
-            fid, mask = fan_ids[f], table.mask(f)
-            got = _face_triangles(ctx, mask, cycles[fid])
-            if middles[fid] is None:
-                middles[fid] = got
-            elif middles[fid] != got:
-                raise RuntimeError("middle terms of the triangles of %r differ from "
-                                   "those of another face with the fan %r"
-                                   % (ctx.objs_of(mask), tuple(objs[i] for i in cycles[fid])))
-        table.middles = middles
+        try:
+            table.middles = _face_middles(ctx, table, range(len(table)))
+        except Exception:
+            table.middles = _face_middles(ctx, table, table.order())
     return table.middles
+
+
+def _face_middles(ctx: TiltingContext, table: FaceTable,
+                  faces: Iterable[int]) -> List[Tuple[Middle, ...]]:
+    """The middle terms of each fan id, from its first face among `faces`,
+    which must all have those of their fan's first face."""
+    cycles, fan_ids, objs = table.cycles, table.fan_ids, ctx.objects
+    middles: List[Optional[Tuple[Middle, ...]]] = [None] * len(cycles)
+    for f in faces:
+        fid, mask = fan_ids[f], table.mask(f)
+        got = _face_triangles(ctx, mask, cycles[fid])
+        if middles[fid] is None:
+            middles[fid] = got
+        elif middles[fid] != got:
+            raise RuntimeError("middle terms of the triangles of %r differ from "
+                               "those of another face with the fan %r"
+                               % (ctx.objs_of(mask), tuple(objs[i] for i in cycles[fid])))
+    return middles
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +621,19 @@ def delta_chains_nonzero(ctx: TiltingContext, cycle: Sequence[int]) -> bool:
     length (the length-(d+1) composite is a self-extension of top degree).
     Every starting point is tested, so the answer does not depend on
     rotation.  `cycle` holds object indices, and each Ext^1(X_i, X_{i+1})
-    must be one-dimensional.
+    must be one-dimensional.  The verdict is kept per cycle tuple
+    (TiltingContext._chains) once that test has passed.
     """
-    hom, shift, objs = ctx.hom_dims(), ctx.oc.shifts[1], ctx.objects
-    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-        if hom[x][shift[y]] != 1:
-            raise RuntimeError("Ext^1(%r, %r) is not one-dimensional" % (objs[x], objs[y]))
-    return _chains_nonzero(ctx, cycle)
+    cycle = tuple(cycle)
+    got = ctx._chains.get(cycle)
+    if got is None:
+        hom, shift, objs = ctx.hom_dims(), ctx.oc.shifts[1], ctx.objects
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            if hom[x][shift[y]] != 1:
+                raise RuntimeError("Ext^1(%r, %r) is not one-dimensional"
+                                   % (objs[x], objs[y]))
+        got = ctx._chains[cycle] = _chains_nonzero(ctx, cycle)
+    return got
 
 
 def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[int, ...]) -> bool:
@@ -639,18 +696,42 @@ def is_exchange_team(ctx: TiltingContext, objs: Sequence[Obj]) -> bool:
 def exchange_teams_exhaustive(ctx: TiltingContext) -> List[Tuple[int, ...]]:
     """All exchange teams up to rotation, as object indices, in index order.
 
-    Consecutive team members have one-dimensional Ext^1 and a cyclic form
-    starts at its least member, so each team is found once as a path of
-    "Ext^1 = 1" edges from its least object, of d+1 distinct members; the
-    Ext pattern and the composites are tested on the rest, including the
-    closing edge.
+    A cyclic form starts at its least member, so each team is found once as
+    a sequence of d+1 distinct objects from its least one, grown one member
+    at a time.  A member X joining at position m must already have the
+    pattern against each earlier member a_i, which every team has: End(X)
+    is one-dimensional, and for 1 <= k <= d, dim Ext^k(a_i, X) = [k = m - i]
+    and dim Ext^k(X, a_i) = [k = d + 1 - (m - i)].  The whole pattern and
+    the composites are tested on each finished tuple.
     """
-    shift = ctx.oc.shifts[1]
-    succ = [[j for j, sj in enumerate(shift) if row[sj] == 1] for row in ctx.hom_dims()]
-    paths = [(i,) for i in range(len(ctx.objects))]
-    for _ in range(ctx.oc.d):
-        paths = [path + (j,) for path in paths for j in succ[path[-1]]
-                 if j > path[0] and j not in path]
+    hom, shifts, d = ctx.hom_dims(), ctx.oc.shifts, ctx.oc.d
+    count = len(ctx.objects)
+    # after[k][a] (before[k][a]): the objects X whose dimensions of Ext^l(X_a, X)
+    # (of Ext^l(X, X_a)), 1 <= l <= d, are 1 at l = k and 0 elsewhere
+    after = [[0] * count for _ in range(d + 1)]
+    before = [[0] * count for _ in range(d + 1)]
+    cols = shifts[1:d + 1]
+    for a, row in enumerate(hom):
+        for x in range(count):
+            exts = [row[shift[x]] for shift in cols]
+            if sum(exts) == 1:
+                k = exts.index(1) + 1
+                after[k][a] |= 1 << x
+                before[k][x] |= 1 << a
+    ends = sum(1 << x for x in range(count) if hom[x][x] == 1)
+    paths = [(x,) for x in range(count) if ends >> x & 1]
+    for m in range(1, d + 1):
+        grown = []
+        for path in paths:
+            # above the least member, apart from the others
+            cand = ends & ~((2 << path[0]) - 1)
+            for i, a in enumerate(path):
+                cand &= after[m - i][a] & before[d + 1 - m + i][a] & ~(1 << a)
+            while cand:
+                low = cand & -cand
+                grown.append(path + (low.bit_length() - 1,))
+                cand ^= low
+        paths = grown
     return [path for path in paths
             if ext_pattern_ok(ctx, path) and delta_chains_nonzero(ctx, path)]
 

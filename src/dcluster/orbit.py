@@ -115,6 +115,8 @@ class OrbitCategory:
         self._path_rows: Dict[Tuple[int, Path], Rows] = {}
         self._tensors: Dict[Tuple[int, Vertex, Vertex], Rows] = {}
         self._vertex_of: Dict[Obj, Vertex] = {}
+        # normalized y -> its slots F^l y, l = -WIDE_WINDOW, ..., for hom_dim_wide
+        self._orbits: Dict[Obj, List[Obj]] = {}
         # (x, y) -> hom_basis(x, y), for normalized x and y
         self._hom_bases: Dict[Tuple[Obj, Obj], List[CMorphism]] = {}
         # position of each canonical object in objects(); hom_table and
@@ -301,16 +303,22 @@ class OrbitCategory:
         return self.ext_dim(x, y, 0)
 
     def hom_dim_wide(self, x: Obj, y: Obj) -> int:
-        """Brute-force orbit sum over slots -WIDE_WINDOW..d+WIDE_WINDOW (test oracle)."""
+        """Brute-force orbit sum of piece_dim(x, F^l y) over the 2 WIDE_WINDOW + d
+        slots l from -WIDE_WINDOW (test oracle).  The orbit of each normalized
+        y is walked once (_orbits) and read for every x."""
         x = self.normalize(x)[0]
-        cur = self.normalize(y)[0]
-        for _ in range(WIDE_WINDOW):
-            cur = self.obj_F_inv(cur)
-        total = 0
-        for _ in range(2 * WIDE_WINDOW + self.d):
-            total += self.piece_dim(x, cur)
-            cur = self.obj_F(cur)
-        return total
+        y = self.normalize(y)[0]
+        orbit = self._orbits.get(y)
+        if orbit is None:
+            cur = y
+            for _ in range(WIDE_WINDOW):
+                cur = self.obj_F_inv(cur)
+            orbit = []
+            for _ in range(2 * WIDE_WINDOW + self.d):
+                orbit.append(cur)
+                cur = self.obj_F(cur)
+            self._orbits[y] = orbit
+        return sum(self.piece_dim(x, z) for z in orbit)
 
     # -- the mesh category k(ZQ) ----------------------------------------------
 

@@ -207,17 +207,44 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 def coxeter_matrix(q: DynkinQuiver) -> Matrix:
     """Coxeter transformation Phi = -E^{-1} E^T, acting as [tau M] = Phi [M].
 
-    E = I - A with A the nilpotent arrow matrix, so E^{-1} = sum_{k<n} A^k
-    exactly in integers.
+    E = I - A with A the arrow matrix, so E^{-1} = sum_k A^k counts the
+    paths, and the underlying graph is a tree: E^{-1}[u][v] = [u ~> v].
+    So Phi[u][v] = -[u ~> v] + #{arrows v -> w with u ~> w}, read from the
+    directed paths with no matrix product.
     """
-    e = euler_matrix(q)
-    eye = _identity(q.rank)
-    arrows = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(e)]
-    power = inv = eye
-    for _ in range(1, q.rank):
-        power = _matmul(power, arrows)
-        inv = [[x + y for x, y in zip(r, s)] for r, s in zip(inv, power)]
-    return [[-x for x in row] for row in _matmul(inv, list(zip(*e)))]
+    n = q.rank
+    reach: List[List[int]] = [[] for _ in range(n)]
+    for u, v in directed_paths(q):
+        reach[u].append(v)
+    out: List[List[int]] = [[] for _ in range(n)]
+    for s, t in q.arrows:
+        out[s].append(t)
+    phi = []
+    for u in range(n):
+        reached = [0] * n
+        for v in reach[u]:
+            reached[v] = 1
+        phi.append([sum(reached[w] for w in out[v]) - reached[v] for v in range(n)])
+    return phi
+
+
+def _order_is(phi: Matrix, h: int) -> bool:
+    """Has phi order exactly h: phi^h = I and phi^(h/p) != I for every prime
+    p dividing h?  Each power takes O(log h) products by repeated squaring."""
+    eye = _identity(len(phi))
+
+    def power(k: int) -> Matrix:
+        out, base = eye, phi
+        while k:
+            if k & 1:
+                out = _matmul(out, base)
+            k >>= 1
+            if k:
+                base = _matmul(base, base)
+        return out
+
+    primes = [p for p in range(2, h + 1) if h % p == 0 and all(p % r for r in range(2, p))]
+    return power(h) == eye and all(power(h // p) != eye for p in primes)
 
 
 def coxeter_data(q: DynkinQuiver) -> CoxeterData:
@@ -231,13 +258,9 @@ def coxeter_data(q: DynkinQuiver) -> CoxeterData:
     phi = coxeter_matrix(q)
     counts = Counter(sum(r) for r in positive_roots(q))
     h = max(counts) + 1
-    eye = _identity(q.rank)
-    power = eye
-    for k in range(1, h + 1):
-        power = _matmul(power, phi)
-        if (power == eye) != (k == h):
-            raise RuntimeError("the Coxeter transformation does not have order "
-                               "h = %d" % h)
+    if not _order_is(phi, h):
+        raise RuntimeError("the Coxeter transformation does not have order "
+                           "h = %d" % h)
     hist = [counts[k] for k in range(1, h)]
     if hist != sorted(hist, reverse=True):
         raise RuntimeError("root height counts %r are not a partition" % hist)

@@ -12,10 +12,10 @@ The whole engine leans on the underlying graph being a tree:
     minimal injective copresentations are short exact.
 
 The roots of P_x and I_x are their supports and tau acts on roots as the
-Coxeter matrix (rows of Python ints, like the Euler matrix), so no dimension
-count needs a module, and morphisms of the orbit category are paths of ZQ
-(see orbit), so no composition needs one either.  The modules are the
-linear-algebra witness that the Euler-form dimensions are right: the
+Coxeter transformation -E^{-1} E^T, applied by two sparse sweeps over the
+arrows, so no dimension count needs a module, and morphisms of the orbit
+category are paths of ZQ (see orbit), so no composition needs one either.
+The modules are the linear-algebra witness that the Euler-form dimensions are right: the
 euler-identity and window-hom-reduction checks read hom_dim, the nullity of
 the Hom system, and ext_dim, the corank of the coboundary, two separate
 systems so that hom - ext = <a, b> is not read off one rank.  Both are
@@ -40,13 +40,11 @@ Isomorphism testing is dimension-vector equality (valid here: Gabriel).
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .linalg import mul_rows
-from .quiver import DynkinQuiver, coxeter_matrix, directed_paths, euler_matrix, \
-    positive_roots
+from .quiver import DynkinQuiver, directed_paths, euler_matrix, positive_roots
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,12 +195,27 @@ class ModuleCategory:
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.proj_root = [tuple(int(v in s) for v in range(q.rank)) for s in self.psupp]
         self.inj_root = [tuple(int(v in s) for v in range(q.rank)) for s in self.isupp]
-        # [tau M] = Phi [M]; Phi [P_x] = -[I_x] is not a root, so tau P_x = 0
-        phi = coxeter_matrix(q)
+        # [tau M] = Phi [M] = -E^{-1} E^T [M]; Phi [P_x] = -[I_x] is not a
+        # root, so tau P_x = 0.  Phi is applied by two sparse sweeps, with no
+        # dense product: y = E^T r, y_u = r_u - sum_{w -> u} r_w, then
+        # z = E^{-1} y, z_u = y_u + sum_{u -> t} z_t, sinks first (a vertex
+        # reaches fewer vertices than any arrow into it starts from; the
+        # paths from u leave by its arrows, and the underlying graph is a
+        # tree, so they reach disjoint sets), and tau r = -z
+        sweep = [(u, [s for s, t in q.arrows if t == u], [t for s, t in q.arrows if s == u])
+                 for u in sorted(range(q.rank), key=lambda u: len(self.psupp[u]))]
         self.tau_minus: Dict[Root, Optional[Root]] = dict.fromkeys(self.roots)
         self.tau_plus: Dict[Root, Optional[Root]] = dict.fromkeys(self.roots)
         for r in self.roots:
-            t = tuple(sum(map(mul, row, r)) for row in phi)
+            z = list(r)
+            for u, sources, targets in sweep:
+                zu = z[u]
+                for w in sources:
+                    zu -= r[w]
+                for t in targets:
+                    zu += z[t]
+                z[u] = zu
+            t = tuple([-x for x in z])
             if t in self.root_index:
                 self.tau_plus[r], self.tau_minus[t] = t, r
         self._hom_cache: Dict[Tuple[Root, Root], List[List[np.ndarray]]] = {}

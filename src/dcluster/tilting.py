@@ -68,12 +68,18 @@ class TiltingContext:
         # and Hom(t, b) nonzero) to the generators of Hom(a, b) mod the
         # radical, and _covers maps (right, a, b, ((t, generators), ...)) to
         # whether the generators at those summands span Hom(a, b).
+        # _chains maps a cycle, as the tuple of indices asked, to whether
+        # its composites of connecting classes are all nonzero
+        # (delta_chains_nonzero): the exchange-team search asks again for
+        # every fan that delta-composites has composed (35 of the 35 teams
+        # of A3 d=2 are hits).
         # _end_defects masks the objects whose End is not one-dimensional.
         self._composites = {}
         self._approximations = {}
         self._shared_tuples = {}
         self._radical_tops = {}
         self._covers = {}
+        self._chains = {}
         self._end_defects = None
 
     def adjacency(self) -> List[int]:

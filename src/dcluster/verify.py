@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -154,13 +153,46 @@ def check_rigidity_equivalence(ctx: TiltingContext) -> Dict[str, object]:
 
 def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
     # each greedy completion must be complete rigid: n summands
+    n, singles = ctx.n, len(ctx.objects)
+    for i in range(singles):
+        size = complete_mask(ctx, 1 << i).bit_count()
+        if size != n:
+            return _fail(i + 1, {"start": _names(ctx, [i]), "size": size})
     table = mut.face_table(ctx)
-    starts = chain((1 << i for i in range(len(ctx.objects))), map(table.mask, table.order()))
-    for count, start in enumerate(starts, 1):
-        size = complete_mask(ctx, start).bit_count()
-        if size != ctx.n:
-            return _fail(count, {"start": _names(ctx, _bits(start)), "size": size})
-    return _pass(len(ctx.objects) + len(table))
+    firsts = mut.first_faces(_commons(ctx, table))
+    if -1 in firsts:
+        # a face is not rigid: complete every face in FaceTable.order, where
+        # completing that one raises unless an earlier face fails
+        faces = map(table.mask, table.order())
+    else:
+        # a rigid face's completion is the face and the greedy walk from its
+        # common neighbours, and every face has n - 1 summands, so the faces
+        # with one common-neighbour mask complete to one size: complete_mask
+        # finds it at the first of them in FaceTable.order, in that order,
+        # so the faces before a failing one are all found complete
+        faces = sorted(firsts.values(), reverse=True,
+                       key=lambda face: mut.reversed_bits(face, singles))
+    for face in faces:
+        size = complete_mask(ctx, face).bit_count()
+        if size != n:
+            at = next(k for k, f in enumerate(table.order()) if table.mask(f) == face)
+            return _fail(singles + at + 1, {"start": _names(ctx, _bits(face)), "size": size})
+    return _pass(singles + len(table))
+
+
+def _commons(ctx: TiltingContext, table: mut.FaceTable) -> Iterator[Tuple[int, int]]:
+    """(common-neighbour mask, face mask) for each face in table order, from
+    one closure pass per face (tilting._closure, inline); the mask is -1 for
+    a face that is not rigid."""
+    rows = [row | 1 << i for i, row in enumerate(ctx.adjacency())]
+    full = (1 << len(ctx.objects)) - 1
+    for face in table.masks():
+        near, rest = full, face
+        while rest:
+            low = rest & -rest
+            near &= rows[low.bit_length() - 1]
+            rest ^= low
+        yield (near & ~face if face & ~near == 0 else -1), face
 
 
 def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:
@@ -173,28 +205,34 @@ def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:
 def _each_fan(ctx: TiltingContext, law: Callable[[int], Tuple[int, bool]], name: str,
               extra: Optional[Callable[[Tuple[int, ...]], Dict[str, object]]] = None,
               **detail) -> Dict[str, object]:
-    """Pass with the sum over the faces, in FaceTable.order, of the instances
-    in law(fan id) = (instances, holds), read once per fan id; else fail at
-    the first face whose fan breaks it, naming the face ("almost") or its fan
-    ("fan"), plus the fields extra(fan) when given.  This is the one loop of
+    """Pass with the sum over the faces, in table order, of the instances in
+    law(fan id) = (instances, holds), asked once per fan id in
+    FaceTable.fan_order, the order of the fans' first faces in
+    FaceTable.order; else fail at the first face in that order whose fan
+    breaks it, naming the face ("almost") or its fan ("fan"), plus the
+    fields extra(fan) when given.  The faces before it have fans asked
+    already, so the count needs no further law.  This is the one loop of
     the checks over every fan."""
     table = mut.face_table(ctx)
     cycles, fan_ids = table.cycles, table.fan_ids
     verdicts: List[Optional[Tuple[int, bool]]] = [None] * len(cycles)
+    for fid in table.fan_order():
+        verdicts[fid] = law(fid)
+        if not verdicts[fid][1]:
+            break
+    else:
+        counts = [inst for inst, _ in verdicts]
+        return _pass(sum(map(counts.__getitem__, fan_ids)), **detail)
     total = 0
     for f in table.order():
-        fid = fan_ids[f]
-        got = verdicts[fid]
-        if got is None:
-            got = verdicts[fid] = law(fid)
-        total += got[0]
-        if not got[1]:
-            named = _bits(table.mask(f)) if name == "almost" else cycles[fid]
+        inst, holds = verdicts[fan_ids[f]]
+        total += inst
+        if not holds:
+            named = _bits(table.mask(f)) if name == "almost" else cycles[fan_ids[f]]
             example = {name: _names(ctx, named)}
             if extra is not None:
-                example.update(extra(cycles[fid]))
+                example.update(extra(cycles[fan_ids[f]]))
             return _fail(total, example)
-    return _pass(total, **detail)
 
 
 def _each_fan_law(ctx: TiltingContext, law: Callable, name: str) -> Dict[str, object]:

@@ -85,6 +85,23 @@ def test_each_face_has_the_fan_of_its_mask(diagram, rank, d, seed):
                                  sorted(table.masks(), key=lambda mask: tuple(_bits(mask)))]
 
 
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("diagram,rank,d", GRID + [("E", 6, 1), ("A", 1, 3)])
+def test_fan_order_is_the_first_seen_order_of_the_sorted_faces(diagram, rank, d, seed):
+    """fan_order lists the fan ids as they first occur in FaceTable.order,
+    so a check that asks its law per fan id in that order asks it in the
+    order of the sorted walk; it differs from the id order."""
+    table = mut.face_table(_ctx(diagram, rank, d, seed))
+    firsts = []
+    for f in table.order():
+        if table.fan_ids[f] not in firsts:
+            firsts.append(table.fan_ids[f])
+    assert table.fan_order() == firsts
+    assert sorted(firsts) == list(range(len(table.cycles)))
+    if len(firsts) > 1:
+        assert firsts != sorted(firsts)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("diagram,rank,d", LAW_CONFIGS)
 def test_faces_with_one_fan_have_equal_middle_terms(diagram, rank, d, seed):
@@ -119,7 +136,8 @@ def test_kept_middles_are_each_faces_own(diagram, rank, d, seed):
 @pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 3, 3)])
 def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
     """The per-face witness is not skipped for a fan that already has
-    middles: each face asks for its own right and left approximations."""
+    middles: each face, in table order, asks for its own right and left
+    approximations."""
     c = _ctx(diagram, rank, d)
     table = mut.face_table(c)
     calls = []
@@ -129,7 +147,7 @@ def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
     mut.fan_middles(c)
     out, into = c.hom_masks()
     want = []
-    for f in table.order():
+    for f in range(len(table)):
         mask, cycle = table.mask(f), table.cycles[table.fan_ids[f]]
         for k, i in enumerate(cycle):
             nxt = cycle[(k + 1) % len(cycle)]
@@ -203,7 +221,7 @@ def test_every_face_is_checked_before_a_middle_verdict(monkeypatch, capsys):
 
 def test_each_middle_check_reads_the_other_ones_pass(monkeypatch):
     """middle-rigid and middle-terms-disjoint share one per-face pass, in
-    whichever order they run, with the same report."""
+    table order, in whichever order they run, with the same report."""
     checks = ["middle-rigid", "middle-terms-disjoint"]
     want = run_checks(_ctx("A", 3, 3), checks)[0]
     faces = []
@@ -217,16 +235,39 @@ def test_each_middle_check_reads_the_other_ones_pass(monkeypatch):
         got = [run_checks(c, [cid])[0]["checks"][0] for cid in order]
         assert sorted(got, key=lambda e: e["id"]) == sorted(want["checks"],
                                                             key=lambda e: e["id"])
-        assert faces == [mask for mask, _ in mut.fans(c)]
+        assert faces == list(mut.face_table(c).masks())
 
 
 def test_rigid_extends_reads_the_sorted_faces(monkeypatch):
-    c = _ctx("A", 3, 3)
+    """The singletons, then the first face in FaceTable.order of each
+    common-neighbour mask, in that order, are completed once each; the
+    other faces count as instances without a completion of their own."""
     starts = []
     monkeypatch.setattr("dcluster.verify.complete_mask",
                         lambda ctx, mask: starts.append(mask) or complete_mask(ctx, mask))
-    assert check_rigid_extends(c)["instances"] == len(starts)
-    assert starts == [1 << i for i in range(len(c.objects))] + [mask for mask, _ in mut.fans(c)]
+    for config in [("A", 3, 3), ("D", 4, 2)]:
+        c = _ctx(*config)
+        starts.clear()
+        table = mut.face_table(c)
+        assert check_rigid_extends(c)["instances"] == len(c.objects) + len(table)
+        firsts = {}
+        for mask, _ in mut.fans(c):
+            firsts.setdefault(mut._common_mask(c, mask), mask)
+        assert starts == [1 << i for i in range(len(c.objects))] + list(firsts.values())
+        assert len(firsts) < len(table), config
+
+
+def test_a_face_that_is_not_rigid_raises_in_its_completion():
+    """A face table whose face is not rigid (here a face with one summand
+    too many) makes rigid-extends-to-tilting complete every face in
+    FaceTable.order, and that face's completion raises."""
+    c = _ctx("A", 3, 2)
+    table = mut.face_table(c)
+    facet = table.facets[table.members[table.starts[5]]]
+    table.drops[5] = next(i for i in range(len(c.objects)) if not facet >> i & 1)
+    assert table.mask(5) & facet == facet
+    with pytest.raises(RuntimeError, match="greedy completion failed"):
+        check_rigid_extends(c)
 
 
 def test_census_face_layer_keeps_under_100_bytes_per_face():

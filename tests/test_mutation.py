@@ -1122,9 +1122,12 @@ def test_delta_classes_and_chains_a2_d2():
 
 
 def test_delta_chains_cached_once_per_cycle(monkeypatch):
-    """The delta-composites check composes the chains of each distinct fan
-    once per run, however many faces share it; is_exchange_team composes
-    them on each call, with the same verdict for every rotation."""
+    """The delta chains of each distinct cycle are composed once per
+    context: delta-composites composes each distinct fan once however many
+    faces share it, and neither a second run nor the exchange-team search,
+    which finds every fan again, composes any.  The verdict is kept per
+    cycle as asked, so is_exchange_team composes each other rotation once,
+    with the same verdict for every rotation."""
     c = TiltingContext(OrbitCategory(ModuleCategory(parse_quiver("A", 3)), 2))
     calls = []
     chains = mut._chains_nonzero
@@ -1133,16 +1136,19 @@ def test_delta_chains_cached_once_per_cycle(monkeypatch):
     pairs = list(mut.fans(c))
     cycles = {fan for _, fan in pairs}
     assert len(cycles) < len(pairs)
-    for runs in (1, 2):
+    for _ in range(2):
         assert run_checks(c, ["delta-composites"])[0]["summary"]["pass"] == 1
-        assert Counter(calls) == {cycle: runs for cycle in cycles}
+        assert Counter(calls) == {cycle: 1 for cycle in cycles}
+    assert run_checks(c, ["exchange-team-fan"])[0]["checks"][0]["teams"] == len(cycles)
+    assert Counter(calls) == {cycle: 1 for cycle in cycles}
+    assert set(c._chains) == cycles
     calls.clear()
-    for cyc in {cyclic_form(fan) for fan in cycles}:
-        for r in range(len(cyc)):
-            rot = cyc[r:] + cyc[:r]
+    rotations = [cyc[r:] + cyc[:r] for cyc in cycles for r in range(len(cyc))]
+    for _ in range(2):
+        for rot in rotations:
             team = [c.objects[i] for i in rot]
             assert is_exchange_team(c, team) is _objects_chains(c, rot) is True
-    assert len(calls) == sum(map(len, cycles))
+        assert sorted(calls) == sorted(rot for rot in rotations if rot not in cycles)
 
 
 def _objects_chains(c, cycle):
@@ -1345,6 +1351,32 @@ def _teams_by_permutation_scan(c):
 def test_exchange_team_search_matches_permutation_scan(diagram, rank, d, seed):
     c = _oriented_ctx(diagram, rank, d, seed)
     assert exchange_teams_exhaustive(c) == _teams_by_permutation_scan(c)
+
+
+def _teams_unpruned(c):
+    """Reference: every path of "Ext^1 = 1" edges from its least object, of
+    d+1 distinct members, with the Ext pattern and the composites tested
+    only on the finished tuple (the search before it pruned as it grew)."""
+    shift = c.oc.shifts[1]
+    succ = [[j for j, sj in enumerate(shift) if row[sj] == 1] for row in c.hom_dims()]
+    paths = [(i,) for i in range(len(c.objects))]
+    for _ in range(c.oc.d):
+        paths = [path + (j,) for path in paths for j in succ[path[-1]]
+                 if j > path[0] and j not in path]
+    return [path for path in paths
+            if ext_pattern_ok(c, path) and delta_chains_nonzero(c, path)]
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", [
+    config + (seed,) for config in GRID + [("A", 3, 4), ("A", 4, 3), ("A", 4, 4),
+                                           ("D", 4, 3), ("D", 4, 4)]
+    for seed in (None, 3)] + [("E", 6, 3, None)])
+def test_pruned_team_search_matches_the_unpruned_one(diagram, rank, d, seed):
+    """The search that tests the pattern as each member joins finds the
+    same teams, in the same order, as the one that tests finished tuples."""
+    c = _oriented_ctx(diagram, rank, d, seed)
+    teams = exchange_teams_exhaustive(c)
+    assert teams and teams == _teams_unpruned(c)
 
 
 def test_is_exchange_team_rejects_wrong_size():

@@ -49,6 +49,25 @@ def test_gabriel_bijection(diagram, rank, arrows):
         assert m.dims == r
 
 
+@pytest.mark.parametrize("diagram,ranks", [("A", range(1, 13)), ("D", range(4, 13)),
+                                           ("E", (6, 7, 8))])
+def test_tau_matches_the_dense_coxeter_products(diagram, ranks):
+    """tau on roots, from two sparse sweeps over the arrows, is the dense
+    product Phi r whenever that is a root, in three orientations of each
+    rank."""
+    rng = np.random.default_rng(len(ranks))
+    for rank in ranks:
+        edges = quiver.dynkin_edges(diagram, rank)
+        for arrows in [None] + [[(u, v) if flip else (v, u) for (u, v), flip
+                                 in zip(edges, rng.integers(0, 2, len(edges)))]
+                                for _ in range(2)]:
+            c = cat(diagram, rank, arrows=arrows)
+            phi = quiver.coxeter_matrix(c.q)
+            for r in c.roots:
+                t = tuple(sum(x * y for x, y in zip(row, r)) for row in phi)
+                assert c.tau_plus[r] == (t if t in c.root_index else None), (rank, arrows, r)
+
+
 @pytest.mark.parametrize("diagram,rank,arrows",
                          QUIVERS + [("D", 6, None), ("E", 7, None), ("E", 8, None)])
 def test_tau_matches_coxeter_matrix(diagram, rank, arrows):

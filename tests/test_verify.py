@@ -213,6 +213,48 @@ def test_fan_checks_share_one_fan_walk(monkeypatch):
     assert len(calls) == 63 + len(pairs)
 
 
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 3, 3), ("D", 4, 2)])
+def test_verify_all_asks_each_fan_question_once(diagram, rank, d, monkeypatch, capsys):
+    """verify --all composes the delta chains of each distinct cycle once,
+    sorts no face, and walks greedily once per object and once per
+    distinct common-neighbour mask of the faces; a failing run sorts."""
+    from dcluster import cli
+    from dcluster import mutation as mut
+    from dcluster import verify
+
+    calls = {"order": 0, "walks": 0}
+    chains, contexts = [], []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    compose, context = mut._chains_nonzero, cli._context
+    monkeypatch.setattr(mut.FaceTable, "order", counted("order", mut.FaceTable.order))
+    monkeypatch.setattr(verify, "complete_mask", counted("walks", verify.complete_mask))
+    monkeypatch.setattr(mut, "_chains_nonzero",
+                        lambda ctx, cycle: chains.append(cycle) or compose(ctx, cycle))
+    monkeypatch.setattr(cli, "_context", lambda *args, **kw:
+                        contexts.append(context(*args, **kw)) or contexts[-1])
+    config = ["--diagram", diagram, "--rank", str(rank), "--d", str(d)]
+    assert cli.run(["verify", "--all"] + config) == 0
+    c, = contexts
+    table = c._face_table
+    assert sorted(chains) == sorted(set(table.cycles))
+    assert calls["order"] == 0
+    common = {mut._common_mask(c, mask) for mask in table.masks()}
+    assert calls["walks"] == len(c.objects) + len(common) < len(c.objects) + len(table)
+    # the same run failing on the last fan id names a face: it sorts
+    rigid = mut.middle_union_rigid
+    monkeypatch.setattr(mut, "middle_union_rigid", lambda ctx, cycle, supports:
+                        cycle != table.cycles[-1] and rigid(ctx, cycle, supports))
+    assert cli.run(["verify", "--all"] + config) == 1
+    assert calls["order"] > 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 4, 2), ("D", 4, 2),
                                            ("A", 3, 3), ("D", 5, 1)])
 def test_verify_names_no_facet(diagram, rank, d):
@@ -239,6 +281,9 @@ def test_fan_layer_caches_hold_no_objects():
     for name in ("_face_table.cycles", "_face_table.middles", "oc._path_rows"):
         cache = attrgetter(name)(c)
         assert cache and _ints_only(cache), name
+    # the delta verdicts are keyed by cycles of indices
+    assert c._chains and _ints_only(list(c._chains))
+    assert all(type(v) is bool for v in c._chains.values())
     # the per-face columns are flat arrays of unsigned ints
     table = c._face_table
     for column in (table.starts, table.members, table.drops, table.fan_ids, table.order()):
@@ -263,8 +308,8 @@ def _holds_object(value):
 
 
 MUTATION_MEMOS = ["_composites", "_approximations", "_radical_tops",
-                  "_covers", "_face_table.cycles", "_face_table.middles", "oc._path_rows",
-                  "oc._tensors"]
+                  "_covers", "_chains", "_face_table.cycles", "_face_table.middles",
+                  "oc._path_rows", "oc._tensors"]
 
 
 @pytest.mark.parametrize("diagram,rank,d,seed", [("D", 4, 2, None), ("A", 4, 2, 7)])
