@@ -264,7 +264,7 @@ class FaceTable:
         carries its face number in its low bits."""
         if self._order is None:
             shift = len(self).bit_length()
-            keys = sorted((reversed_bits(mask, self.width) << shift | f
+            keys = sorted((_reversed_bits(mask, self.width) << shift | f
                            for f, mask in enumerate(self.masks())), reverse=True)
             low = (1 << shift) - 1
             self._order = array("I", [key & low for key in keys])
@@ -274,30 +274,30 @@ class FaceTable:
         """The fan ids in the order of their first faces in order() (cached),
         found by first_faces without sorting the faces."""
         if self._fan_order is None:
-            firsts = first_faces(zip(self.fan_ids, self.masks()))
-            self._fan_order = sorted(firsts, reverse=True,
-                                     key=lambda fid: reversed_bits(firsts[fid], self.width))
+            self._fan_order = list(self.first_faces(zip(self.fan_ids, self.masks())))
         return self._fan_order
 
+    def first_faces(self, keyed: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+        """For each key among the (key, face mask) pairs, its first face in
+        order(), the keys listed in the order of those faces.  One
+        comparison per pair finds them: of two faces of one size, a comes
+        first exactly when a & low != 0, low the least bit of a ^ b; only
+        the first faces are sorted."""
+        firsts: Dict[int, int] = {}
+        for key, face in keyed:
+            diff = firsts.setdefault(key, face) ^ face
+            if face & diff & -diff:
+                firsts[key] = face
+        width = self.width
+        return dict(sorted(firsts.items(), reverse=True,
+                           key=lambda item: _reversed_bits(item[1], width)))
 
-def reversed_bits(mask: int, width: int) -> int:
+
+def _reversed_bits(mask: int, width: int) -> int:
     """The low `width` bits of `mask` in reverse order: sets of one size
     sorted by their reversals, largest first, are in the order of their
     tuples of object indices (FaceTable.order)."""
     return int(format(mask, "0%db" % width)[::-1], 2)
-
-
-def first_faces(keyed: Iterable[Tuple[int, int]]) -> Dict[int, int]:
-    """For each key among the (key, face mask) pairs, its first face in
-    FaceTable.order, found with one comparison per pair: of two faces of
-    one size, a comes first exactly when a & low != 0, low the least bit of
-    a ^ b."""
-    firsts: Dict[int, int] = {}
-    for key, face in keyed:
-        diff = firsts.setdefault(key, face) ^ face
-        if face & diff & -diff:
-            firsts[key] = face
-    return firsts
 
 
 def face_table(ctx: TiltingContext) -> FaceTable:

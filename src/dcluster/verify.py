@@ -23,7 +23,8 @@ from . import mutation as mut
 from .orbit import OrbitCategory
 from .quiver import fomin_reading_count, parse_quiver
 from .reps import ModuleCategory
-from .tilting import TiltingContext, _bits, complete_mask, facet_masks, verify_equivalence
+from .tilting import (TiltingContext, _bits, _closure, complete_mask, facet_masks,
+                      verify_equivalence)
 
 SCHEMA_VERSION = 1
 
@@ -159,40 +160,22 @@ def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
         if size != n:
             return _fail(i + 1, {"start": _names(ctx, [i]), "size": size})
     table = mut.face_table(ctx)
-    firsts = mut.first_faces(_commons(ctx, table))
-    if -1 in firsts:
-        # a face is not rigid: complete every face in FaceTable.order, where
-        # completing that one raises unless an earlier face fails
-        faces = map(table.mask, table.order())
-    else:
-        # a rigid face's completion is the face and the greedy walk from its
-        # common neighbours, and every face has n - 1 summands, so the faces
-        # with one common-neighbour mask complete to one size: complete_mask
-        # finds it at the first of them in FaceTable.order, in that order,
-        # so the faces before a failing one are all found complete
-        faces = sorted(firsts.values(), reverse=True,
-                       key=lambda face: mut.reversed_bits(face, singles))
-    for face in faces:
+    # a rigid face's completion is the face and the greedy walk from its
+    # common neighbours, and every face has n - 1 summands, so the faces
+    # with one common-neighbour mask complete to one size: complete_mask
+    # finds it at the first of them in FaceTable.order, in that order, so
+    # the faces before a failing one are all found complete.  A face that is
+    # not rigid is its own key (~face), and completing it raises.
+    def key(face: int) -> int:
+        rigid, common = _closure(ctx, face)
+        return common if rigid else ~face
+
+    for face in table.first_faces((key(face), face) for face in table.masks()).values():
         size = complete_mask(ctx, face).bit_count()
         if size != n:
             at = next(k for k, f in enumerate(table.order()) if table.mask(f) == face)
             return _fail(singles + at + 1, {"start": _names(ctx, _bits(face)), "size": size})
     return _pass(singles + len(table))
-
-
-def _commons(ctx: TiltingContext, table: mut.FaceTable) -> Iterator[Tuple[int, int]]:
-    """(common-neighbour mask, face mask) for each face in table order, from
-    one closure pass per face (tilting._closure, inline); the mask is -1 for
-    a face that is not rigid."""
-    rows = [row | 1 << i for i, row in enumerate(ctx.adjacency())]
-    full = (1 << len(ctx.objects)) - 1
-    for face in table.masks():
-        near, rest = full, face
-        while rest:
-            low = rest & -rest
-            near &= rows[low.bit_length() - 1]
-            rest ^= low
-        yield (near & ~face if face & ~near == 0 else -1), face
 
 
 def check_complement_count(ctx: TiltingContext) -> Dict[str, object]:

@@ -15,7 +15,7 @@ from dcluster.cli import run
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import dynkin_edges, parse_quiver
 from dcluster.reps import ModuleCategory
-from dcluster.tilting import TiltingContext, _bits, complete_mask, facet_masks
+from dcluster.tilting import TiltingContext, _bits, _closure, complete_mask, facet_masks
 from dcluster.verify import check_rigid_extends, run_checks
 
 GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
@@ -257,17 +257,50 @@ def test_rigid_extends_reads_the_sorted_faces(monkeypatch):
         assert len(firsts) < len(table), config
 
 
-def test_a_face_that_is_not_rigid_raises_in_its_completion():
+def test_a_face_that_is_not_rigid_raises_in_its_completion(monkeypatch):
     """A face table whose face is not rigid (here a face with one summand
-    too many) makes rigid-extends-to-tilting complete every face in
-    FaceTable.order, and that face's completion raises."""
+    too many) makes that face a key of its own in rigid-extends-to-tilting:
+    the first faces of the keys before it in FaceTable.order complete, and
+    then its completion raises."""
     c = _ctx("A", 3, 2)
     table = mut.face_table(c)
     facet = table.facets[table.members[table.starts[5]]]
     table.drops[5] = next(i for i in range(len(c.objects)) if not facet >> i & 1)
-    assert table.mask(5) & facet == facet
+    bad = table.mask(5)
+    assert bad & facet == facet
+    starts = []
+    monkeypatch.setattr("dcluster.verify.complete_mask",
+                        lambda ctx, mask: starts.append(mask) or complete_mask(ctx, mask))
     with pytest.raises(RuntimeError, match="greedy completion failed"):
         check_rigid_extends(c)
+    sorted_masks = [table.mask(f) for f in table.order()]
+    before = sorted_masks[:sorted_masks.index(bad)]
+    firsts = {}
+    for mask in before:
+        firsts.setdefault(mut._common_mask(c, mask), mask)
+    assert starts == [1 << i for i in range(len(c.objects))] + list(firsts.values()) + [bad]
+
+
+def test_a_face_not_rigid_is_completed_on_its_own(monkeypatch):
+    """A face found not rigid is keyed by itself, not by its common
+    neighbours: here one that shares its mask's key with an earlier face
+    is reported not rigid, and it gets a completion of its own, at its
+    place in FaceTable.order."""
+    c = _ctx("A", 3, 3)
+    table = mut.face_table(c)
+    sorted_masks = [table.mask(f) for f in table.order()]
+    firsts = {}
+    for mask in sorted_masks:
+        firsts.setdefault(mut._common_mask(c, mask), mask)
+    bad = next(mask for mask in sorted_masks if mask not in firsts.values())
+    monkeypatch.setattr("dcluster.verify._closure",
+                        lambda ctx, mask: (mask != bad, _closure(ctx, mask)[1]))
+    starts = []
+    monkeypatch.setattr("dcluster.verify.complete_mask",
+                        lambda ctx, mask: starts.append(mask) or complete_mask(ctx, mask))
+    assert check_rigid_extends(c)["status"] == "pass"
+    expected = sorted(list(firsts.values()) + [bad], key=sorted_masks.index)
+    assert starts == [1 << i for i in range(len(c.objects))] + expected
 
 
 def test_census_face_layer_keeps_under_100_bytes_per_face():
