@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import complex as cpxmod
 from . import mutation as mut
 from .quiver import ARROWS_SHAPE, fomin_reading_count
-from .tilting import TiltingContext, enumerate_tilting, facet_masks, is_tilting
+from .tilting import TiltingContext, enumerate_tilting, is_tilting
 from .verify import CHECK_IDS, iter_checks, load_context, make_report, report_to_json
 
 
@@ -173,8 +173,9 @@ def _check_facets_fit(ctx: TiltingContext) -> None:
     """Raise MemoryError, which run reports as a configuration too large,
     when the facet masks alone exceed the memory budget: RLIMIT_AS when it is
     finite, else the physical memory.  Each of the fomin_reading_count facets
-    takes at least an 8-byte list slot and an int with n bits set (but for
-    the few small ints Python shares), so a run that fits is never refused."""
+    (counted from h and the exponents, so no power of Phi is built) takes at
+    least an 8-byte list slot and an int with n bits set (but for the few
+    small ints Python shares), so a run that fits is never refused."""
     mask = sys.getsizeof((1 << ctx.n) - 1) + 8
     need = fomin_reading_count(ctx.oc.cat.q, ctx.oc.d) * mask
     budget = resource.getrlimit(resource.RLIMIT_AS)[0]
@@ -332,7 +333,7 @@ def cmd_mutation_graph(args) -> int:
           % (res["vertices"], res["edges"], res["degree"],
              res["regular"], res["connected"]))
     if args.dot:
-        dot = cpxmod.facet_graph_dot(ctx, facet_masks(ctx), "mutation")
+        dot = cpxmod.facet_graph_dot(cpxmod.build_complex(ctx), "mutation")
         _write(args.dot, dot)
         print("wrote %s" % args.dot)
     _write_out(args, {"schema": "mutation-graph", "schema_version": 1,

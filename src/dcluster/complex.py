@@ -18,13 +18,12 @@ use.  The f-vector is counted by backtracking over compatibility bitmasks,
 once per complex (the exports reuse that count), and its last level is
 counted by popcount: a face one short of a facet extends to as many facets
 as it has common neighbours above its largest member.  The codimension-1
-faces are the facet masks with one bit cleared; the DOT export groups its
-facets by them (mutation.group_by_face) and joins the facets in each group.
-The full complex's faces are grouped once per context with the facets
-containing them into the flat arrays of the face table
-(mutation.face_table); their statistics come from the complement fans,
-computed on the same masks, and each fan must consist of exactly the
-summands that complete the face in the enumerated facets.  A fan depends
+faces of the full complex are listed once per context, with the facets
+containing them, in the flat arrays of the face table (mutation.face_table);
+the DOT export joins the complex's facets among those containing each
+face.  Their statistics come from the complement fans, computed on the
+same masks, and each fan must consist of exactly the summands that
+complete the face in the enumerated facets.  A fan depends
 only on the face's common neighbours, and many faces share one (33176 faces
 and 3107 fans on E6 d=2), so each fan is walked once, the table holds each
 face's fan as an index among the distinct fans, and a fan's member mask
@@ -33,10 +32,10 @@ and color verdict are computed once per facet_stats.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
-from typing import Dict, List, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Tuple
 
-from .mutation import face_table, group_by_face
+from .mutation import face_table
 from .orbit import Obj, OrbitCategory
 from .tilting import TiltingContext, _bits, enumerate_tilting, facet_masks
 
@@ -149,7 +148,7 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
     masks = facet_masks(ctx)
     pure = all(mask.bit_count() == ctx.n for mask in masks)
     table = face_table(ctx)
-    members, cycles = table.members, table.cycles
+    cycles = table.cycles
     colors = [oc.color(x) for x in ctx.objects]
     all_colors = set(range(1, oc.d + 1))
     # many faces share a fan: its member mask and color verdict, once each
@@ -157,13 +156,12 @@ def _facet_stats(cpx: ClusterComplex) -> Dict[str, object]:
                for fan in cycles]
     incidence: Dict[int, int] = {}
     colors_ok = True
-    for almost, fid, lo, hi in zip(table.masks(), table.fan_ids, table.starts,
-                                   islice(table.starts, 1, None)):
+    for almost, fid, members in zip(table.masks(), table.fan_ids, table.groups()):
         in_fan, covered = per_fan[fid]
         # the fan's members must be exactly the summands completing the
         # face in the enumerated facets, each of which contains the face
         found = 0
-        for k in members[lo:hi]:
+        for k in members:
             found |= masks[k]
         found ^= almost
         if found != in_fan:
@@ -225,25 +223,33 @@ def to_json(cpx: ClusterComplex) -> Dict[str, object]:
     }
 
 
-def facet_graph_dot(ctx: TiltingContext, masks: Sequence[int], name: str) -> str:
+def facet_graph_dot(cpx: ClusterComplex, name: str) -> str:
     """DOT source, headed `graph <name> {`, for the adjacency of the facets
-    with the given bitmasks.  Two facets are adjacent when they share a
+    of the complex.  Two facets are adjacent when they share a
     codimension-1 face, and two distinct facets share at most one, so the
-    edges are the pairs in each group_by_face group, each once, in sorted
-    order."""
+    edges are the pairs of the complex's facets among those containing each
+    face of the face table, each once, in sorted order."""
+    ctx = cpx.ctx
     names = _names(ctx)
+    vertex = cpx.vertex_mask
+    # the node number of each facet of the complex, by position in facet_masks
+    node = {}
+    for k, mask in enumerate(facet_masks(ctx)):
+        if mask & vertex == mask:
+            node[k] = len(node)
     lines = ["graph %s {" % name]
-    for i, mask in enumerate(masks):
+    for i, mask in enumerate(cpx.facet_masks):
         lines.append('  f%d [label="%s"];' % (i, " + ".join(names[j] for j in _bits(mask))))
     lines += ["  f%d -- f%d;" % edge for edge in sorted(
-        pair for members in group_by_face(masks).values() for pair in combinations(members, 2))]
+        pair for members in face_table(ctx).groups()
+        for pair in combinations([node[k] for k in members if k in node], 2))]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def to_dot(cpx: ClusterComplex) -> str:
     """DOT source for the facet-adjacency graph of the complex."""
-    return facet_graph_dot(cpx.ctx, cpx.facet_masks, "complex")
+    return facet_graph_dot(cpx, "complex")
 
 
 def f_vector_text(cpx: ClusterComplex) -> str:

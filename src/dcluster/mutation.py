@@ -48,25 +48,20 @@ looks it up for every further face.  A query on one face (complements,
 fan_of, triangles_of, mutate) walks its one fan and keeps no fan.
 
 The checks over every face read one face table per context (FaceTable,
-face_table): the facet masks grouped once by group_by_face and compacted
-into flat arrays of unsigned ints, with no Python object per face.  Per
-face it holds the positions of the facets containing it, the summand that
-its first facet drops, and its fan as an id among the distinct cycles; a
-face is read by its number (FaceTable.mask, fan_ids).  FaceTable.order, the
-order of the faces' tuples of object indices, decides only which face a
-failure names and the order of fans (fans --list), so it is a sort
-permutation computed when one of those first asks for it.  The order of
-each fan's first face in it is found by one comparison per face
-(FaceTable.fan_order), so a check asks its question of each fan in that
-order, sums over the faces in table order, and sorts only to name a
-failing face.  Each Ext^1(X_i, X_{i+1}) along a fan is one-dimensional, so
-each triangle along it is unique up to isomorphism and its middle terms
-depend only on the fan: fan_middles keeps them once per fan id, after one
-pass in table order in which every face gets its own right and left
-approximations, their agreement and their cover verdicts, and its middle
-terms must equal those of its fan's other faces; when one differs or
-raises, the pass runs again in FaceTable.order and raises at the face it
-reaches first.
+face_table), in flat arrays of unsigned ints with no Python object per
+face.  A face is a rigid set of n - 1 objects with a common neighbour, so
+the ordered backtracking that lists the facets (tilting._grow) lists the
+faces too, with their common neighbours, in the order of their tuples of
+object indices, which is the table's order; fan ids number the fans in the
+order of their first faces.  A check asks its question of each fan in id
+order and walks the faces in table order, and sorts nothing to name the
+first failing face.  Each Ext^1(X_i, X_{i+1}) along a fan is
+one-dimensional, so each triangle along it is unique up to isomorphism and
+its middle terms depend only on the fan: fan_middles keeps them once per
+fan id, after one pass in table order in which every face gets its own
+right and left approximations, their agreement and their cover verdicts,
+and its middle terms must equal those of its fan's first face; the pass
+raises at the first face that differs or raises.
 
 A minimal approximation of X depends only on the side, on X and on the
 mask of the summands with nonzero Hom to (or from) X.  Its multiplicities
@@ -95,7 +90,7 @@ Ext-dimension pattern with its nonvanishing composites of connecting
 classes ("exchange team"), degree bounds and the two-piece degree profile,
 disjointness of middle-term supports, one-directional Hom between summands
 (read from the nonzero-Hom bit rows), and the mutation graph on facets,
-whose edges join the facets of each face group: its counts are read from
+whose edges join the facets containing each face: its counts are read from
 the face table without building a neighbour set.
 """
 
@@ -103,13 +98,13 @@ from __future__ import annotations
 
 from array import array
 from functools import reduce
-from itertools import accumulate, chain, islice
+from itertools import islice
 from operator import mul, or_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .orbit import Obj
-from .tilting import TiltingContext, _bits, _closure, facet_masks, is_tilting
+from .tilting import TiltingContext, _bits, _closure, _grow, facet_masks, is_tilting
 
 # a middle term: (object index j, multiplicity of T_j) for each summand in it
 Middle = Tuple[Tuple[int, int], ...]
@@ -203,184 +198,117 @@ def fan_degrees(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, ...]:
     return tuple(objects[i][1] for i in cycle)
 
 
-def group_by_face(masks: Sequence[int]) -> Dict[int, List[int]]:
-    """Map each facet minus one summand to the positions of the facets containing it."""
-    faces: Dict[int, List[int]] = {}
-    for fi, mask in enumerate(masks):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            faces.setdefault(mask ^ low, []).append(fi)
-            rest ^= low
-    return faces
-
-
 class FaceTable:
     """The codimension-1 faces of a context's facets, in flat arrays.
 
-    Faces are numbered in the first-seen order of group_by_face over the
-    facet masks.  Face f lies in the facets at the positions members[k] for
-    starts[f] <= k < starts[f + 1]; its mask is the first of those facets
-    without the summand drops[f], and its fan is cycles[fan_ids[f]], so the
-    table keeps no Python object per face.  order (sorted on first use)
-    lists the faces by their tuples of object indices, fan_order (on first
-    use too) the fan ids by their first faces in that order, and middles
-    (fan_middles) the middle terms along each cycle.
+    Faces are numbered in the order of their tuples of object indices.  Face
+    f lies in the facets at the positions members[k] for starts[f] <= k <
+    starts[f + 1], in increasing order; its mask is the first of those
+    facets without the summand drops[f], and its fan is cycles[fan_ids[f]],
+    numbered in the order of first faces.  middles (fan_middles) holds the
+    middle terms along each cycle.
     """
 
-    def __init__(self, facets: List[int], width: int, starts: array, members: array,
+    def __init__(self, facets: List[int], starts: array, members: array,
                  drops: array, fan_ids: array, cycles: List[Tuple[int, ...]]):
         self.facets = facets
-        self.width = width
         self.starts = starts
         self.members = members
         self.drops = drops
         self.fan_ids = fan_ids
         self.cycles = cycles
         self.middles: Optional[List[Tuple[Middle, ...]]] = None
-        self._order = None
-        self._fan_order = None
 
     def __len__(self) -> int:
         return len(self.drops)
 
-    def mask(self, f: int) -> int:
-        """The mask of face f."""
-        return self.facets[self.members[self.starts[f]]] ^ 1 << self.drops[f]
-
     def masks(self) -> Iterator[int]:
-        """The mask of every face, in first-seen order."""
+        """The mask of every face, in table order."""
         facets, members = self.facets, self.members
         return (facets[members[start]] ^ 1 << drop
                 for start, drop in zip(self.starts, self.drops))
 
-    def order(self) -> array:
-        """The face numbers sorted by their tuples of object indices (cached).
-
-        Two faces of one size differ first at the least summand that only
-        one of them has, and that one comes first; reversing the bits of
-        each mask makes that summand the most significant difference, so the
-        faces sort by their reversed masks, largest first.  Each sort key
-        carries its face number in its low bits."""
-        if self._order is None:
-            shift = len(self).bit_length()
-            keys = sorted((_reversed_bits(mask, self.width) << shift | f
-                           for f, mask in enumerate(self.masks())), reverse=True)
-            low = (1 << shift) - 1
-            self._order = array("I", [key & low for key in keys])
-        return self._order
-
-    def fan_order(self) -> List[int]:
-        """The fan ids in the order of their first faces in order() (cached),
-        found by first_faces without sorting the faces."""
-        if self._fan_order is None:
-            self._fan_order = list(self.first_faces(zip(self.fan_ids, self.masks())))
-        return self._fan_order
-
-    def first_faces(self, keyed: Iterable[Tuple[int, int]]) -> Dict[int, int]:
-        """For each key among the (key, face mask) pairs, its first face in
-        order(), the keys listed in the order of those faces.  One
-        comparison per pair finds them: of two faces of one size, a comes
-        first exactly when a & low != 0, low the least bit of a ^ b; only
-        the first faces are sorted."""
-        firsts: Dict[int, int] = {}
-        for key, face in keyed:
-            diff = firsts.setdefault(key, face) ^ face
-            if face & diff & -diff:
-                firsts[key] = face
-        width = self.width
-        return dict(sorted(firsts.items(), reverse=True,
-                           key=lambda item: _reversed_bits(item[1], width)))
-
-
-def _reversed_bits(mask: int, width: int) -> int:
-    """The low `width` bits of `mask` in reverse order: sets of one size
-    sorted by their reversals, largest first, are in the order of their
-    tuples of object indices (FaceTable.order)."""
-    return int(format(mask, "0%db" % width)[::-1], 2)
+    def groups(self) -> Iterator[array]:
+        """The positions of the facets containing each face, in table order."""
+        members, starts = self.members, self.starts
+        return (members[lo:hi] for lo, hi in zip(starts, islice(starts, 1, None)))
 
 
 def face_table(ctx: TiltingContext) -> FaceTable:
-    """The face table of group_by_face over the facets of the context
-    (cached).  A fan is walked once per distinct common-neighbour mask and
-    looked up by that mask for every further face, and each distinct cycle
-    gets the next id; nothing is kept when a fan walk raises."""
+    """The face table of the context's facets (cached).
+
+    The faces are the rigid sets of n - 1 objects with a common neighbour,
+    listed by tilting._grow with their common neighbours c; the facets
+    containing a face are its unions with each c, found by position in
+    facet_masks, which must hold each of them and nothing more.  A fan is
+    walked once per distinct common-neighbour mask, and each distinct cycle
+    gets the next id; nothing is kept when the build raises."""
     if ctx._face_table is None:
         facets = facet_masks(ctx)
-        groups = group_by_face(facets)
-        faces = list(groups)
-        starts = array("I", accumulate(map(len, groups.values()), initial=0))
-        members = array("I", chain.from_iterable(groups.values()))
-        # the per-face lists go before the fans are walked, which keeps the
-        # peak of the build at that of the grouping
-        del groups
+        position = {mask: k for k, mask in enumerate(facets)}
+        starts, members = array("I", [0]), array("I")
+        drops, fan_ids = array("I"), array("I")
         by_common: Dict[int, int] = {}
         by_cycle: Dict[Tuple[int, ...], int] = {}
-        drops, fan_ids = array("I"), array("I")
-        # the compatibility rows, each with its own bit
-        rows = [row | 1 << i for i, row in enumerate(ctx.adjacency())]
-        full = (1 << len(ctx.objects)) - 1
-        for face, start in zip(faces, starts):
-            drops.append((facets[members[start]] ^ face).bit_length() - 1)
-            # the common neighbours, as tilting._closure finds them, inline
-            # since this runs once per face; a face of a facet is rigid
-            near, rest = full, face
+
+        def add_face(face: int, common: int) -> None:
+            if not common:    # in no facet: rigidity-equivalence reports it
+                return
+            rest = common
             while rest:
                 low = rest & -rest
-                near &= rows[low.bit_length() - 1]
+                k = position.get(face | low)
+                if k is None:
+                    raise RuntimeError("codimension-1 face %r with the common neighbour %r "
+                                       "lies in no enumerated facet"
+                                       % (ctx.objs_of(face), ctx.objects[low.bit_length() - 1]))
+                members.append(k)
                 rest ^= low
-            common = near & ~face
+            starts.append(len(members))
+            drops.append((common & -common).bit_length() - 1)
             fid = by_common.get(common)
             if fid is None:
                 cycle = _fan_cycle(ctx, _complements_among(ctx, common))
                 fid = by_common[common] = by_cycle.setdefault(cycle, len(by_cycle))
             fan_ids.append(fid)
-        ctx._face_table = FaceTable(facets, len(ctx.objects), starts, members, drops,
-                                    fan_ids, list(by_cycle))
+
+        _grow(ctx.adjacency(), ctx.n - 1, 0, (1 << len(ctx.objects)) - 1, 0, 0, add_face)
+        if len(members) != ctx.n * len(facets):
+            raise RuntimeError("the faces lie in %d facets, counted with multiplicity, "
+                               "not n = %d times the %d enumerated facets"
+                               % (len(members), ctx.n, len(facets)))
+        ctx._face_table = FaceTable(facets, starts, members, drops, fan_ids, list(by_cycle))
     return ctx._face_table
 
 
 def fans(ctx: TiltingContext) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """The (face mask, fan as object indices) pairs, in FaceTable.order."""
+    """The (face mask, fan as object indices) pairs, in table order."""
     table = face_table(ctx)
-    cycles, fan_ids = table.cycles, table.fan_ids
-    return ((table.mask(f), cycles[fan_ids[f]]) for f in table.order())
+    cycles = table.cycles
+    return ((mask, cycles[fid]) for mask, fid in zip(table.masks(), table.fan_ids))
 
 
 def fan_middles(ctx: TiltingContext) -> List[Tuple[Middle, ...]]:
     """The middle terms along each fan, by fan id (cached).
 
     One pass over the faces in table order gives each face its own
-    triangles (_face_triangles).  When a face's middle terms differ from
-    those of an earlier face with its fan, or a face raises, the pass runs
-    again in FaceTable.order, which raises at the face it reaches first
-    (RuntimeError when its middle terms differ from those of its fan's
-    first face there), and then nothing is kept."""
+    triangles (_face_triangles), which must equal those of the first face
+    with its fan: the pass raises at the first face whose triangles raise
+    or differ (RuntimeError), and then nothing is kept."""
     table = face_table(ctx)
     if table.middles is None:
-        try:
-            table.middles = _face_middles(ctx, table, range(len(table)))
-        except Exception:
-            table.middles = _face_middles(ctx, table, table.order())
+        cycles, objs = table.cycles, ctx.objects
+        middles: List[Tuple[Middle, ...]] = []
+        for mask, fid in zip(table.masks(), table.fan_ids):
+            got = _face_triangles(ctx, mask, cycles[fid])
+            if fid == len(middles):
+                middles.append(got)
+            elif middles[fid] != got:
+                raise RuntimeError("middle terms of the triangles of %r differ from "
+                                   "those of another face with the fan %r"
+                                   % (ctx.objs_of(mask), tuple(objs[i] for i in cycles[fid])))
+        table.middles = middles
     return table.middles
-
-
-def _face_middles(ctx: TiltingContext, table: FaceTable,
-                  faces: Iterable[int]) -> List[Tuple[Middle, ...]]:
-    """The middle terms of each fan id, from its first face among `faces`,
-    which must all have those of their fan's first face."""
-    cycles, fan_ids, objs = table.cycles, table.fan_ids, ctx.objects
-    middles: List[Optional[Tuple[Middle, ...]]] = [None] * len(cycles)
-    for f in faces:
-        fid, mask = fan_ids[f], table.mask(f)
-        got = _face_triangles(ctx, mask, cycles[fid])
-        if middles[fid] is None:
-            middles[fid] = got
-        elif middles[fid] != got:
-            raise RuntimeError("middle terms of the triangles of %r differ from "
-                               "those of another face with the fan %r"
-                               % (ctx.objs_of(mask), tuple(objs[i] for i in cycles[fid])))
-    return middles
 
 
 # ---------------------------------------------------------------------------
@@ -837,15 +765,13 @@ def _graph_checks(ctx: TiltingContext) -> Dict[str, object]:
     are connected exactly when a chain of face groups joins them: each group
     merges its members' components in a union-find forest."""
     table = face_table(ctx)
-    members = table.members
     count = len(table.facets)
     degree = [0] * count
     parent = list(range(count))
-    lo = 0
-    for hi in islice(table.starts, 1, None):
-        others = hi - lo - 1
+    for members in table.groups():
+        others = len(members) - 1
         top = -1
-        for a in members[lo:hi]:
+        for a in members:
             degree[a] += others
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
@@ -853,7 +779,6 @@ def _graph_checks(ctx: TiltingContext) -> Dict[str, object]:
                 top = a
             else:
                 parent[a] = top
-        lo = hi
     want = ctx.n * ctx.oc.d
     roots = sum(1 for a, up in enumerate(parent) if a == up)
     return {"vertices": count, "edges": sum(degree) // 2, "degree": want,

@@ -110,10 +110,6 @@ class DynkinQuiver:
     def __repr__(self):
         return "DynkinQuiver(%r, %d, %r)" % (self.diagram, self.rank, list(self.arrows))
 
-    def arrows_out(self, v: int) -> List[Tuple[int, int]]:
-        """(arrow index, target) pairs for arrows leaving v."""
-        return [(i, t) for i, (s, t) in enumerate(self.arrows) if s == v]
-
 
 def parse_quiver(diagram: str, rank: int, orientation=None) -> DynkinQuiver:
     """Build a quiver; orientation is None/'default' or a list of [s, t] pairs."""
@@ -126,15 +122,19 @@ def directed_paths(q: DynkinQuiver) -> Dict[Tuple[int, int], Tuple[int, ...]]:
     """All directed paths as {(u, v): arrow index sequence u ~> v}.
 
     The underlying graph is a tree so there is at most one path per pair;
-    (v, v) maps to the empty path.
+    (v, v) maps to the empty path.  Each vertex's outgoing (arrow index,
+    target) pairs are listed once, before the n breadth-first searches.
     """
+    out: List[List[Tuple[int, int]]] = [[] for _ in range(q.rank)]
+    for i, (s, t) in enumerate(q.arrows):
+        out[s].append((i, t))
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     for u in range(q.rank):
         paths[(u, u)] = ()
         queue = deque([u])
         while queue:
             w = queue.popleft()
-            for i, t in q.arrows_out(w):
+            for i, t in out[w]:
                 if (u, t) not in paths:
                     paths[(u, t)] = paths[(u, w)] + (i,)
                     queue.append(t)
@@ -247,20 +247,16 @@ def _order_is(phi: Matrix, h: int) -> bool:
     return power(h) == eye and all(power(h // p) != eye for p in primes)
 
 
-def coxeter_data(q: DynkinQuiver) -> CoxeterData:
-    """Coxeter number h and exponents, read from the heights of the roots.
+def coxeter_exponents(q: DynkinQuiver) -> Tuple[int, Tuple[int, ...]]:
+    """The Coxeter number h and the exponents, read from the root heights.
 
     The exponents are the dual partition of the numbers of positive roots of
-    each height (Kostant), and h is one more than the highest height.  Both
-    are checked: Phi must have order exactly h, the height counts must form
-    a partition, and the n exponents must sum to n h / 2.
+    each height (Kostant), and h is one more than the highest height.  The
+    height counts must form a partition, and the n exponents must sum to
+    n h / 2.
     """
-    phi = coxeter_matrix(q)
     counts = Counter(sum(r) for r in positive_roots(q))
     h = max(counts) + 1
-    if not _order_is(phi, h):
-        raise RuntimeError("the Coxeter transformation does not have order "
-                           "h = %d" % h)
     hist = [counts[k] for k in range(1, h)]
     if hist != sorted(hist, reverse=True):
         raise RuntimeError("root height counts %r are not a partition" % hist)
@@ -268,15 +264,26 @@ def coxeter_data(q: DynkinQuiver) -> CoxeterData:
                              for j in range(1, hist[0] + 1)))
     if len(exponents) != q.rank or sum(exponents) != q.rank * h // 2:
         raise RuntimeError("exponent bookkeeping failed: %r" % (exponents,))
+    return h, exponents
+
+
+def coxeter_data(q: DynkinQuiver) -> CoxeterData:
+    """Phi, which must have order exactly h, with coxeter_exponents."""
+    h, exponents = coxeter_exponents(q)
+    phi = coxeter_matrix(q)
+    if not _order_is(phi, h):
+        raise RuntimeError("the Coxeter transformation does not have order "
+                           "h = %d" % h)
     return CoxeterData(phi, h, exponents)
 
 
 def fomin_reading_count(q: DynkinQuiver, d: int) -> int:
-    """prod_i (d h + e_i + 1) / (e_i + 1), as an exact integer."""
-    cox = coxeter_data(q)
+    """prod_i (d h + e_i + 1) / (e_i + 1), as an exact integer, from the h
+    and exponents of coxeter_exponents (Phi itself is not built)."""
+    h, exponents = coxeter_exponents(q)
     total = Fraction(1)
-    for e in cox.exponents:
-        total *= Fraction(d * cox.h + e + 1, e + 1)
+    for e in exponents:
+        total *= Fraction(d * h + e + 1, e + 1)
     if total.denominator != 1:
         raise RuntimeError("facet-count product is not an integer: %s" % total)
     return int(total)

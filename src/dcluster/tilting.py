@@ -21,7 +21,7 @@ yields bitmasks; enumerate_tilting names them only when asked.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .orbit import Obj, OrbitCategory
 
@@ -39,10 +39,11 @@ class TiltingContext:
         self._ext1_rows = None
         # results shared by several checks: _facet_masks holds the tilting
         # sets (named in _tilting for enumerate_tilting only), and
-        # _face_table the codimension-1 faces (mutation.FaceTable): for each
-        # face, in flat arrays, the positions in _facet_masks of the facets
-        # containing it and its fan's index among the distinct fans, and,
-        # once mutation.fan_middles has passed, each fan's middle terms.
+        # _face_table the codimension-1 faces (mutation.FaceTable), listed
+        # by _grow to n - 1 objects: for each face, in flat arrays, the
+        # positions in _facet_masks of the facets containing it and its
+        # fan's index among the distinct fans, and, once
+        # mutation.fan_middles has passed, each fan's middle terms.
         self._facet_masks = None
         self._tilting = None
         self._face_table = None
@@ -285,7 +286,8 @@ def facet_masks(ctx: TiltingContext) -> List[int]:
     """All rigid sets of size exactly n as bitmasks, by ordered backtracking (cached)."""
     if ctx._facet_masks is None:
         out: List[int] = []
-        _grow(ctx.adjacency(), ctx.n, 0, (1 << len(ctx.objects)) - 1, 0, 0, out)
+        _grow(ctx.adjacency(), ctx.n, 0, (1 << len(ctx.objects)) - 1, 0, 0,
+              lambda mask, common: out.append(mask))
         ctx._facet_masks = out
     return ctx._facet_masks
 
@@ -298,9 +300,13 @@ def enumerate_tilting(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
 
 
 def _grow(adj: List[int], n: int, mask: int, cand: int, size: int, start: int,
-          out: List[int]) -> None:
+          emit: Callable[[int, int], None]) -> None:
+    """Call emit(set, its common neighbours) on each rigid set of n objects
+    extending the rigid set `mask`, of `size` objects and common neighbours
+    `cand`, by objects of index `start` or more, in the order of the sets'
+    tuples of object indices."""
     if size == n:
-        out.append(mask)
+        emit(mask, cand)
         return
     rest = cand >> start << start
     if size + rest.bit_count() < n:
@@ -308,7 +314,7 @@ def _grow(adj: List[int], n: int, mask: int, cand: int, size: int, start: int,
     while rest:
         low = rest & -rest
         j = low.bit_length() - 1
-        _grow(adj, n, mask | low, cand & adj[j], size + 1, j + 1, out)
+        _grow(adj, n, mask | low, cand & adj[j], size + 1, j + 1, emit)
         rest ^= low
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from . import complex as cpxmod
 from . import mutation as mut
 from .orbit import OrbitCategory
-from .quiver import fomin_reading_count, parse_quiver
+from .quiver import coxeter_data, fomin_reading_count, parse_quiver
 from .reps import ModuleCategory
 from .tilting import (TiltingContext, _bits, _closure, complete_mask, facet_masks,
                       verify_equivalence)
@@ -159,22 +159,21 @@ def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
         size = complete_mask(ctx, 1 << i).bit_count()
         if size != n:
             return _fail(i + 1, {"start": _names(ctx, [i]), "size": size})
-    table = mut.face_table(ctx)
     # a rigid face's completion is the face and the greedy walk from its
     # common neighbours, and every face has n - 1 summands, so the faces
-    # with one common-neighbour mask complete to one size: complete_mask
-    # finds it at the first of them in FaceTable.order, in that order, so
-    # the faces before a failing one are all found complete.  A face that is
-    # not rigid is its own key (~face), and completing it raises.
-    def key(face: int) -> int:
+    # with one common-neighbour mask complete to one size: only the first of
+    # them in table order is completed.  A face that is not rigid is its own
+    # key (~face), and completing it raises.
+    table = mut.face_table(ctx)
+    seen = set()
+    for at, face in enumerate(table.masks()):
         rigid, common = _closure(ctx, face)
-        return common if rigid else ~face
-
-    for face in table.first_faces((key(face), face) for face in table.masks()).values():
-        size = complete_mask(ctx, face).bit_count()
-        if size != n:
-            at = next(k for k, f in enumerate(table.order()) if table.mask(f) == face)
-            return _fail(singles + at + 1, {"start": _names(ctx, _bits(face)), "size": size})
+        key = common if rigid else ~face
+        if key not in seen:
+            seen.add(key)
+            size = complete_mask(ctx, face).bit_count()
+            if size != n:
+                return _fail(singles + at + 1, {"start": _names(ctx, _bits(face)), "size": size})
     return _pass(singles + len(table))
 
 
@@ -189,32 +188,31 @@ def _each_fan(ctx: TiltingContext, law: Callable[[int], Tuple[int, bool]], name:
               extra: Optional[Callable[[Tuple[int, ...]], Dict[str, object]]] = None,
               **detail) -> Dict[str, object]:
     """Pass with the sum over the faces, in table order, of the instances in
-    law(fan id) = (instances, holds), asked once per fan id in
-    FaceTable.fan_order, the order of the fans' first faces in
-    FaceTable.order; else fail at the first face in that order whose fan
-    breaks it, naming the face ("almost") or its fan ("fan"), plus the
+    law(fan id) = (instances, holds), asked once per fan id in id order,
+    the order of the fans' first faces; else fail at the first face whose
+    fan breaks it, naming the face ("almost") or its fan ("fan"), plus the
     fields extra(fan) when given.  The faces before it have fans asked
     already, so the count needs no further law.  This is the one loop of
     the checks over every fan."""
     table = mut.face_table(ctx)
     cycles, fan_ids = table.cycles, table.fan_ids
-    verdicts: List[Optional[Tuple[int, bool]]] = [None] * len(cycles)
-    for fid in table.fan_order():
-        verdicts[fid] = law(fid)
+    verdicts: List[Tuple[int, bool]] = []
+    for fid in range(len(cycles)):
+        verdicts.append(law(fid))
         if not verdicts[fid][1]:
             break
     else:
         counts = [inst for inst, _ in verdicts]
         return _pass(sum(map(counts.__getitem__, fan_ids)), **detail)
     total = 0
-    for f in table.order():
-        inst, holds = verdicts[fan_ids[f]]
+    for mask, fid in zip(table.masks(), fan_ids):
+        inst, holds = verdicts[fid]
         total += inst
         if not holds:
-            named = _bits(table.mask(f)) if name == "almost" else cycles[fan_ids[f]]
+            named = _bits(mask) if name == "almost" else cycles[fid]
             example = {name: _names(ctx, named)}
             if extra is not None:
-                example.update(extra(cycles[fan_ids[f]]))
+                example.update(extra(cycles[fid]))
             return _fail(total, example)
 
 
@@ -337,6 +335,8 @@ def check_gamma_bijection(ctx: TiltingContext) -> Dict[str, object]:
 def check_facet_count(ctx: TiltingContext) -> Dict[str, object]:
     oc = ctx.oc
     got = len(facet_masks(ctx))
+    # the count reads only h and the exponents; Phi must also have order h
+    coxeter_data(oc.cat.q)
     want = fomin_reading_count(oc.cat.q, oc.d)
     if got != want:
         return _fail(got, {"enumerated": got, "formula": want})

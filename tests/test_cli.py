@@ -259,16 +259,20 @@ def test_mutation_graph_counts_its_edges(monkeypatch, tmp_path, capsys):
     degree, so a graph that is not regular reports the edges it has."""
     from dcluster import mutation
 
-    grouping = mutation.group_by_face
+    build = mutation.face_table
 
-    def drop_one_edge(masks):
+    def drop_one_edge(ctx):
         # facet b leaves the face group it shares with facet 0
-        faces = grouping(masks)
-        shared = next(members for members in faces.values() if 0 in members)
-        shared.remove(max(shared))
-        return faces
+        fresh = ctx._face_table is None
+        table = build(ctx)
+        if fresh:
+            f = next(f for f, members in enumerate(table.groups()) if 0 in members)
+            del table.members[table.starts[f + 1] - 1]
+            for k in range(f + 1, len(table.starts)):
+                table.starts[k] -= 1
+        return table
 
-    monkeypatch.setattr(mutation, "group_by_face", drop_one_edge)
+    monkeypatch.setattr(mutation, "face_table", drop_one_edge)
     outp = tmp_path / "g.json"
     assert run(["mutation-graph", "--out", str(outp)] + A2D1) == 1
     captured = capsys.readouterr()
@@ -652,6 +656,21 @@ def test_too_many_facets_are_refused_before_any_table(command):
                           timeout=60)
     assert time.monotonic() - start < 2
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", TOO_LARGE)
+
+
+def test_the_facet_preflight_does_not_check_the_order_of_phi(monkeypatch, capsys):
+    """The preflight counts the facets from h and the exponents alone: with
+    the order check of Phi made to raise, A30 d=1 (Catalan(31) facets) is
+    still refused at once with the one-line error."""
+    from dcluster import quiver
+
+    def no_order(phi, h):
+        raise AssertionError("the preflight checked the order of Phi")
+
+    monkeypatch.setattr(quiver, "_order_is", no_order)
+    assert run(["verify", "--all", "--diagram", "A", "--rank", "30", "--d", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: A30 d=1 p=101 is too large: its tables do not fit in memory\n")
 
 
 def test_a_memory_error_after_the_preflight_exits_2(monkeypatch, capsys):

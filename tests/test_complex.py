@@ -10,6 +10,7 @@ import pytest
 from dcluster.complex import (ClusterComplex, build_complex, colored_roots,
                               f_vector, f_vector_text, facet_stats, gamma,
                               gamma_is_bijection, to_dot, to_json)
+from dcluster import mutation as mut
 from dcluster import tilting
 from dcluster.mutation import face_table, fan_of, mutation_graph_checks
 from dcluster.orbit import OrbitCategory
@@ -258,17 +259,40 @@ def test_facet_adjacency_is_mutation_graph(diagram, rank, d):
 def test_facet_stats_catches_a_dropped_facet(monkeypatch):
     grow = tilting._grow
 
-    def grow_but_drop_one(adj, n, mask, cand, size, start, out):
-        grow(adj, n, mask, cand, size, start, out)
-        if size == 0:
-            del out[len(out) // 2]
+    def grow_but_drop_one(adj, n, mask, cand, size, start, emit):
+        if size:
+            return grow(adj, n, mask, cand, size, start, emit)
+        found = []
+        grow(adj, n, mask, cand, size, start, lambda *pair: found.append(pair))
+        del found[len(found) // 2]
+        for pair in found:
+            emit(*pair)
 
     monkeypatch.setattr(tilting, "_grow", grow_but_drop_one)
     c = TiltingContext(OrbitCategory(ModuleCategory(parse_quiver("A", 3)), 2))
     cpx = build_complex(c)
     assert len(cpx.facets) == 54
-    with pytest.raises(RuntimeError, match=r"codimension-1 face \{.*\} is completed by"):
+    with pytest.raises(RuntimeError, match=r"codimension-1 face \(.*\) with the common "
+                       r"neighbour .* lies in no enumerated facet"):
         facet_stats(cpx)
+
+
+def test_facet_stats_catches_a_fan_off_its_facets(monkeypatch):
+    """A fan that is not the set of summands completing its face in the
+    facets (here the complements of another face's common neighbours) is
+    named by facet_stats."""
+    c = load_context("A", 3, 2)
+    table = face_table(TiltingContext(c.oc))
+    masks = list(table.masks())
+    first, other = (mut._common_mask(c, mask) for mask in (masks[0], masks[-1]))
+    assert mut._complements_among(c, first) != mut._complements_among(c, other)
+    among = mut._complements_among
+    monkeypatch.setattr(mut, "_complements_among", lambda ctx, common:
+                        among(ctx, other if common == first else common))
+    names = [c.oc.obj_name(x) for x in c.objs_of(masks[0])]
+    with pytest.raises(RuntimeError, match=re.escape(
+            "codimension-1 face {%s} is completed by" % ", ".join(names))):
+        facet_stats(build_complex(c))
 
 
 @pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 2), ("A", 3, 3)])

@@ -11,6 +11,7 @@ import pytest
 
 from dcluster import complex as cpxmod
 from dcluster import mutation as mut
+from dcluster import tilting
 from dcluster.cli import run
 from dcluster.orbit import OrbitCategory
 from dcluster.quiver import dynkin_edges, parse_quiver
@@ -46,18 +47,34 @@ def _members(table, f):
     return list(table.members[table.starts[f]:table.starts[f + 1]])
 
 
+def _group_by_face(masks):
+    """Reference: each facet minus one summand, mapped to the positions of
+    the facets containing it, in the first-seen order of a pass over the
+    facets."""
+    faces = {}
+    for fi, mask in enumerate(masks):
+        for i in _bits(mask):
+            faces.setdefault(mask ^ 1 << i, []).append(fi)
+    return faces
+
+
+def _tuple_order(masks):
+    return sorted(masks, key=lambda mask: tuple(_bits(mask)))
+
+
 @pytest.mark.parametrize("seed", [None, 7])
 @pytest.mark.parametrize("diagram,rank,d", GRID)
 def test_face_table_matches_group_by_face(diagram, rank, d, seed):
-    """Per face, in first-seen order: the mask and the facet positions of
-    group_by_face, and the offsets walk the flat array without a gap."""
+    """Per face, in tuple order: the mask and the facet positions of the
+    reference grouping, and the offsets walk the flat array without a gap."""
     c = _ctx(diagram, rank, d, seed)
-    groups = mut.group_by_face(facet_masks(c))
+    groups = _group_by_face(facet_masks(c))
+    faces = _tuple_order(groups)
     table = mut.face_table(c)
     assert len(table) == len(groups)
-    assert list(table.masks()) == list(groups)
-    assert [table.mask(f) for f in range(len(table))] == list(groups)
-    assert [_members(table, f) for f in range(len(table))] == list(groups.values())
+    assert list(table.masks()) == faces
+    assert [_members(table, f) for f in range(len(table))] == [groups[m] for m in faces]
+    assert [list(members) for members in table.groups()] == [groups[m] for m in faces]
     assert table.starts[0] == 0 and table.starts[-1] == len(table.members)
 
 
@@ -65,10 +82,9 @@ def test_face_table_matches_group_by_face(diagram, rank, d, seed):
 @pytest.mark.parametrize("diagram,rank,d", GRID + [("E", 6, 1)])
 def test_sort_order_is_the_tuple_order(diagram, rank, d, seed):
     c = _ctx(diagram, rank, d, seed)
-    want = sorted(mut.group_by_face(facet_masks(c)), key=lambda mask: tuple(_bits(mask)))
+    want = _tuple_order(_group_by_face(facet_masks(c)))
     assert [mask for mask, _ in mut.fans(c)] == want
-    table = mut.face_table(c)
-    assert sorted(table.order()) == list(range(len(table)))
+    assert list(mut.face_table(c).masks()) == want
 
 
 @pytest.mark.parametrize("seed", [None, 7])
@@ -82,24 +98,23 @@ def test_each_face_has_the_fan_of_its_mask(diagram, rank, d, seed):
     # one id per distinct cycle, each used
     assert len(set(table.cycles)) == len(table.cycles) == len(set(table.fan_ids))
     assert list(mut.fans(c)) == [(mask, mut._fan(fresh, mask)) for mask in
-                                 sorted(table.masks(), key=lambda mask: tuple(_bits(mask)))]
+                                 _tuple_order(table.masks())]
 
 
 @pytest.mark.parametrize("seed", [None, 7])
 @pytest.mark.parametrize("diagram,rank,d", GRID + [("E", 6, 1), ("A", 1, 3)])
 def test_fan_order_is_the_first_seen_order_of_the_sorted_faces(diagram, rank, d, seed):
-    """fan_order lists the fan ids as they first occur in FaceTable.order,
-    so a check that asks its law per fan id in that order asks it in the
-    order of the sorted walk; it differs from the id order."""
-    table = mut.face_table(_ctx(diagram, rank, d, seed))
-    firsts = []
-    for f in table.order():
-        if table.fan_ids[f] not in firsts:
-            firsts.append(table.fan_ids[f])
-    assert table.fan_order() == firsts
-    assert sorted(firsts) == list(range(len(table.cycles)))
-    if len(firsts) > 1:
-        assert firsts != sorted(firsts)
+    """The fan ids number the fans as they first occur among the faces in
+    tuple order, so a check that asks its law per fan id in id order asks
+    it in the order of the sorted walk."""
+    c = _ctx(diagram, rank, d, seed)
+    table = mut.face_table(c)
+    firsts = list(dict.fromkeys(table.fan_ids))
+    assert firsts == list(range(len(table.cycles)))
+    fresh = TiltingContext(c.oc)
+    want = dict.fromkeys(mut._fan(fresh, mask)
+                         for mask in _tuple_order(_group_by_face(facet_masks(c))))
+    assert table.cycles == list(want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -147,8 +162,8 @@ def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
     mut.fan_middles(c)
     out, into = c.hom_masks()
     want = []
-    for f in range(len(table)):
-        mask, cycle = table.mask(f), table.cycles[table.fan_ids[f]]
+    for mask, fid in zip(table.masks(), table.fan_ids):
+        cycle = table.cycles[fid]
         for k, i in enumerate(cycle):
             nxt = cycle[(k + 1) % len(cycle)]
             want += [(c, True, i, mask & into[i]), (c, False, nxt, mask & out[nxt])]
@@ -159,14 +174,13 @@ def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
 
 
 def _break_one_face(monkeypatch, c):
-    """Make _face_triangles answer differently on the first face, in
-    FaceTable.order, of a fan already seen, and return its mask."""
+    """Make _face_triangles answer differently on the first face, in table
+    order, of a fan already seen, and return its mask."""
     table = mut.face_table(c)
     seen, target = set(), None
-    for f in table.order():
-        fid = table.fan_ids[f]
+    for mask, fid in zip(table.masks(), table.fan_ids):
         if fid in seen:
-            target = table.mask(f)
+            target = mask
             break
         seen.add(fid)
     triangles = mut._face_triangles
@@ -239,7 +253,7 @@ def test_each_middle_check_reads_the_other_ones_pass(monkeypatch):
 
 
 def test_rigid_extends_reads_the_sorted_faces(monkeypatch):
-    """The singletons, then the first face in FaceTable.order of each
+    """The singletons, then the first face in table order of each
     common-neighbour mask, in that order, are completed once each; the
     other faces count as instances without a completion of their own."""
     starts = []
@@ -260,20 +274,20 @@ def test_rigid_extends_reads_the_sorted_faces(monkeypatch):
 def test_a_face_that_is_not_rigid_raises_in_its_completion(monkeypatch):
     """A face table whose face is not rigid (here a face with one summand
     too many) makes that face a key of its own in rigid-extends-to-tilting:
-    the first faces of the keys before it in FaceTable.order complete, and
+    the first faces of the keys before it in table order complete, and
     then its completion raises."""
     c = _ctx("A", 3, 2)
     table = mut.face_table(c)
     facet = table.facets[table.members[table.starts[5]]]
     table.drops[5] = next(i for i in range(len(c.objects)) if not facet >> i & 1)
-    bad = table.mask(5)
+    bad = list(table.masks())[5]
     assert bad & facet == facet
     starts = []
     monkeypatch.setattr("dcluster.verify.complete_mask",
                         lambda ctx, mask: starts.append(mask) or complete_mask(ctx, mask))
     with pytest.raises(RuntimeError, match="greedy completion failed"):
         check_rigid_extends(c)
-    sorted_masks = [table.mask(f) for f in table.order()]
+    sorted_masks = list(table.masks())
     before = sorted_masks[:sorted_masks.index(bad)]
     firsts = {}
     for mask in before:
@@ -285,10 +299,10 @@ def test_a_face_not_rigid_is_completed_on_its_own(monkeypatch):
     """A face found not rigid is keyed by itself, not by its common
     neighbours: here one that shares its mask's key with an earlier face
     is reported not rigid, and it gets a completion of its own, at its
-    place in FaceTable.order."""
+    place in table order."""
     c = _ctx("A", 3, 3)
     table = mut.face_table(c)
-    sorted_masks = [table.mask(f) for f in table.order()]
+    sorted_masks = list(table.masks())
     firsts = {}
     for mask in sorted_masks:
         firsts.setdefault(mut._common_mask(c, mask), mask)
@@ -323,9 +337,63 @@ def test_census_face_layer_keeps_under_100_bytes_per_face():
     assert kept < 100 * faces, kept / faces
 
 
+def test_face_table_build_peaks_under_120_bytes_per_face():
+    """Building the face table of E6 d=2, with the facets and the
+    compatibility rows already built, allocates under 120 bytes per face at
+    its peak (the facet positions are looked up in a dict that the build
+    drops, and no face is grouped in a Python list), and keeps 31."""
+    c = _ctx("E", 6, 2)
+    facet_masks(c)
+    c.adjacency(), c.hom_masks(), c.ext1_rows()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mut.face_table(c)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    faces = len(c._face_table)
+    assert faces == 33176
+    assert peak - before < 120 * faces, (peak - before) / faces
+    assert kept - before < 32 * faces, (kept - before) / faces
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("D", 4, 1)])
+def test_a_facet_missing_from_the_facet_list_stops_the_build(diagram, rank, d):
+    """Each face, with each of its common neighbours, must be an enumerated
+    facet: with one facet left out, the build raises at the first face of
+    it in tuple order, the facet without its largest summand."""
+    c = _ctx(diagram, rank, d)
+    facets = facet_masks(c)
+    gone = facets[len(facets) // 2]
+    c._facet_masks = [mask for mask in facets if mask != gone]
+    top = 1 << gone.bit_length() - 1
+    want = "codimension-1 face %r with the common neighbour %r lies in no enumerated facet" \
+        % (c.objs_of(gone ^ top), c.objects[top.bit_length() - 1])
+    with pytest.raises(RuntimeError, match=re.escape(want)):
+        mut.face_table(c)
+    assert c._face_table is None
+
+
+@pytest.mark.parametrize("extra", ["repeated", "not rigid"])
+def test_an_extra_mask_in_the_facet_list_stops_the_build(extra):
+    """The faces lie in n facets each, counted once per face, so a facet
+    list with a mask that is no facet of its own fails the count."""
+    c = _ctx("A", 3, 2)
+    facets = facet_masks(c)
+    # the first three objects are not all compatible (root#0..2 of A3)
+    assert not _closure(c, 0b111)[0]
+    c._facet_masks = facets + [facets[0] if extra == "repeated" else 0b111]
+    want = ("the faces lie in %d facets, counted with multiplicity, not n = 3 times "
+            "the %d enumerated facets" % (3 * len(facets), len(facets) + 1))
+    with pytest.raises(RuntimeError, match=re.escape(want)):
+        mut.face_table(c)
+    assert c._face_table is None
+
+
 def test_queries_leave_the_face_table_unbuilt(tmp_path, monkeypatch, capsys):
-    """complements and mutate on one face of a seeded D5 d=2 never group
-    the facets, in the library and through the CLI."""
+    """complements and mutate on one face of a seeded D5 d=2 never list
+    the facets or the faces, in the library and through the CLI."""
     c = _ctx("D", 5, 2, 3)
     facet = c.objs_of(complete_mask(c, 1 << 4))
     almost = facet[1:]
@@ -338,7 +406,8 @@ def test_queries_leave_the_face_table_unbuilt(tmp_path, monkeypatch, capsys):
         raise AssertionError("a query built the face table")
 
     monkeypatch.setattr(mut, "face_table", no_table)
-    monkeypatch.setattr(mut, "group_by_face", no_table)
+    monkeypatch.setattr(mut, "_grow", no_table)
+    monkeypatch.setattr(tilting, "_grow", no_table)
     path = tmp_path / "orientation.json"
     path.write_text(str([list(a) for a in _arrows("D", 5, 3)]))
     names = [c.oc.obj_name(x) for x in facet]

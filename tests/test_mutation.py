@@ -1,6 +1,7 @@
 import re
+from array import array
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -402,13 +403,14 @@ def test_graph_checks_match_neighbour_sets(diagram, rank, d, seed):
 
 
 @pytest.mark.parametrize("which", ["first", "middle", "last"])
-def test_a_facet_left_out_of_its_face_groups_is_isolated(which, monkeypatch):
+def test_a_facet_left_out_of_its_face_groups_is_isolated(which):
     c = _fresh_oriented_ctx("A", 3, 2, None)
     count = len(enumerate_tilting(c))
     gone = {"first": 0, "middle": count // 2, "last": count - 1}[which]
-    grouping = mut.group_by_face
-    monkeypatch.setattr(mut, "group_by_face", lambda masks: {
-        face: [a for a in members if a != gone] for face, members in grouping(masks).items()})
+    table = mut.face_table(c)
+    kept = [[a for a in members if a != gone] for members in table.groups()]
+    table.members = array("I", chain.from_iterable(kept))
+    table.starts = array("I", accumulate(map(len, kept), initial=0))
     nbrs = _facet_adjacency_by_tuples(enumerate_tilting(c))
     for s in nbrs:
         s.discard(gone)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -426,3 +427,31 @@ def test_directed_paths():
     d4 = quiver.parse_quiver("D", 4)
     paths = quiver.directed_paths(d4)
     assert (0, 1) in paths and (0, 2) not in paths
+
+
+def _directed_paths_by_scans(q):
+    """Reference: the breadth-first searches of directed_paths with a scan
+    of every arrow for the arrows leaving each vertex reached."""
+    paths = {}
+    for u in range(q.rank):
+        paths[(u, u)] = ()
+        queue = deque([u])
+        while queue:
+            w = queue.popleft()
+            for i, t in [(i, t) for i, (s, t) in enumerate(q.arrows) if s == w]:
+                if (u, t) not in paths:
+                    paths[(u, t)] = paths[(u, w)] + (i,)
+                    queue.append(t)
+    return paths
+
+
+@pytest.mark.parametrize("diagram,ranks", [("A", range(1, 31)), ("D", range(4, 31)),
+                                           ("E", (6, 7, 8))])
+def test_directed_paths_match_the_per_step_scan(diagram, ranks):
+    """The outgoing arrows listed once give the paths of the per-step scan,
+    in the same order, in the default and a seeded orientation."""
+    for rank in ranks:
+        for arrows in _orientations(diagram, rank)[:2]:
+            q = quiver.parse_quiver(diagram, rank, arrows)
+            assert list(quiver.directed_paths(q).items()) == \
+                list(_directed_paths_by_scans(q).items()), (rank, arrows)

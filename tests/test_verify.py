@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dcluster.mutation import cyclic_form, fan_of, fans
 from dcluster.quiver import default_orientation, dynkin_edges
+from dcluster.tilting import _bits
 from dcluster.verify import (CHECK_IDS, CHECKS, load_context, report_to_json,
                              run_checks)
 
@@ -165,23 +166,23 @@ def test_shared_results_computed_once_per_context(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(mut, "group_by_face", counted("grouping", mut.group_by_face))
+    monkeypatch.setattr(mut, "_grow", counted("faces", mut._grow))
     monkeypatch.setattr(mut, "FaceTable", counted("table", mut.FaceTable))
     monkeypatch.setattr(mut, "_fan_cycle", counted("walks", mut._fan_cycle))
     monkeypatch.setattr(cpxmod, "_facet_stats", counted("facet_stats", cpxmod._facet_stats))
     monkeypatch.setattr(mut, "_graph_checks", counted("graph", mut._graph_checks))
     for diagram, rank, d, faces in (("A", 3, 2, 55), ("A", 3, 3, 105)):
-        calls.update(dict.fromkeys(("grouping", "table", "walks", "facet_stats", "graph"), 0))
+        calls.update(dict.fromkeys(("faces", "table", "walks", "facet_stats", "graph"), 0))
         c = load_context(diagram, rank, d)
         report, _ = run_checks(c)
         assert report["summary"]["fail"] == 0
-        # the facets are grouped by codimension-1 face once, into the one
-        # face table that the fan checks, the mutation graph and facet_stats
-        # all read; its fan ids are filled once, one fan walk per distinct
+        # the codimension-1 faces are listed once, into the one face table
+        # that the fan checks, the mutation graph and facet_stats all read;
+        # its fan ids are filled once, one fan walk per distinct
         # common-neighbour mask, and a second run in the context walks no fan
         table = c._face_table
         common = {mut._common_mask(c, mask) for mask in table.masks()}
-        want = {"grouping": 1, "table": 1, "walks": len(common), "facet_stats": 1,
+        want = {"faces": 1, "table": 1, "walks": len(common), "facet_stats": 1,
                 "graph": 1}
         assert calls == want and len(common) < len(table) == faces
         assert run_checks(c)[0] == report and calls == want
@@ -216,13 +217,14 @@ def test_fan_checks_share_one_fan_walk(monkeypatch):
 @pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 3, 3), ("D", 4, 2)])
 def test_verify_all_asks_each_fan_question_once(diagram, rank, d, monkeypatch, capsys):
     """verify --all composes the delta chains of each distinct cycle once,
-    sorts no face, and walks greedily once per object and once per
-    distinct common-neighbour mask of the faces; a failing run sorts."""
+    lists the faces once, and walks greedily once per object and once per
+    distinct common-neighbour mask of the faces; a run failing on the last
+    fan id names that fan's first face in table order."""
     from dcluster import cli
     from dcluster import mutation as mut
     from dcluster import verify
 
-    calls = {"order": 0, "walks": 0}
+    calls = {"faces": 0, "walks": 0}
     chains, contexts = [], []
 
     def counted(name, fn):
@@ -232,7 +234,7 @@ def test_verify_all_asks_each_fan_question_once(diagram, rank, d, monkeypatch, c
         return wrapper
 
     compose, context = mut._chains_nonzero, cli._context
-    monkeypatch.setattr(mut.FaceTable, "order", counted("order", mut.FaceTable.order))
+    monkeypatch.setattr(mut, "_grow", counted("faces", mut._grow))
     monkeypatch.setattr(verify, "complete_mask", counted("walks", verify.complete_mask))
     monkeypatch.setattr(mut, "_chains_nonzero",
                         lambda ctx, cycle: chains.append(cycle) or compose(ctx, cycle))
@@ -243,16 +245,21 @@ def test_verify_all_asks_each_fan_question_once(diagram, rank, d, monkeypatch, c
     c, = contexts
     table = c._face_table
     assert sorted(chains) == sorted(set(table.cycles))
-    assert calls["order"] == 0
+    assert calls["faces"] == 1
     common = {mut._common_mask(c, mask) for mask in table.masks()}
     assert calls["walks"] == len(c.objects) + len(common) < len(c.objects) + len(table)
-    # the same run failing on the last fan id names a face: it sorts
+    # the same run failing on the last fan id names its first face
     rigid = mut.middle_union_rigid
     monkeypatch.setattr(mut, "middle_union_rigid", lambda ctx, cycle, supports:
                         cycle != table.cycles[-1] and rigid(ctx, cycle, supports))
+    contexts.clear()
     assert cli.run(["verify", "--all"] + config) == 1
-    assert calls["order"] > 0
-    capsys.readouterr()
+    c, = contexts
+    last = len(c._face_table.cycles) - 1
+    first = list(c._face_table.fan_ids).index(last)
+    want = {"almost": verify._names(c, _bits(list(c._face_table.masks())[first]))}
+    assert "%-28s fail %6d instances counterexample=%s" % (
+        "middle-rigid", first + 1, json.dumps(want, sort_keys=True)) in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 4, 2), ("D", 4, 2),
@@ -286,7 +293,7 @@ def test_fan_layer_caches_hold_no_objects():
     assert all(type(v) is bool for v in c._chains.values())
     # the per-face columns are flat arrays of unsigned ints
     table = c._face_table
-    for column in (table.starts, table.members, table.drops, table.fan_ids, table.order()):
+    for column in (table.starts, table.members, table.drops, table.fan_ids):
         assert type(column) is array and column.typecode == "I"
 
 
@@ -503,9 +510,9 @@ _A3D3_NAMES = {
 
 
 def _shorten_third_fan(table):
-    """The face table, with the fan of its third face in FaceTable.order
-    (a fan no earlier face has on A3 d=3) one member short, in place."""
-    fid = table.fan_ids[table.order()[2]]
+    """The face table, with the fan of its third face (a fan no earlier face
+    has on A3 d=3) one member short, in place."""
+    fid = table.fan_ids[2]
     table.cycles[fid] = table.cycles[fid][:-1]
     return table
 
@@ -611,37 +618,73 @@ def test_memoized_law_fails_at_the_first_face_of_its_fan(monkeypatch, cid):
 
 def test_complement_count_reads_each_face_s_own_fan():
     """A fan one member short fails complement-count at the first face, in
-    FaceTable.order, that has it, naming that face and the fan's size."""
+    table order, that has it, naming that face and the fan's size."""
     from dcluster import mutation as mut
     from dcluster.verify import check_complement_count
 
     c = load_context("A", 3, 3)
     table = mut.face_table(c)
-    fids = [table.fan_ids[f] for f in table.order()]
+    fids = list(table.fan_ids)
     for fid, cycle in enumerate(table.cycles):
         table.cycles[fid] = cycle[:-1]
         got = check_complement_count(c)
         table.cycles[fid] = cycle
         first = fids.index(fid)
         assert got == {"status": "fail", "instances": first + 1, "counterexample": {
-            "almost": [c.oc.obj_name(x) for x in c.objs_of(table.mask(table.order()[first]))],
+            "almost": [c.oc.obj_name(x) for x in c.objs_of(list(table.masks())[first])],
             "complements": 3}}
     assert check_complement_count(c) == {"status": "pass", "instances": len(fids),
                                          "complements_each": 4}
 
 
-# sha256 of report_to_json of verify --all in the default orientation, on two
-# configurations that gate no check (d = 3)
+# the orientations that perfbench's seed 1 draws (perfbench/inputs.py)
+SEED_1_ARROWS = {
+    ("D", 4): [[1, 0], [1, 2], [1, 3]],
+    ("A", 4): [[1, 0], [2, 1], [3, 2]],
+}
+
+# sha256 of report_to_json of verify --all, keyed by (diagram, rank, d,
+# orientation): the verify grid, E6 d=1, A1 d=3 and two configurations that
+# gate no check (d = 3) in the default orientation, and D4 d=2 and A4 d=2
+# in perfbench's seed-1 orientations
 GOLDEN_REPORTS = {
-    ("A", 3, 3): "2b65c336d620a6c9adf59a3331b8198302895668fd993d793cd45b921ebd7456",
-    ("D", 4, 3): "5935ad5e6596f128590e73944bdd39e3b0f00b424ff0e532e01a630039bd035f",
+    ("A", 3, 2, "default"): "4972860ce6d49ffe1f25ec8b35fffac46b9e088574fb1787a3012b9cfb731efc",
+    ("A", 4, 2, "default"): "8b9d1179fbd15d970d92095266974db59798fdd74751b43dcbbf2730357b37f6",
+    ("D", 4, 2, "default"): "e03087ede20bcbf72aecbb9d5d92363efd9bcaf3d12373044b0d0c7b96d785d5",
+    ("D", 5, 1, "default"): "34a2937dfad596676c65749ace7db6dab1deba9d5ae98bae5996bcf76a19323c",
+    ("E", 6, 1, "default"): "0a20da01c54c0965269914cca9e3a2bfa835c6e359c416d029e74f1427946095",
+    ("A", 1, 3, "default"): "4116b47521625fa68dfc4f4181731c1af10bdd0c6a4ce1aad9b4a5774ff950f5",
+    ("A", 3, 3, "default"): "2b65c336d620a6c9adf59a3331b8198302895668fd993d793cd45b921ebd7456",
+    ("D", 4, 3, "default"): "5935ad5e6596f128590e73944bdd39e3b0f00b424ff0e532e01a630039bd035f",
+    ("D", 4, 2, "seed-1"): "e961d15ec54c32f8b2b9f4ab5b0a4dbb91f8529f46639ac97e359ec39014e97f",
+    ("A", 4, 2, "seed-1"): "79d5e39a337d6104e195610c355c098a2fc265c0b5ad13a5ba83787ac3866f20",
 }
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN_REPORTS))
 def test_report_bytes_match_the_golden_digest(config):
-    text = report_to_json(run_checks(load_context(*config))[0])
+    diagram, rank, d, orientation = config
+    arrows = SEED_1_ARROWS[(diagram, rank)] if orientation == "seed-1" else None
+    text = report_to_json(run_checks(load_context(diagram, rank, d, orientation=arrows))[0])
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[config]
+
+
+def test_middle_rigid_failing_on_one_d4_d2_fan_reports_its_first_face(monkeypatch):
+    """On D4 d=2, middle_union_rigid made to fail on one chosen fan (one
+    face has it, after memo hits) fails middle-rigid at that face, with the
+    count of the faces up to it."""
+    from dcluster import mutation as mut
+
+    c = load_context("D", 4, 2)
+    target = tuple(c.indices([c.oc.parse_name(name)
+                              for name in ("root#11[0]", "root#0[1]", "root#6[1]")]))
+    rigid = mut.middle_union_rigid
+    monkeypatch.setattr(mut, "middle_union_rigid", lambda ctx, cycle, supports:
+                        tuple(cycle) != target and rigid(ctx, cycle, supports))
+    got = run_checks(c, ["middle-rigid"])[0]["checks"][0]
+    assert {k: got.get(k) for k in ("status", "instances", "counterexample")} == {
+        "status": "fail", "instances": 187,
+        "counterexample": {"almost": ["root#4[0]", "root#7[0]", "root#8[1]"]}}
 
 
 @pytest.mark.parametrize("pin", sorted(FAILURE_PINS))
