@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import complex as cpxmod
 from . import mutation as mut
-from .quiver import ARROWS_SHAPE, fomin_reading_count
+from .quiver import ARROWS_SHAPE, DynkinQuiver, fomin_reading_count, parse_quiver
 from .tilting import TiltingContext, enumerate_tilting, is_tilting
 from .verify import CHECK_IDS, iter_checks, load_context, make_report, report_to_json
 
@@ -148,8 +148,8 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _context(args: argparse.Namespace, facets: bool = False) -> TiltingContext:
-    """The configuration's context, refused first (_check_facets_fit) when
-    the command collects the facets and they cannot fit."""
+    """The configuration's context, refused before it is built
+    (_check_facets_fit) when the command collects the facets and they cannot fit."""
     for key in ("diagram", "rank", "d"):
         if getattr(args, key, None) is None:
             raise UsageError("--%s is required (flag or config file)" % key)
@@ -160,24 +160,26 @@ def _context(args: argparse.Namespace, facets: bool = False) -> TiltingContext:
         if not isinstance(orientation, list):
             raise UsageError(ARROWS_SHAPE)
     try:
-        ctx = load_context(args.diagram, args.rank, args.d, prime=args.prime,
-                           orientation=orientation)
+        q = parse_quiver(args.diagram, args.rank, orientation)
+        if args.d < 1:
+            raise ValueError("d must be >= 1")
+        if facets:
+            _check_facets_fit(q, args.d)
+        return load_context(args.diagram, args.rank, args.d, prime=args.prime,
+                            orientation=orientation)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if facets:
-        _check_facets_fit(ctx)
-    return ctx
 
 
-def _check_facets_fit(ctx: TiltingContext) -> None:
+def _check_facets_fit(q: DynkinQuiver, d: int) -> None:
     """Raise MemoryError, which run reports as a configuration too large,
     when the facet masks alone exceed the memory budget: RLIMIT_AS when it is
     finite, else the physical memory.  Each of the fomin_reading_count facets
-    (counted from h and the exponents, so no power of Phi is built) takes at
-    least an 8-byte list slot and an int with n bits set (but for the few
-    small ints Python shares), so a run that fits is never refused."""
-    mask = sys.getsizeof((1 << ctx.n) - 1) + 8
-    need = fomin_reading_count(ctx.oc.cat.q, ctx.oc.d) * mask
+    (counted from h and the exponents alone) takes at least an 8-byte list
+    slot and an int with n bits set (but for the few small ints Python
+    shares), so a run that fits is never refused."""
+    mask = sys.getsizeof((1 << q.rank) - 1) + 8
+    need = fomin_reading_count(q, d) * mask
     budget = resource.getrlimit(resource.RLIMIT_AS)[0]
     if budget == resource.RLIM_INFINITY:
         budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

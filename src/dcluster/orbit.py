@@ -60,10 +60,11 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
+from .quiver import _identity
 from .reps import ModuleCategory
 
 if TYPE_CHECKING:
@@ -736,11 +737,10 @@ def _path_product(hom: HomFrom, path: Path, p: int) -> Rows:
     """The product of hom's arrow maps along `path` (vertices relative to the
     source of hom), as rows; zero when an arrow leaves hom's support."""
     n = hom.dims.get(path[0], 0)
-    mat = [[int(r == c) for c in range(n)] for r in range(n)]
+    mat = _identity(n)
     for w, z in zip(path, path[1:]):
         arrow = hom.maps.get((w, z))
         if arrow is None:
             return ((0,) * n,) * hom.dims.get(path[-1], 0)
-        cols = list(zip(*mat))
-        mat = [[sum(map(mul, row, col)) % p for col in cols] for row in arrow]
+        mat = linalg.mul_rows(arrow, mat, n, p)
     return tuple(map(tuple, mat))

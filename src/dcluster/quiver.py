@@ -10,8 +10,8 @@ The default orientation points every edge toward the branch vertex (for A_n,
 along the chain: 0 -> 1 -> ... -> n-1).  Any other orientation of the same
 underlying diagram is accepted.
 
-The Euler, Cartan and Coxeter matrices are lists of rows of Python ints: they
-are n x n with n <= 8, so their products are cheap without numpy.
+The Euler, Cartan and Coxeter matrices are lists of rows of Python ints.  No
+matrix product is formed: Phi is applied to vectors by coxeter_map.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from collections import Counter, deque
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Root = Tuple[int, ...]
 Matrix = List[List[int]]   # an integer matrix as its rows of Python ints
@@ -199,52 +199,51 @@ def _identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+def coxeter_map(q: DynkinQuiver) -> Callable[[Sequence[int]], Root]:
+    """The Coxeter transformation Phi = -E^{-1} E^T, acting as [tau M] =
+    Phi [M], as the map v -> Phi v that tau on roots, coxeter_matrix and the
+    order check of coxeter_data all apply.
 
-
-def coxeter_matrix(q: DynkinQuiver) -> Matrix:
-    """Coxeter transformation Phi = -E^{-1} E^T, acting as [tau M] = Phi [M].
-
-    E = I - A with A the arrow matrix, so E^{-1} = sum_k A^k counts the
-    paths, and the underlying graph is a tree: E^{-1}[u][v] = [u ~> v].
-    So Phi[u][v] = -[u ~> v] + #{arrows v -> w with u ~> w}, read from the
-    directed paths with no matrix product.
+    Two sparse sweeps over the arrows, set up once: y = E^T v, y_u = v_u -
+    sum_{w -> u} v_w, then z = E^{-1} y, z_u = y_u + sum_{u -> t} z_t,
+    sinks first (a vertex reaches fewer vertices than any arrow into it
+    starts from; the paths from u leave by its arrows, and the underlying
+    graph is a tree, so they reach disjoint sets), and Phi v = -z.
     """
-    n = q.rank
-    reach: List[List[int]] = [[] for _ in range(n)]
-    for u, v in directed_paths(q):
-        reach[u].append(v)
-    out: List[List[int]] = [[] for _ in range(n)]
-    for s, t in q.arrows:
-        out[s].append(t)
-    phi = []
-    for u in range(n):
-        reached = [0] * n
-        for v in reach[u]:
-            reached[v] = 1
-        phi.append([sum(reached[w] for w in out[v]) - reached[v] for v in range(n)])
+    reach = Counter(u for u, _ in directed_paths(q))
+    sweep = [(u, [s for s, t in q.arrows if t == u], [t for s, t in q.arrows if s == u])
+             for u in sorted(range(q.rank), key=reach.__getitem__)]
+
+    def phi(v: Sequence[int]) -> Root:
+        z = list(v)
+        for u, sources, targets in sweep:
+            zu = z[u]
+            for w in sources:
+                zu -= v[w]
+            for t in targets:
+                zu += z[t]
+            z[u] = zu
+        return tuple([-x for x in z])
+
     return phi
 
 
-def _order_is(phi: Matrix, h: int) -> bool:
-    """Has phi order exactly h: phi^h = I and phi^(h/p) != I for every prime
-    p dividing h?  Each power takes O(log h) products by repeated squaring."""
-    eye = _identity(len(phi))
+def coxeter_matrix(q: DynkinQuiver) -> Matrix:
+    """Phi as its rows: its columns are the coxeter_map images of the unit
+    vectors."""
+    return [list(row) for row in zip(*map(coxeter_map(q), _identity(q.rank)))]
 
-    def power(k: int) -> Matrix:
-        out, base = eye, phi
-        while k:
-            if k & 1:
-                out = _matmul(out, base)
-            k >>= 1
-            if k:
-                base = _matmul(base, base)
-        return out
 
-    primes = [p for p in range(2, h + 1) if h % p == 0 and all(p % r for r in range(2, p))]
-    return power(h) == eye and all(power(h // p) != eye for p in primes)
+def _order_is(q: DynkinQuiver, h: int) -> bool:
+    """Has Phi order exactly h: is Phi^k = I first at k = h?  The unit
+    vectors are carried through coxeter_map, h times at most."""
+    phi = coxeter_map(q)
+    images = eye = [tuple(row) for row in _identity(q.rank)]
+    for k in range(1, h + 1):
+        images = [phi(v) for v in images]
+        if images == eye:
+            return k == h
+    return False
 
 
 def coxeter_exponents(q: DynkinQuiver) -> Tuple[int, Tuple[int, ...]]:
@@ -270,11 +269,10 @@ def coxeter_exponents(q: DynkinQuiver) -> Tuple[int, Tuple[int, ...]]:
 def coxeter_data(q: DynkinQuiver) -> CoxeterData:
     """Phi, which must have order exactly h, with coxeter_exponents."""
     h, exponents = coxeter_exponents(q)
-    phi = coxeter_matrix(q)
-    if not _order_is(phi, h):
+    if not _order_is(q, h):
         raise RuntimeError("the Coxeter transformation does not have order "
                            "h = %d" % h)
-    return CoxeterData(phi, h, exponents)
+    return CoxeterData(coxeter_matrix(q), h, exponents)
 
 
 def fomin_reading_count(q: DynkinQuiver, d: int) -> int:

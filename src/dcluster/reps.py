@@ -11,10 +11,10 @@ The whole engine leans on the underlying graph being a tree:
   * the algebra is hereditary, so minimal projective presentations and
     minimal injective copresentations are short exact.
 
-The roots of P_x and I_x are their supports and tau acts on roots as the
-Coxeter transformation -E^{-1} E^T, applied by two sparse sweeps over the
-arrows, so no dimension count needs a module, and morphisms of the orbit
-category are paths of ZQ (see orbit), so no composition needs one either.
+The roots of P_x and I_x are their supports, and tau acts on roots as the
+Coxeter transformation -E^{-1} E^T by quiver.coxeter_map, the one sweep for
+Phi, so no dimension count needs a module; morphisms of the orbit category
+are paths of ZQ (see orbit), so no composition needs one either.
 The modules are the linear-algebra witness that the Euler-form dimensions are right: the
 euler-identity and window-hom-reduction checks read hom_dim, the nullity of
 the Hom system, and ext_dim, the corank of the coboundary, two separate
@@ -44,7 +44,8 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .linalg import mul_rows
-from .quiver import DynkinQuiver, directed_paths, euler_matrix, positive_roots
+from .quiver import (DynkinQuiver, _identity, coxeter_map, directed_paths, euler_matrix,
+                     positive_roots)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,10 +56,6 @@ Rows = List[List[int]]   # a matrix over F_p as its rows of Python ints
 
 def _zeros(rows: int, cols: int) -> Rows:
     return [[0] * cols for _ in range(rows)]
-
-
-def _eye(n: int) -> Rows:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 class Rep:
@@ -93,7 +90,7 @@ def vmap_zero(src: Rep, tgt: Rep) -> List[Rows]:
 
 
 def vmap_id(m: Rep) -> List[Rows]:
-    return [_eye(d) for d in m.dims]
+    return [_identity(d) for d in m.dims]
 
 
 def _array(rows: Rows, cols: int) -> np.ndarray:
@@ -195,27 +192,13 @@ class ModuleCategory:
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.proj_root = [tuple(int(v in s) for v in range(q.rank)) for s in self.psupp]
         self.inj_root = [tuple(int(v in s) for v in range(q.rank)) for s in self.isupp]
-        # [tau M] = Phi [M] = -E^{-1} E^T [M]; Phi [P_x] = -[I_x] is not a
-        # root, so tau P_x = 0.  Phi is applied by two sparse sweeps, with no
-        # dense product: y = E^T r, y_u = r_u - sum_{w -> u} r_w, then
-        # z = E^{-1} y, z_u = y_u + sum_{u -> t} z_t, sinks first (a vertex
-        # reaches fewer vertices than any arrow into it starts from; the
-        # paths from u leave by its arrows, and the underlying graph is a
-        # tree, so they reach disjoint sets), and tau r = -z
-        sweep = [(u, [s for s, t in q.arrows if t == u], [t for s, t in q.arrows if s == u])
-                 for u in sorted(range(q.rank), key=lambda u: len(self.psupp[u]))]
+        # [tau M] = Phi [M] (quiver.coxeter_map); Phi [P_x] = -[I_x] is not a
+        # root, so tau P_x = 0
+        phi = coxeter_map(q)
         self.tau_minus: Dict[Root, Optional[Root]] = dict.fromkeys(self.roots)
         self.tau_plus: Dict[Root, Optional[Root]] = dict.fromkeys(self.roots)
         for r in self.roots:
-            z = list(r)
-            for u, sources, targets in sweep:
-                zu = z[u]
-                for w in sources:
-                    zu -= r[w]
-                for t in targets:
-                    zu += z[t]
-                z[u] = zu
-            t = tuple([-x for x in z])
+            t = phi(r)
             if t in self.root_index:
                 self.tau_plus[r], self.tau_minus[t] = t, r
         self._hom_cache: Dict[Tuple[Root, Root], List[List[np.ndarray]]] = {}
@@ -256,7 +239,7 @@ class ModuleCategory:
         key = (u, v, self.p)
         out = m.path_actions.get(key)
         if out is None:
-            rows = _eye(m.dims[u])
+            rows = _identity(m.dims[u])
             for a in self.paths[(u, v)]:
                 rows = mul_rows(m.mats[a], rows, m.dims[u], self.p)
             out = m.path_actions[key] = tuple(map(tuple, rows))

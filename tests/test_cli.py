@@ -90,12 +90,36 @@ def test_ext_table(capsys):
     assert lines[1].split()[0] == "root#0[0]"
 
 
-# sha256 of the ext-table --out JSON, (diagram, rank, d, arrows or None)
+# sha256 of the ext-table --out JSON, (diagram, rank, d, arrows or None): the
+# verify grid in the default orientations and in perfbench's seed-1 ones, E6
+# d=1, E7 d=1, and D4 d=2 in one more orientation
 GOLDEN_EXT_TABLES = {
     ("A", 3, 2, None):
         "5669f1bdb015802a2ef2a6e12001aa7c89cce346d3ecfcd3b88843b753528ce7",
+    ("A", 3, 2, ((0, 1), (2, 1))):
+        "2fef252c677b13aaaf036489de8af2c57d067f354448e7b165f944bda43610e7",
+    ("A", 4, 2, None):
+        "d5d7f1a2b3e4b78cffe45ee36be818fd4f85b44476721edd49fd81ca04c0fc55",
+    ("A", 4, 2, ((1, 0), (2, 1), (3, 2))):
+        "25f366598396acd8a200bbbd209845ec4d43f504c5e3fa841d07da7a32dfafe9",
+    ("D", 4, 2, None):
+        "7a6ba79e3e47dd6fe7cbf9082b0548311fb675075740d939ff1b90e6f44e0e8b",
+    ("D", 4, 2, ((1, 0), (1, 2), (1, 3))):
+        "54e61a5462c4853d414e4ccb39f24050bb3c7da838c0b116bc66b6ad44e1446b",
     ("D", 4, 2, ((1, 0), (2, 1), (3, 1))):
         "09c117f9edacadc4519bef62187fdf688e58c18cbbbf4d4d149431d2d4b7b7c8",
+    ("A", 3, 3, None):
+        "c719c507eeae947a45766912aae194d93b6e8a36721d386009882cbc83bca538",
+    ("A", 3, 3, ((0, 1), (2, 1))):
+        "10659428c31a07bfb1525864975a50323e44b5f3d0278762082410b4b6af7724",
+    ("D", 5, 1, None):
+        "a3505216c783fd376219474bd83e4ce9571cd83b4c9a991d68f2c05f6c6a290b",
+    ("D", 5, 1, ((0, 1), (2, 1), (2, 3), (2, 4))):
+        "6542ea7b8a94ce4b607fa194d51cdcb26037f63f0a9ac9c8aae46904bbd7de3c",
+    ("E", 6, 1, None):
+        "5906d2943e421ba567276df752168b5c6d7514799ba85d1d24eedb035e7ee2d1",
+    ("E", 7, 1, None):
+        "2ff92880ce7823f7c595c75d154cbf25f7c225cb56809f449bac1ed894c27c98",
 }
 
 
@@ -630,12 +654,10 @@ def test_config_too_large_for_memory_exits_2(monkeypatch, capsys):
 TOO_LARGE = "error: A3 d=1000 p=101 is too large: its tables do not fit in memory\n"
 
 
-@pytest.mark.parametrize("command", [["verify", "--all"], ["tilting", "enumerate"]],
-                         ids=["verify", "tilting"])
-def test_too_many_facets_are_refused_before_any_table(command):
-    """A3 d=1000 has 2672671001 facets.  Under a 3 GB address-space limit,
-    set on the child process only, the run is refused at once, with the
-    one documented line and no traceback."""
+def _run_in_a_child(argv, seconds):
+    """Run `python -m dcluster argv` under a 3 GB address-space limit, set on
+    the child process only; assert that it ends within `seconds` and return
+    (exit code, stdout, stderr)."""
     import os
     import resource
     import subprocess
@@ -650,12 +672,46 @@ def test_too_many_facets_are_refused_before_any_table(command):
     src = os.path.dirname(os.path.dirname(dcluster.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "dcluster"] + command +
-                          ["--diagram", "A", "--rank", "3", "--d", "1000"],
+    proc = subprocess.run([sys.executable, "-m", "dcluster"] + argv,
                           capture_output=True, text=True, env=env, preexec_fn=limit,
                           timeout=60)
-    assert time.monotonic() - start < 2
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", TOO_LARGE)
+    assert time.monotonic() - start < seconds
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command", [["verify", "--all"], ["tilting", "enumerate"]],
+                         ids=["verify", "tilting"])
+def test_too_many_facets_are_refused_before_any_table(command):
+    """A3 d=1000 has 2672671001 facets.  Under a 3 GB address-space limit,
+    set on the child process only, the run is refused at once, with the
+    one documented line and no traceback."""
+    argv = command + ["--diagram", "A", "--rank", "3", "--d", "1000"]
+    assert _run_in_a_child(argv, 2) == (2, "", TOO_LARGE)
+
+
+def test_a200_d1_is_refused_before_its_module_category():
+    """A200 d=1 has Catalan(201) facets.  The preflight reads only the rank,
+    h and the exponents, so the run is refused within seconds, before the
+    20100 roots' module category is built, under a 3 GB address-space limit
+    set on the child process only."""
+    argv = ["verify", "--all", "--diagram", "A", "--rank", "200", "--d", "1"]
+    assert _run_in_a_child(argv, 5) == (
+        2, "", "error: A200 d=1 p=101 is too large: its tables do not fit in memory\n")
+
+
+def test_the_facet_preflight_builds_no_module_category(monkeypatch, capsys):
+    """With the module category made to raise, A30 d=1 (Catalan(31) facets)
+    is still refused with the one-line error and nothing on stdout: the
+    preflight runs before the context is built."""
+    from dcluster import reps
+
+    def no_category(self, q, p=101):
+        raise AssertionError("the preflight built the module category")
+
+    monkeypatch.setattr(reps.ModuleCategory, "__init__", no_category)
+    assert run(["verify", "--all", "--diagram", "A", "--rank", "30", "--d", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: A30 d=1 p=101 is too large: its tables do not fit in memory\n")
 
 
 def test_the_facet_preflight_does_not_check_the_order_of_phi(monkeypatch, capsys):

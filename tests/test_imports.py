@@ -54,26 +54,22 @@ def test_an_unused_import_is_found():
     assert _unused_imports(source) == ["Iterable", "NamedTuple", "cox"]
 
 
-# Names that only the tests' module oracle (tests/module_oracle.py) reads:
-# the array and CMorphism edge that is to move into that oracle, which will
-# then define them itself.  Nothing else may be defined in the package for
-# the tests alone.
+# Names that only the tests read (tests/module_oracle.py, and test_orbit for
+# OrbitCategory.scale): the array and CMorphism edge that is to move into
+# that oracle, which will then define them itself.  Nothing else may be
+# defined in the package for the tests alone.
 ORACLE_EDGE = {"inv_mod", "pushforward_coords", "is_zero", "morph_coords", "identity",
-               "ext_basis"}
+               "ext_basis", "scale"}
 
 # a string that names an attribute path, as the benchmark tracer's targets do
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _reads(tree, strings=False):
+def _reads(tree):
     """The identifiers that `tree` reads: names, attributes and imported
-    names, and with `strings` the parts of every dotted-name string that is
-    not a docstring.  Words in docstrings and comments never count."""
-    docs = {id(node.body[0].value) for node in ast.walk(tree)
-            if isinstance(node, _SCOPES) and node.body
-            and isinstance(node.body[0], ast.Expr)
-            and isinstance(node.body[0].value, ast.Constant)}
+    names.  Words in docstrings and comments never count."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -82,8 +78,20 @@ def _reads(tree, strings=False):
             out[node.attr] += 1
         elif isinstance(node, ast.alias):
             out[node.name.rpartition(".")[2]] += 1
-        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docs and _DOTTED.match(node.value)):
+    return out
+
+
+def _dotted_strings(tree):
+    """The parts of every dotted-name string of `tree` that is not a
+    docstring."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, _SCOPES) and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    out = Counter()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docs and _DOTTED.match(node.value)):
             out.update(node.value.split("."))
     return out
 
@@ -92,15 +100,23 @@ def _unread_definitions(package, users):
     """The names of the functions, classes and methods defined in the
     sources `package` that nothing reads outside its own definition, in the
     package or in `users`, a list of (source, count dotted strings) pairs.
-    Dunder names are left out: the language calls them."""
+    The users' reads of a name that a user defines do not count, since they
+    may be of that homonym (the benchmark's SpeedSampler.scale is not
+    OrbitCategory.scale); their dotted strings do.  Dunder names are left
+    out: the language calls them."""
     trees = [ast.parse(source) for source in package]
     read = sum((_reads(tree) for tree in trees), Counter())
-    for source, strings in users:
-        read += _reads(ast.parse(source), strings)
+    users = [(ast.parse(source), strings) for source, strings in users]
+    own = {node.name for tree, _ in users for node in ast.walk(tree)
+           if isinstance(node, _DEFINITIONS)}
+    for tree, strings in users:
+        read.update({name: k for name, k in _reads(tree).items() if name not in own})
+        if strings:
+            read += _dotted_strings(tree)
     unread = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, _DEFINITIONS):
                 name = node.name
                 if not (name.startswith("__") and name.endswith("__")) \
                         and read[name] <= _reads(node)[name]:
@@ -133,6 +149,11 @@ def test_a_definition_only_a_test_reads_is_found():
                '        return 1\n')
     got = _unread_definitions(package + [planted], users)
     assert got == sorted(ORACLE_EDGE | {"only_tested", "Planted", "tested_method"})
+    # a user that calls a homonym of its own does not read it
+    homonym = ("class Sampler:\n    def tested_method(self):\n        return 2\n"
+               "def only_tested():\n    return Sampler().tested_method()\n"
+               "only_tested()\n", True)
+    assert _unread_definitions(package + [planted], users + [homonym]) == got
     # a caller in the package, a demo, or a tracer target string reads it
     for source, strings in (("only_tested(1)\nPlanted().tested_method()\n", False),
                             ('TARGETS = [("x", "dcluster.planted", "only_tested"), '

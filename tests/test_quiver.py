@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coxeter_oracle import coxeter_by_sum_of_powers
 from dcluster import quiver
 from dcluster.reps import ModuleCategory
 
@@ -150,9 +151,9 @@ def test_positive_roots_of_a200_within_seconds():
 
 
 def test_module_category_of_a200_within_seconds():
-    """The Coxeter matrix read from the directed paths and tau applied by
-    two sparse sweeps per root: A_200's module category, with tau on its
-    20100 roots, takes seconds, where the dense forms took over a minute."""
+    """The Coxeter matrix and tau both from coxeter_map's two sparse sweeps
+    per vector: A_200's module category, with tau on its 20100 roots, takes
+    seconds, where the dense forms took over a minute."""
     code = ("from dcluster import quiver\n"
             "from dcluster.reps import ModuleCategory\n"
             "q = quiver.parse_quiver('A', 200)\n"
@@ -234,8 +235,8 @@ def _coxeter_by_eigenvalues(q):
     eigenvalues whose order divides j; Moebius inversion over the divisors
     of h leaves those of exact order k, which fill whole sets of primitive
     k-th roots exp(2 pi i r / k), gcd(r, k) = 1, each giving the exponent
-    h r / k."""
-    phi = np.array(quiver.coxeter_matrix(q))
+    h r / k.  Phi is the dense one of coxeter_oracle."""
+    phi = np.array(coxeter_by_sum_of_powers(q))
     eye = np.eye(q.rank, dtype=np.int64)
     powers = [eye]
     while len(powers) == 1 or not np.array_equal(powers[-1], eye):
@@ -254,30 +255,16 @@ def _coxeter_by_eigenvalues(q):
     return h, tuple(sorted(exponents))
 
 
-def _coxeter_by_sum_of_powers(q):
-    """Reference: Phi = -E^{-1} E^T with E^{-1} = sum_{k<n} A^k, A the arrow
-    matrix of E = I - A, by n dense products of Python ints (quartic in the
-    rank)."""
-    e = quiver.euler_matrix(q)
-    n = q.rank
-    arrows = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(e)]
-    power = inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(1, n):
-        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*arrows)]
-                 for row in power]
-        inv = [[x + y for x, y in zip(r, s)] for r, s in zip(inv, power)]
-    return [[-sum(x * y for x, y in zip(row, col)) for col in e] for row in inv]
-
-
 @pytest.mark.parametrize("diagram,ranks", [("A", range(1, 25)), ("D", range(4, 25)),
                                            ("E", (6, 7, 8))])
 def test_coxeter_matrix_matches_the_sum_of_powers(diagram, ranks):
-    """Phi read from the directed paths (E^{-1}[u][v] = [u ~> v] on a tree)
-    equals the dense sum of powers, in four orientations of each rank."""
+    """Phi as coxeter_map's images of the unit vectors, the sweep that tau
+    applies, equals the dense sum of powers, in four orientations of each
+    rank."""
     for rank in ranks:
         for arrows in _orientations(diagram, rank):
             q = quiver.parse_quiver(diagram, rank, arrows)
-            assert quiver.coxeter_matrix(q) == _coxeter_by_sum_of_powers(q), (rank, arrows)
+            assert quiver.coxeter_matrix(q) == coxeter_by_sum_of_powers(q), (rank, arrows)
 
 
 @pytest.mark.parametrize("diagram,rank", sorted(COXETER))
@@ -296,14 +283,16 @@ def test_exponents_match_height_dual_partition(diagram, rank):
 @pytest.mark.parametrize("wrong", ["identity", "square", "cube", "unipotent"])
 def test_coxeter_data_checks_the_order_of_phi(wrong, monkeypatch):
     """Phi must have order exactly h = 12 on E6: order 1, order 6 = h/2,
-    order 4 = h/3 and infinite order are all refused."""
+    order 4 = h/3 and infinite order, planted in coxeter_map (the Phi that
+    tau applies), are all refused."""
     q = quiver.parse_quiver("E", 6)
     phi = np.array(quiver.coxeter_matrix(q))
     mats = {"identity": np.eye(6, dtype=np.int64), "square": phi @ phi,
             "cube": phi @ phi @ phi,
             "unipotent": np.eye(6, dtype=np.int64) + np.eye(6, k=1, dtype=np.int64)}
-    mats = {name: mat.tolist() for name, mat in mats.items()}
-    monkeypatch.setattr(quiver, "coxeter_matrix", lambda q: mats[wrong])
+    mat = mats[wrong]
+    monkeypatch.setattr(quiver, "coxeter_map",
+                        lambda q: lambda v: tuple(map(int, mat @ np.array(v))))
     with pytest.raises(RuntimeError, match="does not have order h = 12"):
         quiver.coxeter_data(q)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coxeter_oracle import coxeter_by_sum_of_powers
 from dcluster import linalg, quiver, reps
 from dcluster.orbit import OrbitCategory
 from module_oracle import (ArrayKnit, coords_from_pmap, ext_basis_coords, ext_class,
@@ -52,9 +53,9 @@ def test_gabriel_bijection(diagram, rank, arrows):
 @pytest.mark.parametrize("diagram,ranks", [("A", range(1, 13)), ("D", range(4, 13)),
                                            ("E", (6, 7, 8))])
 def test_tau_matches_the_dense_coxeter_products(diagram, ranks):
-    """tau on roots, from two sparse sweeps over the arrows, is the dense
-    product Phi r whenever that is a root, in three orientations of each
-    rank."""
+    """tau on roots, from coxeter_map's two sparse sweeps over the arrows,
+    is the dense product Phi r (Phi from coxeter_oracle) whenever that is a
+    root, in three orientations of each rank."""
     rng = np.random.default_rng(len(ranks))
     for rank in ranks:
         edges = quiver.dynkin_edges(diagram, rank)
@@ -62,7 +63,7 @@ def test_tau_matches_the_dense_coxeter_products(diagram, ranks):
                                  in zip(edges, rng.integers(0, 2, len(edges)))]
                                 for _ in range(2)]:
             c = cat(diagram, rank, arrows=arrows)
-            phi = quiver.coxeter_matrix(c.q)
+            phi = coxeter_by_sum_of_powers(c.q)
             for r in c.roots:
                 t = tuple(sum(x * y for x, y in zip(row, r)) for row in phi)
                 assert c.tau_plus[r] == (t if t in c.root_index else None), (rank, arrows, r)
@@ -73,14 +74,15 @@ def test_tau_matches_the_dense_coxeter_products(diagram, ranks):
 def test_tau_matches_coxeter_matrix(diagram, rank, arrows):
     """Knitting against the Coxeter matrix: [tau M] = Phi [M] on non-projectives.
 
-    tau is read from Phi, so the test checks what knitting built: each module
-    has its root as dimension vector, and the presentation knitted at
-    tau^{-1} M is the nu^{-1}-image of the copresentation of M, whose class
-    [nu^{-1} J1] - [nu^{-1} J0] Phi maps back to [M].  The orbit category's
-    F = tau^{-1}[d] sends I_x to P_x[d + 1].
+    Phi is the dense one of coxeter_oracle, not the sweep that tau applies.
+    The test checks what knitting built: each module has its root as
+    dimension vector, and the presentation knitted at tau^{-1} M is the
+    nu^{-1}-image of the copresentation of M, whose class [nu^{-1} J1] -
+    [nu^{-1} J0] Phi maps back to [M].  The orbit category's F = tau^{-1}[d]
+    sends I_x to P_x[d + 1].
     """
     c = cat(diagram, rank, arrows=arrows)
-    phi = np.array(quiver.coxeter_matrix(c.q))
+    phi = np.array(coxeter_by_sum_of_powers(c.q))
     projs, injs = set(c.proj_root), set(c.inj_root)
     oc = OrbitCategory(c, 2)
     for r in c.roots:
