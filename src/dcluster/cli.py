@@ -24,7 +24,7 @@ from . import complex as cpxmod
 from . import mutation as mut
 from .quiver import ARROWS_SHAPE, DynkinQuiver, fomin_reading_count, parse_quiver
 from .tilting import TiltingContext, enumerate_tilting, is_tilting
-from .verify import CHECK_IDS, iter_checks, load_context, make_report, report_to_json
+from .verify import CHECK_IDS, FAN_CHECKS, iter_checks, load_context, make_report, report_to_json
 
 
 class UsageError(Exception):
@@ -368,18 +368,13 @@ def cmd_complex(args) -> int:
 TABLE_CHECKS = {"euler-identity", "fundamental-domain-size", "cy-duality",
                 "degree-hom-constraints", "window-hom-reduction", "gamma-bijection"}
 
-FAN_CHECKS = ["complement-count", "complement-degrees", "fan-ext-pattern",
-              "delta-composites", "middle-rigid", "exchange-team-fan",
-              "degree-profile", "successor-hom-vanishing",
-              "middle-terms-disjoint"]
-
 
 def _check_line(entry: dict, seconds: float) -> str:
     status = entry["status"]
     extra = ""
     if status == "n/a":
         extra = " (%s)" % entry["reason"]
-    elif entry["id"] == "complement-count":
+    elif "complements_each" in entry:
         extra = " x %d complements each" % entry["complements_each"]
     elif "counterexample" in entry:
         extra = " counterexample=%s" % json.dumps(entry["counterexample"],

@@ -15,15 +15,15 @@ approximation of X_i) and of Hom(X_{i+1}, T_j) (minimal left approximation
 of X_{i+1}), and the two routes must agree.  The factorization property of
 the approximation is checked by one rank comparison per summand over cached
 structure constants: each composition Hom(a, m) x Hom(m, b) -> Hom(a, b) is
-computed once per relative position of the vertices of a, m and b in ZQ
-(OrbitCategory.compose_tensor), as a tensor in the coordinates of the orbit
-category's Hom bases (paths of the mesh category of ZQ), by carrying
-identity blocks along the basis paths of Hom(m, b), and looked up per index
-triple (a, m, b) from then on.  A tensor is dim Hom(a, b) rows of Python
-ints, entry i * g + j of row k being the k-th coordinate of g_j o f_i
-(g = dim Hom(m, b)): the matrices are tiny, so the rank problems join
-tensors by extending rows, pick generators by index lists and reduce with
-linalg.rref_rows and complement_rows, without numpy.
+asked of OrbitCategory.compose_tensor by the index triple (a, m, b) and
+computed once per relative position of the vertices of a, m and b in ZQ, as
+a tensor in the coordinates of the orbit category's Hom bases (paths of the
+mesh category of ZQ), by carrying identity blocks along the basis paths of
+Hom(m, b).  A tensor is dim Hom(a, b) rows of Python ints, entry i * g + j
+of row k being the k-th coordinate of g_j o f_i (g = dim Hom(m, b)): the
+matrices are tiny, so the rank problems join tensors by extending rows,
+pick generators by index lists and reduce with linalg.rref_rows and
+complement_rows, without numpy.
 Each of these small rank problems depends only on (a, b) and on the
 summands t with Hom(a, t) and Hom(t, b) nonzero (the others contribute no
 columns), so it is solved once per context and reused by every add set and
@@ -33,12 +33,11 @@ summands composes nothing.
 
 From the codimension-1 faces to the fan-level predicates, an almost
 complete set is a bitmask of object indices, a fan a tuple of indices and a
-middle term a tuple of (index, multiplicity) pairs; every memo, the
-composition tensors included, is keyed by indices and masks and holds no
-object.  Objects appear only at the public edge (complements, fan_of,
-triangles_of, the approximations, is_exchange_team, mutate), which turns
-them into a mask with TiltingContext.mask_of and so rejects a repeated
-summand.
+middle term a tuple of (index, multiplicity) pairs; every memo is keyed by
+indices and masks and holds no object.  Objects appear only at the public
+edge (complements, fan_of, triangles_of, the approximations,
+is_exchange_team, mutate), which turns them into a mask with
+TiltingContext.mask_of and so rejects a repeated summand.
 
 The complements of a set, and so its fan, depend only on the set's common
 neighbours, and far fewer distinct sets of those occur than faces (3107
@@ -315,24 +314,6 @@ def fan_middles(ctx: TiltingContext) -> List[Tuple[Middle, ...]]:
 # approximations
 
 
-def _composite_tensor(ctx: TiltingContext, a: int, mid: int,
-                      b: int) -> Tuple[Tuple[int, ...], ...]:
-    """Structure constants of composition through X_mid, cached by the object
-    indices (a, mid, b) in front of the orbit category's memo by relative
-    position: entry i * g + j of row k is the coefficient of the k-th vector
-    of hom_basis(X_a, X_b) in g_j o f_i, for f_i in
-    hom_basis(X_a, X_mid) and g_j among the g vectors of hom_basis(X_mid,
-    X_b), read from path maps by OrbitCategory.compose_tensor.  Composition
-    is bilinear, so any composite through X_mid is read off these rows."""
-    cache = ctx._composites
-    key = (a, mid, b)
-    t = cache.get(key)
-    if t is None:
-        objs = ctx.objects
-        t = cache[key] = ctx.oc.compose_tensor(objs[a], objs[mid], objs[b])
-    return t
-
-
 def _check_end_fields(ctx: TiltingContext, mask: int) -> None:
     """Every End(T_j), j in `mask`, must be one-dimensional, so that the
     radical of a Hom from or to T_j is the span of the composites through
@@ -398,7 +379,7 @@ def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, .
     only on the span of the radical, not on the order of its columns."""
     rows: List[List[int]] = [[] for _ in range(ctx.hom_dims()[a][b])]
     for t in _bits(rel):
-        for row, block in zip(rows, _composite_tensor(ctx, a, t, b)):
+        for row, block in zip(rows, ctx.oc.compose_tensor(a, t, b)):
             row += block
     cols = len(rows[0]) if rows else 0
     return tuple(linalg.complement_rows(rows, cols, ctx.oc.cat.p)[1])
@@ -442,7 +423,7 @@ def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
             take = [i * g + j for i in range(f) for j in gens]
         else:
             take = [i * g + j for i in gens for j in range(g)]
-        for row, block in zip(rows, _composite_tensor(ctx, a, t, b)):
+        for row, block in zip(rows, ctx.oc.compose_tensor(a, t, b)):
             row += [block[k] for k in take]
     cols = len(rows[0]) if rows else 0
     return len(linalg.rref_rows(rows, cols, ctx.oc.cat.p)) == len(rows)
@@ -584,7 +565,7 @@ def _chains_nonzero(ctx: TiltingContext, cycle: Tuple[int, ...]) -> bool:
             # the chain composed with the first basis vector, j = 0, of the step
             g = hom[ys[k]][ys[k + 1]]
             chain = [sum(map(mul, row[::g], chain)) % p
-                     for row in _composite_tensor(ctx, ys[0], ys[k], ys[k + 1])]
+                     for row in ctx.oc.compose_tensor(ys[0], ys[k], ys[k + 1])]
             if not any(chain):
                 return False
     return True

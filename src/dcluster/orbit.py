@@ -37,10 +37,11 @@ tiny (often 1 x 1), so the knit keeps them as lists of Python ints, and so
 does everything built from them: path_rows multiplies the arrow maps along
 a path once per context, keyed by the source's vertex of Q and the path
 relative to the source's level, and compose_tensor stacks those products
-into rows of ints, once per context and relative position of its vertex
-triple (k(ZQ) is invariant under moving every vertex up a level).  A
-morphism of C_d is kept as its coordinates in these path bases, slot 0
-then slot 1.
+into rows of ints for three objects given by their indices, once per
+context and relative position of their vertices (k(ZQ) is invariant under
+moving every vertex up a level), which it reads from the per-index list
+`vertices`.  A morphism of C_d is kept as its coordinates in these path
+bases, slot 0 then slot 1.
 g . f is f carried along the paths of g through the arrow maps of Hom(x, -),
 with g's slot-0 paths relabelled by phi (push_piece) for the term through
 F(Y); the slot-2 term must vanish.  compose_tensor is its batched form over
@@ -115,7 +116,6 @@ class OrbitCategory:
         self._paths: Dict[Tuple[Vertex, Vertex], List[Path]] = {}
         self._path_rows: Dict[Tuple[int, Path], Rows] = {}
         self._tensors: Dict[Tuple[int, Vertex, Vertex], Rows] = {}
-        self._vertex_of: Dict[Obj, Vertex] = {}
         # normalized y -> its slots F^l y, l = -WIDE_WINDOW, ..., for hom_dim_wide
         self._orbits: Dict[Obj, List[Obj]] = {}
         # (x, y) -> hom_basis(x, y), for normalized x and y
@@ -343,15 +343,17 @@ class OrbitCategory:
 
     def vertex(self, obj: Obj) -> Vertex:
         """The vertex of ZQ of an object (root, shift): S^shift of its module's."""
-        v = self._vertex_of.get(obj)
-        if v is None:
-            root_vertex, shift, unshift, _ = self._relabellings
-            step = shift if obj[1] >= 0 else unshift
-            v = root_vertex[obj[0]]
-            for _ in range(abs(obj[1])):
-                v = _apply(step, v)
-            self._vertex_of[obj] = v
+        root_vertex, shift, unshift, _ = self._relabellings
+        step = shift if obj[1] >= 0 else unshift
+        v = root_vertex[obj[0]]
+        for _ in range(abs(obj[1])):
+            v = _apply(step, v)
         return v
+
+    @cached_property
+    def vertices(self) -> List[Vertex]:
+        """vertices[i] is the vertex of ZQ of X_i, over objects()."""
+        return [self.vertex(x) for x in self.objects()]
 
     def phi(self, v: Vertex) -> Vertex:
         """F on vertices: phi(v) = S^d(tau^{-1} v)."""
@@ -374,7 +376,7 @@ class OrbitCategory:
         rank = len(mesh)
         objs = self.objects()
         n = len(objs)
-        xv = [self.vertex(x) for x in objs]
+        xv = self.vertices
         yv = xv + [self.phi(v) for v in xv]
         ymin = min(m for m, _ in yv)
         low = ymin - max(m for m, _ in xv)
@@ -529,21 +531,22 @@ class OrbitCategory:
             raise RuntimeError("nonzero slot-2 piece in orbit composition")
         return CMorphism(x, z, pieces)
 
-    def compose_tensor(self, x: Obj, y: Obj, z: Obj) -> Rows:
-        """compose over the bases, as h rows of f * g ints: entry i * g + j of
-        row k is the k-th coordinate, in hom_basis(x, z), of g_j . f_i, for
-        f_i the i-th of the f vectors of hom_basis(x, y) and g_j the j-th of
-        the g vectors of hom_basis(y, z).
+    def compose_tensor(self, a: int, mid: int, b: int) -> Rows:
+        """compose over the bases, for the objects X_a, X_mid, X_b of objects(),
+        as h rows of f * g ints: entry i * g + j of row k is the k-th
+        coordinate, in hom_basis(X_a, X_b), of g_j . f_i, for f_i the i-th
+        of the f vectors of hom_basis(X_a, X_mid) and g_j the j-th of the g
+        vectors of hom_basis(X_mid, X_b).
 
-        The tensor depends only on the vertices x, y, z of ZQ, and moving all
-        three up one level, (m, i) -> (m + 1, i), leaves it unchanged: the
-        vertex maps (S, S^-1, phi) only add level offsets, and mesh_dim,
-        basis_paths and path_rows read the knit of x's vertex of Q at
-        coordinates relative to x.  So it is memoized per context by x's
+        The tensor depends only on the vertices x, y, z of ZQ of the three,
+        and moving all three up one level, (m, i) -> (m + 1, i), leaves it
+        unchanged: the vertex maps (S, S^-1, phi) only add level offsets, and
+        mesh_dim, basis_paths and path_rows read the knit of x's vertex of Q
+        at coordinates relative to x.  So it is memoized per context by x's
         vertex of Q and y and z relative to x's level, and composed once per
         relative position (vertex_tensor); nothing is kept when the
         composition raises."""
-        xv, yv, zv = self.vertex(x), self.vertex(y), self.vertex(z)
+        xv, yv, zv = self.vertices[a], self.vertices[mid], self.vertices[b]
         level = xv[0]
         key = (xv[1], (yv[0] - level, yv[1]), (zv[0] - level, zv[1]))
         t = self._tensors.get(key)

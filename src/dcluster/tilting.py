@@ -51,13 +51,8 @@ class TiltingContext:
         self._graph_checks = None
         # memos of the mutation module, which hold object indices and
         # bitmasks, never objects, and nothing per face; the fans are kept
-        # only in the face table, once per distinct cycle.
-        # _composites maps an index triple (a, mid, b) to the structure
-        # constants of Hom(a, mid) x Hom(mid, b) -> Hom(a, b) in Hom-basis
-        # coordinates, as rows of ints: the tensor OrbitCategory.compose_tensor
-        # keeps once per relative position of the three vertices in ZQ
-        # (1813 of them for the 9373 triples of E6 d=2), looked up here
-        # without reading a vertex.
+        # only in the face table, once per distinct cycle, and the composition
+        # tensors only by the orbit category (OrbitCategory.compose_tensor).
         # _approximations maps (right, x, supp), supp the summands with
         # nonzero Hom to (right) or from x, to the pair (multiplicities,
         # factorization verdict), all that a triangle reads of it; the
@@ -75,7 +70,6 @@ class TiltingContext:
         # every fan that delta-composites has composed (35 of the 35 teams
         # of A3 d=2 are hits).
         # _end_defects masks the objects whose End is not one-dimensional.
-        self._composites = {}
         self._approximations = {}
         self._shared_tuples = {}
         self._radical_tops = {}

@@ -71,24 +71,39 @@ def _tensor_array(c, key):
     a, mid, b = key
     hom = c.hom_dims()
     h, f, g = hom[a][b], hom[a][mid], hom[mid][b]
-    rows = mut._composite_tensor(c, *key)
+    rows = c.oc.compose_tensor(*key)
     assert len(rows) == h and all(len(row) == f * g for row in rows), key
     return np.array(rows, dtype=np.int64).reshape(h, f, g)
 
 
-def _plant_zero(mp, objs, entry):
+def _spy_triples(c):
+    """The index triples asked of c's composition tensors from now on, in
+    the order first asked: a spy set on the orbit category's compose_tensor,
+    which the mutation module calls for every tensor it reads."""
+    asked = {}
+    build = c.oc.compose_tensor
+
+    def spy(a, mid, b):
+        asked[(a, mid, b)] = None
+        return build(a, mid, b)
+
+    c.oc.compose_tensor = spy
+    return asked
+
+
+def _plant_zero(mp, key, entry):
     """Patch the row builder, OrbitCategory.compose_tensor, so that the tensor
-    of the object triple `objs` reads 0 at entry (k, i, j) in every context
-    that builds it from now on."""
+    of the index triple `key` reads 0 at entry (k, i, j) in every context
+    that reads it from now on."""
     build = OrbitCategory.compose_tensor
     k, i, j = entry
 
-    def zeroed(self, x, y, z):
-        rows = build(self, x, y, z)
-        if (x, y, z) != tuple(objs):
+    def zeroed(self, a, mid, b):
+        rows = build(self, a, mid, b)
+        if (a, mid, b) != tuple(key):
             return rows
         rows = [list(row) for row in rows]
-        rows[k][i * sum(self.slot_dims(y, z)) + j] = 0
+        rows[k][i * self.hom_table[mid][b] + j] = 0
         return tuple(map(tuple, rows))
 
     mp.setattr(OrbitCategory, "compose_tensor", zeroed)
@@ -648,7 +663,7 @@ def test_zeroed_structure_constant_breaks_a_triangle(monkeypatch):
     # the generator composed with the basis of End(T_j) loses its coordinate,
     # planted in a fresh context before any rank problem reads the tensor
     # (c has memoized the verdicts that read it)
-    _plant_zero(monkeypatch, (tj, tj, x), (k, 0, k))
+    _plant_zero(monkeypatch, c.indices((tj, tj, x)), (k, 0, k))
     fresh = _oriented_ctx("A", 3, 2, None)
     with pytest.raises(RuntimeError, match="does not cover all maps"):
         triangles_of(fresh, a)
@@ -668,7 +683,7 @@ def test_each_triangle_error_names_its_check(monkeypatch):
              "left approximation of %r does not cover all maps" % (y,))):
         # the generator composed with the identity of T_j loses its coordinate
         with monkeypatch.context() as mp:
-            _plant_zero(mp, key, entry)
+            _plant_zero(mp, c.indices(key), entry)
             fresh = _oriented_ctx("A", 3, 2, None)
             with pytest.raises(RuntimeError, match=re.escape(want)):
                 call(fresh, a)
@@ -822,7 +837,7 @@ def test_hom_basis_must_match_the_dimension_table():
     with pytest.raises(RuntimeError, match=want):
         c.oc.hom_basis(P1, S1)
     with pytest.raises(RuntimeError, match=want):
-        mut._composite_tensor(c, *c.indices((P1, P1, S1)))
+        c.oc.compose_tensor(*c.indices((P1, P1, S1)))
 
 
 TENSOR_CHECKS = ["delta-composites", "middle-rigid", "exchange-team-fan",
@@ -841,23 +856,21 @@ def test_tensor_ranks_match_the_module_oracle(diagram, rank, d, seed):
     """Every tensor the fan checks build, from paths of ZQ, has the flattening
     ranks of the same tensor composed through module presentations: the two
     differ by a change of basis in each of the three Hom spaces."""
-    c = _oriented_ctx(diagram, rank, d, seed)
-    report, _ = run_checks(c, TENSOR_CHECKS)
-    assert report["summary"]["fail"] == 0 and c._composites
+    c, asked = _checked_context(diagram, rank, d, seed)
     oracle = ModuleOrbitCategory(c.oc.cat, d)
     p = c.oc.cat.p
-    for key in c._composites:
+    for key in asked:
         a, mid, b = (c.objects[i] for i in key)
         t, ref = _tensor_array(c, key), composite_tensor(oracle, a, mid, b)
         assert t.shape == ref.shape
         assert _flattening_ranks(t, p) == _flattening_ranks(ref, p), (a, mid, b)
 
 
-def _tensors_differing_from_compose(c, keys=None):
-    """The keys of the cached tensors (or of `keys`) that differ, in some
-    entry, from the tensor stacked from one OrbitCategory.compose per pair
-    of basis morphisms."""
-    return [key for key in (list(c._composites) if keys is None else keys)
+def _tensors_differing_from_compose(c, keys):
+    """The index triples among `keys` whose tensors differ, in some entry,
+    from the tensor stacked from one OrbitCategory.compose per pair of basis
+    morphisms."""
+    return [key for key in keys
             if not np.array_equal(_tensor_array(c, key),
                                   composite_tensor(c.oc, *(c.objects[i] for i in key)))]
 
@@ -867,10 +880,8 @@ def _tensors_differing_from_compose(c, keys=None):
 def test_tensors_equal_per_pair_composition(diagram, rank, d, seed):
     """compose_tensor is compose batched over two Hom bases: every tensor the
     fan checks build equals the per-pair composites entry by entry."""
-    c = _oriented_ctx(diagram, rank, d, seed)
-    report, _ = run_checks(c, TENSOR_CHECKS)
-    assert report["summary"]["fail"] == 0 and c._composites
-    assert _tensors_differing_from_compose(c) == []
+    c, asked = _checked_context(diagram, rank, d, seed)
+    assert _tensors_differing_from_compose(c, asked) == []
 
 
 def _wide_keys(c):
@@ -902,7 +913,7 @@ def test_slot_one_block_without_phi_relabelling_fails(monkeypatch):
     Hom(phi y, phi z) at g_j's position instead of along g_j's path
     relabelled by phi.  On D5 d=1 it flips the sign of some entries, which
     leaves every flattening rank as it was."""
-    keys = list(_checked_context("D", 5, 1)._composites)
+    _, keys = _checked_context("D", 5, 1)
     c = _oriented_ctx("D", 5, 1, None)
 
     def unrelabelled(self, src, tgt, piece):
@@ -913,9 +924,9 @@ def test_slot_one_block_without_phi_relabelling_fails(monkeypatch):
 
     monkeypatch.setattr(OrbitCategory, "push_piece", unrelabelled)
     for key in keys:
-        mut._composite_tensor(c, *key)
+        c.oc.compose_tensor(*key)
     monkeypatch.undo()
-    bad = _tensors_differing_from_compose(c)
+    bad = _tensors_differing_from_compose(c, keys)
     assert bad
     p = c.oc.cat.p
     assert all(_flattening_ranks(_tensor_array(c, key), p) ==
@@ -928,14 +939,12 @@ def test_slot_one_block_without_phi_relabelling_fails(monkeypatch):
 def test_tensor_memo_entries_recompute_from_their_keys(diagram, rank, d, seed):
     """Every entry of the orbit category's tensor memo, composed where its
     triple first occurred, equals the tensor composed afresh from its key
-    alone, with x at vertex (0, i).  Some triples sit above level 0, and the
-    memo holds fewer tensors than the index-triple memo that reads it."""
-    c = _oriented_ctx(diagram, rank, d, seed)
-    report, _ = run_checks(c, TENSOR_CHECKS)
-    assert report["summary"]["fail"] == 0
+    alone, with x at vertex (0, i).  Some triples asked sit above level 0,
+    and the memo holds fewer tensors than there are triples asked of it."""
+    c, asked = _checked_context(diagram, rank, d, seed)
     oc = c.oc
-    assert any(oc.vertex(c.objects[a])[0] for a, _, _ in c._composites)
-    assert oc._tensors and len(oc._tensors) < len(c._composites)
+    assert any(oc.vertices[a][0] for a, _, _ in asked)
+    assert oc._tensors and len(oc._tensors) < len(asked)
     for (i, y, z), rows in oc._tensors.items():
         assert oc.vertex_tensor((0, i), y, z) == rows, (i, y, z)
 
@@ -961,12 +970,12 @@ class _ZLevelDropped(dict):
 def test_tensor_memo_key_without_z_level_fails(diagram, rank, d):
     """Mutant: a tensor memo key too coarse to tell z's level.  Some tensor
     the fan checks build then differs from the per-pair composites."""
-    keys = list(_checked_context(diagram, rank, d)._composites)
+    _, keys = _checked_context(diagram, rank, d)
     c = _oriented_ctx(diagram, rank, d, None)
     c.oc._tensors = _ZLevelDropped()
     for key in keys:
-        mut._composite_tensor(c, *key)
-    assert _tensors_differing_from_compose(c)
+        c.oc.compose_tensor(*key)
+    assert _tensors_differing_from_compose(c, keys)
 
 
 def _covers_by_numpy(c, right, a, b, gens_at):
@@ -1020,9 +1029,9 @@ def test_rank_problems_on_rows_match_numpy(diagram, rank, d):
     every tensor the checks build and every wide one, with generators on
     either axis, and on the degenerate problems, a zero Hom(a, b), no
     generators or no tensor."""
-    c = _checked_context(diagram, rank, d)
+    c, asked = _checked_context(diagram, rank, d)
     hom = c.hom_dims()
-    keys = list(c._composites) + _wide_keys(c)
+    keys = asked + _wide_keys(c)
     zero_pairs = 0
     for a, t, b in keys:
         for right in (True, False):
@@ -1061,16 +1070,22 @@ def test_chains_on_rows_match_numpy(diagram, rank, d):
         paths = [path + (j,) for path in paths for j in succ[path[-1]]
                  if j > path[0] and j not in path]
         cycles += [path for path in paths if ext1[path[-1], path[0]] == 1]
+    asked = _spy_triples(c)
     verdicts = [mut._chains_nonzero(c, cycle) for cycle in cycles]
+    asked = list(asked)
     assert verdicts == [_chains_by_numpy(c, cycle) for cycle in cycles]
     assert True in verdicts and False in verdicts
-    assert any(not rows for rows in c._composites.values())
+    assert any(not c.oc.compose_tensor(*key) for key in asked)
 
 
-def _checked_context(diagram, rank, d):
-    c = _oriented_ctx(diagram, rank, d, None)
-    run_checks(c, TENSOR_CHECKS)
-    return c
+def _checked_context(diagram, rank, d, seed=None):
+    """A fresh context after the tensor checks pass on it, and the index
+    triples they asked of its composition tensors, in the order first asked."""
+    c = _oriented_ctx(diagram, rank, d, seed)
+    asked = _spy_triples(c)
+    report, _ = run_checks(c, TENSOR_CHECKS)
+    assert report["summary"]["fail"] == 0 and asked
+    return c, list(asked)
 
 
 @pytest.mark.parametrize("diagram,rank,d", [c for c in CASES if c[2] >= 2])
@@ -1196,9 +1211,9 @@ def test_zeroed_structure_constant_breaks_a_chain(start, monkeypatch):
     # Hom(X_i, X_{i+2}[2]) = Ext^2(X_i, X_{i+2}) is one-dimensional
     t = _tensor_array(c, key)
     assert t.shape == (1, 1, 1) and t[0, 0, 0] != 0
-    _plant_zero(monkeypatch, [c.objects[i] for i in key], (0, 0, 0))
-    fresh = _oriented_ctx("A", 3, 2, None)
     assert delta_chains_nonzero(c, c.indices(fan)) is True
+    _plant_zero(monkeypatch, key, (0, 0, 0))
+    fresh = _oriented_ctx("A", 3, 2, None)
     assert delta_chains_nonzero(fresh, fresh.indices(fan)) is False
 
 
@@ -1207,7 +1222,7 @@ def test_zeroed_structure_constant_fails_delta_composites(monkeypatch, capsys):
 
     c = _oriented_ctx("A", 3, 2, None)
     _, key = _first_chain_step(c)
-    _plant_zero(monkeypatch, [c.objects[i] for i in key], (0, 0, 0))
+    _plant_zero(monkeypatch, key, (0, 0, 0))
     assert run(["verify", "--check", "delta-composites", "--diagram", "A",
                 "--rank", "3", "--d", "2"]) == 1
     assert re.search(r"^delta-composites +fail ", capsys.readouterr().out, re.M)

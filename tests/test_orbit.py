@@ -676,13 +676,18 @@ def test_nonzero_slot_two_composite_raises():
 
 
 def test_nonzero_slot_two_tensor_raises():
-    # the same pair as a tensor over the bases of Hom(F(Y), Y) and Hom(Y, F^-1(Y));
-    # nothing is memoized for the triple, so a second call composes and raises again
+    # the same pair as a tensor over the bases of Hom(F(Y), Y) and Hom(Y, F^-1(Y)),
+    # F(Y) and F^-1(Y) given the indices n and n + 1 after the fundamental
+    # domain's n, once the mesh is knitted and checked on the domain; nothing
+    # is memoized for the triple, so a second call composes and raises again
     c = _oriented("A", 3, 2, None)
     y = c.objects()[0]
+    assert c._mesh
+    n = len(c.vertices)
+    c.vertices = c.vertices + [c.vertex(c.obj_F(y)), c.vertex(c.obj_F_inv(y))]
     for _ in range(2):
         with pytest.raises(RuntimeError, match="nonzero slot-2 piece in orbit composition"):
-            c.compose_tensor(c.obj_F(y), y, c.obj_F_inv(y))
+            c.compose_tensor(n, 0, n + 1)
         assert c._tensors == {}
 
 

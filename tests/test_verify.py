@@ -314,7 +314,7 @@ def _holds_object(value):
     return False
 
 
-MUTATION_MEMOS = ["_composites", "_approximations", "_radical_tops",
+MUTATION_MEMOS = ["_approximations", "_radical_tops",
                   "_covers", "_chains", "_face_table.cycles", "_face_table.middles",
                   "oc._path_rows", "oc._tensors"]
 
@@ -329,6 +329,10 @@ def test_mutation_memos_hold_no_objects(diagram, rank, d, seed):
         arrows = [(s, t) if rng.random() < 0.5 else (t, s)
                   for s, t in dynkin_edges(diagram, rank)]
     c = load_context(diagram, rank, d, orientation=arrows)
+    # a spy on the orbit category's compose_tensor records the triples asked
+    asked = set()
+    build = c.oc.compose_tensor
+    c.oc.compose_tensor = lambda *key: asked.add(key) or build(*key)
     assert run_checks(c)[0]["summary"]["fail"] == 0
     assert _holds_object({c.objects[0]: 1}) and _holds_object([(1, c.objects[-1])])
     # an approximation's (multiplicities, covers) pair holds indices only, but
@@ -342,10 +346,11 @@ def test_mutation_memos_hold_no_objects(diagram, rank, d, seed):
     for name in MUTATION_MEMOS:
         memo = attrgetter(name)(c)
         assert memo and not _holds_object(memo), name
-    # the tensors' keys are index triples: the object lookup is only on a miss
-    assert all(len(key) == 3 and all(type(i) is int for i in key) for key in c._composites)
+    # the tensors are asked for by index triple, never by object
+    assert asked and all(len(key) == 3 and all(type(i) is int for i in key)
+                         for key in asked)
     # and the index triples share the tensors composed once per relative position
-    assert len(c.oc._tensors) < len(c._composites)
+    assert len(c.oc._tensors) < len(asked)
 
 
 def _cy_duality_by_loop(c):
@@ -639,14 +644,18 @@ def test_complement_count_reads_each_face_s_own_fan():
 
 # the orientations that perfbench's seed 1 draws (perfbench/inputs.py)
 SEED_1_ARROWS = {
+    ("A", 3): [[0, 1], [2, 1]],
     ("D", 4): [[1, 0], [1, 2], [1, 3]],
     ("A", 4): [[1, 0], [2, 1], [3, 2]],
+    ("D", 5): [[0, 1], [2, 1], [2, 3], [2, 4]],
 }
 
 # sha256 of report_to_json of verify --all, keyed by (diagram, rank, d,
 # orientation): the verify grid, E6 d=1, A1 d=3 and two configurations that
-# gate no check (d = 3) in the default orientation, and D4 d=2 and A4 d=2
-# in perfbench's seed-1 orientations
+# gate no check (d = 3) in the default orientation, and A3 d=2, D4 d=2,
+# A4 d=2, A3 d=3 and D5 d=1 in perfbench's seed-1 orientations (the
+# composition tensors are keyed by vertex levels, which the orientation
+# moves)
 GOLDEN_REPORTS = {
     ("A", 3, 2, "default"): "4972860ce6d49ffe1f25ec8b35fffac46b9e088574fb1787a3012b9cfb731efc",
     ("A", 4, 2, "default"): "8b9d1179fbd15d970d92095266974db59798fdd74751b43dcbbf2730357b37f6",
@@ -658,6 +667,9 @@ GOLDEN_REPORTS = {
     ("D", 4, 3, "default"): "5935ad5e6596f128590e73944bdd39e3b0f00b424ff0e532e01a630039bd035f",
     ("D", 4, 2, "seed-1"): "e961d15ec54c32f8b2b9f4ab5b0a4dbb91f8529f46639ac97e359ec39014e97f",
     ("A", 4, 2, "seed-1"): "79d5e39a337d6104e195610c355c098a2fc265c0b5ad13a5ba83787ac3866f20",
+    ("A", 3, 2, "seed-1"): "7c1a2b1f6c81ffac0cc40bda802a2bad4eac7a4762ef8f213df694767d1e8457",
+    ("A", 3, 3, "seed-1"): "af94fa709211a4a40cdc11a2f9de247791622331da066fdafceb385cd34d92ac",
+    ("D", 5, 1, "seed-1"): "600375b16d906dafa37af2d9579e606f87a44fc5024acdc9d6b900c597d6df34",
 }
 
 
@@ -700,3 +712,29 @@ def test_failing_check_reports_the_exact_entry(monkeypatch, pin):
     got = run_checks(load_context("A", 3, 3), [cid])[0]["checks"][0]
     assert {k: got.get(k) for k in ("status", "instances", "counterexample")} == {
         "status": "fail", "instances": instances, "counterexample": counterexample}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--check", "complement-count"],
+                                  ["fans", "--verify-all"]])
+def test_short_fan_fails_complement_count_through_the_cli(monkeypatch, capsys, argv):
+    """A fan one member short, planted as complement-count's pin plants it:
+    through the CLI, complement-count prints its fail line with the
+    counterexample and the run exits 1, raising nothing.  The later fan
+    laws, stated for fans of d+1 members, each fail naming the short fan."""
+    import re
+
+    from dcluster import cli, mutation
+
+    monkeypatch.setattr(mutation, "face_table",
+                        _on_call(1, mutation.face_table, _shorten_third_fan))
+    assert cli.run(argv + ["--diagram", "A", "--rank", "3", "--d", "3"]) == 1
+    out = capsys.readouterr().out
+    example = json.dumps({"almost": _A3D3_NAMES["almost"], "complements": 3}, sort_keys=True)
+    assert re.search(r"^complement-count +fail +3 instances counterexample=%s  \["
+                     % re.escape(example), out, re.M)
+    later = [line for line in out.splitlines()
+             if line.split(" ")[0] in cli.FAN_CHECKS[1:]]
+    assert len(later) == (len(cli.FAN_CHECKS) - 1 if argv[0] == "fans" else 0)
+    short = re.escape(json.dumps({"fan": _A3D3_NAMES["fan"][:-1]}))
+    assert all(re.search(r" fail +0 instances counterexample=%s  \[" % short, line)
+               for line in later)
