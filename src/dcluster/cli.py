@@ -209,9 +209,10 @@ def _write_out(args: argparse.Namespace, payload: dict) -> None:
 def _line(oc, x) -> str:
     lab = cpxmod.gamma(oc, x)
     sign = "-" if lab[2] == "negative-simple" else "+"
+    # one %-format of the label: faster than a str() per coordinate, joined
     return "%-12s dim=%s degree=%d color=%d label=%s(%s)^%d" % (
         oc.obj_name(x), list(x[0]), oc.degree(x), oc.color(x),
-        sign, ",".join(str(c) for c in lab[0]), lab[1])
+        sign, ",".join(["%d"] * len(lab[0])) % lab[0], lab[1])
 
 
 # ---------------------------------------------------------------------------

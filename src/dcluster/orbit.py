@@ -32,7 +32,9 @@ basis is the greedy complement of the mesh map's image, which
 linalg.complement_rows picks from the relation's rows R, so each basis
 vector is a single path (a basis path of some Hom(x, w), then the arrow
 w -> z) and the arrow maps of Hom(x, -) are blocks of the cokernel
-projection, the reduced rows of [R | I] below the rank.  These matrices are
+projection, the reduced rows of [R | I] below the rank.  The knits of one
+context share a memo of these reductions (knit_setup), so each distinct
+mesh relation is reduced once per context (E6: 32 of 174).  The matrices are
 tiny (often 1 x 1), so the knit keeps them as lists of Python ints, and so
 does everything built from them: path_rows multiplies the arrow maps along
 a path once per context, keyed by the source's vertex of Q and the path
@@ -362,9 +364,9 @@ class OrbitCategory:
     @cached_property
     def _mesh(self) -> List["HomFrom"]:
         """Hom((0, i), -) for every vertex i of Q, knitted on the first
-        morphism call and checked against the dimension table: for every
-        canonical X and Y, dim Hom(x, y) + dim Hom(x, phi y) must be the
-        table's dim Hom_C(X, Y).
+        morphism call with one knit_setup (its memo goes with this call) and
+        checked against the dimension table: for every canonical X and Y,
+        dim Hom(x, y) + dim Hom(x, phi y) must be the table's dim Hom_C(X, Y).
 
         The check compares whole rows.  knit[i] lists dim Hom((0, i), (l, j))
         level by level, over every level l that a pair can reach, with zeros
@@ -372,7 +374,8 @@ class OrbitCategory:
         knit[i] moves it to the level of x, and two gathers read the slice at
         the vertices of all y and of all phi y.  The first mismatch in
         row-major order is reported."""
-        mesh = [knit_hom_from(self.cat, i) for i in range(self.cat.q.rank)]
+        shared = knit_setup(self.cat)
+        mesh = [knit_hom_from(self.cat, i, shared) for i in range(self.cat.q.rank)]
         rank = len(mesh)
         objs = self.objects()
         n = len(objs)
@@ -680,26 +683,34 @@ class HomFrom(NamedTuple):
     steps: Dict[Vertex, List[tuple]]
 
 
-def _mesh_map(hom: HomFrom, tau_z: Vertex, preds: List[Vertex]) -> List[List[int]]:
-    """Hom(x, tau z) -> (+)_w Hom(x, w): the mesh relation at z, each path
-    tau z -> w with coefficient 1, as the rows of its matrix."""
+def _mesh_map(hom: HomFrom, tau_z: Vertex, near: List[Tuple[Vertex, int]]) -> List[List[int]]:
+    """Hom(x, tau z) -> (+)_w Hom(x, w), over the (w, dim Hom(x, w)) in near:
+    the mesh relation at z, each path tau z -> w with coefficient 1, as rows."""
     cols = hom.dims.get(tau_z, 0)
     rows: List[List[int]] = []
-    for w in preds:
-        arrow = hom.maps.get((tau_z, w))
-        if arrow is None:
-            arrow = [[0] * cols for _ in range(hom.dims.get(w, 0))]
-        rows += arrow
+    for w, size in near:
+        rows += hom.maps.get((tau_z, w)) or [[0] * cols for _ in range(size)]
     return rows
 
 
-def knit_hom_from(cat: ModuleCategory, i: int) -> HomFrom:
-    """Knit Hom((0, i), -) level by level until a level is all zero."""
-    q, p = cat.q, cat.p
-    # sinks first: a Q-arrow s -> t gives the ZQ arrow (m, t) -> (m, s)
-    order = sorted(range(q.rank), key=lambda j: (len(cat.psupp[j]), j))
-    heads = [[t for s, t in q.arrows if s == j] for j in range(q.rank)]
-    tails = [[s for s, t in q.arrows if t == j] for j in range(q.rank)]
+def knit_setup(cat: ModuleCategory) -> tuple:
+    """What the knits of one context share: the vertices of Q sinks first
+    (a Q-arrow s -> t gives the ZQ arrow (m, t) -> (m, s)), the predecessors
+    in ZQ of each vertex (m, j), as (level offset, vertex of Q), and the memo
+    of reduced mesh relations, (cols, rows as tuples) -> (the greedy
+    complement, the cokernel projection) that linalg.complement_rows gives."""
+    arrows = cat.q.arrows
+    order = sorted(range(cat.q.rank), key=lambda j: (len(cat.psupp[j]), j))
+    preds = [[(0, t) for s, t in arrows if s == j] + [(-1, s) for s, t in arrows if t == j]
+             for j in range(cat.q.rank)]
+    return order, preds, {}
+
+
+def knit_hom_from(cat: ModuleCategory, i: int, shared: Optional[tuple] = None) -> HomFrom:
+    """Knit Hom((0, i), -) level by level until a level is all zero.  shared
+    is knit_setup(cat), kept for all the knits of one context so that each
+    distinct mesh relation is reduced once (a fresh one by default)."""
+    order, preds, solved = shared or knit_setup(cat)
     hom = HomFrom({(0, i): 1}, {}, {(0, i): [(None, None)]})
     m = 0
     while True:
@@ -709,26 +720,29 @@ def knit_hom_from(cat: ModuleCategory, i: int) -> HomFrom:
             if z == (0, i):
                 level = True
                 continue
-            preds = [(m, t) for t in heads[j]] + [(m - 1, s) for s in tails[j]]
-            sizes = [hom.dims.get(w, 0) for w in preds]
-            if not sum(sizes):
+            near = [(w, size) for a, t in preds[j]
+                    if (size := hom.dims.get(w := (m + a, t)))]
+            if not near:
                 continue
-            rel = _mesh_map(hom, (m - 1, j), preds)
+            rel = _mesh_map(hom, (m - 1, j), near)
             cols = len(rel[0])
-            rank, basis, red = linalg.complement_rows(rel, cols, p)
+            key = (cols, tuple(map(tuple, rel)))
+            if key not in solved:
+                rank, basis, red = linalg.complement_rows(rel, cols, cat.p)
+                # the reduced rows below the rank project onto the cokernel,
+                # taking the unit vector at the k-th basis path to the k-th one
+                solved[key] = basis, red[rank:]
+            basis, proj = solved[key]
             if not basis:
                 continue
-            # the reduced rows below the rank project onto the cokernel,
-            # taking the unit vector at the k-th basis path to the k-th one
-            proj = red[rank:]
             hom.dims[z] = len(basis)
             lo = cols
             slots = []
-            for w, size in zip(preds, sizes):
-                if size:
-                    hom.maps[(w, z)] = [row[lo:lo + size] for row in proj]
-                    slots += [(w, k) for k in range(size)]
-                    lo += size
+            for w, size in near:
+                # fresh slices: no two knits share a row of a shared projection
+                hom.maps[(w, z)] = [row[lo:lo + size] for row in proj]
+                slots += [(w, k) for k in range(size)]
+                lo += size
             hom.steps[z] = [slots[c] for c in basis]
             level = True
         if not level:

@@ -139,6 +139,63 @@ def test_ext_table_bytes_match_the_golden_digest(tmp_path, capsys, config):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXT_TABLES[config]
 
 
+# sha256 of the complements and mutate --out JSON, (diagram, rank, d, arrows or
+# None, facet, drop) -> (complements, mutate): the first two (facet, drop)
+# pairs of perfbench's D5 d=2 query sample at seeds 0 and 1, and two pairs
+# each on E6 d=1 and A4 d=4.  The triangles' middle terms are read from the
+# mesh category, so a knit that is consistent but wrong changes them.
+GOLDEN_QUERIES = {
+    ("D", 5, 2, None, "root#3[0],root#10[0],root#0[1],root#9[1],root#14[1]", "root#14[1]"):
+        ("ce23194ecb2aae75b5bd3ebc12a05636c34ff94b499beb85b758b1066cc14817",
+         "468560369052fadde744feacb9dd1deb3de41d88c2437dbccccefcd433390a3d"),
+    ("D", 5, 2, None, "root#3[0],root#8[0],root#12[0],root#14[0],root#6[2]", "root#8[0]"):
+        ("e3100e4a2932047f81b84055bb4fdfb410bc937a79c73a617669e3f7d003b155",
+         "fe60fecb61a7dcdaf1a9f7c0182f48a0a4f38a14b5fb475a2bbb64ebaaeb4fe3"),
+    ("D", 5, 2, ((1, 0), (2, 1), (3, 2), (2, 4)),
+     "root#1[0],root#4[1],root#0[2],root#8[2],root#14[2]", "root#8[2]"):
+        ("bb27573e1277824aed77d68632be2dd731ca594888ae80ea18f62128a1439d45",
+         "421c79ebeba2f4501c93552cd3b66105e54e996c80bf688dcf13703932df48a9"),
+    ("D", 5, 2, ((0, 1), (1, 2), (3, 2), (2, 4)),
+     "root#0[0],root#14[0],root#3[1],root#8[1],root#9[2]", "root#8[1]"):
+        ("57056a4ee6e41a85cf194baf52637b46a8d46a7f9c9b5f0c597ffc7c5edd515d",
+         "edb11dede6d2d79c848d38b714bb68b760904989cb0c67972af78dc0ba399e87"),
+    ("E", 6, 1, None, "root#1[0],root#5[0],root#10[0],root#3[1],root#7[1],root#8[1]",
+     "root#5[0]"):
+        ("363637c544d3f9beb49ccfe14b2757edf021b881f92aace179da1a1b58402f8d",
+         "2a776b169e47c17003b04a6fda9c828ab5aa0406e68cada6c91e4da87aeaf871"),
+    ("E", 6, 1, None, "root#8[0],root#12[0],root#14[0],root#15[0],root#20[0],root#27[0]",
+     "root#20[0]"):
+        ("24e0663b5b70038ec6ef90face90cd124c652bffc3325c682c79bae0132f1249",
+         "19cd68943fb99bb2a8317c16c9d0a5582f365f4a6add9c340c855dd3cb87f022"),
+    ("A", 4, 4, None, "root#2[0],root#9[1],root#1[2],root#8[3]", "root#9[1]"):
+        ("0b0e175b1c9bc8c61bfe3d6cf3f0dafbfce6e9c4ed72ba7865ee91bb00ea2c65",
+         "641d8f94406259467f529d09c5aa99727393b820597d31fa6a67228254e58672"),
+    ("A", 4, 4, None, "root#0[2],root#3[2],root#2[3],root#4[4]", "root#0[2]"):
+        ("ff3ab992600e747ba2aaade6e048ecbf1c9b49d19ba5ac28d9ad02642563cbef",
+         "937c81ca7a7ee5a1975171c4965a811f24a8539c1852aa5a9453acaed30f4542"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_QUERIES, key=str))
+def test_query_bytes_match_the_golden_digest(tmp_path, capsys, config):
+    import hashlib
+
+    diagram, rank, d, arrows, facet, drop = config
+    orientation = "default"
+    if arrows is not None:
+        orientation = str(tmp_path / "ori.json")
+        (tmp_path / "ori.json").write_text(json.dumps(arrows))
+    out = tmp_path / "query.json"
+    got = []
+    for command in ("complements", "mutate"):
+        assert run([command, "--diagram", diagram, "--rank", str(rank), "--d", str(d),
+                    "--orientation", orientation, "--facet", facet, "--drop", drop,
+                    "--out", str(out)]) == 0
+        got.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert tuple(got) == GOLDEN_QUERIES[config]
+
+
 def test_complements_output(capsys):
     assert run(["complements", "--facet", "root#0[0],root#2[0]",
                 "--drop", "root#0[0]"] + A2D1) == 0
@@ -884,7 +941,8 @@ def test_query_commands_knit_no_modules_and_only_complements_knits_the_mesh(
     knits = []
     knit = orbit.knit_hom_from
     monkeypatch.setattr(ModuleCategory, "_knit", no_knit)
-    monkeypatch.setattr(orbit, "knit_hom_from", lambda cat, i: knits.append(i) or knit(cat, i))
+    monkeypatch.setattr(orbit, "knit_hom_from",
+                        lambda cat, i, shared: knits.append(i) or knit(cat, i, shared))
     assert run(argv) == 0
     assert capsys.readouterr().out == want
     assert knits == (list(range(5)) if argv[0] == "complements" else [])

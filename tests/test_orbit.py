@@ -585,7 +585,8 @@ def test_knitted_dims_match_the_table(diagram, rank, d, seed):
 def test_mesh_is_knitted_once_per_vertex_on_the_first_morphism_call(monkeypatch):
     knits = []
     knit = orbit.knit_hom_from
-    monkeypatch.setattr(orbit, "knit_hom_from", lambda cat, i: knits.append(i) or knit(cat, i))
+    monkeypatch.setattr(orbit, "knit_hom_from",
+                        lambda cat, i, shared: knits.append(i) or knit(cat, i, shared))
     c = _oriented("D", 4, 2, None)
     x, y = c.objects()[0], c.objects()[5]
     c.hom_table, c.shifts
@@ -593,6 +594,54 @@ def test_mesh_is_knitted_once_per_vertex_on_the_first_morphism_call(monkeypatch)
     c.compose(c.identity(x), c.identity(x))
     c.hom_basis(x, y)
     assert knits == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", MESH_CASES + [
+    (dg, rk, 1, seed) for dg, rk in (("E", 7), ("E", 8)) for seed in (None, 5)])
+def test_memoized_knits_equal_fresh_knits(diagram, rank, d, seed):
+    """The knits of _mesh, which share one memo of reduced mesh relations,
+    equal knits made one vertex at a time, each with a memo of its own."""
+    c = _oriented(diagram, rank, d, seed)
+    for i, hom in enumerate(c._mesh):
+        fresh = orbit.knit_hom_from(c.cat, i)
+        assert (hom.dims, hom.maps, hom.steps) == (fresh.dims, fresh.maps, fresh.steps), i
+
+
+def _reduces_each_relation_once(c, monkeypatch):
+    """_mesh hands complement_rows each distinct mesh relation once, and its
+    memo holds exactly those relations, keyed by (cols, rows as tuples)."""
+    relations, calls, memos = [], [], []
+    mesh_map, complement, setup = orbit._mesh_map, linalg.complement_rows, orbit.knit_setup
+
+    def recorded_map(*args):
+        relations.append(mesh_map(*args))
+        return relations[-1]
+
+    monkeypatch.setattr(orbit, "_mesh_map", recorded_map)
+    monkeypatch.setattr(linalg, "complement_rows", lambda rows, cols, p: calls.append(
+        (cols, tuple(map(tuple, rows)))) or complement(rows, cols, p))
+    monkeypatch.setattr(orbit, "knit_setup", lambda cat: memos.append(setup(cat)) or memos[-1])
+    c._mesh
+    keys = {(len(rel[0]), tuple(map(tuple, rel))) for rel in relations}
+    assert len(calls) == len(set(calls)) and set(calls) == keys
+    assert len(memos) == 1 and set(memos[0][2]) == keys
+    return len(relations), len(keys)
+
+
+def test_mesh_reduces_each_distinct_relation_once(monkeypatch):
+    # E6 d=2: 174 mesh relations over the six knits, 32 of them distinct
+    assert _reduces_each_relation_once(_oriented("E", 6, 2, None), monkeypatch) == (174, 32)
+
+
+def _knits_share_no_map_row(c):
+    """No two arrow maps of one context's knits hold the same row object, so
+    writing into one hammock's map leaves every other one as it was."""
+    rows = [row for hom in c._mesh for rows in hom.maps.values() for row in rows]
+    assert len({id(row) for row in rows}) == len(rows)
+
+
+def test_memoized_knits_share_no_map_row():
+    _knits_share_no_map_row(_oriented("E", 6, 2, None))
 
 
 def test_basis_paths_are_single_paths_of_arrows():
@@ -711,8 +760,8 @@ def _drop_a_mesh_relation(monkeypatch):
     mesh_map = orbit._mesh_map
     dropped = set()
 
-    def drop(hom, tau_z, preds):
-        rel = mesh_map(hom, tau_z, preds)
+    def drop(hom, tau_z, near):
+        rel = mesh_map(hom, tau_z, near)
         if rel and rel[0] and id(hom) not in dropped:
             dropped.add(id(hom))
             return [row[1:] for row in rel]
@@ -725,14 +774,64 @@ def _swap_a_path_basis(monkeypatch):
     """In each knit, the first Hom of dimension >= 2 swaps its first two paths."""
     knit = orbit.knit_hom_from
 
-    def swapped(cat, i):
-        hom = knit(cat, i)
+    def swapped(cat, i, shared):
+        hom = knit(cat, i, shared)
         steps = next((s for s in hom.steps.values() if len(s) >= 2), None)
         if steps is not None:
             steps[0], steps[1] = steps[1], steps[0]
         return hom
 
     monkeypatch.setattr(orbit, "knit_hom_from", swapped)
+
+
+def _memo_key_without_cols(monkeypatch):
+    """The memo of reduced mesh relations keys each relation by its rows alone."""
+    setup = orbit.knit_setup
+
+    class RowsOnly(dict):
+        def __contains__(self, key):
+            return dict.__contains__(self, key[1])
+
+        def __getitem__(self, key):
+            return dict.__getitem__(self, key[1])
+
+        def __setitem__(self, key, value):
+            dict.__setitem__(self, key[1], value)
+
+    def rows_only(cat):
+        order, preds, _ = setup(cat)
+        return order, preds, RowsOnly()
+
+    monkeypatch.setattr(orbit, "knit_setup", rows_only)
+
+
+def _share_map_rows(monkeypatch):
+    """Each arrow map equal to one handed out before in the same context is
+    handed out again as the same rows."""
+    knit = orbit.knit_hom_from
+    handed = {}
+
+    def sharing(cat, i, shared):
+        hom = knit(cat, i, shared)
+        pool = handed.setdefault(id(shared), {})
+        for arrow, rows in hom.maps.items():
+            hom.maps[arrow] = pool.setdefault(tuple(map(tuple, rows)), rows)
+        return hom
+
+    monkeypatch.setattr(orbit, "knit_hom_from", sharing)
+
+
+def test_memo_key_without_cols_fails_test_mesh_reduces_each_distinct_relation_once(
+        monkeypatch):
+    _memo_key_without_cols(monkeypatch)
+    with pytest.raises(AssertionError):
+        _reduces_each_relation_once(_oriented("E", 6, 2, None), monkeypatch)
+
+
+def test_shared_map_rows_fail_test_memoized_knits_share_no_map_row(monkeypatch):
+    _share_map_rows(monkeypatch)
+    with pytest.raises(AssertionError):
+        _knits_share_no_map_row(_oriented("E", 6, 2, None))
 
 
 def test_wrong_phi_fails_test_phi_relabels_like_F(monkeypatch):
@@ -781,8 +880,8 @@ def test_a_changed_knitted_dim_fails_the_table_check(diagram, rank, d, seed, mon
                for delta in (1, -dim)]
     changes += [(i, (m, j), 1) for i in range(rank) for j in range(rank) for m in (-1, top + 1)]
     for i, key, delta in changes:
-        def changed(cat, k):
-            hom = knit(cat, k)
+        def changed(cat, k, shared=None):
+            hom = knit(cat, k, shared)
             if k == i:
                 hom.dims[key] = hom.dims.get(key, 0) + delta
             return hom
