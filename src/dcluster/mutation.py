@@ -66,8 +66,11 @@ A minimal approximation of X depends only on the side, on X and on the
 mask of the summands with nonzero Hom to (or from) X.  Its multiplicities
 and its factorization verdict, all that a triangle reads of it, are
 computed once per context for that key and shared by every almost complete
-set and fan member that poses it; its generators are kept only per rank
-problem, from which the object-level approximations read them again.
+set and fan member that poses it: each face reads the memo itself, and one
+routine builds a missing approximation in a walk over the bits of its
+support for the generators and another for the covering tests.  The
+generators are kept only per rank problem; the object-level approximations
+run the same routine and take them from its walk.
 
 The same tensors give the composites of connecting classes.  The shift is
 an autoequivalence, so the shifted class delta_j[k] of the one-dimensional
@@ -326,50 +329,69 @@ def _check_end_fields(ctx: TiltingContext, mask: int) -> None:
                            % (ctx.objects[(bad & -bad).bit_length() - 1],))
 
 
-def _approximation(ctx: TiltingContext, right: bool, ix: int,
-                   supp: int) -> Tuple[Middle, bool]:
+def _approximation(ctx: TiltingContext, right: bool, ix: int, supp: int,
+                   tops: Optional[Dict[int, Tuple[int, ...]]] = None) -> Tuple[Middle, bool]:
     """The multiplicities of the minimal right (left) approximation of X_ix
     from add(T), the (j, number of generators at T_j) for each summand with
-    a generator, and its factorization verdict (memoized).
+    a generator, and its factorization verdict, built afresh and kept in
+    ctx._approximations under (right, ix, supp): _face_triangles reads that
+    memo itself and calls this only on a miss.
 
     `supp` is the bitmask of the summands T_j with Hom(T_j, X_ix) (left:
     Hom(X_ix, T_j)) nonzero; the other summands contribute neither a
     generator nor a composite, so the result depends only on (right, ix,
-    supp).
-    """
-    key = (right, ix, supp)
-    memo = ctx._approximations
-    got = memo.get(key)
-    if got is None:
-        gens = _generators(ctx, right, ix, supp)
-        mults = tuple((j, len(g)) for j, g in zip(_bits(supp), gens) if g)
-        # few distinct multiplicity tuples occur: each is kept once
-        got = memo[key] = (ctx._shared_tuples.setdefault(mults, mults),
-                           _covered(ctx, right, ix, supp, gens))
-    return got
-
-
-def _generators(ctx: TiltingContext, right: bool, ix: int,
-                supp: int) -> Tuple[Tuple[int, ...], ...]:
-    """For each bit j of `supp` in turn, the generators of Hom(T_j, X_ix)
-    (left: Hom(X_ix, T_j)) mod the radical, as indices into the Hom basis.
-
-    With (a, b) = (T_j, X_ix) or (X_ix, T_j), the radical is spanned by the
-    composites through the other summands, and only the summands t with
-    Hom(a, t) and Hom(t, b) nonzero contribute any; the generators are
-    solved once per (a, b, those summands) and context.
+    supp).  One walk over the bits j of supp takes the generators of
+    Hom(a, b), (a, b) = (T_j, X_ix) (left: (X_ix, T_j)), mod the radical, as
+    indices into the Hom basis, and puts them in `tops` by j when it is
+    given.  The radical is spanned by the composites through the other
+    summands t with Hom(a, t) and Hom(t, b) nonzero, so the generators are
+    solved once per (a, b, those summands) and context.  A second walk tests
+    that every map between the summands and X_ix factors through the
+    generators: on the right, Hom(T_l, X_ix) must be spanned by the
+    composites f o v of the generators f at T_j with v in Hom(T_l, T_j), and
+    the left side is the mirror image.  One rank comparison per T_l,
+    memoized by (side, T_l, X_ix, generators at the T_j whose tensor has
+    columns).
     """
     out, into = ctx.hom_masks()
     memo = ctx._radical_tops
-    gens = []
-    for j in _bits(supp):
+    mults, gens_at = [], []
+    rest = supp
+    while rest:
+        low = rest & -rest
+        j = low.bit_length() - 1
         a, b = (j, ix) if right else (ix, j)
-        key = (a, b, out[a] & into[b] & supp & ~(1 << j))
-        tops = memo.get(key)
-        if tops is None:
-            tops = memo[key] = _radical_tops(ctx, *key)
-        gens.append(tops)
-    return tuple(gens)
+        key = (a, b, out[a] & into[b] & (supp ^ low))
+        gens = memo.get(key)
+        if gens is None:
+            gens = memo[key] = _radical_tops(ctx, *key)
+        if tops is not None:
+            tops[j] = gens
+        if gens:
+            mults.append((j, len(gens)))
+            gens_at.append((j, gens))
+        rest ^= low
+    memo = ctx._covers
+    covered = True
+    rest = supp
+    while rest:
+        low = rest & -rest
+        l = low.bit_length() - 1
+        a, b = (l, ix) if right else (ix, l)
+        rel = out[a] & into[b]
+        key = (right, a, b, tuple([tg for tg in gens_at if (rel >> tg[0]) & 1]))
+        covers = memo.get(key)
+        if covers is None:
+            covers = memo[key] = _covers(ctx, *key)
+        if not covers:
+            covered = False
+            break
+        rest ^= low
+    # few distinct multiplicity tuples occur: each is kept once
+    mults = tuple(mults)
+    got = ctx._approximations[(right, ix, supp)] = (
+        ctx._shared_tuples.setdefault(mults, mults), covered)
+    return got
 
 
 def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, ...]:
@@ -383,32 +405,6 @@ def _radical_tops(ctx: TiltingContext, a: int, b: int, rel: int) -> Tuple[int, .
             row += block
     cols = len(rows[0]) if rows else 0
     return tuple(linalg.complement_rows(rows, cols, ctx.oc.cat.p)[1])
-
-
-def _covered(ctx: TiltingContext, right: bool, ix: int, supp: int,
-             gens: Tuple[Tuple[int, ...], ...]) -> bool:
-    """Does every map between the summands in `supp` and X_ix factor through
-    the generators `gens` (one tuple per bit of supp, as _generators gives)?
-
-    Right side: Hom(T_l, X_ix) must be spanned by the composites f o v of the
-    generators f at T_j with v in Hom(T_l, T_j); the left side is the mirror
-    image.  One rank comparison per T_l over the cached structure constants,
-    memoized by (side, T_l, X_ix, generators at the T_j whose tensor has
-    columns).
-    """
-    out, into = ctx.hom_masks()
-    gens_at = [(j, g) for j, g in zip(_bits(supp), gens) if g]
-    memo = ctx._covers
-    for l in _bits(supp):
-        a, b = (l, ix) if right else (ix, l)
-        rel = out[a] & into[b]
-        key = (right, a, b, tuple(tg for tg in gens_at if (rel >> tg[0]) & 1))
-        covers = memo.get(key)
-        if covers is None:
-            covers = memo[key] = _covers(ctx, *key)
-        if not covers:
-            return False
-    return True
 
 
 def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
@@ -432,8 +428,8 @@ def _covers(ctx: TiltingContext, right: bool, a: int, b: int, gens_at) -> bool:
 def _support(ctx: TiltingContext, addset: Sequence[Obj], x: Obj,
              right: bool) -> Tuple[int, int]:
     """(index of x, bitmask of the summands of `addset` with nonzero Hom to
-    (right) or from x) for _approximation and _generators; the summands must
-    be distinct, and their endomorphism rings are checked to be fields."""
+    (right) or from x) for _approximation; the summands must be distinct,
+    and their endomorphism rings are checked to be fields."""
     mask = ctx.mask_of(addset)
     _check_end_fields(ctx, mask)
     ix = ctx.index[ctx.canonical(x)]
@@ -453,16 +449,20 @@ def right_approximation(ctx: TiltingContext, addset: Sequence[Obj],
     of composites through the other summands.
     """
     ix, supp = _support(ctx, addset, target, True)
+    tops: Dict[int, Tuple[int, ...]] = {}
+    _approximation(ctx, True, ix, supp, tops)
     objs = ctx.objects
-    return {objs[j]: list(g) for j, g in zip(_bits(supp), _generators(ctx, True, ix, supp))}
+    return {objs[j]: list(g) for j, g in tops.items()}
 
 
 def left_approximation(ctx: TiltingContext, addset: Sequence[Obj],
                        source: Obj) -> Dict[Obj, List[int]]:
     """Dual of right_approximation: generators of Hom(source, T_j) mod radical."""
     ix, supp = _support(ctx, addset, source, False)
+    tops: Dict[int, Tuple[int, ...]] = {}
+    _approximation(ctx, False, ix, supp, tops)
     objs = ctx.objects
-    return {objs[j]: list(g) for j, g in zip(_bits(supp), _generators(ctx, False, ix, supp))}
+    return {objs[j]: list(g) for j, g in tops.items()}
 
 
 def triangles_of(ctx: TiltingContext, almost: Sequence[Obj]) -> List[Dict[str, object]]:
@@ -487,17 +487,20 @@ def _face_triangles(ctx: TiltingContext, mask: int, cycle: Tuple[int, ...]
                     ) -> Tuple[Middle, ...]:
     """The middle terms of the triangles X_{i+1} -> middle -> X_i from
     add(`mask`) along its fan `cycle`, each checked as triangles_of
-    describes, from the face's own approximations; they are the
+    describes, from the face's own approximations: each is read from
+    ctx._approximations by (side, object, support), and built by
+    _approximation only when it is missing there.  The middle terms are the
     approximations' shared tuples."""
     _check_end_fields(ctx, mask)
     out, into = ctx.hom_masks()
     objs = ctx.objects
+    memo = ctx._approximations
     middles = []
-    m = len(cycle)
-    for k, i in enumerate(cycle):
-        nxt = cycle[(k + 1) % m]
-        rm, rcov = _approximation(ctx, True, i, mask & into[i])
-        lm, lcov = _approximation(ctx, False, nxt, mask & out[nxt])
+    for i, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+        supp = mask & into[i]
+        rm, rcov = memo.get((True, i, supp)) or _approximation(ctx, True, i, supp)
+        supp = mask & out[nxt]
+        lm, lcov = memo.get((False, nxt, supp)) or _approximation(ctx, False, nxt, supp)
         if rm != lm:
             raise RuntimeError("middle term of triangle at %r disagrees between "
                                "right (%r) and left (%r) approximations"

@@ -55,8 +55,11 @@ class TiltingContext:
         # tensors only by the orbit category (OrbitCategory.compose_tensor).
         # _approximations maps (right, x, supp), supp the summands with
         # nonzero Hom to (right) or from x, to the pair (multiplicities,
-        # factorization verdict), all that a triangle reads of it; the
-        # generators are kept only per rank problem, in _radical_tops.
+        # factorization verdict), all that a triangle reads of it; each face
+        # looks its approximations up here itself, and a miss (500 of 1572
+        # lookups in the mean verify-grid context) is built in one walk over
+        # supp for the generators and one for the covers.  The generators
+        # are kept only per rank problem, in _radical_tops.
         # Few distinct multiplicity tuples occur (751 among the 26460
         # approximations of E7 d=1), so _shared_tuples keeps one copy of
         # each.  Approximations are built from two smaller rank

@@ -148,17 +148,27 @@ def test_kept_middles_are_each_faces_own(diagram, rank, d, seed):
             mut._face_triangles(fresh, mask, cycle), c.objs_of(mask)
 
 
+class _LookupLog(dict):
+    """An approximation memo that logs every key looked up in it."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+
 @pytest.mark.parametrize("diagram,rank,d", [("A", 3, 2), ("A", 3, 3)])
-def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
+def test_every_face_gets_its_own_approximations(diagram, rank, d):
     """The per-face witness is not skipped for a fan that already has
     middles: each face, in table order, asks for its own right and left
     approximations."""
     c = _ctx(diagram, rank, d)
     table = mut.face_table(c)
     calls = []
-    approximation = mut._approximation
-    monkeypatch.setattr(mut, "_approximation",
-                        lambda *key: calls.append(key) or approximation(c, *key[1:]))
+    c._approximations = _LookupLog(calls)
     mut.fan_middles(c)
     out, into = c.hom_masks()
     want = []
@@ -166,7 +176,7 @@ def test_every_face_gets_its_own_approximations(diagram, rank, d, monkeypatch):
         cycle = table.cycles[fid]
         for k, i in enumerate(cycle):
             nxt = cycle[(k + 1) % len(cycle)]
-            want += [(c, True, i, mask & into[i]), (c, False, nxt, mask & out[nxt])]
+            want += [(True, i, mask & into[i]), (False, nxt, mask & out[nxt])]
     assert calls == want
     # the pass runs once per context
     mut.fan_middles(c)

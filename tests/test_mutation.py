@@ -551,9 +551,24 @@ def _supp(c, addset, x, right):
 
 
 def _tops(c, right, ix, supp):
-    """The generators of _generators at each summand of `supp`, by object."""
-    gens = mut._generators(c, right, ix, supp)
-    return {c.objects[j]: list(g) for j, g in zip(_bits(supp), gens)}
+    """The generators that _approximation takes at each summand of `supp`, by object."""
+    tops = {}
+    mut._approximation(c, right, ix, supp, tops)
+    return {c.objects[j]: list(g) for j, g in tops.items()}
+
+
+def _covered_by(c, right, ix, supp, tops):
+    """The cover verdict that _approximation gives for (right, ix, supp) in a
+    fresh context whose memo of rank problems holds the generators `tops`
+    (one tuple per bit of supp) in place of the solved ones."""
+    fresh = TiltingContext(c.oc)
+    out, into = c.hom_masks()
+    for j, gens in zip(_bits(supp), tops):
+        a, b = (j, ix) if right else (ix, j)
+        fresh._radical_tops[(a, b, out[a] & into[b] & supp & ~(1 << j))] = tuple(gens)
+    got = mut._approximation(fresh, right, ix, supp)[1]
+    assert len(fresh._radical_tops) == supp.bit_count()
+    return got
 
 
 @pytest.mark.parametrize("seed", [None, 5])
@@ -577,7 +592,7 @@ def test_tensor_path_matches_composition_path(diagram, rank, d, seed):
                 for tj in [t for t in ref if ref[t]][:1]:
                     short = tuple(tuple(g[1:] if t == tj else g) for t, g in tops.items())
                     ref_short = {**ref, tj: ref[tj][1:]}
-                    assert mut._covered(c, right, ix, supp, short) is \
+                    assert _covered_by(c, right, ix, supp, short) is \
                         _factors_through(c, a, x, ref_short, right) is False
 
 
@@ -616,7 +631,7 @@ def test_cover_verdict_depends_on_the_generators():
         ix, supp = _supp(c, (t,), x, right)
         assert supp == 1 << c.index[t]
         for gens, want in (([0, 1], True), ([0], False), ([1], False), ([1, 0], True)):
-            got = mut._covered(c, right, ix, supp, (tuple(gens),))
+            got = _covered_by(c, right, ix, supp, (tuple(gens),))
             assert got is _factors_through(c, (t,), x, {t: [basis[g] for g in gens]},
                                            right) is want
 
@@ -687,10 +702,11 @@ def test_each_triangle_error_names_its_check(monkeypatch):
             fresh = _oriented_ctx("A", 3, 2, None)
             with pytest.raises(RuntimeError, match=re.escape(want)):
                 call(fresh, a)
-    # a left side without generators: the two routes disagree
-    generators = mut._generators
-    monkeypatch.setattr(mut, "_generators", lambda c, right, *rest: tuple(
-        g if right else () for g in generators(c, right, *rest)))
+    # a left side without generators: the two routes disagree.  A right
+    # problem is posed at a summand of `a`, a left one at a fan member
+    radical_tops, mask = mut._radical_tops, c.mask_of(a)
+    monkeypatch.setattr(mut, "_radical_tops", lambda ctx, src, *rest: radical_tops(
+        ctx, src, *rest) if (mask >> src) & 1 else ())
     with pytest.raises(RuntimeError, match=r"middle term of triangle at .* disagrees "
                        r"between right \(\{.+\}\) and left \(\{\}\) approximations"):
         triangles_of(_oriented_ctx("A", 3, 2, None), a)
@@ -715,13 +731,23 @@ def test_each_radical_problem_is_reduced_once(diagram, rank, d, monkeypatch):
     assert len(calls) == len(c._radical_tops) < posed
 
 
+class _StoreLog(dict):
+    """An approximation memo that logs the key of every approximation built."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __setitem__(self, key, value):
+        self.log.append(key)
+        super().__setitem__(key, value)
+
+
 @pytest.mark.parametrize("diagram,rank,d", [("A", 4, 2), ("D", 5, 2)])
-def test_one_approximation_per_side_object_and_support(diagram, rank, d, monkeypatch):
+def test_one_approximation_per_side_object_and_support(diagram, rank, d):
     c = _oriented_ctx(diagram, rank, d, None)
     calls = []
-    generators = mut._generators
-    monkeypatch.setattr(mut, "_generators",
-                        lambda *args: calls.append(args[1:4]) or generators(*args))
+    c._approximations = _StoreLog(calls)
     out, into = c.hom_masks()
     posed = []
     for a in _faces(c):
@@ -734,6 +760,71 @@ def test_one_approximation_per_side_object_and_support(diagram, rank, d, monkeyp
     assert sorted(calls) == sorted(set(posed))
     assert set(c._approximations) == set(posed)
     assert len(c._approximations) < len(posed)
+
+
+@pytest.mark.parametrize("diagram,rank,d,count", [("A", 4, 2, 384), ("D", 5, 1, 1210)])
+def test_approximations_are_kept_per_side_object_and_support(diagram, rank, d, count):
+    """fan_middles keeps `count` distinct approximations, each equal to one
+    built afresh under its own key; on D5 d=1 some object has a right and a
+    left approximation with one support that differ, so a key without the
+    side would merge them."""
+    c = _oriented_ctx(diagram, rank, d, None)
+    mut.fan_middles(c)
+    memo = c._approximations
+    assert len(memo) == count
+    fresh = TiltingContext(c.oc)
+    for (right, ix, supp), got in memo.items():
+        assert got == mut._approximation(fresh, right, ix, supp)
+    differ = [key for key in memo if key[0] and memo[key] != memo.get((False,) + key[1:], memo[key])]
+    assert bool(differ) is (diagram == "D")
+
+
+def _right_approximations_asked(c):
+    """The right approximations (ix, supp) that the faces ask for, each with
+    the faces asking, in face order, and its generators by object."""
+    out, into = c.hom_masks()
+    asked = {}
+    for a in _faces(c):
+        mask = c.mask_of(a)
+        for x in fan_of(c, a):
+            ix = c.index[x]
+            asked.setdefault((ix, mask & into[ix]), []).append(a)
+    return [(ix, supp, by, _tops(c, True, ix, supp)) for (ix, supp), by in asked.items()]
+
+
+def test_a_kept_cover_failure_fails_every_face_that_asks_again(monkeypatch):
+    """A cover failure planted at one approximation fails the first face that
+    builds it and, read back from the memo, a later face that asks again."""
+    c = _oriented_ctx("A", 3, 2, None)
+    ix, supp, (a, b, *_), tops = next(
+        (ix, supp, by, tops) for ix, supp, by, tops in _right_approximations_asked(c)
+        if len(by) > 1 and any(tops.values()))
+    x, (tj, gens) = c.objects[ix], next((t, g) for t, g in tops.items() if g)
+    _plant_zero(monkeypatch, c.indices((tj, tj, x)), (gens[0], 0, gens[0]))
+    fresh = _oriented_ctx("A", 3, 2, None)
+    want = re.escape("right approximation of %r does not cover all maps" % (x,))
+    with pytest.raises(RuntimeError, match=want):
+        triangles_of(fresh, a)
+    assert fresh._approximations[(True, ix, supp)][1] is False
+    with pytest.raises(RuntimeError, match=want):
+        triangles_of(fresh, b)
+
+
+@pytest.mark.parametrize("diagram,rank,d", [("A", 4, 2), ("D", 4, 2), ("D", 5, 1)])
+def test_the_cover_at_the_last_summand_is_tested(diagram, rank, d, monkeypatch):
+    """A cover that fails at the highest summand of a support of two or more
+    summands, and only there, fails the approximation."""
+    c = _oriented_ctx(diagram, rank, d, None)
+    ix, supp, tops = next(
+        (ix, supp, tops) for ix, supp, _, tops in _right_approximations_asked(c)
+        if supp.bit_count() > 1 and tops[c.objects[supp.bit_length() - 1]])
+    x, tj = c.objects[ix], c.objects[supp.bit_length() - 1]
+    k = tops[tj][0]
+    _plant_zero(monkeypatch, c.indices((tj, tj, x)), (k, 0, k))
+    fresh = _oriented_ctx(diagram, rank, d, None)
+    assert mut._approximation(fresh, True, ix, supp)[1] is False
+    # the covers are tested in summand order, and all but the last hold
+    assert list(fresh._covers.values()) == [True] * (supp.bit_count() - 1) + [False]
 
 
 # the object-level approximations that _approximation replaced, kept as the

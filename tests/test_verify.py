@@ -670,6 +670,10 @@ GOLDEN_REPORTS = {
     ("A", 3, 2, "seed-1"): "7c1a2b1f6c81ffac0cc40bda802a2bad4eac7a4762ef8f213df694767d1e8457",
     ("A", 3, 3, "seed-1"): "af94fa709211a4a40cdc11a2f9de247791622331da066fdafceb385cd34d92ac",
     ("D", 5, 1, "seed-1"): "600375b16d906dafa37af2d9579e606f87a44fc5024acdc9d6b900c597d6df34",
+    # the census configurations, whose middle-rigid passes make the most
+    # approximation lookups of the pinned reports
+    ("E", 6, 2, "default"): "d1fdd48f371c49d9cd7402674696b33e3496182e95d4f1f15347d0f8e25b55f3",
+    ("E", 7, 1, "default"): "a0395f6fe77836a982306ea5541e1dcc9a7fa1d382952bd3b41e73ca85b2681f",
 }
 
 
