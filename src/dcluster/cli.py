@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import complex as cpxmod
 from . import mutation as mut
 from .quiver import ARROWS_SHAPE, DynkinQuiver, fomin_reading_count, parse_quiver
-from .tilting import TiltingContext, enumerate_tilting, is_tilting
+from .tilting import TiltingContext, codim1_faces, enumerate_tilting, is_tilting
 from .verify import CHECK_IDS, FAN_CHECKS, iter_checks, load_context, make_report, report_to_json
 
 
@@ -415,7 +415,7 @@ def cmd_fans(args) -> int:
         raise UsageError("--json needs --verify-all")
     ctx = _context(args, facets=True)
     oc, objs = ctx.oc, ctx.objects
-    print("%d almost complete sets" % len(mut.face_table(ctx)))
+    print("%d almost complete sets" % len(codim1_faces(ctx)))
     if args.list:
         for mask, fan in mut.fans(ctx):
             print("{%s}: %s" % (", ".join(oc.obj_name(x) for x in ctx.objs_of(mask)),

@@ -11,23 +11,19 @@ positive roots in d colors together with the negative simples.
 The positive part is the vertex-restriction to degrees < d (no negative
 labels); its facets are the tilting sets avoiding the shifted projectives.
 
-Faces are never materialized beyond the facets, which are kept as bitmasks
-over the fundamental domain; purity, the facet count and the exports read
-the masks, and ClusterComplex.facets names them as object tuples on first
-use.  The f-vector is counted by backtracking over compatibility bitmasks,
-once per complex (the exports reuse that count), and its last level is
-counted by popcount: a face one short of a facet extends to as many facets
-as it has common neighbours above its largest member.  The codimension-1
-faces of the full complex are listed once per context, with the facets
-containing them, in the flat arrays of the face table (mutation.face_table);
-the DOT export joins the complex's facets among those containing each
-face.  Their statistics come from the complement fans, computed on the
-same masks, and each fan must consist of exactly the summands that
-complete the face in the enumerated facets.  A fan depends
-only on the face's common neighbours, and many faces share one (33176 faces
-and 3107 fans on E6 d=2), so each fan is walked once, the table holds each
-face's fan as an index among the distinct fans, and a fan's member mask
-and color verdict are computed once per facet_stats.
+The facets are kept as bitmasks over the fundamental domain; purity, the
+facet count and the exports read the masks, and ClusterComplex.facets
+names them as object tuples on first use.  The f-vector is counted by
+backtracking over compatibility bitmasks, once per complex (the exports
+reuse that count), and its last level is counted by popcount: a face one
+short of a facet extends to as many facets as it has common neighbours
+above its largest member.  The codimension-1 faces of the full complex
+come with the facets from the context's one walk (tilting.codim1_faces),
+each with the facets containing it; the DOT export joins the complex's
+facets among those, and numbers no fan.  The statistics read the fans
+(mutation.face_table), each of which must consist of exactly the summands
+that complete its face in the enumerated facets; many faces share a fan,
+so a fan's member mask and color verdict are computed once per fan id.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from typing import Dict, List, Tuple
 
 from .mutation import face_table
 from .orbit import Obj, OrbitCategory
-from .tilting import TiltingContext, _bits, enumerate_tilting, facet_masks
+from .tilting import TiltingContext, _bits, codim1_faces, enumerate_tilting, facet_masks
 
 ColoredRoot = Tuple[Tuple[int, ...], int, str]   # (root, color, sign)
 
@@ -241,7 +237,7 @@ def facet_graph_dot(cpx: ClusterComplex, name: str) -> str:
     for i, mask in enumerate(cpx.facet_masks):
         lines.append('  f%d [label="%s"];' % (i, " + ".join(names[j] for j in _bits(mask))))
     lines += ["  f%d -- f%d;" % edge for edge in sorted(
-        pair for members in face_table(ctx).groups()
+        pair for members in codim1_faces(ctx).groups()
         for pair in combinations([node[k] for k in members if k in node], 2))]
     lines.append("}")
     return "\n".join(lines) + "\n"

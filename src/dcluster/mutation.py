@@ -39,22 +39,16 @@ edge (complements, fan_of, triangles_of, the approximations,
 is_exchange_team, mutate), which turns them into a mask with
 TiltingContext.mask_of and so rejects a repeated summand.
 
-The complements of a set, and so its fan, depend only on the set's common
-neighbours, and far fewer distinct sets of those occur than faces (3107
-among the 33176 faces of E6 d=2, 1050 among the 14560 of E7 d=1), so the
-face table filters and walks a fan once per common-neighbour mask and only
-looks it up for every further face.  A query on one face (complements,
-fan_of, triangles_of, mutate) walks its one fan and keeps no fan.
-
-The checks over every face read one face table per context (FaceTable,
-face_table), in flat arrays of unsigned ints with no Python object per
-face.  A face is a rigid set of n - 1 objects with a common neighbour, so
-the ordered backtracking that lists the facets (tilting._grow) lists the
-faces too, with their common neighbours, in the order of their tuples of
-object indices, which is the table's order; fan ids number the fans in the
-order of their first faces.  A check asks its question of each fan in id
-order and walks the faces in table order, and sorts nothing to name the
-first failing face.  Each Ext^1(X_i, X_{i+1}) along a fan is
+The checks over every face read one face table per context
+(tilting.FaceTable, from the context's one walk), in flat arrays with no
+Python object per face, in the order of the faces' index tuples.  A fan
+depends only on the face's common neighbours, far fewer of which occur than
+faces (3107 among the 33176 faces of E6 d=2), so the first fan question
+(face_table) walks a fan once per common-neighbour mask and numbers the fans
+in the order of their first faces; the mutation graph numbers none.  A query
+on one face (complements, fan_of, triangles_of, mutate) walks its one fan and
+keeps none.  A check asks its question of each fan in id order, walks the
+faces in table order and sorts nothing.  Each Ext^1(X_i, X_{i+1}) along a fan is
 one-dimensional, so each triangle along it is unique up to isomorphism and
 its middle terms depend only on the fan: fan_middles keeps them once per
 fan id, after one pass in table order in which every face gets its own
@@ -100,13 +94,12 @@ from __future__ import annotations
 
 from array import array
 from functools import reduce
-from itertools import islice
 from operator import mul, or_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .orbit import Obj
-from .tilting import TiltingContext, _bits, _closure, _grow, facet_masks, is_tilting
+from .tilting import FaceTable, TiltingContext, _bits, _closure, codim1_faces, is_tilting
 
 # a middle term: (object index j, multiplicity of T_j) for each summand in it
 Middle = Tuple[Tuple[int, int], ...]
@@ -200,87 +193,22 @@ def fan_degrees(ctx: TiltingContext, cycle: Sequence[int]) -> Tuple[int, ...]:
     return tuple(objects[i][1] for i in cycle)
 
 
-class FaceTable:
-    """The codimension-1 faces of a context's facets, in flat arrays.
-
-    Faces are numbered in the order of their tuples of object indices.  Face
-    f lies in the facets at the positions members[k] for starts[f] <= k <
-    starts[f + 1], in increasing order; its mask is the first of those
-    facets without the summand drops[f], and its fan is cycles[fan_ids[f]],
-    numbered in the order of first faces.  middles (fan_middles) holds the
-    middle terms along each cycle.
-    """
-
-    def __init__(self, facets: List[int], starts: array, members: array,
-                 drops: array, fan_ids: array, cycles: List[Tuple[int, ...]]):
-        self.facets = facets
-        self.starts = starts
-        self.members = members
-        self.drops = drops
-        self.fan_ids = fan_ids
-        self.cycles = cycles
-        self.middles: Optional[List[Tuple[Middle, ...]]] = None
-
-    def __len__(self) -> int:
-        return len(self.drops)
-
-    def masks(self) -> Iterator[int]:
-        """The mask of every face, in table order."""
-        facets, members = self.facets, self.members
-        return (facets[members[start]] ^ 1 << drop
-                for start, drop in zip(self.starts, self.drops))
-
-    def groups(self) -> Iterator[array]:
-        """The positions of the facets containing each face, in table order."""
-        members, starts = self.members, self.starts
-        return (members[lo:hi] for lo, hi in zip(starts, islice(starts, 1, None)))
-
-
 def face_table(ctx: TiltingContext) -> FaceTable:
-    """The face table of the context's facets (cached).
-
-    The faces are the rigid sets of n - 1 objects with a common neighbour,
-    listed by tilting._grow with their common neighbours c; the facets
-    containing a face are its unions with each c, found by position in
-    facet_masks, which must hold each of them and nothing more.  A fan is
-    walked once per distinct common-neighbour mask, and each distinct cycle
-    gets the next id; nothing is kept when the build raises."""
-    if ctx._face_table is None:
-        facets = facet_masks(ctx)
-        position = {mask: k for k, mask in enumerate(facets)}
-        starts, members = array("I", [0]), array("I")
-        drops, fan_ids = array("I"), array("I")
-        by_common: Dict[int, int] = {}
+    """tilting.codim1_faces with its fans numbered (cached): a fan is walked
+    once per distinct common-neighbour mask, in the order of their first
+    faces, and each distinct cycle gets the next id; the fan ids replace the
+    common-neighbour ids, and nothing is kept when a walk raises."""
+    table = codim1_faces(ctx)
+    if table.cycles is None:
         by_cycle: Dict[Tuple[int, ...], int] = {}
-
-        def add_face(face: int, common: int) -> None:
-            if not common:    # in no facet: rigidity-equivalence reports it
-                return
-            rest = common
-            while rest:
-                low = rest & -rest
-                k = position.get(face | low)
-                if k is None:
-                    raise RuntimeError("codimension-1 face %r with the common neighbour %r "
-                                       "lies in no enumerated facet"
-                                       % (ctx.objs_of(face), ctx.objects[low.bit_length() - 1]))
-                members.append(k)
-                rest ^= low
-            starts.append(len(members))
-            drops.append((common & -common).bit_length() - 1)
-            fid = by_common.get(common)
-            if fid is None:
-                cycle = _fan_cycle(ctx, _complements_among(ctx, common))
-                fid = by_common[common] = by_cycle.setdefault(cycle, len(by_cycle))
-            fan_ids.append(fid)
-
-        _grow(ctx.adjacency(), ctx.n - 1, 0, (1 << len(ctx.objects)) - 1, 0, 0, add_face)
-        if len(members) != ctx.n * len(facets):
-            raise RuntimeError("the faces lie in %d facets, counted with multiplicity, "
-                               "not n = %d times the %d enumerated facets"
-                               % (len(members), ctx.n, len(facets)))
-        ctx._face_table = FaceTable(facets, starts, members, drops, fan_ids, list(by_cycle))
-    return ctx._face_table
+        fids = []
+        for common in table.commons:
+            cycle = _fan_cycle(ctx, _complements_among(ctx, common))
+            fids.append(by_cycle.setdefault(cycle, len(by_cycle)))
+        table.fan_ids = array("I", map(fids.__getitem__, table.common_ids))
+        table.cycles = list(by_cycle)
+        table.common_ids = table.commons = None
+    return table
 
 
 def fans(ctx: TiltingContext) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -747,8 +675,8 @@ def _graph_checks(ctx: TiltingContext) -> Dict[str, object]:
     Two distinct facets share at most one codimension-1 face, so a facet's
     degree is the sum over its face groups of (members - 1), and two facets
     are connected exactly when a chain of face groups joins them: each group
-    merges its members' components in a union-find forest."""
-    table = face_table(ctx)
+    merges its members' components in a union-find forest.  No fan is numbered."""
+    table = codim1_faces(ctx)
     count = len(table.facets)
     degree = [0] * count
     parent = list(range(count))

@@ -14,14 +14,19 @@ Tilting sets are exactly the complete rigid sets, those with n = rank
 elements.  verify_equivalence checks this by brute force: a pivoted
 Bron-Kerbosch enumeration of all maximal cliques is compared against an
 independent backtracking enumeration of size-n cliques, and the closure
-condition is evaluated again on every maximal clique.  The enumeration
-yields bitmasks; enumerate_tilting names them only when asked.
+condition is evaluated again on every maximal clique.  One ordered
+backtracking per context (codim1_faces) lists the facets and the
+codimension-1 faces: a facet is a rigid set of n - 1 objects plus a common
+neighbour above its members, so a walk over those sets in tuple order
+lists the facets in tuple order too.  The enumeration yields bitmasks;
+enumerate_tilting names them only when asked.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Callable, Dict, List, Sequence, Tuple
+from array import array
+from itertools import chain, islice
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .orbit import Obj, OrbitCategory
 
@@ -37,14 +42,10 @@ class TiltingContext:
         self._adj = None
         self._hom_masks = None
         self._ext1_rows = None
-        # results shared by several checks: _facet_masks holds the tilting
-        # sets (named in _tilting for enumerate_tilting only), and
-        # _face_table the codimension-1 faces (mutation.FaceTable), listed
-        # by _grow to n - 1 objects: for each face, in flat arrays, the
-        # positions in _facet_masks of the facets containing it and its
-        # fan's index among the distinct fans, and, once
-        # mutation.fan_middles has passed, each fan's middle terms.
-        self._facet_masks = None
+        # results shared by several checks: _face_table holds the tilting
+        # sets and the codimension-1 faces (FaceTable, from codim1_faces), to
+        # which mutation.face_table adds the fans and mutation.fan_middles
+        # their middle terms; _tilting names the sets for enumerate_tilting.
         self._tilting = None
         self._face_table = None
         self._facet_stats = None
@@ -279,14 +280,87 @@ def _bron_kerbosch(adj: List[int], r: int, p: int, x: int, out: List[int]) -> No
         rest ^= low
 
 
+class FaceTable:
+    """The codimension-1 faces of a context's facets, in flat arrays.
+
+    Faces are numbered in the order of their tuples of object indices.  Face
+    f lies in the facets at the positions members[k] for starts[f] <= k <
+    starts[f + 1], in increasing order; its mask is the first of those
+    facets without the summand drops[f].  Its common neighbours are
+    commons[common_ids[f]] until mutation.face_table numbers the fans, both
+    in the order of first faces: then its fan is cycles[fan_ids[f]], and
+    mutation.fan_middles fills middles.
+    """
+
+    def __init__(self):
+        self.facets: List[int] = []
+        self.starts, self.members = array("I", [0]), array("I")
+        self.drops, self.common_ids = array("I"), array("I")
+        self.commons = self.fan_ids = self.cycles = self.middles = None
+
+    def __len__(self) -> int:
+        return len(self.drops)
+
+    def masks(self) -> Iterator[int]:
+        """The mask of every face, in table order."""
+        facets, members = self.facets, self.members
+        return (facets[members[start]] ^ 1 << drop
+                for start, drop in zip(self.starts, self.drops))
+
+    def groups(self) -> Iterator[array]:
+        """The positions of the facets containing each face, in table order."""
+        members, starts = self.members, self.starts
+        return (members[lo:hi] for lo, hi in zip(starts, islice(starts, 1, None)))
+
+
 def facet_masks(ctx: TiltingContext) -> List[int]:
-    """All rigid sets of size exactly n as bitmasks, by ordered backtracking (cached)."""
-    if ctx._facet_masks is None:
-        out: List[int] = []
-        _grow(ctx.adjacency(), ctx.n, 0, (1 << len(ctx.objects)) - 1, 0, 0,
-              lambda mask, common: out.append(mask))
-        ctx._facet_masks = out
-    return ctx._facet_masks
+    """All rigid sets of size exactly n as bitmasks, in tuple order (cached)."""
+    return codim1_faces(ctx).facets
+
+
+def codim1_faces(ctx: TiltingContext) -> FaceTable:
+    """The face table, with the facets, from the context's one walk (cached).
+
+    _grow lists the faces, the rigid sets of n - 1 objects, with their
+    common neighbours c in tuple order.  face | c is a new facet, appended in
+    tuple order, when c is above the face, and one appended at an earlier
+    face otherwise; the walk keeps nothing and raises when that one is
+    missing or the faces do not meet each facet n times."""
+    if ctx._face_table is None:
+        table = FaceTable()
+        facets, starts, members = table.facets, table.starts, table.members
+        drops, common_ids = table.drops, table.common_ids
+        position, by_common = {}, {}    # facet -> its position, common mask -> its id
+
+        def add_face(face: int, common: int) -> None:
+            if not common:    # in no facet: rigidity-equivalence reports it
+                return
+            rest, top, least = common, 1 << face.bit_length(), face & -face
+            while rest:
+                low = rest & -rest
+                if low >= top:    # one int object for the list and the dict
+                    facets.append(face | low)
+                    k = position[facets[-1]] = len(facets) - 1
+                else:
+                    # the face without the facet's least summand looks it up last
+                    k = (position.pop if low < least else position.get)(face | low, None)
+                    if k is None:
+                        raise RuntimeError("codimension-1 face %r with the common neighbour %r "
+                                           "lies in no enumerated facet"
+                                           % (ctx.objs_of(face), ctx.objs_of(low)[0]))
+                members.append(k)
+                rest ^= low
+            starts.append(len(members))
+            drops.append((common & -common).bit_length() - 1)
+            common_ids.append(by_common.setdefault(common, len(by_common)))
+
+        _grow(ctx.adjacency(), ctx.n - 1, 0, (1 << len(ctx.objects)) - 1, 0, 0, add_face)
+        if len(members) != ctx.n * len(facets):
+            raise RuntimeError("the faces lie in %d facets, counted with multiplicity, "
+                               "not n = %d times the %d enumerated facets"
+                               % (len(members), ctx.n, len(facets)))
+        table.commons, ctx._face_table = list(by_common), table
+    return ctx._face_table
 
 
 def enumerate_tilting(ctx: TiltingContext) -> List[Tuple[Obj, ...]]:
@@ -317,8 +391,10 @@ def _grow(adj: List[int], n: int, mask: int, cand: int, size: int, start: int,
 
 def verify_equivalence(ctx: TiltingContext) -> Dict[str, object]:
     """The three-way-equivalence check; raises on self/symmetry defects."""
-    maximal = set(maximal_rigid_sets(ctx))
-    complete = set(facet_masks(ctx))
+    # the walk first, so that its position dict is gone before the cliques
+    # are listed; sorted lists, not sets: a clique listed twice differs
+    complete = sorted(facet_masks(ctx))
+    maximal = sorted(maximal_rigid_sets(ctx))
     sizes = sorted({mask.bit_count() for mask in maximal})
     closure_ok = all(_closure(ctx, mask) == (True, 0) for mask in maximal)
     return {

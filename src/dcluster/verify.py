@@ -23,7 +23,7 @@ from . import mutation as mut
 from .orbit import OrbitCategory
 from .quiver import coxeter_data, fomin_reading_count, parse_quiver
 from .reps import ModuleCategory
-from .tilting import (TiltingContext, _bits, _closure, complete_mask, facet_masks,
+from .tilting import (TiltingContext, _bits, _closure, codim1_faces, complete_mask, facet_masks,
                       verify_equivalence)
 
 SCHEMA_VERSION = 1
@@ -164,7 +164,7 @@ def check_rigid_extends(ctx: TiltingContext) -> Dict[str, object]:
     # with one common-neighbour mask complete to one size: only the first of
     # them in table order is completed.  A face that is not rigid is its own
     # key (~face), and completing it raises.
-    table = mut.face_table(ctx)
+    table = codim1_faces(ctx)
     seen = set()
     for at, face in enumerate(table.masks()):
         rigid, common = _closure(ctx, face)

@@ -340,7 +340,7 @@ def test_mutation_graph_counts_its_edges(monkeypatch, tmp_path, capsys):
     degree, so a graph that is not regular reports the edges it has."""
     from dcluster import mutation
 
-    build = mutation.face_table
+    build = mutation.codim1_faces
 
     def drop_one_edge(ctx):
         # facet b leaves the face group it shares with facet 0
@@ -353,7 +353,7 @@ def test_mutation_graph_counts_its_edges(monkeypatch, tmp_path, capsys):
                 table.starts[k] -= 1
         return table
 
-    monkeypatch.setattr(mutation, "face_table", drop_one_edge)
+    monkeypatch.setattr(mutation, "codim1_faces", drop_one_edge)
     outp = tmp_path / "g.json"
     assert run(["mutation-graph", "--out", str(outp)] + A2D1) == 1
     captured = capsys.readouterr()
@@ -380,6 +380,25 @@ def test_complex_positive(capsys):
     out = capsys.readouterr().out
     assert "6 vertices, 7 facets" in out
     assert "pure=" not in out
+
+
+@pytest.mark.parametrize("argv", [["mutation-graph", "--dot"], ["complex", "--positive", "--dot"],
+                                  ["fans"]])
+def test_commands_reading_only_the_faces_walk_no_fan(argv, tmp_path, monkeypatch, capsys):
+    """The mutation graph, the DOT exports and the face count read only the
+    face groups of the context's one walk, so no fan is walked."""
+    from dcluster import mutation
+
+    walks = []
+    cycle = mutation._fan_cycle
+    monkeypatch.setattr(mutation, "_fan_cycle", lambda *args: walks.append(1) or cycle(*args))
+    if argv[-1] == "--dot":
+        argv = argv + [str(tmp_path / "g.dot")]
+    assert run(argv + ["--diagram", "A", "--rank", "3", "--d", "2"]) == 0
+    assert walks == []
+    assert run(["fans", "--list", "--diagram", "A", "--rank", "3", "--d", "2"]) == 0
+    assert walks
+    capsys.readouterr()
 
 
 def test_fans_verify_all(tmp_path, capsys):

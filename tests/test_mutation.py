@@ -338,7 +338,7 @@ def test_cycle_memo_matches_one_walk_per_face(diagram, rank, d, seed):
 
 def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
     """Two faces with the same common neighbours raise the same error in
-    turn when Ext^1 is broken, and the face table is left unbuilt."""
+    turn when Ext^1 is broken, and the face table is left without fans."""
     c = _fresh_oriented_ctx("A", 3, 3, None)
     groups = {}
     # listed in another context: the face table walks every fan
@@ -354,7 +354,7 @@ def test_a_failed_fan_walk_leaves_no_memo_entry(monkeypatch):
             mut._fan(c, mask)
     with pytest.raises(RuntimeError, match=r"Ext\^1-successors, expected 1"):
         mut.face_table(c)
-    assert c._face_table is None
+    assert c._face_table.cycles is None and c._face_table.fan_ids is None
     monkeypatch.undo()
     fresh = TiltingContext(c.oc)
     fan = mut._fan_cycle(fresh, _complement_mask(fresh, first))

@@ -370,6 +370,39 @@ def test_maximal_rigid_sets_by_brute_force_and_in_pivot_order(diagram, rank, d, 
 GRID = [("A", 3, 2), ("A", 4, 2), ("D", 4, 2), ("A", 3, 3), ("D", 5, 1)]
 
 
+def _facets_by_depth_n_walk(c):
+    """The oracle: the ordered backtracking to depth n that listed the
+    facets before the face walk did, every rigid set of n objects grown one
+    larger index at a time, in the order of the sets' index tuples."""
+    adj, n, out = c.adjacency(), c.n, []
+
+    def grow(mask, cand, size, start):
+        if size == n:
+            out.append(mask)
+            return
+        rest = cand >> start << start
+        if size + rest.bit_count() < n:
+            return
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            grow(mask | low, cand & adj[j], size + 1, j + 1)
+            rest ^= low
+
+    grow(0, (1 << len(adj)) - 1, 0, 0)
+    return out
+
+
+@pytest.mark.parametrize("diagram,rank,d,seed", [
+    config + (seed,) for config in GRID for seed in (None, 6)] + [
+    ("E", 6, 3, None), ("E", 6, 3, 5)])
+def test_face_walk_lists_the_facets_of_the_depth_n_walk(diagram, rank, d, seed):
+    """The facets read off the depth n - 1 face walk are the depth-n walk's
+    list, in its order."""
+    c = _seeded(diagram, rank, d, seed)
+    assert facet_masks(c) == _facets_by_depth_n_walk(c)
+
+
 def _greedy_by_rederiving(compatible, mask):
     """The greedy completion that re-derives the common neighbours of the
     whole grown set, from the compatibility table, after each step."""

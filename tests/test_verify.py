@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dcluster import tilting
 from dcluster.mutation import cyclic_form, fan_of, fans
 from dcluster.quiver import default_orientation, dynkin_edges
 from dcluster.tilting import _bits
@@ -154,6 +155,17 @@ def test_random_orientation_and_prime_verify(config, prime, data):
                 assert oc.hom_dim_wide(x, (y[0], y[1] + k)) == oc.ext_dim(x, y, k)
 
 
+def _top_level_counted(calls, name):
+    """tilting._grow, counting in calls[name] the walks it starts (its
+    calls with no object taken yet), not its recursive calls."""
+    grow = tilting._grow
+
+    def wrapper(adj, n, mask, cand, size, start, emit):
+        calls[name] += not size
+        return grow(adj, n, mask, cand, size, start, emit)
+    return wrapper
+
+
 def test_shared_results_computed_once_per_context(monkeypatch):
     from dcluster import complex as cpxmod
     from dcluster import mutation as mut
@@ -166,8 +178,8 @@ def test_shared_results_computed_once_per_context(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(mut, "_grow", counted("faces", mut._grow))
-    monkeypatch.setattr(mut, "FaceTable", counted("table", mut.FaceTable))
+    monkeypatch.setattr(tilting, "_grow", _top_level_counted(calls, "faces"))
+    monkeypatch.setattr(tilting, "FaceTable", counted("table", tilting.FaceTable))
     monkeypatch.setattr(mut, "_fan_cycle", counted("walks", mut._fan_cycle))
     monkeypatch.setattr(cpxmod, "_facet_stats", counted("facet_stats", cpxmod._facet_stats))
     monkeypatch.setattr(mut, "_graph_checks", counted("graph", mut._graph_checks))
@@ -176,10 +188,11 @@ def test_shared_results_computed_once_per_context(monkeypatch):
         c = load_context(diagram, rank, d)
         report, _ = run_checks(c)
         assert report["summary"]["fail"] == 0
-        # the codimension-1 faces are listed once, into the one face table
-        # that the fan checks, the mutation graph and facet_stats all read;
-        # its fan ids are filled once, one fan walk per distinct
-        # common-neighbour mask, and a second run in the context walks no fan
+        # one walk lists the facets and the codimension-1 faces, into the
+        # one face table that the fan checks, the mutation graph and
+        # facet_stats all read; its fan ids are filled once, one fan walk
+        # per distinct common-neighbour mask, and a second run in the
+        # context walks no fan
         table = c._face_table
         common = {mut._common_mask(c, mask) for mask in table.masks()}
         want = {"faces": 1, "table": 1, "walks": len(common), "facet_stats": 1,
@@ -234,7 +247,7 @@ def test_verify_all_asks_each_fan_question_once(diagram, rank, d, monkeypatch, c
         return wrapper
 
     compose, context = mut._chains_nonzero, cli._context
-    monkeypatch.setattr(mut, "_grow", counted("faces", mut._grow))
+    monkeypatch.setattr(tilting, "_grow", _top_level_counted(calls, "faces"))
     monkeypatch.setattr(verify, "complete_mask", counted("walks", verify.complete_mask))
     monkeypatch.setattr(mut, "_chains_nonzero",
                         lambda ctx, cycle: chains.append(cycle) or compose(ctx, cycle))
@@ -269,7 +282,7 @@ def test_verify_names_no_facet(diagram, rank, d):
     enumerate_tilting are never built."""
     c = load_context(diagram, rank, d)
     assert run_checks(c)[0]["summary"]["fail"] == 0
-    assert c._tilting is None and c._facet_masks
+    assert c._tilting is None and c._face_table.facets
 
 
 def _ints_only(value):
